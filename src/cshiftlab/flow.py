@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterDomainError, ResolutionError
+from .errors import ExcludedCaseError, ParameterDomainError, ResolutionError
 from .fredholm import assemble, determinant, logdet
 from .kernels import u_kt, u_pm, v0, v_t
 from .quadgrid import gauss_interval, laguerre_halfline, stadium_contour
@@ -95,6 +95,8 @@ class SweepRow:
     product: complex
     rel_error: float
     runtime: float
+    #: nodes of the interval rule; None for rows not built by theorem1_sweep
+    n: int | None = None
 
 
 @dataclass
@@ -156,7 +158,7 @@ def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
         report.rows.append(SweepRow(
             x=x, det_v=np.exp(ld_v), det_v0=np.exp(ld_v0), ratio=ratio,
             det_up=det_up, det_um=det_um, product=product, rel_error=rel,
-            runtime=time.perf_counter() - t_start))
+            runtime=time.perf_counter() - t_start, n=n))
 
     if len(report.rows) >= 2:
         lx = np.log([row.x for row in report.rows])
@@ -244,7 +246,7 @@ def dt_logdet_check(cfg: SweepConfig, t0: complex, h: float = 1e-4,
 
 CSV_COLUMNS = ["x", "det(I+V)", "det(I+V0)", "ratio", "det(I+U+)",
                "det(I+U-)", "product", "relative error",
-               "fitted decay exponent", "runtime_s"]
+               "fitted decay exponent", "runtime_s", "n"]
 
 
 def _fmt(v) -> str:
@@ -268,7 +270,7 @@ def emit(report: SweepReport, path: str, final_tol: float = 0.05) -> int:
                         _fmt(row.ratio), _fmt(row.det_up), _fmt(row.det_um),
                         _fmt(row.product), _fmt(row.rel_error),
                         _fmt(report.fitted_decay_exponent),
-                        _fmt(row.runtime)])
+                        _fmt(row.runtime), row.n])
 
     lines = []
     ok = True

@@ -1,12 +1,15 @@
 """Nystrom discretization: determinants and second-kind solves.
 
 I + K on an interval or contour becomes the dense matrix
-I + K(z_i, z_j) w_j.  Its determinant is the Fredholm determinant of the
-discretized operator, and (I + K) f = g becomes a dense solve whose LU
-factorization is reused across right-hand sides.  Complex contour weights
-enter as they are; no symmetrized square-root splitting is attempted
-(square roots of complex weights are branch-ambiguous, and determinants
-are similarity-invariant anyway).
+I + K(z_i, z_j) w_j.  Its dtype is the result dtype of the kernel values
+and the weights: real kernels on interval rules (real nodes and weights)
+give a float64 matrix, factored in real arithmetic; contours and complex
+kernel values give complex128.  Its determinant is the Fredholm
+determinant of the discretized operator, and (I + K) f = g becomes a
+dense solve whose LU factorization is reused across right-hand sides.
+Complex contour weights enter as they are; no symmetrized square-root
+splitting is attempted (square roots of complex weights are
+branch-ambiguous, and determinants are similarity-invariant anyway).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Optional, Union
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import zgecon
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import AssemblyError, NearSingularityError
 from .kernels import KernelHandle
@@ -29,7 +32,7 @@ Support = Union[IntervalRule, Contour]
 
 def _support_nodes_weights(support: Support):
     if isinstance(support, IntervalRule):
-        return support.nodes.astype(complex), support.weights.astype(complex)
+        return support.nodes, support.weights
     if isinstance(support, Contour):
         return support.samples, support.cweights
     raise AssemblyError(f"unsupported support type {type(support)!r}")
@@ -56,7 +59,8 @@ class NystromSystem:
         if self._lu is None:
             lu, piv = lu_factor(self.matrix)
             anorm = np.linalg.norm(self.matrix, 1)
-            rcond, info = zgecon(lu, anorm)
+            gecon, = get_lapack_funcs(("gecon",), (lu,))
+            rcond, info = gecon(lu, anorm)
             if info != 0:
                 raise NearSingularityError("condition estimation failed")
             self.cond = float(1.0 / max(rcond, 1e-300))
@@ -74,22 +78,25 @@ def assemble(kernel, support: Support) -> NystromSystem:
 
     The kernel's closed-form diagonal replaces the (removable) diagonal
     entries on interval supports; contour kernels are regular on the
-    diagonal but still go through ``diag`` for uniformity.
+    diagonal but still go through ``diag`` for uniformity.  The matrix
+    keeps the result dtype of the kernel values and the weights.
     """
     nodes, weights = _support_nodes_weights(support)
     if isinstance(kernel, KernelHandle):
-        K = np.asarray(kernel.eval(nodes[:, None], nodes[None, :]),
-                       dtype=complex)
-        np.fill_diagonal(K, kernel.diag(nodes))
+        K = np.asarray(kernel.eval(nodes[:, None], nodes[None, :]))
+        diag = kernel.diag(nodes)
+        K = K.astype(np.result_type(K, diag), copy=False)
+        np.fill_diagonal(K, diag)
         handle = kernel
     else:  # bare callable: already regular everywhere
-        K = np.asarray(kernel(nodes[:, None], nodes[None, :]), dtype=complex)
+        K = np.asarray(kernel(nodes[:, None], nodes[None, :]))
         handle = None
     if not np.all(np.isfinite(K)):
         bad = np.argwhere(~np.isfinite(K))[0]
         raise AssemblyError(
             f"kernel not finite at nodes ({nodes[bad[0]]}, {nodes[bad[1]]})")
-    matrix = np.eye(nodes.size, dtype=complex) + K * weights[None, :]
+    matrix = K * weights[None, :]
+    matrix.flat[::nodes.size + 1] += 1.0
     return NystromSystem(support=support, kernel=handle, matrix=matrix,
                          nodes=nodes, weights=weights)
 

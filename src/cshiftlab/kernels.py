@@ -41,17 +41,96 @@ class KernelHandle:
         return self.eval(lam, mu)
 
 
-def _phase_dd(pd: ProblemData, lam, mu):
-    """delta = lam - mu and the divided difference (p(lam)-p(mu))/delta."""
-    lam = np.asarray(lam, dtype=complex)
-    mu = np.asarray(mu, dtype=complex)
+def _real_values(*vals):
+    """The real parts of vals when every entry has zero imaginary part.
+
+    Returns None when any value is non-real.
+    """
+    vals = [np.asarray(v) for v in vals]
+    if any(np.iscomplexobj(v) and np.any(v.imag) for v in vals):
+        return None
+    return [v.real for v in vals]
+
+
+def _combine(pd: ProblemData, t, F_lam, d, sin_over_d, cos):
+    """(c F/pi) (t cos theta + c sin(theta)/d) / (t^2 d^2 + c^2).
+
+    At t = 0 this is F sin(theta)/(pi d) and cos is not used.
+    """
+    if t == 0:
+        return sin_over_d * (F_lam / np.pi)
+    c = pd.c
+    return (t * cos + c * sin_over_d) * (c * F_lam / np.pi) \
+        / ((t * d) ** 2 + c ** 2)
+
+
+def _direct_entries(pd: ProblemData, t, lam, mu, p_lam, p_mu, F_lam):
+    """V_t entries with theta = x d dd / 2, dd the divided difference of p.
+
+    Forming theta from p(lam) - p(mu) keeps it accurate relative to its
+    size for close pairs.  Where |d| = |lam - mu| < 1e-9 (b - a) the
+    divided difference is p' at the midpoint.
+    """
     d = lam - mu
-    scale = pd.b - pd.a
-    tiny = np.abs(d) < 1e-9 * scale
-    safe = np.where(tiny, 1.0, d)
-    dd = np.where(tiny, pd.p.deriv(0.5 * (lam + mu)),
-                  (pd.p(lam) - pd.p(mu)) / safe)
-    return d, dd
+    tiny = np.abs(d) < 1e-9 * (pd.b - pd.a)
+    dd = np.asarray((p_lam - p_mu) / np.where(tiny, 1.0, d))
+    if tiny.any():
+        dp = pd.p.deriv(0.5 * (np.broadcast_to(lam, tiny.shape)[tiny]
+                               + np.broadcast_to(mu, tiny.shape)[tiny]))
+        dd[tiny] = dp if np.iscomplexobj(dd) else dp.real
+    theta = 0.5 * pd.x * d * dd
+    return _combine(pd, t, F_lam, d, 0.5 * pd.x * dd * np.sinc(theta / np.pi),
+                    np.cos(theta))
+
+
+def _interval_entries(pd: ProblemData, t: complex, lam, mu):
+    """Off-diagonal entries of V_t on [a, b]; t = 0 gives the sine kernel V0.
+
+    F and p are evaluated on the lam and mu arrays only; the result has
+    their broadcast shape.  When t and all of these values are real the
+    result is float64 and sin theta, cos theta, theta = x [p(lam)-p(mu)]/2,
+    come from per-node sines and cosines of a = x p/2 by angle addition.
+    That is exact for real arguments up to an absolute error of about
+    eps |a|, so entries with |theta| < 1, where this error would be
+    divided by a small lam - mu, take the direct theta instead.
+    Otherwise the result is complex128 and every entry takes the direct
+    theta: angle addition cancels once |Im a| is large.
+    """
+    lam, mu = np.asarray(lam), np.asarray(mu)
+    F_lam, p_lam, p_mu = pd.F(lam), pd.p(lam), pd.p(mu)
+    real = _real_values(t, lam, mu, F_lam, p_lam, p_mu)
+    if real is None:
+        td = t * (lam - mu)
+        if np.any(np.minimum(np.abs(td - 1j * pd.c), np.abs(td + 1j * pd.c))
+                  < 1e-8 * pd.c):
+            raise PoleError("V_t evaluated too close to t(lam-mu) = -+ i c")
+        return _direct_entries(pd, t, lam, mu, p_lam, p_mu, F_lam)
+
+    t, lam, mu, F_lam, p_lam, p_mu = real
+    t = float(t)
+    a_lam, a_mu = 0.5 * pd.x * p_lam, 0.5 * pd.x * p_mu
+    s_lam, c_lam = np.sin(a_lam), np.cos(a_lam)
+    s_mu, c_mu = np.sin(a_mu), np.cos(a_mu)
+    near = np.abs(a_lam - a_mu) < 1.0
+    d = lam - mu
+    out = np.asarray(_combine(
+        pd, t, F_lam, d,
+        (s_lam * c_mu - c_lam * s_mu) / np.where(near, 1.0, d),
+        c_lam * c_mu + s_lam * s_mu if t else None))
+    if near.any():
+        out[near] = _direct_entries(
+            pd, t, *(np.broadcast_to(z, near.shape)[near]
+                     for z in (lam, mu, p_lam, p_mu, F_lam)))
+    return out
+
+
+def _interval_diag(pd: ProblemData, t: complex, lam):
+    """Diagonal of V_t, F (t + c x p'/2) / (pi c), real for real data."""
+    lam = np.asarray(lam)
+    vals = [t, lam, pd.F(lam), pd.p.deriv(lam)]
+    real = _real_values(*vals)
+    t, lam, F_lam, dp = real if real is not None else vals
+    return F_lam * (t + 0.5 * pd.c * pd.x * dp) / (np.pi * pd.c)
 
 
 def v_t(pd: ProblemData) -> KernelHandle:
@@ -62,43 +141,22 @@ def v_t(pd: ProblemData) -> KernelHandle:
         + e^{-i x [p(lam)-p(mu)]/2} / (t (lam-mu) - i c) },
     evaluated in the combined form that is regular on the diagonal.
     At t = 1 this is the undeformed kernel; at t = 0 it collapses to the
-    generalized sine kernel v0.
+    generalized sine kernel v0.  Values are float64 for real data and
+    complex128 otherwise.
     """
-
-    def eval_(lam, mu):
-        d, dd = _phase_dd(pd, lam, mu)
-        td = pd.t * d
-        if np.any(np.minimum(np.abs(td - 1j * pd.c),
-                             np.abs(td + 1j * pd.c)) < 1e-8 * pd.c):
-            raise PoleError("V_t evaluated too close to t(lam-mu) = -+ i c")
-        denom = td ** 2 + pd.c ** 2
-        theta = 0.5 * pd.x * d * dd
-        sin_over_d = 0.5 * pd.x * dd * np.sinc(theta / np.pi)
-        return (pd.c * pd.F(lam) / np.pi) * (
-            pd.t * np.cos(theta) + pd.c * sin_over_d) / denom
-
-    def diag_(lam):
-        lam = np.asarray(lam, dtype=complex)
-        return pd.F(lam) * (pd.t + 0.5 * pd.c * pd.x * pd.p.deriv(lam)) / (np.pi * pd.c)
-
-    return KernelHandle(eval_, diag_, "interval", name="V_t",
-                        safety="poles at t(lam-mu) = -+ i c")
+    return KernelHandle(lambda lam, mu: _interval_entries(pd, pd.t, lam, mu),
+                        lambda lam: _interval_diag(pd, pd.t, lam), "interval",
+                        name="V_t", safety="poles at t(lam-mu) = -+ i c")
 
 
 def v0(pd: ProblemData) -> KernelHandle:
-    """Generalized sine kernel F(lam) sin(x [p(lam)-p(mu)]/2) / (pi (lam-mu))."""
+    """Generalized sine kernel F(lam) sin(x [p(lam)-p(mu)]/2) / (pi (lam-mu)).
 
-    def eval_(lam, mu):
-        d, dd = _phase_dd(pd, lam, mu)
-        theta = 0.5 * pd.x * d * dd
-        return pd.F(np.asarray(lam, dtype=complex)) / np.pi \
-            * 0.5 * pd.x * dd * np.sinc(theta / np.pi)
-
-    def diag_(lam):
-        lam = np.asarray(lam, dtype=complex)
-        return pd.F(lam) * pd.x * pd.p.deriv(lam) / (2.0 * np.pi)
-
-    return KernelHandle(eval_, diag_, "interval", name="V0")
+    V_t at t = 0, whatever pd.t is.
+    """
+    return KernelHandle(lambda lam, mu: _interval_entries(pd, 0.0, lam, mu),
+                        lambda lam: _interval_diag(pd, 0.0, lam), "interval",
+                        name="V0")
 
 
 def u_kt(pd: ProblemData, k: int, srh: ScalarRH) -> KernelHandle:
@@ -200,10 +258,8 @@ def solve_densities(pd: ProblemData, rule: IntervalRule, grid: HalfLineRule,
     """
     vk = v_t(pd)
     n = rule.n
-    L = rule.nodes[:, None].astype(complex)
-    M = rule.nodes[None, :].astype(complex)
-    Vmat = vk.eval(L, M)
-    np.fill_diagonal(Vmat, vk.diag(rule.nodes.astype(complex)))
+    Vmat = vk.eval(rule.nodes[:, None], rule.nodes[None, :])
+    np.fill_diagonal(Vmat, vk.diag(rule.nodes))
     w = rule.weights
 
     EL = np.empty((n, 2, grid.n), dtype=complex)

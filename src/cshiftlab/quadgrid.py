@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import legder, legval
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import roots_laguerre
 
 from .errors import ContourSafetyError, ParameterDomainError
@@ -64,16 +65,47 @@ class IntervalRule:
         return (2.0 * lam - (self.a + self.b)) / (self.b - self.a)
 
 
+def _leggauss(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1] in O(n^2) operations.
+
+    numpy's ``leggauss`` algorithm: eigenvalues of the Legendre companion
+    matrix, one Newton step, weights 1/(P_{n-1} P_n') normalised to sum
+    to 2, then symmetrization.  The companion matrix is the symmetric
+    tridiagonal Golub-Welsch (Jacobi) matrix with off-diagonal
+    k/sqrt(4k^2 - 1), so a tridiagonal eigensolver replaces numpy's dense
+    O(n^3) one.
+    """
+    k = np.arange(1.0, n)
+    x = eigvalsh_tridiagonal(np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0))
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    dy = legval(x, c)
+    df = legval(x, legder(c))
+    x -= dy / df
+    fm = legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1.0 / (fm * df)
+    w = 0.5 * (w + w[::-1])
+    x = 0.5 * (x - x[::-1])
+    w *= 2.0 / w.sum()
+    return x, w
+
+
 def gauss_interval(n: int, a: float, b: float) -> IntervalRule:
     """n-point Gauss-Legendre rule on [a, b].
 
-    Exact for polynomials of degree <= 2n - 1.
+    Exact for polynomials of degree <= 2n - 1.  Costs O(n^2).  Agrees
+    with numpy's ``leggauss``, whose algorithm it keeps, to rounding:
+    nodes to 1e-16 absolute, weights to a few 1e-9 relative at n in the
+    thousands.  That is the conditioning of the endpoint weights, which in
+    both rules are ~2e-8 off the exact values at n ~ 3000.
     """
     if n < 1:
         raise ParameterDomainError(f"need n >= 1, got n={n}")
     if not a < b:
         raise ParameterDomainError(f"need a < b, got a={a}, b={b}")
-    x, w = leggauss(n)
+    x, w = _leggauss(n)
     half = 0.5 * (b - a)
     return IntervalRule(a=float(a), b=float(b), nodes=0.5 * (a + b) + half * x,
                         weights=half * w)
@@ -98,7 +130,7 @@ def graded_interval(a: float, b: float, n_panel: int = 16, levels: int = 6,
     lefts = [a + half_len * ratio ** j for j in range(levels, 0, -1)]
     rights = [b - half_len * ratio ** j for j in range(1, levels + 1)]
     edges = np.concatenate(([a], lefts, rights, [b]))
-    x, w = leggauss(n_panel)
+    x, w = _leggauss(n_panel)
     nodes, weights = [], []
     for e0, e1 in zip(edges[:-1], edges[1:]):
         nodes.append(0.5 * (e0 + e1) + 0.5 * (e1 - e0) * x)
@@ -159,7 +191,7 @@ class Contour:
 
 def _gauss_panels(t0: float, t1: float, n_panels: int, q: int):
     """Gauss-Legendre panels covering [t0, t1]; returns (nodes, weights)."""
-    x, w = leggauss(q)
+    x, w = _leggauss(q)
     edges = np.linspace(t0, t1, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1] - edges[0])

@@ -3,7 +3,7 @@ import pytest
 
 import cshiftlab as cl
 from cshiftlab.cli import main
-from cshiftlab.errors import ParameterDomainError
+from cshiftlab.errors import ExcludedCaseError, ParameterDomainError
 from cshiftlab.flow import (SweepConfig, dt_logdet_check, emit, load_config,
                             oscillation_nodes, theorem1_sweep)
 
@@ -42,6 +42,11 @@ class TestTheoremSweep:
         # o(1) error follows the x^{eps-1} = 1/x pattern for the real
         # constant symbol
         assert rep.fitted_decay_exponent == pytest.approx(-1.0, abs=0.15)
+
+    def test_vanishing_determinant_is_the_excluded_case(self, monkeypatch):
+        monkeypatch.setattr(cl.flow, "logdet", lambda sys_: complex(-np.inf))
+        with pytest.raises(ExcludedCaseError):
+            theorem1_sweep(SweepConfig(x_list=(20.0,)))
 
     def test_contour_radius_robustness(self):
         reps = [theorem1_sweep(SweepConfig(x_list=(30.0,), contour_radius=r))
@@ -102,6 +107,17 @@ class TestEmit:
         assert float(first[1]) == pytest.approx(rep.rows[0].det_v.real,
                                                 rel=1e-16)
         assert "PASS" in (tmp_path / "sweep.csv.summary.txt").read_text()
+
+    def test_rows_record_node_count(self, tmp_path):
+        cfg = SweepConfig(x_list=(20.0, 40.0))
+        rep = theorem1_sweep(cfg)
+        p_range = cfg.problem(x=20.0).p_range()
+        want = [oscillation_nodes(x, p_range) for x in cfg.x_list]
+        assert [row.n for row in rep.rows] == want
+        emit(rep, str(tmp_path / "sweep.csv"))
+        lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
+        assert lines[0].split(",")[-2:] == ["runtime_s", "n"]
+        assert [int(line.split(",")[-1]) for line in lines[1:]] == want
 
     def test_unwritable_path_raises(self):
         from cshiftlab.flow import SweepReport

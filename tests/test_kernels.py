@@ -3,6 +3,7 @@ import pytest
 
 import cshiftlab as cl
 from cshiftlab.errors import PoleError
+from cshiftlab.flow import oscillation_nodes
 from cshiftlab.kernels import k_kt, resolvent_kernel, solve_densities, u_kt, u_pm
 from cshiftlab.quadgrid import graded_interval
 
@@ -70,6 +71,61 @@ class TestV0:
                              F=cl.constant_symbol(1.0), p=cl.identity_phase())
         got = complex(cl.v0(pd).eval(0.5, -0.5))
         assert got == pytest.approx(np.sin(np.pi / 2) / np.pi, abs=1e-15)
+
+
+def two_term_kernel(pd, t, lam, mu):
+    """The uncombined two-term form of V_t, off the diagonal only."""
+    d = lam - mu
+    e = np.exp(0.5j * pd.x * (pd.p(lam) - pd.p(mu)))
+    return 1j * pd.c * pd.F(lam) / (2j * np.pi * d) * (
+        e / (t * d + 1j * pd.c) + 1.0 / e / (t * d - 1j * pd.c))
+
+
+def interval_problem(x, t=1.0, F=0.2):
+    return cl.make_problem(a=-1.0, b=1.0, c=1.0, t=t, x=x,
+                           F=cl.constant_symbol(F), p=cl.identity_phase())
+
+
+class TestIntervalKernelOracle:
+    """V_t and V0 on the Gauss grids of the sweep against the two-term form."""
+
+    @pytest.mark.parametrize("factory, t", [
+        (cl.v_t, 1.0), (cl.v_t, 0.0), (cl.v_t, 0.5 + 0.1j),
+        (cl.v0, 0.5 + 0.1j),  # V0 is the t = 0 form whatever pd.t is
+    ])
+    @pytest.mark.parametrize("x", [10.0, 1600.0])
+    def test_off_diagonal_matches_two_term_form(self, x, factory, t):
+        pd = interval_problem(x, t)
+        t_form = t if factory is cl.v_t else 0.0
+        kernel = factory(pd)
+        z = cl.gauss_interval(oscillation_nodes(x, pd.p_range()), -1.0, 1.0).nodes
+        err = kmax = 0.0
+        for i in range(0, z.size, 256):  # row blocks bound the memory
+            rows = np.arange(i, min(i + 256, z.size))
+            K = kernel.eval(z[rows, None], z[None, :])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ref = two_term_kernel(pd, t_form, z[rows, None], z[None, :])
+            K[rows - i, rows] = ref[rows - i, rows] = 0.0
+            err = max(err, np.max(np.abs(K - ref)))
+            kmax = max(kmax, np.max(np.abs(K)))
+        assert err < 1e-12 * kmax
+
+    @pytest.mark.parametrize("t, F, want", [
+        (1.0, 0.2, (np.float64, np.float64)),
+        (0.5 + 0.1j, 0.2, (np.complex128, np.float64)),
+        (1.0, 0.2 + 0.1j, (np.complex128, np.complex128)),
+    ])
+    def test_dtype_follows_the_data(self, t, F, want):
+        # real t and F give real matrices; V0 does not depend on t
+        pd = interval_problem(10.0, t, F)
+        rule = cl.gauss_interval(28, -1.0, 1.0)
+        z = rule.nodes
+        for kernel, dtype in zip((cl.v_t(pd), cl.v0(pd)), want):
+            K = kernel.eval(z[:, None], z[None, :])
+            sys_ = cl.assemble(kernel, rule)
+            assert K.dtype == kernel.diag(z).dtype == sys_.matrix.dtype == dtype
+            off = ~np.eye(z.size, dtype=bool)
+            assert np.array_equal(sys_.matrix[off], (K * rule.weights)[off])
 
 
 class TestLoopKernels:

@@ -1,9 +1,24 @@
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from cshiftlab.errors import ContourSafetyError, ParameterDomainError
 from cshiftlab.quadgrid import (gauss_interval, graded_interval,
                                 laguerre_halfline, stadium_contour)
+
+
+def exact_legendre_weight(n, x0):
+    """Gauss-Legendre weight 2/((1-x^2) P_n'(x)^2) at the root near x0, in 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        z = mpmath.mpf(float(x0))
+        for _ in range(4):
+            p = mpmath.legendre(n, z)
+            dp = n * (z * p - mpmath.legendre(n - 1, z)) / (z * z - 1)
+            z -= p / dp
+        dp = n * (z * mpmath.legendre(n, z) - mpmath.legendre(n - 1, z)) \
+            / (z * z - 1)
+        return float(2 / ((1 - z * z) * dp * dp))
 
 
 class TestGaussInterval:
@@ -44,6 +59,21 @@ class TestGaussInterval:
         f = lambda x: np.exp(x) * np.cos(3 * x)
         assert rule.integrate(f(rule.nodes)) == pytest.approx(
             fine.integrate(f(fine.nodes)), abs=1e-13)
+
+    @pytest.mark.parametrize("n", [3, 64, 500, 1500])
+    def test_matches_numpy_leggauss(self, n):
+        # numpy's dense-eigensolver rule is the reference.  Weights near the
+        # endpoints are conditioned like n^2 eps in both rules, and at
+        # n = 1500 numpy's own are 2.5e-9 off; a weight that misses 1e-9
+        # must be closer than numpy's to the exact weight.
+        x, w = leggauss(n)
+        rule = gauss_interval(n, -1.0, 1.0)
+        assert np.max(np.abs(rule.nodes - x)) < 1e-14
+        rel = np.abs(rule.weights / w - 1.0)
+        assert np.count_nonzero(rel > 1e-9) <= 4
+        for i in np.flatnonzero(rel > 1e-9):
+            exact = exact_legendre_weight(n, x[i])
+            assert abs(rule.weights[i] / exact - 1.0) < abs(w[i] / exact - 1.0)
 
     def test_parameter_domain_errors(self):
         with pytest.raises(ParameterDomainError):
