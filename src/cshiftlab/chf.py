@@ -5,7 +5,7 @@ Three principal-sheet routes, each with an error monitor:
 * the logarithmic (digamma) series for the c = 1 case, used for |z| <= 20;
   its cancellation level is tracked, since the terms grow like e^|z|;
 * a rotated-ray Laplace integral, used instead of the series for
-  Re a >= 0.6 and 8 <= |z| <= 20 where the series cancellation is worst;
+  Re a >= 0.35 and 8 <= |z| <= 20 where the series cancellation is worst;
 * the asymptotic expansion in z^{-a-n}, truncated at the least term,
   used for |z| > 20.
 

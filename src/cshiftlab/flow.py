@@ -60,6 +60,10 @@ class SweepConfig:
             raise ParameterDomainError("n_halfline must be >= 24")
         self.x_list = xs
         self.t = complex(self.t)
+        if self.t != 1:
+            raise ParameterDomainError(
+                f"t = {self.t} would be ignored: theorem1_sweep runs at t = 1 "
+                "and dt_logdet_check takes its t0 as an argument")
 
     def problem(self, x: float, t: complex | None = None) -> ProblemData:
         return make_problem(

@@ -6,23 +6,28 @@ and the weights: real kernels on interval rules (real nodes and weights)
 give a float64 matrix, factored in real arithmetic; contours and complex
 kernel values give complex128.  Its determinant is the Fredholm
 determinant of the discretized operator, and (I + K) f = g becomes a
-dense solve whose LU factorization is reused across right-hand sides.
+dense solve whose inverse is reused across right-hand sides.
 Complex contour weights enter as they are; no symmetrized square-root
 splitting is attempted (square roots of complex weights are
 branch-ambiguous, and determinants are similarity-invariant anyway).
+
+Solves invert the matrix once with numpy and take the exact 1-norm
+condition number ||A||_1 ||A^-1||_1 from that inverse.  The dense linear
+algebra stays in numpy's BLAS: scipy ships its own OpenBLAS runtime, and
+alternating between the two runtimes costs far more than the
+factorizations themselves at the n of these systems.  numpy reports an
+exactly singular matrix as LinAlgError; it is raised here as
+NearSingularityError, like a condition number over the cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import AssemblyError, NearSingularityError
-from .kernels import KernelHandle
 from .quadgrid import Contour, IntervalRule
 
 __all__ = ["NystromSystem", "assemble", "determinant", "logdet", "solve"]
@@ -43,34 +48,34 @@ class NystromSystem:
     """Discretized I + K, ready for determinants and solves."""
 
     support: Support
-    kernel: Optional[KernelHandle]
+    kernel: Optional[Callable]
     matrix: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
-    _lu: tuple = field(default=None, repr=False)
+    _inv: np.ndarray = field(default=None, repr=False)
     cond: float = None
 
     @property
     def n(self) -> int:
         return self.nodes.size
 
-    def factorization(self, cond_cap: float = 1e12):
-        """LU factorization plus a 1-norm condition estimate (cached)."""
-        if self._lu is None:
-            lu, piv = lu_factor(self.matrix)
-            anorm = np.linalg.norm(self.matrix, 1)
-            gecon, = get_lapack_funcs(("gecon",), (lu,))
-            rcond, info = gecon(lu, anorm)
-            if info != 0:
-                raise NearSingularityError("condition estimation failed")
-            self.cond = float(1.0 / max(rcond, 1e-300))
-            self._lu = (lu, piv)
+    def factorization(self, cond_cap: float = 1e12) -> np.ndarray:
+        """The inverse matrix plus the exact 1-norm condition number (cached)."""
+        if self._inv is None:
+            try:
+                self._inv = np.linalg.inv(self.matrix)
+            except np.linalg.LinAlgError as exc:
+                raise NearSingularityError(
+                    "matrix is exactly singular (the excluded case)",
+                    cond=np.inf) from exc
+            self.cond = float(np.linalg.norm(self.matrix, 1)
+                              * np.linalg.norm(self._inv, 1))
         if self.cond > cond_cap:
             raise NearSingularityError(
-                f"condition estimate {self.cond:.3e} exceeds cap {cond_cap:.1e}"
+                f"condition number {self.cond:.3e} exceeds cap {cond_cap:.1e}"
                 " (determinant numerically zero: the excluded case)",
                 cond=self.cond)
-        return self._lu
+        return self._inv
 
 
 def assemble(kernel, support: Support) -> NystromSystem:
@@ -82,7 +87,7 @@ def assemble(kernel, support: Support) -> NystromSystem:
     keeps the result dtype of the kernel values and the weights.
     """
     nodes, weights = _support_nodes_weights(support)
-    if isinstance(kernel, KernelHandle):
+    if hasattr(kernel, "diag"):
         K = np.asarray(kernel.eval(nodes[:, None], nodes[None, :]))
         diag = kernel.diag(nodes)
         K = K.astype(np.result_type(K, diag), copy=False)
@@ -135,12 +140,12 @@ def solve(sys: NystromSystem, rhs: np.ndarray,
     is driven below 1e-10 * |g| by one step of iterative refinement and
     checked.
     """
-    lu = sys.factorization(cond_cap)
+    inv = sys.factorization(cond_cap)
     g = np.asarray(rhs, dtype=complex)
-    f = lu_solve(lu, g)
+    f = inv @ g
     # one refinement step, then verify the residual contract
     r = g - sys.matrix @ f
-    f = f + lu_solve(lu, r)
+    f = f + inv @ r
     r = g - sys.matrix @ f
     gnorm = np.max(np.abs(g))
     if gnorm > 0 and np.max(np.abs(r)) > 1e-10 * gnorm:

@@ -13,7 +13,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NearSingularityError, ParameterDomainError, PoleError
+from .errors import ParameterDomainError, PoleError
+from .fredholm import assemble, solve
 from .l2half import e_vectors
 from .quadgrid import HalfLineRule, IntervalRule
 from .symbols import EPS_K, ProblemData, ScalarRH, tau
@@ -245,38 +246,31 @@ class _ChiDensities:
     grid: HalfLineRule
     FR: np.ndarray  # (n, 2, Ns)
     FL: np.ndarray  # (n, 2, Ns)
+    EL: np.ndarray  # (n, 2, Ns): E_L at the nodes, the left right-hand side
+    ER: np.ndarray  # (n, 2, Ns): E_R at the nodes, the right right-hand side
     Vmat: np.ndarray  # V_t(lam_i, mu_j)
     kernel: KernelHandle
 
 
-def solve_densities(pd: ProblemData, rule: IntervalRule, grid: HalfLineRule,
-                    det_floor: float = 1e-12) -> _ChiDensities:
+def solve_densities(pd: ProblemData, rule: IntervalRule,
+                    grid: HalfLineRule) -> _ChiDensities:
     """Solve the right/left linear integral equations for F_R and F_L.
 
     F_R uses the transposed kernel, exactly as the equations are stated:
-    F_R(lam) + int V_t(mu, lam) F_R(mu) dmu = E_R(lam).
+    F_R(lam) + int V_t(mu, lam) F_R(mu) dmu = E_R(lam).  In the excluded
+    case det(I + V_t) = 0 the solves raise NearSingularityError.
     """
     vk = v_t(pd)
+    vk_T = KernelHandle(lambda lam, mu: vk.eval(mu, lam), vk.diag, "interval",
+                        name="V_t^T")
+    left = assemble(vk, rule)
+    EL, ER = e_vectors(pd, grid, rule.nodes)
     n = rule.n
-    Vmat = vk.eval(rule.nodes[:, None], rule.nodes[None, :])
-    np.fill_diagonal(Vmat, vk.diag(rule.nodes))
-    w = rule.weights
-
-    EL = np.empty((n, 2, grid.n), dtype=complex)
-    ER = np.empty((n, 2, grid.n), dtype=complex)
-    for i, mu in enumerate(rule.nodes):
-        EL[i], ER[i] = e_vectors(pd, grid, complex(mu))
-
-    A_right = np.eye(n) + Vmat.T * w[None, :]
-    A_left = np.eye(n) + Vmat * w[None, :]
-    sign, logabs = np.linalg.slogdet(A_right)
-    if not np.isfinite(logabs) or abs(sign) * np.exp(logabs) < det_floor:
-        raise NearSingularityError(
-            "det(I + V_t) is numerically zero; the excluded case", cond=None)
-    FR = np.linalg.solve(A_right, ER.reshape(n, -1)).reshape(n, 2, grid.n)
-    FL = np.linalg.solve(A_left, EL.reshape(n, -1)).reshape(n, 2, grid.n)
-    return _ChiDensities(rule=rule, grid=grid, FR=FR, FL=FL, Vmat=Vmat,
-                         kernel=vk)
+    FR = solve(assemble(vk_T, rule), ER.reshape(n, -1)).reshape(ER.shape)
+    FL = solve(left, EL.reshape(n, -1)).reshape(EL.shape)
+    Vmat = (left.matrix - np.eye(n)) / rule.weights[None, :]
+    return _ChiDensities(rule=rule, grid=grid, FR=FR, FL=FL, EL=EL, ER=ER,
+                         Vmat=Vmat, kernel=vk)
 
 
 def resolvent_kernel(pd: ProblemData, rule: IntervalRule, grid: HalfLineRule,

@@ -29,30 +29,32 @@ __all__ = [
 ]
 
 
-def _check_growth(pd: ProblemData, lam: complex):
+def _check_growth(pd: ProblemData, lam):
     # keeps |e^{+- i s t lam}| <= e^{c s / 4}, so all half-line kernels decay
-    if abs((pd.t * lam).imag) >= pd.c / 4.0:
+    growth = float(np.max(np.abs(np.imag(pd.t * np.asarray(lam)))))
+    if growth >= pd.c / 4.0:
         raise ParameterDomainError(
-            f"|Im(t*lam)| = {abs((pd.t * lam).imag):.3g} >= c/4; "
-            "half-line factors would grow")
+            f"|Im(t*lam)| = {growth:.3g} >= c/4; half-line factors would grow")
 
 
-def m_vec(k: int, pd: ProblemData, grid: HalfLineRule, lam: complex) -> np.ndarray:
-    """Values of m_k(lam) at the grid nodes.
+def m_vec(k: int, pd: ProblemData, grid: HalfLineRule, lam) -> np.ndarray:
+    """Values of m_k(lam) at the grid nodes, shape lam.shape + (n,).
 
     m_k(lam; s) = sqrt(c) e^{-c s/2} e^{-i eps_k t s lam}; k=1 carries
     e^{+i s t lam}, k=2 the conjugate phase.
     """
     _check_growth(pd, lam)
     s = grid.snodes
+    lam = np.asarray(lam)[..., None]
     return np.sqrt(pd.c) * np.exp(-0.5 * pd.c * s - 1j * EPS_K[k] * pd.t * s * lam)
 
 
-def kappa_form(k: int, pd: ProblemData, grid: HalfLineRule, lam: complex) -> np.ndarray:
-    """Values of the one-form kappa_k(lam); pairing goes through the weights."""
-    _check_growth(pd, lam)
-    s = grid.snodes
-    return np.sqrt(pd.c) * np.exp(-0.5 * pd.c * s + 1j * EPS_K[k] * pd.t * s * lam)
+def kappa_form(k: int, pd: ProblemData, grid: HalfLineRule, lam) -> np.ndarray:
+    """Values of the one-form kappa_k(lam), shape lam.shape + (n,).
+
+    kappa_k(lam; s) = m_k(-lam; s); pairing goes through the weights.
+    """
+    return m_vec(k, pd, grid, -np.asarray(lam))
 
 
 def pair(grid: HalfLineRule, kappa_vals: np.ndarray, f_vals: np.ndarray):
@@ -66,25 +68,25 @@ def pairing_closed_form(k: int, pd: ProblemData, lam: complex, mu: complex):
     return 1j * pd.c * e / (pd.t * (lam - mu) + 1j * e * pd.c)
 
 
-def e_vectors(pd: ProblemData, grid: HalfLineRule, mu: complex):
+def e_vectors(pd: ProblemData, grid: HalfLineRule, mu):
     """The vector pair E_R(mu) and one-form pair E_L(mu).
 
-    Returns (EL, ER), each of shape (2, n): EL rows are one-form values
-    F(mu) e^{-+ i x p(mu)/2} kappa_k(mu) with a sign flip on the second row,
-    ER rows are -1/(2 i pi) e^{+- i x p(mu)/2} m_k(mu).  The pairing
-    (EL(lam), ER(mu)) / (lam - mu) reproduces the deformed kernel V_t, and
-    it vanishes at lam = mu.
+    Returns (EL, ER), each of shape mu.shape + (2, n): EL rows are one-form
+    values F(mu) e^{-+ i x p(mu)/2} kappa_k(mu) with a sign flip on the
+    second row, ER rows are -1/(2 i pi) e^{+- i x p(mu)/2} m_k(mu).  The
+    pairing (EL(lam), ER(mu)) / (lam - mu) reproduces the deformed kernel
+    V_t, and it vanishes at lam = mu.
     """
-    Fv = complex(pd.F(mu))
-    ph = np.exp(0.5j * pd.x * pd.p(mu))
-    EL = np.vstack([
+    Fv = pd.F(mu)[..., None]
+    ph = np.exp(0.5j * pd.x * pd.p(mu))[..., None]
+    EL = np.stack([
         Fv / ph * kappa_form(1, pd, grid, mu),
         -Fv * ph * kappa_form(2, pd, grid, mu),
-    ])
-    ER = (-1.0 / (2j * np.pi)) * np.vstack([
+    ], axis=-2)
+    ER = (-1.0 / (2j * np.pi)) * np.stack([
         ph * m_vec(1, pd, grid, mu),
         m_vec(2, pd, grid, mu) / ph,
-    ])
+    ], axis=-2)
     return EL, ER
 
 

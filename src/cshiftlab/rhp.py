@@ -17,12 +17,14 @@ from typing import Callable
 import numpy as np
 
 from .cauchy import CauchyKit
-from .errors import ExcludedCaseError
+from .errors import ExcludedCaseError, NearSingularityError
+from .fredholm import assemble, solve
 from .kernels import k_kt, solve_densities
-from .l2half import BlockOperator, kappa_form, m_vec, rank_one
+from .l2half import BlockOperator, e_vectors, kappa_form, m_vec, rank_one
 from .quadgrid import (Contour, HalfLineRule, IntervalRule, gauss_interval,
                        laguerre_halfline, stadium_contour)
-from .symbols import EPS_K, ProblemData, ScalarRH, _neville, nu, tau
+from .symbols import (DELTA_SCHEDULE, EPS_K, ProblemData, ScalarRH, _neville,
+                      nu, tau)
 
 __all__ = [
     "DiagnosticRow",
@@ -38,9 +40,6 @@ __all__ = [
     "PiReport",
     "pi_residual",
 ]
-
-DELTA_SCHEDULE = np.array([1e-2, 1e-3, 1e-4, 1e-5])
-
 
 @dataclass
 class DiagnosticRow:
@@ -101,18 +100,8 @@ class ChiSolution:
         # (2 Ns, n) value arrays; E_L rows enter with the pairing weights
         self.FR_T = dens.FR.reshape(n, -1).T
         self.FL_W = dens.FL.reshape(n, -1) * ws2[None, :]
-        m1 = np.array([m_vec(1, pd, grid, mu) for mu in rule.nodes])
-        m2 = np.array([m_vec(2, pd, grid, mu) for mu in rule.nodes])
-        k1 = np.array([kappa_form(1, pd, grid, mu) for mu in rule.nodes])
-        k2 = np.array([kappa_form(2, pd, grid, mu) for mu in rule.nodes])
-        Fv = pd.F(rule.nodes.astype(complex))
-        ph = np.exp(0.5j * pd.x * pd.p(rule.nodes.astype(complex)))
-        EL = np.concatenate([(Fv / ph)[:, None] * k1,
-                             (-Fv * ph)[:, None] * k2], axis=1)
-        ER = (-1 / (2j * np.pi)) * np.concatenate(
-            [ph[:, None] * m1, (1.0 / ph)[:, None] * m2], axis=1)
-        self.EL_W = EL * ws2[None, :]
-        self.ER_T = ER.T
+        self.EL_W = dens.EL.reshape(n, -1) * ws2[None, :]
+        self.ER_T = dens.ER.reshape(n, -1).T
 
     def chi(self, lam) -> BlockOperator:
         w = self.kit.weights(lam)
@@ -135,7 +124,7 @@ class ChiSolution:
         """Nystrom interpolation of F_R off the nodes; shape (2 Ns,)."""
         dens = self.densities
         kv = dens.kernel.eval(self.rule.nodes.astype(complex), complex(lam))
-        _, ER = _el_er_flat(self.pd, self.grid, lam)
+        ER = e_vectors(self.pd, self.grid, lam)[1].ravel()
         return ER - (self.rule.weights * kv) @ self.FR_T.T
 
     def verify(self, seed: int = 0, delta_scale: float | None = None):
@@ -163,26 +152,19 @@ class ChiSolution:
             rows.append(DiagnosticRow("chi jump", lam0, 0.0, float(resid), 1e-6))
             # the +- difference is the rank-structured density itself
             FR = self.FR_interp(lam0)
-            EL, _ = _el_er_flat(pd, grid, lam0)
+            EL, ER = (v.ravel() for v in e_vectors(pd, grid, lam0))
             ws2 = np.concatenate([grid.sweights, grid.sweights])
             target = -2j * np.pi * np.outer(FR, EL * ws2)
             resid2 = np.max(np.abs((chi_p - chi_m) - target))
             rows.append(DiagnosticRow("chi_p-chi_m rank form", lam0, 0.0,
                                       float(resid2), 1e-6))
             # reconstruction: chi(mu) E_R(mu) = F_R(mu), +- independent
-            _, ER = _el_er_flat(pd, grid, lam0)
             rec = [self.chi(lam0 + 1j * d).mat @ ER for d in deltas]
             rec_val, _ = _neville(deltas, rec)
             resid3 = np.max(np.abs(rec_val - FR))
             rows.append(DiagnosticRow("F_R reconstruction", lam0, 0.0,
                                       float(resid3), 1e-8))
         return rows
-
-
-def _el_er_flat(pd, grid, mu):
-    from .l2half import e_vectors
-    EL, ER = e_vectors(pd, grid, complex(mu))
-    return EL.ravel(), ER.ravel()
 
 
 def solve_chi(pd: ProblemData, rule: IntervalRule | None = None,
@@ -240,20 +222,15 @@ class BetaSolution:
             / (z[None, :] - nodes[:, None]) / (2j * np.pi)
         w_rhs = srh.alpha_k_plus_many(k, nodes)[:, None] * (B @ A)  # (n, Ns)
 
-        kern = k_kt(pd, k, srh)
-        Kmat = np.asarray(kern.eval(nodes[:, None], nodes[None, :]))
-        np.fill_diagonal(Kmat, kern.diag(nodes))
-        A_sys = np.eye(rule.n) + Kmat * rule.weights[None, :]
-        sign, logabs = np.linalg.slogdet(A_sys)
-        if not np.isfinite(logabs) or abs(sign) * np.exp(logabs) < 1e-12:
+        try:
+            self.rho = solve(assemble(k_kt(pd, k, srh), rule), w_rhs)  # (n, Ns)
+        except NearSingularityError as exc:
             raise ExcludedCaseError(
-                f"det(I + K_{k};t) vanishes; beta_{k} does not exist")
-        self.rho = np.linalg.solve(A_sys, w_rhs)  # (n, Ns)
+                f"det(I + K_{k};t) vanishes; beta_{k} does not exist") from exc
         self.w_rhs = w_rhs
         self.kit = CauchyKit(rule)
         self.tau_nodes = tau(k, pd, nodes)
-        self.kappa_nodes = np.array(
-            [kappa_form(k, pd, grid, mu) for mu in rule.nodes])
+        self.kappa_nodes = kappa_form(k, pd, grid, rule.nodes)
         self._kappa_W = self.kappa_nodes * grid.sweights[None, :]
 
     def beta(self, lam) -> np.ndarray:
@@ -268,8 +245,7 @@ class BetaSolution:
         return np.linalg.inv(self.beta(lam))
 
     def det_beta(self, lam) -> complex:
-        sign, logabs = np.linalg.slogdet(self.beta(lam))
-        return sign * np.exp(logabs)
+        return np.linalg.det(self.beta(lam))
 
     def boundary(self, lam0: float, side: int):
         deltas = DELTA_SCHEDULE * (self.pd.b - self.pd.a)

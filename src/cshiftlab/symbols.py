@@ -38,10 +38,13 @@ __all__ = [
     "tau",
     "EPS_K",
     "boundary_value",
+    "DELTA_SCHEDULE",
 ]
 
 #: sign epsilon_k attached to the two scalar problems (k = 1, 2)
 EPS_K = {1: -1.0, 2: 1.0}
+#: offsets lam0 +- i delta (times a length scale) of the one-sided limits
+DELTA_SCHEDULE = np.array([1e-2, 1e-3, 1e-4, 1e-5])
 
 
 @dataclass(frozen=True)
@@ -231,13 +234,13 @@ def boundary_value(f: Callable, lam0: float, side: int,
     """One-sided limit f(lam0 + i side 0) by Richardson extrapolation.
 
     Evaluates f on the geometric schedule lam0 + i*side*delta,
-    delta in {1e-2, ..., 1e-5} * scale, and extrapolates to delta = 0 with
+    delta in DELTA_SCHEDULE * scale, and extrapolates to delta = 0 with
     a Neville table.  Returns (value, error_estimate).
     """
     if side not in (+1, -1):
         raise ParameterDomainError("side must be +1 or -1")
     if deltas is None:
-        deltas = np.array([1e-2, 1e-3, 1e-4, 1e-5]) * scale
+        deltas = DELTA_SCHEDULE * scale
     deltas = np.asarray(deltas, dtype=float)
     vals = [np.asarray(f(lam0 + 1j * side * d)) for d in deltas]
     # successive differences must shrink along a convergent schedule

@@ -22,6 +22,15 @@ class TestSweepConfig:
         with pytest.raises(ParameterDomainError):
             SweepConfig(n_halfline=16)
 
+    def test_t_other_than_one_rejected(self, tmp_path):
+        # theorem1_sweep runs at t = 1; any other t would be dropped
+        with pytest.raises(ParameterDomainError):
+            SweepConfig(t=0.5)
+        path = tmp_path / "cfg.txt"
+        path.write_text("t_re = 0.5\n")
+        with pytest.raises(ParameterDomainError):
+            load_config(str(path))
+
 
 class TestTheoremSweep:
     def test_zero_symbol_everything_is_one(self):
@@ -77,6 +86,12 @@ class TestDtCheck:
         rep = dt_logdet_check(cfg, 0.5, h=1e-4, x=50.0)
         assert rep.fd_vs_contour < 1e-6
         assert rep.fd_vs_reduced < rep.reduced_budget
+
+    def test_negative_symbol_large_x_is_not_excluded(self):
+        # det(I + V_t) is tiny (about e^{-44} at t = 1) but well conditioned
+        cfg = SweepConfig(F_params=(-0.5,), x_list=(200.0,))
+        rep = dt_logdet_check(cfg, 0.5 + 0.05j, x=200.0)
+        assert rep.fd_vs_contour < 1e-6
 
 
 class TestEmit:

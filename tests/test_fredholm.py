@@ -3,7 +3,7 @@ import pytest
 
 import cshiftlab as cl
 from cshiftlab.errors import AssemblyError, NearSingularityError
-from cshiftlab.fredholm import logdet
+from cshiftlab.fredholm import NystromSystem, logdet
 
 
 class TestAssemble:
@@ -108,3 +108,18 @@ class TestSolve:
         sys = cl.assemble(lambda l, m: -np.ones(np.broadcast(l, m).shape), rule)
         with pytest.raises(NearSingularityError):
             cl.solve(sys, np.ones(16))
+
+    def test_exactly_singular_matrix_is_near_singularity(self):
+        # numpy's LinAlgError surfaces as the package's error type
+        rule = cl.gauss_interval(4, 0.0, 1.0)
+        sys = NystromSystem(support=rule, kernel=None, matrix=np.zeros((4, 4)),
+                            nodes=rule.nodes, weights=rule.weights)
+        with pytest.raises(NearSingularityError):
+            cl.solve(sys, np.ones(4))
+
+    def test_condition_number_is_exact_one_norm(self, pd_default):
+        rule = cl.gauss_interval(32, -1.0, 1.0)
+        sys = cl.assemble(cl.v_t(pd_default), rule)
+        sys.factorization()
+        assert sys.cond == pytest.approx(np.linalg.cond(sys.matrix, 1),
+                                         rel=1e-12)

@@ -83,6 +83,34 @@ class TestEVectors:
             assert val == pytest.approx(complex(vk.eval(lam, mu)), abs=1e-10)
 
 
+class TestBroadcast:
+    """Node-array calls equal the stacked scalar calls."""
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2)])
+    def test_array_calls_match_scalar_calls(self, pd_default, grid48, shape):
+        rng = np.random.default_rng(11)
+        lam = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-0.2, 0.2, shape)
+        for fn, tail in [(lambda z: cl.m_vec(1, pd_default, grid48, z), ()),
+                         (lambda z: cl.m_vec(2, pd_default, grid48, z), ()),
+                         (lambda z: cl.kappa_form(1, pd_default, grid48, z), ()),
+                         (lambda z: cl.kappa_form(2, pd_default, grid48, z), ()),
+                         (lambda z: cl.e_vectors(pd_default, grid48, z)[0], (2,)),
+                         (lambda z: cl.e_vectors(pd_default, grid48, z)[1], (2,))]:
+            got = fn(lam)
+            want = np.array([fn(z) for z in lam.ravel()])
+            assert got.shape == shape + tail + (grid48.n,)
+            assert np.max(np.abs(got.reshape(want.shape) - want)) \
+                <= 1e-15 * np.max(np.abs(want))
+
+    def test_growth_check_rejects_any_bad_entry(self, pd_default, grid48):
+        lam = np.array([[0.1, 0.2 + 0.1j], [-0.3, 0.5 + 0.25j]])
+        for fn in (cl.m_vec, cl.kappa_form):
+            with pytest.raises(ParameterDomainError):
+                fn(1, pd_default, grid48, lam)
+        with pytest.raises(ParameterDomainError):
+            cl.e_vectors(pd_default, grid48, lam)
+
+
 class TestRankOne:
     @given(seed=st.integers(0, 2 ** 31))
     @settings(max_examples=15, deadline=None)

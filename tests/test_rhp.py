@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cshiftlab as cl
+from cshiftlab.errors import ExcludedCaseError, NearSingularityError
 from cshiftlab.rhp import (DiagnosticRow, OperatorFactory, default_probes,
                            factorization_residual, g_chi, pi_residual,
                            solve_beta, solve_chi, write_diagnostics)
@@ -34,6 +37,22 @@ class TestChi:
         FR_wrong = np.linalg.solve(A_wrong, ER)
         assert np.max(np.abs(FR_wrong - dens.FR.reshape(rule.n, -1))) > 1e-6
 
+    @given(F=st.floats(-0.6, 0.6), x=st.floats(10.0, 200.0))
+    # det(I + V_t) = e^{-44.35} at F = -0.5, x = 200, yet the system is
+    # well conditioned: not the excluded case
+    @example(F=-0.5, x=200.0)
+    @settings(max_examples=10, deadline=None)
+    def test_unit_determinant_and_inverse_at_exterior_probes(self, grid48,
+                                                             F, x):
+        pd = cl.make_problem(a=-1, b=1, c=1.0, t=1.0, x=x,
+                             F=cl.constant_symbol(F), p=cl.identity_phase())
+        chi = solve_chi(pd, grid=grid48)
+        for lam in default_probes(pd)[1]:
+            ch = chi.chi(lam)
+            assert abs(ch.det() - 1.0) < 1e-7
+            assert np.max(np.abs((ch @ chi.chi_inv(lam)).mat
+                                 - np.eye(2 * grid48.n))) < 1e-8
+
     def test_diagnostics_csv(self, chi_default, tmp_path):
         rows = chi_default.verify()
         path = tmp_path / "diag.csv"
@@ -42,6 +61,26 @@ class TestChi:
         assert lines[0] == "object,lambda_re,lambda_im,residual,tolerance,pass"
         assert len(lines) == len(rows) + 1
         assert all(line.endswith("True") for line in lines[1:])
+
+
+@pytest.fixture
+def tiny_cond_cap(monkeypatch):
+    """Every Nystrom solve refuses a condition number above 1."""
+    monkeypatch.setattr(cl.fredholm.solve, "__defaults__", (1.0,))
+
+
+class TestExcludedCase:
+    def test_chi_raises_near_singularity(self, pd_default, grid48,
+                                         tiny_cond_cap):
+        with pytest.raises(NearSingularityError):
+            solve_chi(pd_default, grid=grid48)
+
+    def test_beta_raises_excluded_case(self, pd_default, grid48, srh_default,
+                                       loop_default, tiny_cond_cap):
+        rule = cl.gauss_interval(64, pd_default.a, pd_default.b)
+        with pytest.raises(ExcludedCaseError) as info:
+            solve_beta(pd_default, rule, grid48, 1, srh_default, loop_default)
+        assert isinstance(info.value.__cause__, NearSingularityError)
 
 
 class TestGChi:
