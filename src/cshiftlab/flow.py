@@ -18,7 +18,8 @@ import numpy as np
 from .errors import ExcludedCaseError, ParameterDomainError, ResolutionError
 from .fredholm import assemble, determinant, logdet
 from .kernels import u_kt, u_pm, v0, v_t
-from .quadgrid import gauss_interval, laguerre_halfline, stadium_contour
+from .quadgrid import (capped_radius, gauss_interval, laguerre_halfline,
+                       stadium_contour)
 from .rhp import ChiSolution, solve_beta
 from .symbols import EPS_K, ProblemData, ScalarRH, make_handle, make_problem, nu, tau
 
@@ -47,7 +48,6 @@ class SweepConfig:
     contour_density: float = 48.0
     n_alpha: int = 160
     n_budget: int = 4000
-    probe_seed: int = 0
     output: str = "sweep.csv"
 
     def __post_init__(self):
@@ -76,11 +76,8 @@ class SweepConfig:
     def radius(self, t: complex) -> float:
         if self.contour_radius is not None:
             return self.contour_radius
-        r = 0.45 * self.c / max(abs(t), 1e-12)
-        r = min(r, 0.25 * (self.b - self.a))
-        if np.isfinite(self.margin):
-            r = min(r, 0.8 * self.margin)
-        return r
+        return capped_radius(0.45 * self.c / max(abs(t), 1e-12), self.a,
+                             self.b, self.margin)
 
 
 def oscillation_nodes(x: float, p_range: float, n_min: int = 16) -> int:
@@ -320,7 +317,7 @@ def load_config(path: str) -> SweepConfig:
     kw = {}
     simple = {"a": float, "b": float, "c": float, "margin": float,
               "n_interval": int, "n_halfline": int, "n_alpha": int,
-              "n_budget": int, "probe_seed": int, "contour_density": float,
+              "n_budget": int, "contour_density": float,
               "contour_radius": float, "output": str}
     for key, val in raw.items():
         if key in ("t_re", "t_im"):

@@ -242,6 +242,7 @@ def k_kt(pd: ProblemData, k: int, srh: ScalarRH) -> KernelHandle:
 class _ChiDensities:
     """Solved densities of the two linear integral equations on one rule."""
 
+    pd: ProblemData
     rule: IntervalRule
     grid: HalfLineRule
     FR: np.ndarray  # (n, 2, Ns)
@@ -250,6 +251,20 @@ class _ChiDensities:
     ER: np.ndarray  # (n, 2, Ns): E_R at the nodes, the right right-hand side
     Vmat: np.ndarray  # V_t(lam_i, mu_j)
     kernel: KernelHandle
+
+    def FR_at(self, mu) -> np.ndarray:
+        """Nystrom interpolation of F_R at a scalar mu; shape (2 Ns,)."""
+        kv = self.kernel.eval(self.rule.nodes.astype(complex), complex(mu))
+        _, ER = e_vectors(self.pd, self.grid, complex(mu))
+        return ER.ravel() - (self.rule.weights * kv) @ self.FR.reshape(
+            self.rule.n, -1)
+
+    def FL_at(self, lam) -> np.ndarray:
+        """Nystrom interpolation of F_L at a scalar lam; shape (2 Ns,)."""
+        kv = self.kernel.eval(complex(lam), self.rule.nodes.astype(complex))
+        EL, _ = e_vectors(self.pd, self.grid, complex(lam))
+        return EL.ravel() - (self.rule.weights * kv) @ self.FL.reshape(
+            self.rule.n, -1)
 
 
 def solve_densities(pd: ProblemData, rule: IntervalRule,
@@ -269,7 +284,7 @@ def solve_densities(pd: ProblemData, rule: IntervalRule,
     FR = solve(assemble(vk_T, rule), ER.reshape(n, -1)).reshape(ER.shape)
     FL = solve(left, EL.reshape(n, -1)).reshape(EL.shape)
     Vmat = (left.matrix - np.eye(n)) / rule.weights[None, :]
-    return _ChiDensities(rule=rule, grid=grid, FR=FR, FL=FL, EL=EL, ER=ER,
+    return _ChiDensities(pd=pd, rule=rule, grid=grid, FR=FR, FL=FL, EL=EL, ER=ER,
                          Vmat=Vmat, kernel=vk)
 
 
@@ -282,24 +297,10 @@ def resolvent_kernel(pd: ProblemData, rule: IntervalRule, grid: HalfLineRule,
     numerator.
     """
     dens = densities if densities is not None else solve_densities(pd, rule, grid)
-    vk = dens.kernel
-    w = rule.weights
     ws2 = np.concatenate([grid.sweights, grid.sweights])
-    FRflat = dens.FR.reshape(rule.n, -1)
-    FLflat = dens.FL.reshape(rule.n, -1)
-
-    def FR_at(mu):
-        _, ER = e_vectors(pd, grid, complex(mu))
-        kv = vk.eval(rule.nodes.astype(complex), complex(mu))
-        return ER.ravel() - (w * kv) @ FRflat
-
-    def FL_at(lam):
-        EL, _ = e_vectors(pd, grid, complex(lam))
-        kv = vk.eval(complex(lam), rule.nodes.astype(complex))
-        return EL.ravel() - (w * kv) @ FLflat
 
     def numerator(lam, mu):
-        return FL_at(lam) @ (ws2 * FR_at(mu))
+        return dens.FL_at(lam) @ (ws2 * dens.FR_at(mu))
 
     def _diag_scalar(lam):
         h = 1e-5 * (pd.b - pd.a)

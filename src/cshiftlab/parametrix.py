@@ -11,16 +11,22 @@ of their arguments e^{-+ i pi/2} zeta; their branch jumps across the lens
 rays combine with the L switches to reproduce the triangular jump factors
 exactly, which is what the jump-residual diagnostics verify.
 
-The two endpoints are related by negating the exponent function nu.  The
-conventions of the second endpoint (argument rotation of the (2,2) entry,
-the sheet factor on its coefficients, the phase of the compensating L
-entry) are exposed as flags; the defaults are the combination verified to
-satisfy the jump conditions and the boundary decay, selected numerically.
+The two endpoints are one construction: the second is the first with the
+exponent nu negated.  With the endpoint sign s = +1 at a and -1 at b and
+m = -s nu, the entries are Psi(m), Psi(1 - m), Psi(1 + m), Psi(-m) at
+argument rotations -1, +1, -1, +1, the zeta diagonal is
+[zeta^m, zeta^-m] e^{-i pi m/2}, and L carries -s P e^{i x p} in sector 2
+and s Q e^{-i x p} in sector 3.  The off-diagonal coefficients carry
+S = e^{i x p(endpoint)} zeta^{2m} / A^2, which must be analytic across the
+cut of zeta.  That fixes A^2, the one factor that differs between the
+endpoints: zeta_a cuts outward, so A^2 = alpha0^2 e^{2 i pi m} with alpha
+continued across the interval; zeta_b cuts along the interval, where
+alpha^2 jumps together with zeta^{2m}, so A^2 = alpha^2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma
@@ -28,19 +34,19 @@ from scipy.special import gamma
 from .chf import tricomi_psi
 from .errors import BranchError, ParameterDomainError
 from .l2half import BlockOperator
-from .rhp import OperatorFactory
+from .quadgrid import capped_radius
+from .rhp import OperatorFactory, _disk_probe_angles
 from .symbols import ProblemData, nu
 
-__all__ = ["zeta", "alpha0", "l_sector", "BSideConvention", "Parametrix",
-           "build_parametrix"]
+__all__ = ["zeta", "alpha0", "l_sector", "Parametrix", "build_parametrix"]
 
 
 def zeta(endpoint: str, pd: ProblemData, lam: complex,
          x: float | None = None) -> complex:
     """Rescaled local variable x (p(lam) - p(endpoint)), arg in (-pi, pi).
 
-    The branch cut points along the interval direction; evaluation on the
-    cut itself is refused.
+    The branch cut is where p(lam) < p(endpoint): outward from a, along the
+    interval from b.  Evaluation on the cut itself is refused.
     """
     x = pd.x if x is None else x
     center = {"a": pd.a, "b": pd.b}[endpoint]
@@ -76,25 +82,6 @@ def l_sector(phi: float) -> int:
     return 2 if phi > 0 else 3
 
 
-@dataclass(frozen=True)
-class BSideConvention:
-    """Convention flags for the second-endpoint parametrix.
-
-    The defaults are the combination that satisfies the jump conditions
-    and the boundary decay; the alternatives are kept for the convention
-    scan in the test suite.
-    """
-
-    #: rotation sign of the (2,2) confluent argument: z = e^{sign i pi/2} zeta
-    psi22_rotation: int = +1
-    #: trailing diagonal zeta power (0 = none)
-    extra_right_power: int = 0
-    #: extra sheet factor e^{2 pi i nu * k} on the coefficient pair
-    coeff_sheet: int = 0
-    #: use alpha0^2 e^{-2 i pi nu} in the coefficients instead of alpha^2
-    coeff_alpha0: bool = False
-
-
 def _psi_cont(a: complex, zt: complex, rot: int) -> complex:
     """Psi(a, 1; e^{rot i pi/2} zeta) with the argument tracked continuously.
 
@@ -119,24 +106,57 @@ class Parametrix:
     x: float
     pd: ProblemData
     factory: OperatorFactory
-    convention: BSideConvention
+
+    #: argument rotations of the (1,1), (1,2), (2,1), (2,2) confluent entries
+    _ROTATIONS = (-1, +1, -1, +1)
 
     def __call__(self, lam: complex, sector: int | None = None) -> BlockOperator:
-        if self.endpoint == "a":
-            return self._eval_a(lam, sector)
-        return self._eval_b(lam, sector)
-
-    # -- shared pieces ----------------------------------------------------
-
-    def _ingredients(self, lam):
         pd, fac = self.pd, self.factory
-        nv = complex(nu(pd, lam))
+        s = 1 if self.endpoint == "a" else -1
+        m = -s * complex(nu(pd, lam))
         z = zeta(self.endpoint, pd, lam, self.x)
-        O11 = fac.O_block(1, 1, lam)
-        O12 = fac.O_block(1, 2, lam)
-        O21 = fac.O_block(2, 1, lam)
-        O22 = fac.O_block(2, 2, lam)
-        return nv, z, O11, O12, O21, O22
+        if sector is None:
+            sector = l_sector(float(np.angle(z)))
+        O11, O12, O21, O22 = (fac.O_block(j, l, lam)
+                              for j, l in ((1, 1), (1, 2), (2, 1), (2, 2)))
+
+        r11, r12, r21, r22 = self._ROTATIONS
+        psi11 = _psi_cont(m, z, r11)
+        psi12 = _psi_cont(1.0 - m, z, r12)
+        psi21 = _psi_cont(1.0 + m, z, r21)
+        psi22 = _psi_cont(-m, z, r22)
+
+        logz = np.log(z)
+        # b12 b21 = -m^2
+        if m == 0:
+            b12 = 0.0
+            b21 = 0.0
+        else:
+            S = np.exp(1j * self.x * pd.p(self.center)) \
+                * np.exp(2.0 * m * logz) / self._a_squared(lam, m)
+            spm = np.sin(np.pi * m)
+            b12 = 1j * spm * gamma(1.0 - m) ** 2 * S / np.pi
+            b21 = 1j * np.pi / (spm * gamma(-m) ** 2 * S)
+
+        psi_mat = np.block(
+            [[psi11 * O11, 1j * b12 * psi12 * O12],
+             [-1j * b21 * psi21 * O21, psi22 * O22]])
+        zf = np.exp(-1j * np.pi * m / 2.0)
+        n = fac.grid.n
+        zdiag = np.concatenate([np.full(n, np.exp(m * logz) * zf),
+                                np.full(n, np.exp(-m * logz) * zf)])
+        core = (psi_mat * zdiag[None, :]) \
+            @ self._l_matrix(lam, sector, s2=-s, s3=s)
+        return BlockOperator(core + self._complement(O11, O22), fac.grid,
+                             identity_plus=True)
+
+    def _a_squared(self, lam, m):
+        """A^2 of the coefficients, chosen so that zeta^{2m} / A^2 is
+        analytic across the cut of zeta (see the module docstring)."""
+        srh = self.factory.srh
+        if self.endpoint == "a":
+            return alpha0(self.pd, srh, lam) ** 2 * np.exp(2j * np.pi * m)
+        return np.exp(2.0 * srh.exponent(complex(lam)))
 
     def _l_matrix(self, lam, sector, s2: float, s3: float):
         """The piecewise constant matrix; s2/s3 are the sector-2/3 signs.
@@ -162,95 +182,6 @@ class Parametrix:
         eye = np.eye(n, dtype=complex)
         z = np.zeros((n, n), dtype=complex)
         return np.block([[eye - O11, z], [z, eye - O22]])
-
-    # -- first endpoint ---------------------------------------------------
-
-    def _eval_a(self, lam, sector=None) -> BlockOperator:
-        pd = self.pd
-        nv, z, O11, O12, O21, O22 = self._ingredients(lam)
-        if sector is None:
-            sector = l_sector(float(np.angle(z)))
-        srh = self.factory.srh
-
-        psi11 = _psi_cont(-nv, z, -1)
-        psi12 = _psi_cont(1.0 + nv, z, +1)
-        psi21 = _psi_cont(1.0 - nv, z, -1)
-        psi22 = _psi_cont(nv, z, +1)
-
-        # alpha0^2 zeta^{2 nu} e^{-2 i pi nu} is analytic across the cut;
-        # b12 b21 = -nu^2
-        a0sq = alpha0(pd, srh, lam) ** 2
-        zpow = np.exp(2.0 * nv * np.log(z))  # zeta^{2 nu}, principal
-        sheet = a0sq * zpow * np.exp(-2j * np.pi * nv)
-        pha = np.exp(1j * self.x * pd.p(pd.a))
-        spv = np.sin(np.pi * nv)
-        if nv == 0:
-            b12 = 0.0
-            b21 = 0.0
-        else:
-            b12 = -1j * spv * gamma(1.0 + nv) ** 2 * pha / (np.pi * sheet)
-            b21 = -1j * np.pi * sheet / (spv * gamma(nv) ** 2 * pha)
-
-        psi_mat = np.block(
-            [[psi11 * O11, 1j * b12 * psi12 * O12],
-             [-1j * b21 * psi21 * O21, psi22 * O22]])
-        zf = np.exp(1j * np.pi * nv / 2.0)
-        n = self.factory.grid.n
-        zdiag = np.concatenate([np.full(n, np.exp(-nv * np.log(z)) * zf),
-                                np.full(n, np.exp(nv * np.log(z)) * zf)])
-        core = (psi_mat * zdiag[None, :]) \
-            @ self._l_matrix(lam, sector, s2=-1.0, s3=+1.0)
-        return BlockOperator(core + self._complement(O11, O22),
-                             self.factory.grid, identity_plus=True)
-
-    # -- second endpoint --------------------------------------------------
-
-    def _eval_b(self, lam, sector=None) -> BlockOperator:
-        pd, cv = self.pd, self.convention
-        nv, z, O11, O12, O21, O22 = self._ingredients(lam)
-        if sector is None:
-            sector = l_sector(float(np.angle(z)))
-        srh = self.factory.srh
-
-        psi11 = _psi_cont(nv, z, -1)
-        psi12 = _psi_cont(1.0 - nv, z, +1)
-        psi21 = _psi_cont(1.0 + nv, z, -1)
-        psi22 = _psi_cont(-nv, z, cv.psi22_rotation)
-
-        # zeta^{2 nu} / alpha^2 is analytic across the inward cut;
-        # bt12 bt21 = -nu^2
-        zpow = np.exp(2.0 * nv * np.log(z))
-        if cv.coeff_alpha0:
-            sheet = zpow * np.exp(-2j * np.pi * nv) \
-                / alpha0(pd, srh, lam) ** 2
-        else:
-            sheet = zpow / np.exp(2.0 * srh.exponent(complex(lam)))
-        sheet = sheet * np.exp(2j * np.pi * nv * cv.coeff_sheet)
-        phb = np.exp(1j * self.x * pd.p(pd.b))
-        spv = np.sin(np.pi * nv)
-        if nv == 0:
-            bt12 = 0.0
-            bt21 = 0.0
-        else:
-            bt12 = 1j * spv * gamma(1.0 - nv) ** 2 * sheet * phb / np.pi
-            bt21 = 1j * np.pi / (spv * gamma(-nv) ** 2 * sheet * phb)
-
-        psi_mat = np.block(
-            [[psi11 * O11, 1j * bt12 * psi12 * O12],
-             [-1j * bt21 * psi21 * O21, psi22 * O22]])
-        zf = np.exp(-1j * np.pi * nv / 2.0)
-        n = self.factory.grid.n
-        zdiag = np.concatenate([np.full(n, np.exp(nv * np.log(z)) * zf),
-                                np.full(n, np.exp(-nv * np.log(z)) * zf)])
-        core = (psi_mat * zdiag[None, :]) \
-            @ self._l_matrix(lam, sector, s2=+1.0, s3=-1.0)
-        if cv.extra_right_power != 0:
-            ep = cv.extra_right_power
-            rdiag = np.concatenate([np.full(n, np.exp(ep * nv * np.log(z))),
-                                    np.full(n, np.exp(-ep * nv * np.log(z)))])
-            core = core * rdiag[None, :]
-        return BlockOperator(core + self._complement(O11, O22),
-                             self.factory.grid, identity_plus=True)
 
     # -- diagnostics -------------------------------------------------------
 
@@ -308,14 +239,10 @@ class Parametrix:
             worst = max(worst, float(np.max(np.abs(up - dn))))
         return worst
 
-    def boundary_residual(self, n_probes: int = 10) -> float:
+    def boundary_residual(self) -> float:
         """max weighted distance to the identity over the disk boundary."""
-        angles = [th for th in np.linspace(-np.pi, np.pi, n_probes + 2,
-                                           endpoint=False)
-                  if min(abs(abs(th) - np.pi / 2), abs(abs(th) - np.pi)) > 0.25
-                  and abs(th) > 0.25]
         worst = 0.0
-        for th in angles:
+        for th in _disk_probe_angles():
             lam = self.center + self.radius * np.exp(1j * th)
             worst = max(worst, self(lam).smoothing_bound())
         return worst
@@ -324,16 +251,13 @@ class Parametrix:
 def default_disk_radius(pd: ProblemData) -> float:
     """Largest safe disk radius: inside the margin, the half-line growth
     bound |Im(t lam)| < c/4, and well separated from the far endpoint."""
-    r = 0.8 * pd.c / (4.0 * max(abs(pd.t), 1e-12))
-    r = min(r, 0.25 * (pd.b - pd.a))
-    if np.isfinite(pd.margin):
-        r = min(r, 0.8 * pd.margin)
-    return r
+    return capped_radius(0.8 * pd.c / (4.0 * max(abs(pd.t), 1e-12)),
+                         pd.a, pd.b, pd.margin)
 
 
 def build_parametrix(endpoint: str, pd: ProblemData, factory: OperatorFactory,
-                     x: float | None = None, radius: float | None = None,
-                     convention: BSideConvention | None = None) -> Parametrix:
+                     x: float | None = None,
+                     radius: float | None = None) -> Parametrix:
     """Assemble the local parametrix around one endpoint.
 
     ``factory`` supplies the regular operator blocks; ``radius`` must stay
@@ -352,5 +276,4 @@ def build_parametrix(endpoint: str, pd: ProblemData, factory: OperatorFactory,
             f"disk radius {radius} exceeds the margin {pd.margin}")
     center = pd.a if endpoint == "a" else pd.b
     return Parametrix(endpoint=endpoint, center=center, radius=radius, x=x,
-                      pd=pd, factory=factory,
-                      convention=convention or BSideConvention())
+                      pd=pd, factory=factory)

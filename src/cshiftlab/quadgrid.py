@@ -23,6 +23,7 @@ __all__ = [
     "gauss_interval",
     "graded_interval",
     "stadium_contour",
+    "capped_radius",
     "laguerre_halfline",
 ]
 
@@ -196,6 +197,15 @@ def _gauss_panels(t0: float, t1: float, n_panels: int, q: int):
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1] - edges[0])
     return (mid + half * x[None, :]).ravel(), np.tile(half * w, n_panels)
+
+
+def capped_radius(r: float, a: float, b: float, margin: float) -> float:
+    """r capped at a quarter of b - a and at 0.8 of the analyticity margin.
+
+    Each caller picks its own r from its pole and growth constraints;
+    the caps keep the contour off the far endpoint and inside the margin.
+    """
+    return min(r, 0.25 * (b - a), 0.8 * margin)
 
 
 def stadium_contour(a: float, b: float, r: float, n_per_unit: float = 48.0,

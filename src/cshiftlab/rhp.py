@@ -21,8 +21,8 @@ from .errors import ExcludedCaseError, NearSingularityError
 from .fredholm import assemble, solve
 from .kernels import k_kt, solve_densities
 from .l2half import BlockOperator, e_vectors, kappa_form, m_vec, rank_one
-from .quadgrid import (Contour, HalfLineRule, IntervalRule, gauss_interval,
-                       laguerre_halfline, stadium_contour)
+from .quadgrid import (Contour, HalfLineRule, IntervalRule, capped_radius,
+                       gauss_interval, laguerre_halfline, stadium_contour)
 from .symbols import (DELTA_SCHEDULE, EPS_K, ProblemData, ScalarRH, _neville,
                       nu, tau)
 
@@ -120,13 +120,6 @@ class ChiSolution:
         dw = self.kit.dweights(lam)
         return -self.FR_T @ (dw[:, None] * self.EL_W)
 
-    def FR_interp(self, lam) -> np.ndarray:
-        """Nystrom interpolation of F_R off the nodes; shape (2 Ns,)."""
-        dens = self.densities
-        kv = dens.kernel.eval(self.rule.nodes.astype(complex), complex(lam))
-        ER = e_vectors(self.pd, self.grid, lam)[1].ravel()
-        return ER - (self.rule.weights * kv) @ self.FR_T.T
-
     def verify(self, seed: int = 0, delta_scale: float | None = None):
         """Residual rows for the construction invariants."""
         pd, grid = self.pd, self.grid
@@ -151,7 +144,7 @@ class ChiSolution:
             resid = np.max(np.abs(chi_p @ G - chi_m))
             rows.append(DiagnosticRow("chi jump", lam0, 0.0, float(resid), 1e-6))
             # the +- difference is the rank-structured density itself
-            FR = self.FR_interp(lam0)
+            FR = self.densities.FR_at(lam0)
             EL, ER = (v.ravel() for v in e_vectors(pd, grid, lam0))
             ws2 = np.concatenate([grid.sweights, grid.sweights])
             target = -2j * np.pi * np.outer(FR, EL * ws2)
@@ -286,8 +279,9 @@ def solve_beta(pd: ProblemData, rule: IntervalRule, grid: HalfLineRule,
     if srh is None:
         srh = ScalarRH(pd)
     if loop is None:
-        r = min(0.45 * pd.c / (2.0 * abs(pd.t)), 0.25 * (pd.b - pd.a))
-        loop = stadium_contour(pd.a, pd.b, r)
+        r = capped_radius(0.45 * pd.c / (2.0 * abs(pd.t)), pd.a, pd.b,
+                          pd.margin)
+        loop = stadium_contour(pd.a, pd.b, r, margin=pd.margin)
     return BetaSolution(pd, rule, grid, k, srh, loop)
 
 
@@ -481,10 +475,23 @@ class PiReport:
         return self.lens_rows + self.disk_rows
 
 
+def _disk_probe_angles() -> np.ndarray:
+    """Angles of the probes on a disk boundary around an endpoint.
+
+    Twelve equispaced angles, less those within 0.25 of the real axis,
+    where the disk meets the interval and the cut, and of the lens rays
+    at +- pi/2.
+    """
+    th = np.linspace(-np.pi, np.pi, 12, endpoint=False)
+    far = np.minimum.reduce([np.abs(th), np.abs(np.abs(th) - np.pi / 2),
+                             np.abs(np.abs(th) - np.pi)])
+    return th[far > 0.25]
+
+
 def pi_residual(pd: ProblemData, factory: OperatorFactory,
                 parametrix_builder: Callable, xs,
-                disk_radius: float = 0.3, lens_height: float = 0.15,
-                n_disk_probes: int = 10, n_lens_probes: int = 7) -> PiReport:
+                disk_radius: float = 0.3,
+                lens_height: float = 0.15) -> PiReport:
     """Probe the deformed-problem jumps for closeness to the identity.
 
     On the lens pieces away from the endpoints the jump is the triangular
@@ -502,12 +509,7 @@ def pi_residual(pd: ProblemData, factory: OperatorFactory,
                          b + disk_radius * np.exp(1j * ang)])
     report.eps = float(2.0 * np.max(np.abs(nu(pd, bd).real)))
 
-    span = np.linspace(a + 1.5 * disk_radius, b - 1.5 * disk_radius,
-                       n_lens_probes)
-    disk_ang = np.array([th for th in np.linspace(-np.pi, np.pi, n_disk_probes + 2,
-                                                  endpoint=False)
-                         if min(abs(abs(th) - np.pi / 2),
-                                abs(abs(th) - np.pi)) > 0.25 and abs(th) > 0.25])
+    span = np.linspace(a + 1.5 * disk_radius, b - 1.5 * disk_radius, 7)
 
     for x in xs:
         worst_lens = 0.0
@@ -526,7 +528,7 @@ def pi_residual(pd: ProblemData, factory: OperatorFactory,
         for endpoint, center in (("a", a), ("b", b)):
             px = parametrix_builder(endpoint, x)
             worst = 0.0
-            for th in disk_ang:
+            for th in _disk_probe_angles():
                 lam = center + disk_radius * np.exp(1j * th)
                 resid = px(lam).smoothing_bound()
                 report.disk_rows.append(DiagnosticRow(

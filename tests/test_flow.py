@@ -153,7 +153,6 @@ F.params = 0.2
 p.kind = identity
 margin = 1e9
 n_halfline = 48
-probe_seed = 0
 output = OUT
 """
 
@@ -168,9 +167,11 @@ class TestConfigAndCli:
         assert cfg.F_params == (0.2,)
         assert cfg.margin == 1e9
 
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("line", ["nonsense = 3", "probe_seed = 0"],
+                             ids=["nonsense", "probe_seed"])
+    def test_unknown_key_rejected(self, tmp_path, line):
         path = tmp_path / "cfg.txt"
-        path.write_text("nonsense = 3\n")
+        path.write_text(line + "\n")
         with pytest.raises(ParameterDomainError):
             load_config(str(path))
 
@@ -189,4 +190,8 @@ class TestConfigAndCli:
         code = main(["dtcheck", "--config", str(path), "--t0", "0.5,0.0",
                      "--x", "20"])
         assert code == 0
+        assert "PASS" in capsys.readouterr().out
+
+    def test_cli_selftest(self, capsys):
+        assert main(["selftest"]) == 0
         assert "PASS" in capsys.readouterr().out

@@ -3,7 +3,8 @@ import pytest
 
 import cshiftlab as cl
 from cshiftlab.errors import BranchError, ParameterDomainError
-from cshiftlab.parametrix import (BSideConvention, alpha0, build_parametrix,
+from cshiftlab.l2half import BlockOperator
+from cshiftlab.parametrix import (Parametrix, alpha0, build_parametrix,
                                   l_sector, zeta)
 from cshiftlab.rhp import OperatorFactory, solve_beta
 
@@ -96,29 +97,54 @@ class TestParametrixInvariants:
         assert np.max(np.abs(px(lam).apply(f) - f)) < 1e-8
 
 
+class _Psi22RotatedDown(Parametrix):
+    """(2,2) confluent argument rotated by e^{-i pi/2} instead of e^{+i pi/2}."""
+
+    _ROTATIONS = (-1, +1, -1, -1)
+
+
+class _Alpha0Coefficients(Parametrix):
+    """Coefficients built on the continued alpha0 at both endpoints."""
+
+    def _a_squared(self, lam, m):
+        return alpha0(self.pd, self.factory.srh, lam) ** 2 \
+            * np.exp(2j * np.pi * m)
+
+
+class _ExtraRightPower(Parametrix):
+    """An extra trailing zeta^{m sigma_3} on the part beyond the complement."""
+
+    def __call__(self, lam, sector=None):
+        fac = self.factory
+        full = super().__call__(lam, sector).mat
+        comp = self._complement(fac.O_block(1, 1, lam), fac.O_block(2, 2, lam))
+        s = 1 if self.endpoint == "a" else -1
+        zm = np.exp(-s * complex(cl.nu(self.pd, lam))
+                    * np.log(zeta(self.endpoint, self.pd, lam, self.x)))
+        n = fac.grid.n
+        rdiag = np.concatenate([np.full(n, zm), np.full(n, 1.0 / zm)])
+        return BlockOperator((full - comp) * rdiag[None, :] + comp, fac.grid,
+                             identity_plus=True)
+
+
 class TestConventionPinned:
     """Alternative readings of the second-endpoint display fail at least
-    one requirement; the shipped convention is the numerically selected one."""
+    one requirement; the shipped convention is the numerically selected one.
+    Each reading is planted through a test-local subclass of Parametrix."""
 
-    def test_wrong_psi22_rotation_breaks_boundary_decay(self, pd_default,
-                                                        factory_x100, pb):
-        alt = build_parametrix("b", pd_default, factory_x100, x=100.0,
-                               convention=BSideConvention(psi22_rotation=-1))
+    def test_wrong_psi22_rotation_breaks_boundary_decay(self, pb):
+        alt = _Psi22RotatedDown(**vars(pb))
         assert alt.boundary_residual() > 10.0 * pb.boundary_residual()
 
-    def test_extra_right_power_breaks_jumps(self, pd_default, factory_x100,
-                                            pb):
-        alt = build_parametrix("b", pd_default, factory_x100, x=100.0,
-                               convention=BSideConvention(extra_right_power=1))
+    def test_extra_right_power_breaks_jumps(self, pb):
+        alt = _ExtraRightPower(**vars(pb))
         worst_alt = max(r for _, _, r in alt.jump_residuals())
         worst = max(r for _, _, r in pb.jump_residuals())
         assert worst_alt > 100.0 * worst
         assert alt.boundary_residual() > 10.0 * pb.boundary_residual()
 
-    def test_alpha0_coefficients_break_cut_continuity(self, pd_default,
-                                                      factory_x100, pb):
-        alt = build_parametrix("b", pd_default, factory_x100, x=100.0,
-                               convention=BSideConvention(coeff_alpha0=True))
+    def test_alpha0_coefficients_break_cut_continuity(self, pb):
+        alt = _Alpha0Coefficients(**vars(pb))
         assert alt.cut_continuity() > 100.0 * pb.cut_continuity()
 
 

@@ -133,6 +133,23 @@ class TestBeta:
             gaps.append(np.max(np.abs(bp @ jump - bm)))
         assert 5.0 < gaps[0] / gaps[1] < 20.0
 
+    @pytest.mark.parametrize("margin, want_r", [(np.inf, 0.225),
+                                                (0.05, 0.04)])
+    def test_default_loop_stays_inside_margin(self, monkeypatch, grid48,
+                                              margin, want_r):
+        pd = cl.make_problem(a=-1.0, b=1.0, c=1.0, t=1.0, x=10.0,
+                             F=cl.constant_symbol(0.2), p=cl.identity_phase(),
+                             margin=margin)
+        seen = []
+
+        def spy(a, b, r, **kw):
+            seen.append((r, kw.get("margin", np.inf)))
+            return cl.stadium_contour(a, b, r, **kw)
+
+        monkeypatch.setattr(cl.rhp, "stadium_contour", spy)
+        solve_beta(pd, cl.gauss_interval(64, pd.a, pd.b), grid48, 1)
+        assert seen == [(pytest.approx(want_r, rel=1e-15), margin)]
+
 
 class TestOperatorFactory:
     def test_invariants(self, factory_default):
