@@ -1,20 +1,36 @@
 """Cauchy transforms of densities sampled at Gauss-Legendre nodes.
 
 For a density f known at the nodes of an :class:`~cshiftlab.quadgrid.IntervalRule`,
-C[f](lam) = int_a^b f(mu) / (mu - lam) dmu
-is evaluated as a weighted sum over the node values.  Far from the
-interval the plain Gauss weights w_j / (mu_j - lam) are already spectrally
-accurate.  Near the cut they are useless, so there the integral of the
-degree n-1 Legendre interpolant is taken instead: a finite combination of
-Legendre functions of the second kind, uniformly accurate up to the cut.
-On the cut itself the principal log convention returns the +side (upper)
-boundary value.
+C[f](lam) = int_a^b f(mu) / (mu - lam) dmu is a weighted sum over the node
+values.  Beyond the unit distance FAR from the interval the plain Gauss
+weights w_j / (mu_j - lam) are spectrally accurate.  Nearer, the transform
+of the degree n-1 interpolant of f is taken in closed form by singularity
+subtraction (Wang, Huybrechs & Vandewalle, Math. Comp. 83, 2014).  In unit
+coordinates xi, with nodes x_i, weights w_i, offsets d_i = xi - x_i and the
+barycentric weights b_i = (-1)^i sqrt((1 - x_i^2) w_i) (Berrut & Trefethen,
+SIAM Rev. 46, 2004):
 
-The upward Q recurrence is contaminated by the dominant (P_k ~ rho^k)
-solution once k log(rho) outruns the precision; since the true Q_k ~
-rho^{-k} is below roundoff there anyway, the table is cut at its modulus
-minimum.  For densities analytic in any neighbourhood of [a, b] (all
-densities in this package) the truncation error is negligible.
+    omega_j = (b_j R - w_j) / d_j,   R = (L + T) / S,
+    S = sum_i b_i / d_i,   T = sum_i w_i / d_i,
+
+with L = log(xi - 1) - log(xi + 1) = int dx / (x - xi).  Taking the two
+principal logs separately gives real xi in (-1, 1) the +side (upper)
+boundary value.  Within half a node gap of a node x_k the terms b_k/d_k and
+w_k/d_k cancel in omega_k (0/0 on the node); there, with S', T' the sums
+without i = k,
+
+    R = (d_k (L + T') + w_k) / (b_k + d_k S'),
+    omega_k = (b_k (L + T') - w_k S') / (b_k + d_k S').
+
+Away from the cut S is exponentially small and b_k + d_k S' would cancel,
+so the plain form is kept there.  The squared-pole weights follow by parts,
+with D the Gauss differentiation matrix and l(+-1) the barycentric basis at
+the endpoints: dweights(lam) = omega D - l(+1)/(b - lam) + l(-1)/(a - lam).
+
+FAR stays because off the interval S ~ rho^-n and L + T ~ rho^-2n (rho the
+Bernstein-ellipse parameter of xi) sink below the rounding of their sums:
+the individual weights turn to noise there, and only their action on
+densities the rule resolves keeps its accuracy.
 """
 
 from __future__ import annotations
@@ -23,43 +39,7 @@ import numpy as np
 
 from .quadgrid import IntervalRule
 
-__all__ = ["CauchyKit", "legendre_q"]
-
-
-def legendre_q(z: np.ndarray, kmax: int) -> np.ndarray:
-    """Legendre-Q values Q_0..Q_kmax at points z off [-1, 1], growth-truncated.
-
-    Points on (-1, 1) get the +side boundary value Q_k(x) - i pi P_k(x)/2.
-    Entries beyond the modulus minimum of each column are zeroed; the true
-    values there are below double-precision resolution.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    q = np.empty((kmax + 1,) + z.shape, dtype=complex)
-    q[0] = 0.5 * (np.log(z + 1.0) - np.log(z - 1.0))
-    if kmax >= 1:
-        q[1] = z * q[0] - 1.0
-    for k in range(1, kmax):
-        q[k + 1] = ((2 * k + 1) * z * q[k] - k * q[k - 1]) / (k + 1)
-    _truncate_grown(q)
-    return q
-
-
-def _truncate_grown(q: np.ndarray, slack: float = 1e3):
-    """Zero recurrence output beyond the point contamination takes over."""
-    mag = np.abs(q)
-    running_min = np.minimum.accumulate(mag, axis=0)
-    q[mag > slack * running_min] = 0.0
-
-
-def _legendre_q_deriv(z: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Q_k'(z) from the Q_k table, via (z^2-1) Q_k' = k (z Q_k - Q_{k-1})."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    kmax = q.shape[0] - 1
-    dq = np.empty_like(q)
-    dq[0] = 1.0 / (1.0 - z * z)
-    k = np.arange(1, kmax + 1).reshape((-1,) + (1,) * z.ndim)
-    dq[1:] = k * (z * q[1:] - q[:-1]) / (z * z - 1.0)
-    return dq
+__all__ = ["CauchyKit"]
 
 
 class CauchyKit:
@@ -76,50 +56,68 @@ class CauchyKit:
 
     def __init__(self, rule: IntervalRule):
         self.rule = rule
-        n = rule.n
         x = rule.to_unit(rule.nodes)
-        # discrete Legendre transform:  coeffs = T @ f_nodes, exact for
-        # polynomials of degree < n sampled at Gauss nodes
-        V = np.polynomial.legendre.legvander(x, n - 1)  # (n, k)
-        wu = rule.weights * (2.0 / (rule.b - rule.a))
-        self._T = (V * wu[:, None]).T * ((2.0 * np.arange(n) + 1.0) / 2.0)[:, None]
-        self._unit_nodes = x
+        w = rule.weights * (2.0 / (rule.b - rule.a))
+        b = (-1.0) ** np.arange(rule.n) * np.sqrt((1.0 - x * x) * w)
+        self._x, self._w, self._b = x, w, b
+        gap = np.diff(x)
+        self._half_gap = 0.5 * np.minimum(np.append(gap, np.inf),
+                                          np.insert(gap, 0, np.inf))
+        # barycentric basis at xi = -1 and +1
+        ends = b / (np.array([[-1.0], [1.0]]) - x)
+        self._l_ends = ends / ends.sum(axis=1, keepdims=True)
+        # differentiation matrix in lam
+        dx = x[:, None] - x
+        np.fill_diagonal(dx, 1.0)
+        D = (b / b[:, None]) / dx
+        np.fill_diagonal(D, 0.0)
+        np.fill_diagonal(D, -D.sum(axis=1))
+        self._D = D * (2.0 / (rule.b - rule.a))
 
-    def _unit_distance(self, xi: np.ndarray) -> np.ndarray:
-        re = np.clip(xi.real, -1.0, 1.0)
-        return np.abs(xi - re)
+    def _near(self, xi: np.ndarray) -> np.ndarray:
+        """Weights of the interpolant's transform at unit points xi; (m, n)."""
+        x, w, b = self._x, self._w, self._b
+        d = xi[:, None] - x
+        k = np.argmin(np.abs(d), axis=1)
+        dk = d[np.arange(xi.size), k]
+        on = np.flatnonzero(np.abs(dk) < self._half_gap[k])
+        k, dk = k[on], dk[on]
+        d[on, k] = np.inf  # leaves node k out of S and T
+        S = (b / d).sum(axis=1)
+        LT = np.log(xi - 1.0) - np.log(xi + 1.0) + (w / d).sum(axis=1)
+        R = LT / S
+        den = b[k] + dk * S[on]
+        R[on] = (dk * LT[on] + w[k]) / den
+        out = (b * R[:, None] - w) / d
+        out[on, k] = (b[k] * LT[on] - w[k] * S[on]) / den
+        return out
 
-    def _split(self, lam):
+    def _weights(self, lam, power: int) -> np.ndarray:
+        """Weights for int f(mu) / (mu - lam)^power dmu; shape (..., n)."""
         lam = np.asarray(lam, dtype=complex)
-        xi = np.atleast_1d(self.rule.to_unit(lam))
-        far = self._unit_distance(xi) > self.FAR
-        return lam, xi, far
+        pts = np.atleast_1d(lam)
+        xi = self.rule.to_unit(pts)
+        far = np.abs(xi - np.clip(xi.real, -1.0, 1.0)) > self.FAR
+        out = np.empty(pts.shape + (self.rule.n,), dtype=complex)
+        out[far] = self.rule.weights \
+            / (self.rule.nodes - pts[far][:, None]) ** power
+        if (~far).any():
+            near = self._near(xi[~far])
+            if power == 2:
+                z = pts[~far][:, None]
+                l_minus, l_plus = self._l_ends
+                near = near @ self._D \
+                    - l_plus / (self.rule.b - z) + l_minus / (self.rule.a - z)
+            out[~far] = near
+        return out[0] if lam.ndim == 0 else out
 
     def weights(self, lam) -> np.ndarray:
         """Cauchy weights at one or many points; shape (..., n)."""
-        lam, xi, far = self._split(lam)
-        out = np.empty(xi.shape + (self.rule.n,), dtype=complex)
-        if far.any():
-            pts = np.atleast_1d(lam)[far][..., None]
-            out[far] = self.rule.weights / (self.rule.nodes - pts)
-        if (~far).any():
-            q = legendre_q(xi[~far], self.rule.n - 1)  # (k, m)
-            out[~far] = -2.0 * np.einsum("km,kj->mj", q, self._T)
-        return out[0] if lam.ndim == 0 else out
+        return self._weights(lam, 1)
 
     def dweights(self, lam) -> np.ndarray:
         """Weights for the squared-pole transform int f/(mu-lam)^2 dmu."""
-        lam, xi, far = self._split(lam)
-        scale = 2.0 / (self.rule.b - self.rule.a)
-        out = np.empty(xi.shape + (self.rule.n,), dtype=complex)
-        if far.any():
-            pts = np.atleast_1d(lam)[far][..., None]
-            out[far] = self.rule.weights / (self.rule.nodes - pts) ** 2
-        if (~far).any():
-            q = legendre_q(xi[~far], self.rule.n - 1)
-            dq = _legendre_q_deriv(xi[~far], q)
-            out[~far] = -2.0 * scale * np.einsum("km,kj->mj", dq, self._T)
-        return out[0] if lam.ndim == 0 else out
+        return self._weights(lam, 2)
 
     def value(self, f_nodes: np.ndarray, lam) -> complex:
         """C[f](lam) for node samples f_nodes."""

@@ -9,7 +9,7 @@ class ParameterDomainError(CShiftError, ValueError):
     """A constructor argument lies outside its legal domain."""
 
 
-class ContourSafetyError(CShiftError, ValueError):
+class ContourSafetyError(ParameterDomainError):
     """A contour radius violates a declared analyticity or pole margin."""
 
 

@@ -19,7 +19,7 @@ from .errors import ExcludedCaseError, ParameterDomainError, ResolutionError
 from .fredholm import assemble, determinant, logdet
 from .kernels import u_kt, u_pm, v0, v_t
 from .quadgrid import (capped_radius, gauss_interval, laguerre_halfline,
-                       stadium_contour)
+                       oscillation_nodes, stadium_contour)
 from .rhp import ChiSolution, solve_beta
 from .symbols import EPS_K, ProblemData, ScalarRH, make_handle, make_problem, nu, tau
 
@@ -80,11 +80,6 @@ class SweepConfig:
                              self.b, self.margin)
 
 
-def oscillation_nodes(x: float, p_range: float, n_min: int = 16) -> int:
-    """Node budget resolving e^{i x p}: at least ~6 points per period."""
-    return max(n_min, int(np.ceil(8.0 + 6.0 * x * p_range / (2.0 * np.pi))))
-
-
 @dataclass
 class SweepRow:
     x: float
@@ -130,7 +125,8 @@ def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
     pd1 = cfg.problem(x=cfg.x_list[0] if cfg.x_list else 50.0, t=1.0)
     srh = ScalarRH(pd1, gauss_interval(cfg.n_alpha, cfg.a, cfg.b))
     r = cfg.radius(t=1.0)
-    loop = stadium_contour(cfg.a, cfg.b, r, n_per_unit=cfg.contour_density)
+    loop = stadium_contour(cfg.a, cfg.b, r, n_per_unit=cfg.contour_density,
+                           margin=cfg.margin)
 
     det_up = determinant(assemble(u_pm(pd1, +1, srh), loop))
     det_um = determinant(assemble(u_pm(pd1, -1, srh), loop))
@@ -217,7 +213,7 @@ def dt_logdet_check(cfg: SweepConfig, t0: complex, h: float = 1e-4,
     pd = cfg.problem(x=x, t=t0)
     chi = ChiSolution(pd, rule, grid)
     loop = stadium_contour(cfg.a, cfg.b, cfg.radius(t0),
-                           n_per_unit=cfg.contour_density)
+                           n_per_unit=cfg.contour_density, margin=cfg.margin)
     s3s = np.concatenate([grid.snodes, -grid.snodes])
     total = 0.0 + 0.0j
     for z, w in zip(loop.samples, loop.cweights):

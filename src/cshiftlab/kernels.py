@@ -249,7 +249,6 @@ class _ChiDensities:
     FL: np.ndarray  # (n, 2, Ns)
     EL: np.ndarray  # (n, 2, Ns): E_L at the nodes, the left right-hand side
     ER: np.ndarray  # (n, 2, Ns): E_R at the nodes, the right right-hand side
-    Vmat: np.ndarray  # V_t(lam_i, mu_j)
     kernel: KernelHandle
 
     def FR_at(self, mu) -> np.ndarray:
@@ -283,9 +282,8 @@ def solve_densities(pd: ProblemData, rule: IntervalRule,
     n = rule.n
     FR = solve(assemble(vk_T, rule), ER.reshape(n, -1)).reshape(ER.shape)
     FL = solve(left, EL.reshape(n, -1)).reshape(EL.shape)
-    Vmat = (left.matrix - np.eye(n)) / rule.weights[None, :]
     return _ChiDensities(pd=pd, rule=rule, grid=grid, FR=FR, FL=FL, EL=EL, ER=ER,
-                         Vmat=Vmat, kernel=vk)
+                         kernel=vk)
 
 
 def resolvent_kernel(pd: ProblemData, rule: IntervalRule, grid: HalfLineRule,

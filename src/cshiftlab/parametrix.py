@@ -117,8 +117,8 @@ class Parametrix:
         z = zeta(self.endpoint, pd, lam, self.x)
         if sector is None:
             sector = l_sector(float(np.angle(z)))
-        O11, O12, O21, O22 = (fac.O_block(j, l, lam)
-                              for j, l in ((1, 1), (1, 2), (2, 1), (2, 2)))
+        blk = fac.blocks(lam)
+        O11, O12, O21, O22 = blk[1, 1], blk[1, 2], blk[2, 1], blk[2, 2]
 
         r11, r12, r21, r22 = self._ROTATIONS
         psi11 = _psi_cont(m, z, r11)
@@ -146,7 +146,7 @@ class Parametrix:
         zdiag = np.concatenate([np.full(n, np.exp(m * logz) * zf),
                                 np.full(n, np.exp(-m * logz) * zf)])
         core = (psi_mat * zdiag[None, :]) \
-            @ self._l_matrix(lam, sector, s2=-s, s3=s)
+            @ self._l_matrix(lam, sector, blk, s2=-s, s3=s)
         return BlockOperator(core + self._complement(O11, O22), fac.grid,
                              identity_plus=True)
 
@@ -158,11 +158,12 @@ class Parametrix:
             return alpha0(self.pd, srh, lam) ** 2 * np.exp(2j * np.pi * m)
         return np.exp(2.0 * srh.exponent(complex(lam)))
 
-    def _l_matrix(self, lam, sector, s2: float, s3: float):
+    def _l_matrix(self, lam, sector, blk, s2: float, s3: float):
         """The piecewise constant matrix; s2/s3 are the sector-2/3 signs.
 
-        Sector 2 carries s2 * P e^{i x p}; sector 3 carries s3 * Q e^{-i x p}.
-        With the continuously tracked confluent arguments these are the
+        Sector 2 carries s2 * P e^{i x p}; sector 3 carries s3 * Q e^{-i x p},
+        with P and Q read from the factory blocks ``blk`` at lam.  With the
+        continuously tracked confluent arguments these are the
         inverse/direct triangular jump factors as required at each ray.
         """
         pd, fac = self.pd, self.factory
@@ -172,10 +173,10 @@ class Parametrix:
         if sector == 1:
             return np.block([[eye, zero], [zero, eye]])
         if sector == 2:
-            blk = s2 * np.exp(1j * self.x * pd.p(complex(lam))) * fac.P(lam)
-            return np.block([[eye, blk], [zero, eye]])
-        blk = s3 * np.exp(-1j * self.x * pd.p(complex(lam))) * fac.Q(lam)
-        return np.block([[eye, zero], [blk, eye]])
+            up = s2 * np.exp(1j * self.x * pd.p(complex(lam))) * blk["P"]
+            return np.block([[eye, up], [zero, eye]])
+        down = s3 * np.exp(-1j * self.x * pd.p(complex(lam))) * blk["Q"]
+        return np.block([[eye, zero], [down, eye]])
 
     def _complement(self, O11, O22):
         n = self.factory.grid.n

@@ -21,6 +21,7 @@ __all__ = [
     "Contour",
     "HalfLineRule",
     "gauss_interval",
+    "oscillation_nodes",
     "graded_interval",
     "stadium_contour",
     "capped_radius",
@@ -110,6 +111,11 @@ def gauss_interval(n: int, a: float, b: float) -> IntervalRule:
     half = 0.5 * (b - a)
     return IntervalRule(a=float(a), b=float(b), nodes=0.5 * (a + b) + half * x,
                         weights=half * w)
+
+
+def oscillation_nodes(x: float, p_range: float, n_min: int = 16) -> int:
+    """Node budget resolving e^{i x p}: at least ~6 points per period."""
+    return max(n_min, int(np.ceil(8.0 + 6.0 * x * p_range / (2.0 * np.pi))))
 
 
 def graded_interval(a: float, b: float, n_panel: int = 16, levels: int = 6,

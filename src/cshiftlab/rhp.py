@@ -22,7 +22,8 @@ from .fredholm import assemble, solve
 from .kernels import k_kt, solve_densities
 from .l2half import BlockOperator, e_vectors, kappa_form, m_vec, rank_one
 from .quadgrid import (Contour, HalfLineRule, IntervalRule, capped_radius,
-                       gauss_interval, laguerre_halfline, stadium_contour)
+                       gauss_interval, laguerre_halfline, oscillation_nodes,
+                       stadium_contour)
 from .symbols import (DELTA_SCHEDULE, EPS_K, ProblemData, ScalarRH, _neville,
                       nu, tau)
 
@@ -168,8 +169,8 @@ def solve_chi(pd: ProblemData, rule: IntervalRule | None = None,
     e^{i x p} when none is supplied.
     """
     if rule is None:
-        n = max(64, int(np.ceil(8 + 6 * pd.x * pd.p_range() / (2 * np.pi))))
-        rule = gauss_interval(n, pd.a, pd.b)
+        rule = gauss_interval(oscillation_nodes(pd.x, pd.p_range(), n_min=64),
+                              pd.a, pd.b)
     if grid is None:
         grid = laguerre_halfline(48, pd.c)
     return ChiSolution(pd, rule, grid)
@@ -233,9 +234,6 @@ class BetaSolution:
             - self.rho.T @ ((w * self.tau_nodes)[:, None] * self._kappa_W) \
             / (2j * np.pi)
         return mat
-
-    def beta_inv(self, lam) -> np.ndarray:
-        return np.linalg.inv(self.beta(lam))
 
     def det_beta(self, lam) -> complex:
         return np.linalg.det(self.beta(lam))
@@ -301,45 +299,45 @@ class OperatorFactory:
         self.pd, self.grid, self.srh = pd, grid, srh
         self.betas = {1: beta1, 2: beta2}
 
-    def _mk(self, k, lam):
-        return m_vec(k, self.pd, self.grid, lam)
+    def blocks(self, lam) -> dict:
+        """O_jl under the keys (j, l), the triangular factors under "P", "Q".
 
-    def _kk(self, k, lam):
-        return kappa_form(k, self.pd, self.grid, lam)
+        Every block is the rank-one (beta_j m_j) (x) (kappa_l beta_l^{-1}),
+        with alpha^{+-2} on the off-diagonal O blocks, so one evaluation and
+        one inversion of each beta_k serve all six.
+        """
+        lam = complex(lam)
+        beta = {k: self.betas[k].beta(lam) for k in (1, 2)}
+        pd, grid = self.pd, self.grid
+        left = {k: beta[k] @ m_vec(k, pd, grid, lam) for k in (1, 2)}
+        right = {k: (kappa_form(k, pd, grid, lam) * grid.sweights)
+                 @ np.linalg.inv(beta[k]) for k in (1, 2)}
+        core = {(j, l): np.outer(left[j], right[l])
+                for j in (1, 2) for l in (1, 2)}
+        e = self.srh.exponent(lam)
+        Fv = complex(pd.F(lam))
+        return {(1, 1): core[1, 1], (2, 2): core[2, 2],
+                (1, 2): np.exp(2.0 * e) * core[1, 2],
+                (2, 1): np.exp(-2.0 * e) * core[2, 1],
+                "P": Fv / (1.0 + Fv) * core[1, 2],
+                "Q": -Fv / (1.0 + Fv) * core[2, 1]}
 
     def O_block(self, j: int, l: int, lam) -> np.ndarray:
         """beta_j m_j (x) kappa_l beta_l^{-1} with alpha^{+-2} off-diagonal."""
-        lam = complex(lam)
-        bj = self.betas[j].beta(lam)
-        bl_inv = self.betas[l].beta_inv(lam)
-        core = bj @ rank_one(self._mk(j, lam), self._kk(l, lam), self.grid) @ bl_inv
-        if (j, l) == (1, 2):
-            core = np.exp(2.0 * self.srh.exponent(lam)) * core
-        elif (j, l) == (2, 1):
-            core = np.exp(-2.0 * self.srh.exponent(lam)) * core
-        return core
+        return self.blocks(lam)[j, l]
 
     def O(self, lam) -> BlockOperator:
+        blk = self.blocks(lam)
         return BlockOperator.from_blocks(
-            [[self.O_block(1, 1, lam), self.O_block(1, 2, lam)],
-             [self.O_block(2, 1, lam), self.O_block(2, 2, lam)]], self.grid)
+            [[blk[1, 1], blk[1, 2]], [blk[2, 1], blk[2, 2]]], self.grid)
 
     def P(self, lam) -> np.ndarray:
         """Upper factor: F/(1+F) beta_1 m_1 (x) kappa_2 beta_2^{-1}."""
-        lam = complex(lam)
-        Fv = complex(self.pd.F(lam))
-        return Fv / (1.0 + Fv) * (
-            self.betas[1].beta(lam)
-            @ rank_one(self._mk(1, lam), self._kk(2, lam), self.grid)
-            @ self.betas[2].beta_inv(lam))
+        return self.blocks(lam)["P"]
 
     def Q(self, lam) -> np.ndarray:
-        lam = complex(lam)
-        Fv = complex(self.pd.F(lam))
-        return -Fv / (1.0 + Fv) * (
-            self.betas[2].beta(lam)
-            @ rank_one(self._mk(2, lam), self._kk(1, lam), self.grid)
-            @ self.betas[1].beta_inv(lam))
+        """Lower factor: -F/(1+F) beta_2 m_2 (x) kappa_1 beta_1^{-1}."""
+        return self.blocks(lam)["Q"]
 
     def P_from_O(self, lam) -> np.ndarray:
         """-2 i e^{i pi nu} sin(pi nu) alpha^{-2} O_12: the dual route."""
@@ -408,13 +406,12 @@ class OperatorFactory:
             rows.append(DiagnosticRow(f"O continuity d={d}", mid, d,
                                       float(gap), 1e3 * d))
         for lam in exterior[:3]:
-            O11 = self.O_block(1, 1, lam)
-            comp = np.max(np.abs(self.O_block(1, 2, lam)
-                                 @ self.O_block(2, 1, lam) - O11))
+            blk = self.blocks(lam)
+            comp = np.max(np.abs(blk[1, 2] @ blk[2, 1] - blk[1, 1]))
             rows.append(DiagnosticRow("O_12 O_21 - O_11", lam.real, lam.imag,
                                       float(comp), 1e-8))
-            dual_p = np.max(np.abs(self.P(lam) - self.P_from_O(lam)))
-            dual_q = np.max(np.abs(self.Q(lam) - self.Q_from_O(lam)))
+            dual_p = np.max(np.abs(blk["P"] - self.P_from_O(lam)))
+            dual_q = np.max(np.abs(blk["Q"] - self.Q_from_O(lam)))
             rows.append(DiagnosticRow("P dual route", lam.real, lam.imag,
                                       float(dual_p), 1e-8))
             rows.append(DiagnosticRow("Q dual route", lam.real, lam.imag,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cshiftlab.cauchy import CauchyKit, legendre_q
+from cshiftlab.cauchy import CauchyKit
 from cshiftlab.quadgrid import gauss_interval
 
 
@@ -70,17 +70,74 @@ class TestCauchyKit:
             assert kit.dweights(lam) @ fv == pytest.approx(fd, abs=1e-7)
 
 
-class TestLegendreQ:
-    def test_q0_q1_closed_forms(self):
-        z = np.array([2.0 + 1.0j])
-        q = legendre_q(z, 3)
-        q0 = 0.5 * np.log((z + 1) / (z - 1))
-        assert q[0, 0] == pytest.approx(complex(q0[0]), abs=1e-15)
-        assert q[1, 0] == pytest.approx(complex(z[0] * q0[0] - 1.0), abs=1e-14)
+class TestAgainstMpmath:
+    """Weights against 30-digit transforms of the barycentric interpolant.
 
-    def test_growth_truncation(self):
-        # far from the cut the high-order entries are cut to exact zero
-        # instead of exploding with the recurrence contamination
-        q = legendre_q(np.array([1.25 + 0.0j]), 159)
-        assert np.all(np.abs(q) < 10.0)
-        assert q[-1, 0] == 0.0
+    The reference splits off the pole: with p the interpolant of the node
+    values and p0 = p(xi), p1 = p'(xi),
+        C(xi)  = int (p - p0)/(x - xi) + p0 L,
+        C'(xi) = int (p - p0 - p1 (x - xi))/(x - xi)^2
+                 + p0 (1/(-1 - xi) - 1/(1 - xi)) + p1 L,
+    both integrands polynomials, summed by a 96-point mpmath Gauss rule.
+    On the cut L is the Plemelj +side value log((1 - x)/(1 + x)) + i pi.
+    """
+
+    N = 48
+
+    @pytest.fixture(scope="class")
+    def ref(self):
+        mp = pytest.importorskip("mpmath")
+        rule = gauss_interval(self.N, -1.0, 1.0)
+        f = np.exp(0.7j * rule.nodes) / (1.3 + rule.nodes)
+        with mp.workdps(30):
+            xs = [mp.mpf(float(v)) for v in rule.nodes]
+            fs = [mp.mpc(complex(v)) for v in f]
+            bw = [1 / mp.fprod(xj - xi for xi in xs if xi != xj) for xj in xs]
+
+            def p(z):
+                if z in xs:
+                    return fs[xs.index(z)]
+                t = [b / (z - xj) for b, xj in zip(bw, xs)]
+                return mp.fdot(t, fs) / mp.fsum(t)
+
+            gl = mp.calculus.quadrature.GaussLegendre(mp.mp).get_nodes(
+                -1, 1, 6, mp.mp.prec)
+            p_gl = [(t, wt, p(t)) for t, wt in gl]
+
+        @mp.workdps(30)
+        def transforms(lam, on_cut):
+            xi = mp.mpf(lam.real) if on_cut else mp.mpc(lam)
+            p0, p1 = p(xi), mp.diff(p, xi)
+            if on_cut:
+                L = mp.log((1 - xi) / (1 + xi)) + 1j * mp.pi
+            else:
+                L = mp.log(xi - 1) - mp.log(xi + 1)
+            c = mp.fsum(wt * (pt - p0) / (t - xi) for t, wt, pt in p_gl)
+            dc = mp.fsum(wt * (pt - p0 - p1 * (t - xi)) / (t - xi) ** 2
+                         for t, wt, pt in p_gl)
+            return (complex(c + p0 * L),
+                    complex(dc + p0 * (1 / (-1 - xi) - 1 / (1 - xi)) + p1 * L))
+
+        return CauchyKit(rule), f, transforms
+
+    @pytest.mark.parametrize("lam", [0.3 + 1e-4j, 0.999 + 1e-4j,
+                                     -0.9995 + 1e-6j, 0.2 + 0.34j])
+    def test_near_cut(self, ref, lam):
+        kit, f, transforms = ref
+        c, dc = transforms(lam, on_cut=False)
+        assert abs(kit.weights(lam) @ f - c) <= 1e-13 * abs(c)
+        assert abs(kit.dweights(lam) @ f - dc) <= 1e-12 * abs(dc)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-12])
+    def test_on_cut_at_and_beside_a_node(self, ref, offset):
+        kit, f, transforms = ref
+        lam = complex(kit.rule.nodes[17] + offset)
+        with np.errstate(divide="raise", invalid="raise"):
+            w, dw = kit.weights(lam), kit.dweights(lam)
+        c, dc = transforms(lam, on_cut=True)
+        assert abs(w @ f - c) <= 1e-13 * abs(c)
+        assert abs(dw @ f - dc) <= 1e-12 * abs(dc)
+        # the +side limit: C(lam + i h) = C(lam) + i h C'(lam) + O(h^2)
+        h = 1e-7
+        assert abs(kit.weights(lam + 1j * h) @ f - c) \
+            <= 2 * h * abs(dc) + 1e-12 * abs(c)

@@ -57,6 +57,14 @@ class TestTheoremSweep:
         with pytest.raises(ExcludedCaseError):
             theorem1_sweep(SweepConfig(x_list=(20.0,)))
 
+    def test_loop_at_or_past_the_margin_rejected(self):
+        # a config loop outside the declared analyticity margin is refused
+        cfg = SweepConfig(x_list=(20.0,), margin=0.1, contour_radius=0.25)
+        with pytest.raises(ParameterDomainError):
+            theorem1_sweep(cfg)
+        with pytest.raises(ParameterDomainError):
+            dt_logdet_check(cfg, t0=0.5)
+
     def test_contour_radius_robustness(self):
         reps = [theorem1_sweep(SweepConfig(x_list=(30.0,), contour_radius=r))
                 for r in (0.25, 0.125)]

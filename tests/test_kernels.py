@@ -257,7 +257,8 @@ class TestResolvent:
         dens = solve_densities(pd_default, rule, grid48)
         rk = resolvent_kernel(pd_default, rule, grid48, densities=dens)
         # direct route: R = (I + V W)^{-1} V as a kernel matrix
-        Vmat = dens.Vmat
+        Vmat = (cl.assemble(cl.v_t(pd_default), rule).matrix
+                - np.eye(rule.n)) / rule.weights[None, :]
         A = np.eye(rule.n) + Vmat * rule.weights[None, :]
         Rmat = np.linalg.solve(A, Vmat)
         rng = np.random.default_rng(1)

@@ -85,6 +85,27 @@ class TestParametrixInvariants:
         # symbol, so the residual halves from x=100 to x=200
         assert 0.25 < ratio < 1.0
 
+    def test_beta_evaluated_once_per_point(self, pa, pb, monkeypatch):
+        # one evaluation and one inversion of each beta_k per call, in
+        # every sector: the O blocks and P/Q share them
+        calls = {"beta": 0, "inv": 0}
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(cl.BetaSolution, "beta",
+                            spy("beta", cl.BetaSolution.beta))
+        monkeypatch.setattr(np.linalg, "inv", spy("inv", np.linalg.inv))
+        for px in (pa, pb):
+            lam = px.center + 0.5 * px.radius * np.exp(0.7j)
+            for sector in (1, 2, 3):
+                calls.update(beta=0, inv=0)
+                px(lam, sector=sector)
+                assert calls == {"beta": 2, "inv": 2}
+
     def test_identity_for_zero_symbol(self, pd_zero, grid48):
         srh = cl.ScalarRH(pd_zero)
         rule = cl.gauss_interval(64, -1, 1)

@@ -31,9 +31,11 @@ class TestChi:
                              p=cl.identity_phase())
         rule = cl.gauss_interval(48, -1, 1)
         dens = solve_densities(pd, rule, grid48)
-        A_wrong = np.eye(rule.n) + dens.Vmat * rule.weights[None, :]
+        Vmat = (cl.assemble(cl.v_t(pd), rule).matrix - np.eye(rule.n)) \
+            / rule.weights[None, :]
+        A_wrong = np.eye(rule.n) + Vmat * rule.weights[None, :]
         ER = dens.FR.reshape(rule.n, -1) \
-            + (dens.Vmat.T * rule.weights[None, :]) @ dens.FR.reshape(rule.n, -1)
+            + (Vmat.T * rule.weights[None, :]) @ dens.FR.reshape(rule.n, -1)
         FR_wrong = np.linalg.solve(A_wrong, ER)
         assert np.max(np.abs(FR_wrong - dens.FR.reshape(rule.n, -1))) > 1e-6
 
@@ -52,6 +54,16 @@ class TestChi:
             assert abs(ch.det() - 1.0) < 1e-7
             assert np.max(np.abs((ch @ chi.chi_inv(lam)).mat
                                  - np.eye(2 * grid48.n))) < 1e-8
+
+    def test_default_rule_follows_the_oscillation_budget(self, grid48):
+        # solve_chi sizes its rule by the sweep's node-count rule
+        for x in (10.0, 100.0):
+            pd = cl.make_problem(a=-1, b=1, c=1.0, t=1.0, x=x,
+                                 F=cl.constant_symbol(0.2),
+                                 p=cl.identity_phase())
+            chi = solve_chi(pd, grid=grid48)
+            assert chi.rule.n == cl.quadgrid.oscillation_nodes(
+                x, pd.p_range(), n_min=64)
 
     def test_diagnostics_csv(self, chi_default, tmp_path):
         rows = chi_default.verify()
