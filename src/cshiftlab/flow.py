@@ -25,7 +25,16 @@ from .symbols import EPS_K, ProblemData, ScalarRH, make_handle, make_problem, nu
 
 __all__ = ["SweepConfig", "SweepRow", "SweepReport", "theorem1_sweep",
            "DtReport", "dt_logdet_check", "emit", "load_config",
-           "oscillation_nodes"]
+           "oscillation_nodes", "RULE_TOL"]
+
+#: a row's rule is resolved once the log-ratio moves by less than
+#: RULE_TOL * max(1, |ln ratio|) on the ceil(1.15 n)-point rule
+RULE_TOL = 1e-10
+
+
+def _principal(z: complex) -> complex:
+    """z with its imaginary part wrapped into (-pi, pi]."""
+    return complex(z.real, np.angle(np.exp(1j * z.imag)))
 
 
 @dataclass
@@ -42,12 +51,13 @@ class SweepConfig:
     p_kind: str = "identity"
     p_params: tuple = ()
     margin: float = np.inf
-    n_interval: int | None = None     # None: scale with the oscillation
+    n_interval: int | None = None     # None: oscillation_nodes; either way
+                                      # the start of the refinement check
     n_halfline: int = 48
     contour_radius: float | None = None
     contour_density: float = 48.0
     n_alpha: int = 160
-    n_budget: int = 4000
+    n_budget: int = 4000              # cap on the nodes of any sweep rule
     output: str = "sweep.csv"
 
     def __post_init__(self):
@@ -93,6 +103,8 @@ class SweepRow:
     runtime: float
     #: nodes of the interval rule; None for rows not built by theorem1_sweep
     n: int | None = None
+    #: |change of ln ratio| on the 1.15x finer check rule; None as for n
+    gap: float | None = None
 
 
 @dataclass
@@ -102,6 +114,10 @@ class SweepReport:
     det_u11: complex = complex("nan")
     det_u21: complex = complex("nan")
     product_consistency: float = float("nan")
+    #: |K| and the worst residual of the fit ratio/product - 1 ~
+    #: K + C/x + D/x^2 over the rows; NaN below four rows
+    extrapolated_limit: float = float("nan")
+    fit_residual: float = float("nan")
     diagnostics: list = field(default_factory=list)
 
     def tail_nonincreasing(self, slack: float = 1.5) -> bool:
@@ -114,12 +130,34 @@ class SweepReport:
         return self.rows[-1].rel_error < final_tol and self.tail_nonincreasing()
 
 
+def _interval_logdets(cfg: SweepConfig, pdx1: ProblemData, pdx0: ProblemData,
+                      n: int):
+    """ln det(I+V) and ln det(I+V0) on the n-point Gauss rule."""
+    if n > cfg.n_budget:
+        raise ResolutionError(
+            f"x={pdx1.x} needs {n} nodes, over the budget {cfg.n_budget}")
+    rule = gauss_interval(n, cfg.a, cfg.b)
+    ld_v = logdet(assemble(v_t(pdx1), rule))
+    ld_v0 = logdet(assemble(v0(pdx0), rule))
+    if not (np.isfinite(ld_v) and np.isfinite(ld_v0)):
+        raise ExcludedCaseError(
+            f"a determinant vanishes at x={pdx1.x}; the ratio is undefined")
+    return ld_v, ld_v0
+
+
 def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
     """Ratio of interval determinants against the product of loop determinants.
 
     The deformation endpoints are fixed: the numerator kernel sits at
     t = 1 and the denominator is the plain oscillatory kernel (t = 0);
     the loop side does not depend on x and is computed once.
+
+    Each row starts from ``oscillation_nodes`` (or ``cfg.n_interval``)
+    and is checked a posteriori: while ln det(I+V) - ln det(I+V0) moves by
+    RULE_TOL * max(1, |ln ratio|) or more on the ceil(1.15 n)-point rule,
+    n grows to that rule.  The row reports the ratio at the n that passed,
+    that n and its gap; a rule over ``cfg.n_budget`` raises
+    ResolutionError.
     """
     report = SweepReport()
     pd1 = cfg.problem(x=cfg.x_list[0] if cfg.x_list else 50.0, t=1.0)
@@ -135,33 +173,52 @@ def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
     report.det_u21 = determinant(assemble(u_kt(pd1, 2, srh), loop))
     report.product_consistency = abs(report.det_u11 * report.det_u21 - product)
 
-    p_range = pd1.p_range()
     for x in cfg.x_list:
         t_start = time.perf_counter()
-        n = cfg.n_interval or oscillation_nodes(x, p_range)
-        if n > cfg.n_budget:
-            raise ResolutionError(
-                f"x={x} needs {n} nodes, over the budget {cfg.n_budget}")
-        rule = gauss_interval(n, cfg.a, cfg.b)
         pdx1 = cfg.problem(x=x, t=1.0)
         pdx0 = cfg.problem(x=x, t=0.0)
-        ld_v = logdet(assemble(v_t(pdx1), rule))
-        ld_v0 = logdet(assemble(v0(pdx0), rule))
-        if not (np.isfinite(ld_v) and np.isfinite(ld_v0)):
-            raise ExcludedCaseError(
-                f"a determinant vanishes at x={x}; the ratio is undefined")
+        n = cfg.n_interval or oscillation_nodes(pdx1)
+        ld_v, ld_v0 = _interval_logdets(cfg, pdx1, pdx0, n)
+        # a posteriori: the log-ratio must not move on a 1.15x finer rule
+        while True:
+            n_check = -(-115 * n // 100)      # ceil(1.15 n), in integers
+            ld_vc, ld_v0c = _interval_logdets(cfg, pdx1, pdx0, n_check)
+            ln_ratio = _principal(ld_v - ld_v0)
+            gap = abs(_principal(ld_vc - ld_v0c - ln_ratio))
+            if gap < RULE_TOL * max(1.0, abs(ln_ratio)):
+                break
+            n, ld_v, ld_v0 = n_check, ld_vc, ld_v0c
         ratio = np.exp(ld_v - ld_v0)
         rel = abs(ratio / product - 1.0)
         report.rows.append(SweepRow(
             x=x, det_v=np.exp(ld_v), det_v0=np.exp(ld_v0), ratio=ratio,
             det_up=det_up, det_um=det_um, product=product, rel_error=rel,
-            runtime=time.perf_counter() - t_start, n=n))
+            runtime=time.perf_counter() - t_start, n=n, gap=gap))
 
     if len(report.rows) >= 2:
         lx = np.log([row.x for row in report.rows])
         le = np.log([max(row.rel_error, 1e-300) for row in report.rows])
         report.fitted_decay_exponent = float(np.polyfit(lx, le, 1)[0])
+    if len(report.rows) >= 4:
+        report.extrapolated_limit, report.fit_residual = \
+            _extrapolate(report.rows)
     return report
+
+
+def _extrapolate(rows) -> tuple[float, float]:
+    """|K| and the worst residual of ratio/product - 1 ~ K + C/x + D/x^2.
+
+    Complex least squares over the rows, in the variable x_min/x so the
+    columns are of one scale.  The theorem says K = 0: |K| is the sweep's
+    estimate of how far the x -> infinity limit of the ratio misses the
+    loop product.
+    """
+    xs = np.array([row.x for row in rows])
+    err = np.array([complex(row.ratio / row.product) - 1.0 for row in rows])
+    u = xs[0] / xs
+    A = np.stack([np.ones_like(u), u, u * u], axis=1)
+    coef = np.linalg.lstsq(A.astype(complex), err, rcond=None)[0]
+    return float(abs(coef[0])), float(np.max(np.abs(A @ coef - err)))
 
 
 @dataclass
@@ -198,7 +255,7 @@ def dt_logdet_check(cfg: SweepConfig, t0: complex, h: float = 1e-4,
     """
     t0 = complex(t0)
     x = float(x if x is not None else (cfg.x_list[-1] if cfg.x_list else 100.0))
-    n = cfg.n_interval or oscillation_nodes(x, cfg.problem(x=x).p_range())
+    n = cfg.n_interval or oscillation_nodes(cfg.problem(x=x))
     rule = gauss_interval(n, cfg.a, cfg.b)
     grid = laguerre_halfline(cfg.n_halfline, cfg.c)
 
@@ -243,7 +300,7 @@ def dt_logdet_check(cfg: SweepConfig, t0: complex, h: float = 1e-4,
 
 CSV_COLUMNS = ["x", "det(I+V)", "det(I+V0)", "ratio", "det(I+U+)",
                "det(I+U-)", "product", "relative error",
-               "fitted decay exponent", "runtime_s", "n"]
+               "fitted decay exponent", "runtime_s", "n", "gap"]
 
 
 def _fmt(v) -> str:
@@ -267,7 +324,8 @@ def emit(report: SweepReport, path: str, final_tol: float = 0.05) -> int:
                         _fmt(row.ratio), _fmt(row.det_up), _fmt(row.det_um),
                         _fmt(row.product), _fmt(row.rel_error),
                         _fmt(report.fitted_decay_exponent),
-                        _fmt(row.runtime), row.n])
+                        _fmt(row.runtime), row.n,
+                        "" if row.gap is None else _fmt(row.gap)])
 
     lines = []
     ok = True
@@ -284,6 +342,21 @@ def emit(report: SweepReport, path: str, final_tol: float = 0.05) -> int:
         lines.append(f"loop-product consistency |U1*U2 - U+*U-| = {cons:.3e}"
                      f" < 1e-06: {'PASS' if cons < 1e-6 else 'FAIL'}")
         ok = final < final_tol and conv and cons < 1e-6
+        gaps = [row.gap / max(1.0, abs(np.log(complex(row.ratio))))
+                for row in report.rows if row.gap is not None]
+        if gaps:
+            worst = max(gaps)
+            lines.append(f"worst interval-rule refinement gap "
+                         f"|d ln ratio| / max(1, |ln ratio|) = {worst:.3e} < "
+                         f"{RULE_TOL:.0e}: "
+                         f"{'PASS' if worst < RULE_TOL else 'FAIL'}")
+            ok = ok and worst < RULE_TOL
+        if np.isnan(report.extrapolated_limit):
+            lines.append("x-extrapolated limit: needs four rows or more")
+        else:
+            lines.append(f"x-extrapolated limit |K| of ratio/product - 1 = "
+                         f"{report.extrapolated_limit:.3e}, fit residual "
+                         f"{report.fit_residual:.3e}")
         lines.append(f"per-factor values: det(I+U_1)={_fmt(report.det_u11)}, "
                      f"det(I+U_2)={_fmt(report.det_u21)}, "
                      f"det(I+U+)={_fmt(report.rows[-1].det_up)}, "

@@ -59,14 +59,16 @@ def zeta(endpoint: str, pd: ProblemData, lam: complex,
     return z
 
 
-def alpha0(pd: ProblemData, srh, lam: complex) -> complex:
+def alpha0(pd: ProblemData, srh, lam: complex,
+           exponent: complex | None = None) -> complex:
     """alpha continued across the interval: alpha above, alpha e^{2 i pi nu} below.
 
     Holomorphic near an endpoint except on the outward ray, where both its
-    pieces and the zeta powers jump compatibly.
+    pieces and the zeta powers jump compatibly.  ``exponent`` is
+    ``srh.exponent(lam)`` when the caller has it already.
     """
     lam = complex(lam)
-    val = np.exp(srh.exponent(lam))
+    val = np.exp(srh.exponent(lam) if exponent is None else exponent)
     if lam.imag < 0.0:
         val = val * np.exp(2j * np.pi * complex(nu(pd, lam)))
     return val
@@ -133,7 +135,8 @@ class Parametrix:
             b21 = 0.0
         else:
             S = np.exp(1j * self.x * pd.p(self.center)) \
-                * np.exp(2.0 * m * logz) / self._a_squared(lam, m)
+                * np.exp(2.0 * m * logz) / self._a_squared(lam, m,
+                                                           blk["exponent"])
             spm = np.sin(np.pi * m)
             b12 = 1j * spm * gamma(1.0 - m) ** 2 * S / np.pi
             b21 = 1j * np.pi / (spm * gamma(-m) ** 2 * S)
@@ -150,13 +153,14 @@ class Parametrix:
         return BlockOperator(core + self._complement(O11, O22), fac.grid,
                              identity_plus=True)
 
-    def _a_squared(self, lam, m):
+    def _a_squared(self, lam, m, e):
         """A^2 of the coefficients, chosen so that zeta^{2m} / A^2 is
-        analytic across the cut of zeta (see the module docstring)."""
-        srh = self.factory.srh
+        analytic across the cut of zeta (see the module docstring); e is
+        the exponent ln alpha(lam) the factory blocks carry."""
         if self.endpoint == "a":
-            return alpha0(self.pd, srh, lam) ** 2 * np.exp(2j * np.pi * m)
-        return np.exp(2.0 * srh.exponent(complex(lam)))
+            return alpha0(self.pd, self.factory.srh, lam, e) ** 2 \
+                * np.exp(2j * np.pi * m)
+        return np.exp(2.0 * e)
 
     def _l_matrix(self, lam, sector, blk, s2: float, s3: float):
         """The piecewise constant matrix; s2/s3 are the sector-2/3 signs.

@@ -8,6 +8,7 @@ e^{-c s} decay of all half-line kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.polynomial.legendre import legder, legval
@@ -15,6 +16,9 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import roots_laguerre
 
 from .errors import ContourSafetyError, ParameterDomainError
+
+if TYPE_CHECKING:
+    from .symbols import ProblemData
 
 __all__ = [
     "IntervalRule",
@@ -27,6 +31,11 @@ __all__ = [
     "capped_radius",
     "laguerre_halfline",
 ]
+
+#: nodes of the grid oscillation_nodes takes the local wavenumber on
+_CHECK_NODES = 65
+#: nodes oscillation_nodes adds to the resolution bound
+_NODE_MARGIN = 64
 
 
 @dataclass(frozen=True)
@@ -113,9 +122,31 @@ def gauss_interval(n: int, a: float, b: float) -> IntervalRule:
                         weights=half * w)
 
 
-def oscillation_nodes(x: float, p_range: float, n_min: int = 16) -> int:
-    """Node budget resolving e^{i x p}: at least ~6 points per period."""
-    return max(n_min, int(np.ceil(8.0 + 6.0 * x * p_range / (2.0 * np.pi))))
+def oscillation_nodes(pd: "ProblemData", n_min: int = 16) -> int:
+    """Gauss nodes on [a, b] resolving the phases e^{+-i x (p(lam) - p(mu))/2}.
+
+    n = ceil((x/2) max_j p'(lam_j) sqrt((lam_j - a)(b - lam_j))) + 64,
+    floored at n_min, the max over a 65-point Gauss check grid (odd, so
+    its middle node is the midpoint of [a, b]).  The product is the local
+    wavenumber x p'/2 of the interval kernels against the arcsine density
+    n / (pi sqrt((lam - a)(b - lam))) of n Gauss nodes: without the margin
+    the rule has two nodes per local wavelength, where the determinant is
+    still 1e-4 to 1e-2 off; the +64 margin takes it to rounding (at
+    x = 3200 a 32-node margin leaves up to 2e-10, 64 nodes under 1e-12).
+    The basis for trusting a Nystrom determinant once the kernel is
+    resolved is Bornemann, "On the numerical evaluation of Fredholm
+    determinants", Math. Comp. 79 (2010).  For the identity phase
+    n = ceil(x (b - a)/4) + 64.
+
+    The bound is sharp, not safe by a factor: ``flow.theorem1_sweep``
+    checks every row a posteriori on a rule 1.15 times as large and grows
+    n until the log-ratio moves by less than ``flow.RULE_TOL``.
+    """
+    a, b = pd.a, pd.b
+    lam = gauss_interval(_CHECK_NODES, a, b).nodes
+    dp = np.real(pd.p.deriv(lam.astype(complex)))
+    k = np.max(dp * np.sqrt((lam - a) * (b - lam)))
+    return max(n_min, int(np.ceil(0.5 * pd.x * k)) + _NODE_MARGIN)
 
 
 def graded_interval(a: float, b: float, n_panel: int = 16, levels: int = 6,

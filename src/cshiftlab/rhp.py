@@ -169,8 +169,7 @@ def solve_chi(pd: ProblemData, rule: IntervalRule | None = None,
     e^{i x p} when none is supplied.
     """
     if rule is None:
-        rule = gauss_interval(oscillation_nodes(pd.x, pd.p_range(), n_min=64),
-                              pd.a, pd.b)
+        rule = gauss_interval(oscillation_nodes(pd, n_min=64), pd.a, pd.b)
     if grid is None:
         grid = laguerre_halfline(48, pd.c)
     return ChiSolution(pd, rule, grid)
@@ -304,14 +303,18 @@ class OperatorFactory:
 
         Every block is the rank-one (beta_j m_j) (x) (kappa_l beta_l^{-1}),
         with alpha^{+-2} on the off-diagonal O blocks, so one evaluation and
-        one inversion of each beta_k serve all six.
+        one inversion of each beta_k serve all six.  Those are returned
+        too, under "beta" and "beta_inv" (both keyed by k), with the
+        exponent ln alpha(lam) under "exponent", for callers that need them
+        at the same point.
         """
         lam = complex(lam)
         beta = {k: self.betas[k].beta(lam) for k in (1, 2)}
+        beta_inv = {k: np.linalg.inv(beta[k]) for k in (1, 2)}
         pd, grid = self.pd, self.grid
         left = {k: beta[k] @ m_vec(k, pd, grid, lam) for k in (1, 2)}
         right = {k: (kappa_form(k, pd, grid, lam) * grid.sweights)
-                 @ np.linalg.inv(beta[k]) for k in (1, 2)}
+                 @ beta_inv[k] for k in (1, 2)}
         core = {(j, l): np.outer(left[j], right[l])
                 for j in (1, 2) for l in (1, 2)}
         e = self.srh.exponent(lam)
@@ -320,7 +323,8 @@ class OperatorFactory:
                 (1, 2): np.exp(2.0 * e) * core[1, 2],
                 (2, 1): np.exp(-2.0 * e) * core[2, 1],
                 "P": Fv / (1.0 + Fv) * core[1, 2],
-                "Q": -Fv / (1.0 + Fv) * core[2, 1]}
+                "Q": -Fv / (1.0 + Fv) * core[2, 1],
+                "beta": beta, "beta_inv": beta_inv, "exponent": e}
 
     def O_block(self, j: int, l: int, lam) -> np.ndarray:
         """beta_j m_j (x) kappa_l beta_l^{-1} with alpha^{+-2} off-diagonal."""
@@ -352,26 +356,28 @@ class OperatorFactory:
             * np.exp(2.0 * self.srh.exponent(complex(lam))) \
             * self.O_block(2, 1, lam)
 
-    def m_up(self, lam, x: float | None = None) -> BlockOperator:
-        """[[id, P e^{i x p}], [0, id]]."""
+    def m_up(self, lam, x: float | None = None,
+             blk: dict | None = None) -> BlockOperator:
+        """[[id, P e^{i x p}], [0, id]]; ``blk``: ``blocks(lam)`` if taken."""
         x = self.pd.x if x is None else x
         lam = complex(lam)
+        P = self.P(lam) if blk is None else blk["P"]
         eye = np.eye(self.grid.n, dtype=complex)
         zero = np.zeros_like(eye)
         ph = np.exp(1j * x * self.pd.p(lam))
         return BlockOperator.from_blocks(
-            [[eye, ph * self.P(lam)], [zero, eye]], self.grid,
-            identity_plus=True)
+            [[eye, ph * P], [zero, eye]], self.grid, identity_plus=True)
 
-    def m_down(self, lam, x: float | None = None) -> BlockOperator:
+    def m_down(self, lam, x: float | None = None,
+               blk: dict | None = None) -> BlockOperator:
         x = self.pd.x if x is None else x
         lam = complex(lam)
+        Q = self.Q(lam) if blk is None else blk["Q"]
         eye = np.eye(self.grid.n, dtype=complex)
         zero = np.zeros_like(eye)
         ph = np.exp(-1j * x * self.pd.p(lam))
         return BlockOperator.from_blocks(
-            [[eye, zero], [ph * self.Q(lam), eye]], self.grid,
-            identity_plus=True)
+            [[eye, zero], [ph * Q, eye]], self.grid, identity_plus=True)
 
     def m_down_inv(self, lam, x: float | None = None) -> BlockOperator:
         x = self.pd.x if x is None else x
@@ -428,18 +434,18 @@ def factorization_residual(pd: ProblemData, grid: HalfLineRule,
     every one-sided value by Richardson over the delta schedule.
     """
     deltas = DELTA_SCHEDULE * (pd.b - pd.a)
-    b1, b2 = factory.betas[1], factory.betas[2]
 
     def upper_part(d):
         lam = lam0 + 1j * d
-        dinv = _diag_block(np.linalg.inv(b1.beta(lam)),
-                           np.linalg.inv(b2.beta(lam)))
-        return dinv @ factory.m_up(lam).mat
+        blk = factory.blocks(lam)
+        dinv = _diag_block(blk["beta_inv"][1], blk["beta_inv"][2])
+        return dinv @ factory.m_up(lam, blk=blk).mat
 
     def lower_part(d):
         lam = lam0 - 1j * d
-        dmat = _diag_block(b1.beta(lam), b2.beta(lam))
-        return factory.m_down(lam).mat @ dmat
+        blk = factory.blocks(lam)
+        dmat = _diag_block(blk["beta"][1], blk["beta"][2])
+        return factory.m_down(lam, blk=blk).mat @ dmat
 
     prods = [upper_part(d) @ lower_part(d) for d in deltas]
     rhs, _ = _neville(deltas, prods)

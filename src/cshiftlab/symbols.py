@@ -124,9 +124,6 @@ class ProblemData:
     p: HolomorphicHandle
     margin: float
 
-    def p_range(self) -> float:
-        return float((self.p(self.b) - self.p(self.a)).real)
-
     def with_(self, **kw) -> "ProblemData":
         d = dict(a=self.a, b=self.b, c=self.c, t=self.t, x=self.x,
                  F=self.F, p=self.p, margin=self.margin)

@@ -3,17 +3,70 @@ import pytest
 
 import cshiftlab as cl
 from cshiftlab.cli import main
-from cshiftlab.errors import ExcludedCaseError, ParameterDomainError
+from cshiftlab.errors import (ExcludedCaseError, ParameterDomainError,
+                              ResolutionError)
 from cshiftlab.flow import (SweepConfig, dt_logdet_check, emit, load_config,
                             oscillation_nodes, theorem1_sweep)
 
 
-class TestSweepConfig:
-    def test_node_budget_rule(self):
-        assert oscillation_nodes(200.0, 2.0) == int(np.ceil(8 + 6 * 200 * 2
-                                                            / (2 * np.pi)))
-        assert oscillation_nodes(1.0, 2.0) == 16
+def _problem(x, F=0.2, p=(0.0, 1.0), a=-1.0, b=1.0, t=1.0):
+    return cl.make_problem(a=a, b=b, c=1.0, t=t, x=x,
+                           F=cl.constant_symbol(F), p=cl.poly_phase(p))
 
+
+def _log_ratio(x, n, F=0.2, p=(0.0, 1.0)):
+    """ln det(I+V) - ln det(I+V0) on the n-point Gauss rule."""
+    rule = cl.gauss_interval(n, -1.0, 1.0)
+    return (cl.logdet(cl.assemble(cl.v_t(_problem(x, F, p)), rule))
+            - cl.logdet(cl.assemble(cl.v0(_problem(x, F, p, t=0.0)), rule)))
+
+
+class TestIntervalRule:
+    @pytest.mark.parametrize("x", [1.0, 10.0, 400.0, 801.0, 1600.0, 8000.0])
+    def test_identity_phase_closed_form(self, x):
+        # ceil(x (b - a)/4) + 64, floored at n_min
+        assert oscillation_nodes(_problem(x)) == max(16, int(np.ceil(x / 2)) + 64)
+        assert oscillation_nodes(_problem(x, a=-1.0, b=3.0)) \
+            == int(np.ceil(x)) + 64
+        assert oscillation_nodes(_problem(x), n_min=200) \
+            == max(200, int(np.ceil(x / 2)) + 64)
+
+    @pytest.mark.parametrize("p", [(0.0, 1.0), (0.0, 1.0, 0.3)],
+                             ids=["identity", "poly"])
+    @pytest.mark.parametrize("F", [0.2, -0.5])
+    def test_rule_resolves_the_log_ratio(self, F, p):
+        x = 1600.0
+        n = oscillation_nodes(_problem(x, F, p))
+        ref = _log_ratio(x, int(np.ceil(1.5 * n)), F, p)
+        assert abs(_log_ratio(x, n, F, p) - ref) < 1e-11
+
+    def test_check_grows_an_underresolved_rule(self, monkeypatch):
+        # negative control: the bare resolution bound, without its margin,
+        # is 1e-4 to 1e-2 off; the refinement check must grow it
+        x = 1600.0
+        bare = int(np.ceil(x / 2))
+        ref = _log_ratio(x, int(np.ceil(1.5 * oscillation_nodes(_problem(x)))))
+        assert abs(_log_ratio(x, bare) - ref) > 1e-6
+        monkeypatch.setattr(cl.flow, "oscillation_nodes",
+                            lambda pd, n_min=16: bare)
+        row = theorem1_sweep(SweepConfig(x_list=(x,))).rows[0]
+        assert row.n > bare
+        assert row.gap < cl.flow.RULE_TOL
+        assert abs(np.log(row.ratio) - ref) < 1e-11
+
+    @pytest.mark.parametrize("budget", [500, 900])
+    def test_over_budget_raises(self, budget):
+        # 500 < n = 864; 900 admits n but not its check rule ceil(1.15 n)
+        with pytest.raises(ResolutionError):
+            theorem1_sweep(SweepConfig(x_list=(1600.0,), n_budget=budget))
+
+    def test_given_n_interval_goes_through_the_check(self):
+        row = theorem1_sweep(SweepConfig(x_list=(400.0,), n_interval=200)).rows[0]
+        assert row.n > 200
+        assert row.gap < cl.flow.RULE_TOL
+
+
+class TestSweepConfig:
     def test_validation(self):
         with pytest.raises(ParameterDomainError):
             SweepConfig(x_list=(50.0, 50.0))
@@ -51,6 +104,20 @@ class TestTheoremSweep:
         # o(1) error follows the x^{eps-1} = 1/x pattern for the real
         # constant symbol
         assert rep.fitted_decay_exponent == pytest.approx(-1.0, abs=0.15)
+
+    @pytest.mark.parametrize("F", [0.2, -0.5])
+    def test_extrapolated_limit_vanishes(self, F):
+        # ratio/product - 1 ~ K + C/x + D/x^2 with K = 0: both |K| and the
+        # fit residual sit far below the error at the largest x
+        rep = theorem1_sweep(SweepConfig(x_list=(200.0, 400.0, 800.0, 1600.0),
+                                         F_params=(F,)))
+        scale = 0.01 * rep.rows[-1].rel_error
+        assert rep.extrapolated_limit < scale
+        assert rep.fit_residual < scale
+        short = theorem1_sweep(SweepConfig(x_list=(200.0, 400.0, 800.0),
+                                           F_params=(F,)))
+        assert np.isnan(short.extrapolated_limit)
+        assert np.isnan(short.fit_residual)
 
     def test_vanishing_determinant_is_the_excluded_case(self, monkeypatch):
         monkeypatch.setattr(cl.flow, "logdet", lambda sys_: complex(-np.inf))
@@ -134,13 +201,18 @@ class TestEmit:
     def test_rows_record_node_count(self, tmp_path):
         cfg = SweepConfig(x_list=(20.0, 40.0))
         rep = theorem1_sweep(cfg)
-        p_range = cfg.problem(x=20.0).p_range()
-        want = [oscillation_nodes(x, p_range) for x in cfg.x_list]
+        want = [oscillation_nodes(cfg.problem(x=x)) for x in cfg.x_list]
         assert [row.n for row in rep.rows] == want
+        assert all(row.gap < cl.flow.RULE_TOL for row in rep.rows)
         emit(rep, str(tmp_path / "sweep.csv"))
         lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
-        assert lines[0].split(",")[-2:] == ["runtime_s", "n"]
-        assert [int(line.split(",")[-1]) for line in lines[1:]] == want
+        assert lines[0].split(",")[-3:] == ["runtime_s", "n", "gap"]
+        assert [int(line.split(",")[-2]) for line in lines[1:]] == want
+        assert [float(line.split(",")[-1]) for line in lines[1:]] \
+            == [row.gap for row in rep.rows]
+        summary = (tmp_path / "sweep.csv.summary.txt").read_text()
+        assert "refinement gap" in summary
+        assert "x-extrapolated limit" in summary
 
     def test_unwritable_path_raises(self):
         from cshiftlab.flow import SweepReport

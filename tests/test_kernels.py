@@ -98,7 +98,7 @@ class TestIntervalKernelOracle:
         pd = interval_problem(x, t)
         t_form = t if factory is cl.v_t else 0.0
         kernel = factory(pd)
-        z = cl.gauss_interval(oscillation_nodes(x, pd.p_range()), -1.0, 1.0).nodes
+        z = cl.gauss_interval(oscillation_nodes(pd), -1.0, 1.0).nodes
         err = kmax = 0.0
         for i in range(0, z.size, 256):  # row blocks bound the memory
             rows = np.arange(i, min(i + 256, z.size))

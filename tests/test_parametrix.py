@@ -87,8 +87,9 @@ class TestParametrixInvariants:
 
     def test_beta_evaluated_once_per_point(self, pa, pb, monkeypatch):
         # one evaluation and one inversion of each beta_k per call, in
-        # every sector: the O blocks and P/Q share them
-        calls = {"beta": 0, "inv": 0}
+        # every sector: the O blocks and P/Q share them; the coefficient
+        # A^2 reuses the blocks' exponent ln alpha
+        calls = {"beta": 0, "inv": 0, "exponent": 0}
 
         def spy(name, fn):
             def wrapped(*args, **kwargs):
@@ -99,12 +100,14 @@ class TestParametrixInvariants:
         monkeypatch.setattr(cl.BetaSolution, "beta",
                             spy("beta", cl.BetaSolution.beta))
         monkeypatch.setattr(np.linalg, "inv", spy("inv", np.linalg.inv))
+        monkeypatch.setattr(cl.ScalarRH, "exponent",
+                            spy("exponent", cl.ScalarRH.exponent))
         for px in (pa, pb):
             lam = px.center + 0.5 * px.radius * np.exp(0.7j)
             for sector in (1, 2, 3):
-                calls.update(beta=0, inv=0)
+                calls.update(beta=0, inv=0, exponent=0)
                 px(lam, sector=sector)
-                assert calls == {"beta": 2, "inv": 2}
+                assert calls == {"beta": 2, "inv": 2, "exponent": 1}
 
     def test_identity_for_zero_symbol(self, pd_zero, grid48):
         srh = cl.ScalarRH(pd_zero)
@@ -127,7 +130,7 @@ class _Psi22RotatedDown(Parametrix):
 class _Alpha0Coefficients(Parametrix):
     """Coefficients built on the continued alpha0 at both endpoints."""
 
-    def _a_squared(self, lam, m):
+    def _a_squared(self, lam, m, e):
         return alpha0(self.pd, self.factory.srh, lam) ** 2 \
             * np.exp(2j * np.pi * m)
 

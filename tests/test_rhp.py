@@ -62,8 +62,7 @@ class TestChi:
                                  F=cl.constant_symbol(0.2),
                                  p=cl.identity_phase())
             chi = solve_chi(pd, grid=grid48)
-            assert chi.rule.n == cl.quadgrid.oscillation_nodes(
-                x, pd.p_range(), n_min=64)
+            assert chi.rule.n == cl.quadgrid.oscillation_nodes(pd, n_min=64)
 
     def test_diagnostics_csv(self, chi_default, tmp_path):
         rows = chi_default.verify()
@@ -192,6 +191,26 @@ class TestOperatorFactory:
             resid = factorization_residual(pd_default, grid48,
                                            factory_default, lam0)
             assert resid < 1e-6
+
+    def test_factorization_evaluates_beta_once_per_point(
+            self, pd_default, grid48, factory_default, monkeypatch):
+        # each one-sided point lam0 +- i delta takes one evaluation and one
+        # inversion of each beta_k; the diagonal factors and M_up/M_down
+        # share them through the factory blocks
+        calls = {"beta": 0, "inv": 0}
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(cl.BetaSolution, "beta",
+                            spy("beta", cl.BetaSolution.beta))
+        monkeypatch.setattr(np.linalg, "inv", spy("inv", np.linalg.inv))
+        factorization_residual(pd_default, grid48, factory_default, 0.3)
+        points = 2 * len(cl.symbols.DELTA_SCHEDULE)
+        assert calls == {"beta": 2 * points, "inv": 2 * points}
 
 
 class TestPiResidual:
