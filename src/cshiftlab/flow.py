@@ -57,7 +57,7 @@ class SweepConfig:
     contour_radius: float | None = None
     contour_density: float = 48.0
     n_alpha: int = 160
-    n_budget: int = 4000              # cap on the nodes of any sweep rule
+    n_budget: int = 4000              # cap on the nodes of any interval rule
     output: str = "sweep.csv"
 
     def __post_init__(self):
@@ -130,12 +130,16 @@ class SweepReport:
         return self.rows[-1].rel_error < final_tol and self.tail_nonincreasing()
 
 
+def _check_budget(cfg: SweepConfig, x: float, n: int) -> None:
+    if n > cfg.n_budget:
+        raise ResolutionError(
+            f"x={x} needs {n} nodes, over the budget {cfg.n_budget}")
+
+
 def _interval_logdets(cfg: SweepConfig, pdx1: ProblemData, pdx0: ProblemData,
                       n: int):
     """ln det(I+V) and ln det(I+V0) on the n-point Gauss rule."""
-    if n > cfg.n_budget:
-        raise ResolutionError(
-            f"x={pdx1.x} needs {n} nodes, over the budget {cfg.n_budget}")
+    _check_budget(cfg, pdx1.x, n)
     rule = gauss_interval(n, cfg.a, cfg.b)
     ld_v = logdet(assemble(v_t(pdx1), rule))
     ld_v0 = logdet(assemble(v0(pdx0), rule))
@@ -252,10 +256,15 @@ def dt_logdet_check(cfg: SweepConfig, t0: complex, h: float = 1e-4,
     (ii) the loop trace formula through chi: oint z tr[d_z chi sigma3 s chi^{-1}] dz / (2 pi);
     (iii) the reduced density form sum_k eps_k int tau_k kappa_k[s rho_k] / (2 pi),
     exact up to O(x^{eps-1}).
+
+    One interval rule serves (i) and chi, sized for chi's e^{+-i x p}
+    (``oscillation_nodes`` at frequency 1) unless ``cfg.n_interval`` is
+    given; a rule over ``cfg.n_budget`` raises ResolutionError.
     """
     t0 = complex(t0)
     x = float(x if x is not None else (cfg.x_list[-1] if cfg.x_list else 100.0))
-    n = cfg.n_interval or oscillation_nodes(cfg.problem(x=x))
+    n = cfg.n_interval or oscillation_nodes(cfg.problem(x=x), frequency=1.0)
+    _check_budget(cfg, x, n)
     rule = gauss_interval(n, cfg.a, cfg.b)
     grid = laguerre_halfline(cfg.n_halfline, cfg.c)
 

@@ -122,21 +122,24 @@ def gauss_interval(n: int, a: float, b: float) -> IntervalRule:
                         weights=half * w)
 
 
-def oscillation_nodes(pd: "ProblemData", n_min: int = 16) -> int:
-    """Gauss nodes on [a, b] resolving the phases e^{+-i x (p(lam) - p(mu))/2}.
+def oscillation_nodes(pd: "ProblemData", frequency: float = 0.5) -> int:
+    """Gauss nodes on [a, b] resolving the phases e^{+-i frequency x p(lam)}.
 
-    n = ceil((x/2) max_j p'(lam_j) sqrt((lam_j - a)(b - lam_j))) + 64,
-    floored at n_min, the max over a 65-point Gauss check grid (odd, so
-    its middle node is the midpoint of [a, b]).  The product is the local
-    wavenumber x p'/2 of the interval kernels against the arcsine density
-    n / (pi sqrt((lam - a)(b - lam))) of n Gauss nodes: without the margin
-    the rule has two nodes per local wavelength, where the determinant is
-    still 1e-4 to 1e-2 off; the +64 margin takes it to rounding (at
-    x = 3200 a 32-node margin leaves up to 2e-10, 64 nodes under 1e-12).
-    The basis for trusting a Nystrom determinant once the kernel is
-    resolved is Bornemann, "On the numerical evaluation of Fredholm
-    determinants", Math. Comp. 79 (2010).  For the identity phase
-    n = ceil(x (b - a)/4) + 64.
+    n = ceil(frequency x max_j p'(lam_j) sqrt((lam_j - a)(b - lam_j))) + 64,
+    the max over a 65-point Gauss check grid (odd, so its middle node is
+    the midpoint of [a, b]).  The product is the local wavenumber
+    frequency x p' against the arcsine density
+    n / (pi sqrt((lam - a)(b - lam))) of n Gauss nodes.  The interval
+    kernels carry e^{+-i x (p(lam) - p(mu))/2}: the default frequency 1/2.
+    chi's near-cut Cauchy sums interpolate the products F_R (x) E_L, whose
+    off-diagonal parts carry e^{+-i x p}: frequency 1 (``rhp.solve_chi``).
+    Without the margin the rule has two nodes per local wavelength, where
+    the determinant is still 1e-4 to 1e-2 off; the +64 margin takes it to
+    rounding (at x = 3200 a 32-node margin leaves up to 2e-10, 64 nodes
+    under 1e-12).  The basis for trusting a Nystrom determinant once the
+    kernel is resolved is Bornemann, "On the numerical evaluation of
+    Fredholm determinants", Math. Comp. 79 (2010).  For the identity phase
+    n = ceil(frequency x (b - a)/2) + 64.
 
     The bound is sharp, not safe by a factor: ``flow.theorem1_sweep``
     checks every row a posteriori on a rule 1.15 times as large and grows
@@ -146,7 +149,7 @@ def oscillation_nodes(pd: "ProblemData", n_min: int = 16) -> int:
     lam = gauss_interval(_CHECK_NODES, a, b).nodes
     dp = np.real(pd.p.deriv(lam.astype(complex)))
     k = np.max(dp * np.sqrt((lam - a) * (b - lam)))
-    return max(n_min, int(np.ceil(0.5 * pd.x * k)) + _NODE_MARGIN)
+    return int(np.ceil(frequency * pd.x * k)) + _NODE_MARGIN
 
 
 def graded_interval(a: float, b: float, n_panel: int = 16, levels: int = 6,

@@ -166,10 +166,11 @@ def solve_chi(pd: ProblemData, rule: IntervalRule | None = None,
     """Solve the block Riemann-Hilbert problem for chi on default grids.
 
     The interval rule is scaled with the oscillation budget of the phase
-    e^{i x p} when none is supplied.
+    e^{i x p} when none is supplied: the near-cut Cauchy sums interpolate
+    F_R (x) E_L, whose off-diagonal parts carry e^{+-i x p}.
     """
     if rule is None:
-        rule = gauss_interval(oscillation_nodes(pd, n_min=64), pd.a, pd.b)
+        rule = gauss_interval(oscillation_nodes(pd, frequency=1.0), pd.a, pd.b)
     if grid is None:
         grid = laguerre_halfline(48, pd.c)
     return ChiSolution(pd, rule, grid)
@@ -356,28 +357,26 @@ class OperatorFactory:
             * np.exp(2.0 * self.srh.exponent(complex(lam))) \
             * self.O_block(2, 1, lam)
 
-    def m_up(self, lam, x: float | None = None,
-             blk: dict | None = None) -> BlockOperator:
-        """[[id, P e^{i x p}], [0, id]]; ``blk``: ``blocks(lam)`` if taken."""
+    def m_up(self, lam, x: float | None = None) -> BlockOperator:
+        """[[id, P e^{i x p}], [0, id]]."""
         x = self.pd.x if x is None else x
         lam = complex(lam)
-        P = self.P(lam) if blk is None else blk["P"]
         eye = np.eye(self.grid.n, dtype=complex)
         zero = np.zeros_like(eye)
         ph = np.exp(1j * x * self.pd.p(lam))
         return BlockOperator.from_blocks(
-            [[eye, ph * P], [zero, eye]], self.grid, identity_plus=True)
+            [[eye, ph * self.P(lam)], [zero, eye]], self.grid,
+            identity_plus=True)
 
-    def m_down(self, lam, x: float | None = None,
-               blk: dict | None = None) -> BlockOperator:
+    def m_down(self, lam, x: float | None = None) -> BlockOperator:
         x = self.pd.x if x is None else x
         lam = complex(lam)
-        Q = self.Q(lam) if blk is None else blk["Q"]
         eye = np.eye(self.grid.n, dtype=complex)
         zero = np.zeros_like(eye)
         ph = np.exp(-1j * x * self.pd.p(lam))
         return BlockOperator.from_blocks(
-            [[eye, zero], [ph * Q, eye]], self.grid, identity_plus=True)
+            [[eye, zero], [ph * self.Q(lam), eye]], self.grid,
+            identity_plus=True)
 
     def m_down_inv(self, lam, x: float | None = None) -> BlockOperator:
         x = self.pd.x if x is None else x
@@ -431,31 +430,34 @@ def factorization_residual(pd: ProblemData, grid: HalfLineRule,
 
     G_chi(lam0) against
     diag(beta_{1;+}, beta_{2;+})^{-1} M_up(+) M_down(-) diag(beta_{1;-}, beta_{2;-}),
-    every one-sided value by Richardson over the delta schedule.
+    every one-sided value by Richardson over the delta schedule.  One
+    ``factory.blocks`` call per point gives the betas, their inverses and
+    the factor: diag(b1, b2)^{-1} M_up = [[b1^{-1}, b1^{-1} P e^{ixp}],
+    [0, b2^{-1}]] and M_down diag(b1, b2) = [[b1, 0], [Q e^{-ixp} b1, b2]].
     """
     deltas = DELTA_SCHEDULE * (pd.b - pd.a)
+    x, phase = factory.pd.x, factory.pd.p      # as in factory.m_up/m_down
 
     def upper_part(d):
         lam = lam0 + 1j * d
         blk = factory.blocks(lam)
-        dinv = _diag_block(blk["beta_inv"][1], blk["beta_inv"][2])
-        return dinv @ factory.m_up(lam, blk=blk).mat
+        b1i, b2i = blk["beta_inv"][1], blk["beta_inv"][2]
+        ph = np.exp(1j * x * phase(lam))
+        return np.block([[b1i, b1i @ (ph * blk["P"])],
+                         [np.zeros_like(b1i), b2i]])
 
     def lower_part(d):
         lam = lam0 - 1j * d
         blk = factory.blocks(lam)
-        dmat = _diag_block(blk["beta"][1], blk["beta"][2])
-        return factory.m_down(lam, blk=blk).mat @ dmat
+        b1, b2 = blk["beta"][1], blk["beta"][2]
+        ph = np.exp(-1j * x * phase(lam))
+        return np.block([[b1, np.zeros_like(b1)],
+                         [(ph * blk["Q"]) @ b1, b2]])
 
     prods = [upper_part(d) @ lower_part(d) for d in deltas]
     rhs, _ = _neville(deltas, prods)
     G = g_chi(pd, grid, lam0).mat
     return float(np.max(np.abs(G - rhs)))
-
-
-def _diag_block(m11: np.ndarray, m22: np.ndarray) -> np.ndarray:
-    z = np.zeros_like(m11)
-    return np.block([[m11, z], [z, m22]])
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,12 @@ def _log_ratio(x, n, F=0.2, p=(0.0, 1.0)):
 class TestIntervalRule:
     @pytest.mark.parametrize("x", [1.0, 10.0, 400.0, 801.0, 1600.0, 8000.0])
     def test_identity_phase_closed_form(self, x):
-        # ceil(x (b - a)/4) + 64, floored at n_min
-        assert oscillation_nodes(_problem(x)) == max(16, int(np.ceil(x / 2)) + 64)
+        # ceil(frequency x (b - a)/2) + 64, frequency 1/2 by default
+        assert oscillation_nodes(_problem(x)) == int(np.ceil(x / 2)) + 64
         assert oscillation_nodes(_problem(x, a=-1.0, b=3.0)) \
             == int(np.ceil(x)) + 64
-        assert oscillation_nodes(_problem(x), n_min=200) \
-            == max(200, int(np.ceil(x / 2)) + 64)
+        assert oscillation_nodes(_problem(x), frequency=1.0) \
+            == int(np.ceil(x)) + 64
 
     @pytest.mark.parametrize("p", [(0.0, 1.0), (0.0, 1.0, 0.3)],
                              ids=["identity", "poly"])
@@ -48,7 +48,7 @@ class TestIntervalRule:
         ref = _log_ratio(x, int(np.ceil(1.5 * oscillation_nodes(_problem(x)))))
         assert abs(_log_ratio(x, bare) - ref) > 1e-6
         monkeypatch.setattr(cl.flow, "oscillation_nodes",
-                            lambda pd, n_min=16: bare)
+                            lambda pd, frequency=0.5: bare)
         row = theorem1_sweep(SweepConfig(x_list=(x,))).rows[0]
         assert row.n > bare
         assert row.gap < cl.flow.RULE_TOL
@@ -59,6 +59,12 @@ class TestIntervalRule:
         # 500 < n = 864; 900 admits n but not its check rule ceil(1.15 n)
         with pytest.raises(ResolutionError):
             theorem1_sweep(SweepConfig(x_list=(1600.0,), n_budget=budget))
+
+    def test_dtcheck_over_budget_raises(self):
+        # dt_logdet_check sizes its rule for chi: ceil(x) + 64 = 164 > 150
+        with pytest.raises(ResolutionError):
+            dt_logdet_check(SweepConfig(x_list=(100.0,), n_budget=150),
+                            0.5 + 0.1j)
 
     def test_given_n_interval_goes_through_the_check(self):
         row = theorem1_sweep(SweepConfig(x_list=(400.0,), n_interval=200)).rows[0]

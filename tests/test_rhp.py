@@ -62,7 +62,25 @@ class TestChi:
                                  F=cl.constant_symbol(0.2),
                                  p=cl.identity_phase())
             chi = solve_chi(pd, grid=grid48)
-            assert chi.rule.n == cl.quadgrid.oscillation_nodes(pd, n_min=64)
+            assert chi.rule.n == cl.quadgrid.oscillation_nodes(pd,
+                                                                frequency=1.0)
+
+    @pytest.mark.parametrize("x", [200.0, 400.0])
+    def test_default_rule_resolves_the_jump_at_large_x(self, grid48, x):
+        # chi's near-cut sums interpolate F_R (x) E_L, which carry
+        # e^{+-i x p}: the default rule (ceil(x) + 64) passes every
+        # invariant, the kernels' frequency-1/2 rule misses the jump by
+        # ~1e-1.  The Richardson deltas shrink with 1/x so that the
+        # one-sided limits of e^{+-i x lam} stay resolved.
+        pd = cl.make_problem(a=-1, b=1, c=1.0, t=1.0, x=x,
+                             F=cl.constant_symbol(0.2), p=cl.identity_phase())
+        scale = 40.0 / x
+        rows = solve_chi(pd, grid=grid48).verify(delta_scale=scale)
+        assert [r for r in rows if not r.passed] == []
+        coarse = cl.gauss_interval(cl.quadgrid.oscillation_nodes(pd), -1, 1)
+        rows = solve_chi(pd, rule=coarse, grid=grid48).verify(
+            delta_scale=scale)
+        assert max(r.residual for r in rows if r.obj == "chi jump") > 1e-3
 
     def test_diagnostics_csv(self, chi_default, tmp_path):
         rows = chi_default.verify()
