@@ -11,7 +11,8 @@ import numpy as np
 from cshiftlab import (ScalarRH, constant_symbol, gauss_interval,
                        identity_phase, laguerre_halfline, make_problem)
 from cshiftlab.rhp import (OperatorFactory, factorization_residual, g_chi,
-                           solve_beta, solve_chi, write_diagnostics)
+                           solve_beta, solve_chi, summarize,
+                           write_diagnostics)
 
 pd = make_problem(a=-1.0, b=1.0, c=1.0, t=1.0, x=10.0,
                   F=constant_symbol(0.2), p=identity_phase())
@@ -20,14 +21,9 @@ srh = ScalarRH(pd)
 
 chi = solve_chi(pd, grid=grid)
 rows = chi.verify()
-print("chi diagnostics:")
-for r in rows[:6]:
-    print(f"  {r.obj:24s} residual {r.residual:.2e}  tol {r.tolerance:.0e}"
-          f"  {'ok' if r.passed else 'FAIL'}")
-print(f"  ... {len(rows)} rows total, all passing:",
-      all(r.passed for r in rows))
 write_diagnostics(rows, "chi_diagnostics.csv")
-print("  written to chi_diagnostics.csv")
+print(f"chi diagnostics ({len(rows)} rows, written to chi_diagnostics.csv):")
+print("\n".join(summarize(rows)[0]))
 
 print("\ndet G(0.3) - 1         =", abs(g_chi(pd, grid, 0.3).det() - 1.0))
 
@@ -47,3 +43,7 @@ print("triangular-factor dual route |P - P(O)| =",
       np.max(np.abs(fac.P(0.2 + 0.1j) - fac.P_from_O(0.2 + 0.1j))))
 print("jump factorization residual at 0        =",
       factorization_residual(pd, grid, fac, 0.0))
+
+print("\nbeta_1, beta_2 and O/P/Q diagnostics:")
+print("\n".join(summarize(betas[1].verify() + betas[2].verify()
+                          + fac.verify())[0]))

@@ -13,7 +13,7 @@ from cshiftlab import (ScalarRH, assemble, constant_symbol, determinant,
                        e_vectors, gauss_interval, identity_phase,
                        laguerre_halfline, make_problem, stadium_contour,
                        v0, v_t)
-from cshiftlab.kernels import k_kt, resolvent_kernel, u_kt, u_pm
+from cshiftlab.kernels import k_kt, resolvent_kernel, u_kt
 from cshiftlab.quadgrid import graded_interval
 
 pd = make_problem(a=-1.0, b=1.0, c=1.0, t=1.0, x=10.0,
@@ -46,8 +46,9 @@ for k in (1, 2):
     print(f"  k={k}: det(I+K) = {dK:.12f}, det(I+U) = {dU:.12f}, "
           f"gap = {abs(dK - dU):.2e}")
 
-dp = determinant(assemble(u_pm(pd, +1, srh), loop))
-dm = determinant(assemble(u_pm(pd, -1, srh), loop))
+# the limit operators U_+- are the t = 1 members k = 1, 2
+dp = determinant(assemble(u_kt(pd, 1, srh), loop))
+dm = determinant(assemble(u_kt(pd, 2, srh), loop))
 print(f"\nlimit loop factors: det(I+U+) = {dp:.12f}, det(I+U-) = {dm:.12f}")
 print(f"product = {dp * dm:.12f}")
 

@@ -17,10 +17,10 @@ import numpy as np
 
 from .errors import ExcludedCaseError, ParameterDomainError, ResolutionError
 from .fredholm import assemble, determinant, logdet
-from .kernels import u_kt, u_pm, v0, v_t
-from .quadgrid import (capped_radius, gauss_interval, laguerre_halfline,
-                       oscillation_nodes, stadium_contour)
-from .rhp import ChiSolution, solve_beta
+from .kernels import k_kt, u_kt, v0, v_t
+from .quadgrid import (capped_radius, gauss_interval, graded_interval,
+                       laguerre_halfline, oscillation_nodes, stadium_contour)
+from .rhp import ChiSolution, DiagnosticRow, solve_beta, summarize
 from .symbols import EPS_K, ProblemData, ScalarRH, make_handle, make_problem, nu, tau
 
 __all__ = ["SweepConfig", "SweepRow", "SweepReport", "theorem1_sweep",
@@ -30,6 +30,9 @@ __all__ = ["SweepConfig", "SweepRow", "SweepReport", "theorem1_sweep",
 #: a row's rule is resolved once the log-ratio moves by less than
 #: RULE_TOL * max(1, |ln ratio|) on the ceil(1.15 n)-point rule
 RULE_TOL = 1e-10
+#: tolerance of the loop-product consistency and of |fd - trace|
+ROUTE_TOL = 1e-6
+TAIL_GROWTH = "relative-error growth from one x to the next"
 
 
 def _principal(z: complex) -> complex:
@@ -111,23 +114,43 @@ class SweepRow:
 class SweepReport:
     rows: list = field(default_factory=list)
     fitted_decay_exponent: float = float("nan")
-    det_u11: complex = complex("nan")
-    det_u21: complex = complex("nan")
+    #: |det(I+K_{1;1}) det(I+K_{2;1}) / product - 1|: the loop product
+    #: against its interval route on graded_interval(a, b)
     product_consistency: float = float("nan")
     #: |K| and the worst residual of the fit ratio/product - 1 ~
     #: K + C/x + D/x^2 over the rows; NaN below four rows
     extrapolated_limit: float = float("nan")
     fit_residual: float = float("nan")
-    diagnostics: list = field(default_factory=list)
 
-    def tail_nonincreasing(self, slack: float = 1.5) -> bool:
-        errs = [r.rel_error for r in self.rows]
-        return all(e2 <= slack * e1 for e1, e2 in zip(errs, errs[1:]))
+    def checks(self, final_tol: float = 0.05) -> list:
+        """The sweep's verdicts as DiagnosticRow at lam = x; none without rows.
+
+        The final relative error, its growth e_{i+1}/e_i < 1.5 from one x
+        to the next (0 when both vanish), the loop-product consistency and
+        each row's refinement gap over max(1, |ln ratio|).
+        """
+        if not self.rows:
+            return []
+        last = self.rows[-1]
+        out = [DiagnosticRow("final relative error", last.x, 0.0,
+                             last.rel_error, final_tol)]
+        for r1, r2 in zip(self.rows, self.rows[1:]):
+            e1, e2 = r1.rel_error, r2.rel_error
+            growth = e2 / e1 if e1 > 0 else (0.0 if e2 == 0 else np.inf)
+            out.append(DiagnosticRow(TAIL_GROWTH, r2.x, 0.0, growth, 1.5))
+        out.append(DiagnosticRow("loop-product consistency", 0.0, 0.0,
+                                 self.product_consistency, ROUTE_TOL))
+        out += [DiagnosticRow("interval-rule refinement gap", r.x, 0.0,
+                              r.gap / max(1.0, abs(np.log(complex(r.ratio)))),
+                              RULE_TOL)
+                for r in self.rows if r.gap is not None]
+        return out
+
+    def tail_nonincreasing(self) -> bool:
+        return all(r.passed for r in self.checks() if r.obj == TAIL_GROWTH)
 
     def passed(self, final_tol: float = 0.05) -> bool:
-        if not self.rows:
-            return True
-        return self.rows[-1].rel_error < final_tol and self.tail_nonincreasing()
+        return all(r.passed for r in self.checks(final_tol))
 
 
 def _check_budget(cfg: SweepConfig, x: float, n: int) -> None:
@@ -170,12 +193,14 @@ def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
     loop = stadium_contour(cfg.a, cfg.b, r, n_per_unit=cfg.contour_density,
                            margin=cfg.margin)
 
-    det_up = determinant(assemble(u_pm(pd1, +1, srh), loop))
-    det_um = determinant(assemble(u_pm(pd1, -1, srh), loop))
+    det_up = determinant(assemble(u_kt(pd1, 1, srh), loop))
+    det_um = determinant(assemble(u_kt(pd1, 2, srh), loop))
     product = det_up * det_um
-    report.det_u11 = determinant(assemble(u_kt(pd1, 1, srh), loop))
-    report.det_u21 = determinant(assemble(u_kt(pd1, 2, srh), loop))
-    report.product_consistency = abs(report.det_u11 * report.det_u21 - product)
+    # the interval route: det(I + K_{k;1}) = det(I + U_{k;1})
+    grule = graded_interval(cfg.a, cfg.b)
+    interval_product = determinant(assemble(k_kt(pd1, 1, srh), grule)) \
+        * determinant(assemble(k_kt(pd1, 2, srh), grule))
+    report.product_consistency = float(abs(interval_product / product - 1.0))
 
     for x in cfg.x_list:
         t_start = time.perf_counter()
@@ -246,6 +271,11 @@ class DtReport:
     def reduced_budget(self) -> float:
         """The O(x^{eps-1}) scale the reduced route is allowed to miss by."""
         return float(self.x ** (self.eps - 1.0))
+
+    def checks(self) -> list:
+        """The finite difference against the loop trace, at lam = t0."""
+        return [DiagnosticRow("|fd - trace|", self.t0.real, self.t0.imag,
+                              self.fd_vs_contour, ROUTE_TOL)]
 
 
 def dt_logdet_check(cfg: SweepConfig, t0: complex, h: float = 1e-4,
@@ -322,7 +352,12 @@ def _fmt(v) -> str:
 
 
 def emit(report: SweepReport, path: str, final_tol: float = 0.05) -> int:
-    """Write the sweep CSV and a pass/fail summary; return the exit code."""
+    """Write the sweep CSV and its summary; return the exit code.
+
+    The summary holds the x-extrapolated limit and the loop factors, then
+    ``summarize(report.checks(final_tol))``; the exit code is 0 iff every
+    check passes.
+    """
     import csv
 
     with open(path, "w", newline="") as fh:
@@ -337,42 +372,18 @@ def emit(report: SweepReport, path: str, final_tol: float = 0.05) -> int:
                         "" if row.gap is None else _fmt(row.gap)])
 
     lines = []
-    ok = True
-    if not report.rows:
-        lines.append("no rows")
-    else:
-        final = report.rows[-1].rel_error
-        conv = report.tail_nonincreasing()
-        lines.append(f"final relative error {final:.3e} < {final_tol}: "
-                     f"{'PASS' if final < final_tol else 'FAIL'}")
-        lines.append(f"relative error nonincreasing along the tail: "
-                     f"{'PASS' if conv else 'FAIL'}")
-        cons = report.product_consistency
-        lines.append(f"loop-product consistency |U1*U2 - U+*U-| = {cons:.3e}"
-                     f" < 1e-06: {'PASS' if cons < 1e-6 else 'FAIL'}")
-        ok = final < final_tol and conv and cons < 1e-6
-        gaps = [row.gap / max(1.0, abs(np.log(complex(row.ratio))))
-                for row in report.rows if row.gap is not None]
-        if gaps:
-            worst = max(gaps)
-            lines.append(f"worst interval-rule refinement gap "
-                         f"|d ln ratio| / max(1, |ln ratio|) = {worst:.3e} < "
-                         f"{RULE_TOL:.0e}: "
-                         f"{'PASS' if worst < RULE_TOL else 'FAIL'}")
-            ok = ok and worst < RULE_TOL
+    if report.rows:
         if np.isnan(report.extrapolated_limit):
             lines.append("x-extrapolated limit: needs four rows or more")
         else:
             lines.append(f"x-extrapolated limit |K| of ratio/product - 1 = "
                          f"{report.extrapolated_limit:.3e}, fit residual "
                          f"{report.fit_residual:.3e}")
-        lines.append(f"per-factor values: det(I+U_1)={_fmt(report.det_u11)}, "
-                     f"det(I+U_2)={_fmt(report.det_u21)}, "
-                     f"det(I+U+)={_fmt(report.rows[-1].det_up)}, "
+        lines.append(f"loop factors: det(I+U+)={_fmt(report.rows[-1].det_up)}, "
                      f"det(I+U-)={_fmt(report.rows[-1].det_um)}")
-    lines.append("PASS" if ok else "FAIL")
+    checks, ok = summarize(report.checks(final_tol))
     with open(str(path) + ".summary.txt", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines + checks) + "\n")
     return 0 if ok else 1
 
 

@@ -1,4 +1,4 @@
-"""The scalar integral kernels: V_t, V0, U_{k;t}, U_+-, K_{k;t}, resolvent.
+"""The scalar integral kernels: V_t, V0, U_{k;t}, K_{k;t}, resolvent.
 
 Every kernel is wrapped in a KernelHandle carrying a vectorized evaluator,
 the removable-singularity diagonal, and its support tag.  The diagonals
@@ -13,13 +13,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ParameterDomainError, PoleError
+from .errors import PoleError
 from .fredholm import assemble, solve
 from .l2half import e_vectors
 from .quadgrid import HalfLineRule, IntervalRule
 from .symbols import EPS_K, ProblemData, ScalarRH, tau
 
-__all__ = ["KernelHandle", "v_t", "v0", "u_kt", "u_pm", "k_kt",
+__all__ = ["KernelHandle", "v_t", "v0", "u_kt", "k_kt",
            "resolvent_kernel"]
 
 
@@ -166,7 +166,8 @@ def u_kt(pd: ProblemData, k: int, srh: ScalarRH) -> KernelHandle:
     U_{k;t}(lam, mu) = -t alpha_k(lam) alpha_k^{-1}(mu + i eps_k c/t)
                         / (2 i pi [t (mu - lam) + i eps_k c]).
     Safe for loops of radius r < c / (2 |t|), which keeps the pole
-    mu = lam - i eps_k c / t off Gamma x Gamma.
+    mu = lam - i eps_k c / t off Gamma x Gamma.  At t = 1, k = 1 and 2
+    are U_+ and U_-: det(I+V)/det(I+V0) tends to det(I+U_+) det(I+U_-).
     """
     e = EPS_K[k]
     shift = 1j * e * pd.c / pd.t
@@ -186,34 +187,6 @@ def u_kt(pd: ProblemData, k: int, srh: ScalarRH) -> KernelHandle:
                         name=f"U_{k};t",
                         safety=f"pole at t(mu-lam) = -i eps_{k} c; "
                                "needs r < c/(2|t|)")
-
-
-def u_pm(pd: ProblemData, sign: int, srh: ScalarRH) -> KernelHandle:
-    """Contour kernels of the limit operators in the determinant ratio.
-
-    U_+-(lam, mu) = alpha^{-+1}(lam) alpha^{+-1}(mu -+ i c)
-                     / (2 i pi (lam - mu +- i c)),
-    i.e. the t = 1 members of the deformed loop family (U_+ pairs with
-    the k = 1 exponent sign, U_- with k = 2).  The determinant ratio of
-    the interval kernels converges to det(I+U_+) det(I+U_-); the alpha
-    powers here are the ones that product identity verifies.
-    """
-    if sign not in (+1, -1):
-        raise ParameterDomainError("sign must be +1 or -1")
-
-    def eval_(lam, mu):
-        lam = np.asarray(lam, dtype=complex)
-        mu = np.asarray(mu, dtype=complex)
-        denom = lam - mu + 1j * sign * pd.c
-        if np.any(np.abs(denom) < 1e-8 * pd.c):
-            raise PoleError("U_+- evaluated at its pole")
-        num = np.exp(-sign * srh.exponent(lam)) \
-            * np.exp(sign * srh.exponent(mu - 1j * sign * pd.c))
-        return num / (2j * np.pi * denom)
-
-    tag = "+" if sign > 0 else "-"
-    return KernelHandle(eval_, lambda lam: eval_(lam, lam), "contour",
-                        name=f"U_{tag}", safety="pole at lam - mu = -+ i c")
 
 
 def k_kt(pd: ProblemData, k: int, srh: ScalarRH) -> KernelHandle:

@@ -29,6 +29,7 @@ from .symbols import (DELTA_SCHEDULE, EPS_K, ProblemData, ScalarRH, _neville,
 
 __all__ = [
     "DiagnosticRow",
+    "summarize",
     "write_diagnostics",
     "default_probes",
     "ChiSolution",
@@ -53,6 +54,29 @@ class DiagnosticRow:
     @property
     def passed(self) -> bool:
         return self.residual < self.tolerance
+
+
+def summarize(rows) -> tuple[list, bool]:
+    """Printed lines and the verdict of a list of DiagnosticRow.
+
+    One line per distinct ``obj``, in order of first appearance:
+    ``obj: worst <residual> < <tolerance> over <count> row(s): PASS|FAIL``,
+    showing the row with the largest residual/tolerance.  The last line is
+    the overall verdict, ``ok = all(row.passed)``; no rows pass.
+    """
+    groups = {}
+    for r in rows:
+        groups.setdefault(r.obj, []).append(r)
+    lines = [] if groups else ["no rows"]
+    for obj, group in groups.items():
+        # a failing row first, so a NaN residual is never hidden
+        worst = max(group, key=lambda r: (not r.passed,
+                                          r.residual / r.tolerance))
+        lines.append(f"{obj}: worst {worst.residual:.3e} < "
+                     f"{worst.tolerance:.3g} over {len(group)} row(s): "
+                     f"{'PASS' if worst.passed else 'FAIL'}")
+    ok = all(r.passed for r in rows)
+    return lines + ["PASS" if ok else "FAIL"], ok
 
 
 def write_diagnostics(rows, path):
@@ -121,10 +145,11 @@ class ChiSolution:
         dw = self.kit.dweights(lam)
         return -self.FR_T @ (dw[:, None] * self.EL_W)
 
-    def verify(self, seed: int = 0, delta_scale: float | None = None):
-        """Residual rows for the construction invariants."""
+    def verify(self, seed: int = 0):
+        """Residual rows for the construction invariants; the Richardson
+        deltas scale with min(b - a, 40/x) so e^{+-i x lam} stays resolved."""
         pd, grid = self.pd, self.grid
-        scale = delta_scale if delta_scale is not None else (pd.b - pd.a)
+        scale = min(pd.b - pd.a, 40.0 / pd.x)
         interior, exterior = default_probes(pd, seed)
         rows = []
         for lam in exterior:

@@ -111,6 +111,13 @@ class TestTheoremSweep:
         # constant symbol
         assert rep.fitted_decay_exponent == pytest.approx(-1.0, abs=0.15)
 
+    @pytest.mark.parametrize("F", [0.2, -0.5, 0.6])
+    def test_loop_product_has_an_independent_check(self, F):
+        # det(I+K_{1;1}) det(I+K_{2;1}) on the graded interval rule against
+        # the loop product: a second route agrees to rounding, not exactly
+        rep = theorem1_sweep(SweepConfig(x_list=(20.0,), F_params=(F,)))
+        assert 0.0 < rep.product_consistency < 1e-6
+
     @pytest.mark.parametrize("F", [0.2, -0.5])
     def test_extrapolated_limit_vanishes(self, F):
         # ratio/product - 1 ~ K + C/x + D/x^2 with K = 0: both |K| and the
@@ -143,6 +150,46 @@ class TestTheoremSweep:
                 for r in (0.25, 0.125)]
         assert abs(reps[0].rows[0].product
                    - reps[1].rows[0].product) < 1e-8
+
+
+def _report(rel_errors, consistency=1e-10, gaps=None):
+    from cshiftlab.flow import SweepReport, SweepRow
+    rep = SweepReport(product_consistency=consistency)
+    gaps = gaps or [None] * len(rel_errors)
+    for x, e, g in zip((50.0, 100.0, 200.0, 400.0), rel_errors, gaps):
+        rep.rows.append(SweepRow(x=x, det_v=1.0, det_v0=1.0, ratio=1.0,
+                                 det_up=1.0, det_um=1.0, product=1.0,
+                                 rel_error=e, runtime=0.0, gap=g))
+    return rep
+
+
+class TestChecks:
+    @pytest.mark.parametrize("errs,ok", [
+        ((1e-3, 1.4e-3), True), ((1e-3, 1.6e-3), False),
+        ((0.0, 0.0), True), ((0.0, 1e-9), False), ((1e-3,), True)])
+    def test_tail_growth(self, errs, ok):
+        # e_{i+1} <= 1.5 e_i, with a vanishing error allowed to stay zero
+        rep = _report(errs)
+        assert rep.tail_nonincreasing() is ok
+        assert rep.passed() is ok
+
+    def test_passed_reads_every_row(self):
+        assert _report((1e-3, 5e-4), gaps=[1e-12, 1e-12]).passed()
+        assert not _report((1e-3, 5e-4), consistency=1e-3).passed()
+        assert not _report((1e-3, 5e-4), consistency=np.nan).passed()
+        assert not _report((1e-3, 5e-4), gaps=[1e-12, 1e-9]).passed()
+        assert not _report((0.05, 0.06)).passed()
+        assert _report((0.05, 0.06)).passed(final_tol=0.1)
+        assert _report(()).checks() == [] and _report(()).passed()
+
+    def test_emit_exit_code_follows_the_rows(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        assert emit(_report((1e-3, 5e-4), consistency=1e-3), str(path)) == 1
+        summary = (tmp_path / "bad.csv.summary.txt").read_text().splitlines()
+        assert summary[-1] == "FAIL"
+        assert [line for line in summary if line.endswith("FAIL")] == [
+            "loop-product consistency: worst 1.000e-03 < 1e-06 over 1 "
+            "row(s): FAIL", "FAIL"]
 
 
 class TestDtCheck:
@@ -280,4 +327,9 @@ class TestConfigAndCli:
 
     def test_cli_selftest(self, capsys):
         assert main(["selftest"]) == 0
-        assert "PASS" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "PASS" in out and "FAIL" not in out
+        # the verify() streams of chi, beta_1, beta_2 and O/P/Q are in it
+        for obj in ("F_R reconstruction", "beta_2 inverse relation",
+                    "Q dual route", "parametrix b jump"):
+            assert f"\n{obj}: worst " in out

@@ -4,7 +4,8 @@ import pytest
 import cshiftlab as cl
 from cshiftlab.errors import PoleError
 from cshiftlab.flow import oscillation_nodes
-from cshiftlab.kernels import k_kt, resolvent_kernel, solve_densities, u_kt, u_pm
+from cshiftlab.kernels import (KernelHandle, k_kt, resolvent_kernel,
+                               solve_densities, u_kt)
 from cshiftlab.quadgrid import graded_interval
 
 
@@ -135,10 +136,6 @@ class TestLoopKernels:
             det = cl.determinant(cl.assemble(u_kt(pd_zero, k, srh),
                                              loop_default))
             assert det == pytest.approx(1.0, abs=1e-10)
-        for s in (+1, -1):
-            det = cl.determinant(cl.assemble(u_pm(pd_zero, s, srh),
-                                             loop_default))
-            assert det == pytest.approx(1.0, abs=1e-10)
 
     def test_small_t_limit(self, srh_default):
         pd_small = srh_default.pd.with_(t=1e-9)
@@ -159,29 +156,39 @@ class TestLoopKernels:
         dets = {}
         for r in (0.25, 0.125):
             loop = cl.stadium_contour(-1, 1, r)
-            dets[r] = [cl.determinant(cl.assemble(u_pm(pd_default, s,
+            dets[r] = [cl.determinant(cl.assemble(u_kt(pd_default, k,
                                                        srh_default), loop))
-                       for s in (+1, -1)]
+                       for k in (1, 2)]
         assert abs(dets[0.25][0] - dets[0.125][0]) < 1e-8
         assert abs(dets[0.25][1] - dets[0.125][1]) < 1e-8
 
     def test_large_shift_decay(self, srh_default):
         pd_big = srh_default.pd.with_(c=100.0)
         srh = cl.ScalarRH(pd_big)
-        kern = u_pm(pd_big, +1, srh)
+        kern = u_kt(pd_big, 1, srh)
         assert abs(complex(kern.eval(0.5 + 0.2j, -0.5 + 0.2j))) < 1e-2
 
     def test_pm_product_matches_deformed_product(self, pd_default,
                                                  srh_default, loop_default):
-        dp = cl.determinant(cl.assemble(u_pm(pd_default, +1, srh_default),
-                                        loop_default))
-        dm = cl.determinant(cl.assemble(u_pm(pd_default, -1, srh_default),
-                                        loop_default))
-        d1 = cl.determinant(cl.assemble(u_kt(pd_default, 1, srh_default),
-                                        loop_default))
-        d2 = cl.determinant(cl.assemble(u_kt(pd_default, 2, srh_default),
-                                        loop_default))
-        assert dp * dm == pytest.approx(d1 * d2, abs=1e-10)
+        # U_+- written out, alpha^{-+1}(lam) alpha^{+-1}(mu -+ i c) /
+        # (2 i pi (lam - mu +- i c)), are the t = 1 members k = 1, 2
+        c, srh = pd_default.c, srh_default
+
+        def u_pm(s):
+            def eval_(lam, mu):
+                lam = np.asarray(lam, dtype=complex)
+                mu = np.asarray(mu, dtype=complex)
+                return np.exp(-s * srh.exponent(lam)) \
+                    * np.exp(s * srh.exponent(mu - 1j * s * c)) \
+                    / (2j * np.pi * (lam - mu + 1j * s * c))
+            return KernelHandle(eval_, lambda lam: eval_(lam, lam), "contour")
+
+        dp, dm = (cl.determinant(cl.assemble(u_pm(s), loop_default))
+                  for s in (+1, -1))
+        d1, d2 = (cl.determinant(cl.assemble(u_kt(pd_default, k, srh),
+                                             loop_default)) for k in (1, 2))
+        assert dp == pytest.approx(d1, abs=1e-13)
+        assert dm == pytest.approx(d2, abs=1e-13)
 
 
 class TestIntervalContourIdentity:
