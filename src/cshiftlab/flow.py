@@ -283,7 +283,11 @@ def dt_logdet_check(cfg: SweepConfig, t0: complex, h: float = 1e-4,
     """Three routes to d/dt ln det(I + V_t) at t0.
 
     (i) Richardson finite difference of the Nystrom log-determinant;
-    (ii) the loop trace formula through chi: oint z tr[d_z chi sigma3 s chi^{-1}] dz / (2 pi);
+    (ii) the loop trace formula through chi: oint z tr[d_z chi sigma3 s chi^{-1}] dz / (2 pi),
+    summed over all loop points at once by ``ChiSolution.loop_trace``: with
+    chi = I - F_R^T D(w) E_L and chi^{-1} = I + E_R^T D(w) F_L the trace is
+    -w' . diag(A) - w'^T (B o C^T) w, A = E_L S F_R^T, B = E_L S E_R^T,
+    C = F_L F_R^T, S = sigma3 s, for the Cauchy weights w and w' = dw/dz;
     (iii) the reduced density form sum_k eps_k int tau_k kappa_k[s rho_k] / (2 pi),
     exact up to O(x^{eps-1}).
 
@@ -310,12 +314,8 @@ def dt_logdet_check(cfg: SweepConfig, t0: complex, h: float = 1e-4,
     chi = ChiSolution(pd, rule, grid)
     loop = stadium_contour(cfg.a, cfg.b, cfg.radius(t0),
                            n_per_unit=cfg.contour_density, margin=cfg.margin)
-    s3s = np.concatenate([grid.snodes, -grid.snodes])
-    total = 0.0 + 0.0j
-    for z, w in zip(loop.samples, loop.cweights):
-        tr = np.trace((chi.dchi(z) * s3s[None, :]) @ chi.chi_inv(z).mat)
-        total += w * z * tr
-    d_contour = total / (2.0 * np.pi)
+    d_contour = (loop.cweights * loop.samples) @ chi.loop_trace(loop.samples) \
+        / (2.0 * np.pi)
 
     srh = ScalarRH(pd, gauss_interval(cfg.n_alpha, cfg.a, cfg.b))
     beta_rule = gauss_interval(192, cfg.a, cfg.b)

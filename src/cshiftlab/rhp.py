@@ -106,6 +106,12 @@ def default_probes(pd: ProblemData, seed: int = 0):
     return interior, exterior
 
 
+def _richardson_deltas(pd: ProblemData) -> np.ndarray:
+    """Offsets of the one-sided limits lam0 +- i delta: DELTA_SCHEDULE times
+    min(b - a, 40/x), so the Neville table resolves e^{+-i x lam}."""
+    return DELTA_SCHEDULE * min(pd.b - pd.a, 40.0 / pd.x)
+
+
 # ---------------------------------------------------------------------------
 # chi
 
@@ -145,11 +151,29 @@ class ChiSolution:
         dw = self.kit.dweights(lam)
         return -self.FR_T @ (dw[:, None] * self.EL_W)
 
+    def loop_trace(self, lam) -> np.ndarray:
+        """tr(dchi(lam) S chi^{-1}(lam)), S = diag(s, -s), at many points.
+
+        With chi = I - F_R^T D(w) E_L and chi^{-1} = I + E_R^T D(w) F_L the
+        trace is low rank in the Cauchy weights w and w' = dw/dlam:
+
+            tr = -w' . diag(A) - w'^T (B o C^T) w,
+            A = E_L S F_R^T,  B = E_L S E_R^T,  C = F_L F_R^T,
+
+        so the n x n forms are built once and every point costs O(n^2).
+        """
+        s3s = np.concatenate([self.grid.snodes, -self.grid.snodes])
+        EL_S = self.EL_W * s3s[None, :]
+        diag_A = np.einsum("is,si->i", EL_S, self.FR_T)
+        M = (EL_S @ self.ER_T) * (self.FL_W @ self.FR_T).T
+        w = self.kit.weights(lam)
+        dw = self.kit.dweights(lam)
+        return -dw @ diag_A - np.einsum("...i,...i->...", dw @ M, w)
+
     def verify(self, seed: int = 0):
-        """Residual rows for the construction invariants; the Richardson
-        deltas scale with min(b - a, 40/x) so e^{+-i x lam} stays resolved."""
+        """Residual rows for the construction invariants; the one-sided
+        limits use ``_richardson_deltas(pd)``."""
         pd, grid = self.pd, self.grid
-        scale = min(pd.b - pd.a, 40.0 / pd.x)
         interior, exterior = default_probes(pd, seed)
         rows = []
         for lam in exterior:
@@ -160,7 +184,7 @@ class ChiSolution:
                                       float(resid), 1e-8))
             rows.append(DiagnosticRow("det(chi)-1", lam.real, lam.imag,
                                       float(abs(ch.det() - 1.0)), 1e-7))
-        deltas = DELTA_SCHEDULE * scale
+        deltas = _richardson_deltas(pd)
         for lam0 in interior:
             up = [self.chi(lam0 + 1j * d).mat for d in deltas]
             dn = [self.chi(lam0 - 1j * d).mat for d in deltas]
@@ -264,7 +288,7 @@ class BetaSolution:
         return np.linalg.det(self.beta(lam))
 
     def boundary(self, lam0: float, side: int):
-        deltas = DELTA_SCHEDULE * (self.pd.b - self.pd.a)
+        deltas = _richardson_deltas(self.pd)
         vals = [self.beta(lam0 + 1j * side * d) for d in deltas]
         limit, est = _neville(deltas, vals)
         return limit, est
@@ -429,12 +453,12 @@ class OperatorFactory:
         exterior = self.near_probes()
         rows = []
         mid = interior[2]
-        # continuity of O across the interval, with the linear delta law
-        for d in (1e-3, 1e-4):
-            gap = np.max(np.abs(self.O(mid + 1j * d).mat
-                                - self.O(mid - 1j * d).mat))
-            rows.append(DiagnosticRow(f"O continuity d={d}", mid, d,
-                                      float(gap), 1e3 * d))
+        # O is continuous across the interval: its two one-sided limits agree
+        deltas = _richardson_deltas(pd)
+        o_p, _ = _neville(deltas, [self.O(mid + 1j * d).mat for d in deltas])
+        o_m, _ = _neville(deltas, [self.O(mid - 1j * d).mat for d in deltas])
+        rows.append(DiagnosticRow("O continuity", mid, 0.0,
+                                  float(np.max(np.abs(o_p - o_m))), 1e-6))
         for lam in exterior[:3]:
             blk = self.blocks(lam)
             comp = np.max(np.abs(blk[1, 2] @ blk[2, 1] - blk[1, 1]))
@@ -460,7 +484,7 @@ def factorization_residual(pd: ProblemData, grid: HalfLineRule,
     the factor: diag(b1, b2)^{-1} M_up = [[b1^{-1}, b1^{-1} P e^{ixp}],
     [0, b2^{-1}]] and M_down diag(b1, b2) = [[b1, 0], [Q e^{-ixp} b1, b2]].
     """
-    deltas = DELTA_SCHEDULE * (pd.b - pd.a)
+    deltas = _richardson_deltas(pd)
     x, phase = factory.pd.x, factory.pd.p      # as in factory.m_up/m_down
 
     def upper_part(d):

@@ -21,6 +21,25 @@ def _log_ratio(x, n, F=0.2, p=(0.0, 1.0)):
             - cl.logdet(cl.assemble(cl.v0(_problem(x, F, p, t=0.0)), rule)))
 
 
+def _circle_derivative(cfg, t0, x, n_pts=12, rho=0.03):
+    """d/dt ln det(I + V_t) at t0 by the trapezoidal Cauchy integral on the
+    circle |t - t0| = rho (Lyness & Moler, SIAM J. Numer. Anal. 4, 1967;
+    Bornemann, Found. Comput. Math. 11, 2011), on dt_logdet_check's rule:
+    f'(t0) ~ (1/(N rho)) sum_k [f(t0 + rho e^{i th_k}) - f(t0)] e^{-i th_k}.
+    """
+    n = oscillation_nodes(cfg.problem(x=x), frequency=1.0)
+    rule = cl.gauss_interval(n, cfg.a, cfg.b)
+
+    def ld(t):
+        return cl.logdet(cl.assemble(cl.v_t(cfg.problem(x=x, t=t)), rule))
+
+    ld0 = ld(t0)
+    th = 2.0 * np.pi * np.arange(n_pts) / n_pts
+    diff = np.array([ld(t0 + rho * np.exp(1j * a)) - ld0 for a in th])
+    diff.imag = np.angle(np.exp(1j * diff.imag))   # one branch of the log
+    return np.sum(diff * np.exp(-1j * th)) / (n_pts * rho)
+
+
 class TestIntervalRule:
     @pytest.mark.parametrize("x", [1.0, 10.0, 400.0, 801.0, 1600.0, 8000.0])
     def test_identity_phase_closed_form(self, x):
@@ -214,6 +233,15 @@ class TestDtCheck:
         rep = dt_logdet_check(cfg, 0.5, h=1e-4, x=50.0)
         assert rep.fd_vs_contour < 1e-6
         assert rep.fd_vs_reduced < rep.reduced_budget
+
+    @pytest.mark.parametrize("t0", [0.5 + 0.02j, 0.5 + 0.1j])
+    def test_loop_trace_matches_the_circle_reference(self, t0):
+        # the finite difference wanders by 1e-12..1e-10 with h; the circle
+        # rule is exact to rounding (the trace read <= 8e-14 off it)
+        cfg = SweepConfig(x_list=(100.0,))
+        rep = dt_logdet_check(cfg, t0, x=100.0)
+        assert abs(_circle_derivative(cfg, t0, x=100.0) - rep.d_contour) \
+            < 1e-12
 
     def test_negative_symbol_large_x_is_not_excluded(self):
         # det(I + V_t) is tiny (about e^{-44} at t = 1) but well conditioned

@@ -82,6 +82,26 @@ class TestChi:
         miss = 1e-4 if x < 200.0 else 1e-3
         assert max(r.residual for r in rows if r.obj == "chi jump") > miss
 
+    @pytest.mark.parametrize("t, F, p", [
+        (0.5 + 0.1j, cl.constant_symbol(0.2), cl.identity_phase()),
+        (1.0, cl.constant_symbol(-0.5), cl.identity_phase()),
+        (1.0, cl.poly_symbol([0.2, 0.15]), cl.poly_phase([0.0, 1.0, 0.2])),
+    ], ids=["complex-t", "negative-F", "poly-phase"])
+    def test_loop_trace_matches_the_per_point_product(self, grid48, t, F, p):
+        # the low-rank trace against tr(dchi S chi^{-1}) formed point by
+        # point, on loop points near the cut (r = 0.25) and far (r = 0.5)
+        pd = cl.make_problem(a=-1, b=1, c=1.0, t=t, x=20.0, F=F, p=p)
+        chi = solve_chi(pd, grid=grid48)
+        loops = [cl.stadium_contour(-1, 1, r).samples for r in (0.25, 0.5)]
+        z = np.concatenate([zs[:: zs.size // 4][:4] for zs in loops])
+        s3s = np.concatenate([grid48.snodes, -grid48.snodes])
+        want = np.array([np.trace((chi.dchi(zk) * s3s) @ chi.chi_inv(zk).mat)
+                         for zk in z])
+        got = chi.loop_trace(z)
+        assert got.shape == z.shape
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+        assert chi.loop_trace(z[0]) == pytest.approx(want[0], rel=1e-12)
+
     def test_diagnostics_csv(self, chi_default, tmp_path):
         rows = chi_default.verify()
         path = tmp_path / "diag.csv"
@@ -209,6 +229,19 @@ class TestOperatorFactory:
             resid = factorization_residual(pd_default, grid48,
                                            factory_default, lam0)
             assert resid < 1e-6
+
+    def test_factorization_at_large_x(self, grid48, loop_default):
+        # the Richardson deltas shrink with 1/x: with deltas fixed at
+        # DELTA_SCHEDULE * (b - a) the residual was 3.5e-6 at x = 400
+        pd = cl.make_problem(a=-1.0, b=1.0, c=1.0, t=1.0, x=400.0,
+                             F=cl.constant_symbol(0.2), p=cl.identity_phase())
+        srh = cl.ScalarRH(pd)
+        rule = cl.gauss_interval(192, -1.0, 1.0)
+        betas = {k: solve_beta(pd, rule, grid48, k, srh, loop_default)
+                 for k in (1, 2)}
+        fac = OperatorFactory(pd, grid48, srh, betas[1], betas[2])
+        for lam0 in (0.0, 0.3):
+            assert factorization_residual(pd, grid48, fac, lam0) < 1e-6
 
     def test_factorization_evaluates_beta_once_per_point(
             self, pd_default, grid48, factory_default, monkeypatch):
