@@ -112,14 +112,17 @@ class Parametrix:
     #: argument rotations of the (1,1), (1,2), (2,1), (2,2) confluent entries
     _ROTATIONS = (-1, +1, -1, +1)
 
-    def __call__(self, lam: complex, sector: int | None = None) -> BlockOperator:
+    def __call__(self, lam: complex, sector: int | None = None,
+                 blocks: dict | None = None) -> BlockOperator:
+        """The parametrix at lam; ``blocks`` is ``factory.blocks(lam)``
+        when the caller has it already (the blocks do not depend on x)."""
         pd, fac = self.pd, self.factory
         s = 1 if self.endpoint == "a" else -1
         m = -s * complex(nu(pd, lam))
         z = zeta(self.endpoint, pd, lam, self.x)
         if sector is None:
             sector = l_sector(float(np.angle(z)))
-        blk = fac.blocks(lam)
+        blk = fac.blocks(lam) if blocks is None else blocks
         O11, O12, O21, O22 = blk[1, 1], blk[1, 2], blk[2, 1], blk[2, 2]
 
         r11, r12, r21, r22 = self._ROTATIONS
@@ -148,10 +151,12 @@ class Parametrix:
         n = fac.grid.n
         zdiag = np.concatenate([np.full(n, np.exp(m * logz) * zf),
                                 np.full(n, np.exp(-m * logz) * zf)])
-        core = (psi_mat * zdiag[None, :]) \
-            @ self._l_matrix(lam, sector, blk, s2=-s, s3=s)
-        return BlockOperator(core + self._complement(O11, O22), fac.grid,
-                             identity_plus=True)
+        core = psi_mat * zdiag[None, :]
+        self._apply_l(core, lam, sector, blk, s2=-s, s3=s)
+        eye = np.eye(n, dtype=complex)
+        core[:n, :n] += eye - O11
+        core[n:, n:] += eye - O22
+        return BlockOperator(core, fac.grid, identity_plus=True)
 
     def _a_squared(self, lam, m, e):
         """A^2 of the coefficients, chosen so that zeta^{2m} / A^2 is
@@ -162,31 +167,25 @@ class Parametrix:
                 * np.exp(2j * np.pi * m)
         return np.exp(2.0 * e)
 
-    def _l_matrix(self, lam, sector, blk, s2: float, s3: float):
-        """The piecewise constant matrix; s2/s3 are the sector-2/3 signs.
+    def _apply_l(self, core, lam, sector, blk, s2: float, s3: float):
+        """Multiply ``core`` in place on the right by the piecewise
+        constant matrix L; s2/s3 are the sector-2/3 signs.
 
-        Sector 2 carries s2 * P e^{i x p}; sector 3 carries s3 * Q e^{-i x p},
-        with P and Q read from the factory blocks ``blk`` at lam.  With the
+        L is the identity in sector 1, [[id, s2 P e^{i x p}], [0, id]] in
+        sector 2 and [[id, 0], [s3 Q e^{-i x p}, id]] in sector 3, with P
+        and Q read from the factory blocks ``blk`` at lam.  With the
         continuously tracked confluent arguments these are the
         inverse/direct triangular jump factors as required at each ray.
         """
-        pd, fac = self.pd, self.factory
-        n = fac.grid.n
-        eye = np.eye(n, dtype=complex)
-        zero = np.zeros((n, n), dtype=complex)
-        if sector == 1:
-            return np.block([[eye, zero], [zero, eye]])
-        if sector == 2:
-            up = s2 * np.exp(1j * self.x * pd.p(complex(lam))) * blk["P"]
-            return np.block([[eye, up], [zero, eye]])
-        down = s3 * np.exp(-1j * self.x * pd.p(complex(lam))) * blk["Q"]
-        return np.block([[eye, zero], [down, eye]])
-
-    def _complement(self, O11, O22):
         n = self.factory.grid.n
-        eye = np.eye(n, dtype=complex)
-        z = np.zeros((n, n), dtype=complex)
-        return np.block([[eye - O11, z], [z, eye - O22]])
+        if sector == 1:
+            return
+        if sector == 2:
+            up = s2 * np.exp(1j * self.x * self.pd.p(complex(lam))) * blk["P"]
+            core[:, n:] += core[:, :n] @ up
+            return
+        down = s3 * np.exp(-1j * self.x * self.pd.p(complex(lam))) * blk["Q"]
+        core[:, :n] += core[:, n:] @ down
 
     # -- diagnostics -------------------------------------------------------
 

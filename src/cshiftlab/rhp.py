@@ -395,16 +395,19 @@ class OperatorFactory:
 
     def P_from_O(self, lam) -> np.ndarray:
         """-2 i e^{i pi nu} sin(pi nu) alpha^{-2} O_12: the dual route."""
-        nv = complex(nu(self.pd, lam))
-        return -2j * np.exp(1j * np.pi * nv) * np.sin(np.pi * nv) \
-            * np.exp(-2.0 * self.srh.exponent(complex(lam))) \
-            * self.O_block(1, 2, lam)
+        return self._from_O(lam, self.blocks(lam), -1.0)
 
     def Q_from_O(self, lam) -> np.ndarray:
+        """2 i e^{i pi nu} sin(pi nu) alpha^{2} O_21: the dual route."""
+        return self._from_O(lam, self.blocks(lam), 1.0)
+
+    def _from_O(self, lam, blk, sign: float) -> np.ndarray:
+        """sign 2 i e^{i pi nu} sin(pi nu) alpha^{2 sign} O_jl from the
+        blocks ``blk`` at lam: P from O_12 (sign -1), Q from O_21 (+1)."""
         nv = complex(nu(self.pd, lam))
-        return 2j * np.exp(1j * np.pi * nv) * np.sin(np.pi * nv) \
-            * np.exp(2.0 * self.srh.exponent(complex(lam))) \
-            * self.O_block(2, 1, lam)
+        off = blk[1, 2] if sign < 0 else blk[2, 1]
+        return sign * 2j * np.exp(1j * np.pi * nv) * np.sin(np.pi * nv) \
+            * np.exp(sign * 2.0 * blk["exponent"]) * off
 
     def m_up(self, lam, x: float | None = None) -> BlockOperator:
         """[[id, P e^{i x p}], [0, id]]."""
@@ -415,16 +418,6 @@ class OperatorFactory:
         ph = np.exp(1j * x * self.pd.p(lam))
         return BlockOperator.from_blocks(
             [[eye, ph * self.P(lam)], [zero, eye]], self.grid,
-            identity_plus=True)
-
-    def m_down(self, lam, x: float | None = None) -> BlockOperator:
-        x = self.pd.x if x is None else x
-        lam = complex(lam)
-        eye = np.eye(self.grid.n, dtype=complex)
-        zero = np.zeros_like(eye)
-        ph = np.exp(-1j * x * self.pd.p(lam))
-        return BlockOperator.from_blocks(
-            [[eye, zero], [ph * self.Q(lam), eye]], self.grid,
             identity_plus=True)
 
     def m_down_inv(self, lam, x: float | None = None) -> BlockOperator:
@@ -464,8 +457,8 @@ class OperatorFactory:
             comp = np.max(np.abs(blk[1, 2] @ blk[2, 1] - blk[1, 1]))
             rows.append(DiagnosticRow("O_12 O_21 - O_11", lam.real, lam.imag,
                                       float(comp), 1e-8))
-            dual_p = np.max(np.abs(blk["P"] - self.P_from_O(lam)))
-            dual_q = np.max(np.abs(blk["Q"] - self.Q_from_O(lam)))
+            dual_p = np.max(np.abs(blk["P"] - self._from_O(lam, blk, -1.0)))
+            dual_q = np.max(np.abs(blk["Q"] - self._from_O(lam, blk, 1.0)))
             rows.append(DiagnosticRow("P dual route", lam.real, lam.imag,
                                       float(dual_p), 1e-8))
             rows.append(DiagnosticRow("Q dual route", lam.real, lam.imag,
@@ -485,7 +478,7 @@ def factorization_residual(pd: ProblemData, grid: HalfLineRule,
     [0, b2^{-1}]] and M_down diag(b1, b2) = [[b1, 0], [Q e^{-ixp} b1, b2]].
     """
     deltas = _richardson_deltas(pd)
-    x, phase = factory.pd.x, factory.pd.p      # as in factory.m_up/m_down
+    x, phase = factory.pd.x, factory.pd.p      # as in factory.m_up/m_down_inv
 
     def upper_part(d):
         lam = lam0 + 1j * d
@@ -553,9 +546,16 @@ def pi_residual(pd: ProblemData, factory: OperatorFactory,
     boundaries it is the local parametrix itself, whose distance to the
     identity follows the x^{eps - 1} pattern with
     eps = 2 sup_{delta D} |Re nu|.
+
+    The factory blocks do not depend on x, so each probe point takes one
+    ``factory.blocks`` call shared by every x: a lens row is
+    |e^{+- i x p}| times the bound of the phase-free factor, whose kernel
+    part the phase only scales, and each x's parametrix receives the
+    blocks through its ``blocks`` argument.
     """
     a, b = pd.a, pd.b
     report = PiReport(xs=list(xs))
+    xs = report.xs
 
     # eps from the disk boundaries
     ang = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
@@ -564,31 +564,45 @@ def pi_residual(pd: ProblemData, factory: OperatorFactory,
     report.eps = float(2.0 * np.max(np.abs(nu(pd, bd).real)))
 
     span = np.linspace(a + 1.5 * disk_radius, b - 1.5 * disk_radius, 7)
+    grid = factory.grid
+    eye = np.eye(grid.n, dtype=complex)
+    zero = np.zeros_like(eye)
+    lens = [[] for _ in xs]
+    report.lens_max = {x: 0.0 for x in xs}
+    for lam in span:
+        lam_up, lam_dn = lam + 1j * lens_height, lam - 1j * lens_height
+        up = BlockOperator.from_blocks(
+            [[eye, factory.blocks(lam_up)["P"]], [zero, eye]], grid,
+            identity_plus=True).smoothing_bound()
+        dn = BlockOperator.from_blocks(
+            [[eye, zero], [-factory.blocks(lam_dn)["Q"], eye]], grid,
+            identity_plus=True).smoothing_bound()
+        for rows, x in zip(lens, xs):
+            up_x = float(abs(np.exp(1j * x * pd.p(lam_up))) * up)
+            dn_x = float(abs(np.exp(-1j * x * pd.p(lam_dn))) * dn)
+            rows.append(DiagnosticRow(
+                f"lens up x={x}", lam, lens_height, up_x, 1.0))
+            rows.append(DiagnosticRow(
+                f"lens down x={x}", lam, -lens_height, dn_x, 1.0))
+            report.lens_max[x] = max(report.lens_max[x], up_x, dn_x)
 
-    for x in xs:
-        worst_lens = 0.0
-        for lam in span:
-            up = BlockOperator(factory.m_up(lam + 1j * lens_height, x=x).mat,
-                               factory.grid).smoothing_bound()
-            dn = BlockOperator(factory.m_down_inv(lam - 1j * lens_height, x=x).mat,
-                               factory.grid).smoothing_bound()
-            report.lens_rows.append(DiagnosticRow(
-                f"lens up x={x}", lam, lens_height, up, 1.0))
-            report.lens_rows.append(DiagnosticRow(
-                f"lens down x={x}", lam, -lens_height, dn, 1.0))
-            worst_lens = max(worst_lens, up, dn)
-        report.lens_max[x] = worst_lens
-
-        for endpoint, center in (("a", a), ("b", b)):
-            px = parametrix_builder(endpoint, x)
-            worst = 0.0
-            for th in _disk_probe_angles():
-                lam = center + disk_radius * np.exp(1j * th)
-                resid = px(lam).smoothing_bound()
-                report.disk_rows.append(DiagnosticRow(
+    ends = {"a": a, "b": b}
+    pxs = [{ep: parametrix_builder(ep, x) for ep in ends} for x in xs]
+    disk = [{ep: [] for ep in ends} for _ in xs]
+    report.disk_max = {(ep, x): 0.0 for x in xs for ep in ends}
+    for endpoint, center in ends.items():
+        for th in _disk_probe_angles():
+            lam = center + disk_radius * np.exp(1j * th)
+            blk = factory.blocks(lam)
+            for px, rows, x in zip(pxs, disk, xs):
+                resid = px[endpoint](lam, blocks=blk).smoothing_bound()
+                rows[endpoint].append(DiagnosticRow(
                     f"disk {endpoint} x={x}", lam.real, lam.imag, resid, 1.0))
-                worst = max(worst, resid)
-            report.disk_max[(endpoint, x)] = worst
+                report.disk_max[endpoint, x] = max(
+                    report.disk_max[endpoint, x], resid)
+
+    report.lens_rows = [r for rows in lens for r in rows]
+    report.disk_rows = [r for rows in disk for ep in ends for r in rows[ep]]
 
     if len(xs) >= 2:
         lx = np.log(np.asarray(xs, dtype=float))

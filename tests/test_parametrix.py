@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 import cshiftlab as cl
 from cshiftlab.errors import BranchError, ParameterDomainError
@@ -141,11 +142,13 @@ class _ExtraRightPower(Parametrix):
     def __call__(self, lam, sector=None):
         fac = self.factory
         full = super().__call__(lam, sector).mat
-        comp = self._complement(fac.O_block(1, 1, lam), fac.O_block(2, 2, lam))
+        n = fac.grid.n
+        eye = np.eye(n)
+        comp = block_diag(eye - fac.O_block(1, 1, lam),
+                          eye - fac.O_block(2, 2, lam))
         s = 1 if self.endpoint == "a" else -1
         zm = np.exp(-s * complex(cl.nu(self.pd, lam))
                     * np.log(zeta(self.endpoint, self.pd, lam, self.x)))
-        n = fac.grid.n
         rdiag = np.concatenate([np.full(n, zm), np.full(n, 1.0 / zm)])
         return BlockOperator((full - comp) * rdiag[None, :] + comp, fac.grid,
                              identity_plus=True)

@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 import cshiftlab as cl
 from cshiftlab.errors import ExcludedCaseError, NearSingularityError
-from cshiftlab.rhp import (DiagnosticRow, OperatorFactory, default_probes,
-                           factorization_residual, g_chi, pi_residual,
-                           solve_beta, solve_chi, summarize, write_diagnostics)
+from cshiftlab.l2half import BlockOperator
+from cshiftlab.rhp import (DiagnosticRow, OperatorFactory, _disk_probe_angles,
+                           default_probes, factorization_residual, g_chi,
+                           pi_residual, solve_beta, solve_chi, summarize,
+                           write_diagnostics)
 
 
 class TestChi:
@@ -263,6 +265,23 @@ class TestOperatorFactory:
         points = 2 * len(cl.symbols.DELTA_SCHEDULE)
         assert calls == {"beta": 2 * points, "inv": 2 * points}
 
+    def test_verify_evaluates_blocks_once_per_point(self, factory_default,
+                                                    monkeypatch):
+        # O's one-sided limits take one call per delta on each side; each
+        # exterior probe serves the composition law and both dual routes
+        # from one call
+        calls = []
+        blocks = OperatorFactory.blocks
+
+        def spy(self, lam):
+            calls.append(lam)
+            return blocks(self, lam)
+
+        monkeypatch.setattr(OperatorFactory, "blocks", spy)
+        factory_default.verify()
+        assert len(calls) == 2 * len(cl.symbols.DELTA_SCHEDULE) \
+            + len(factory_default.near_probes()[:3])
+
 
 class TestPiResidual:
     @pytest.fixture(scope="class")
@@ -293,6 +312,53 @@ class TestPiResidual:
     def test_rows_serializable(self, report, tmp_path):
         write_diagnostics(report.rows(), tmp_path / "pi.csv")
         assert (tmp_path / "pi.csv").exists()
+
+    def test_rows_match_the_per_x_jumps(self, report, pd_default,
+                                        factory_default):
+        # each row is the jump at its own x, built as if no other x were
+        # probed: the triangular factor with its phase on the lens, a
+        # freshly built parametrix on the disk
+        from cshiftlab.parametrix import build_parametrix
+
+        fac = factory_default
+        for r in report.lens_rows:
+            x = float(r.obj.split("x=")[1])
+            lam = complex(r.lam_re, r.lam_im)
+            jump = fac.m_up(lam, x=x) if r.obj.startswith("lens up") \
+                else fac.m_down_inv(lam, x=x)
+            want = BlockOperator(jump.mat, fac.grid).smoothing_bound()
+            assert r.residual == pytest.approx(want, rel=1e-13)
+        for r in report.disk_rows:
+            ep, x = r.obj.split()[1], float(r.obj.split("x=")[1])
+            px = build_parametrix(ep, pd_default, fac, x=x, radius=0.2)
+            want = px(complex(r.lam_re, r.lam_im)).smoothing_bound()
+            assert r.residual == pytest.approx(want, rel=1e-13)
+        assert {float(r.obj.split("x=")[1]) for r in report.rows()} \
+            == set(report.xs)
+
+    @pytest.mark.parametrize("xs", [[100.0], [50.0, 100.0, 200.0]])
+    def test_blocks_evaluated_once_per_probe_point(
+            self, pd_default, factory_default, monkeypatch, xs):
+        # the factory blocks do not depend on x: the 7 lens abscissae
+        # above and below the interval and the disk probes around both
+        # endpoints take one call each, however many xs are probed
+        from cshiftlab.parametrix import build_parametrix
+
+        calls = []
+        blocks = OperatorFactory.blocks
+
+        def spy(self, lam):
+            calls.append(lam)
+            return blocks(self, lam)
+
+        def builder(ep, x):
+            return build_parametrix(ep, pd_default, factory_default, x=x,
+                                    radius=0.2)
+
+        monkeypatch.setattr(OperatorFactory, "blocks", spy)
+        pi_residual(pd_default, factory_default, builder, xs=xs,
+                    disk_radius=0.2, lens_height=0.15)
+        assert len(calls) == 2 * 7 + 2 * len(_disk_probe_angles()) == 30
 
 
 class TestProbes:
