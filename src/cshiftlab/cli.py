@@ -40,7 +40,7 @@ def _cmd_selftest(_args) -> int:
     a row for each invariant without a verify()."""
     from . import (ScalarRH, assemble, constant_symbol, determinant,
                    gauss_interval, identity_phase, laguerre_halfline,
-                   make_problem, stadium_contour)
+                   make_problem, safe_radius, stadium_contour)
     from .kernels import k_kt, u_kt
     from .parametrix import build_parametrix
     from .quadgrid import graded_interval
@@ -50,7 +50,7 @@ def _cmd_selftest(_args) -> int:
     pd = make_problem(a=-1.0, b=1.0, c=1.0, t=1.0, x=10.0,
                       F=constant_symbol(0.2), p=identity_phase())
     grid = laguerre_halfline(48, pd.c)
-    loop = stadium_contour(pd.a, pd.b, 0.25)
+    loop = stadium_contour(pd.a, pd.b, safe_radius(pd))
     srh = ScalarRH(pd)
     rule = gauss_interval(192, pd.a, pd.b)
     betas = {k: solve_beta(pd, rule, grid, k, srh, loop) for k in (1, 2)}

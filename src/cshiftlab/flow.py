@@ -18,10 +18,10 @@ import numpy as np
 from .errors import ExcludedCaseError, ParameterDomainError, ResolutionError
 from .fredholm import assemble, determinant, logdet
 from .kernels import k_kt, u_kt, v0, v_t
-from .quadgrid import (capped_radius, gauss_interval, graded_interval,
-                       laguerre_halfline, oscillation_nodes, stadium_contour)
-from .rhp import ChiSolution, DiagnosticRow, solve_beta, summarize
-from .symbols import EPS_K, ProblemData, ScalarRH, make_handle, make_problem, nu, tau
+from .quadgrid import (gauss_interval, graded_interval, laguerre_halfline,
+                       oscillation_nodes, safe_radius, stadium_contour)
+from .rhp import ChiSolution, DiagnosticRow, _disk_eps, solve_beta, summarize
+from .symbols import EPS_K, ProblemData, ScalarRH, make_handle, make_problem
 
 __all__ = ["SweepConfig", "SweepRow", "SweepReport", "theorem1_sweep",
            "DtReport", "dt_logdet_check", "emit", "load_config",
@@ -42,12 +42,15 @@ def _principal(z: complex) -> complex:
 
 @dataclass
 class SweepConfig:
-    """Inputs of one x-sweep; mirrors the flat config-file keys."""
+    """Inputs of one x-sweep; mirrors the flat config-file keys.
+
+    Every loop is a stadium at ``quadgrid.safe_radius`` with
+    ``stadium_contour``'s default density.
+    """
 
     a: float = -1.0
     b: float = 1.0
     c: float = 1.0
-    t: complex = 1.0
     x_list: tuple = (50.0, 100.0, 200.0)
     F_kind: str = "constant"
     F_params: tuple = (0.2,)
@@ -56,10 +59,6 @@ class SweepConfig:
     margin: float = np.inf
     n_interval: int | None = None     # None: oscillation_nodes; either way
                                       # the start of the refinement check
-    n_halfline: int = 48
-    contour_radius: float | None = None
-    contour_density: float = 48.0
-    n_alpha: int = 160
     n_budget: int = 4000              # cap on the nodes of any interval rule
     output: str = "sweep.csv"
 
@@ -69,28 +68,14 @@ class SweepConfig:
             raise ParameterDomainError("x_list must be strictly increasing")
         if self.n_interval is not None and self.n_interval < 16:
             raise ParameterDomainError("n_interval must be >= 16")
-        if self.n_halfline < 24:
-            raise ParameterDomainError("n_halfline must be >= 24")
         self.x_list = xs
-        self.t = complex(self.t)
-        if self.t != 1:
-            raise ParameterDomainError(
-                f"t = {self.t} would be ignored: theorem1_sweep runs at t = 1 "
-                "and dt_logdet_check takes its t0 as an argument")
 
-    def problem(self, x: float, t: complex | None = None) -> ProblemData:
+    def problem(self, x: float, t: complex = 1.0) -> ProblemData:
         return make_problem(
-            a=self.a, b=self.b, c=self.c,
-            t=self.t if t is None else t, x=x,
+            a=self.a, b=self.b, c=self.c, t=t, x=x,
             F=make_handle(self.F_kind, self.F_params),
             p=make_handle(self.p_kind, self.p_params),
             margin=self.margin)
-
-    def radius(self, t: complex) -> float:
-        if self.contour_radius is not None:
-            return self.contour_radius
-        return capped_radius(0.45 * self.c / max(abs(t), 1e-12), self.a,
-                             self.b, self.margin)
 
 
 @dataclass
@@ -187,11 +172,9 @@ def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
     ResolutionError.
     """
     report = SweepReport()
-    pd1 = cfg.problem(x=cfg.x_list[0] if cfg.x_list else 50.0, t=1.0)
-    srh = ScalarRH(pd1, gauss_interval(cfg.n_alpha, cfg.a, cfg.b))
-    r = cfg.radius(t=1.0)
-    loop = stadium_contour(cfg.a, cfg.b, r, n_per_unit=cfg.contour_density,
-                           margin=cfg.margin)
+    pd1 = cfg.problem(x=cfg.x_list[0] if cfg.x_list else 50.0)
+    srh = ScalarRH(pd1)
+    loop = stadium_contour(cfg.a, cfg.b, safe_radius(pd1), margin=cfg.margin)
 
     det_up = determinant(assemble(u_kt(pd1, 1, srh), loop))
     det_um = determinant(assemble(u_kt(pd1, 2, srh), loop))
@@ -204,7 +187,7 @@ def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
 
     for x in cfg.x_list:
         t_start = time.perf_counter()
-        pdx1 = cfg.problem(x=x, t=1.0)
+        pdx1 = cfg.problem(x=x)
         pdx0 = cfg.problem(x=x, t=0.0)
         n = cfg.n_interval or oscillation_nodes(pdx1)
         ld_v, ld_v0 = _interval_logdets(cfg, pdx1, pdx0, n)
@@ -300,7 +283,7 @@ def dt_logdet_check(cfg: SweepConfig, t0: complex, h: float = 1e-4,
     n = cfg.n_interval or oscillation_nodes(cfg.problem(x=x), frequency=1.0)
     _check_budget(cfg, x, n)
     rule = gauss_interval(n, cfg.a, cfg.b)
-    grid = laguerre_halfline(cfg.n_halfline, cfg.c)
+    grid = laguerre_halfline(48, cfg.c)
 
     def ld(t):
         return logdet(assemble(v_t(cfg.problem(x=x, t=t)), rule))
@@ -312,12 +295,11 @@ def dt_logdet_check(cfg: SweepConfig, t0: complex, h: float = 1e-4,
 
     pd = cfg.problem(x=x, t=t0)
     chi = ChiSolution(pd, rule, grid)
-    loop = stadium_contour(cfg.a, cfg.b, cfg.radius(t0),
-                           n_per_unit=cfg.contour_density, margin=cfg.margin)
+    loop = stadium_contour(cfg.a, cfg.b, safe_radius(pd), margin=cfg.margin)
     d_contour = (loop.cweights * loop.samples) @ chi.loop_trace(loop.samples) \
         / (2.0 * np.pi)
 
-    srh = ScalarRH(pd, gauss_interval(cfg.n_alpha, cfg.a, cfg.b))
+    srh = ScalarRH(pd)
     beta_rule = gauss_interval(192, cfg.a, cfg.b)
     d_reduced = 0.0 + 0.0j
     for k in (1, 2):
@@ -325,13 +307,8 @@ def dt_logdet_check(cfg: SweepConfig, t0: complex, h: float = 1e-4,
         kappa_s = bs.kappa_nodes * (grid.snodes * grid.sweights)[None, :]
         integrand = bs.tau_nodes * np.einsum("ns,ns->n", kappa_s, bs.rho)
         d_reduced += EPS_K[k] * (integrand @ beta_rule.weights) / (2.0 * np.pi)
-
-    ang = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
-    bd = np.concatenate([cfg.a + 0.2 * np.exp(1j * ang),
-                         cfg.b + 0.2 * np.exp(1j * ang)])
-    eps = float(2.0 * np.max(np.abs(nu(pd, bd).real)))
     return DtReport(t0=t0, x=x, d_fd=d_fd, d_contour=d_contour,
-                    d_reduced=d_reduced, eps=eps)
+                    d_reduced=d_reduced, eps=_disk_eps(pd, loop.r))
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +382,8 @@ def load_config(path: str) -> SweepConfig:
 
     kw = {}
     simple = {"a": float, "b": float, "c": float, "margin": float,
-              "n_interval": int, "n_halfline": int, "n_alpha": int,
-              "n_budget": int, "contour_density": float,
-              "contour_radius": float, "output": str}
+              "n_interval": int, "n_budget": int, "output": str}
     for key, val in raw.items():
-        if key in ("t_re", "t_im"):
-            continue
         if key == "x_list":
             kw["x_list"] = floats(val)
         elif key == "F.kind":
@@ -425,5 +398,4 @@ def load_config(path: str) -> SweepConfig:
             kw[key] = simple[key](val)
         else:
             raise ParameterDomainError(f"unknown config key {key!r}")
-    kw["t"] = complex(float(raw.get("t_re", 1.0)), float(raw.get("t_im", 0.0)))
     return SweepConfig(**kw)

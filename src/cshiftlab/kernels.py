@@ -8,7 +8,7 @@ extrapolated central difference of the vanishing numerator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,8 +35,6 @@ class KernelHandle:
     diag: Callable
     support: str  # "interval" or "contour"
     name: str = ""
-    #: pole locations to keep contours away from, as a description
-    safety: str = ""
 
     def __call__(self, lam, mu):
         return self.eval(lam, mu)
@@ -147,7 +145,7 @@ def v_t(pd: ProblemData) -> KernelHandle:
     """
     return KernelHandle(lambda lam, mu: _interval_entries(pd, pd.t, lam, mu),
                         lambda lam: _interval_diag(pd, pd.t, lam), "interval",
-                        name="V_t", safety="poles at t(lam-mu) = -+ i c")
+                        name="V_t")
 
 
 def v0(pd: ProblemData) -> KernelHandle:
@@ -166,7 +164,8 @@ def u_kt(pd: ProblemData, k: int, srh: ScalarRH) -> KernelHandle:
     U_{k;t}(lam, mu) = -t alpha_k(lam) alpha_k^{-1}(mu + i eps_k c/t)
                         / (2 i pi [t (mu - lam) + i eps_k c]).
     Safe for loops of radius r < c / (2 |t|), which keeps the pole
-    mu = lam - i eps_k c / t off Gamma x Gamma.  At t = 1, k = 1 and 2
+    mu = lam - i eps_k c / t off Gamma x Gamma; ``quadgrid.safe_radius``
+    is the package's loop radius.  At t = 1, k = 1 and 2
     are U_+ and U_-: det(I+V)/det(I+V0) tends to det(I+U_+) det(I+U_-).
     """
     e = EPS_K[k]
@@ -184,9 +183,7 @@ def u_kt(pd: ProblemData, k: int, srh: ScalarRH) -> KernelHandle:
         return -pd.t * num / (2j * np.pi * denom)
 
     return KernelHandle(eval_, lambda lam: eval_(lam, lam), "contour",
-                        name=f"U_{k};t",
-                        safety=f"pole at t(mu-lam) = -i eps_{k} c; "
-                               "needs r < c/(2|t|)")
+                        name=f"U_{k};t")
 
 
 def k_kt(pd: ProblemData, k: int, srh: ScalarRH) -> KernelHandle:

@@ -34,7 +34,7 @@ from scipy.special import gamma
 from .chf import tricomi_psi
 from .errors import BranchError, ParameterDomainError
 from .l2half import BlockOperator
-from .quadgrid import capped_radius
+from .quadgrid import safe_radius
 from .rhp import OperatorFactory, _disk_probe_angles
 from .symbols import ProblemData, nu
 
@@ -252,21 +252,14 @@ class Parametrix:
         return worst
 
 
-def default_disk_radius(pd: ProblemData) -> float:
-    """Largest safe disk radius: inside the margin, the half-line growth
-    bound |Im(t lam)| < c/4, and well separated from the far endpoint."""
-    return capped_radius(0.8 * pd.c / (4.0 * max(abs(pd.t), 1e-12)),
-                         pd.a, pd.b, pd.margin)
-
-
 def build_parametrix(endpoint: str, pd: ProblemData, factory: OperatorFactory,
                      x: float | None = None,
                      radius: float | None = None) -> Parametrix:
     """Assemble the local parametrix around one endpoint.
 
     ``factory`` supplies the regular operator blocks; ``radius`` must stay
-    inside the declared analyticity margin (a safe default is derived from
-    the problem data when omitted).
+    inside the declared analyticity margin (``safe_radius(pd)`` when
+    omitted).
     """
     if endpoint not in ("a", "b"):
         raise ParameterDomainError("endpoint must be 'a' or 'b'")
@@ -274,7 +267,7 @@ def build_parametrix(endpoint: str, pd: ProblemData, factory: OperatorFactory,
     if x <= 0:
         raise ParameterDomainError("x must be positive")
     if radius is None:
-        radius = default_disk_radius(pd)
+        radius = safe_radius(pd)
     if radius >= pd.margin:
         raise ParameterDomainError(
             f"disk radius {radius} exceeds the margin {pd.margin}")

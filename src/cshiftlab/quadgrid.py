@@ -26,9 +26,9 @@ __all__ = [
     "HalfLineRule",
     "gauss_interval",
     "oscillation_nodes",
+    "safe_radius",
     "graded_interval",
     "stadium_contour",
-    "capped_radius",
     "laguerre_halfline",
 ]
 
@@ -152,6 +152,28 @@ def oscillation_nodes(pd: "ProblemData", frequency: float = 0.5) -> int:
     return int(np.ceil(frequency * pd.x * k)) + _NODE_MARGIN
 
 
+def safe_radius(pd: "ProblemData") -> float:
+    """Radius of every loop and endpoint disk the package builds itself.
+
+    r = min(0.8 c/(4 |t|), (b - a)/4, 0.8 margin).  Two constraints of the
+    t-deformed problem bound r |t|:
+      * the half-line growth bound |Im(t lam)| < c/4 (r |t| < c/4 off the
+        axis), under which the e^{-c s} decay of the half-line rule
+        dominates the e^{+-i t lam s} factors of the half-line kernels;
+      * the pole-free bound r < c/(2 |t|): V_t has poles at
+        t(lam - mu) = -+ i c and U_{k;t} at t(mu - lam) = -i eps_k c, and
+        two points of a loop at distance r from [a, b] are at most 2r
+        apart across the interval.
+    The first implies the second.  The factor 0.8 keeps the loop clear of
+    the pole: a loop at 0.45 c/|t| brings t(mu - lam) within 0.1 c of it
+    and leaves the loop determinants 3e-10 off at 48 nodes per unit
+    length.  The other caps keep a disk off the far endpoint and every
+    curve inside the declared analyticity margin.
+    """
+    return min(0.8 * pd.c / (4.0 * max(abs(pd.t), 1e-12)),
+               0.25 * (pd.b - pd.a), 0.8 * pd.margin)
+
+
 def graded_interval(a: float, b: float, n_panel: int = 16, levels: int = 6,
                     ratio: float = 0.15) -> IntervalRule:
     """Composite Gauss rule with panels graded geometrically into a and b.
@@ -200,8 +222,6 @@ class Contour:
     r: float
     samples: np.ndarray
     cweights: np.ndarray
-    # outward unit normals and arclength weights, kept for diagnostics
-    normals: np.ndarray = field(repr=False, default=None)
 
     @property
     def n(self) -> int:
@@ -237,15 +257,6 @@ def _gauss_panels(t0: float, t1: float, n_panels: int, q: int):
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1] - edges[0])
     return (mid + half * x[None, :]).ravel(), np.tile(half * w, n_panels)
-
-
-def capped_radius(r: float, a: float, b: float, margin: float) -> float:
-    """r capped at a quarter of b - a and at 0.8 of the analyticity margin.
-
-    Each caller picks its own r from its pole and growth constraints;
-    the caps keep the contour off the far endpoint and inside the margin.
-    """
-    return min(r, 0.25 * (b - a), 0.8 * margin)
 
 
 def stadium_contour(a: float, b: float, r: float, n_per_unit: float = 48.0,
@@ -305,12 +316,8 @@ def stadium_contour(a: float, b: float, r: float, n_per_unit: float = 48.0,
     zs.append(a + r * np.exp(1j * th))
     ws.append(w * 1j * r * np.exp(1j * th))
 
-    samples = np.concatenate(zs)
-    cweights = np.concatenate(ws)
-    x = np.clip(samples.real, a, b)
-    normals = (samples - x) / np.abs(samples - x)
-    return Contour(a=float(a), b=float(b), r=float(r), samples=samples,
-                   cweights=cweights, normals=normals)
+    return Contour(a=float(a), b=float(b), r=float(r),
+                   samples=np.concatenate(zs), cweights=np.concatenate(ws))
 
 
 @dataclass(frozen=True)

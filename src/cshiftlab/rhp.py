@@ -21,8 +21,8 @@ from .errors import ExcludedCaseError, NearSingularityError
 from .fredholm import assemble, solve
 from .kernels import k_kt, solve_densities
 from .l2half import BlockOperator, e_vectors, kappa_form, m_vec, rank_one
-from .quadgrid import (Contour, HalfLineRule, IntervalRule, capped_radius,
-                       gauss_interval, laguerre_halfline, oscillation_nodes,
+from .quadgrid import (Contour, HalfLineRule, IntervalRule, gauss_interval,
+                       laguerre_halfline, oscillation_nodes, safe_radius,
                        stadium_contour)
 from .symbols import (DELTA_SCHEDULE, EPS_K, ProblemData, ScalarRH, _neville,
                       nu, tau)
@@ -326,9 +326,7 @@ def solve_beta(pd: ProblemData, rule: IntervalRule, grid: HalfLineRule,
     if srh is None:
         srh = ScalarRH(pd)
     if loop is None:
-        r = capped_radius(0.45 * pd.c / (2.0 * abs(pd.t)), pd.a, pd.b,
-                          pd.margin)
-        loop = stadium_contour(pd.a, pd.b, r, margin=pd.margin)
+        loop = stadium_contour(pd.a, pd.b, safe_radius(pd), margin=pd.margin)
     return BetaSolution(pd, rule, grid, k, srh, loop)
 
 
@@ -431,11 +429,11 @@ class OperatorFactory:
             identity_plus=True)
 
     def near_probes(self):
-        """Off-axis probes satisfying the half-line growth bound |Im(t lam)| < c/4."""
+        """Off-axis probes at heights up to 0.875 ``safe_radius``, kept to
+        the half-line growth bound |Im(t lam)| < c/4."""
         pd = self.pd
         mid = 0.5 * (pd.a + pd.b)
-        h = 0.7 * pd.c / (4.0 * max(abs(pd.t), 1e-12))
-        h = min(h, 0.2 * (pd.b - pd.a))
+        h = 0.875 * safe_radius(pd)
         cands = [mid + 1j * h, pd.b + 0.25 * (pd.b - pd.a) + 0.5j * h,
                  pd.a - 0.2 * (pd.b - pd.a) - 0.6j * h]
         return [z for z in cands if abs((pd.t * z).imag) < 0.9 * pd.c / 4.0]
@@ -535,9 +533,20 @@ def _disk_probe_angles() -> np.ndarray:
     return th[far > 0.25]
 
 
+def _disk_eps(pd: ProblemData, r: float) -> float:
+    """eps = 2 max |Re nu| over the boundaries of the endpoint disks.
+
+    32 equispaced points on each circle of radius r around a and b;
+    x^{eps - 1} is the small-norm rate of the disk jumps.
+    """
+    ring = r * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False))
+    bd = np.concatenate([pd.a + ring, pd.b + ring])
+    return float(2.0 * np.max(np.abs(nu(pd, bd).real)))
+
+
 def pi_residual(pd: ProblemData, factory: OperatorFactory,
                 parametrix_builder: Callable, xs,
-                disk_radius: float = 0.3,
+                disk_radius: float | None = None,
                 lens_height: float = 0.15) -> PiReport:
     """Probe the deformed-problem jumps for closeness to the identity.
 
@@ -551,17 +560,14 @@ def pi_residual(pd: ProblemData, factory: OperatorFactory,
     ``factory.blocks`` call shared by every x: a lens row is
     |e^{+- i x p}| times the bound of the phase-free factor, whose kernel
     part the phase only scales, and each x's parametrix receives the
-    blocks through its ``blocks`` argument.
+    blocks through its ``blocks`` argument.  ``disk_radius`` defaults to
+    ``safe_radius(pd)``, the parametrices' own default.
     """
     a, b = pd.a, pd.b
-    report = PiReport(xs=list(xs))
+    if disk_radius is None:
+        disk_radius = safe_radius(pd)
+    report = PiReport(xs=list(xs), eps=_disk_eps(pd, disk_radius))
     xs = report.xs
-
-    # eps from the disk boundaries
-    ang = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
-    bd = np.concatenate([a + disk_radius * np.exp(1j * ang),
-                         b + disk_radius * np.exp(1j * ang)])
-    report.eps = float(2.0 * np.max(np.abs(nu(pd, bd).real)))
 
     span = np.linspace(a + 1.5 * disk_radius, b - 1.5 * disk_radius, 7)
     grid = factory.grid

@@ -97,13 +97,9 @@ class TestSweepConfig:
             SweepConfig(x_list=(50.0, 50.0))
         with pytest.raises(ParameterDomainError):
             SweepConfig(n_interval=8)
-        with pytest.raises(ParameterDomainError):
-            SweepConfig(n_halfline=16)
 
     def test_t_other_than_one_rejected(self, tmp_path):
-        # theorem1_sweep runs at t = 1; any other t would be dropped
-        with pytest.raises(ParameterDomainError):
-            SweepConfig(t=0.5)
+        # theorem1_sweep runs at t = 1; a t in the file would be dropped
         path = tmp_path / "cfg.txt"
         path.write_text("t_re = 0.5\n")
         with pytest.raises(ParameterDomainError):
@@ -156,19 +152,37 @@ class TestTheoremSweep:
         with pytest.raises(ExcludedCaseError):
             theorem1_sweep(SweepConfig(x_list=(20.0,)))
 
-    def test_loop_at_or_past_the_margin_rejected(self):
-        # a config loop outside the declared analyticity margin is refused
-        cfg = SweepConfig(x_list=(20.0,), margin=0.1, contour_radius=0.25)
-        with pytest.raises(ParameterDomainError):
-            theorem1_sweep(cfg)
-        with pytest.raises(ParameterDomainError):
-            dt_logdet_check(cfg, t0=0.5)
+    def test_loops_sit_inside_the_margin(self, monkeypatch):
+        # safe_radius caps every loop at 0.8 of the declared margin
+        seen = []
 
-    def test_contour_radius_robustness(self):
-        reps = [theorem1_sweep(SweepConfig(x_list=(30.0,), contour_radius=r))
-                for r in (0.25, 0.125)]
-        assert abs(reps[0].rows[0].product
-                   - reps[1].rows[0].product) < 1e-8
+        def spy(a, b, r, **kw):
+            seen.append(r)
+            return cl.stadium_contour(a, b, r, **kw)
+
+        monkeypatch.setattr(cl.flow, "stadium_contour", spy)
+        cfg = SweepConfig(x_list=(20.0,), margin=0.1)
+        theorem1_sweep(cfg)
+        dt_logdet_check(cfg, t0=0.5, x=20.0)
+        assert seen == [pytest.approx(0.08, rel=1e-15)] * 2
+
+    @pytest.mark.parametrize("F", [-0.5, 0.2, 0.6])
+    def test_loop_product_is_converged(self, F):
+        # the sweep's loop product against its loop at twice the density;
+        # a loop at r = 0.45, where t(mu - lam) comes within 0.1 c of the
+        # U-kernel pole, misses by 3e-10 at the same 48 nodes per unit
+        cfg = SweepConfig(x_list=(20.0,), F_params=(F,))
+        pd = cfg.problem(x=20.0)
+        srh = cl.ScalarRH(pd)
+
+        def product(r, density):
+            loop = cl.stadium_contour(pd.a, pd.b, r, n_per_unit=density)
+            return np.prod([cl.determinant(cl.assemble(cl.u_kt(pd, k, srh),
+                                                       loop)) for k in (1, 2)])
+
+        ref = product(cl.safe_radius(pd), 96.0)
+        assert abs(theorem1_sweep(cfg).rows[0].product / ref - 1.0) < 1e-13
+        assert abs(product(0.45, 48.0) / ref - 1.0) > 1e-10
 
 
 def _report(rel_errors, consistency=1e-10, gaps=None):
@@ -306,14 +320,11 @@ CONFIG_TEXT = """
 a = -1.0
 b = 1.0
 c = 1.0
-t_re = 1.0
-t_im = 0.0
 x_list = 20, 40
 F.kind = constant
 F.params = 0.2
 p.kind = identity
 margin = 1e9
-n_halfline = 48
 output = OUT
 """
 
@@ -324,12 +335,12 @@ class TestConfigAndCli:
         path.write_text(CONFIG_TEXT.replace("OUT", str(tmp_path / "o.csv")))
         cfg = load_config(str(path))
         assert cfg.x_list == (20.0, 40.0)
-        assert cfg.t == 1.0
         assert cfg.F_params == (0.2,)
         assert cfg.margin == 1e9
 
-    @pytest.mark.parametrize("line", ["nonsense = 3", "probe_seed = 0"],
-                             ids=["nonsense", "probe_seed"])
+    @pytest.mark.parametrize("line", ["nonsense = 3", "probe_seed = 0",
+                                      "n_halfline = 48"],
+                             ids=["nonsense", "probe_seed", "n_halfline"])
     def test_unknown_key_rejected(self, tmp_path, line):
         path = tmp_path / "cfg.txt"
         path.write_text(line + "\n")

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from cshiftlab.errors import ContourSafetyError, ParameterDomainError
 from cshiftlab.quadgrid import (gauss_interval, graded_interval,
-                                laguerre_halfline, stadium_contour)
+                                laguerre_halfline, safe_radius,
+                                stadium_contour)
+from cshiftlab.symbols import constant_symbol, identity_phase, make_problem
 
 
 def exact_legendre_weight(n, x0):
@@ -158,6 +162,23 @@ class TestStadiumContour:
             stadium_contour(-1.0, 1.0, -0.1)
         with pytest.raises(ParameterDomainError):
             stadium_contour(1.0, -1.0, 0.25)
+
+
+class TestSafeRadius:
+    @given(t_abs=st.floats(0.01, 100.0), t_arg=st.floats(-np.pi, np.pi),
+           c=st.floats(0.1, 10.0), width=st.floats(0.1, 10.0),
+           margin=st.one_of(st.just(np.inf), st.floats(0.01, 10.0)))
+    @settings(max_examples=40, deadline=None)
+    def test_growth_pole_and_margin_bounds(self, t_abs, t_arg, c, width,
+                                           margin):
+        t = t_abs * np.exp(1j * t_arg)
+        pd = make_problem(a=-0.5 * width, b=0.5 * width, c=c, t=t, x=10.0,
+                          F=constant_symbol(0.2), p=identity_phase(),
+                          margin=margin)
+        r = safe_radius(pd)
+        assert 0.0 < r < margin
+        assert r * abs(t) < c / 4.0
+        assert r < c / (2.0 * abs(t))
 
 
 class TestHalfLine:
