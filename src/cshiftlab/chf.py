@@ -19,13 +19,12 @@ independently of how a value was produced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.special import digamma, gamma
 
 from .errors import AccuracyError, BranchError, ParameterDomainError
+from .quadgrid import _leggauss
 
 __all__ = ["TricomiEval", "tricomi_psi"]
 
@@ -37,14 +36,6 @@ OVERLAP_TOL = 1e-8
 
 #: the factorials m! of the Laplace route's endpoint stub, m < 7
 _STUB_FACT = gamma(np.arange(7) + 1.0)
-
-
-@cache
-def _panel_rule():
-    """The Laplace route's 24-point Gauss-Legendre panel rule, built once
-    on first use: built at import it raised the peak RSS of runs that
-    never reach the Laplace route by about 0.7 MB."""
-    return leggauss(24)
 
 
 @dataclass(frozen=True)
@@ -134,7 +125,7 @@ def _laplace(a: complex, z: complex):
     edges = [tau0]
     while edges[-1] < T:
         edges.append(min(3.0 * edges[-1], T))
-    xg, wg = _panel_rule()
+    xg, wg = _leggauss(24)
     taus, ws = [], []
     for e0, e1 in zip(edges[:-1], edges[1:]):
         taus.append(0.5 * (e0 + e1) + 0.5 * (e1 - e0) * xg)

@@ -8,12 +8,12 @@ e^{-c s} decay of all half-line kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.polynomial.legendre import legder, legval
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.special import roots_laguerre
+from scipy.special import j1, jn_zeros, roots_laguerre
 
 from .errors import ContourSafetyError, ParameterDomainError
 
@@ -36,6 +36,58 @@ __all__ = [
 _CHECK_NODES = 65
 #: nodes oscillation_nodes adds to the resolution bound
 _NODE_MARGIN = 64
+#: largest Gauss-Legendre rule built by Golub-Welsch; larger ones by Bogaert
+_GOLUB_WELSCH_MAX = 100
+
+# Bogaert's expansion coefficients (SIAM J. Sci. Comput. 36 (2014) A1008),
+# highest power first for np.polyval.  The node and weight series are
+# Chebyshev fits in theta^2 on [0, (pi/2)^2].
+_NODE_SERIES = (
+    (-1.29052996274280508473467968379e-12, 2.40724685864330121825976175184e-10,
+     -3.13148654635992041468855740012e-8, 0.275573168962061235623801563453e-5,
+     -0.148809523713909147898955880165e-3, 0.416666666665193394525296923981e-2,
+     -0.416666666666662959639712457549e-1),
+    (2.20639421781871003734786884322e-9, -7.53036771373769326811030753538e-8,
+     0.161969259453836261731700382098e-5, -0.253300326008232025914059965302e-4,
+     0.282116886057560434805998583817e-3, -0.209022248387852902722635654229e-2,
+     0.815972221772932265640401128517e-2),
+    (-2.97058225375526229899781956673e-8, 5.55845330223796209655886325712e-7,
+     -0.567797841356833081642185432056e-5, 0.418498100329504574443885193835e-4,
+     -0.251395293283965914823026348764e-3, 0.128654198542845137196151147483e-2,
+     -0.416012165620204364833694266818e-2),
+)
+_WEIGHT_SERIES = (
+    (-2.20902861044616638398573427475e-14, 2.30365726860377376873232578871e-12,
+     -1.75257700735423807659851042318e-10, 1.03756066927916795821098009353e-8,
+     -4.63968647553221331251529631098e-7, 0.149644593625028648361395938176e-4,
+     -0.326278659594412170300449074873e-3, 0.436507936507598105249726413120e-2,
+     -0.305555555555553028279487898503e-1, 0.833333333333333302184063103900e-1),
+    (3.63117412152654783455929483029e-12, 7.67643545069893130779501844323e-11,
+     -7.12912857233642220650643150625e-9, 2.11483880685947151466370130277e-7,
+     -0.381817918680045468483009307090e-5, 0.465969530694968391417927388162e-4,
+     -0.407297185611335764191683161117e-3, 0.268959435694729660779984493795e-2,
+     -0.111111111111214923138249347172e-1),
+    (2.01826791256703301806643264922e-9, -4.38647122520206649251063212545e-8,
+     5.08898347288671653137451093208e-7, -0.397933316519135275712977531366e-5,
+     0.200559326396458326778521795392e-4, -0.422888059282921161626339411388e-4,
+     -0.105646050254076140548678457002e-3, -0.947969308958577323145923317955e-4,
+     0.656966489926484797412985260842e-2),
+)
+#: McMahon's series: the k-th zero of J_0 is z + r P(r^2), z = pi (k - 1/4),
+#: r = 1/z, for k > 20
+_MCMAHON = (
+    5.09225462402226769498681286758e7, -8.49353580299148769921876983660e5,
+    18690.4765282320653831636345064, -567.644412135183381139802038240,
+    25.3364147973439050099206349206, -1.82443876720610119047619047619,
+    0.246028645833333333333333333333, -0.807291666666666666666666666667e-1,
+    0.125)
+#: J_1 squared at the k-th zero of J_0 is u P(u^2), u = 1/(k - 1/4), k > 21
+_J1_SQUARED = (
+    0.185395398206345628711318848386, -0.266837393702323757700998557826e-1,
+    0.496101423268883102872271417616e-2, -0.123632349727175414724737657367e-2,
+    0.433710719130746277915572905025e-3, -0.228969902772111653038747229723e-3,
+    0.198924364245969295201137972743e-3, -0.303380429711290253026202643516e-3,
+    0.0, 0.202642367284675542887112547208)
 
 
 @dataclass(frozen=True)
@@ -76,41 +128,112 @@ class IntervalRule:
         return (2.0 * lam - (self.a + self.b)) / (self.b - self.a)
 
 
-def _leggauss(n: int):
-    """Gauss-Legendre nodes and weights on [-1, 1] in O(n^2) operations.
+@cache
+def _golub_welsch(n: int):
+    """n <= 100 nodes and weights, built once per n as read-only arrays.
 
-    numpy's ``leggauss`` algorithm: eigenvalues of the Legendre companion
-    matrix, one Newton step, weights 1/(P_{n-1} P_n') normalised to sum
-    to 2, then symmetrization.  The companion matrix is the symmetric
-    tridiagonal Golub-Welsch (Jacobi) matrix with off-diagonal
-    k/sqrt(4k^2 - 1), so a tridiagonal eigensolver replaces numpy's dense
-    O(n^3) one.
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric
+    tridiagonal Jacobi matrix with off-diagonal k/sqrt(4k^2 - 1).  Newton
+    steps on the three-term recurrence polish them, and the weights are
+    2/((1 - x^2) P_n'(x)^2), within 1.7e-13 relative of 40-digit values
+    for every n <= 100 (numpy's ``leggauss``: 8e-12 at n = 90).
     """
     k = np.arange(1.0, n)
     x = eigvalsh_tridiagonal(np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0))
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    dy = legval(x, c)
-    df = legval(x, legder(c))
-    x -= dy / df
-    fm = legval(x, c[1:])
-    fm /= np.abs(fm).max()
-    df /= np.abs(df).max()
-    w = 1.0 / (fm * df)
-    w = 0.5 * (w + w[::-1])
-    x = 0.5 * (x - x[::-1])
-    w *= 2.0 / w.sum()
+    for _ in range(3):  # the last step moves x by rounding only
+        p_prev, p = np.ones(n), x
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        dp = n * (p_prev - x * p) / (1.0 - x * x)
+        x = x - p / dp
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+@cache
+def _bessel_table():
+    """The first 20 zeros of J_0, and J_1^2 at the first 21; built once."""
+    zeros = jn_zeros(0, 21)
+    return zeros[:20], j1(zeros) ** 2
+
+
+def _bogaert(n: int):
+    """Angles theta_k (x_k = cos theta_k) and weights for k = 1..ceil(n/2).
+
+    Bogaert's iteration-free expansion about the zeros nu_k of J_0, with
+    w = 1/(n + 1/2), theta = w nu_k and W = w^2 nu_k / sin(theta):
+        theta_k = w (nu_k + theta W (SF1 + W^2 (SF2 + W^2 SF3))),
+        weight  = 2 w / (J_1(nu_k)^2 nu_k/sin(theta)
+                         (1 + W^2 (WSF1 + W^2 (WSF2 + W^2 WSF3)))),
+    the S-series taken at theta^2.
+    """
+    m = (n + 1) // 2
+    k = np.arange(1.0, m + 1.0)
+    zeros, j1_squared = _bessel_table()
+    nu = np.empty(m)
+    nu[:20] = zeros[:m]
+    z = np.pi * (k[20:] - 0.25)
+    nu[20:] = z + np.polyval(_MCMAHON, z ** -2) / z
+    bsq = np.empty(m)
+    bsq[:21] = j1_squared[:m]
+    u = 1.0 / (k[21:] - 0.25)
+    bsq[21:] = u * np.polyval(_J1_SQUARED, u * u)
+
+    w = 1.0 / (n + 0.5)
+    theta = w * nu
+    t2 = theta * theta
+    nu_sin = nu / np.sin(theta)
+    W2 = (w * w * nu_sin) ** 2
+    sf1, sf2, sf3 = (np.polyval(c, t2) for c in _NODE_SERIES)
+    wsf1, wsf2, wsf3 = (np.polyval(c, t2) for c in _WEIGHT_SERIES)
+    theta = w * (nu + theta * w * w * nu_sin * (sf1 + W2 * (sf2 + W2 * sf3)))
+    weight = 2.0 * w / (bsq * nu_sin
+                        * (1.0 + W2 * (wsf1 + W2 * (wsf2 + W2 * wsf3))))
+    return theta, weight
+
+
+def _leggauss(n: int):
+    """n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Two routes, chosen by n alone:
+      * n <= 100: Golub-Welsch (``_golub_welsch``), O(n^2), cached per n
+        and returned as read-only arrays.  The package builds only a few
+        such sizes (16, 24, 64, 65), and every one is a constant.
+      * n > 100: Bogaert's iteration-free formulas (``_bogaert``), O(n),
+        vectorized over the half theta <= pi/2 and mirrored.  Against
+        40-digit Newton, nodes are within 4e-16 absolute and weights
+        within 1e-15 relative for n up to 5000; the formulas lose
+        accuracy below the cut (1.2e-15 at n = 64, 4e-11 at n = 16).
+        A 4064-node rule takes under a millisecond.
+    Nodes are exactly antisymmetric and weights exactly symmetric; the
+    middle node of an odd rule is exactly 0.
+    """
+    if n <= _GOLUB_WELSCH_MAX:
+        return _golub_welsch(n)
+    theta, wt = _bogaert(n)
+    m = theta.size
+    half = np.cos(theta)
+    x, w = np.empty(n), np.empty(n)
+    x[:m], x[n - m:] = -half, half[::-1]
+    w[:m], w[n - m:] = wt, wt[::-1]
+    if n % 2:
+        x[m - 1] = 0.0
     return x, w
 
 
 def gauss_interval(n: int, a: float, b: float) -> IntervalRule:
     """n-point Gauss-Legendre rule on [a, b].
 
-    Exact for polynomials of degree <= 2n - 1.  Costs O(n^2).  Agrees
-    with numpy's ``leggauss``, whose algorithm it keeps, to rounding:
-    nodes to 1e-16 absolute, weights to a few 1e-9 relative at n in the
-    thousands.  That is the conditioning of the endpoint weights, which in
-    both rules are ~2e-8 off the exact values at n ~ 3000.
+    Exact for polynomials of degree <= 2n - 1.  Up to 100 nodes the rule
+    is Golub-Welsch, built once per n; weights within 1.7e-13 relative.
+    Above, Bogaert's iteration-free formulas (SIAM J. Sci. Comput. 36
+    (2014) A1008) build it in O(n); weights within 1e-15 relative for
+    n <= 5000.  Nodes are within 4e-16 of the exact ones throughout
+    (against 40-digit references).  The returned arrays are the caller's
+    own.
     """
     if n < 1:
         raise ParameterDomainError(f"need n >= 1, got n={n}")

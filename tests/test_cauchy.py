@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cshiftlab.cauchy import CauchyKit
-from cshiftlab.quadgrid import gauss_interval
+from cshiftlab.quadgrid import gauss_interval, stadium_contour
 
 
 def brute_cauchy(f, lam, n=4000):
@@ -141,3 +141,58 @@ class TestAgainstMpmath:
         h = 1e-7
         assert abs(kit.weights(lam + 1j * h) @ f - c) \
             <= 2 * h * abs(dc) + 1e-12 * abs(c)
+
+
+class TestPlainWeightsOffTheCut:
+    """Where rho^-2n is below rounding the near formula is noise.
+
+    The reference weight is the transform of the Lagrange basis function,
+    int l_j(x)/(x - xi) dx, summed in 30 digits by mpmath's 192-point Gauss
+    rule: off the cut l_j(x)/(x - xi) is a smooth integrand, and that rule
+    misses it by rho^-(2*192 - n).
+    """
+
+    N = 160
+
+    @pytest.fixture(scope="class")
+    def kit(self):
+        return CauchyKit(gauss_interval(self.N, -1.0, 1.0))
+
+    @pytest.fixture(scope="class")
+    def basis_transform(self, kit):
+        """xi -> int l_j(x)/(x - xi) dx for every j, in 30 digits."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            xs = [mp.mpf(float(v)) for v in kit.rule.nodes]
+            bw = [1 / mp.fprod(xj - xk for xk in xs if xk != xj) for xj in xs]
+            gl = mp.calculus.quadrature.GaussLegendre(mp.mp).get_nodes(
+                -1, 1, 7, mp.mp.prec)
+            rows = []  # (t_i, W_i l_j(t_i) for every j)
+            for t, wt in gl:
+                terms = [b / (t - xj) for b, xj in zip(bw, xs)]
+                scale = wt / mp.fsum(terms)
+                rows.append((t, [scale * term for term in terms]))
+
+        @mp.workdps(30)
+        def transform(xi):
+            z = mp.mpc(complex(xi))
+            out = [mp.mpc(0)] * len(xs)
+            for t, wl in rows:
+                inv = 1 / (t - z)
+                out = [o + inv * v for o, v in zip(out, wl)]
+            return np.array([complex(v) for v in out])
+
+        return transform
+
+    # the second point is the r = 0.25 loop sample where S once rounded to 0
+    @pytest.mark.parametrize("lam", [0.2 + 0.34j, 1.2072 + 0.1399j])
+    def test_each_weight_matches_its_basis_transform(self, kit,
+                                                     basis_transform, lam):
+        loop = stadium_contour(-1.0, 1.0, 0.25).samples
+        if abs(lam.real) > 1.0:
+            lam = loop[np.argmin(np.abs(loop - lam))]
+        with np.errstate(divide="raise", invalid="raise"):
+            w = kit.weights(lam)
+        ref = basis_transform(lam)
+        assert np.all(np.isfinite(w))
+        assert np.max(np.abs(w - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -184,6 +184,23 @@ class TestBeta:
             gaps.append(np.max(np.abs(bp @ jump - bm)))
         assert 5.0 < gaps[0] / gaps[1] < 20.0
 
+    def test_converges_at_the_disk_probes(self, grid48):
+        # the small-norm probe's beta_1: 192 nodes against 640 at the disk
+        # probes around b.  Near weights there are rounding noise once
+        # rho^-2n < eps; without the plain-weight switch 192 nodes miss by
+        # up to 2.4e-7, and 320 nodes do no better.
+        pd = cl.make_problem(a=-1.0, b=1.0, c=1.0, t=1.0, x=100.0,
+                             F=cl.constant_symbol(0.2), p=cl.identity_phase())
+        srh = cl.ScalarRH(pd)
+        probes = pd.b + 0.2 * np.exp(1j * _disk_probe_angles())
+
+        def beta_1(n):
+            bs = solve_beta(pd, cl.gauss_interval(n, pd.a, pd.b), grid48, 1,
+                            srh)
+            return np.array([bs.beta(lam) for lam in probes])
+
+        assert np.max(np.abs(beta_1(192) - beta_1(640))) < 1e-7
+
     @pytest.mark.parametrize("margin, want_r", [(np.inf, 0.2),
                                                 (0.05, 0.04)])
     def test_default_loop_stays_inside_margin(self, monkeypatch, grid48,
