@@ -16,9 +16,10 @@ from .symbols import (HolomorphicHandle, ProblemData, ScalarRH, EPS_K,
                       nu, tau, boundary_value)
 from .l2half import (m_vec, kappa_form, pair, pairing_closed_form, e_vectors,
                      rank_one, BlockOperator)
-from .kernels import (KernelHandle, v_t, v0, u_kt, k_kt,
+from .kernels import (KernelHandle, v_t, v0, shift_factors, u_kt, k_kt,
                       resolvent_kernel, solve_densities)
-from .fredholm import NystromSystem, assemble, determinant, logdet, solve
+from .fredholm import (NystromSystem, assemble, determinant, logdet,
+                       logdet_update, solve)
 from .rhp import (ChiSolution, BetaSolution, OperatorFactory, solve_chi,
                   solve_beta, g_chi, factorization_residual, pi_residual,
                   default_probes, write_diagnostics)

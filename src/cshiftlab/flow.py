@@ -6,6 +6,12 @@ two loop determinants, swept over increasing oscillation x.
 dt_logdet_check compares a finite difference of ln det(I+V_t) in t with
 the loop trace formula evaluated through the chi solution and with the
 reduced expression through the rho densities.
+
+Neither assembles V_t.  V_t = V0 + (the c-shift), and the c-shift is
+exactly of rank 2r on any rule (``kernels.shift_factors``; r = 46 at
+c = |t| = 1, whatever x is), so ln det(I+V_t) - ln det(I+V0) is the
+log-determinant of a 2r x 2r matrix (``fredholm.logdet_update``, the
+matrix determinant lemma): one V0 assembly and one LU solve per rule.
 """
 
 from __future__ import annotations
@@ -15,9 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ExcludedCaseError, ParameterDomainError, ResolutionError
-from .fredholm import assemble, determinant, logdet
-from .kernels import k_kt, u_kt, v0, v_t
+from .errors import (ExcludedCaseError, NearSingularityError,
+                     ParameterDomainError, ResolutionError)
+from .fredholm import assemble, determinant, logdet, logdet_update
+from .kernels import k_kt, shift_factors, u_kt, v0
 from .quadgrid import (gauss_interval, graded_interval, laguerre_halfline,
                        oscillation_nodes, safe_radius, stadium_contour)
 from .rhp import ChiSolution, DiagnosticRow, _disk_eps, solve_beta, summarize
@@ -29,7 +36,7 @@ __all__ = ["SweepConfig", "SweepRow", "SweepReport", "theorem1_sweep",
 
 #: a row's rule is resolved once the log-ratio moves by less than
 #: RULE_TOL * max(1, |ln ratio|) on the ceil(1.15 n)-point rule
-RULE_TOL = 1e-10
+RULE_TOL = 1e-12
 #: tolerance of the loop-product consistency and of |fd - trace|
 ROUTE_TOL = 1e-6
 TAIL_GROWTH = "relative-error growth from one x to the next"
@@ -144,17 +151,21 @@ def _check_budget(cfg: SweepConfig, x: float, n: int) -> None:
             f"x={x} needs {n} nodes, over the budget {cfg.n_budget}")
 
 
-def _interval_logdets(cfg: SweepConfig, pdx1: ProblemData, pdx0: ProblemData,
-                      n: int):
-    """ln det(I+V) and ln det(I+V0) on the n-point Gauss rule."""
+def _rule_log_ratio(cfg: SweepConfig, pdx1: ProblemData, pdx0: ProblemData,
+                    n: int):
+    """The n-point I + V0 system and ln det(I+V)/det(I+V0) on its rule."""
     _check_budget(cfg, pdx1.x, n)
     rule = gauss_interval(n, cfg.a, cfg.b)
-    ld_v = logdet(assemble(v_t(pdx1), rule))
-    ld_v0 = logdet(assemble(v0(pdx0), rule))
-    if not (np.isfinite(ld_v) and np.isfinite(ld_v0)):
+    sys0 = assemble(v0(pdx0), rule)
+    try:
+        ln_ratio = logdet_update(sys0, *shift_factors(pdx1, rule))
+    except NearSingularityError as exc:
+        raise ExcludedCaseError(f"det(I+V0) vanishes at x={pdx1.x}; "
+                                "the ratio is undefined") from exc
+    if not np.isfinite(ln_ratio):
         raise ExcludedCaseError(
-            f"a determinant vanishes at x={pdx1.x}; the ratio is undefined")
-    return ld_v, ld_v0
+            f"det(I+V) vanishes at x={pdx1.x}; the ratio is undefined")
+    return sys0, ln_ratio
 
 
 def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
@@ -164,12 +175,22 @@ def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
     t = 1 and the denominator is the plain oscillatory kernel (t = 0);
     the loop side does not depend on x and is computed once.
 
+    The ratio is never the difference of two O(x) log-determinants.  The
+    c-shift V - V0 is exactly separable (``kernels.shift_factors``): on an
+    n-point rule it is U R^T with U, R real (n, 2r), r = 46 at c = 1, so
+    ln det(I+V)/det(I+V0) = ln det(I_2r + R^T (I+V0)^{-1} U)
+    (``fredholm.logdet_update``).  Each rule assembles only V0 and does
+    one real LU solve against the 2r columns of U; the accepted rule adds
+    one slogdet for det(I+V0), and det(I+V) = det(I+V0) ratio.  A row
+    costs two assemblies and three LUs of order n and 1.15 n.
+
     Each row starts from ``oscillation_nodes`` (or ``cfg.n_interval``)
-    and is checked a posteriori: while ln det(I+V) - ln det(I+V0) moves by
+    and is checked a posteriori: while ln ratio moves by
     RULE_TOL * max(1, |ln ratio|) or more on the ceil(1.15 n)-point rule,
     n grows to that rule.  The row reports the ratio at the n that passed,
     that n and its gap; a rule over ``cfg.n_budget`` raises
-    ResolutionError.
+    ResolutionError, and a vanishing det(I+V0) or det(I+V)
+    ExcludedCaseError.
     """
     report = SweepReport()
     pd1 = cfg.problem(x=cfg.x_list[0] if cfg.x_list else 50.0)
@@ -190,20 +211,24 @@ def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
         pdx1 = cfg.problem(x=x)
         pdx0 = cfg.problem(x=x, t=0.0)
         n = cfg.n_interval or oscillation_nodes(pdx1)
-        ld_v, ld_v0 = _interval_logdets(cfg, pdx1, pdx0, n)
+        sys0, ln_ratio = _rule_log_ratio(cfg, pdx1, pdx0, n)
         # a posteriori: the log-ratio must not move on a 1.15x finer rule
         while True:
             n_check = -(-115 * n // 100)      # ceil(1.15 n), in integers
-            ld_vc, ld_v0c = _interval_logdets(cfg, pdx1, pdx0, n_check)
-            ln_ratio = _principal(ld_v - ld_v0)
-            gap = abs(_principal(ld_vc - ld_v0c - ln_ratio))
+            sys0_c, ln_c = _rule_log_ratio(cfg, pdx1, pdx0, n_check)
+            gap = abs(_principal(ln_c - ln_ratio))
             if gap < RULE_TOL * max(1.0, abs(ln_ratio)):
                 break
-            n, ld_v, ld_v0 = n_check, ld_vc, ld_v0c
-        ratio = np.exp(ld_v - ld_v0)
+            n, sys0, ln_ratio = n_check, sys0_c, ln_c
+        del sys0_c   # the check rule's matrix, before the slogdet copies sys0
+        ld_v0 = logdet(sys0)
+        if not np.isfinite(ld_v0):
+            raise ExcludedCaseError(
+                f"det(I+V0) vanishes at x={x}; the ratio is undefined")
+        det_v0, ratio = np.exp(ld_v0), np.exp(ln_ratio)
         rel = abs(ratio / product - 1.0)
         report.rows.append(SweepRow(
-            x=x, det_v=np.exp(ld_v), det_v0=np.exp(ld_v0), ratio=ratio,
+            x=x, det_v=det_v0 * ratio, det_v0=det_v0, ratio=ratio,
             det_up=det_up, det_um=det_um, product=product, rel_error=rel,
             runtime=time.perf_counter() - t_start, n=n, gap=gap))
 
@@ -265,7 +290,9 @@ def dt_logdet_check(cfg: SweepConfig, t0: complex, h: float = 1e-4,
                     x: float | None = None) -> DtReport:
     """Three routes to d/dt ln det(I + V_t) at t0.
 
-    (i) Richardson finite difference of the Nystrom log-determinant;
+    (i) Richardson finite difference of the Nystrom log-determinant, each
+    ln det(I+V_t) - ln det(I+V0) by ``fredholm.logdet_update`` against one
+    I + V0 system (complex factors, solved as a real pair);
     (ii) the loop trace formula through chi: oint z tr[d_z chi sigma3 s chi^{-1}] dz / (2 pi),
     summed over all loop points at once by ``ChiSolution.loop_trace``: with
     chi = I - F_R^T D(w) E_L and chi^{-1} = I + E_R^T D(w) F_L the trace is
@@ -284,9 +311,12 @@ def dt_logdet_check(cfg: SweepConfig, t0: complex, h: float = 1e-4,
     _check_budget(cfg, x, n)
     rule = gauss_interval(n, cfg.a, cfg.b)
     grid = laguerre_halfline(48, cfg.c)
+    sys0 = assemble(v0(cfg.problem(x=x)), rule)
 
     def ld(t):
-        return logdet(assemble(v_t(cfg.problem(x=x, t=t)), rule))
+        # ln det(I+V_t) - ln det(I+V0): V0 does not depend on t, so its
+        # log-determinant cancels from every central difference
+        return logdet_update(sys0, *shift_factors(cfg.problem(x=x, t=t), rule))
 
     def central(step):
         return (ld(t0 + step) - ld(t0 - step)) / (2.0 * step)

@@ -18,6 +18,11 @@ alternating between the two runtimes costs far more than the
 factorizations themselves at the n of these systems.  numpy reports an
 exactly singular matrix as LinAlgError; it is raised here as
 NearSingularityError, like a condition number over the cap.
+
+``logdet_update`` adds a term of low rank m to a system:
+ln det(I + K + U R^T) - ln det(I + K) = ln det(I_m + R^T (I + K)^{-1} U),
+the matrix determinant lemma, at the cost of one LU solve against the m
+columns of U.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ import numpy as np
 from .errors import AssemblyError, NearSingularityError
 from .quadgrid import Contour, IntervalRule
 
-__all__ = ["NystromSystem", "assemble", "determinant", "logdet", "solve"]
+__all__ = ["NystromSystem", "assemble", "determinant", "logdet",
+           "logdet_update", "solve"]
 
 Support = Union[IntervalRule, Contour]
 
@@ -106,12 +112,39 @@ def assemble(kernel, support: Support) -> NystromSystem:
                          nodes=nodes, weights=weights)
 
 
-def logdet(sys: NystromSystem) -> complex:
-    """log det(I + K) with the imaginary part the accumulated argument."""
-    sign, logabs = np.linalg.slogdet(sys.matrix)
+def _slogdet(matrix: np.ndarray) -> complex:
+    sign, logabs = np.linalg.slogdet(matrix)
     if sign == 0:
         return complex(-np.inf, 0.0)
     return complex(logabs) + np.log(complex(sign))
+
+
+def logdet(sys: NystromSystem) -> complex:
+    """log det(I + K) with the imaginary part the accumulated argument."""
+    return _slogdet(sys.matrix)
+
+
+def logdet_update(sys: NystromSystem, U: np.ndarray, R: np.ndarray) -> complex:
+    """ln det(I + K + U R^T) - ln det(I + K) for (n, m) factors U and R.
+
+    Computed as ln det(I_m + R^T (I + K)^{-1} U), with one LU solve of the
+    system against U; (I + K + U R^T) itself is never formed.  A float64
+    system stays in real arithmetic: a complex U is solved as the real pair
+    [Re U, Im U].  An exactly singular system raises NearSingularityError;
+    a vanishing updated determinant gives -inf, as in ``logdet``.
+    """
+    A, m = sys.matrix, U.shape[1]
+    split = np.iscomplexobj(U) and not np.iscomplexobj(A)
+    try:
+        X = np.linalg.solve(A, np.concatenate([U.real, U.imag], axis=1)
+                            if split else U)
+    except np.linalg.LinAlgError as exc:
+        raise NearSingularityError(
+            "matrix is exactly singular (the excluded case)",
+            cond=np.inf) from exc
+    if split:
+        X = X[:, :m] + 1j * X[:, m:]
+    return _slogdet(np.eye(m) + R.T @ X)
 
 
 def determinant(sys: NystromSystem, with_error: bool = False):

@@ -1,5 +1,8 @@
 """The scalar integral kernels: V_t, V0, U_{k;t}, K_{k;t}, resolvent.
 
+V_t - V0, the c-shift, also comes as exact low-rank Nystrom factors
+(``shift_factors``).
+
 Every kernel is wrapped in a KernelHandle carrying a vectorized evaluator,
 the removable-singularity diagonal, and its support tag.  The diagonals
 are closed forms, except the resolvent's: there it is a Richardson-
@@ -19,7 +22,7 @@ from .l2half import e_vectors
 from .quadgrid import HalfLineRule, IntervalRule
 from .symbols import EPS_K, ProblemData, ScalarRH, tau
 
-__all__ = ["KernelHandle", "v_t", "v0", "u_kt", "k_kt",
+__all__ = ["KernelHandle", "v_t", "v0", "shift_factors", "u_kt", "k_kt",
            "resolvent_kernel"]
 
 
@@ -156,6 +159,71 @@ def v0(pd: ProblemData) -> KernelHandle:
     return KernelHandle(lambda lam, mu: _interval_entries(pd, 0.0, lam, mu),
                         lambda lam: _interval_diag(pd, 0.0, lam), "interval",
                         name="V0")
+
+
+def _chebyshev_basis(a: float, b: float, r: int, mu: np.ndarray):
+    """r Chebyshev points of [a, b] (second kind) and the Lagrange basis at mu.
+
+    The basis is the barycentric formula (Berrut & Trefethen, SIAM Rev. 46,
+    2004), shape (mu.size, r); a mu on a point takes its unit row.
+    """
+    xi = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * np.arange(r) / (r - 1))
+    beta = (-1.0) ** np.arange(r)
+    beta[[0, -1]] *= 0.5
+    diff = mu[:, None] - xi[None, :]
+    hit = diff == 0.0
+    L = beta / np.where(hit, 1.0, diff)
+    L /= L.sum(axis=1, keepdims=True)
+    on_point = hit.any(axis=1)
+    L[on_point] = hit[on_point]
+    return xi, L
+
+
+def shift_factors(pd: ProblemData, rule: IntervalRule):
+    """U, R with U R^T = (V_t - V0)(lam_i, lam_j) w_j on the rule, to rounding.
+
+    The c-shift is exactly separable:
+        V_t - V0 = F(lam) t/(2 pi) [e^{i theta}/(c - i t (lam - mu))
+                                    + e^{-i theta}/(c + i t (lam - mu))],
+    theta = x [p(lam) - p(mu)]/2.  The oscillation sits in the diagonal
+    phases e^{+-i x p/2}; the two Cauchy factors do not depend on x and
+    are analytic in mu off their poles lam +- i c/t.  Each is interpolated
+    in mu at r Chebyshev points xi_k of [a, b], so that
+        U = [F t/(2 pi) e^{+-i x p(lam_i)/2} / (c -+ i t (lam_i - xi_k))],
+        R = [l_k(lam_j) w_j e^{-+i x p(lam_j)/2}],
+    l_k the Lagrange basis.  r = ceil(ln(1e16)/ln rho) + 4, rho the
+    smallest Bernstein-ellipse parameter of the poles over the nodes: 46 at
+    c = |t| = 1 on [-1, 1], whatever x is.  For real t, F and p the two
+    terms are complex conjugates and the factors are the real (n, 2r)
+    pair U = 2 [Re P, -Im P], R = [Re Q, Im Q] of the first term P Q^T;
+    otherwise they are complex (n, 2r).  At t = 0 they have no columns.
+    """
+    lam, w = rule.nodes, rule.weights
+    t = pd.t
+    if t == 0:
+        return np.zeros((lam.size, 0)), np.zeros((lam.size, 0))
+    shift = 1j * pd.c / t
+    u = (2.0 * np.concatenate([lam + shift, lam - shift]) - rule.a - rule.b) \
+        / (rule.b - rule.a)
+    rho = np.min(np.abs(u + np.sqrt(u - 1.0) * np.sqrt(u + 1.0)))
+    if rho < 1.0 + 1e-8:
+        raise PoleError("V_t has a pole lam +- i c/t on [a, b]")
+    r = int(np.ceil(np.log(1e16) / np.log(rho))) + 4
+    xi, L = _chebyshev_basis(rule.a, rule.b, r, lam)
+
+    F_lam, p_lam = pd.F(lam), pd.p(lam)
+    phase = np.exp(0.5j * pd.x * p_lam)
+    scale = F_lam * t / (2.0 * np.pi)
+    d = lam[:, None] - xi[None, :]
+    P = (scale * phase)[:, None] / (pd.c - 1j * t * d)
+    Q = L * (w / phase)[:, None]
+    if _real_values(t, F_lam, p_lam) is not None:
+        return np.concatenate([2.0 * P.real, -2.0 * P.imag], axis=1), \
+            np.concatenate([Q.real, Q.imag], axis=1)
+    P_minus = (scale / phase)[:, None] / (pd.c + 1j * t * d)
+    Q_minus = L * (w * phase)[:, None]
+    return np.concatenate([P, P_minus], axis=1), \
+        np.concatenate([Q, Q_minus], axis=1)
 
 
 def u_kt(pd: ProblemData, k: int, srh: ScalarRH) -> KernelHandle:

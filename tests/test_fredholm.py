@@ -3,7 +3,7 @@ import pytest
 
 import cshiftlab as cl
 from cshiftlab.errors import AssemblyError, NearSingularityError
-from cshiftlab.fredholm import NystromSystem, logdet
+from cshiftlab.fredholm import NystromSystem, logdet, logdet_update
 
 
 class TestAssemble:
@@ -73,6 +73,38 @@ class TestDeterminant:
         conj = np.diag(1.0 / d) @ sys.matrix @ np.diag(d)
         assert np.linalg.det(conj) == pytest.approx(cl.determinant(sys),
                                                     rel=1e-12)
+
+
+class TestLogdetUpdate:
+    @pytest.mark.parametrize("complex_u", [False, True])
+    def test_lemma_against_the_updated_matrix(self, pd_default, complex_u):
+        # ln det(I + K + U R^T) - ln det(I + K) for a real system; a complex
+        # U goes through the real LU as [Re U, Im U]
+        rule = cl.gauss_interval(40, -1.0, 1.0)
+        sys_ = cl.assemble(cl.v0(pd_default), rule)
+        rng = np.random.default_rng(3)
+        U, R = (0.1 * rng.standard_normal((40, 6)) for _ in range(2))
+        if complex_u:
+            U = U + 0.1j * rng.standard_normal((40, 6))
+        want = np.linalg.slogdet(sys_.matrix + U @ R.T)
+        got = logdet_update(sys_, U, R) + logdet(sys_)
+        assert np.exp(got) == pytest.approx(want[0] * np.exp(want[1]),
+                                            rel=1e-13)
+
+    def test_vanishing_update_is_minus_infinity(self):
+        rule = cl.gauss_interval(8, 0.0, 1.0)
+        sys_ = cl.assemble(lambda l, m: np.zeros(np.broadcast(l, m).shape),
+                           rule)
+        e1 = np.eye(8)[:, :1]
+        assert logdet_update(sys_, -e1, e1) == complex(-np.inf)
+
+    def test_singular_system_raises(self):
+        rule = cl.gauss_interval(4, 0.0, 1.0)
+        sys_ = NystromSystem(support=rule, kernel=None,
+                             matrix=np.zeros((4, 4)), nodes=rule.nodes,
+                             weights=rule.weights)
+        with pytest.raises(NearSingularityError):
+            logdet_update(sys_, np.ones((4, 1)), np.ones((4, 1)))
 
 
 class TestSolve:

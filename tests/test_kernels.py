@@ -129,6 +129,74 @@ class TestIntervalKernelOracle:
             assert np.array_equal(sys_.matrix[off], (K * rule.weights)[off])
 
 
+def _shift_problem(F, p, c, t, x=100.0):
+    return cl.make_problem(a=-1.0, b=1.0, c=c, t=t, x=x,
+                           F=cl.constant_symbol(F), p=cl.poly_phase(p))
+
+
+def _shift_miss(pd):
+    """max |U R^T - (V_t - V0) W| / max |(V_t - V0) W| on the sweep's rule."""
+    rule = cl.gauss_interval(oscillation_nodes(pd), pd.a, pd.b)
+    D = cl.assemble(cl.v_t(pd), rule).matrix - cl.assemble(cl.v0(pd), rule).matrix
+    U, R = cl.shift_factors(pd, rule)
+    return np.max(np.abs(U @ R.T - D)) / np.max(np.abs(D)), U, R, D
+
+
+class TestShiftFactors:
+    """The c-shift V_t - V0 as exact low-rank Nystrom factors."""
+
+    @pytest.mark.parametrize("t", [1.0, 0.5 + 0.1j])
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("p", [(0.0, 1.0), (0.0, 1.0, 0.2)],
+                             ids=["identity", "poly"])
+    @pytest.mark.parametrize("F", [0.2, -0.5, 0.6])
+    def test_factors_match_the_dense_difference(self, F, p, c, t):
+        miss, U, R, _ = _shift_miss(_shift_problem(F, p, c, t))
+        assert miss < 1e-12
+        # real data keep real factors, so V0's float64 LU stays real
+        assert U.dtype == R.dtype == (np.float64 if t == 1.0 else np.complex128)
+
+    def test_complex_symbol_gives_complex_factors(self):
+        miss, U, R, _ = _shift_miss(
+            _shift_problem(0.2 + 0.1j, (0.0, 1.0), 1.0, 1.0))
+        assert miss < 1e-12 and U.dtype == R.dtype == np.complex128
+
+    @pytest.mark.parametrize("c, r", [(0.5, 81), (1.0, 46), (2.0, 30)])
+    def test_rank_follows_the_poles_not_x(self, c, r):
+        # r = ceil(ln(1e16)/ln rho) + 4, rho = |u + sqrt(u^2 - 1)| at the
+        # nearest pole u = i c: 46 at c = 1 for every x
+        for x in (20.0, 1600.0):
+            pd = _shift_problem(0.2, (0.0, 1.0), c, 1.0, x=x)
+            U, R = cl.shift_factors(pd, cl.gauss_interval(64, -1.0, 1.0))
+            assert U.shape == R.shape == (64, 2 * r)
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    def test_too_few_points_miss(self, c, monkeypatch):
+        # negative control: the rule keeps about ten points in hand (r - 10
+        # still meets 1e-12), a third of them misses by more than 1e-6
+        basis = cl.kernels._chebyshev_basis
+        monkeypatch.setattr(cl.kernels, "_chebyshev_basis",
+                            lambda a, b, r, mu: basis(a, b, -(-r // 3), mu))
+        assert _shift_miss(_shift_problem(0.2, (0.0, 1.0), c, 1.0))[0] > 1e-6
+
+    def test_dropping_the_second_term_misses(self):
+        # negative control: the e^{-i theta} term is half of the c-shift
+        _, U, R, D = _shift_miss(_shift_problem(0.2, (0.0, 1.0), 1.0, 0.5 + 0.1j))
+        r = U.shape[1] // 2
+        assert np.max(np.abs(U[:, :r] @ R[:, :r].T - D)) > 1e-6 * np.max(np.abs(D))
+
+    def test_t_zero_has_no_columns(self):
+        U, R = cl.shift_factors(_shift_problem(0.2, (0.0, 1.0), 1.0, 0.0),
+                                cl.gauss_interval(16, -1.0, 1.0))
+        assert U.shape == R.shape == (16, 0)
+
+    def test_pole_on_the_interval_raises(self):
+        # t = i: the poles lam +- c/t sit on [a, b] itself
+        with pytest.raises(PoleError):
+            cl.shift_factors(_shift_problem(0.2, (0.0, 1.0), 1.0, 1j),
+                             cl.gauss_interval(16, -1.0, 1.0))
+
+
 class TestLoopKernels:
     def test_zero_symbol_determinants_are_one(self, pd_zero, loop_default):
         srh = cl.ScalarRH(pd_zero)
