@@ -12,11 +12,9 @@ splitting is attempted (square roots of complex weights are
 branch-ambiguous, and determinants are similarity-invariant anyway).
 
 Solves invert the matrix once with numpy and take the exact 1-norm
-condition number ||A||_1 ||A^-1||_1 from that inverse.  The dense linear
-algebra stays in numpy's BLAS: scipy ships its own OpenBLAS runtime, and
-alternating between the two runtimes costs far more than the
-factorizations themselves at the n of these systems.  numpy reports an
-exactly singular matrix as LinAlgError; it is raised here as
+condition number ||A||_1 ||A^-1||_1 from that inverse.  All dense linear
+algebra is numpy's, the package's only runtime dependency.  numpy reports
+an exactly singular matrix as LinAlgError; it is raised here as
 NearSingularityError, like a condition number over the cap.
 
 ``logdet_update`` adds a term of low rank m to a system:

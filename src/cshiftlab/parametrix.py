@@ -29,9 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma
 
-from .chf import tricomi_psi
+from .chf import _gamma, tricomi_psi
 from .errors import BranchError, ParameterDomainError
 from .l2half import BlockOperator
 from .quadgrid import safe_radius
@@ -39,6 +38,9 @@ from .rhp import OperatorFactory, _disk_probe_angles
 from .symbols import ProblemData, nu
 
 __all__ = ["zeta", "alpha0", "l_sector", "Parametrix", "build_parametrix"]
+
+#: fractions of the bracket at which each lens-ray bisection step probes
+_RAY_SPLIT = np.linspace(0.0, 1.0, 65)
 
 
 def zeta(endpoint: str, pd: ProblemData, lam: complex,
@@ -141,8 +143,8 @@ class Parametrix:
                 * np.exp(2.0 * m * logz) / self._a_squared(lam, m,
                                                            blk["exponent"])
             spm = np.sin(np.pi * m)
-            b12 = 1j * spm * gamma(1.0 - m) ** 2 * S / np.pi
-            b21 = 1j * np.pi / (spm * gamma(-m) ** 2 * S)
+            b12 = 1j * spm * _gamma(1.0 - m) ** 2 * S / np.pi
+            b21 = 1j * np.pi / (spm * _gamma(-m) ** 2 * S)
 
         psi_mat = np.block(
             [[psi11 * O11, 1j * b12 * psi12 * O12],
@@ -190,16 +192,31 @@ class Parametrix:
     # -- diagnostics -------------------------------------------------------
 
     def _ray_angle(self, ray: int, frac: float) -> float:
-        """Geometric angle theta with arg(p(lam(theta)) - p(endpoint)) = ray pi/2."""
-        from scipy.optimize import brentq
+        """Geometric angle theta with arg(p(lam(theta)) - p(endpoint)) = ray pi/2.
 
-        def gap(th):
+        Bisection over ray pi/2 +- 0.6 to a bracket of 1e-13, cutting it
+        into 64 at each step so that the phase is evaluated on an array
+        (eight steps).  A ray that does not cross that window raises
+        ParameterDomainError.
+        """
+        target = ray * np.pi / 2.0
+        p_center = self.pd.p(self.center)
+
+        def below(th):
             lam = self.center + frac * self.radius * np.exp(1j * th)
-            return float(np.angle(zeta(self.endpoint, self.pd, lam, self.x))
-                         - ray * np.pi / 2.0)
+            return np.angle(self.pd.p(lam) - p_center) < target
 
-        lo, hi = ray * np.pi / 2.0 - 0.6, ray * np.pi / 2.0 + 0.6
-        return float(brentq(gap, lo, hi, xtol=1e-13))
+        lo, hi = target - 0.6, target + 0.6
+        side = below(np.array([lo, hi]))
+        if side[0] == side[1]:
+            raise ParameterDomainError(
+                f"lens ray {ray} not bracketed at radius fraction {frac}")
+        while hi - lo > 1e-13:
+            grid = lo + (hi - lo) * _RAY_SPLIT
+            grid[-1] = hi
+            j = np.argmax(below(grid[1:]) != side[0])
+            lo, hi = grid[j], grid[j + 1]
+        return float(0.5 * (lo + hi))
 
     def jump_residuals(self, heights=(0.35, 0.6, 0.85), offset: float = 1e-7):
         """Residuals of the prescribed jumps across the two lens rays.

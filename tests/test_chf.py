@@ -3,7 +3,8 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.special import exp1, gamma
 
-from cshiftlab.chf import OVERLAP, _asymptotic, _principal, tricomi_psi
+from cshiftlab.chf import (OVERLAP, _asymptotic, _digamma, _gamma, _principal,
+                           _series, tricomi_psi)
 from cshiftlab.errors import AccuracyError, BranchError, ParameterDomainError
 
 #: exponent values used by the default symbol family
@@ -176,3 +177,69 @@ class TestErrors:
         assert te.route == "series" and te.err > 1e-8
         with pytest.raises(AccuracyError):
             tricomi_psi(*bad, strict=True)
+
+
+class TestSpecialFunctions:
+    """The private Gamma and digamma against 30-digit mpmath, |a| <= 5."""
+
+    @staticmethod
+    def sample():
+        rng = np.random.default_rng(7)
+        disk = 5.0 * np.sqrt(rng.uniform(0, 1, 2000)) \
+            * np.exp(1j * rng.uniform(-np.pi, np.pi, 2000))
+        # within 1e-3 of the poles 0, -1, ..., -4
+        poles = -rng.integers(0, 5, 300) + 1e-3 * rng.uniform(0.01, 1, 300) \
+            * np.exp(1j * rng.uniform(-np.pi, np.pi, 300))
+        return [complex(a) for a in np.concatenate([disk, poles])]
+
+    @staticmethod
+    def worst(fn, ref, pts, floor):
+        """Largest |fn - ref| / max(|ref|, floor) over pts."""
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mpmath.workdps(30):
+            for a in pts:
+                exact = complex(getattr(mpmath, ref)(mpmath.mpc(a)))
+                worst = max(worst, abs(fn(a) - exact) / max(abs(exact), floor))
+        return worst
+
+    @pytest.mark.parametrize("fn, ref", [(_gamma, "gamma"),
+                                         (_digamma, "digamma")])
+    def test_relative_error_in_the_disk(self, fn, ref):
+        pts = self.sample()
+        assert sum(a.real < 0.5 for a in pts) > 1000
+        assert sum(abs(a) <= 1e-3 for a in pts) > 40
+        assert self.worst(fn, ref, pts, 0.0) < 2e-14
+
+    @pytest.mark.parametrize("fn, ref", [(_gamma, "gamma"),
+                                         (_digamma, "digamma")])
+    def test_real_axis(self, fn, ref):
+        # relative error is ill-conditioned at the real zeros of digamma
+        # (1.4616, -0.5040, ...): there the error is bounded absolutely
+        pts = np.random.default_rng(8).uniform(-5, 5, 200)
+        assert self.worst(fn, ref, [complex(a) for a in pts], 1.0) < 2e-14
+
+    def test_poles_raise(self):
+        for a in (0.0, -1.0, -4.0):
+            with pytest.raises(ParameterDomainError):
+                _gamma(a)
+            with pytest.raises(ParameterDomainError):
+                _digamma(a)
+
+    def test_series_error_within_its_monitor(self):
+        # the series' cancellation multiplies any error shared by all its
+        # psi(a+k) - 2 psi(k+1) terms; the monitor must still track it
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(1)
+        worst = 0.0
+        with mpmath.workdps(30):
+            for i in range(120):
+                if i % 2:
+                    a = complex(rng.uniform(-1, 0.35), rng.uniform(-1, 1))
+                else:
+                    a = complex(0.0, rng.uniform(-0.05, 0.05))
+                z = rng.uniform(8, 20) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+                exact = complex(mpmath.hyperu(a, 1, z))
+                val, _, _, err = _series(a, complex(z))
+                worst = max(worst, abs(val - exact) / abs(exact) / err)
+        assert worst < 20.0

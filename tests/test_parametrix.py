@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
+from scipy.optimize import brentq
 
 import cshiftlab as cl
 from cshiftlab.errors import BranchError, ParameterDomainError
@@ -189,6 +192,37 @@ class TestNonSymmetricProblem:
             px = build_parametrix(ep, pd, fac, x=80.0)
             assert max(r for _, _, r in px.jump_residuals()) < 1e-5
             assert px.cut_continuity() < 1e-5
+
+
+class TestRayAngle:
+    @pytest.mark.parametrize("p", [cl.identity_phase(),
+                                   cl.poly_phase([0.0, 1.0, 0.3])])
+    def test_matches_brentq(self, p):
+        pd = cl.make_problem(a=-1.0, b=1.0, c=1.0, t=1.0, x=100.0,
+                             F=cl.constant_symbol(0.2), p=p)
+        for ep in ("a", "b"):
+            px = build_parametrix(ep, pd, None)
+            for ray in (+1, -1):
+                for frac in (0.35, 0.6, 0.85):
+                    def gap(th):
+                        lam = px.center + frac * px.radius * np.exp(1j * th)
+                        return float(np.angle(zeta(ep, pd, lam, px.x))
+                                     - ray * np.pi / 2.0)
+
+                    ref = brentq(gap, ray * np.pi / 2.0 - 0.6,
+                                 ray * np.pi / 2.0 + 0.6, xtol=1e-13)
+                    assert abs(px._ray_angle(ray, frac) - ref) < 1e-13
+
+    def test_unbracketed_ray_raises(self, pd_default):
+        # a phase turned by 0.7 rad (make_problem refuses a phase that is
+        # not real on [a, b]) keeps arg(p - p(a)) off +-pi/2 in the window
+        turned = cl.HolomorphicHandle(eval=lambda z: np.exp(0.7j) * z,
+                                      deriv=lambda z: np.exp(0.7j) + 0 * z)
+        pd = dataclasses.replace(pd_default, p=turned)
+        px = build_parametrix("a", pd, None, x=100.0)
+        for ray in (+1, -1):
+            with pytest.raises(ParameterDomainError):
+                px._ray_angle(ray, 0.6)
 
 
 class TestBuildErrors:

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from cshiftlab.errors import ContourSafetyError, ParameterDomainError
-from cshiftlab.quadgrid import (_leggauss, gauss_interval, graded_interval,
-                                laguerre_halfline, safe_radius,
-                                stadium_contour)
+from cshiftlab.quadgrid import (_J0_ZEROS, _J1_SQUARED_AT_ZEROS,
+                                _gauss_laguerre, _leggauss, gauss_interval,
+                                graded_interval, laguerre_halfline,
+                                safe_radius, stadium_contour)
 from cshiftlab.symbols import constant_symbol, identity_phase, make_problem
 
 
@@ -22,6 +23,21 @@ def exact_legendre_pair(n, x0):
             dp = n * (z * p - q) / (z * z - 1)
             z -= p / dp
         return float(z), float(2 / ((1 - z * z) * dp * dp))
+
+
+def exact_laguerre_pair(n, u0):
+    """Gauss-Laguerre node near u0 and its weight times e^u,
+    e^u / (u L_n'(u)^2), by Newton on L_n in 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        z = mpmath.mpf(float(u0))
+        for _ in range(4):
+            p_prev, p = 0, mpmath.mpf(1)
+            for k in range(n):
+                p_prev, p = p, ((2 * k + 1 - z) * p - k * p_prev) / (k + 1)
+            dp = n * (p - p_prev) / z
+            z -= p / dp
+        return float(z), float(mpmath.exp(z) / (z * dp * dp))
 
 
 class TestGaussInterval:
@@ -111,6 +127,14 @@ class TestGaussInterval:
             gauss_interval(0, -1.0, 1.0)
         with pytest.raises(ParameterDomainError):
             gauss_interval(4, 1.0, -1.0)
+
+
+class TestBesselTable:
+    def test_equals_scipy_bitwise(self):
+        special = pytest.importorskip("scipy.special")
+        zeros = special.jn_zeros(0, 21)
+        assert np.array_equal(_J0_ZEROS, zeros[:20])
+        assert np.array_equal(_J1_SQUARED_AT_ZEROS, special.j1(zeros) ** 2)
 
 
 class TestGradedInterval:
@@ -231,6 +255,27 @@ class TestHalfLine:
         g = lambda s: np.exp(-s) * np.cos(s)
         assert rule.integrate(g(rule.snodes)) == pytest.approx(
             fine.integrate(g(fine.snodes)), abs=1e-10)
+
+    @pytest.mark.parametrize("n", [16, 48, 64])
+    def test_matches_newton_reference(self, n):
+        # scipy's roots_laguerre: 2e-16 and 1.4e-13 at n = 48
+        rule = laguerre_halfline(n, 1.0)
+        for u, we in zip(rule.snodes, rule.sweights):
+            u_ref, we_ref = exact_laguerre_pair(n, u)
+            assert abs(u / u_ref - 1.0) < 1e-14
+            assert abs(we / we_ref - 1.0) < 2e-13
+
+    def test_cached_rule_is_read_only(self):
+        u, we = _gauss_laguerre(24)
+        with pytest.raises(ValueError):
+            u[0] = 0.0
+        with pytest.raises(ValueError):
+            we[0] = 0.0
+        before = u.copy(), we.copy()
+        rule = laguerre_halfline(24, 1.0)
+        rule.snodes[0] = 5.0
+        rule.sweights[:] = 2.0
+        assert np.array_equal(u, before[0]) and np.array_equal(we, before[1])
 
     def test_parameter_domain_errors(self):
         with pytest.raises(ParameterDomainError):
