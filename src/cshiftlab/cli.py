@@ -63,7 +63,7 @@ def _cmd_selftest(_args) -> int:
     rows.append(DiagnosticRow("det(G_chi)-1", 0.3, 0.0,
                               abs(g_chi(pd, grid, 0.3).det() - 1), 1e-9))
     rows.append(DiagnosticRow("jump factorization", 0.0, 0.0,
-                              factorization_residual(pd, grid, fac, 0.0),
+                              factorization_residual(fac, 0.0),
                               1e-6))
     grule = graded_interval(pd.a, pd.b)
     for k in (1, 2):

@@ -3,10 +3,10 @@
 V_t - V0, the c-shift, also comes as exact low-rank Nystrom factors
 (``shift_factors``).
 
-Every kernel is wrapped in a KernelHandle carrying a vectorized evaluator,
-the removable-singularity diagonal, and its support tag.  The diagonals
-are closed forms, except the resolvent's: there it is a Richardson-
-extrapolated central difference of the vanishing numerator.
+Every kernel is wrapped in a KernelHandle carrying a vectorized evaluator
+and the removable-singularity diagonal.  The diagonals are closed forms,
+except the resolvent's: there it is a Richardson-extrapolated central
+difference of the vanishing numerator.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ __all__ = ["KernelHandle", "v_t", "v0", "shift_factors", "u_kt", "k_kt",
 
 @dataclass
 class KernelHandle:
-    """A scalar kernel with explicit diagonal and support tag.
+    """A scalar kernel with explicit diagonal.
 
     ``eval(lam, mu)`` returns the broadcast shape of its arguments and
     ``diag(lam)`` the shape of its argument; a scalar gives a 0-d result.
@@ -36,7 +36,6 @@ class KernelHandle:
 
     eval: Callable
     diag: Callable
-    support: str  # "interval" or "contour"
     name: str = ""
 
     def __call__(self, lam, mu):
@@ -147,8 +146,7 @@ def v_t(pd: ProblemData) -> KernelHandle:
     complex128 otherwise.
     """
     return KernelHandle(lambda lam, mu: _interval_entries(pd, pd.t, lam, mu),
-                        lambda lam: _interval_diag(pd, pd.t, lam), "interval",
-                        name="V_t")
+                        lambda lam: _interval_diag(pd, pd.t, lam), name="V_t")
 
 
 def v0(pd: ProblemData) -> KernelHandle:
@@ -157,8 +155,7 @@ def v0(pd: ProblemData) -> KernelHandle:
     V_t at t = 0, whatever pd.t is.
     """
     return KernelHandle(lambda lam, mu: _interval_entries(pd, 0.0, lam, mu),
-                        lambda lam: _interval_diag(pd, 0.0, lam), "interval",
-                        name="V0")
+                        lambda lam: _interval_diag(pd, 0.0, lam), name="V0")
 
 
 def _chebyshev_basis(a: float, b: float, r: int, mu: np.ndarray):
@@ -250,8 +247,7 @@ def u_kt(pd: ProblemData, k: int, srh: ScalarRH) -> KernelHandle:
         num = np.exp(e * srh.exponent(lam)) * np.exp(-e * srh.exponent(mu + shift))
         return -pd.t * num / (2j * np.pi * denom)
 
-    return KernelHandle(eval_, lambda lam: eval_(lam, lam), "contour",
-                        name=f"U_{k};t")
+    return KernelHandle(eval_, lambda lam: eval_(lam, lam), name=f"U_{k};t")
 
 
 def k_kt(pd: ProblemData, k: int, srh: ScalarRH) -> KernelHandle:
@@ -272,8 +268,7 @@ def k_kt(pd: ProblemData, k: int, srh: ScalarRH) -> KernelHandle:
             * np.exp(-e * srh.exponent(mu + shift)) * tau(k, pd, mu)
         return -pd.t * num / (2j * np.pi * denom)
 
-    return KernelHandle(eval_, lambda lam: eval_(lam, lam), "interval",
-                        name=f"K_{k};t")
+    return KernelHandle(eval_, lambda lam: eval_(lam, lam), name=f"K_{k};t")
 
 
 @dataclass
@@ -313,7 +308,7 @@ def solve_densities(pd: ProblemData, rule: IntervalRule,
     case det(I + V_t) = 0 the solves raise NearSingularityError.
     """
     vk = v_t(pd)
-    vk_T = KernelHandle(lambda lam, mu: vk.eval(mu, lam), vk.diag, "interval",
+    vk_T = KernelHandle(lambda lam, mu: vk.eval(mu, lam), vk.diag,
                         name="V_t^T")
     left = assemble(vk, rule)
     EL, ER = e_vectors(pd, grid, rule.nodes)
@@ -353,4 +348,4 @@ def resolvent_kernel(pd: ProblemData, rule: IntervalRule, grid: HalfLineRule,
     eval_ = np.vectorize(_eval_scalar, otypes=[complex])
     diag_ = np.vectorize(_diag_scalar, otypes=[complex])
 
-    return KernelHandle(eval_, diag_, "interval", name="R_t")
+    return KernelHandle(eval_, diag_, name="R_t")

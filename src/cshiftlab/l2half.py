@@ -103,26 +103,19 @@ def rank_one(v: np.ndarray, kappa: np.ndarray, grid: HalfLineRule) -> np.ndarray
 class BlockOperator:
     """2x2 matrix of operators on the half-line grid, one (2n, 2n) matrix.
 
-    ``mat`` acts on stacked value vectors (component 1 first).  When
-    ``identity_plus`` is set the operator is id + smoothing part and the
-    smoothing kernel inherits the e^{-c(s+s')/4} decay pattern of the
-    objects it discretizes.
+    ``mat`` acts on stacked value vectors (component 1 first).  Read as
+    id + smoothing part, the smoothing kernel (``kernel_part``) of the
+    jump and solution operators inherits the e^{-c(s+s')/4} decay pattern
+    of the objects it discretizes (``smoothing_bound``).
     """
 
     mat: np.ndarray
     grid: HalfLineRule
-    identity_plus: bool = False
 
     @classmethod
-    def identity(cls, grid: HalfLineRule) -> "BlockOperator":
-        return cls(np.eye(2 * grid.n, dtype=complex), grid, identity_plus=True)
-
-    @classmethod
-    def from_blocks(cls, blocks, grid: HalfLineRule,
-                    identity_plus: bool = False) -> "BlockOperator":
+    def from_blocks(cls, blocks, grid: HalfLineRule) -> "BlockOperator":
         (b11, b12), (b21, b22) = blocks
-        mat = np.block([[b11, b12], [b21, b22]]).astype(complex)
-        return cls(mat, grid, identity_plus=identity_plus)
+        return cls(np.block([[b11, b12], [b21, b22]]).astype(complex), grid)
 
     def block(self, q: int, r: int) -> np.ndarray:
         n = self.grid.n

@@ -15,8 +15,10 @@ The two endpoints are one construction: the second is the first with the
 exponent nu negated.  With the endpoint sign s = +1 at a and -1 at b and
 m = -s nu, the entries are Psi(m), Psi(1 - m), Psi(1 + m), Psi(-m) at
 argument rotations -1, +1, -1, +1, the zeta diagonal is
-[zeta^m, zeta^-m] e^{-i pi m/2}, and L carries -s P e^{i x p} in sector 2
-and s Q e^{-i x p} in sector 3.  The off-diagonal coefficients carry
+[zeta^m, zeta^-m] e^{-i pi m/2}, and L = J^{-s} in sectors 2 and 3, J the
+triangular jump factor of the lens ray bounding the sector
+(``OperatorFactory.jump_factor``: M_up on the ray +pi/2, M_down^{-1} on
+-pi/2); L is the identity in sector 1.  The off-diagonal coefficients carry
 S = e^{i x p(endpoint)} zeta^{2m} / A^2, which must be analytic across the
 cut of zeta.  That fixes A^2, the one factor that differs between the
 endpoints: zeta_a cuts outward, so A^2 = alpha0^2 e^{2 i pi m} with alpha
@@ -154,11 +156,19 @@ class Parametrix:
         zdiag = np.concatenate([np.full(n, np.exp(m * logz) * zf),
                                 np.full(n, np.exp(-m * logz) * zf)])
         core = psi_mat * zdiag[None, :]
-        self._apply_l(core, lam, sector, blk, s2=-s, s3=s)
+        if sector != 1:
+            # right-multiply by L = J^{-s}; J is unipotent, so J^{-1} is J
+            # with its off-diagonal block negated
+            ray = 1 if sector == 2 else -1
+            J = fac.jump_factor(lam, ray, self.x, blk).mat
+            if ray > 0:
+                core[:, n:] += core[:, :n] @ (-s * J[:n, n:])
+            else:
+                core[:, :n] += core[:, n:] @ (-s * J[n:, :n])
         eye = np.eye(n, dtype=complex)
         core[:n, :n] += eye - O11
         core[n:, n:] += eye - O22
-        return BlockOperator(core, fac.grid, identity_plus=True)
+        return BlockOperator(core, fac.grid)
 
     def _a_squared(self, lam, m, e):
         """A^2 of the coefficients, chosen so that zeta^{2m} / A^2 is
@@ -168,26 +178,6 @@ class Parametrix:
             return alpha0(self.pd, self.factory.srh, lam, e) ** 2 \
                 * np.exp(2j * np.pi * m)
         return np.exp(2.0 * e)
-
-    def _apply_l(self, core, lam, sector, blk, s2: float, s3: float):
-        """Multiply ``core`` in place on the right by the piecewise
-        constant matrix L; s2/s3 are the sector-2/3 signs.
-
-        L is the identity in sector 1, [[id, s2 P e^{i x p}], [0, id]] in
-        sector 2 and [[id, 0], [s3 Q e^{-i x p}, id]] in sector 3, with P
-        and Q read from the factory blocks ``blk`` at lam.  With the
-        continuously tracked confluent arguments these are the
-        inverse/direct triangular jump factors as required at each ray.
-        """
-        n = self.factory.grid.n
-        if sector == 1:
-            return
-        if sector == 2:
-            up = s2 * np.exp(1j * self.x * self.pd.p(complex(lam))) * blk["P"]
-            core[:, n:] += core[:, :n] @ up
-            return
-        down = s3 * np.exp(-1j * self.x * self.pd.p(complex(lam))) * blk["Q"]
-        core[:, :n] += core[:, n:] @ down
 
     # -- diagnostics -------------------------------------------------------
 
@@ -238,10 +228,7 @@ class Parametrix:
                 P_out = self(lam_w) if ray > 0 else self(lam_e)
                 P_in = self(lam_e) if ray > 0 else self(lam_w)
                 lam0 = self.center + frac * self.radius * np.exp(1j * phi)
-                if ray > 0:
-                    M = fac.m_up(lam0, x=self.x).mat
-                else:
-                    M = fac.m_down_inv(lam0, x=self.x).mat
+                M = fac.jump_factor(lam0, ray, self.x).mat
                 if self.endpoint == "a":
                     resid = np.max(np.abs(P_out.mat @ M - P_in.mat))
                 else:

@@ -24,8 +24,7 @@ from .l2half import BlockOperator, e_vectors, kappa_form, m_vec, rank_one
 from .quadgrid import (Contour, HalfLineRule, IntervalRule, gauss_interval,
                        laguerre_halfline, oscillation_nodes, safe_radius,
                        stadium_contour)
-from .symbols import (DELTA_SCHEDULE, EPS_K, ProblemData, ScalarRH, _neville,
-                      nu, tau)
+from .symbols import EPS_K, ProblemData, ScalarRH, boundary_value, nu, tau
 
 __all__ = [
     "DiagnosticRow",
@@ -106,10 +105,11 @@ def default_probes(pd: ProblemData, seed: int = 0):
     return interior, exterior
 
 
-def _richardson_deltas(pd: ProblemData) -> np.ndarray:
-    """Offsets of the one-sided limits lam0 +- i delta: DELTA_SCHEDULE times
-    min(b - a, 40/x), so the Neville table resolves e^{+-i x lam}."""
-    return DELTA_SCHEDULE * min(pd.b - pd.a, 40.0 / pd.x)
+def _one_sided(f: Callable, pd: ProblemData, lam0: float, side: int):
+    """f(lam0 + i side 0) by ``boundary_value`` at the scale min(b - a, 40/x),
+    so that the Neville table resolves e^{+-i x lam}."""
+    scale = min(pd.b - pd.a, 40.0 / pd.x)
+    return boundary_value(f, lam0, side, scale=scale)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +138,13 @@ class ChiSolution:
         w = self.kit.weights(lam)
         mat = np.eye(2 * self.grid.n, dtype=complex) \
             - self.FR_T @ (w[:, None] * self.EL_W)
-        return BlockOperator(mat, self.grid, identity_plus=True)
+        return BlockOperator(mat, self.grid)
 
     def chi_inv(self, lam) -> BlockOperator:
         w = self.kit.weights(lam)
         mat = np.eye(2 * self.grid.n, dtype=complex) \
             + self.ER_T @ (w[:, None] * self.FL_W)
-        return BlockOperator(mat, self.grid, identity_plus=True)
+        return BlockOperator(mat, self.grid)
 
     def dchi(self, lam) -> np.ndarray:
         """d/dlam of the smoothing part (a plain matrix, no identity)."""
@@ -170,11 +170,11 @@ class ChiSolution:
         dw = self.kit.dweights(lam)
         return -dw @ diag_A - np.einsum("...i,...i->...", dw @ M, w)
 
-    def verify(self, seed: int = 0):
+    def verify(self):
         """Residual rows for the construction invariants; the one-sided
-        limits use ``_richardson_deltas(pd)``."""
+        limits go through ``_one_sided``."""
         pd, grid = self.pd, self.grid
-        interior, exterior = default_probes(pd, seed)
+        interior, exterior = default_probes(pd)
         rows = []
         for lam in exterior:
             ch = self.chi(lam)
@@ -184,12 +184,9 @@ class ChiSolution:
                                       float(resid), 1e-8))
             rows.append(DiagnosticRow("det(chi)-1", lam.real, lam.imag,
                                       float(abs(ch.det() - 1.0)), 1e-7))
-        deltas = _richardson_deltas(pd)
         for lam0 in interior:
-            up = [self.chi(lam0 + 1j * d).mat for d in deltas]
-            dn = [self.chi(lam0 - 1j * d).mat for d in deltas]
-            chi_p, _ = _neville(deltas, up)
-            chi_m, _ = _neville(deltas, dn)
+            chi_p = _one_sided(lambda z: self.chi(z).mat, pd, lam0, +1)
+            chi_m = _one_sided(lambda z: self.chi(z).mat, pd, lam0, -1)
             G = g_chi(pd, grid, lam0).mat
             resid = np.max(np.abs(chi_p @ G - chi_m))
             rows.append(DiagnosticRow("chi jump", lam0, 0.0, float(resid), 1e-6))
@@ -202,9 +199,8 @@ class ChiSolution:
             rows.append(DiagnosticRow("chi_p-chi_m rank form", lam0, 0.0,
                                       float(resid2), 1e-6))
             # reconstruction: chi(mu) E_R(mu) = F_R(mu), +- independent
-            rec = [self.chi(lam0 + 1j * d).mat @ ER for d in deltas]
-            rec_val, _ = _neville(deltas, rec)
-            resid3 = np.max(np.abs(rec_val - FR))
+            rec = _one_sided(lambda z: self.chi(z).mat @ ER, pd, lam0, +1)
+            resid3 = np.max(np.abs(rec - FR))
             rows.append(DiagnosticRow("F_R reconstruction", lam0, 0.0,
                                       float(resid3), 1e-8))
         return rows
@@ -238,7 +234,7 @@ def g_chi(pd: ProblemData, grid: HalfLineRule, lam) -> BlockOperator:
     return BlockOperator.from_blocks(
         [[eye - Fv * rank_one(m1, k1, grid), Fv * ph * rank_one(m1, k2, grid)],
          [-Fv / ph * rank_one(m2, k1, grid), eye + Fv * rank_one(m2, k2, grid)]],
-        grid, identity_plus=True)
+        grid)
 
 
 # ---------------------------------------------------------------------------
@@ -287,23 +283,17 @@ class BetaSolution:
     def det_beta(self, lam) -> complex:
         return np.linalg.det(self.beta(lam))
 
-    def boundary(self, lam0: float, side: int):
-        deltas = _richardson_deltas(self.pd)
-        vals = [self.beta(lam0 + 1j * side * d) for d in deltas]
-        limit, est = _neville(deltas, vals)
-        return limit, est
-
-    def verify(self, seed: int = 0):
+    def verify(self):
         pd, grid, k = self.pd, self.grid, self.k
-        interior, exterior = default_probes(pd, seed)
+        interior, exterior = default_probes(pd)
         rows = []
         for lam in exterior:
             resid = abs(self.det_beta(lam) - self.srh.alpha_k(k, lam))
             rows.append(DiagnosticRow(f"det(beta_{k})-alpha_{k}",
                                       lam.real, lam.imag, float(resid), 1e-7))
         for lam0 in interior:
-            bp, _ = self.boundary(lam0, +1)
-            bm, _ = self.boundary(lam0, -1)
+            bp = _one_sided(self.beta, pd, lam0, +1)
+            bm = _one_sided(self.beta, pd, lam0, -1)
             tk = complex(tau(k, pd, lam0))
             jump = np.eye(grid.n) + tk * rank_one(
                 m_vec(k, pd, grid, lam0), kappa_form(k, pd, grid, lam0), grid)
@@ -350,11 +340,11 @@ class OperatorFactory:
         """O_jl under the keys (j, l), the triangular factors under "P", "Q".
 
         Every block is the rank-one (beta_j m_j) (x) (kappa_l beta_l^{-1}),
-        with alpha^{+-2} on the off-diagonal O blocks, so one evaluation and
-        one inversion of each beta_k serve all six.  Those are returned
-        too, under "beta" and "beta_inv" (both keyed by k), with the
-        exponent ln alpha(lam) under "exponent", for callers that need them
-        at the same point.
+        with alpha^{+-2} on the off-diagonal O blocks, F/(1+F) on P (j, l =
+        1, 2) and -F/(1+F) on Q (2, 1), so one evaluation and one inversion
+        of each beta_k serve all six.  Those are returned too, under "beta"
+        and "beta_inv" (both keyed by k), with the exponent ln alpha(lam)
+        under "exponent", for callers that need them at the same point.
         """
         lam = complex(lam)
         beta = {k: self.betas[k].beta(lam) for k in (1, 2)}
@@ -374,59 +364,42 @@ class OperatorFactory:
                 "Q": -Fv / (1.0 + Fv) * core[2, 1],
                 "beta": beta, "beta_inv": beta_inv, "exponent": e}
 
-    def O_block(self, j: int, l: int, lam) -> np.ndarray:
-        """beta_j m_j (x) kappa_l beta_l^{-1} with alpha^{+-2} off-diagonal."""
-        return self.blocks(lam)[j, l]
-
     def O(self, lam) -> BlockOperator:
         blk = self.blocks(lam)
         return BlockOperator.from_blocks(
             [[blk[1, 1], blk[1, 2]], [blk[2, 1], blk[2, 2]]], self.grid)
 
-    def P(self, lam) -> np.ndarray:
-        """Upper factor: F/(1+F) beta_1 m_1 (x) kappa_2 beta_2^{-1}."""
-        return self.blocks(lam)["P"]
-
-    def Q(self, lam) -> np.ndarray:
-        """Lower factor: -F/(1+F) beta_2 m_2 (x) kappa_1 beta_1^{-1}."""
-        return self.blocks(lam)["Q"]
-
-    def P_from_O(self, lam) -> np.ndarray:
-        """-2 i e^{i pi nu} sin(pi nu) alpha^{-2} O_12: the dual route."""
-        return self._from_O(lam, self.blocks(lam), -1.0)
-
-    def Q_from_O(self, lam) -> np.ndarray:
-        """2 i e^{i pi nu} sin(pi nu) alpha^{2} O_21: the dual route."""
-        return self._from_O(lam, self.blocks(lam), 1.0)
-
     def _from_O(self, lam, blk, sign: float) -> np.ndarray:
         """sign 2 i e^{i pi nu} sin(pi nu) alpha^{2 sign} O_jl from the
-        blocks ``blk`` at lam: P from O_12 (sign -1), Q from O_21 (+1)."""
+        blocks ``blk`` at lam: P from O_12 (sign -1), Q from O_21 (+1).
+        This is the dual route to the blocks' own P and Q."""
         nv = complex(nu(self.pd, lam))
         off = blk[1, 2] if sign < 0 else blk[2, 1]
         return sign * 2j * np.exp(1j * np.pi * nv) * np.sin(np.pi * nv) \
             * np.exp(sign * 2.0 * blk["exponent"]) * off
 
-    def m_up(self, lam, x: float | None = None) -> BlockOperator:
-        """[[id, P e^{i x p}], [0, id]]."""
-        x = self.pd.x if x is None else x
-        lam = complex(lam)
-        eye = np.eye(self.grid.n, dtype=complex)
-        zero = np.zeros_like(eye)
-        ph = np.exp(1j * x * self.pd.p(lam))
-        return BlockOperator.from_blocks(
-            [[eye, ph * self.P(lam)], [zero, eye]], self.grid,
-            identity_plus=True)
+    def jump_factor(self, lam, side: int, x: float | None = None,
+                    blk: dict | None = None) -> BlockOperator:
+        """The triangular jump factor at lam.
 
-    def m_down_inv(self, lam, x: float | None = None) -> BlockOperator:
+        side +1 gives M_up = [[id, P e^{i x p}], [0, id]], side -1 gives
+        M_down^{-1} = [[id, 0], [-Q e^{-i x p}, id]].  x defaults to the
+        problem's; x = 0 gives the phase-free factor.  ``blk`` is
+        ``self.blocks(lam)`` when the caller has it already.  The factor
+        is unipotent: its inverse is itself with the off-diagonal block
+        negated.
+        """
         x = self.pd.x if x is None else x
         lam = complex(lam)
-        eye = np.eye(self.grid.n, dtype=complex)
-        zero = np.zeros_like(eye)
-        ph = np.exp(-1j * x * self.pd.p(lam))
-        return BlockOperator.from_blocks(
-            [[eye, zero], [-ph * self.Q(lam), eye]], self.grid,
-            identity_plus=True)
+        blk = self.blocks(lam) if blk is None else blk
+        n = self.grid.n
+        ph = np.exp(1j * side * x * self.pd.p(lam))
+        mat = np.eye(2 * n, dtype=complex)
+        if side > 0:
+            mat[:n, n:] = ph * blk["P"]
+        else:
+            mat[n:, :n] = -ph * blk["Q"]
+        return BlockOperator(mat, self.grid)
 
     def near_probes(self):
         """Off-axis probes at heights up to 0.875 ``safe_radius``, kept to
@@ -438,16 +411,15 @@ class OperatorFactory:
                  pd.a - 0.2 * (pd.b - pd.a) - 0.6j * h]
         return [z for z in cands if abs((pd.t * z).imag) < 0.9 * pd.c / 4.0]
 
-    def verify(self, seed: int = 0):
+    def verify(self):
         pd = self.pd
-        interior, _ = default_probes(pd, seed)
+        interior, _ = default_probes(pd)
         exterior = self.near_probes()
         rows = []
         mid = interior[2]
         # O is continuous across the interval: its two one-sided limits agree
-        deltas = _richardson_deltas(pd)
-        o_p, _ = _neville(deltas, [self.O(mid + 1j * d).mat for d in deltas])
-        o_m, _ = _neville(deltas, [self.O(mid - 1j * d).mat for d in deltas])
+        o_p = _one_sided(lambda z: self.O(z).mat, pd, mid, +1)
+        o_m = _one_sided(lambda z: self.O(z).mat, pd, mid, -1)
         rows.append(DiagnosticRow("O continuity", mid, 0.0,
                                   float(np.max(np.abs(o_p - o_m))), 1e-6))
         for lam in exterior[:3]:
@@ -464,39 +436,30 @@ class OperatorFactory:
         return rows
 
 
-def factorization_residual(pd: ProblemData, grid: HalfLineRule,
-                           factory: OperatorFactory, lam0: float) -> float:
+def factorization_residual(factory: OperatorFactory, lam0: float) -> float:
     """Residual of the jump factorization at an interior point.
 
     G_chi(lam0) against
     diag(beta_{1;+}, beta_{2;+})^{-1} M_up(+) M_down(-) diag(beta_{1;-}, beta_{2;-}),
-    every one-sided value by Richardson over the delta schedule.  One
-    ``factory.blocks`` call per point gives the betas, their inverses and
-    the factor: diag(b1, b2)^{-1} M_up = [[b1^{-1}, b1^{-1} P e^{ixp}],
-    [0, b2^{-1}]] and M_down diag(b1, b2) = [[b1, 0], [Q e^{-ixp} b1, b2]].
+    the product taken at lam0 +- i delta and extrapolated by ``_one_sided``.
+    One ``factory.blocks`` call per point gives the betas, their inverses
+    and the triangular factor; M_down is the inverse of the side -1 factor.
     """
-    deltas = _richardson_deltas(pd)
-    x, phase = factory.pd.x, factory.pd.p      # as in factory.m_up/m_down_inv
+    n = factory.grid.n
 
-    def upper_part(d):
-        lam = lam0 + 1j * d
-        blk = factory.blocks(lam)
-        b1i, b2i = blk["beta_inv"][1], blk["beta_inv"][2]
-        ph = np.exp(1j * x * phase(lam))
-        return np.block([[b1i, b1i @ (ph * blk["P"])],
-                         [np.zeros_like(b1i), b2i]])
+    def diag(b):
+        zero = np.zeros_like(b[1])
+        return np.block([[b[1], zero], [zero, b[2]]])
 
-    def lower_part(d):
-        lam = lam0 - 1j * d
-        blk = factory.blocks(lam)
-        b1, b2 = blk["beta"][1], blk["beta"][2]
-        ph = np.exp(-1j * x * phase(lam))
-        return np.block([[b1, np.zeros_like(b1)],
-                         [(ph * blk["Q"]) @ b1, b2]])
+    def product(lam):
+        up, dn = factory.blocks(lam), factory.blocks(lam.conjugate())
+        upper = factory.jump_factor(lam, +1, blk=up).mat
+        lower = factory.jump_factor(lam.conjugate(), -1, blk=dn).mat
+        lower[n:, :n] *= -1.0
+        return (diag(up["beta_inv"]) @ upper) @ (lower @ diag(dn["beta"]))
 
-    prods = [upper_part(d) @ lower_part(d) for d in deltas]
-    rhs, _ = _neville(deltas, prods)
-    G = g_chi(pd, grid, lam0).mat
+    rhs = _one_sided(product, factory.pd, lam0, +1)
+    G = g_chi(factory.pd, factory.grid, lam0).mat
     return float(np.max(np.abs(G - rhs)))
 
 
@@ -570,22 +533,15 @@ def pi_residual(pd: ProblemData, factory: OperatorFactory,
     xs = report.xs
 
     span = np.linspace(a + 1.5 * disk_radius, b - 1.5 * disk_radius, 7)
-    grid = factory.grid
-    eye = np.eye(grid.n, dtype=complex)
-    zero = np.zeros_like(eye)
     lens = [[] for _ in xs]
     report.lens_max = {x: 0.0 for x in xs}
     for lam in span:
-        lam_up, lam_dn = lam + 1j * lens_height, lam - 1j * lens_height
-        up = BlockOperator.from_blocks(
-            [[eye, factory.blocks(lam_up)["P"]], [zero, eye]], grid,
-            identity_plus=True).smoothing_bound()
-        dn = BlockOperator.from_blocks(
-            [[eye, zero], [-factory.blocks(lam_dn)["Q"], eye]], grid,
-            identity_plus=True).smoothing_bound()
+        above, below = lam + 1j * lens_height, lam - 1j * lens_height
+        up = factory.jump_factor(above, +1, x=0.0).smoothing_bound()
+        dn = factory.jump_factor(below, -1, x=0.0).smoothing_bound()
         for rows, x in zip(lens, xs):
-            up_x = float(abs(np.exp(1j * x * pd.p(lam_up))) * up)
-            dn_x = float(abs(np.exp(-1j * x * pd.p(lam_dn))) * dn)
+            up_x = float(abs(np.exp(1j * x * pd.p(above))) * up)
+            dn_x = float(abs(np.exp(-1j * x * pd.p(below))) * dn)
             rows.append(DiagnosticRow(
                 f"lens up x={x}", lam, lens_height, up_x, 1.0))
             rows.append(DiagnosticRow(

@@ -133,11 +133,11 @@ class ProblemData:
 
 def make_problem(a: float, b: float, c: float, t: complex, x: float,
                  F: HolomorphicHandle, p: HolomorphicHandle,
-                 margin: float = np.inf, n_check: int = 64) -> ProblemData:
+                 margin: float = np.inf) -> ProblemData:
     """Validate the inputs and return a ProblemData.
 
-    The hypotheses are checked numerically on a default grid: p is real
-    with p' > 0 at the interval nodes, and |arg(1 + F)| < pi there and on
+    The hypotheses are checked numerically on a 64-node Gauss rule: p is
+    real with p' > 0 at its nodes, and |arg(1 + F)| < pi there and on
     a probe loop inside the declared margin.
     """
     if not a < b:
@@ -150,7 +150,7 @@ def make_problem(a: float, b: float, c: float, t: complex, x: float,
         raise ParameterDomainError(f"need margin > 0, got margin={margin}")
     t = complex(t)
 
-    rule = gauss_interval(n_check, a, b)
+    rule = gauss_interval(64, a, b)
     pvals = p(rule.nodes)
     if np.max(np.abs(pvals.imag)) > 1e-10 * max(1.0, np.max(np.abs(pvals))):
         j = int(np.argmax(np.abs(pvals.imag)))
@@ -226,19 +226,17 @@ def _neville(deltas: np.ndarray, vals: list):
     return tbl[0], float(est)
 
 
-def boundary_value(f: Callable, lam0: float, side: int,
-                   deltas=None, scale: float = 1.0):
+def boundary_value(f: Callable, lam0: float, side: int, scale: float = 1.0):
     """One-sided limit f(lam0 + i side 0) by Richardson extrapolation.
 
     Evaluates f on the geometric schedule lam0 + i*side*delta,
     delta in DELTA_SCHEDULE * scale, and extrapolates to delta = 0 with
-    a Neville table.  Returns (value, error_estimate).
+    a Neville table.  Returns (value, error_estimate); a schedule whose
+    successive differences grow raises BoundaryLimitError.
     """
     if side not in (+1, -1):
         raise ParameterDomainError("side must be +1 or -1")
-    if deltas is None:
-        deltas = DELTA_SCHEDULE * scale
-    deltas = np.asarray(deltas, dtype=float)
+    deltas = DELTA_SCHEDULE * scale
     vals = [np.asarray(f(lam0 + 1j * side * d)) for d in deltas]
     # successive differences must shrink along a convergent schedule
     diffs = [float(np.max(np.abs(v2 - v1))) for v1, v2 in zip(vals, vals[1:])]
@@ -291,11 +289,6 @@ class ScalarRH:
         """alpha_k = alpha^{eps_k}, eps_1 = -1, eps_2 = +1."""
         return np.exp(EPS_K[k] * self.exponent(lam))
 
-    def alpha_plus(self, lam0: float):
-        """+side boundary value on (a, b) (Richardson over the delta schedule)."""
-        val, _ = boundary_value(self.alpha, lam0, +1, scale=self.pd.b - self.pd.a)
-        return val
-
     def alpha_k_plus(self, k: int, lam0: float):
         val, _ = boundary_value(lambda z: self.alpha_k(k, z), lam0, +1,
                                 scale=self.pd.b - self.pd.a)
@@ -311,6 +304,3 @@ class ScalarRH:
         """
         lams = np.atleast_1d(np.asarray(lams, dtype=complex))
         return np.exp(EPS_K[k] * self.exponent(lams.real + 0j))
-
-    def nu_at(self, lam):
-        return nu(self.pd, lam)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -395,10 +397,21 @@ class TestConfigAndCli:
         assert "PASS" in capsys.readouterr().out
 
     def test_cli_selftest(self, capsys):
+        # every summary object with its row count: the verify() streams of
+        # chi, beta_1, beta_2 and O/P/Q, then the rows without a verify()
+        want = [("chi*chi_inv-id", 5), ("det(chi)-1", 5), ("chi jump", 5),
+                ("chi_p-chi_m rank form", 5), ("F_R reconstruction", 5),
+                ("det(beta_1)-alpha_1", 5), ("beta_1 jump", 5),
+                ("beta_1 inverse relation", 5), ("det(beta_2)-alpha_2", 5),
+                ("beta_2 jump", 5), ("beta_2 inverse relation", 5),
+                ("O continuity", 1), ("O_12 O_21 - O_11", 3),
+                ("P dual route", 3), ("Q dual route", 3),
+                ("loop residue 2*pi*i", 1), ("det(G_chi)-1", 1),
+                ("jump factorization", 1), ("det(I+K_k)/det(I+U_k) - 1", 2),
+                ("parametrix a jump", 6), ("parametrix b jump", 6)]
         assert main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
-        # the verify() streams of chi, beta_1, beta_2 and O/P/Q are in it
-        for obj in ("F_R reconstruction", "beta_2 inverse relation",
-                    "Q dual route", "parametrix b jump"):
-            assert f"\n{obj}: worst " in out
+        *lines, verdict = capsys.readouterr().out.splitlines()
+        assert verdict == "PASS"
+        got = [re.fullmatch(r"(.+): worst \S+ < \S+ over (\d+) row\(s\): PASS",
+                            line).groups() for line in lines]
+        assert [(obj, int(count)) for obj, count in got] == want

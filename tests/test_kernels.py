@@ -249,7 +249,7 @@ class TestLoopKernels:
                 return np.exp(-s * srh.exponent(lam)) \
                     * np.exp(s * srh.exponent(mu - 1j * s * c)) \
                     / (2j * np.pi * (lam - mu + 1j * s * c))
-            return KernelHandle(eval_, lambda lam: eval_(lam, lam), "contour")
+            return KernelHandle(eval_, lambda lam: eval_(lam, lam))
 
         dp, dm = (cl.determinant(cl.assemble(u_pm(s), loop_default))
                   for s in (+1, -1))

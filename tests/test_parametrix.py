@@ -147,14 +147,13 @@ class _ExtraRightPower(Parametrix):
         full = super().__call__(lam, sector).mat
         n = fac.grid.n
         eye = np.eye(n)
-        comp = block_diag(eye - fac.O_block(1, 1, lam),
-                          eye - fac.O_block(2, 2, lam))
+        blk = fac.blocks(lam)
+        comp = block_diag(eye - blk[1, 1], eye - blk[2, 2])
         s = 1 if self.endpoint == "a" else -1
         zm = np.exp(-s * complex(cl.nu(self.pd, lam))
                     * np.log(zeta(self.endpoint, self.pd, lam, self.x)))
         rdiag = np.concatenate([np.full(n, zm), np.full(n, 1.0 / zm)])
-        return BlockOperator((full - comp) * rdiag[None, :] + comp, fac.grid,
-                             identity_plus=True)
+        return BlockOperator((full - comp) * rdiag[None, :] + comp, fac.grid)
 
 
 class TestConventionPinned:

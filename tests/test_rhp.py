@@ -1,11 +1,13 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cshiftlab as cl
-from cshiftlab.errors import ExcludedCaseError, NearSingularityError
-from cshiftlab.l2half import BlockOperator
+from cshiftlab.errors import (BoundaryLimitError, ExcludedCaseError,
+                              NearSingularityError)
 from cshiftlab.rhp import (DiagnosticRow, OperatorFactory, _disk_probe_angles,
                            default_probes, factorization_residual, g_chi,
                            pi_residual, solve_beta, solve_chi, summarize,
@@ -218,6 +220,38 @@ class TestBeta:
         solve_beta(pd, cl.gauss_interval(64, pd.a, pd.b), grid48, 1)
         assert seen == [(pytest.approx(want_r, rel=1e-15), margin)]
 
+    def test_divergent_limit_raises(self, pd_default, betas_default):
+        # beta with a simple pole at an interior probe has no one-sided
+        # limit there: verify() refuses it instead of extrapolating
+        bs = copy.copy(betas_default[1])
+        lam0 = default_probes(pd_default)[0][2]
+        beta = bs.beta
+        bs.beta = lambda lam: beta(lam) + np.eye(bs.grid.n) / (lam - lam0)
+        with pytest.raises(BoundaryLimitError):
+            bs.verify()
+
+
+class TestRegimes:
+    """The verify() streams of chi, beta_1, beta_2 and O/P/Q and the jump
+    factorization away from the default problem, at x = 30."""
+
+    @pytest.mark.parametrize("t, p", [
+        (0.5 + 0.1j, cl.identity_phase()),
+        (1.0, cl.poly_phase([0.0, 1.0, 0.2])),
+        (0.7 - 0.05j, cl.poly_phase([0.0, 1.0, 0.2])),
+    ], ids=["complex-t", "poly-phase", "complex-t-poly-phase"])
+    def test_invariants(self, grid48, t, p):
+        pd = cl.make_problem(a=-1.0, b=1.0, c=1.0, t=t, x=30.0,
+                             F=cl.constant_symbol(0.2), p=p)
+        srh = cl.ScalarRH(pd)
+        rule = cl.gauss_interval(192, pd.a, pd.b)
+        betas = {k: solve_beta(pd, rule, grid48, k, srh) for k in (1, 2)}
+        fac = OperatorFactory(pd, grid48, srh, betas[1], betas[2])
+        rows = (solve_chi(pd, grid=grid48).verify() + betas[1].verify()
+                + betas[2].verify() + fac.verify())
+        assert [r for r in rows if not r.passed] == []
+        assert factorization_residual(fac, 0.3) < 1e-6
+
 
 class TestOperatorFactory:
     def test_invariants(self, factory_default):
@@ -225,29 +259,23 @@ class TestOperatorFactory:
         assert failed == []
 
     def test_composition_law(self, factory_default):
-        lam = 0.2 + 0.1j
+        blk = factory_default.blocks(0.2 + 0.1j)
         for j, l, k in [(1, 2, 1), (2, 1, 2), (1, 1, 1)]:
-            left = factory_default.O_block(j, l, lam) \
-                @ factory_default.O_block(l, k, lam)
-            right = factory_default.O_block(j, k, lam)
-            assert np.max(np.abs(left - right)) < 1e-8
+            assert np.max(np.abs(blk[j, l] @ blk[l, k] - blk[j, k])) < 1e-8
 
     def test_zero_symbol_collapse(self, pd_zero, grid48):
         srh = cl.ScalarRH(pd_zero)
         rule = cl.gauss_interval(64, -1, 1)
         betas = {k: solve_beta(pd_zero, rule, grid48, k, srh) for k in (1, 2)}
         fac = OperatorFactory(pd_zero, grid48, srh, betas[1], betas[2])
-        lam = 0.1 + 0.05j
-        assert np.trace(fac.O_block(1, 1, lam)) == pytest.approx(1.0,
-                                                                 abs=1e-13)
-        assert np.max(np.abs(fac.P(lam))) == 0.0
-        assert np.max(np.abs(fac.Q(lam))) == 0.0
+        blk = fac.blocks(0.1 + 0.05j)
+        assert np.trace(blk[1, 1]) == pytest.approx(1.0, abs=1e-13)
+        assert np.max(np.abs(blk["P"])) == 0.0
+        assert np.max(np.abs(blk["Q"])) == 0.0
 
-    def test_factorization(self, pd_default, grid48, factory_default):
+    def test_factorization(self, factory_default):
         for lam0 in (0.0, 0.588):
-            resid = factorization_residual(pd_default, grid48,
-                                           factory_default, lam0)
-            assert resid < 1e-6
+            assert factorization_residual(factory_default, lam0) < 1e-6
 
     def test_factorization_at_large_x(self, grid48, loop_default):
         # the Richardson deltas shrink with 1/x: with deltas fixed at
@@ -260,7 +288,7 @@ class TestOperatorFactory:
                  for k in (1, 2)}
         fac = OperatorFactory(pd, grid48, srh, betas[1], betas[2])
         for lam0 in (0.0, 0.3):
-            assert factorization_residual(pd, grid48, fac, lam0) < 1e-6
+            assert factorization_residual(fac, lam0) < 1e-6
 
     def test_factorization_evaluates_beta_once_per_point(
             self, pd_default, grid48, factory_default, monkeypatch):
@@ -278,7 +306,7 @@ class TestOperatorFactory:
         monkeypatch.setattr(cl.BetaSolution, "beta",
                             spy("beta", cl.BetaSolution.beta))
         monkeypatch.setattr(np.linalg, "inv", spy("inv", np.linalg.inv))
-        factorization_residual(pd_default, grid48, factory_default, 0.3)
+        factorization_residual(factory_default, 0.3)
         points = 2 * len(cl.symbols.DELTA_SCHEDULE)
         assert calls == {"beta": 2 * points, "inv": 2 * points}
 
@@ -341,9 +369,8 @@ class TestPiResidual:
         for r in report.lens_rows:
             x = float(r.obj.split("x=")[1])
             lam = complex(r.lam_re, r.lam_im)
-            jump = fac.m_up(lam, x=x) if r.obj.startswith("lens up") \
-                else fac.m_down_inv(lam, x=x)
-            want = BlockOperator(jump.mat, fac.grid).smoothing_bound()
+            side = 1 if r.obj.startswith("lens up") else -1
+            want = fac.jump_factor(lam, side, x=x).smoothing_bound()
             assert r.residual == pytest.approx(want, rel=1e-13)
         for r in report.disk_rows:
             ep, x = r.obj.split()[1], float(r.obj.split("x=")[1])
