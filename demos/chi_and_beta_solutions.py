@@ -11,7 +11,7 @@ import numpy as np
 from cshiftlab import (ScalarRH, constant_symbol, gauss_interval,
                        identity_phase, laguerre_halfline, make_problem)
 from cshiftlab.rhp import (OperatorFactory, factorization_residual, g_chi,
-                           solve_beta, solve_chi, summarize,
+                           solve_betas, solve_chi, summarize,
                            write_diagnostics)
 
 pd = make_problem(a=-1.0, b=1.0, c=1.0, t=1.0, x=10.0,
@@ -28,7 +28,7 @@ print("\n".join(summarize(rows)[0]))
 print("\ndet G(0.3) - 1         =", abs(g_chi(pd, grid, 0.3).det() - 1.0))
 
 rule = gauss_interval(192, pd.a, pd.b)
-betas = {k: solve_beta(pd, rule, grid, k, srh) for k in (1, 2)}
+betas = solve_betas(pd, rule, grid, srh)
 for k in (1, 2):
     lam = 2.0j
     print(f"\nbeta_{k}: det at 2i      =", betas[k].det_beta(lam))

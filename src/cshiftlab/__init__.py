@@ -21,8 +21,8 @@ from .kernels import (KernelHandle, v_t, v0, shift_factors, u_kt, k_kt,
 from .fredholm import (NystromSystem, assemble, determinant, logdet,
                        logdet_update, solve)
 from .rhp import (ChiSolution, BetaSolution, OperatorFactory, solve_chi,
-                  solve_beta, g_chi, factorization_residual, pi_residual,
-                  default_probes, write_diagnostics)
+                  solve_beta, solve_betas, g_chi, factorization_residual,
+                  pi_residual, default_probes, write_diagnostics)
 from .chf import TricomiEval, tricomi_psi
 from .parametrix import Parametrix, build_parametrix, zeta
 from .flow import (SweepConfig, SweepReport, theorem1_sweep, dt_logdet_check,

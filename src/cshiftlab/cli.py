@@ -45,7 +45,7 @@ def _cmd_selftest(_args) -> int:
     from .parametrix import build_parametrix
     from .quadgrid import graded_interval
     from .rhp import (DiagnosticRow, OperatorFactory, factorization_residual,
-                      g_chi, solve_beta, solve_chi)
+                      g_chi, solve_betas, solve_chi)
 
     pd = make_problem(a=-1.0, b=1.0, c=1.0, t=1.0, x=10.0,
                       F=constant_symbol(0.2), p=identity_phase())
@@ -53,7 +53,7 @@ def _cmd_selftest(_args) -> int:
     loop = stadium_contour(pd.a, pd.b, safe_radius(pd))
     srh = ScalarRH(pd)
     rule = gauss_interval(192, pd.a, pd.b)
-    betas = {k: solve_beta(pd, rule, grid, k, srh, loop) for k in (1, 2)}
+    betas = solve_betas(pd, rule, grid, srh, loop)
     fac = OperatorFactory(pd, grid, srh, betas[1], betas[2])
     rows = (solve_chi(pd, grid=grid).verify() + betas[1].verify()
             + betas[2].verify() + fac.verify())
@@ -74,7 +74,7 @@ def _cmd_selftest(_args) -> int:
 
     pdx = pd.with_(x=100.0)
     srhx = ScalarRH(pdx)
-    bx = {k: solve_beta(pdx, rule, grid, k, srhx, loop) for k in (1, 2)}
+    bx = solve_betas(pdx, rule, grid, srhx, loop)
     facx = OperatorFactory(pdx, grid, srhx, bx[1], bx[2])
     for ep in ("a", "b"):
         px = build_parametrix(ep, pdx, facx, x=100.0)

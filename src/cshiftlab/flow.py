@@ -11,7 +11,10 @@ Neither assembles V_t.  V_t = V0 + (the c-shift), and the c-shift is
 exactly of rank 2r on any rule (``kernels.shift_factors``; r = 46 at
 c = |t| = 1, whatever x is), so ln det(I+V_t) - ln det(I+V0) is the
 log-determinant of a 2r x 2r matrix (``fredholm.logdet_update``, the
-matrix determinant lemma): one V0 assembly and one LU solve per rule.
+matrix determinant lemma).  The sweep does one V0 assembly and one LU
+solve per rule.  The t-derivative check inverts its I + V0 once: the
+inverse serves the four log-determinants of its finite difference and,
+by the Sherman-Morrison-Woodbury identity, both chi densities.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .fredholm import assemble, determinant, logdet, logdet_update
 from .kernels import k_kt, shift_factors, u_kt, v0
 from .quadgrid import (gauss_interval, graded_interval, laguerre_halfline,
                        oscillation_nodes, safe_radius, stadium_contour)
-from .rhp import ChiSolution, DiagnosticRow, _disk_eps, solve_beta, summarize
+from .rhp import ChiSolution, DiagnosticRow, _disk_eps, solve_betas, summarize
 from .symbols import EPS_K, ProblemData, ScalarRH, make_handle, make_problem
 
 __all__ = ["SweepConfig", "SweepRow", "SweepReport", "theorem1_sweep",
@@ -292,7 +295,7 @@ def dt_logdet_check(cfg: SweepConfig, t0: complex, h: float = 1e-4,
 
     (i) Richardson finite difference of the Nystrom log-determinant, each
     ln det(I+V_t) - ln det(I+V0) by ``fredholm.logdet_update`` against one
-    I + V0 system (complex factors, solved as a real pair);
+    I + V0 system;
     (ii) the loop trace formula through chi: oint z tr[d_z chi sigma3 s chi^{-1}] dz / (2 pi),
     summed over all loop points at once by ``ChiSolution.loop_trace``: with
     chi = I - F_R^T D(w) E_L and chi^{-1} = I + E_R^T D(w) F_L the trace is
@@ -303,7 +306,13 @@ def dt_logdet_check(cfg: SweepConfig, t0: complex, h: float = 1e-4,
 
     One interval rule serves (i) and chi, sized for chi's e^{+-i x p}
     (``oscillation_nodes`` at frequency 1) unless ``cfg.n_interval`` is
-    given; a rule over ``cfg.n_budget`` raises ResolutionError.
+    given; a rule over ``cfg.n_budget`` raises ResolutionError.  Its
+    I + V0 system is inverted once, in real arithmetic for real data: chi
+    solves for F_L and F_R on Woodbury views of it
+    (``kernels.solve_densities``), and (i) applies the same inverse.  The
+    check assembles three systems, I + V0 and the two beta systems, and no
+    V_t.  An exactly singular I + V0, where the ratio is undefined (its
+    excluded case), raises NearSingularityError from chi.
     """
     t0 = complex(t0)
     x = float(x if x is not None else (cfg.x_list[-1] if cfg.x_list else 100.0))
@@ -312,6 +321,9 @@ def dt_logdet_check(cfg: SweepConfig, t0: complex, h: float = 1e-4,
     rule = gauss_interval(n, cfg.a, cfg.b)
     grid = laguerre_halfline(48, cfg.c)
     sys0 = assemble(v0(cfg.problem(x=x)), rule)
+    pd = cfg.problem(x=x, t=t0)
+    # chi inverts sys0 first, so the finite difference applies that inverse
+    chi = ChiSolution(pd, rule, grid, sys0)
 
     def ld(t):
         # ln det(I+V_t) - ln det(I+V0): V0 does not depend on t, so its
@@ -323,8 +335,6 @@ def dt_logdet_check(cfg: SweepConfig, t0: complex, h: float = 1e-4,
 
     d_fd = (4.0 * central(h / 2.0) - central(h)) / 3.0
 
-    pd = cfg.problem(x=x, t=t0)
-    chi = ChiSolution(pd, rule, grid)
     loop = stadium_contour(cfg.a, cfg.b, safe_radius(pd), margin=cfg.margin)
     d_contour = (loop.cweights * loop.samples) @ chi.loop_trace(loop.samples) \
         / (2.0 * np.pi)
@@ -332,8 +342,7 @@ def dt_logdet_check(cfg: SweepConfig, t0: complex, h: float = 1e-4,
     srh = ScalarRH(pd)
     beta_rule = gauss_interval(192, cfg.a, cfg.b)
     d_reduced = 0.0 + 0.0j
-    for k in (1, 2):
-        bs = solve_beta(pd, beta_rule, grid, k, srh, loop)
+    for k, bs in solve_betas(pd, beta_rule, grid, srh, loop).items():
         kappa_s = bs.kappa_nodes * (grid.snodes * grid.sweights)[None, :]
         integrand = bs.tau_nodes * np.einsum("ns,ns->n", kappa_s, bs.rho)
         d_reduced += EPS_K[k] * (integrand @ beta_rule.weights) / (2.0 * np.pi)

@@ -20,7 +20,14 @@ NearSingularityError, like a condition number over the cap.
 ``logdet_update`` adds a term of low rank m to a system:
 ln det(I + K + U R^T) - ln det(I + K) = ln det(I_m + R^T (I + K)^{-1} U),
 the matrix determinant lemma, at the cost of one LU solve against the m
-columns of U.
+columns of U, or of a product when the system already holds its inverse.
+``NystromSystem.updated`` is the system of I + K + U R^T itself, inverted
+from (I + K)^{-1} by the Sherman-Morrison-Woodbury identity (Hager, SIAM
+Rev. 31, 1989), and ``NystromSystem.transposed`` the system of the
+transposed kernel, W^{-1} (I + K W)^T W, inverted by the same scaling:
+one inverse of I + K serves any number of updates and both kernel
+orientations.  ``solve`` on such a view checks the view's own condition
+number and residual.
 """
 
 from __future__ import annotations
@@ -58,16 +65,23 @@ class NystromSystem:
     weights: np.ndarray
     _inv: np.ndarray = field(default=None, repr=False)
     cond: float = None
+    #: a view's inverse from its base system's (``updated``, ``transposed``)
+    _invert: Optional[Callable] = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
         return self.nodes.size
 
     def factorization(self, cond_cap: float = 1e12) -> np.ndarray:
-        """The inverse matrix plus the exact 1-norm condition number (cached)."""
+        """The inverse matrix plus the exact 1-norm condition number (cached).
+
+        A view takes its inverse from its base system's, factored without
+        a cap: the cap applies to the view's own condition number.
+        """
         if self._inv is None:
+            invert = self._invert or (lambda: np.linalg.inv(self.matrix))
             try:
-                self._inv = np.linalg.inv(self.matrix)
+                self._inv = invert()
             except np.linalg.LinAlgError as exc:
                 raise NearSingularityError(
                     "matrix is exactly singular (the excluded case)",
@@ -81,21 +95,64 @@ class NystromSystem:
                 cond=self.cond)
         return self._inv
 
+    def _view(self, matrix: np.ndarray, invert: Callable) -> "NystromSystem":
+        return NystromSystem(support=self.support, kernel=None, matrix=matrix,
+                             nodes=self.nodes, weights=self.weights,
+                             _invert=invert)
 
-def assemble(kernel, support: Support) -> NystromSystem:
+    def updated(self, U: np.ndarray, R: np.ndarray) -> "NystromSystem":
+        """The system of A + U R^T for (n, m) factors U and R, A = I + K.
+
+        Its matrix is formed by one product; its inverse, on first use, is
+        A^{-1} - (A^{-1} U) C^{-1} (R^T A^{-1}) with C = I_m + R^T A^{-1} U,
+        from this system's inverse.  An exactly singular A or C raises
+        NearSingularityError.
+        """
+        def invert():
+            inv = self.factorization(np.inf)
+            X = _dot(inv, U)
+            C = np.eye(U.shape[1]) + R.T @ X
+            return inv - X @ np.linalg.solve(C, _dot(R.T, inv))
+
+        return self._view(self.matrix + U @ R.T, invert)
+
+    def transposed(self) -> "NystromSystem":
+        """The system of the transposed kernel K(mu, lam): W^{-1} A^T W.
+
+        Its inverse W^{-1} A^{-T} W is a scaling of this system's.
+        """
+        scale = self.weights[None, :] / self.weights[:, None]
+        return self._view(self.matrix.T * scale,
+                          lambda: self.factorization(np.inf).T * scale)
+
+
+def _dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B, a complex factor against a real one taken as a real pair."""
+    if np.iscomplexobj(A) == np.iscomplexobj(B):
+        return A @ B
+    if np.iscomplexobj(B):
+        return A @ B.real + 1j * (A @ B.imag)
+    return A.real @ B + 1j * (A.imag @ B)
+
+
+def assemble(kernel, support: Support, left=None) -> NystromSystem:
     """Discretize I + kernel on the support.
 
     The kernel's closed-form diagonal replaces the (removable) diagonal
-    entries on interval supports; contour kernels are regular on the
-    diagonal but still go through ``diag`` for uniformity.  The matrix
-    keeps the result dtype of the kernel values and the weights.
+    entries, unless the handle is ``regular``: its values on the diagonal
+    are exact already.  ``left``, for a kernel that takes one
+    (``kernels.k_kt``), is its lam-side factor at the nodes when the caller
+    has it.  The matrix keeps the result dtype of the kernel values and
+    the weights.
     """
     nodes, weights = _support_nodes_weights(support)
     if hasattr(kernel, "diag"):
-        K = np.asarray(kernel.eval(nodes[:, None], nodes[None, :]))
-        diag = kernel.diag(nodes)
-        K = K.astype(np.result_type(K, diag), copy=False)
-        np.fill_diagonal(K, diag)
+        kw = {} if left is None else {"left": np.asarray(left)[:, None]}
+        K = np.asarray(kernel.eval(nodes[:, None], nodes[None, :], **kw))
+        if not getattr(kernel, "regular", False):
+            diag = kernel.diag(nodes)
+            K = K.astype(np.result_type(K, diag), copy=False)
+            np.fill_diagonal(K, diag)
         handle = kernel
     else:  # bare callable: already regular everywhere
         K = np.asarray(kernel(nodes[:, None], nodes[None, :]))
@@ -125,12 +182,16 @@ def logdet(sys: NystromSystem) -> complex:
 def logdet_update(sys: NystromSystem, U: np.ndarray, R: np.ndarray) -> complex:
     """ln det(I + K + U R^T) - ln det(I + K) for (n, m) factors U and R.
 
-    Computed as ln det(I_m + R^T (I + K)^{-1} U), with one LU solve of the
-    system against U; (I + K + U R^T) itself is never formed.  A float64
-    system stays in real arithmetic: a complex U is solved as the real pair
-    [Re U, Im U].  An exactly singular system raises NearSingularityError;
-    a vanishing updated determinant gives -inf, as in ``logdet``.
+    Computed as ln det(I_m + R^T (I + K)^{-1} U); (I + K + U R^T) itself
+    is never formed.  A system that holds its inverse (``factorization``)
+    applies it; otherwise one LU solve against U, which forms no inverse.
+    A float64 system stays in real arithmetic: a complex U is solved as the
+    real pair [Re U, Im U].  An exactly singular system raises
+    NearSingularityError; a vanishing updated determinant gives -inf, as
+    in ``logdet``.
     """
+    if sys._inv is not None:
+        return _slogdet(np.eye(U.shape[1]) + R.T @ _dot(sys._inv, U))
     A, m = sys.matrix, U.shape[1]
     split = np.iscomplexobj(U) and not np.iscomplexobj(A)
     try:

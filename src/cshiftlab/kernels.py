@@ -1,7 +1,10 @@
 """The scalar integral kernels: V_t, V0, U_{k;t}, K_{k;t}, resolvent.
 
 V_t - V0, the c-shift, also comes as exact low-rank Nystrom factors
-(``shift_factors``).
+(``shift_factors``); the chi densities solve on I + V0 updated by them,
+so no pipeline assembles V_t.  ``v_t`` interpolates the densities off
+the nodes (``_ChiDensities.FR_at``/``FL_at``) and is the tests' dense
+reference.
 
 Every kernel is wrapped in a KernelHandle carrying a vectorized evaluator
 and the removable-singularity diagonal.  The diagonals are closed forms,
@@ -17,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import PoleError
-from .fredholm import assemble, solve
+from .fredholm import NystromSystem, assemble, solve
 from .l2half import e_vectors
 from .quadgrid import HalfLineRule, IntervalRule
 from .symbols import EPS_K, ProblemData, ScalarRH, tau
@@ -32,11 +35,14 @@ class KernelHandle:
 
     ``eval(lam, mu)`` returns the broadcast shape of its arguments and
     ``diag(lam)`` the shape of its argument; a scalar gives a 0-d result.
+    A ``regular`` kernel has no removable singularity: eval is exact on
+    the diagonal, and ``fredholm.assemble`` does not call diag.
     """
 
     eval: Callable
     diag: Callable
     name: str = ""
+    regular: bool = False
 
     def __call__(self, lam, mu):
         return self.eval(lam, mu)
@@ -255,20 +261,23 @@ def k_kt(pd: ProblemData, k: int, srh: ScalarRH) -> KernelHandle:
 
     K_{k;t}(lam, mu) = -t alpha_{k;+}(lam) alpha_k^{-1}(mu + i eps_k c/t)
                         tau_k(mu) / (2 i pi [t (mu - lam) + i eps_k c])
-    with alpha_{k;+} the +side boundary value on (a, b).
+    with alpha_{k;+} the +side boundary value on (a, b); eval takes
+    alpha_{k;+}(lam) as ``left`` when the caller has it.
     """
     e = EPS_K[k]
     shift = 1j * e * pd.c / pd.t
 
-    def eval_(lam, mu):
+    def eval_(lam, mu, left=None):
         lam = np.asarray(lam, dtype=complex)
         mu = np.asarray(mu, dtype=complex)
         denom = pd.t * (mu - lam) + 1j * e * pd.c
-        num = srh.alpha_k_plus_many(k, lam) \
-            * np.exp(-e * srh.exponent(mu + shift)) * tau(k, pd, mu)
+        if left is None:
+            left = srh.alpha_k_plus_many(k, lam)
+        num = left * np.exp(-e * srh.exponent(mu + shift)) * tau(k, pd, mu)
         return -pd.t * num / (2j * np.pi * denom)
 
-    return KernelHandle(eval_, lambda lam: eval_(lam, lam), name=f"K_{k};t")
+    return KernelHandle(eval_, lambda lam: eval_(lam, lam), name=f"K_{k};t",
+                        regular=True)
 
 
 @dataclass
@@ -299,24 +308,31 @@ class _ChiDensities:
             self.rule.n, -1)
 
 
-def solve_densities(pd: ProblemData, rule: IntervalRule,
-                    grid: HalfLineRule) -> _ChiDensities:
+def solve_densities(pd: ProblemData, rule: IntervalRule, grid: HalfLineRule,
+                    sys0: Optional[NystromSystem] = None) -> _ChiDensities:
     """Solve the right/left linear integral equations for F_R and F_L.
 
-    F_R uses the transposed kernel, exactly as the equations are stated:
-    F_R(lam) + int V_t(mu, lam) F_R(mu) dmu = E_R(lam).  In the excluded
-    case det(I + V_t) = 0 the solves raise NearSingularityError.
+    Neither V_t system is assembled.  On the rule, I + V_t W is the system
+    of I + V0 W updated by the c-shift's factors (``shift_factors``), so
+    both solves run on views of ``sys0``, the I + V0 system on the rule
+    (assembled here when not given), and share its one inverse
+    (``NystromSystem.updated``).  F_R uses the transposed kernel, exactly
+    as the equations are stated:
+    F_R(lam) + int V_t(mu, lam) F_R(mu) dmu = E_R(lam),
+    on the ``transposed`` view of the same update.  The solves take the
+    condition number and the residual of I + V_t itself.  In the excluded
+    case det(I + V_t) = 0, and when I + V0 is exactly singular, they raise
+    NearSingularityError.
     """
-    vk = v_t(pd)
-    vk_T = KernelHandle(lambda lam, mu: vk.eval(mu, lam), vk.diag,
-                        name="V_t^T")
-    left = assemble(vk, rule)
+    if sys0 is None:
+        sys0 = assemble(v0(pd), rule)
+    left = sys0.updated(*shift_factors(pd, rule))
     EL, ER = e_vectors(pd, grid, rule.nodes)
     n = rule.n
-    FR = solve(assemble(vk_T, rule), ER.reshape(n, -1)).reshape(ER.shape)
     FL = solve(left, EL.reshape(n, -1)).reshape(EL.shape)
+    FR = solve(left.transposed(), ER.reshape(n, -1)).reshape(ER.shape)
     return _ChiDensities(pd=pd, rule=rule, grid=grid, FR=FR, FL=FL, EL=EL, ER=ER,
-                         kernel=vk)
+                         kernel=v_t(pd))
 
 
 def resolvent_kernel(pd: ProblemData, rule: IntervalRule, grid: HalfLineRule,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .cauchy import CauchyKit
 from .errors import ExcludedCaseError, NearSingularityError
-from .fredholm import assemble, solve
+from .fredholm import NystromSystem, assemble, solve
 from .kernels import k_kt, solve_densities
 from .l2half import BlockOperator, e_vectors, kappa_form, m_vec, rank_one
 from .quadgrid import (Contour, HalfLineRule, IntervalRule, gauss_interval,
@@ -36,6 +36,7 @@ __all__ = [
     "g_chi",
     "BetaSolution",
     "solve_beta",
+    "solve_betas",
     "OperatorFactory",
     "factorization_residual",
     "PiReport",
@@ -117,13 +118,19 @@ def _one_sided(f: Callable, pd: ProblemData, lam0: float, side: int):
 
 
 class ChiSolution:
-    """chi and chi^{-1} as weighted Cauchy sums of the solved densities."""
+    """chi and chi^{-1} as weighted Cauchy sums of the solved densities.
 
-    def __init__(self, pd: ProblemData, rule: IntervalRule, grid: HalfLineRule):
+    ``sys0``, the I + V0 system on the rule, is shared with the caller
+    (``kernels.solve_densities``); an exactly singular I + V0, where the
+    ratio det(I+V)/det(I+V0) is undefined, raises NearSingularityError.
+    """
+
+    def __init__(self, pd: ProblemData, rule: IntervalRule, grid: HalfLineRule,
+                 sys0: NystromSystem | None = None):
         self.pd = pd
         self.rule = rule
         self.grid = grid
-        dens = solve_densities(pd, rule, grid)
+        dens = solve_densities(pd, rule, grid, sys0)
         self.densities = dens
         self.kit = CauchyKit(rule)
         ws2 = np.concatenate([grid.sweights, grid.sweights])
@@ -199,8 +206,7 @@ class ChiSolution:
             rows.append(DiagnosticRow("chi_p-chi_m rank form", lam0, 0.0,
                                       float(resid2), 1e-6))
             # reconstruction: chi(mu) E_R(mu) = F_R(mu), +- independent
-            rec = _one_sided(lambda z: self.chi(z).mat @ ER, pd, lam0, +1)
-            resid3 = np.max(np.abs(rec - FR))
+            resid3 = np.max(np.abs(chi_p @ ER - FR))
             rows.append(DiagnosticRow("F_R reconstruction", lam0, 0.0,
                                       float(resid3), 1e-8))
         return rows
@@ -242,27 +248,36 @@ def g_chi(pd: ProblemData, grid: HalfLineRule, lam) -> BlockOperator:
 
 
 class BetaSolution:
-    """Solution of the scalar operator problem for one k."""
+    """Solution of the scalar operator problem for one k.
+
+    ``exponents`` are ln alpha at the rule's nodes (the +side values) and
+    on the loop, when the caller shares them between k = 1 and 2
+    (``solve_betas``); alpha_{k;+} at the nodes serves both the kernel and
+    the right-hand side.
+    """
 
     def __init__(self, pd: ProblemData, rule: IntervalRule, grid: HalfLineRule,
-                 k: int, srh: ScalarRH, loop: Contour):
+                 k: int, srh: ScalarRH, loop: Contour, exponents=None):
         self.pd, self.rule, self.grid, self.k, self.srh = pd, rule, grid, k, srh
         e = EPS_K[k]
         nodes = rule.nodes.astype(complex)
+        z = loop.samples
+        e_nodes, e_loop = exponents if exponents is not None \
+            else _beta_exponents(srh, rule, loop)
+        alpha_plus = np.exp(e * e_nodes)
 
         # right-hand side: alpha_{k;+}(lam) times the loop integral of
         # sqrt(c) e^{-c s/2 - i eps_k t s mu} / (alpha_k(mu) (mu - lam))
-        z = loop.samples
-        alpha_k_loop = np.exp(e * srh.exponent(z))
         s = grid.snodes
         A = np.sqrt(pd.c) * np.exp(-0.5 * pd.c * s[None, :]
                                    - 1j * e * pd.t * s[None, :] * z[:, None])
-        B = (loop.cweights / alpha_k_loop)[None, :] \
+        B = (loop.cweights / np.exp(e * e_loop))[None, :] \
             / (z[None, :] - nodes[:, None]) / (2j * np.pi)
-        w_rhs = srh.alpha_k_plus_many(k, nodes)[:, None] * (B @ A)  # (n, Ns)
+        w_rhs = alpha_plus[:, None] * (B @ A)  # (n, Ns)
 
         try:
-            self.rho = solve(assemble(k_kt(pd, k, srh), rule), w_rhs)  # (n, Ns)
+            self.rho = solve(assemble(k_kt(pd, k, srh), rule, left=alpha_plus),
+                             w_rhs)  # (n, Ns)
         except NearSingularityError as exc:
             raise ExcludedCaseError(
                 f"det(I + K_{k};t) vanishes; beta_{k} does not exist") from exc
@@ -310,14 +325,38 @@ class BetaSolution:
         return rows
 
 
-def solve_beta(pd: ProblemData, rule: IntervalRule, grid: HalfLineRule,
-               k: int, srh: ScalarRH | None = None,
-               loop: Contour | None = None) -> BetaSolution:
+def _beta_exponents(srh: ScalarRH, rule: IntervalRule, loop: Contour):
+    """ln alpha at the rule's nodes (+side) and on the loop."""
+    return srh.exponent(rule.nodes + 0j), srh.exponent(loop.samples)
+
+
+def _beta_defaults(pd: ProblemData, srh, loop):
     if srh is None:
         srh = ScalarRH(pd)
     if loop is None:
         loop = stadium_contour(pd.a, pd.b, safe_radius(pd), margin=pd.margin)
+    return srh, loop
+
+
+def solve_beta(pd: ProblemData, rule: IntervalRule, grid: HalfLineRule,
+               k: int, srh: ScalarRH | None = None,
+               loop: Contour | None = None) -> BetaSolution:
+    srh, loop = _beta_defaults(pd, srh, loop)
     return BetaSolution(pd, rule, grid, k, srh, loop)
+
+
+def solve_betas(pd: ProblemData, rule: IntervalRule, grid: HalfLineRule,
+                srh: ScalarRH | None = None,
+                loop: Contour | None = None) -> dict:
+    """beta_1 and beta_2 on one rule and loop, keyed by k.
+
+    ln alpha is evaluated once at the nodes and once on the loop for both,
+    alpha_1 = 1/alpha_2 being exp(-ln alpha).
+    """
+    srh, loop = _beta_defaults(pd, srh, loop)
+    exponents = _beta_exponents(srh, rule, loop)
+    return {k: BetaSolution(pd, rule, grid, k, srh, loop, exponents)
+            for k in (1, 2)}
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,21 @@ class TestDtCheck:
         assert abs(_circle_derivative(cfg, t0, x=100.0) - rep.d_contour) \
             < 1e-12
 
+    def test_assembles_three_systems(self, monkeypatch):
+        # I + V0 once for the finite difference and chi, and the two beta
+        # systems; no V_t
+        names = []
+        original = cl.fredholm.assemble
+
+        def assemble(kernel, support, **kw):
+            names.append(kernel.name)
+            return original(kernel, support, **kw)
+
+        for mod in (cl.fredholm, cl.flow, cl.kernels, cl.rhp):
+            monkeypatch.setattr(mod, "assemble", assemble)
+        dt_logdet_check(SweepConfig(x_list=(20.0,)), 0.5 + 0.1j, x=20.0)
+        assert sorted(names) == ["K_1;t", "K_2;t", "V0"]
+
     def test_negative_symbol_large_x_is_not_excluded(self):
         # det(I + V_t) is tiny (about e^{-44} at t = 1) but well conditioned
         cfg = SweepConfig(F_params=(-0.5,), x_list=(200.0,))

@@ -107,6 +107,71 @@ class TestLogdetUpdate:
             logdet_update(sys_, np.ones((4, 1)), np.ones((4, 1)))
 
 
+class TestViews:
+    """Rank-update and transposed views share their base system's inverse."""
+
+    @staticmethod
+    def _base(n=30, m=5, complex_u=False):
+        rule = cl.gauss_interval(n, -1.0, 1.0)
+        rng = np.random.default_rng(5)
+        A = np.eye(n) + 0.1 * rng.standard_normal((n, n))
+        sys_ = NystromSystem(support=rule, kernel=None, matrix=A,
+                             nodes=rule.nodes, weights=rule.weights)
+        U, R = (0.1 * rng.standard_normal((n, m)) for _ in range(2))
+        if complex_u:
+            U = U + 0.1j * rng.standard_normal((n, m))
+        return sys_, U, R
+
+    @pytest.mark.parametrize("complex_u", [False, True])
+    def test_woodbury_inverse_and_condition(self, complex_u):
+        sys_, U, R = self._base(complex_u=complex_u)
+        view = sys_.updated(U, R)
+        A = sys_.matrix + U @ R.T
+        assert np.array_equal(view.matrix, A)
+        inv = view.factorization()
+        assert np.max(np.abs(inv - np.linalg.inv(A))) < 1e-13
+        assert view.cond == pytest.approx(np.linalg.cond(A, 1), rel=1e-12)
+        # the base holds its inverse for further views
+        assert sys_._inv is not None and sys_.cond is not None
+
+    def test_transposed_is_the_swapped_kernel(self, pd_default):
+        rule = cl.gauss_interval(24, -1.0, 1.0)
+        vk = cl.v_t(pd_default.with_(F=cl.poly_symbol([0.2, 0.15])))
+        swapped = cl.KernelHandle(lambda l, m: vk.eval(m, l), vk.diag)
+        view = cl.assemble(vk, rule).transposed()
+        want = cl.assemble(swapped, rule).matrix
+        assert np.max(np.abs(view.matrix - want)) < 1e-15
+        assert np.max(np.abs(view.factorization() - np.linalg.inv(want))) \
+            < 1e-13
+
+    def test_no_columns_is_the_base_system(self):
+        sys_, U, R = self._base(m=0)
+        view = sys_.updated(U, R)
+        assert np.array_equal(view.factorization(), sys_.factorization())
+
+    def test_cap_applies_to_the_view(self):
+        # a singular update of a well-conditioned base: A + U R^T has a
+        # zero first column and C = I + R^T A^-1 U vanishes to rounding
+        sys_, _, _ = self._base(n=8)
+        e1 = np.eye(8)[:, :1]
+        with pytest.raises(NearSingularityError):
+            cl.solve(sys_.updated(-sys_.matrix @ e1, e1), np.ones(8))
+        assert sys_.cond < 1e3
+
+    def test_singular_base_raises(self):
+        sys_, U, R = self._base(n=8, m=2)
+        sys_.matrix[:, 0] = 0.0
+        with pytest.raises(NearSingularityError):
+            cl.solve(sys_.updated(U, R), np.ones(8))
+
+    def test_logdet_update_applies_a_held_inverse(self, monkeypatch):
+        sys_, U, R = self._base(complex_u=True)
+        lu = logdet_update(sys_, U, R)
+        sys_.factorization()
+        monkeypatch.setattr(np.linalg, "solve", None)   # no LU solve left
+        assert logdet_update(sys_, U, R) == pytest.approx(lu, rel=1e-13)
+
+
 class TestSolve:
     def test_zero_kernel_identity_solve(self):
         rule = cl.gauss_interval(12, 0.0, 1.0)

@@ -197,6 +197,60 @@ class TestShiftFactors:
                              cl.gauss_interval(16, -1.0, 1.0))
 
 
+def _dense_densities(pd, rule, grid):
+    """F_L and F_R by dense solves of the assembled V_t and V_t^T systems."""
+    vk = cl.v_t(pd)
+    vk_T = KernelHandle(lambda lam, mu: vk.eval(mu, lam), vk.diag)
+    EL, ER = cl.e_vectors(pd, grid, rule.nodes)
+    n = rule.n
+    return (np.linalg.solve(cl.assemble(vk, rule).matrix, EL.reshape(n, -1)),
+            np.linalg.solve(cl.assemble(vk_T, rule).matrix, ER.reshape(n, -1)))
+
+
+class TestChiDensities:
+    """F_L and F_R from one I + V0 inverse, updated by the c-shift."""
+
+    @pytest.mark.parametrize("F, p, c, t", [
+        (0.2, (0.0, 1.0), 1.0, 1.0),
+        (0.2, (0.0, 1.0), 1.0, 0.5 + 0.1j),
+        (0.3, (0.0, 1.0, 0.2), 1.0, 1.0),
+        (0.2, (0.0, 1.0), 2.0, 0.5 + 0.1j),
+    ])
+    def test_woodbury_matches_the_dense_vt_solves(self, grid48, F, p, c, t):
+        pd = _shift_problem(F, p, c, t)
+        rule = cl.gauss_interval(oscillation_nodes(pd, frequency=1.0), -1, 1)
+        dens = solve_densities(pd, rule, grid48)
+        n = rule.n
+        for got, want in zip((dens.FL, dens.FR), _dense_densities(pd, rule,
+                                                                  grid48)):
+            got = got.reshape(n, -1)
+            assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+    def test_without_the_shift_the_densities_are_wrong(self, grid48):
+        # negative control: I + V0 alone, without U R^T, misses both
+        pd = _shift_problem(0.2, (0.0, 1.0), 1.0, 0.5 + 0.1j)
+        rule = cl.gauss_interval(oscillation_nodes(pd, frequency=1.0), -1, 1)
+        sys0 = cl.assemble(cl.v0(pd), rule)
+        EL, ER = cl.e_vectors(pd, grid48, rule.nodes)
+        n = rule.n
+        unshifted = (cl.solve(sys0, EL.reshape(n, -1)),
+                     cl.solve(sys0.transposed(), ER.reshape(n, -1)))
+        for got, want in zip(unshifted, _dense_densities(pd, rule, grid48)):
+            assert np.max(np.abs(got - want)) > 1e-3 * np.max(np.abs(want))
+
+    def test_no_vt_system_is_assembled(self, grid48, monkeypatch):
+        pd = _shift_problem(0.2, (0.0, 1.0), 1.0, 0.5 + 0.1j, x=20.0)
+        names = []
+
+        def assemble(kernel, support, **kw):
+            names.append(kernel.name)
+            return cl.fredholm.assemble(kernel, support, **kw)
+
+        monkeypatch.setattr(cl.kernels, "assemble", assemble)
+        solve_densities(pd, cl.gauss_interval(48, -1, 1), grid48)
+        assert names == ["V0"]
+
+
 class TestLoopKernels:
     def test_zero_symbol_determinants_are_one(self, pd_zero, loop_default):
         srh = cl.ScalarRH(pd_zero)

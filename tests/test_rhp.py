@@ -20,6 +20,21 @@ class TestChi:
         failed = [r for r in rows if not r.passed]
         assert failed == []
 
+    def test_verify_evaluates_chi_once_per_point(self, chi_default,
+                                                 monkeypatch):
+        # five exterior probes, and four deltas on each side of five
+        # interior ones: the F_R reconstruction reuses chi_+
+        calls = []
+        chi = cl.ChiSolution.chi
+
+        def spy(self, lam):
+            calls.append(complex(lam))
+            return chi(self, lam)
+
+        monkeypatch.setattr(cl.ChiSolution, "chi", spy)
+        chi_default.verify()
+        assert len(calls) == len(set(calls)) == 45
+
     def test_zero_symbol_is_identity(self, pd_zero, grid48):
         chi = solve_chi(pd_zero, grid=grid48)
         ch = chi.chi(0.3 + 0.6j)
@@ -128,6 +143,15 @@ class TestExcludedCase:
         with pytest.raises(NearSingularityError):
             solve_chi(pd_default, grid=grid48)
 
+    def test_chi_raises_on_singular_v0(self, pd_default, grid48):
+        # chi's densities come from (I + V0)^-1: where it does not exist,
+        # the ratio det(I+V)/det(I+V0) is undefined too
+        rule = cl.gauss_interval(48, pd_default.a, pd_default.b)
+        sys0 = cl.assemble(cl.v0(pd_default), rule)
+        sys0.matrix[:, 0] = 0.0
+        with pytest.raises(NearSingularityError):
+            cl.ChiSolution(pd_default, rule, grid48, sys0)
+
     def test_beta_raises_excluded_case(self, pd_default, grid48, srh_default,
                                        loop_default, tiny_cond_cap):
         rule = cl.gauss_interval(64, pd_default.a, pd_default.b)
@@ -148,6 +172,30 @@ class TestGChi:
 
 
 class TestBeta:
+    def test_pair_evaluates_each_alpha_factor_once(self, pd_default, grid48,
+                                                   srh_default, loop_default,
+                                                   monkeypatch):
+        # ln alpha at the nodes and on the loop serve both k; each kernel
+        # adds its shifted nodes mu + i eps_k c/t, and no diagonal
+        points = []
+        exponent = cl.ScalarRH.exponent
+
+        def spy(self, lam):
+            points.append(np.size(lam))
+            return exponent(self, lam)
+
+        monkeypatch.setattr(cl.ScalarRH, "exponent", spy)
+        rule = cl.gauss_interval(64, -1.0, 1.0)
+        pair = cl.solve_betas(pd_default, rule, grid48, srh_default,
+                              loop_default)
+        assert sum(points) == 3 * rule.n + loop_default.samples.size
+        monkeypatch.undo()
+        for k in (1, 2):
+            single = solve_beta(pd_default, rule, grid48, k, srh_default,
+                                loop_default)
+            assert np.max(np.abs(pair[k].rho - single.rho)) \
+                < 1e-14 * np.max(np.abs(single.rho))
+
     def test_construction_invariants(self, betas_default):
         for k in (1, 2):
             failed = [r for r in betas_default[k].verify() if not r.passed]
