@@ -7,7 +7,8 @@ Three principal-sheet routes, each with an error monitor:
 * a rotated-ray Laplace integral, used instead of the series for
   Re a >= 0.35 and 8 <= |z| <= 20 where the series cancellation is worst;
 * the asymptotic expansion in z^{-a-n}, truncated at the least term,
-  used for |z| > 20.
+  used for |z| > 20 (1 - 1e-9): the margin sends a point whose modulus
+  rounds to 20 one way or the other down one route.
 
 Nonpositive integer a terminates the asymptotic sum, which is then the
 exact polynomial value.  Off-principal sheets are reached by applying the
@@ -30,6 +31,8 @@ from .quadgrid import _leggauss
 __all__ = ["TricomiEval", "tricomi_psi"]
 
 SWITCH_RADIUS = 20.0
+#: |a| above this is refused: the range on which ``_gamma`` is validated
+A_CAP = 5.0
 LAPLACE_MIN_RADIUS = 8.0
 LAPLACE_MIN_RE_A = 0.35
 OVERLAP = (15.0, 25.0)
@@ -127,7 +130,7 @@ def _digamma(a: complex) -> complex:
     return shift + cmath.log(a) - 0.5 / a - tail
 
 
-def _series(a: complex, z: complex, nmax: int = 600):
+def _series(a: complex, z: complex):
     """Logarithmic series of the second c = 1 solution, with derivatives.
 
     Sum over k of (a)_k z^k / (k!)^2 * (ln z + psi(a+k) - 2 psi(k+1)),
@@ -146,7 +149,7 @@ def _series(a: complex, z: complex, nmax: int = 600):
     comp = 0j  # Kahan compensation of d
     peak = 0.0
     k = 0
-    while k < nmax:
+    while k < 600:
         term = coef * (lnz + d)
         s += term
         # d/dz [z^k (ln z + d)] = z^{k-1} (k ln z + k d + 1)
@@ -262,7 +265,7 @@ def _principal(a: complex, z: complex, total_arg: float):
     if _is_nonpos_int(a):
         vals = _asymptotic(a, z, total_arg)
         return (*vals, "polynomial")
-    if r > SWITCH_RADIUS:
+    if r > SWITCH_RADIUS * (1.0 - 1e-9):
         vals = _asymptotic(a, z, total_arg)
         # near the switch radius the expansion may not yet have a small
         # least term; the Laplace route covers the gap when Re a allows
@@ -279,9 +282,6 @@ def _principal(a: complex, z: complex, total_arg: float):
 
 def _psi_cover(a: complex, r: float, theta: float):
     """Value and two derivatives at modulus r, total argument theta."""
-    # z by numpy's exp: on |z| = SWITCH_RADIUS (radius-0.2 disks at x = 100)
-    # the route hangs on the last bit of |z|, and these bits keep the route
-    # counts of earlier runs
     z = complex(r * np.exp(1j * theta))
     if abs(theta) <= math.pi:
         return _principal(a, z, theta)
@@ -308,8 +308,8 @@ def _psi_cover(a: complex, r: float, theta: float):
 
 
 def tricomi_psi(a: complex, z: complex, sheet: int = 0,
-                a_cap: float = 5.0, strict: bool = True) -> TricomiEval:
-    """Psi(a, 1; z) on sheet ``sheet`` of the cover of C - {0}.
+                strict: bool = True) -> TricomiEval:
+    """Psi(a, 1; z) on sheet ``sheet`` of the cover of C - {0}, |a| <= A_CAP.
 
     ``sheet`` counts full turns added to the principal argument of z.
     ``strict`` enforces the error budget in the series/asymptotic overlap
@@ -319,9 +319,9 @@ def tricomi_psi(a: complex, z: complex, sheet: int = 0,
     z = complex(z)
     if z == 0:
         raise BranchError("Psi(a, 1; z) has a branch point at z = 0")
-    if abs(a) > a_cap:
+    if abs(a) > A_CAP:
         raise ParameterDomainError(
-            f"|a| = {abs(a):.3g} exceeds the configured cap {a_cap}")
+            f"|a| = {abs(a):.3g} exceeds the cap {A_CAP}")
     theta = float(np.angle(z)) + 2.0 * math.pi * sheet
     val, d1, d2, err, route = _psi_cover(a, abs(z), theta)
     rel_err = err if route != "monodromy" else err / max(abs(val), 1e-300)

@@ -42,6 +42,8 @@ __all__ = ["SweepConfig", "SweepRow", "SweepReport", "theorem1_sweep",
 RULE_TOL = 1e-12
 #: tolerance of the loop-product consistency and of |fd - trace|
 ROUTE_TOL = 1e-6
+#: tolerance of the last row's relative error |ratio/product - 1|
+FINAL_TOL = 0.05
 TAIL_GROWTH = "relative-error growth from one x to the next"
 
 
@@ -67,8 +69,6 @@ class SweepConfig:
     p_kind: str = "identity"
     p_params: tuple = ()
     margin: float = np.inf
-    n_interval: int | None = None     # None: oscillation_nodes; either way
-                                      # the start of the refinement check
     n_budget: int = 4000              # cap on the nodes of any interval rule
     output: str = "sweep.csv"
 
@@ -76,8 +76,6 @@ class SweepConfig:
         xs = tuple(float(x) for x in self.x_list)
         if any(x2 <= x1 for x1, x2 in zip(xs, xs[1:])):
             raise ParameterDomainError("x_list must be strictly increasing")
-        if self.n_interval is not None and self.n_interval < 16:
-            raise ParameterDomainError("n_interval must be >= 16")
         self.x_list = xs
 
     def problem(self, x: float, t: complex = 1.0) -> ProblemData:
@@ -117,7 +115,7 @@ class SweepReport:
     extrapolated_limit: float = float("nan")
     fit_residual: float = float("nan")
 
-    def checks(self, final_tol: float = 0.05) -> list:
+    def checks(self) -> list:
         """The sweep's verdicts as DiagnosticRow at lam = x; none without rows.
 
         The final relative error, its growth e_{i+1}/e_i < 1.5 from one x
@@ -128,7 +126,7 @@ class SweepReport:
             return []
         last = self.rows[-1]
         out = [DiagnosticRow("final relative error", last.x, 0.0,
-                             last.rel_error, final_tol)]
+                             last.rel_error, FINAL_TOL)]
         for r1, r2 in zip(self.rows, self.rows[1:]):
             e1, e2 = r1.rel_error, r2.rel_error
             growth = e2 / e1 if e1 > 0 else (0.0 if e2 == 0 else np.inf)
@@ -144,8 +142,8 @@ class SweepReport:
     def tail_nonincreasing(self) -> bool:
         return all(r.passed for r in self.checks() if r.obj == TAIL_GROWTH)
 
-    def passed(self, final_tol: float = 0.05) -> bool:
-        return all(r.passed for r in self.checks(final_tol))
+    def passed(self) -> bool:
+        return all(r.passed for r in self.checks())
 
 
 def _check_budget(cfg: SweepConfig, x: float, n: int) -> None:
@@ -187,13 +185,12 @@ def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
     one slogdet for det(I+V0), and det(I+V) = det(I+V0) ratio.  A row
     costs two assemblies and three LUs of order n and 1.15 n.
 
-    Each row starts from ``oscillation_nodes`` (or ``cfg.n_interval``)
-    and is checked a posteriori: while ln ratio moves by
-    RULE_TOL * max(1, |ln ratio|) or more on the ceil(1.15 n)-point rule,
-    n grows to that rule.  The row reports the ratio at the n that passed,
-    that n and its gap; a rule over ``cfg.n_budget`` raises
-    ResolutionError, and a vanishing det(I+V0) or det(I+V)
-    ExcludedCaseError.
+    Each row starts from ``oscillation_nodes`` and is checked a
+    posteriori: while ln ratio moves by RULE_TOL * max(1, |ln ratio|) or
+    more on the ceil(1.15 n)-point rule, n grows to that rule.  The row
+    reports the ratio at the n that passed, that n and its gap; a rule over
+    ``cfg.n_budget`` raises ResolutionError, and a vanishing det(I+V0) or
+    det(I+V) ExcludedCaseError.
     """
     report = SweepReport()
     pd1 = cfg.problem(x=cfg.x_list[0] if cfg.x_list else 50.0)
@@ -213,7 +210,7 @@ def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
         t_start = time.perf_counter()
         pdx1 = cfg.problem(x=x)
         pdx0 = cfg.problem(x=x, t=0.0)
-        n = cfg.n_interval or oscillation_nodes(pdx1)
+        n = oscillation_nodes(pdx1)
         sys0, ln_ratio = _rule_log_ratio(cfg, pdx1, pdx0, n)
         # a posteriori: the log-ratio must not move on a 1.15x finer rule
         while True:
@@ -305,18 +302,17 @@ def dt_logdet_check(cfg: SweepConfig, t0: complex, h: float = 1e-4,
     exact up to O(x^{eps-1}).
 
     One interval rule serves (i) and chi, sized for chi's e^{+-i x p}
-    (``oscillation_nodes`` at frequency 1) unless ``cfg.n_interval`` is
-    given; a rule over ``cfg.n_budget`` raises ResolutionError.  Its
-    I + V0 system is inverted once, in real arithmetic for real data: chi
-    solves for F_L and F_R on Woodbury views of it
-    (``kernels.solve_densities``), and (i) applies the same inverse.  The
-    check assembles three systems, I + V0 and the two beta systems, and no
-    V_t.  An exactly singular I + V0, where the ratio is undefined (its
+    (``oscillation_nodes`` at frequency 1); a rule over ``cfg.n_budget``
+    raises ResolutionError.  Its I + V0 system is inverted once, in real
+    arithmetic for real data: chi solves for F_L and F_R on Woodbury views
+    of it (``kernels.solve_densities``), and (i) applies the same inverse.
+    The check assembles three systems, I + V0 and the two beta systems, and
+    no V_t.  An exactly singular I + V0, where the ratio is undefined (its
     excluded case), raises NearSingularityError from chi.
     """
     t0 = complex(t0)
     x = float(x if x is not None else (cfg.x_list[-1] if cfg.x_list else 100.0))
-    n = cfg.n_interval or oscillation_nodes(cfg.problem(x=x), frequency=1.0)
+    n = oscillation_nodes(cfg.problem(x=x), frequency=1.0)
     _check_budget(cfg, x, n)
     rule = gauss_interval(n, cfg.a, cfg.b)
     grid = laguerre_halfline(48, cfg.c)
@@ -367,11 +363,11 @@ def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
-def emit(report: SweepReport, path: str, final_tol: float = 0.05) -> int:
+def emit(report: SweepReport, path: str) -> int:
     """Write the sweep CSV and its summary; return the exit code.
 
     The summary holds the x-extrapolated limit and the loop factors, then
-    ``summarize(report.checks(final_tol))``; the exit code is 0 iff every
+    ``summarize(report.checks())``; the exit code is 0 iff every
     check passes.
     """
     import csv
@@ -397,7 +393,7 @@ def emit(report: SweepReport, path: str, final_tol: float = 0.05) -> int:
                          f"{report.fit_residual:.3e}")
         lines.append(f"loop factors: det(I+U+)={_fmt(report.rows[-1].det_up)}, "
                      f"det(I+U-)={_fmt(report.rows[-1].det_um)}")
-    checks, ok = summarize(report.checks(final_tol))
+    checks, ok = summarize(report.checks())
     with open(str(path) + ".summary.txt", "w") as fh:
         fh.write("\n".join(lines + checks) + "\n")
     return 0 if ok else 1
@@ -421,7 +417,7 @@ def load_config(path: str) -> SweepConfig:
 
     kw = {}
     simple = {"a": float, "b": float, "c": float, "margin": float,
-              "n_interval": int, "n_budget": int, "output": str}
+              "n_budget": int, "output": str}
     for key, val in raw.items():
         if key == "x_list":
             kw["x_list"] = floats(val)

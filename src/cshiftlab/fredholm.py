@@ -12,10 +12,11 @@ splitting is attempted (square roots of complex weights are
 branch-ambiguous, and determinants are similarity-invariant anyway).
 
 Solves invert the matrix once with numpy and take the exact 1-norm
-condition number ||A||_1 ||A^-1||_1 from that inverse.  All dense linear
-algebra is numpy's, the package's only runtime dependency.  numpy reports
-an exactly singular matrix as LinAlgError; it is raised here as
-NearSingularityError, like a condition number over the cap.
+condition number ||A||_1 ||A^-1||_1 from that inverse; ``solve`` refuses a
+condition number over COND_CAP.  All dense linear algebra is numpy's, the
+package's only runtime dependency.  numpy reports an exactly singular
+matrix as LinAlgError; it is raised here as NearSingularityError, like a
+condition number over the cap.
 
 ``logdet_update`` adds a term of low rank m to a system:
 ln det(I + K + U R^T) - ln det(I + K) = ln det(I_m + R^T (I + K)^{-1} U),
@@ -42,6 +43,10 @@ from .quadgrid import Contour, IntervalRule
 
 __all__ = ["NystromSystem", "assemble", "determinant", "logdet",
            "logdet_update", "solve"]
+
+#: ``solve`` refuses a system whose 1-norm condition number exceeds this:
+#: its determinant is numerically zero (the excluded case)
+COND_CAP = 1e12
 
 Support = Union[IntervalRule, Contour]
 
@@ -72,11 +77,11 @@ class NystromSystem:
     def n(self) -> int:
         return self.nodes.size
 
-    def factorization(self, cond_cap: float = 1e12) -> np.ndarray:
+    def factorization(self) -> np.ndarray:
         """The inverse matrix plus the exact 1-norm condition number (cached).
 
-        A view takes its inverse from its base system's, factored without
-        a cap: the cap applies to the view's own condition number.
+        A view takes its inverse from its base system's; ``solve``'s cap
+        applies to the view's own condition number.
         """
         if self._inv is None:
             invert = self._invert or (lambda: np.linalg.inv(self.matrix))
@@ -88,11 +93,6 @@ class NystromSystem:
                     cond=np.inf) from exc
             self.cond = float(np.linalg.norm(self.matrix, 1)
                               * np.linalg.norm(self._inv, 1))
-        if self.cond > cond_cap:
-            raise NearSingularityError(
-                f"condition number {self.cond:.3e} exceeds cap {cond_cap:.1e}"
-                " (determinant numerically zero: the excluded case)",
-                cond=self.cond)
         return self._inv
 
     def _view(self, matrix: np.ndarray, invert: Callable) -> "NystromSystem":
@@ -109,7 +109,7 @@ class NystromSystem:
         NearSingularityError.
         """
         def invert():
-            inv = self.factorization(np.inf)
+            inv = self.factorization()
             X = _dot(inv, U)
             C = np.eye(U.shape[1]) + R.T @ X
             return inv - X @ np.linalg.solve(C, _dot(R.T, inv))
@@ -123,7 +123,7 @@ class NystromSystem:
         """
         scale = self.weights[None, :] / self.weights[:, None]
         return self._view(self.matrix.T * scale,
-                          lambda: self.factorization(np.inf).T * scale)
+                          lambda: self.factorization().T * scale)
 
 
 def _dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -185,25 +185,19 @@ def logdet_update(sys: NystromSystem, U: np.ndarray, R: np.ndarray) -> complex:
     Computed as ln det(I_m + R^T (I + K)^{-1} U); (I + K + U R^T) itself
     is never formed.  A system that holds its inverse (``factorization``)
     applies it; otherwise one LU solve against U, which forms no inverse.
-    A float64 system stays in real arithmetic: a complex U is solved as the
-    real pair [Re U, Im U].  An exactly singular system raises
+    An exactly singular system raises
     NearSingularityError; a vanishing updated determinant gives -inf, as
     in ``logdet``.
     """
     if sys._inv is not None:
         return _slogdet(np.eye(U.shape[1]) + R.T @ _dot(sys._inv, U))
-    A, m = sys.matrix, U.shape[1]
-    split = np.iscomplexobj(U) and not np.iscomplexobj(A)
     try:
-        X = np.linalg.solve(A, np.concatenate([U.real, U.imag], axis=1)
-                            if split else U)
+        X = np.linalg.solve(sys.matrix, U)
     except np.linalg.LinAlgError as exc:
         raise NearSingularityError(
             "matrix is exactly singular (the excluded case)",
             cond=np.inf) from exc
-    if split:
-        X = X[:, :m] + 1j * X[:, m:]
-    return _slogdet(np.eye(m) + R.T @ X)
+    return _slogdet(np.eye(U.shape[1]) + R.T @ X)
 
 
 def determinant(sys: NystromSystem, with_error: bool = False):
@@ -224,15 +218,20 @@ def determinant(sys: NystromSystem, with_error: bool = False):
     return det, abs(det2 - det)
 
 
-def solve(sys: NystromSystem, rhs: np.ndarray,
-          cond_cap: float = 1e12) -> np.ndarray:
+def solve(sys: NystromSystem, rhs: np.ndarray) -> np.ndarray:
     """Solve (I + K) f = g for one or many right-hand sides.
 
-    Columns of a 2-d rhs are independent right-hand sides.  The residual
-    is driven below 1e-10 * |g| by one step of iterative refinement and
+    Columns of a 2-d rhs are independent right-hand sides.  A condition
+    number over COND_CAP raises NearSingularityError.  The residual is
+    driven below 1e-10 * |g| by one step of iterative refinement and
     checked.
     """
-    inv = sys.factorization(cond_cap)
+    inv = sys.factorization()
+    if sys.cond > COND_CAP:
+        raise NearSingularityError(
+            f"condition number {sys.cond:.3e} exceeds cap {COND_CAP:.1e}"
+            " (determinant numerically zero: the excluded case)",
+            cond=sys.cond)
     g = np.asarray(rhs, dtype=complex)
     f = inv @ g
     # one refinement step, then verify the residual contract

@@ -253,7 +253,8 @@ def u_kt(pd: ProblemData, k: int, srh: ScalarRH) -> KernelHandle:
         num = np.exp(e * srh.exponent(lam)) * np.exp(-e * srh.exponent(mu + shift))
         return -pd.t * num / (2j * np.pi * denom)
 
-    return KernelHandle(eval_, lambda lam: eval_(lam, lam), name=f"U_{k};t")
+    return KernelHandle(eval_, lambda lam: eval_(lam, lam), name=f"U_{k};t",
+                        regular=True)
 
 
 def k_kt(pd: ProblemData, k: int, srh: ScalarRH) -> KernelHandle:

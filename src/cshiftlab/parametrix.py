@@ -43,6 +43,8 @@ __all__ = ["zeta", "alpha0", "l_sector", "Parametrix", "build_parametrix"]
 
 #: fractions of the bracket at which each lens-ray bisection step probes
 _RAY_SPLIT = np.linspace(0.0, 1.0, 65)
+#: angular offset of the one-sided probes beside a lens ray or the cut
+_SIDE_OFFSET = 1e-7
 
 
 def zeta(endpoint: str, pd: ProblemData, lam: complex,
@@ -208,22 +210,22 @@ class Parametrix:
             lo, hi = grid[j], grid[j + 1]
         return float(0.5 * (lo + hi))
 
-    def jump_residuals(self, heights=(0.35, 0.6, 0.85), offset: float = 1e-7):
+    def jump_residuals(self):
         """Residuals of the prescribed jumps across the two lens rays.
 
-        Probes sit at fractions of the disk radius straddling the rays
-        arg(p - p(endpoint)) = +- pi/2 by +-offset radians; the one-sided
-        values are continuous up to the ray.
+        Probes sit at 0.35, 0.6 and 0.85 of the disk radius straddling the
+        rays arg(p - p(endpoint)) = +- pi/2 by +- _SIDE_OFFSET radians; the
+        one-sided values are continuous up to the ray.
         """
-        pd, fac = self.pd, self.factory
+        fac = self.factory
         out = []
-        for frac in heights:
+        for frac in (0.35, 0.6, 0.85):
             for ray in (+1, -1):
                 phi = self._ray_angle(ray, frac)
                 lam_w = self.center + frac * self.radius * np.exp(
-                    1j * (phi + offset))
+                    1j * (phi + _SIDE_OFFSET))
                 lam_e = self.center + frac * self.radius * np.exp(
-                    1j * (phi - offset))
+                    1j * (phi - _SIDE_OFFSET))
                 # sector-2/3 side vs sector-1 side of the ray
                 P_out = self(lam_w) if ray > 0 else self(lam_e)
                 P_in = self(lam_e) if ray > 0 else self(lam_w)
@@ -236,14 +238,15 @@ class Parametrix:
                 out.append((ray, frac, float(resid)))
         return out
 
-    def cut_continuity(self, fracs=(0.4, 0.7), offset: float = 1e-7) -> float:
-        """Mismatch across the outward cut; the parametrix is continuous there."""
+    def cut_continuity(self) -> float:
+        """Mismatch across the outward cut, at 0.4 and 0.7 of the disk radius
+        and +- _SIDE_OFFSET off it; the parametrix is continuous there."""
         sgn = -1.0 if self.endpoint == "a" else 1.0
         worst = 0.0
-        for frac in fracs:
+        for frac in (0.4, 0.7):
             lam = self.center + sgn * frac * self.radius
-            up = self(lam + 1j * offset).mat
-            dn = self(lam - 1j * offset).mat
+            up = self(lam + 1j * _SIDE_OFFSET).mat
+            dn = self(lam - 1j * _SIDE_OFFSET).mat
             worst = max(worst, float(np.max(np.abs(up - dn))))
         return worst
 

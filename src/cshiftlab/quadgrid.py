@@ -134,10 +134,11 @@ class IntervalRule:
         """Integrate node values (last axis runs over nodes)."""
         return np.asarray(values) @ self.weights
 
-    def refined(self, factor: int = 2) -> "IntervalRule":
+    def refined(self) -> "IntervalRule":
+        """The rule with twice the nodes."""
         if self.refiner is not None:
-            return self.refiner(factor)
-        return gauss_interval(factor * self.n, self.a, self.b)
+            return self.refiner()
+        return gauss_interval(2 * self.n, self.a, self.b)
 
     def to_unit(self, lam):
         """Affine map of lam onto the reference interval [-1, 1]."""
@@ -334,7 +335,7 @@ def graded_interval(a: float, b: float, n_panel: int = 16, levels: int = 6,
     return IntervalRule(
         a=float(a), b=float(b), nodes=np.concatenate(nodes),
         weights=np.concatenate(weights),
-        refiner=lambda f: graded_interval(a, b, f * n_panel, levels + 1, ratio))
+        refiner=lambda: graded_interval(a, b, 2 * n_panel, levels + 1, ratio))
 
 
 @dataclass(frozen=True)
@@ -374,9 +375,10 @@ class Contour:
         x = np.clip(self.samples.real, self.a, self.b)
         return np.abs(self.samples - x)
 
-    def refined(self, factor: int = 2) -> "Contour":
+    def refined(self) -> "Contour":
+        """The loop at twice the node density."""
         return stadium_contour(self.a, self.b, self.r,
-                               n_per_unit=factor * self._density)
+                               n_per_unit=2 * self._density)
 
     @property
     def _density(self) -> float:
@@ -475,8 +477,9 @@ class HalfLineRule:
     def integrate(self, values: np.ndarray) -> complex:
         return np.asarray(values) @ self.sweights
 
-    def refined(self, factor: int = 2) -> "HalfLineRule":
-        return laguerre_halfline(factor * self.n, self.c)
+    def refined(self) -> "HalfLineRule":
+        """The rule with twice the nodes."""
+        return laguerre_halfline(2 * self.n, self.c)
 
 
 def _laguerre_scaled(n: int, u: np.ndarray):

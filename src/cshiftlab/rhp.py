@@ -91,13 +91,13 @@ def write_diagnostics(rows, path):
                         r.passed])
 
 
-def default_probes(pd: ProblemData, seed: int = 0):
+def default_probes(pd: ProblemData):
     """Reproducible probe points: five interior Chebyshev points, two
-    exterior anchors at a +- i(b-a)/2, and three seeded annulus points."""
+    exterior anchors at a +- i(b-a)/2, and three annulus points (seed 0)."""
     a, b = pd.a, pd.b
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     interior = mid + half * np.cos((2 * np.arange(1, 6) - 1) * np.pi / 10.0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     ang = rng.uniform(0.3, np.pi - 0.3, 3) * rng.choice([-1, 1], 3)
     rad = rng.uniform(0.3, 0.8, 3) * (b - a)
     annulus = mid + rad * np.exp(1j * ang)
@@ -251,19 +251,18 @@ class BetaSolution:
     """Solution of the scalar operator problem for one k.
 
     ``exponents`` are ln alpha at the rule's nodes (the +side values) and
-    on the loop, when the caller shares them between k = 1 and 2
-    (``solve_betas``); alpha_{k;+} at the nodes serves both the kernel and
+    on the loop (``_beta_exponents``), shared between k = 1 and 2 by
+    ``solve_betas``; alpha_{k;+} at the nodes serves both the kernel and
     the right-hand side.
     """
 
     def __init__(self, pd: ProblemData, rule: IntervalRule, grid: HalfLineRule,
-                 k: int, srh: ScalarRH, loop: Contour, exponents=None):
+                 k: int, srh: ScalarRH, loop: Contour, exponents):
         self.pd, self.rule, self.grid, self.k, self.srh = pd, rule, grid, k, srh
         e = EPS_K[k]
         nodes = rule.nodes.astype(complex)
         z = loop.samples
-        e_nodes, e_loop = exponents if exponents is not None \
-            else _beta_exponents(srh, rule, loop)
+        e_nodes, e_loop = exponents
         alpha_plus = np.exp(e * e_nodes)
 
         # right-hand side: alpha_{k;+}(lam) times the loop integral of
@@ -342,7 +341,8 @@ def solve_beta(pd: ProblemData, rule: IntervalRule, grid: HalfLineRule,
                k: int, srh: ScalarRH | None = None,
                loop: Contour | None = None) -> BetaSolution:
     srh, loop = _beta_defaults(pd, srh, loop)
-    return BetaSolution(pd, rule, grid, k, srh, loop)
+    return BetaSolution(pd, rule, grid, k, srh, loop,
+                        _beta_exponents(srh, rule, loop))
 
 
 def solve_betas(pd: ProblemData, rule: IntervalRule, grid: HalfLineRule,

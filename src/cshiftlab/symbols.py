@@ -21,7 +21,7 @@ from .errors import (
     ParameterDomainError,
     SymbolDomainError,
 )
-from .quadgrid import IntervalRule, gauss_interval, stadium_contour
+from .quadgrid import gauss_interval, stadium_contour
 
 __all__ = [
     "HolomorphicHandle",
@@ -49,11 +49,10 @@ DELTA_SCHEDULE = np.array([1e-2, 1e-3, 1e-4, 1e-5])
 
 @dataclass(frozen=True)
 class HolomorphicHandle:
-    """A holomorphic function with its derivative and a validity tag."""
+    """A holomorphic function with its derivative."""
 
     eval: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
-    domain: str = "declared margin around [a, b]"
 
     def __call__(self, z):
         return self.eval(np.asarray(z, dtype=complex))
@@ -64,7 +63,6 @@ def constant_symbol(gamma: complex) -> HolomorphicHandle:
     return HolomorphicHandle(
         eval=lambda z: np.full_like(np.asarray(z, dtype=complex), g),
         deriv=lambda z: np.zeros_like(np.asarray(z, dtype=complex)),
-        domain="entire",
     )
 
 
@@ -72,8 +70,7 @@ def poly_symbol(coeffs) -> HolomorphicHandle:
     """Polynomial sum_k coeffs[k] z^k with real coefficients."""
     p = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
     dp = p.deriv()
-    return HolomorphicHandle(eval=lambda z: p(z), deriv=lambda z: dp(z),
-                             domain="entire")
+    return HolomorphicHandle(eval=lambda z: p(z), deriv=lambda z: dp(z))
 
 
 def scaled_exp_symbol(gamma: float, coeffs) -> HolomorphicHandle:
@@ -81,8 +78,7 @@ def scaled_exp_symbol(gamma: float, coeffs) -> HolomorphicHandle:
     p = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
     dp = p.deriv()
     return HolomorphicHandle(eval=lambda z: gamma * np.exp(p(z)),
-                             deriv=lambda z: gamma * dp(z) * np.exp(p(z)),
-                             domain="entire")
+                             deriv=lambda z: gamma * dp(z) * np.exp(p(z)))
 
 
 def poly_phase(coeffs) -> HolomorphicHandle:
@@ -251,16 +247,16 @@ def boundary_value(f: Callable, lam0: float, side: int, scale: float = 1.0):
 
 
 class ScalarRH:
-    """The scalar Riemann-Hilbert data nu, alpha bound to one interval rule.
+    """The scalar Riemann-Hilbert data nu, alpha on a 160-point Gauss rule.
 
     alpha(lam) = exp C[nu](lam) with C the Cauchy transform over [a, b];
     alpha_1 = 1/alpha and alpha_2 = alpha.  Evaluation is uniformly
     accurate up to the cut; points on (a, b) get the +side value.
     """
 
-    def __init__(self, pd: ProblemData, rule: IntervalRule | None = None):
+    def __init__(self, pd: ProblemData):
         self.pd = pd
-        self.rule = rule if rule is not None else gauss_interval(160, pd.a, pd.b)
+        self.rule = gauss_interval(160, pd.a, pd.b)
         self.kit = CauchyKit(self.rule)
         self.nu_nodes = nu(pd, self.rule.nodes.astype(complex))
 

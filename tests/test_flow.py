@@ -89,18 +89,11 @@ class TestIntervalRule:
             dt_logdet_check(SweepConfig(x_list=(100.0,), n_budget=150),
                             0.5 + 0.1j)
 
-    def test_given_n_interval_goes_through_the_check(self):
-        row = theorem1_sweep(SweepConfig(x_list=(400.0,), n_interval=200)).rows[0]
-        assert row.n > 200
-        assert row.gap < cl.flow.RULE_TOL
-
 
 class TestSweepConfig:
     def test_validation(self):
         with pytest.raises(ParameterDomainError):
             SweepConfig(x_list=(50.0, 50.0))
-        with pytest.raises(ParameterDomainError):
-            SweepConfig(n_interval=8)
 
     def test_t_other_than_one_rejected(self, tmp_path):
         # theorem1_sweep runs at t = 1; a t in the file would be dropped
@@ -244,7 +237,6 @@ class TestChecks:
         assert not _report((1e-3, 5e-4), consistency=np.nan).passed()
         assert not _report((1e-3, 5e-4), gaps=[1e-13, 1e-9]).passed()
         assert not _report((0.05, 0.06)).passed()
-        assert _report((0.05, 0.06)).passed(final_tol=0.1)
         assert _report(()).checks() == [] and _report(()).passed()
 
     def test_emit_exit_code_follows_the_rows(self, tmp_path):
@@ -386,8 +378,9 @@ class TestConfigAndCli:
         assert cfg.margin == 1e9
 
     @pytest.mark.parametrize("line", ["nonsense = 3", "probe_seed = 0",
-                                      "n_halfline = 48"],
-                             ids=["nonsense", "probe_seed", "n_halfline"])
+                                      "n_halfline = 48", "n_interval = 200"],
+                             ids=["nonsense", "probe_seed", "n_halfline",
+                                  "n_interval"])
     def test_unknown_key_rejected(self, tmp_path, line):
         path = tmp_path / "cfg.txt"
         path.write_text(line + "\n")

@@ -78,18 +78,23 @@ class TestDeterminant:
 class TestLogdetUpdate:
     @pytest.mark.parametrize("complex_u", [False, True])
     def test_lemma_against_the_updated_matrix(self, pd_default, complex_u):
-        # ln det(I + K + U R^T) - ln det(I + K) for a real system; a complex
-        # U goes through the real LU as [Re U, Im U]
+        # ln det(I + K + U R^T) - ln det(I + K) for a float64 system, with
+        # a real or a complex U, by the LU solve and by the held inverse
         rule = cl.gauss_interval(40, -1.0, 1.0)
         sys_ = cl.assemble(cl.v0(pd_default), rule)
+        assert sys_.matrix.dtype == np.float64 and sys_._inv is None
         rng = np.random.default_rng(3)
         U, R = (0.1 * rng.standard_normal((40, 6)) for _ in range(2))
         if complex_u:
             U = U + 0.1j * rng.standard_normal((40, 6))
         want = np.linalg.slogdet(sys_.matrix + U @ R.T)
-        got = logdet_update(sys_, U, R) + logdet(sys_)
-        assert np.exp(got) == pytest.approx(want[0] * np.exp(want[1]),
-                                            rel=1e-13)
+        want = want[0] * np.exp(want[1])
+        lu = logdet_update(sys_, U, R) + logdet(sys_)
+        sys_.factorization()
+        held = logdet_update(sys_, U, R) + logdet(sys_)
+        assert np.exp(lu) == pytest.approx(want, rel=1e-13)
+        assert np.exp(held) == pytest.approx(want, rel=1e-13)
+        assert abs(lu - held) < 1e-13
 
     def test_vanishing_update_is_minus_infinity(self):
         rule = cl.gauss_interval(8, 0.0, 1.0)

@@ -284,6 +284,20 @@ class TestLoopKernels:
         assert abs(dets[0.25][0] - dets[0.125][0]) < 1e-8
         assert abs(dets[0.25][1] - dets[0.125][1]) < 1e-8
 
+    def test_assembly_takes_the_diagonal_from_eval(self, pd_default,
+                                                   srh_default, loop_default):
+        # u_kt is regular: assemble does not call its diag, and det(I+U_k)
+        # matches the assembly that overwrites the diagonal by diag
+        for k in (1, 2):
+            kern = u_kt(pd_default, k, srh_default)
+            diag, calls = kern.diag, []
+            kern.diag = lambda lam: calls.append(lam) or diag(lam)
+            det = cl.determinant(cl.assemble(kern, loop_default))
+            assert calls == []
+            ref = cl.determinant(cl.assemble(KernelHandle(kern.eval, diag),
+                                             loop_default))
+            assert abs(det - ref) < 1e-14
+
     def test_large_shift_decay(self, srh_default):
         pd_big = srh_default.pd.with_(c=100.0)
         srh = cl.ScalarRH(pd_big)

@@ -79,8 +79,8 @@ class TestParametrixInvariants:
                 assert resid < 1e-5
 
     def test_cut_continuity(self, pa, pb):
-        assert pa.cut_continuity(offset=1e-7) < 1e-5
-        assert pb.cut_continuity(offset=1e-7) < 1e-5
+        assert pa.cut_continuity() < 1e-5
+        assert pb.cut_continuity() < 1e-5
 
     def test_boundary_decay_ratio(self, pd_default, factory_x100, pa):
         p200 = build_parametrix("a", pd_default, factory_x100, x=200.0)

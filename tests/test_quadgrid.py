@@ -176,7 +176,7 @@ class TestStadiumContour:
         # oint dz/(z-1)^2 = 0; brute-force refinement confirms the value
         loop = stadium_contour(0.0, 2.0, 0.3)
         val = loop.integrate(1.0 / (loop.samples - 1.0) ** 2)
-        fine = loop.refined(4)
+        fine = loop.refined().refined()
         ref = fine.integrate(1.0 / (fine.samples - 1.0) ** 2)
         assert abs(val) < 1e-10
         assert abs(val - ref) < 1e-10
