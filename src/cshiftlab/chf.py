@@ -1,11 +1,11 @@
 """Tricomi confluent hypergeometric function Psi(a, 1; z) on the universal cover.
 
-Three principal-sheet routes, each with an error monitor:
+Two principal-sheet routes, each with an error monitor:
 
-* the logarithmic (digamma) series for the c = 1 case, used for |z| <= 20;
-  its cancellation level is tracked, since the terms grow like e^|z|;
-* a rotated-ray Laplace integral, used instead of the series for
-  Re a >= 0.35 and 8 <= |z| <= 20 where the series cancellation is worst;
+* the rotated-ray Laplace integral (DLMF 13.4.4) at every |z| up to the
+  switch radius 20, and beyond it wherever the expansion's least term is
+  not small; below Re a = -1/2 it is carried down by the contiguous
+  relation in a.  Its monitor is the cancellation of its terms;
 * the asymptotic expansion in z^{-a-n}, truncated at the least term,
   used for |z| > 20 (1 - 1e-9): the margin sends a point whose modulus
   rounds to 20 one way or the other down one route.
@@ -33,13 +33,23 @@ __all__ = ["TricomiEval", "tricomi_psi"]
 SWITCH_RADIUS = 20.0
 #: |a| above this is refused: the range on which ``_gamma`` is validated
 A_CAP = 5.0
-LAPLACE_MIN_RADIUS = 8.0
-LAPLACE_MIN_RE_A = 0.35
 OVERLAP = (15.0, 25.0)
 OVERLAP_TOL = 1e-8
+#: largest |angle| of the Laplace ray: pi/4 clear of the branch point t = -1
+_RAY_CLIP = 0.75 * math.pi
 
-#: the factorials m! of the Laplace route's endpoint stub, m < 7
-_STUB_FACT = (1.0, 1.0, 2.0, 6.0, 24.0, 120.0, 720.0)
+#: powers t^m of the Laplace route's endpoint stub, m < 7
+_STUB_M = np.arange(7.0)
+#: the z-derivative orders 0, 1, 2 as a column, and their signs (-1)^k
+_SHIFTS = np.arange(3.0)[:, None]
+_SIGNS = np.array([1.0, -1.0, 1.0])
+#: 24-point Gauss-Legendre rule of each Laplace panel
+_XG, _WG = _leggauss(24)
+#: relative error of ``_gamma`` on |a| <= A_CAP, and the rounding charged
+#: per unit of sum |terms| / |sum terms| of a Laplace value
+_GAMMA_ERR = 5e-15
+_ROUND = 2.0 ** -53
+
 #: Lanczos coefficients for g = 607/128 (Godfrey), constant term first
 _LANCZOS = (
     0.999999999999997092, 57.1562356658629235, -59.5979603554754912,
@@ -49,12 +59,6 @@ _LANCZOS = (
     0.217439618115212643e-3, -0.164318106536763890e-3,
     0.844182239838527433e-4, -0.261908384015814087e-4,
     0.368991826595316234e-5)
-#: B_2k / (2k), k = 1..8, of the digamma asymptotic series
-_DIGAMMA_SERIES = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0,
-                   1.0 / 132.0, -691.0 / 32760.0, 1.0 / 12.0,
-                   -3617.0 / 8160.0)
-#: Euler's constant, -psi(1)
-_EULER = 0.57721566490153286061
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -104,124 +108,86 @@ def _gamma(a: complex) -> complex:
     return _SQRT_2PI * ser / a * cmath.exp((a + 0.5) * cmath.log(t) - t)
 
 
-def _digamma(a: complex) -> complex:
-    """psi(a) = Gamma'(a)/Gamma(a) for complex a.
+def _laplace_ray(a: complex, z: complex):
+    """(Psi, Psi', Psi'') by one Laplace integral, Re a >= -1/2.
 
-    Reflection psi(a) = psi(1 - a) - pi cot(pi a) below Re a = 1/2, the
-    recurrence psi(a) = psi(a + 1) - 1/a up to |a| >= 10, then the
-    asymptotic series ln a - 1/(2a) - sum B_2k / (2k a^2k) through k = 8.
-    For |a| <= 5 the error is below 1e-15 max(1, |psi(a)|); near the real
-    zeros of psi that leaves 2e-14 relative (a = 1.479, psi = 0.017).
+    Also returns the value's relative error monitor: the error of
+    ``_gamma`` plus the rounding of the quadrature and stub terms, each
+    charged in proportion to its exponent's parts, over |sum of terms|.
+    It grows where the sum cancels: toward Re a = -1/2, where the stub
+    and the panels grow like tau0^{Re a}, and at large |Im a|.
     """
-    a = complex(a)
-    if _is_nonpos_int(a):
-        raise ParameterDomainError(f"digamma has a pole at a = {a}")
-    if a.real < 0.5:
-        cot_pi = 1.0 / cmath.tan(math.pi * (a - round(a.real)))
-        return _digamma(1.0 - a) - math.pi * cot_pi
-    shift = 0j
-    while abs(a) < 10.0:
-        shift -= 1.0 / a
-        a += 1.0
-    inv2 = 1.0 / (a * a)
-    tail = 0j
-    for c in reversed(_DIGAMMA_SERIES):
-        tail = (tail + c) * inv2
-    return shift + cmath.log(a) - 0.5 / a - tail
+    theta = min(max(cmath.phase(z), -_RAY_CLIP), _RAY_CLIP)
+    ph = cmath.exp(-1j * theta)
+    T = 45.0 / (z * ph).real   # |e^{-z t}| = e^{-45} at the far end
+    tau0 = 1e-4 * min(1.0, T)
+    logt0 = math.log(tau0) - 1j * theta
 
+    # stub on [0, tau0]: (1+t)^{-a} e^{-zt} = sum g_m t^m, each power of
+    # t^{a-1+m+k} integrated exactly; (a+m+k)^{-1} continues it in a
+    m = _STUB_M[1:]
+    binom = np.cumprod(np.concatenate(([1.0], (1.0 - a - m) / m)))
+    expc = np.cumprod(np.concatenate(([1.0], -z / m)))
+    gm = np.convolve(binom, expc)[:_STUB_M.size]
+    pw = a + _STUB_M + _SHIFTS   # (3, M): the powers for k = 0, 1, 2
+    stub = gm * np.exp(pw * logt0) / pw
 
-def _series(a: complex, z: complex):
-    """Logarithmic series of the second c = 1 solution, with derivatives.
+    # Gauss panels graded by 3 from tau0 out to T
+    edges = tau0 * 3.0 ** np.arange(math.ceil(math.log(T / tau0, 3.0)) + 1)
+    edges[-1] = T
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    tau = ((0.5 * (edges[:-1] + edges[1:]))[:, None] + half * _XG).ravel()
+    t = ph * tau
+    logt = np.log(tau) - 1j * theta
+    log1pt = np.log1p(t)
+    base = (ph * (half * _WG).ravel()) * np.exp(-z * t + (a - 1.0) * logt
+                                                 - a * log1pt)
+    bt = base * t
+    sums = np.array([base.sum(), bt.sum(), bt @ t]) + stub.sum(axis=1)
 
-    Sum over k of (a)_k z^k / (k!)^2 * (ln z + psi(a+k) - 2 psi(k+1)),
-    times -1/Gamma(a); term-by-term derivatives of the same sum.
-
-    d_k = psi(a+k) - 2 psi(k+1) advances by the compensated recurrence
-    d_{k+1} = d_k + 1/(a+k) - 2/(k+1).  A rounding error in d_k recurs in
-    every later term and is multiplied by the cancelling sum, so d is
-    taken afresh where the step 1/(a+k) is large (|a+k| < 1): psi(a+k+1)
-    from ``_digamma``, psi(k+2) as a harmonic sum.
-    """
-    lnz = cmath.log(z)
-    coef = 1.0 + 0j  # (a)_k / (k!)^2 * z^k
-    s = s1 = s2 = 0j
-    d = _digamma(a) + 2.0 * _EULER
-    comp = 0j  # Kahan compensation of d
-    peak = 0.0
-    k = 0
-    while k < 600:
-        term = coef * (lnz + d)
-        s += term
-        # d/dz [z^k (ln z + d)] = z^{k-1} (k ln z + k d + 1)
-        s1 += coef / z * (k * (lnz + d) + 1.0)
-        s2 += coef / z ** 2 * (k * (k - 1) * (lnz + d) + 2.0 * k - 1.0)
-        peak = max(peak, abs(term))
-        if abs(term) < 1e-18 * max(abs(s), 1.0) and k > 4:
-            break
-        coef *= (a + k) * z / (k + 1.0) ** 2
-        if abs(a + k) < 1.0:
-            # psi(k + 2) = -gamma + H_{k+1}; fsum rounds the sum once
-            psi_k2 = math.fsum([-_EULER] + [1.0 / j for j in range(1, k + 2)])
-            d, comp = _digamma(a + k + 1.0) - 2.0 * psi_k2, 0j
-        else:
-            step = 1.0 / (a + k) - 2.0 / (k + 1.0) - comp
-            total = d + step
-            comp = (total - d) - step
-            d = total
-        k += 1
-    pref = -1.0 / _gamma(a)
-    err = peak / max(abs(s), 1e-300) * 2.5e-16 * max(math.sqrt(k), 1.0)
-    return pref * s, pref * s1, pref * s2, float(err)
+    # a term's exponent is rounded relative to the sizes of its parts
+    cond = 1.0 + abs(z) * tau + abs(a - 1.0) * np.abs(logt) \
+        + abs(a) * np.abs(log1pt)
+    size = np.abs(base) @ cond \
+        + np.abs(stub[0]) @ (1.0 + np.abs(pw[0] * logt0))
+    err = _GAMMA_ERR + _ROUND * size / max(abs(sums[0]), 1e-300)
+    return _SIGNS * sums / _gamma(a), err
 
 
 def _laplace(a: complex, z: complex):
-    """Rotated-ray Laplace integral for Re a > 0; no cancellation.
+    """Gamma(a) Psi = int_0^inf e^{-z t} t^{a-1} (1+t)^{-a} dt (DLMF 13.4.4).
 
-    Gamma(a) Psi = int_0^inf e^{-z t} t^{a-1} (1+t)^{-a} dt, taken along
-    the ray t = e^{-i theta} tau with theta clipped inside (-pi, pi) so
-    the ray avoids the branch point at t = -1 and e^{-z t} decays.  The
-    endpoint power t^{a-1} is handled by an analytic stub on [0, tau0]
-    and geometrically graded Gauss panels beyond it.
+    Taken along the ray t = e^{-i theta} tau, theta = arg z clipped to
+    |theta| <= 3 pi/4, so that e^{-z t} decays and the ray stays pi/4
+    clear of the branch point t = -1.  The endpoint power t^{a-1} is
+    handled by an analytic stub on [0, tau0] and geometrically graded
+    Gauss panels beyond it; derivatives bring down -t and t^2.
+
+    Below Re a = -1/2 the stub cancels the panels by tau0^{Re a}, so
+    Psi(b) and Psi(b+1) are taken at b = a + k, Re b in [-1/2, 1/2), and
+    the contiguous relation Psi(b-1) = (2b-1+z) Psi(b) - b^2 Psi(b+1)
+    (DLMF 13.3.7) with its z-derivatives carries them down to a.  U is
+    the minimal solution as a grows, so the downward recurrence is stable;
+    its terms' cancellation is added to the monitor at each step.
     """
-    theta = float(np.clip(np.angle(z), -(np.pi - 0.3), np.pi - 0.3))
-    ph = np.exp(-1j * theta)
-    zeff = (z * ph).real
-    T = 45.0 / max(zeff, 1e-12)
-    tau0 = 1e-4 * min(1.0, T)
-
-    # stub: expand (1+t)^{-a} e^{-zt} = sum g_m t^m to order 6 and
-    # integrate t^{a-1+m+shift} exactly
-    M = len(_STUB_FACT)
-    binom = np.ones(M, dtype=complex)
-    for m in range(1, M):
-        binom[m] = binom[m - 1] * (-a - (m - 1)) / m
-    expc = np.array([(-z) ** m / _STUB_FACT[m] for m in range(M)])
-    gm = np.array([np.sum(binom[: m + 1] * expc[: m + 1][::-1])
-                   for m in range(M)])
-    logt0 = np.log(tau0) - 1j * theta
-    ms = np.arange(M)
-
-    def stub(shift):
-        return np.sum(gm * np.exp((a + ms + shift) * logt0) / (a + ms + shift))
-
-    # graded panels from tau0 out to T
-    edges = [tau0]
-    while edges[-1] < T:
-        edges.append(min(3.0 * edges[-1], T))
-    xg, wg = _leggauss(24)
-    taus, ws = [], []
-    for e0, e1 in zip(edges[:-1], edges[1:]):
-        taus.append(0.5 * (e0 + e1) + 0.5 * (e1 - e0) * xg)
-        ws.append(0.5 * (e1 - e0) * wg)
-    tau = np.concatenate(taus)
-    ww = np.concatenate(ws) * ph
-    t = ph * tau
-    base = np.exp(-z * t + (a - 1.0) * np.log(t) - a * np.log(1.0 + t))
-    g = _gamma(a)
-    v0 = (np.sum(ww * base) + stub(0)) / g
-    v1 = -(np.sum(ww * base * t) + stub(1)) / g
-    v2 = (np.sum(ww * base * t ** 2) + stub(2)) / g
-    return v0, v1, v2, 3e-11
+    if a.real >= -0.5:
+        vals, err = _laplace_ray(a, z)
+        return (*vals, err)
+    k = math.ceil(-0.5 - a.real)
+    b = a + k
+    up, e_up = _laplace_ray(b + 1.0, z)
+    cur, e_cur = _laplace_ray(b, z)
+    e_up, e_cur = e_up * abs(up[0]), e_cur * abs(cur[0])   # absolute
+    for _ in range(k):
+        c, b2 = 2.0 * b - 1.0 + z, b * b
+        new = c * cur - b2 * up
+        new[1] += cur[0]
+        new[2] += 2.0 * cur[1]
+        e_new = abs(c) * e_cur + abs(b2) * e_up \
+            + _ROUND * (abs(c * cur[0]) + abs(b2 * up[0]))
+        up, cur, e_up, e_cur = cur, new, e_cur, e_new
+        b -= 1.0
+    return (*cur, e_cur / max(abs(cur[0]), 1e-300))
 
 
 def _asymptotic(a: complex, z: complex, total_arg: float):
@@ -260,24 +226,19 @@ def _asymptotic(a: complex, z: complex, total_arg: float):
 
 
 def _principal(a: complex, z: complex, total_arg: float):
-    """Principal-sheet dispatch (|total_arg| expected <= pi + slack)."""
-    r = abs(z)
+    """Principal-sheet dispatch, |total_arg| <= pi.
+
+    A nonpositive integer a takes the terminating expansion.  Beyond the
+    switch radius the expansion serves wherever its least term is small;
+    every other point takes the Laplace integral.
+    """
     if _is_nonpos_int(a):
+        return (*_asymptotic(a, z, total_arg), "polynomial")
+    if abs(z) > SWITCH_RADIUS * (1.0 - 1e-9):
         vals = _asymptotic(a, z, total_arg)
-        return (*vals, "polynomial")
-    if r > SWITCH_RADIUS * (1.0 - 1e-9):
-        vals = _asymptotic(a, z, total_arg)
-        # near the switch radius the expansion may not yet have a small
-        # least term; the Laplace route covers the gap when Re a allows
-        if vals[3] > 1e-9 and a.real >= LAPLACE_MIN_RE_A and abs(total_arg) <= np.pi:
-            vals = _laplace(a, z)
-            return (*vals, "laplace")
-        return (*vals, "asymptotic")
-    if a.real >= LAPLACE_MIN_RE_A and r >= LAPLACE_MIN_RADIUS:
-        vals = _laplace(a, z)
-        return (*vals, "laplace")
-    vals = _series(a, z)
-    return (*vals, "series")
+        if vals[3] <= 1e-9:
+            return (*vals, "asymptotic")
+    return (*_laplace(a, z), "laplace")
 
 
 def _psi_cover(a: complex, r: float, theta: float):
@@ -312,8 +273,10 @@ def tricomi_psi(a: complex, z: complex, sheet: int = 0,
     """Psi(a, 1; z) on sheet ``sheet`` of the cover of C - {0}, |a| <= A_CAP.
 
     ``sheet`` counts full turns added to the principal argument of z.
-    ``strict`` enforces the error budget in the series/asymptotic overlap
-    annulus (raises AccuracyError above 1e-8 there).
+    ``strict`` enforces the error budget OVERLAP_TOL in the annulus
+    OVERLAP around the switch radius (raises AccuracyError above it).
+    Sampled principal-sheet values stay within it; what it guards is the
+    monodromy connection, whose e^z-weighted terms can cancel there.
     """
     a = complex(a)
     z = complex(z)

@@ -152,20 +152,19 @@ def _check_budget(cfg: SweepConfig, x: float, n: int) -> None:
             f"x={x} needs {n} nodes, over the budget {cfg.n_budget}")
 
 
-def _rule_log_ratio(cfg: SweepConfig, pdx1: ProblemData, pdx0: ProblemData,
-                    n: int):
+def _rule_log_ratio(cfg: SweepConfig, pd: ProblemData, n: int):
     """The n-point I + V0 system and ln det(I+V)/det(I+V0) on its rule."""
-    _check_budget(cfg, pdx1.x, n)
+    _check_budget(cfg, pd.x, n)
     rule = gauss_interval(n, cfg.a, cfg.b)
-    sys0 = assemble(v0(pdx0), rule)
+    sys0 = assemble(v0(pd), rule)
     try:
-        ln_ratio = logdet_update(sys0, *shift_factors(pdx1, rule))
+        ln_ratio = logdet_update(sys0, *shift_factors(pd, rule))
     except NearSingularityError as exc:
-        raise ExcludedCaseError(f"det(I+V0) vanishes at x={pdx1.x}; "
+        raise ExcludedCaseError(f"det(I+V0) vanishes at x={pd.x}; "
                                 "the ratio is undefined") from exc
     if not np.isfinite(ln_ratio):
         raise ExcludedCaseError(
-            f"det(I+V) vanishes at x={pdx1.x}; the ratio is undefined")
+            f"det(I+V) vanishes at x={pd.x}; the ratio is undefined")
     return sys0, ln_ratio
 
 
@@ -208,14 +207,13 @@ def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
 
     for x in cfg.x_list:
         t_start = time.perf_counter()
-        pdx1 = cfg.problem(x=x)
-        pdx0 = cfg.problem(x=x, t=0.0)
-        n = oscillation_nodes(pdx1)
-        sys0, ln_ratio = _rule_log_ratio(cfg, pdx1, pdx0, n)
+        pdx = cfg.problem(x=x)
+        n = oscillation_nodes(pdx)
+        sys0, ln_ratio = _rule_log_ratio(cfg, pdx, n)
         # a posteriori: the log-ratio must not move on a 1.15x finer rule
         while True:
             n_check = -(-115 * n // 100)      # ceil(1.15 n), in integers
-            sys0_c, ln_c = _rule_log_ratio(cfg, pdx1, pdx0, n_check)
+            sys0_c, ln_c = _rule_log_ratio(cfg, pdx, n_check)
             gap = abs(_principal(ln_c - ln_ratio))
             if gap < RULE_TOL * max(1.0, abs(ln_ratio)):
                 break

@@ -21,7 +21,7 @@ from .errors import (
     ParameterDomainError,
     SymbolDomainError,
 )
-from .quadgrid import gauss_interval, stadium_contour
+from .quadgrid import gauss_interval, safe_radius, stadium_contour
 
 __all__ = [
     "HolomorphicHandle",
@@ -134,7 +134,8 @@ def make_problem(a: float, b: float, c: float, t: complex, x: float,
 
     The hypotheses are checked numerically on a 64-node Gauss rule: p is
     real with p' > 0 at its nodes, and |arg(1 + F)| < pi there and on
-    a probe loop inside the declared margin.
+    the stadium at ``safe_radius``, the loop the package builds; between
+    neighbouring samples 1 + F must not cross its cut.
     """
     if not a < b:
         raise ParameterDomainError(f"need a < b, got a={a}, b={b}")
@@ -160,25 +161,22 @@ def make_problem(a: float, b: float, c: float, t: complex, x: float,
             f"p' must be positive on [a, b]: p'({rule.nodes[j]}) = {dp[j]}",
             node=rule.nodes[j])
 
-    r_probe = 0.25 * (b - a)
-    if np.isfinite(margin):
-        r_probe = min(r_probe, 0.5 * margin)
-    if abs(t) > 0:
-        r_probe = min(r_probe, 0.45 * c / abs(t))
-    loop = stadium_contour(a, b, r_probe)
+    pd = ProblemData(a=float(a), b=float(b), c=float(c), t=t, x=float(x),
+                     F=F, p=p, margin=float(margin))
+    loop = stadium_contour(a, b, safe_radius(pd)).samples
     for where, pts in (("interval", rule.nodes.astype(complex)),
-                       ("contour", loop.samples)):
+                       ("contour", np.append(loop, loop[0]))):
         one_plus = 1.0 + F(pts)
-        bad = np.abs(np.angle(one_plus)) >= np.pi * (1.0 - 1e-12)
-        bad |= one_plus == 0
+        arg = np.angle(one_plus)
+        bad = (np.abs(arg) >= np.pi * (1.0 - 1e-12)) | (one_plus == 0)
+        # 1 + F crossing the cut between two neighbouring samples
+        bad[1:] |= np.abs(np.diff(arg)) > np.pi
         if bad.any():
             j = int(np.argmax(bad))
             raise SymbolDomainError(
                 f"|arg(1+F)| < pi fails at {where} node {pts[j]}: "
                 f"1+F = {one_plus[j]}", node=pts[j])
-
-    return ProblemData(a=float(a), b=float(b), c=float(c), t=t, x=float(x),
-                       F=F, p=p, margin=float(margin))
+    return pd
 
 
 def nu(pd: ProblemData, lam) -> np.ndarray:

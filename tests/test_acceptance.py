@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import cshiftlab as cl
-from cshiftlab.chf import _asymptotic, _principal, tricomi_psi
+from cshiftlab.chf import _asymptotic, _laplace, tricomi_psi
 from cshiftlab.flow import SweepConfig, dt_logdet_check, theorem1_sweep
 from cshiftlab.kernels import k_kt, u_kt
 from cshiftlab.parametrix import build_parametrix
@@ -144,10 +144,10 @@ class TestCriterion5Chf:
             for r in (20.0, 20.5, 22.0, 25.0):
                 for th in (-np.pi / 2, np.pi / 2, 1.2):
                     z = r * np.exp(1j * th)
-                    vi = _principal(complex(a), z, th)[0]
+                    vi = _laplace(complex(a), z)[0]
                     va = _asymptotic(complex(a), z, th)[0]
                     worst = max(worst, abs(vi - va) / abs(vi))
-        report(5, "series/asymptotic overlap agreement", worst, 1e-7,
+        report(5, "Laplace/asymptotic overlap agreement", worst, 1e-7,
                worst < 1e-7)
 
     def test_exponential_integral_value(self):

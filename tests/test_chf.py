@@ -3,8 +3,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.special import exp1, gamma
 
-from cshiftlab.chf import (OVERLAP, _asymptotic, _digamma, _gamma, _principal,
-                           _series, tricomi_psi)
+from cshiftlab.chf import (A_CAP, _asymptotic, _gamma, _laplace, tricomi_psi)
 from cshiftlab.errors import AccuracyError, BranchError, ParameterDomainError
 
 #: exponent values used by the default symbol family
@@ -124,34 +123,30 @@ class TestMonodromy:
 
 class TestRouteConsistency:
     def test_overlap_agreement_across_switch(self):
-        # interior route against the asymptotic expansion where both meet
-        # their budgets, just inside the switch radius and beyond it
+        # the Laplace route against the asymptotic expansion at every row,
+        # just inside the switch radius and beyond it
         worst = 0.0
         for a in ARTIFACT_PARAMS:
             for r in (19.9, 20.0, 20.5, 22.0, 25.0):
                 for th in (-np.pi / 2, np.pi / 2, 1.2):
                     z = r * np.exp(1j * th)
-                    vi = _principal(complex(a), z, th)[0]
+                    vi = _laplace(complex(a), z)[0]
                     va = _asymptotic(complex(a), z, th)[0]
                     worst = max(worst, abs(vi - va) / abs(vi))
         assert worst < 1e-7
 
     def test_interior_routes_in_full_annulus(self):
-        # laplace and series agree within their own (honest) error
-        # monitors through 15..25; the laplace route separately matches
-        # the arbitrary-precision oracle
+        # the Laplace route matches the arbitrary-precision oracle through
+        # 15..25, within its own error monitor
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 30
-        from cshiftlab.chf import _laplace, _series
-        for a in (1 + NU, 0.8, 1.3 - 0.2j):
-            for r in (15.0, 18.0, 22.0, 25.0):
-                z = r * np.exp(1j * np.pi / 2)
-                vl, _, _, el = _laplace(complex(a), z)
-                vs, _, _, es = _series(complex(a), z)
-                ref = complex(mpmath.hyperu(mpmath.mpc(a), 1, mpmath.mpc(z)))
-                assert abs(vl - ref) / abs(ref) < 1e-8
-                assert abs(vl - vs) / abs(vl) < 5.0 * (es + el) + 1e-12
-                assert abs(vs - ref) / abs(ref) < 5.0 * es + 1e-12
+        with mpmath.workdps(30):
+            for a in (1 + NU, 0.8, 1.3 - 0.2j):
+                for r in (15.0, 18.0, 22.0, 25.0):
+                    z = r * np.exp(1j * np.pi / 2)
+                    vl, _, _, el = _laplace(complex(a), z)
+                    ref = complex(mpmath.hyperu(mpmath.mpc(a), 1,
+                                                mpmath.mpc(z)))
+                    assert abs(vl - ref) / abs(ref) < min(1e-8, el)
 
     @pytest.mark.parametrize("a", [0.03j, -0.03j, 1 + 0.03j, 1 - 0.03j])
     def test_route_is_fixed_on_the_switch_circle(self, a):
@@ -180,17 +175,17 @@ class TestErrors:
             tricomi_psi(6.0, 1.0)
 
     def test_strict_overlap_budget(self):
-        # a small-Re-a, large-Im-a parameter near the switch radius pushes
-        # the series cancellation monitor over budget: strict mode raises
-        bad = (0.2 + 0.9j, 19.9j)
-        te = tricomi_psi(*bad, strict=False)
-        assert te.route == "series" and te.err > 1e-8
+        # one turn down near the switch radius the connection's e^z-weighted
+        # terms cancel, pushing its monitor over budget: strict mode raises
+        bad = (0.4 + 0.95j, 23.0 * np.exp(-0.12j))
+        te = tricomi_psi(*bad, sheet=-1, strict=False)
+        assert te.route == "monodromy" and te.err > 1e-8
         with pytest.raises(AccuracyError):
-            tricomi_psi(*bad, strict=True)
+            tricomi_psi(*bad, sheet=-1, strict=True)
 
 
 class TestSpecialFunctions:
-    """The private Gamma and digamma against 30-digit mpmath, |a| <= 5."""
+    """The private Gamma against 30-digit mpmath, |a| <= 5."""
 
     @staticmethod
     def sample():
@@ -213,19 +208,16 @@ class TestSpecialFunctions:
                 worst = max(worst, abs(fn(a) - exact) / max(abs(exact), floor))
         return worst
 
-    @pytest.mark.parametrize("fn, ref", [(_gamma, "gamma"),
-                                         (_digamma, "digamma")])
+    @pytest.mark.parametrize("fn, ref", [(_gamma, "gamma")])
     def test_relative_error_in_the_disk(self, fn, ref):
         pts = self.sample()
         assert sum(a.real < 0.5 for a in pts) > 1000
         assert sum(abs(a) <= 1e-3 for a in pts) > 40
         assert self.worst(fn, ref, pts, 0.0) < 2e-14
 
-    @pytest.mark.parametrize("fn, ref", [(_gamma, "gamma"),
-                                         (_digamma, "digamma")])
+    @pytest.mark.parametrize("fn, ref", [(_gamma, "gamma")])
     def test_real_axis(self, fn, ref):
-        # relative error is ill-conditioned at the real zeros of digamma
-        # (1.4616, -0.5040, ...): there the error is bounded absolutely
+        # relative error below |Gamma| = 1 is bounded absolutely
         pts = np.random.default_rng(8).uniform(-5, 5, 200)
         assert self.worst(fn, ref, [complex(a) for a in pts], 1.0) < 2e-14
 
@@ -233,23 +225,48 @@ class TestSpecialFunctions:
         for a in (0.0, -1.0, -4.0):
             with pytest.raises(ParameterDomainError):
                 _gamma(a)
-            with pytest.raises(ParameterDomainError):
-                _digamma(a)
 
-    def test_series_error_within_its_monitor(self):
-        # the series' cancellation multiplies any error shared by all its
-        # psi(a+k) - 2 psi(k+1) terms; the monitor must still track it
+
+class TestOracle:
+    """Psi, Psi' and Psi'' on the principal sheet against 30-digit mpmath."""
+
+    @staticmethod
+    def sample():
+        rng = np.random.default_rng(5)
+        pts = []
+        for i in range(48):
+            if i % 3 == 0:      # the parametrix's parameter range
+                a = complex(rng.uniform(-0.5, 1.5), rng.uniform(-1, 1))
+            elif i % 3 == 1:    # the disk |a| <= A_CAP
+                a = A_CAP * np.sqrt(rng.uniform()) \
+                    * np.exp(1j * rng.uniform(-np.pi, np.pi))
+            else:               # within 1e-3 of a pole 0, -1, ..., -4 of Gamma
+                a = -rng.integers(0, 5) + 1e-3 * rng.uniform(0.01, 1) \
+                    * np.exp(1j * rng.uniform(-np.pi, np.pi))
+            th = rng.uniform(-np.pi, np.pi)
+            if i % 4 == 0:      # within 1e-3 of the cut
+                th = np.copysign(np.pi - 1e-3 * rng.uniform(), th)
+            r = 10.0 ** rng.uniform(-3.0, np.log10(20.0))
+            pts.append((complex(a), complex(r * np.exp(1j * th))))
+        return pts
+
+    def test_value_and_derivatives(self):
         mpmath = pytest.importorskip("mpmath")
-        rng = np.random.default_rng(1)
-        worst = 0.0
+        worst_inner = 0.0
         with mpmath.workdps(30):
-            for i in range(120):
-                if i % 2:
-                    a = complex(rng.uniform(-1, 0.35), rng.uniform(-1, 1))
-                else:
-                    a = complex(0.0, rng.uniform(-0.05, 0.05))
-                z = rng.uniform(8, 20) * np.exp(1j * rng.uniform(-np.pi, np.pi))
-                exact = complex(mpmath.hyperu(a, 1, z))
-                val, _, _, err = _series(a, complex(z))
-                worst = max(worst, abs(val - exact) / abs(exact) / err)
-        assert worst < 20.0
+            for a, z in self.sample():
+                te = tricomi_psi(a, z)
+                A, Z = mpmath.mpc(a), mpmath.mpc(z)
+                u = mpmath.hyperu(A, 1, Z)
+                # (z^a U)' = a^2 z^(a-1) U(a+1, 1; z) gives U'; the ODE U''
+                du = A * (A * mpmath.hyperu(A + 1, 1, Z) - u) / Z
+                ref = [complex(u), complex(du),
+                       complex(((Z - 1) * du + A * u) / Z)]
+                got = (te.value, te.dvalue, te.d2value)
+                assert abs(got[0] - ref[0]) <= te.err * abs(ref[0]), (a, z)
+                if -0.5 < a.real < 1.5 and abs(a.imag) <= 1.0:
+                    # floored: U' and U'' vanish with a
+                    worst_inner = max(worst_inner, *(
+                        abs(g - e) / max(abs(e), 1e-3)
+                        for g, e in zip(got, ref)))
+        assert 0.0 < worst_inner < 1e-12

@@ -27,6 +27,16 @@ class TestMakeProblem:
             cl.make_problem(a=-1, b=1, c=1.0, t=1.0, x=5.0,
                             F=cl.constant_symbol(-1.5), p=cl.identity_phase())
 
+    @pytest.mark.parametrize("margin", [np.inf, 0.05])
+    def test_cut_crossing_between_samples_rejected(self, margin):
+        # 1 + F = 0.001 + z^2 has zeros at +-0.0316i, inside the loop at
+        # safe_radius (0.2, or 0.04 = 0.8 margin); it crosses its cut
+        # between two samples, where no sample has |arg(1+F)| near pi
+        with pytest.raises(SymbolDomainError):
+            cl.make_problem(a=-1, b=1, c=1.0, t=1.0, x=5.0,
+                            F=cl.poly_symbol([-0.999, 0.0, 1.0]),
+                            p=cl.identity_phase(), margin=margin)
+
     def test_orientation_rejected(self):
         with pytest.raises(SymbolDomainError) as exc:
             cl.make_problem(a=-1, b=1, c=1.0, t=1.0, x=5.0,
