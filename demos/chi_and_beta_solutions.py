@@ -10,22 +10,23 @@ import numpy as np
 
 from cshiftlab import (ScalarRH, constant_symbol, gauss_interval,
                        identity_phase, laguerre_halfline, make_problem)
-from cshiftlab.rhp import (OperatorFactory, factorization_residual, g_chi,
-                           solve_betas, solve_chi, summarize,
-                           write_diagnostics)
+from cshiftlab.rhp import (ChiSolution, OperatorFactory,
+                           factorization_residual, g_chi, solve_betas,
+                           summarize, write_diagnostics)
 
 pd = make_problem(a=-1.0, b=1.0, c=1.0, t=1.0, x=10.0,
                   F=constant_symbol(0.2), p=identity_phase())
 grid = laguerre_halfline(48, pd.c)
 srh = ScalarRH(pd)
 
-chi = solve_chi(pd, grid=grid)
+chi = ChiSolution(pd, grid=grid)
 rows = chi.verify()
 write_diagnostics(rows, "chi_diagnostics.csv")
 print(f"chi diagnostics ({len(rows)} rows, written to chi_diagnostics.csv):")
 print("\n".join(summarize(rows)[0]))
 
-print("\ndet G(0.3) - 1         =", abs(g_chi(pd, grid, 0.3).det() - 1.0))
+print("\ndet G(0.3) - 1         =",
+      abs(np.linalg.det(g_chi(pd, grid, 0.3)) - 1.0))
 
 rule = gauss_interval(192, pd.a, pd.b)
 betas = solve_betas(pd, rule, grid, srh)

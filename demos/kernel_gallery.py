@@ -9,8 +9,8 @@ rests on.
 
 import numpy as np
 
-from cshiftlab import (ScalarRH, assemble, constant_symbol, determinant,
-                       e_vectors, gauss_interval, identity_phase,
+from cshiftlab import (ChiSolution, ScalarRH, assemble, constant_symbol,
+                       determinant, e_vectors, gauss_interval, identity_phase,
                        laguerre_halfline, make_problem, stadium_contour,
                        v0, v_t)
 from cshiftlab.kernels import k_kt, resolvent_kernel, u_kt
@@ -54,6 +54,6 @@ print(f"product = {dp * dm:.12f}")
 
 # resolvent as an integrable kernel: (F_L, F_R)/(lam - mu)
 rule = gauss_interval(64, -1.0, 1.0)
-rk = resolvent_kernel(pd, rule, grid)
+rk = resolvent_kernel(ChiSolution(pd, rule, grid))
 print("\nresolvent R(0.3, -0.4) =", complex(rk.eval(0.3, -0.4)))
 print("resolvent diag at 0.3  =", complex(rk.diag(0.3)))

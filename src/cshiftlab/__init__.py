@@ -15,12 +15,12 @@ from .symbols import (HolomorphicHandle, ProblemData, ScalarRH, EPS_K,
                       identity_phase, poly_phase, make_handle, make_problem,
                       nu, tau, boundary_value)
 from .l2half import (m_vec, kappa_form, pair, pairing_closed_form, e_vectors,
-                     rank_one, BlockOperator)
+                     rank_one, smoothing_bound)
 from .kernels import (KernelHandle, v_t, v0, shift_factors, u_kt, k_kt,
-                      resolvent_kernel, solve_densities)
+                      resolvent_kernel)
 from .fredholm import (NystromSystem, assemble, determinant, logdet,
                        logdet_update, solve)
-from .rhp import (ChiSolution, BetaSolution, OperatorFactory, solve_chi,
+from .rhp import (ChiSolution, BetaSolution, OperatorFactory,
                   solve_beta, solve_betas, g_chi, factorization_residual,
                   pi_residual, default_probes, write_diagnostics)
 from .chf import TricomiEval, tricomi_psi

@@ -25,8 +25,7 @@ def _cmd_dtcheck(args) -> int:
     from .flow import dt_logdet_check, load_config
 
     cfg = load_config(args.config)
-    re_t, im_t = (float(v) for v in args.t0.split(","))
-    report = dt_logdet_check(cfg, complex(re_t, im_t), h=args.h, x=args.x)
+    report = dt_logdet_check(cfg, args.t0, h=args.h, x=args.x)
     print(f"d/dt ln det (finite difference): {report.d_fd}")
     print(f"d/dt ln det (loop trace):        {report.d_contour}")
     print(f"d/dt ln det (reduced densities): {report.d_reduced}")
@@ -44,8 +43,8 @@ def _cmd_selftest(_args) -> int:
     from .kernels import k_kt, u_kt
     from .parametrix import build_parametrix
     from .quadgrid import graded_interval
-    from .rhp import (DiagnosticRow, OperatorFactory, factorization_residual,
-                      g_chi, solve_betas, solve_chi)
+    from .rhp import (ChiSolution, DiagnosticRow, OperatorFactory,
+                      factorization_residual, g_chi, solve_betas)
 
     pd = make_problem(a=-1.0, b=1.0, c=1.0, t=1.0, x=10.0,
                       F=constant_symbol(0.2), p=identity_phase())
@@ -55,13 +54,14 @@ def _cmd_selftest(_args) -> int:
     rule = gauss_interval(192, pd.a, pd.b)
     betas = solve_betas(pd, rule, grid, srh, loop)
     fac = OperatorFactory(pd, grid, srh, betas[1], betas[2])
-    rows = (solve_chi(pd, grid=grid).verify() + betas[1].verify()
+    rows = (ChiSolution(pd, grid=grid).verify() + betas[1].verify()
             + betas[2].verify() + fac.verify())
 
     resid = abs(loop.integrate(1.0 / loop.samples) - 2j * np.pi)
     rows.append(DiagnosticRow("loop residue 2*pi*i", 0.0, 0.0, resid, 1e-10))
     rows.append(DiagnosticRow("det(G_chi)-1", 0.3, 0.0,
-                              abs(g_chi(pd, grid, 0.3).det() - 1), 1e-9))
+                              abs(np.linalg.det(g_chi(pd, grid, 0.3)) - 1),
+                              1e-9))
     rows.append(DiagnosticRow("jump factorization", 0.0, 0.0,
                               factorization_residual(fac, 0.0),
                               1e-6))
@@ -81,6 +81,15 @@ def _cmd_selftest(_args) -> int:
         rows += [DiagnosticRow(f"parametrix {ep} jump", px.center, 0.0, r,
                                1e-5) for _, _, r in px.jump_residuals()]
     return _print_summary(rows)
+
+
+def _complex_arg(text: str) -> complex:
+    """``re`` or ``re,im`` as a complex number: the argparse type of --t0."""
+    try:
+        return complex(*(float(v) for v in text.split(",")))
+    except (TypeError, ValueError):  # TypeError: three or more parts
+        raise argparse.ArgumentTypeError(
+            f"expected re or re,im, got {text!r}") from None
 
 
 def _print_summary(rows) -> int:
@@ -106,7 +115,8 @@ def main(argv=None) -> int:
 
     p_dt = sub.add_parser("dtcheck", help="t-derivative identity check")
     p_dt.add_argument("--config", required=True)
-    p_dt.add_argument("--t0", default="0.5,0.0", help="re,im of t0")
+    p_dt.add_argument("--t0", type=_complex_arg, default="0.5,0.0",
+                      help="t0 as re or re,im")
     p_dt.add_argument("--h", type=float, default=1e-4)
     p_dt.add_argument("--x", type=float, default=None)
     p_dt.set_defaults(func=_cmd_dtcheck)

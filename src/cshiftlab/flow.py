@@ -74,6 +74,8 @@ class SweepConfig:
 
     def __post_init__(self):
         xs = tuple(float(x) for x in self.x_list)
+        if not xs:
+            raise ParameterDomainError("x_list must not be empty")
         if any(x2 <= x1 for x1, x2 in zip(xs, xs[1:])):
             raise ParameterDomainError("x_list must be strictly increasing")
         self.x_list = xs
@@ -192,7 +194,7 @@ def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
     det(I+V) ExcludedCaseError.
     """
     report = SweepReport()
-    pd1 = cfg.problem(x=cfg.x_list[0] if cfg.x_list else 50.0)
+    pd1 = cfg.problem(x=cfg.x_list[0])
     srh = ScalarRH(pd1)
     loop = stadium_contour(cfg.a, cfg.b, safe_radius(pd1), margin=cfg.margin)
 
@@ -303,13 +305,13 @@ def dt_logdet_check(cfg: SweepConfig, t0: complex, h: float = 1e-4,
     (``oscillation_nodes`` at frequency 1); a rule over ``cfg.n_budget``
     raises ResolutionError.  Its I + V0 system is inverted once, in real
     arithmetic for real data: chi solves for F_L and F_R on Woodbury views
-    of it (``kernels.solve_densities``), and (i) applies the same inverse.
+    of it (``rhp.ChiSolution``), and (i) applies the same inverse.
     The check assembles three systems, I + V0 and the two beta systems, and
     no V_t.  An exactly singular I + V0, where the ratio is undefined (its
     excluded case), raises NearSingularityError from chi.
     """
     t0 = complex(t0)
-    x = float(x if x is not None else (cfg.x_list[-1] if cfg.x_list else 100.0))
+    x = float(x if x is not None else cfg.x_list[-1])
     n = oscillation_nodes(cfg.problem(x=x), frequency=1.0)
     _check_budget(cfg, x, n)
     rule = gauss_interval(n, cfg.a, cfg.b)

@@ -1,10 +1,11 @@
 """The scalar integral kernels: V_t, V0, U_{k;t}, K_{k;t}, resolvent.
 
 V_t - V0, the c-shift, also comes as exact low-rank Nystrom factors
-(``shift_factors``); the chi densities solve on I + V0 updated by them,
-so no pipeline assembles V_t.  ``v_t`` interpolates the densities off
-the nodes (``_ChiDensities.FR_at``/``FL_at``) and is the tests' dense
-reference.
+(``shift_factors``); the chi densities (``rhp.ChiSolution``) solve on
+I + V0 updated by them, so no pipeline assembles V_t.  ``v_t``
+interpolates those densities off the nodes (``ChiSolution.FR_at``/
+``FL_at``) and is the tests' dense reference.  The resolvent kernel
+reads the densities of a ChiSolution; this module solves no system.
 
 Every kernel is wrapped in a KernelHandle carrying a vectorized evaluator
 and the removable-singularity diagonal.  The diagonals are closed forms,
@@ -15,14 +16,12 @@ difference of the vanishing numerator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import PoleError
-from .fredholm import NystromSystem, assemble, solve
-from .l2half import e_vectors
-from .quadgrid import HalfLineRule, IntervalRule
+from .quadgrid import IntervalRule
 from .symbols import EPS_K, ProblemData, ScalarRH, tau
 
 __all__ = ["KernelHandle", "v_t", "v0", "shift_factors", "u_kt", "k_kt",
@@ -281,74 +280,19 @@ def k_kt(pd: ProblemData, k: int, srh: ScalarRH) -> KernelHandle:
                         regular=True)
 
 
-@dataclass
-class _ChiDensities:
-    """Solved densities of the two linear integral equations on one rule."""
-
-    pd: ProblemData
-    rule: IntervalRule
-    grid: HalfLineRule
-    FR: np.ndarray  # (n, 2, Ns)
-    FL: np.ndarray  # (n, 2, Ns)
-    EL: np.ndarray  # (n, 2, Ns): E_L at the nodes, the left right-hand side
-    ER: np.ndarray  # (n, 2, Ns): E_R at the nodes, the right right-hand side
-    kernel: KernelHandle
-
-    def FR_at(self, mu) -> np.ndarray:
-        """Nystrom interpolation of F_R at a scalar mu; shape (2 Ns,)."""
-        kv = self.kernel.eval(self.rule.nodes.astype(complex), complex(mu))
-        _, ER = e_vectors(self.pd, self.grid, complex(mu))
-        return ER.ravel() - (self.rule.weights * kv) @ self.FR.reshape(
-            self.rule.n, -1)
-
-    def FL_at(self, lam) -> np.ndarray:
-        """Nystrom interpolation of F_L at a scalar lam; shape (2 Ns,)."""
-        kv = self.kernel.eval(complex(lam), self.rule.nodes.astype(complex))
-        EL, _ = e_vectors(self.pd, self.grid, complex(lam))
-        return EL.ravel() - (self.rule.weights * kv) @ self.FL.reshape(
-            self.rule.n, -1)
-
-
-def solve_densities(pd: ProblemData, rule: IntervalRule, grid: HalfLineRule,
-                    sys0: Optional[NystromSystem] = None) -> _ChiDensities:
-    """Solve the right/left linear integral equations for F_R and F_L.
-
-    Neither V_t system is assembled.  On the rule, I + V_t W is the system
-    of I + V0 W updated by the c-shift's factors (``shift_factors``), so
-    both solves run on views of ``sys0``, the I + V0 system on the rule
-    (assembled here when not given), and share its one inverse
-    (``NystromSystem.updated``).  F_R uses the transposed kernel, exactly
-    as the equations are stated:
-    F_R(lam) + int V_t(mu, lam) F_R(mu) dmu = E_R(lam),
-    on the ``transposed`` view of the same update.  The solves take the
-    condition number and the residual of I + V_t itself.  In the excluded
-    case det(I + V_t) = 0, and when I + V0 is exactly singular, they raise
-    NearSingularityError.
-    """
-    if sys0 is None:
-        sys0 = assemble(v0(pd), rule)
-    left = sys0.updated(*shift_factors(pd, rule))
-    EL, ER = e_vectors(pd, grid, rule.nodes)
-    n = rule.n
-    FL = solve(left, EL.reshape(n, -1)).reshape(EL.shape)
-    FR = solve(left.transposed(), ER.reshape(n, -1)).reshape(ER.shape)
-    return _ChiDensities(pd=pd, rule=rule, grid=grid, FR=FR, FL=FL, EL=EL, ER=ER,
-                         kernel=v_t(pd))
-
-
-def resolvent_kernel(pd: ProblemData, rule: IntervalRule, grid: HalfLineRule,
-                     densities: Optional[_ChiDensities] = None) -> KernelHandle:
+def resolvent_kernel(chi) -> KernelHandle:
     """Resolvent kernel R_t(lam, mu) = (F_L(lam), F_R(mu)) / (lam - mu).
 
-    Off-node arguments use Nystrom natural interpolation of the solved
-    densities; the diagonal is the derivative limit of the vanishing
-    numerator.
+    ``chi`` is a solved ``rhp.ChiSolution``: off-node arguments use the
+    Nystrom natural interpolation of its densities (``FL_at``/``FR_at``),
+    so building and evaluating the kernel solves nothing.  The diagonal is
+    the derivative limit of the vanishing numerator.
     """
-    dens = densities if densities is not None else solve_densities(pd, rule, grid)
-    ws2 = np.concatenate([grid.sweights, grid.sweights])
+    pd = chi.pd
+    ws2 = np.concatenate([chi.grid.sweights, chi.grid.sweights])
 
     def numerator(lam, mu):
-        return dens.FL_at(lam) @ (ws2 * dens.FR_at(mu))
+        return chi.FL_at(lam) @ (ws2 * chi.FR_at(mu))
 
     def _diag_scalar(lam):
         h = 1e-5 * (pd.b - pd.a)

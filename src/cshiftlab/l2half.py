@@ -1,16 +1,16 @@
-"""Discretized model of L2(R+) + L2(R+): vectors, one-forms, block operators.
+"""Discretized model of L2(R+) + L2(R+): vectors, one-forms, operators.
 
 Functions on the half-line are arrays of values at the HalfLineRule nodes;
-one-forms pair through the rule weights.  Operators act on value vectors,
-so an integral operator with kernel k(s, s') is the matrix
-k(s_i, s_j) * w_j and "identity plus integral operator" is I + that.
+one-forms pair through the rule weights.  Operators are plain matrices
+acting on value vectors, so an integral operator with kernel k(s, s') is
+the matrix k(s_i, s_j) * w_j and "identity plus integral operator" is
+I + that.  A 2x2 block operator on L2(R+) + L2(R+) is one (2n, 2n) array
+acting on stacked value vectors, component 1 first.
 Matrix determinants and traces of such matrices coincide with the
 Fredholm determinants and operator traces they discretize.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ __all__ = [
     "pairing_closed_form",
     "e_vectors",
     "rank_one",
-    "BlockOperator",
+    "smoothing_bound",
 ]
 
 
@@ -99,53 +99,16 @@ def rank_one(v: np.ndarray, kappa: np.ndarray, grid: HalfLineRule) -> np.ndarray
     return np.outer(v, kappa * grid.sweights)
 
 
-@dataclass
-class BlockOperator:
-    """2x2 matrix of operators on the half-line grid, one (2n, 2n) matrix.
+def smoothing_bound(mat: np.ndarray, grid: HalfLineRule) -> float:
+    """max |kernel(s, s')| e^{c (s+s')/4} of a (2n, 2n) operator id + K.
 
-    ``mat`` acts on stacked value vectors (component 1 first).  Read as
-    id + smoothing part, the smoothing kernel (``kernel_part``) of the
-    jump and solution operators inherits the e^{-c(s+s')/4} decay pattern
-    of the objects it discretizes (``smoothing_bound``).
+    The kernel values of K are mat - I with the weights divided out.  The
+    jump and solution operators inherit the e^{-c(s+s')/4} decay pattern
+    of the objects they discretize, so this is their decay-pattern
+    constant.
     """
-
-    mat: np.ndarray
-    grid: HalfLineRule
-
-    @classmethod
-    def from_blocks(cls, blocks, grid: HalfLineRule) -> "BlockOperator":
-        (b11, b12), (b21, b22) = blocks
-        return cls(np.block([[b11, b12], [b21, b22]]).astype(complex), grid)
-
-    def block(self, q: int, r: int) -> np.ndarray:
-        n = self.grid.n
-        return self.mat[(q - 1) * n:q * n, (r - 1) * n:r * n]
-
-    def __matmul__(self, other):
-        if isinstance(other, BlockOperator):
-            if other.grid is not self.grid and other.grid.n != self.grid.n:
-                raise GridMismatchError("block operators on different grids")
-            return BlockOperator(self.mat @ other.mat, self.grid)
-        return self.mat @ np.asarray(other)
-
-    def inv(self) -> "BlockOperator":
-        return BlockOperator(np.linalg.inv(self.mat), self.grid)
-
-    def det(self) -> complex:
-        sign, logabs = np.linalg.slogdet(self.mat)
-        return sign * np.exp(logabs)
-
-    def kernel_part(self) -> np.ndarray:
-        """Kernel values of the smoothing part (weights divided out)."""
-        n = self.grid.n
-        w = np.tile(self.grid.sweights, 2)
-        return (self.mat - np.eye(2 * n)) / w[None, :]
-
-    def smoothing_bound(self) -> float:
-        """max |kernel(s, s')| e^{c (s+s')/4}: the decay-pattern constant."""
-        s = np.tile(self.grid.snodes, 2)
-        growth = np.exp(0.25 * self.grid.c * (s[:, None] + s[None, :]))
-        return float(np.max(np.abs(self.kernel_part()) * growth))
-
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        return self.mat @ np.asarray(f)
+    w = np.tile(grid.sweights, 2)
+    kernel = (mat - np.eye(2 * grid.n)) / w[None, :]
+    s = np.tile(grid.snodes, 2)
+    growth = np.exp(0.25 * grid.c * (s[:, None] + s[None, :]))
+    return float(np.max(np.abs(kernel) * growth))

@@ -34,7 +34,7 @@ import numpy as np
 
 from .chf import _gamma, tricomi_psi
 from .errors import BranchError, ParameterDomainError
-from .l2half import BlockOperator
+from .l2half import smoothing_bound
 from .quadgrid import safe_radius
 from .rhp import OperatorFactory, _disk_probe_angles
 from .symbols import ProblemData, nu
@@ -119,7 +119,7 @@ class Parametrix:
     _ROTATIONS = (-1, +1, -1, +1)
 
     def __call__(self, lam: complex, sector: int | None = None,
-                 blocks: dict | None = None) -> BlockOperator:
+                 blocks: dict | None = None) -> np.ndarray:
         """The parametrix at lam; ``blocks`` is ``factory.blocks(lam)``
         when the caller has it already (the blocks do not depend on x)."""
         pd, fac = self.pd, self.factory
@@ -162,7 +162,7 @@ class Parametrix:
             # right-multiply by L = J^{-s}; J is unipotent, so J^{-1} is J
             # with its off-diagonal block negated
             ray = 1 if sector == 2 else -1
-            J = fac.jump_factor(lam, ray, self.x, blk).mat
+            J = fac.jump_factor(lam, ray, self.x, blk)
             if ray > 0:
                 core[:, n:] += core[:, :n] @ (-s * J[:n, n:])
             else:
@@ -170,7 +170,7 @@ class Parametrix:
         eye = np.eye(n, dtype=complex)
         core[:n, :n] += eye - O11
         core[n:, n:] += eye - O22
-        return BlockOperator(core, fac.grid)
+        return core
 
     def _a_squared(self, lam, m, e):
         """A^2 of the coefficients, chosen so that zeta^{2m} / A^2 is
@@ -230,11 +230,11 @@ class Parametrix:
                 P_out = self(lam_w) if ray > 0 else self(lam_e)
                 P_in = self(lam_e) if ray > 0 else self(lam_w)
                 lam0 = self.center + frac * self.radius * np.exp(1j * phi)
-                M = fac.jump_factor(lam0, ray, self.x).mat
+                M = fac.jump_factor(lam0, ray, self.x)
                 if self.endpoint == "a":
-                    resid = np.max(np.abs(P_out.mat @ M - P_in.mat))
+                    resid = np.max(np.abs(P_out @ M - P_in))
                 else:
-                    resid = np.max(np.abs(P_in.mat @ M - P_out.mat))
+                    resid = np.max(np.abs(P_in @ M - P_out))
                 out.append((ray, frac, float(resid)))
         return out
 
@@ -245,8 +245,8 @@ class Parametrix:
         worst = 0.0
         for frac in (0.4, 0.7):
             lam = self.center + sgn * frac * self.radius
-            up = self(lam + 1j * _SIDE_OFFSET).mat
-            dn = self(lam - 1j * _SIDE_OFFSET).mat
+            up = self(lam + 1j * _SIDE_OFFSET)
+            dn = self(lam - 1j * _SIDE_OFFSET)
             worst = max(worst, float(np.max(np.abs(up - dn))))
         return worst
 
@@ -255,7 +255,7 @@ class Parametrix:
         worst = 0.0
         for th in _disk_probe_angles():
             lam = self.center + self.radius * np.exp(1j * th)
-            worst = max(worst, self(lam).smoothing_bound())
+            worst = max(worst, smoothing_bound(self(lam), self.factory.grid))
         return worst
 
 

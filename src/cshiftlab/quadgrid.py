@@ -266,7 +266,8 @@ def oscillation_nodes(pd: "ProblemData", frequency: float = 0.5) -> int:
     n / (pi sqrt((lam - a)(b - lam))) of n Gauss nodes.  The interval
     kernels carry e^{+-i x (p(lam) - p(mu))/2}: the default frequency 1/2.
     chi's near-cut Cauchy sums interpolate the products F_R (x) E_L, whose
-    off-diagonal parts carry e^{+-i x p}: frequency 1 (``rhp.solve_chi``).
+    off-diagonal parts carry e^{+-i x p}: frequency 1 (the default rule of
+    ``rhp.ChiSolution``).
     Without the margin the rule has two nodes per local wavelength, where
     the determinant is still 1e-4 to 1e-2 off; the +64 margin takes it to
     rounding (at x = 3200 a 32-node margin leaves up to 2e-10, 64 nodes

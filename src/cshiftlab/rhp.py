@@ -1,11 +1,12 @@
 """Operator-valued Riemann-Hilbert objects and their verification.
 
-Builds the 2x2 block solution chi (with its inverse) from the solved
-densities of the two linear integral equations, the scalar-problem
+Solves the two linear integral equations of chi and builds the 2x2 block
+solution chi (with its inverse) from their densities, the scalar-problem
 solutions beta_k from the rho_k densities, the regular block operator O,
 the triangular factors P, Q entering the jump factorization, and the
 residual diagnostics used by the acceptance suite, including the
-small-norm probe along the deformed contour system.
+small-norm probe along the deformed contour system.  Every operator
+value is a plain (2n, 2n) array on the half-line grid (``l2half``).
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 from .cauchy import CauchyKit
 from .errors import ExcludedCaseError, NearSingularityError
 from .fredholm import NystromSystem, assemble, solve
-from .kernels import k_kt, solve_densities
-from .l2half import BlockOperator, e_vectors, kappa_form, m_vec, rank_one
+from .kernels import k_kt, shift_factors, v0, v_t
+from .l2half import e_vectors, kappa_form, m_vec, rank_one, smoothing_bound
 from .quadgrid import (Contour, HalfLineRule, IntervalRule, gauss_interval,
                        laguerre_halfline, oscillation_nodes, safe_radius,
                        stadium_contour)
@@ -32,7 +33,6 @@ __all__ = [
     "write_diagnostics",
     "default_probes",
     "ChiSolution",
-    "solve_chi",
     "g_chi",
     "BetaSolution",
     "solve_beta",
@@ -120,38 +120,72 @@ def _one_sided(f: Callable, pd: ProblemData, lam0: float, side: int):
 class ChiSolution:
     """chi and chi^{-1} as weighted Cauchy sums of the solved densities.
 
-    ``sys0``, the I + V0 system on the rule, is shared with the caller
-    (``kernels.solve_densities``); an exactly singular I + V0, where the
-    ratio det(I+V)/det(I+V0) is undefined, raises NearSingularityError.
+    The densities solve the left and right linear integral equations,
+    F_L(lam) + int V_t(lam, mu) F_L(mu) dmu = E_L(lam) and
+    F_R(lam) + int V_t(mu, lam) F_R(mu) dmu = E_R(lam); the right one
+    takes the transposed kernel, exactly as stated.  Neither V_t system
+    is assembled.  On the rule, I + V_t W is the system of I + V0 W
+    updated by the c-shift's factors (``kernels.shift_factors``), so both
+    solves run on Woodbury views of ``sys0``, the I + V0 system on the
+    rule (assembled here when not given), and share its one inverse
+    (``NystromSystem.updated`` and its ``transposed`` view).  The solves
+    take the condition number and the residual of I + V_t itself.  In the
+    excluded case det(I + V_t) = 0, and when I + V0 is exactly singular
+    (the ratio det(I+V)/det(I+V0) is undefined), they raise
+    NearSingularityError.
+
+    ``rule`` defaults to the oscillation budget of the phase e^{i x p}
+    (``oscillation_nodes`` at frequency 1): the near-cut Cauchy sums
+    interpolate F_R (x) E_L, whose off-diagonal parts carry e^{+-i x p}.
+    ``grid`` defaults to 48 Laguerre nodes.  ``FL`` and ``FR`` are the
+    densities at the rule's nodes, (n, 2 Ns) arrays.
     """
 
-    def __init__(self, pd: ProblemData, rule: IntervalRule, grid: HalfLineRule,
+    def __init__(self, pd: ProblemData, rule: IntervalRule | None = None,
+                 grid: HalfLineRule | None = None,
                  sys0: NystromSystem | None = None):
-        self.pd = pd
-        self.rule = rule
-        self.grid = grid
-        dens = solve_densities(pd, rule, grid, sys0)
-        self.densities = dens
+        if rule is None:
+            rule = gauss_interval(oscillation_nodes(pd, frequency=1.0),
+                                  pd.a, pd.b)
+        if grid is None:
+            grid = laguerre_halfline(48, pd.c)
+        if sys0 is None:
+            sys0 = assemble(v0(pd), rule)
+        self.pd, self.rule, self.grid = pd, rule, grid
+        self.kernel = v_t(pd)
         self.kit = CauchyKit(rule)
+        left = sys0.updated(*shift_factors(pd, rule))
+        EL, ER = (v.reshape(rule.n, -1) for v in e_vectors(pd, grid, rule.nodes))
+        self.FL = solve(left, EL)
+        self.FR = solve(left.transposed(), ER)
         ws2 = np.concatenate([grid.sweights, grid.sweights])
-        n = rule.n
         # (2 Ns, n) value arrays; E_L rows enter with the pairing weights
-        self.FR_T = dens.FR.reshape(n, -1).T
-        self.FL_W = dens.FL.reshape(n, -1) * ws2[None, :]
-        self.EL_W = dens.EL.reshape(n, -1) * ws2[None, :]
-        self.ER_T = dens.ER.reshape(n, -1).T
+        self.FR_T = self.FR.T
+        self.FL_W = self.FL * ws2[None, :]
+        self.EL_W = EL * ws2[None, :]
+        self.ER_T = ER.T
 
-    def chi(self, lam) -> BlockOperator:
+    def FR_at(self, mu) -> np.ndarray:
+        """Nystrom interpolation of F_R at a scalar mu; shape (2 Ns,)."""
+        kv = self.kernel.eval(self.rule.nodes.astype(complex), complex(mu))
+        _, ER = e_vectors(self.pd, self.grid, complex(mu))
+        return ER.ravel() - (self.rule.weights * kv) @ self.FR
+
+    def FL_at(self, lam) -> np.ndarray:
+        """Nystrom interpolation of F_L at a scalar lam; shape (2 Ns,)."""
+        kv = self.kernel.eval(complex(lam), self.rule.nodes.astype(complex))
+        EL, _ = e_vectors(self.pd, self.grid, complex(lam))
+        return EL.ravel() - (self.rule.weights * kv) @ self.FL
+
+    def chi(self, lam) -> np.ndarray:
         w = self.kit.weights(lam)
-        mat = np.eye(2 * self.grid.n, dtype=complex) \
+        return np.eye(2 * self.grid.n, dtype=complex) \
             - self.FR_T @ (w[:, None] * self.EL_W)
-        return BlockOperator(mat, self.grid)
 
-    def chi_inv(self, lam) -> BlockOperator:
+    def chi_inv(self, lam) -> np.ndarray:
         w = self.kit.weights(lam)
-        mat = np.eye(2 * self.grid.n, dtype=complex) \
+        return np.eye(2 * self.grid.n, dtype=complex) \
             + self.ER_T @ (w[:, None] * self.FL_W)
-        return BlockOperator(mat, self.grid)
 
     def dchi(self, lam) -> np.ndarray:
         """d/dlam of the smoothing part (a plain matrix, no identity)."""
@@ -185,20 +219,19 @@ class ChiSolution:
         rows = []
         for lam in exterior:
             ch = self.chi(lam)
-            ci = self.chi_inv(lam)
-            resid = np.max(np.abs((ch @ ci).mat - np.eye(2 * grid.n)))
+            resid = np.max(np.abs(ch @ self.chi_inv(lam) - np.eye(2 * grid.n)))
             rows.append(DiagnosticRow("chi*chi_inv-id", lam.real, lam.imag,
                                       float(resid), 1e-8))
             rows.append(DiagnosticRow("det(chi)-1", lam.real, lam.imag,
-                                      float(abs(ch.det() - 1.0)), 1e-7))
+                                      float(abs(np.linalg.det(ch) - 1.0)), 1e-7))
         for lam0 in interior:
-            chi_p = _one_sided(lambda z: self.chi(z).mat, pd, lam0, +1)
-            chi_m = _one_sided(lambda z: self.chi(z).mat, pd, lam0, -1)
-            G = g_chi(pd, grid, lam0).mat
+            chi_p = _one_sided(self.chi, pd, lam0, +1)
+            chi_m = _one_sided(self.chi, pd, lam0, -1)
+            G = g_chi(pd, grid, lam0)
             resid = np.max(np.abs(chi_p @ G - chi_m))
             rows.append(DiagnosticRow("chi jump", lam0, 0.0, float(resid), 1e-6))
             # the +- difference is the rank-structured density itself
-            FR = self.densities.FR_at(lam0)
+            FR = self.FR_at(lam0)
             EL, ER = (v.ravel() for v in e_vectors(pd, grid, lam0))
             ws2 = np.concatenate([grid.sweights, grid.sweights])
             target = -2j * np.pi * np.outer(FR, EL * ws2)
@@ -212,22 +245,7 @@ class ChiSolution:
         return rows
 
 
-def solve_chi(pd: ProblemData, rule: IntervalRule | None = None,
-              grid: HalfLineRule | None = None) -> ChiSolution:
-    """Solve the block Riemann-Hilbert problem for chi on default grids.
-
-    The interval rule is scaled with the oscillation budget of the phase
-    e^{i x p} when none is supplied: the near-cut Cauchy sums interpolate
-    F_R (x) E_L, whose off-diagonal parts carry e^{+-i x p}.
-    """
-    if rule is None:
-        rule = gauss_interval(oscillation_nodes(pd, frequency=1.0), pd.a, pd.b)
-    if grid is None:
-        grid = laguerre_halfline(48, pd.c)
-    return ChiSolution(pd, rule, grid)
-
-
-def g_chi(pd: ProblemData, grid: HalfLineRule, lam) -> BlockOperator:
+def g_chi(pd: ProblemData, grid: HalfLineRule, lam) -> np.ndarray:
     """The block jump matrix on (a, b); its Fredholm determinant is 1."""
     lam = complex(lam)
     Fv = complex(pd.F(lam))
@@ -237,10 +255,9 @@ def g_chi(pd: ProblemData, grid: HalfLineRule, lam) -> BlockOperator:
     k1 = kappa_form(1, pd, grid, lam)
     k2 = kappa_form(2, pd, grid, lam)
     eye = np.eye(grid.n, dtype=complex)
-    return BlockOperator.from_blocks(
+    return np.block(
         [[eye - Fv * rank_one(m1, k1, grid), Fv * ph * rank_one(m1, k2, grid)],
-         [-Fv / ph * rank_one(m2, k1, grid), eye + Fv * rank_one(m2, k2, grid)]],
-        grid)
+         [-Fv / ph * rank_one(m2, k1, grid), eye + Fv * rank_one(m2, k2, grid)]])
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +420,9 @@ class OperatorFactory:
                 "Q": -Fv / (1.0 + Fv) * core[2, 1],
                 "beta": beta, "beta_inv": beta_inv, "exponent": e}
 
-    def O(self, lam) -> BlockOperator:
+    def O(self, lam) -> np.ndarray:
         blk = self.blocks(lam)
-        return BlockOperator.from_blocks(
-            [[blk[1, 1], blk[1, 2]], [blk[2, 1], blk[2, 2]]], self.grid)
+        return np.block([[blk[1, 1], blk[1, 2]], [blk[2, 1], blk[2, 2]]])
 
     def _from_O(self, lam, blk, sign: float) -> np.ndarray:
         """sign 2 i e^{i pi nu} sin(pi nu) alpha^{2 sign} O_jl from the
@@ -418,7 +434,7 @@ class OperatorFactory:
             * np.exp(sign * 2.0 * blk["exponent"]) * off
 
     def jump_factor(self, lam, side: int, x: float | None = None,
-                    blk: dict | None = None) -> BlockOperator:
+                    blk: dict | None = None) -> np.ndarray:
         """The triangular jump factor at lam.
 
         side +1 gives M_up = [[id, P e^{i x p}], [0, id]], side -1 gives
@@ -438,7 +454,7 @@ class OperatorFactory:
             mat[:n, n:] = ph * blk["P"]
         else:
             mat[n:, :n] = -ph * blk["Q"]
-        return BlockOperator(mat, self.grid)
+        return mat
 
     def near_probes(self):
         """Off-axis probes at heights up to 0.875 ``safe_radius``, kept to
@@ -457,8 +473,8 @@ class OperatorFactory:
         rows = []
         mid = interior[2]
         # O is continuous across the interval: its two one-sided limits agree
-        o_p = _one_sided(lambda z: self.O(z).mat, pd, mid, +1)
-        o_m = _one_sided(lambda z: self.O(z).mat, pd, mid, -1)
+        o_p = _one_sided(self.O, pd, mid, +1)
+        o_m = _one_sided(self.O, pd, mid, -1)
         rows.append(DiagnosticRow("O continuity", mid, 0.0,
                                   float(np.max(np.abs(o_p - o_m))), 1e-6))
         for lam in exterior[:3]:
@@ -492,13 +508,13 @@ def factorization_residual(factory: OperatorFactory, lam0: float) -> float:
 
     def product(lam):
         up, dn = factory.blocks(lam), factory.blocks(lam.conjugate())
-        upper = factory.jump_factor(lam, +1, blk=up).mat
-        lower = factory.jump_factor(lam.conjugate(), -1, blk=dn).mat
+        upper = factory.jump_factor(lam, +1, blk=up)
+        lower = factory.jump_factor(lam.conjugate(), -1, blk=dn)
         lower[n:, :n] *= -1.0
         return (diag(up["beta_inv"]) @ upper) @ (lower @ diag(dn["beta"]))
 
     rhs = _one_sided(product, factory.pd, lam0, +1)
-    G = g_chi(factory.pd, factory.grid, lam0).mat
+    G = g_chi(factory.pd, factory.grid, lam0)
     return float(np.max(np.abs(G - rhs)))
 
 
@@ -576,8 +592,8 @@ def pi_residual(pd: ProblemData, factory: OperatorFactory,
     report.lens_max = {x: 0.0 for x in xs}
     for lam in span:
         above, below = lam + 1j * lens_height, lam - 1j * lens_height
-        up = factory.jump_factor(above, +1, x=0.0).smoothing_bound()
-        dn = factory.jump_factor(below, -1, x=0.0).smoothing_bound()
+        up = smoothing_bound(factory.jump_factor(above, +1, x=0.0), factory.grid)
+        dn = smoothing_bound(factory.jump_factor(below, -1, x=0.0), factory.grid)
         for rows, x in zip(lens, xs):
             up_x = float(abs(np.exp(1j * x * pd.p(above))) * up)
             dn_x = float(abs(np.exp(-1j * x * pd.p(below))) * dn)
@@ -596,7 +612,8 @@ def pi_residual(pd: ProblemData, factory: OperatorFactory,
             lam = center + disk_radius * np.exp(1j * th)
             blk = factory.blocks(lam)
             for px, rows, x in zip(pxs, disk, xs):
-                resid = px[endpoint](lam, blocks=blk).smoothing_bound()
+                resid = smoothing_bound(px[endpoint](lam, blocks=blk),
+                                        factory.grid)
                 rows[endpoint].append(DiagnosticRow(
                     f"disk {endpoint} x={x}", lam.real, lam.imag, resid, 1.0))
                 report.disk_max[endpoint, x] = max(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import cshiftlab as cl
-from cshiftlab.rhp import OperatorFactory, solve_beta, solve_chi
+from cshiftlab.rhp import ChiSolution, OperatorFactory, solve_beta
 
 
 @pytest.fixture(scope="session")
@@ -29,7 +29,7 @@ def loop_default(pd_default):
 
 @pytest.fixture(scope="session")
 def chi_default(pd_default, grid48):
-    return solve_chi(pd_default, grid=grid48)
+    return ChiSolution(pd_default, grid=grid48)
 
 
 @pytest.fixture(scope="session")

@@ -95,6 +95,15 @@ class TestSweepConfig:
         with pytest.raises(ParameterDomainError):
             SweepConfig(x_list=(50.0, 50.0))
 
+    def test_empty_x_list_rejected(self, tmp_path):
+        # a sweep over no x would report "no rows" and pass
+        with pytest.raises(ParameterDomainError):
+            SweepConfig(x_list=())
+        path = tmp_path / "cfg.txt"
+        path.write_text("x_list =\n")
+        with pytest.raises(ParameterDomainError):
+            load_config(str(path))
+
     def test_t_other_than_one_rejected(self, tmp_path):
         # theorem1_sweep runs at t = 1; a t in the file would be dropped
         path = tmp_path / "cfg.txt"
@@ -291,7 +300,7 @@ class TestDtCheck:
             names.append(kernel.name)
             return original(kernel, support, **kw)
 
-        for mod in (cl.fredholm, cl.flow, cl.kernels, cl.rhp):
+        for mod in (cl.fredholm, cl.flow, cl.rhp):
             monkeypatch.setattr(mod, "assemble", assemble)
         dt_logdet_check(SweepConfig(x_list=(20.0,)), 0.5 + 0.1j, x=20.0)
         assert sorted(names) == ["K_1;t", "K_2;t", "V0"]
@@ -403,6 +412,27 @@ class TestConfigAndCli:
                      "--x", "20"])
         assert code == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_cli_dtcheck_real_t0(self, tmp_path, capsys):
+        # --t0 takes re or re,im: a real value is t0 with Im t0 = 0
+        path = tmp_path / "cfg.txt"
+        path.write_text(CONFIG_TEXT.replace("OUT", str(tmp_path / "o.csv")))
+        outs = []
+        for t0 in ("0.5", "0.5,0"):
+            assert main(["dtcheck", "--config", str(path), "--t0", t0,
+                         "--x", "20"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert outs[0].splitlines()[-1] == "PASS"
+
+    @pytest.mark.parametrize("t0", ["0.5,0.1,2", "abc", "0.5,", ""])
+    def test_cli_dtcheck_bad_t0_is_a_usage_error(self, tmp_path, capsys, t0):
+        path = tmp_path / "cfg.txt"
+        path.write_text(CONFIG_TEXT.replace("OUT", str(tmp_path / "o.csv")))
+        with pytest.raises(SystemExit) as info:
+            main(["dtcheck", "--config", str(path), "--t0", t0])
+        assert info.value.code == 2
+        assert "--t0" in capsys.readouterr().err
 
     def test_cli_selftest(self, capsys):
         # every summary object with its row count: the verify() streams of

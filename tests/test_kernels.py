@@ -4,8 +4,7 @@ import pytest
 import cshiftlab as cl
 from cshiftlab.errors import PoleError
 from cshiftlab.flow import oscillation_nodes
-from cshiftlab.kernels import (KernelHandle, k_kt, resolvent_kernel,
-                               solve_densities, u_kt)
+from cshiftlab.kernels import KernelHandle, k_kt, resolvent_kernel, u_kt
 from cshiftlab.quadgrid import graded_interval
 
 
@@ -219,11 +218,9 @@ class TestChiDensities:
     def test_woodbury_matches_the_dense_vt_solves(self, grid48, F, p, c, t):
         pd = _shift_problem(F, p, c, t)
         rule = cl.gauss_interval(oscillation_nodes(pd, frequency=1.0), -1, 1)
-        dens = solve_densities(pd, rule, grid48)
-        n = rule.n
-        for got, want in zip((dens.FL, dens.FR), _dense_densities(pd, rule,
-                                                                  grid48)):
-            got = got.reshape(n, -1)
+        chi = cl.ChiSolution(pd, rule, grid48)
+        for got, want in zip((chi.FL, chi.FR), _dense_densities(pd, rule,
+                                                                grid48)):
             assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
     def test_without_the_shift_the_densities_are_wrong(self, grid48):
@@ -246,8 +243,8 @@ class TestChiDensities:
             names.append(kernel.name)
             return cl.fredholm.assemble(kernel, support, **kw)
 
-        monkeypatch.setattr(cl.kernels, "assemble", assemble)
-        solve_densities(pd, cl.gauss_interval(48, -1, 1), grid48)
+        monkeypatch.setattr(cl.rhp, "assemble", assemble)
+        cl.ChiSolution(pd, cl.gauss_interval(48, -1, 1), grid48)
         assert names == ["V0"]
 
 
@@ -372,9 +369,29 @@ class TestIntervalContourIdentity:
 
 
 class TestResolvent:
+    def test_reads_the_chi_densities_without_solving(self, pd_default, grid48,
+                                                     monkeypatch):
+        # the kernel interpolates the densities chi already holds: neither
+        # building nor evaluating it runs another Nystrom solve
+        chi = cl.ChiSolution(pd_default, cl.gauss_interval(32, -1, 1), grid48)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return cl.fredholm.solve(*args, **kwargs)
+
+        monkeypatch.setattr(cl.rhp, "solve", spy)
+        rk = resolvent_kernel(chi)
+        rk.eval(0.3, -0.2)
+        rk.diag(np.array([0.1, 0.5]))
+        assert calls == []
+        # the spy is live: a fresh chi solves for F_L and F_R through it
+        cl.ChiSolution(pd_default, chi.rule, grid48)
+        assert len(calls) == 2
+
     def test_zero_symbol(self, pd_zero, grid48):
         rule = cl.gauss_interval(48, -1, 1)
-        rk = resolvent_kernel(pd_zero, rule, grid48)
+        rk = resolvent_kernel(cl.ChiSolution(pd_zero, rule, grid48))
         assert abs(complex(rk.eval(0.3, -0.2))) == 0.0
 
     def test_neumann_first_order(self, grid48):
@@ -385,7 +402,7 @@ class TestResolvent:
             pd = cl.make_problem(a=-1, b=1, c=1.0, t=1.0, x=10.0,
                                  F=cl.constant_symbol(gam),
                                  p=cl.identity_phase())
-            rk = resolvent_kernel(pd, rule, grid48)
+            rk = resolvent_kernel(cl.ChiSolution(pd, rule, grid48))
             vk = cl.v_t(pd)
             gap = 0.0
             for lam, mu in [(0.3, -0.4), (0.8, 0.1)]:
@@ -397,8 +414,7 @@ class TestResolvent:
 
     def test_against_direct_matrix_resolvent(self, pd_default, grid48):
         rule = cl.gauss_interval(64, -1, 1)
-        dens = solve_densities(pd_default, rule, grid48)
-        rk = resolvent_kernel(pd_default, rule, grid48, densities=dens)
+        rk = resolvent_kernel(cl.ChiSolution(pd_default, rule, grid48))
         # direct route: R = (I + V W)^{-1} V as a kernel matrix
         Vmat = (cl.assemble(cl.v_t(pd_default), rule).matrix
                 - np.eye(rule.n)) / rule.weights[None, :]
@@ -417,7 +433,7 @@ class TestResolvent:
 
     def test_diagonal_cauchy_sequence(self, pd_default, grid48):
         rule = cl.gauss_interval(64, -1, 1)
-        rk = resolvent_kernel(pd_default, rule, grid48)
+        rk = resolvent_kernel(cl.ChiSolution(pd_default, rule, grid48))
         lam = 0.3
         d = complex(rk.diag(lam))
         offs = [complex(rk.eval(lam, lam + h)) for h in (1e-3, 1e-4)]
@@ -425,8 +441,8 @@ class TestResolvent:
 
     def test_shape_contract(self, pd_default, grid48):
         # diag keeps its argument's shape and eval broadcasts, as for v_t
-        rk = resolvent_kernel(pd_default, cl.gauss_interval(16, -1, 1),
-                              grid48)
+        rk = resolvent_kernel(cl.ChiSolution(
+            pd_default, cl.gauss_interval(16, -1, 1), grid48))
         mu = -0.4
         for lam in (0.3, np.array([0.3]), np.array([0.3, -0.2, 0.7]),
                     np.array([[0.3, -0.2], [0.7, 0.1]])):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import cshiftlab as cl
 from cshiftlab.errors import GridMismatchError, ParameterDomainError
-from cshiftlab.l2half import BlockOperator
+from cshiftlab.l2half import smoothing_bound
 
 
 class TestMVec:
@@ -157,24 +157,17 @@ class TestDeterminants:
                 assert det == pytest.approx(1.0 + tk, abs=1e-10)
 
 
-class TestBlockOperator:
-    def test_composition_associative(self, grid48):
-        rng = np.random.default_rng(7)
-        ops = [BlockOperator(rng.normal(size=(96, 96)) / 96, grid48)
-               for _ in range(3)]
-        left = (ops[0] @ ops[1]) @ ops[2]
-        right = ops[0] @ (ops[1] @ ops[2])
-        assert np.max(np.abs(left.mat - right.mat)) < 1e-12
-
+class TestSmoothingBound:
     def test_smoothing_decay_pattern(self, chi_default):
         # the chi kernel inherits the e^{-c(s+s')/4} decay: entries near
         # the far corner of the grid stay under the bound set by the
         # near-origin entries
         ch = chi_default.chi(2.0j)
-        kern = np.abs(ch.kernel_part())
         grid = chi_default.grid
+        w = np.tile(grid.sweights, 2)
+        kern = np.abs((ch - np.eye(2 * grid.n)) / w[None, :])
         s = np.tile(grid.snodes, 2)
-        bound = ch.smoothing_bound()
+        bound = smoothing_bound(ch, grid)
         assert np.all(kern <= bound * np.exp(-0.25 * grid.c
                                              * (s[:, None] + s[None, :]))
                       + 1e-300)
@@ -183,10 +176,3 @@ class TestBlockOperator:
             np.argmax(kern * np.exp(0.25 * grid.c * (s[:, None] + s[None, :]))),
             kern.shape)
         assert s[i] + s[j] < 5.0
-
-    def test_det_and_inverse(self, grid48):
-        rng = np.random.default_rng(8)
-        m = np.eye(96) + 0.01 * rng.normal(size=(96, 96))
-        op = BlockOperator(m, grid48)
-        assert op.det() == pytest.approx(np.linalg.det(m), rel=1e-10)
-        assert np.max(np.abs((op @ op.inv()).mat - np.eye(96))) < 1e-12

@@ -7,7 +7,6 @@ from scipy.optimize import brentq
 
 import cshiftlab as cl
 from cshiftlab.errors import BranchError, ParameterDomainError
-from cshiftlab.l2half import BlockOperator
 from cshiftlab.parametrix import (Parametrix, alpha0, build_parametrix,
                                   l_sector, zeta)
 from cshiftlab.rhp import OperatorFactory, solve_beta
@@ -122,7 +121,7 @@ class TestParametrixInvariants:
         rng = np.random.default_rng(9)
         f = rng.normal(size=2 * grid48.n) + 1j * rng.normal(size=2 * grid48.n)
         lam = px.center + 0.1 * px.radius * np.exp(0.4j)
-        assert np.max(np.abs(px(lam).apply(f) - f)) < 1e-8
+        assert np.max(np.abs(px(lam) @ f - f)) < 1e-8
 
 
 class _Psi22RotatedDown(Parametrix):
@@ -144,7 +143,7 @@ class _ExtraRightPower(Parametrix):
 
     def __call__(self, lam, sector=None):
         fac = self.factory
-        full = super().__call__(lam, sector).mat
+        full = super().__call__(lam, sector)
         n = fac.grid.n
         eye = np.eye(n)
         blk = fac.blocks(lam)
@@ -153,7 +152,7 @@ class _ExtraRightPower(Parametrix):
         zm = np.exp(-s * complex(cl.nu(self.pd, lam))
                     * np.log(zeta(self.endpoint, self.pd, lam, self.x)))
         rdiag = np.concatenate([np.full(n, zm), np.full(n, 1.0 / zm)])
-        return BlockOperator((full - comp) * rdiag[None, :] + comp, fac.grid)
+        return (full - comp) * rdiag[None, :] + comp
 
 
 class TestConventionPinned:

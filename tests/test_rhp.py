@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 import cshiftlab as cl
 from cshiftlab.errors import (BoundaryLimitError, ExcludedCaseError,
                               NearSingularityError)
+from cshiftlab.l2half import smoothing_bound
 from cshiftlab.rhp import (DiagnosticRow, OperatorFactory, _disk_probe_angles,
                            default_probes, factorization_residual, g_chi,
-                           pi_residual, solve_beta, solve_chi, summarize,
+                           pi_residual, solve_beta, summarize,
                            write_diagnostics)
 
 
@@ -36,27 +37,25 @@ class TestChi:
         assert len(calls) == len(set(calls)) == 45
 
     def test_zero_symbol_is_identity(self, pd_zero, grid48):
-        chi = solve_chi(pd_zero, grid=grid48)
+        chi = cl.ChiSolution(pd_zero, grid=grid48)
         ch = chi.chi(0.3 + 0.6j)
-        assert np.max(np.abs(ch.mat - np.eye(2 * grid48.n))) == 0.0
+        assert np.max(np.abs(ch - np.eye(2 * grid48.n))) == 0.0
 
     def test_transposed_kernel_in_right_equation(self, grid48):
         # the right density solves the equation with V_t(mu, lam); using
         # the unswapped kernel must visibly change the solution (the
         # kernel is only symmetric when the symbol is constant)
-        from cshiftlab.kernels import solve_densities
         pd = cl.make_problem(a=-1, b=1, c=1.0, t=1.0, x=10.0,
                              F=cl.poly_symbol([0.2, 0.15]),
                              p=cl.identity_phase())
         rule = cl.gauss_interval(48, -1, 1)
-        dens = solve_densities(pd, rule, grid48)
+        FR = cl.ChiSolution(pd, rule, grid48).FR
         Vmat = (cl.assemble(cl.v_t(pd), rule).matrix - np.eye(rule.n)) \
             / rule.weights[None, :]
         A_wrong = np.eye(rule.n) + Vmat * rule.weights[None, :]
-        ER = dens.FR.reshape(rule.n, -1) \
-            + (Vmat.T * rule.weights[None, :]) @ dens.FR.reshape(rule.n, -1)
+        ER = FR + (Vmat.T * rule.weights[None, :]) @ FR
         FR_wrong = np.linalg.solve(A_wrong, ER)
-        assert np.max(np.abs(FR_wrong - dens.FR.reshape(rule.n, -1))) > 1e-6
+        assert np.max(np.abs(FR_wrong - FR)) > 1e-6
 
     @given(F=st.floats(-0.6, 0.6), x=st.floats(10.0, 200.0))
     # det(I + V_t) = e^{-44.35} at F = -0.5, x = 200, yet the system is
@@ -67,20 +66,20 @@ class TestChi:
                                                              F, x):
         pd = cl.make_problem(a=-1, b=1, c=1.0, t=1.0, x=x,
                              F=cl.constant_symbol(F), p=cl.identity_phase())
-        chi = solve_chi(pd, grid=grid48)
+        chi = cl.ChiSolution(pd, grid=grid48)
         for lam in default_probes(pd)[1]:
             ch = chi.chi(lam)
-            assert abs(ch.det() - 1.0) < 1e-7
-            assert np.max(np.abs((ch @ chi.chi_inv(lam)).mat
+            assert abs(np.linalg.det(ch) - 1.0) < 1e-7
+            assert np.max(np.abs(ch @ chi.chi_inv(lam)
                                  - np.eye(2 * grid48.n))) < 1e-8
 
     def test_default_rule_follows_the_oscillation_budget(self, grid48):
-        # solve_chi sizes its rule by the sweep's node-count rule
+        # ChiSolution sizes its default rule by the sweep's node-count rule
         for x in (10.0, 100.0):
             pd = cl.make_problem(a=-1, b=1, c=1.0, t=1.0, x=x,
                                  F=cl.constant_symbol(0.2),
                                  p=cl.identity_phase())
-            chi = solve_chi(pd, grid=grid48)
+            chi = cl.ChiSolution(pd, grid=grid48)
             assert chi.rule.n == cl.quadgrid.oscillation_nodes(pd,
                                                                 frequency=1.0)
 
@@ -94,10 +93,10 @@ class TestChi:
         # stay resolved.
         pd = cl.make_problem(a=-1, b=1, c=1.0, t=1.0, x=x,
                              F=cl.constant_symbol(0.2), p=cl.identity_phase())
-        rows = solve_chi(pd, grid=grid48).verify()
+        rows = cl.ChiSolution(pd, grid=grid48).verify()
         assert [r for r in rows if not r.passed] == []
         coarse = cl.gauss_interval(cl.quadgrid.oscillation_nodes(pd), -1, 1)
-        rows = solve_chi(pd, rule=coarse, grid=grid48).verify()
+        rows = cl.ChiSolution(pd, coarse, grid48).verify()
         miss = 1e-4 if x < 200.0 else 1e-3
         assert max(r.residual for r in rows if r.obj == "chi jump") > miss
 
@@ -110,11 +109,11 @@ class TestChi:
         # the low-rank trace against tr(dchi S chi^{-1}) formed point by
         # point, on loop points near the cut (r = 0.25) and far (r = 0.5)
         pd = cl.make_problem(a=-1, b=1, c=1.0, t=t, x=20.0, F=F, p=p)
-        chi = solve_chi(pd, grid=grid48)
+        chi = cl.ChiSolution(pd, grid=grid48)
         loops = [cl.stadium_contour(-1, 1, r).samples for r in (0.25, 0.5)]
         z = np.concatenate([zs[:: zs.size // 4][:4] for zs in loops])
         s3s = np.concatenate([grid48.snodes, -grid48.snodes])
-        want = np.array([np.trace((chi.dchi(zk) * s3s) @ chi.chi_inv(zk).mat)
+        want = np.array([np.trace((chi.dchi(zk) * s3s) @ chi.chi_inv(zk))
                          for zk in z])
         got = chi.loop_trace(z)
         assert got.shape == z.shape
@@ -141,7 +140,7 @@ class TestExcludedCase:
     def test_chi_raises_near_singularity(self, pd_default, grid48,
                                          tiny_cond_cap):
         with pytest.raises(NearSingularityError):
-            solve_chi(pd_default, grid=grid48)
+            cl.ChiSolution(pd_default, grid=grid48)
 
     def test_chi_raises_on_singular_v0(self, pd_default, grid48):
         # chi's densities come from (I + V0)^-1: where it does not exist,
@@ -164,11 +163,11 @@ class TestGChi:
     def test_unit_determinant(self, pd_default, grid48):
         for lam0 in (-0.3, 0.52, 0.9):
             G = g_chi(pd_default, grid48, lam0)
-            assert abs(G.det() - 1.0) < 1e-9
+            assert abs(np.linalg.det(G) - 1.0) < 1e-9
 
     def test_zero_symbol_identity(self, pd_zero, grid48):
         G = g_chi(pd_zero, grid48, 0.1)
-        assert np.max(np.abs(G.mat - np.eye(2 * grid48.n))) == 0.0
+        assert np.max(np.abs(G - np.eye(2 * grid48.n))) == 0.0
 
 
 class TestBeta:
@@ -295,7 +294,7 @@ class TestRegimes:
         rule = cl.gauss_interval(192, pd.a, pd.b)
         betas = {k: solve_beta(pd, rule, grid48, k, srh) for k in (1, 2)}
         fac = OperatorFactory(pd, grid48, srh, betas[1], betas[2])
-        rows = (solve_chi(pd, grid=grid48).verify() + betas[1].verify()
+        rows = (cl.ChiSolution(pd, grid=grid48).verify() + betas[1].verify()
                 + betas[2].verify() + fac.verify())
         assert [r for r in rows if not r.passed] == []
         assert factorization_residual(fac, 0.3) < 1e-6
@@ -418,12 +417,12 @@ class TestPiResidual:
             x = float(r.obj.split("x=")[1])
             lam = complex(r.lam_re, r.lam_im)
             side = 1 if r.obj.startswith("lens up") else -1
-            want = fac.jump_factor(lam, side, x=x).smoothing_bound()
+            want = smoothing_bound(fac.jump_factor(lam, side, x=x), fac.grid)
             assert r.residual == pytest.approx(want, rel=1e-13)
         for r in report.disk_rows:
             ep, x = r.obj.split()[1], float(r.obj.split("x=")[1])
             px = build_parametrix(ep, pd_default, fac, x=x, radius=0.2)
-            want = px(complex(r.lam_re, r.lam_im)).smoothing_bound()
+            want = smoothing_bound(px(complex(r.lam_re, r.lam_im)), fac.grid)
             assert r.residual == pytest.approx(want, rel=1e-13)
         assert {float(r.obj.split("x=")[1]) for r in report.rows()} \
             == set(report.xs)
