@@ -116,7 +116,7 @@ def main(argv=None) -> int:
     p_dt = sub.add_parser("dtcheck", help="t-derivative identity check")
     p_dt.add_argument("--config", required=True)
     p_dt.add_argument("--t0", type=_complex_arg, default="0.5,0.0",
-                      help="t0 as re or re,im")
+                      metavar="RE[,IM]", help="negative RE: --t0=-0.5,0.1")
     p_dt.add_argument("--h", type=float, default=1e-4)
     p_dt.add_argument("--x", type=float, default=None)
     p_dt.set_defaults(func=_cmd_dtcheck)

@@ -312,12 +312,12 @@ def dt_logdet_check(cfg: SweepConfig, t0: complex, h: float = 1e-4,
     """
     t0 = complex(t0)
     x = float(x if x is not None else cfg.x_list[-1])
-    n = oscillation_nodes(cfg.problem(x=x), frequency=1.0)
+    pd = cfg.problem(x=x, t=t0)
+    n = oscillation_nodes(pd, frequency=1.0)
     _check_budget(cfg, x, n)
     rule = gauss_interval(n, cfg.a, cfg.b)
     grid = laguerre_halfline(48, cfg.c)
-    sys0 = assemble(v0(cfg.problem(x=x)), rule)
-    pd = cfg.problem(x=x, t=t0)
+    sys0 = assemble(v0(pd), rule)
     # chi inverts sys0 first, so the finite difference applies that inverse
     chi = ChiSolution(pd, rule, grid, sys0)
 
@@ -400,7 +400,7 @@ def emit(report: SweepReport, path: str) -> int:
 
 
 def load_config(path: str) -> SweepConfig:
-    """Flat key = value file; '#' starts a comment; lists are comma separated."""
+    """Flat key = value file, each key once; '#' comments; comma lists."""
     raw = {}
     with open(path) as fh:
         for line in fh:
@@ -410,6 +410,8 @@ def load_config(path: str) -> SweepConfig:
             if "=" not in line:
                 raise ParameterDomainError(f"bad config line: {line!r}")
             key, val = (s.strip() for s in line.split("=", 1))
+            if key in raw:
+                raise ParameterDomainError(f"config key {key!r} given twice")
             raw[key] = val
 
     def floats(s):

@@ -138,32 +138,23 @@ def _dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def assemble(kernel, support: Support, left=None) -> NystromSystem:
     """Discretize I + kernel on the support.
 
-    The kernel's closed-form diagonal replaces the (removable) diagonal
-    entries, unless the handle is ``regular``: its values on the diagonal
-    are exact already.  ``left``, for a kernel that takes one
+    ``kernel(lam, mu)`` is evaluated on every pair of nodes, the diagonal
+    included: a ``kernels.KernelHandle`` or any callable that broadcasts
+    and is exact there.  ``left``, for a kernel that takes one
     (``kernels.k_kt``), is its lam-side factor at the nodes when the caller
     has it.  The matrix keeps the result dtype of the kernel values and
     the weights.
     """
     nodes, weights = _support_nodes_weights(support)
-    if hasattr(kernel, "diag"):
-        kw = {} if left is None else {"left": np.asarray(left)[:, None]}
-        K = np.asarray(kernel.eval(nodes[:, None], nodes[None, :], **kw))
-        if not getattr(kernel, "regular", False):
-            diag = kernel.diag(nodes)
-            K = K.astype(np.result_type(K, diag), copy=False)
-            np.fill_diagonal(K, diag)
-        handle = kernel
-    else:  # bare callable: already regular everywhere
-        K = np.asarray(kernel(nodes[:, None], nodes[None, :]))
-        handle = None
+    kw = {} if left is None else {"left": np.asarray(left)[:, None]}
+    K = np.asarray(kernel(nodes[:, None], nodes[None, :], **kw))
     if not np.all(np.isfinite(K)):
         bad = np.argwhere(~np.isfinite(K))[0]
         raise AssemblyError(
             f"kernel not finite at nodes ({nodes[bad[0]]}, {nodes[bad[1]]})")
     matrix = K * weights[None, :]
     matrix.flat[::nodes.size + 1] += 1.0
-    return NystromSystem(support=support, kernel=handle, matrix=matrix,
+    return NystromSystem(support=support, kernel=kernel, matrix=matrix,
                          nodes=nodes, weights=weights)
 
 
@@ -212,7 +203,7 @@ def determinant(sys: NystromSystem, with_error: bool = False):
     if not with_error:
         return det
     if sys.kernel is None:
-        raise AssemblyError("error estimate needs the kernel handle")
+        raise AssemblyError("error estimate needs the kernel")
     refined = assemble(sys.kernel, sys.support.refined())
     det2 = np.exp(logdet(refined))
     return det, abs(det2 - det)

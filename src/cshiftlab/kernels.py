@@ -7,10 +7,10 @@ interpolates those densities off the nodes (``ChiSolution.FR_at``/
 ``FL_at``) and is the tests' dense reference.  The resolvent kernel
 reads the densities of a ChiSolution; this module solves no system.
 
-Every kernel is wrapped in a KernelHandle carrying a vectorized evaluator
-and the removable-singularity diagonal.  The diagonals are closed forms,
-except the resolvent's: there it is a Richardson-extrapolated central
-difference of the vanishing numerator.
+Every kernel is a KernelHandle, one vectorized evaluator that is exact
+on the diagonal too: V_t and V0 take the divided-difference limit there,
+U_{k;t} and K_{k;t} are regular, and the resolvent takes a Richardson-
+extrapolated central difference of its vanishing numerator.
 """
 
 from __future__ import annotations
@@ -30,21 +30,21 @@ __all__ = ["KernelHandle", "v_t", "v0", "shift_factors", "u_kt", "k_kt",
 
 @dataclass
 class KernelHandle:
-    """A scalar kernel with explicit diagonal.
+    """A scalar kernel and its name.
 
-    ``eval(lam, mu)`` returns the broadcast shape of its arguments and
-    ``diag(lam)`` the shape of its argument; a scalar gives a 0-d result.
-    A ``regular`` kernel has no removable singularity: eval is exact on
-    the diagonal, and ``fredholm.assemble`` does not call diag.
+    ``eval(lam, mu)`` returns the broadcast shape of its arguments, the
+    diagonal lam = mu included; a scalar gives a 0-d result.
     """
 
     eval: Callable
-    diag: Callable
     name: str = ""
-    regular: bool = False
 
-    def __call__(self, lam, mu):
-        return self.eval(lam, mu)
+    def __call__(self, lam, mu, **kw):
+        return self.eval(lam, mu, **kw)
+
+    def diag(self, lam):
+        """The diagonal K(lam, lam), in the shape of lam."""
+        return self.eval(lam, lam)
 
 
 def _real_values(*vals):
@@ -90,7 +90,7 @@ def _direct_entries(pd: ProblemData, t, lam, mu, p_lam, p_mu, F_lam):
 
 
 def _interval_entries(pd: ProblemData, t: complex, lam, mu):
-    """Off-diagonal entries of V_t on [a, b]; t = 0 gives the sine kernel V0.
+    """Entries of V_t on [a, b]; t = 0 gives the sine kernel V0.
 
     F and p are evaluated on the lam and mu arrays only; the result has
     their broadcast shape.  When t and all of these values are real the
@@ -130,28 +130,20 @@ def _interval_entries(pd: ProblemData, t: complex, lam, mu):
     return out
 
 
-def _interval_diag(pd: ProblemData, t: complex, lam):
-    """Diagonal of V_t, F (t + c x p'/2) / (pi c), real for real data."""
-    lam = np.asarray(lam)
-    vals = [t, lam, pd.F(lam), pd.p.deriv(lam)]
-    real = _real_values(*vals)
-    t, lam, F_lam, dp = real if real is not None else vals
-    return F_lam * (t + 0.5 * pd.c * pd.x * dp) / (np.pi * pd.c)
-
-
 def v_t(pd: ProblemData) -> KernelHandle:
     """The c-shifted two-term kernel of the t-deformed operator on [a, b].
 
     V_t(lam, mu) = i c F(lam) / (2 i pi (lam-mu)) *
         { e^{+i x [p(lam)-p(mu)]/2} / (t (lam-mu) + i c)
         + e^{-i x [p(lam)-p(mu)]/2} / (t (lam-mu) - i c) },
-    evaluated in the combined form that is regular on the diagonal.
+    evaluated in the combined form that is regular on the diagonal, where
+    it is F(lam) (t + c x p'(lam)/2) / (pi c).
     At t = 1 this is the undeformed kernel; at t = 0 it collapses to the
     generalized sine kernel v0.  Values are float64 for real data and
     complex128 otherwise.
     """
     return KernelHandle(lambda lam, mu: _interval_entries(pd, pd.t, lam, mu),
-                        lambda lam: _interval_diag(pd, pd.t, lam), name="V_t")
+                        name="V_t")
 
 
 def v0(pd: ProblemData) -> KernelHandle:
@@ -160,7 +152,7 @@ def v0(pd: ProblemData) -> KernelHandle:
     V_t at t = 0, whatever pd.t is.
     """
     return KernelHandle(lambda lam, mu: _interval_entries(pd, 0.0, lam, mu),
-                        lambda lam: _interval_diag(pd, 0.0, lam), name="V0")
+                        name="V0")
 
 
 def _chebyshev_basis(a: float, b: float, r: int, mu: np.ndarray):
@@ -228,6 +220,31 @@ def shift_factors(pd: ProblemData, rule: IntervalRule):
         np.concatenate([Q, Q_minus], axis=1)
 
 
+def _loop_kernel(pd: ProblemData, k: int, srh: ScalarRH, name: str,
+                 weighted: bool) -> KernelHandle:
+    """K_{k;t} if ``weighted`` (w = tau_k), else U_{k;t} (w = 1); eval takes
+    alpha_k(lam), on the real axis its +side value, as ``left`` if given."""
+    e = EPS_K[k]
+    shift = 1j * e * pd.c / pd.t
+
+    def eval_(lam, mu, left=None):
+        lam = np.asarray(lam, dtype=complex)
+        mu = np.asarray(mu, dtype=complex)
+        denom = pd.t * (mu - lam) + 1j * e * pd.c
+        if np.any(np.abs(denom) < 1e-8 * pd.c):
+            raise PoleError(f"{name} evaluated at its pole "
+                            "t(mu-lam) = -i eps_k c")
+        if left is None:
+            left = np.exp(e * srh.exponent(lam))
+        # alpha factors live on one axis each; broadcasting does the rest
+        num = left * np.exp(-e * srh.exponent(mu + shift))
+        if weighted:
+            num = num * tau(k, pd, mu)
+        return -pd.t * num / (2j * np.pi * denom)
+
+    return KernelHandle(eval_, name=name)
+
+
 def u_kt(pd: ProblemData, k: int, srh: ScalarRH) -> KernelHandle:
     """Contour kernel U_{k;t} of the loop operator equivalent to K_{k;t}.
 
@@ -238,22 +255,7 @@ def u_kt(pd: ProblemData, k: int, srh: ScalarRH) -> KernelHandle:
     is the package's loop radius.  At t = 1, k = 1 and 2
     are U_+ and U_-: det(I+V)/det(I+V0) tends to det(I+U_+) det(I+U_-).
     """
-    e = EPS_K[k]
-    shift = 1j * e * pd.c / pd.t
-
-    def eval_(lam, mu):
-        lam = np.asarray(lam, dtype=complex)
-        mu = np.asarray(mu, dtype=complex)
-        denom = pd.t * (mu - lam) + 1j * e * pd.c
-        if np.any(np.abs(denom) < 1e-8 * pd.c):
-            raise PoleError(f"U_{k};t evaluated at its pole "
-                            "t(mu-lam) = -i eps_k c")
-        # alpha factors live on one axis each; broadcasting does the rest
-        num = np.exp(e * srh.exponent(lam)) * np.exp(-e * srh.exponent(mu + shift))
-        return -pd.t * num / (2j * np.pi * denom)
-
-    return KernelHandle(eval_, lambda lam: eval_(lam, lam), name=f"U_{k};t",
-                        regular=True)
+    return _loop_kernel(pd, k, srh, f"U_{k};t", weighted=False)
 
 
 def k_kt(pd: ProblemData, k: int, srh: ScalarRH) -> KernelHandle:
@@ -261,23 +263,9 @@ def k_kt(pd: ProblemData, k: int, srh: ScalarRH) -> KernelHandle:
 
     K_{k;t}(lam, mu) = -t alpha_{k;+}(lam) alpha_k^{-1}(mu + i eps_k c/t)
                         tau_k(mu) / (2 i pi [t (mu - lam) + i eps_k c])
-    with alpha_{k;+} the +side boundary value on (a, b); eval takes
-    alpha_{k;+}(lam) as ``left`` when the caller has it.
+    with alpha_{k;+} the +side boundary value on (a, b).
     """
-    e = EPS_K[k]
-    shift = 1j * e * pd.c / pd.t
-
-    def eval_(lam, mu, left=None):
-        lam = np.asarray(lam, dtype=complex)
-        mu = np.asarray(mu, dtype=complex)
-        denom = pd.t * (mu - lam) + 1j * e * pd.c
-        if left is None:
-            left = srh.alpha_k_plus_many(k, lam)
-        num = left * np.exp(-e * srh.exponent(mu + shift)) * tau(k, pd, mu)
-        return -pd.t * num / (2j * np.pi * denom)
-
-    return KernelHandle(eval_, lambda lam: eval_(lam, lam), name=f"K_{k};t",
-                        regular=True)
+    return _loop_kernel(pd, k, srh, f"K_{k};t", weighted=True)
 
 
 def resolvent_kernel(chi) -> KernelHandle:
@@ -285,8 +273,8 @@ def resolvent_kernel(chi) -> KernelHandle:
 
     ``chi`` is a solved ``rhp.ChiSolution``: off-node arguments use the
     Nystrom natural interpolation of its densities (``FL_at``/``FR_at``),
-    so building and evaluating the kernel solves nothing.  The diagonal is
-    the derivative limit of the vanishing numerator.
+    so building and evaluating the kernel solves nothing.  On the diagonal
+    eval takes the derivative limit of the vanishing numerator.
     """
     pd = chi.pd
     ws2 = np.concatenate([chi.grid.sweights, chi.grid.sweights])
@@ -294,19 +282,14 @@ def resolvent_kernel(chi) -> KernelHandle:
     def numerator(lam, mu):
         return chi.FL_at(lam) @ (ws2 * chi.FR_at(mu))
 
-    def _diag_scalar(lam):
+    def _eval_scalar(lam, mu):
+        if abs(lam - mu) >= 1e-9 * (pd.b - pd.a):
+            return numerator(lam, mu) / (lam - mu)
         h = 1e-5 * (pd.b - pd.a)
         d1 = -(numerator(lam, lam + h) - numerator(lam, lam - h)) / (2 * h)
         d2 = -(numerator(lam, lam + h / 2) - numerator(lam, lam - h / 2)) / h
         return (4.0 * d2 - d1) / 3.0
 
-    def _eval_scalar(lam, mu):
-        if abs(lam - mu) < 1e-9 * (pd.b - pd.a):
-            return _diag_scalar(lam)
-        return numerator(lam, mu) / (lam - mu)
-
     # elementwise over any shape; a scalar argument gives a 0-d result
-    eval_ = np.vectorize(_eval_scalar, otypes=[complex])
-    diag_ = np.vectorize(_diag_scalar, otypes=[complex])
-
-    return KernelHandle(eval_, diag_, name="R_t")
+    return KernelHandle(np.vectorize(_eval_scalar, otypes=[complex]),
+                        name="R_t")

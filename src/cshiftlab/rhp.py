@@ -565,7 +565,7 @@ def _disk_eps(pd: ProblemData, r: float) -> float:
 def pi_residual(pd: ProblemData, factory: OperatorFactory,
                 parametrix_builder: Callable, xs,
                 disk_radius: float | None = None,
-                lens_height: float = 0.15) -> PiReport:
+                lens_height: float | None = None) -> PiReport:
     """Probe the deformed-problem jumps for closeness to the identity.
 
     On the lens pieces away from the endpoints the jump is the triangular
@@ -579,11 +579,15 @@ def pi_residual(pd: ProblemData, factory: OperatorFactory,
     |e^{+- i x p}| times the bound of the phase-free factor, whose kernel
     part the phase only scales, and each x's parametrix receives the
     blocks through its ``blocks`` argument.  ``disk_radius`` defaults to
-    ``safe_radius(pd)``, the parametrices' own default.
+    ``safe_radius(pd)``, the parametrices' own default, and ``lens_height``
+    to 0.75 ``safe_radius(pd)``, inside the growth bound |Im(t lam)| < c/4
+    (0.15 at c = |t| = 1).
     """
     a, b = pd.a, pd.b
     if disk_radius is None:
         disk_radius = safe_radius(pd)
+    if lens_height is None:
+        lens_height = 0.75 * safe_radius(pd)
     report = PiReport(xs=list(xs), eps=_disk_eps(pd, disk_radius))
     xs = report.xs
 

@@ -287,14 +287,3 @@ class ScalarRH:
         val, _ = boundary_value(lambda z: self.alpha_k(k, z), lam0, +1,
                                 scale=self.pd.b - self.pd.a)
         return val
-
-    def alpha_k_plus_many(self, k: int, lams) -> np.ndarray:
-        """Vectorized +side boundary values of alpha_k on (a, b).
-
-        The Cauchy machinery returns the +side value directly on the cut
-        (principal log convention), uniformly in the distance to the
-        endpoints; the Richardson route (boundary_value) agrees with it
-        away from the endpoints and serves as the cross-check.
-        """
-        lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-        return np.exp(EPS_K[k] * self.exponent(lams.real + 0j))

@@ -396,6 +396,13 @@ class TestConfigAndCli:
         with pytest.raises(ParameterDomainError):
             load_config(str(path))
 
+    def test_repeated_key_rejected(self, tmp_path):
+        # the first value would be ignored: the file is rejected instead
+        path = tmp_path / "cfg.txt"
+        path.write_text(CONFIG_TEXT + "F.params = 0.3\n")
+        with pytest.raises(ParameterDomainError, match="F.params"):
+            load_config(str(path))
+
     def test_cli_sweep(self, tmp_path, capsys):
         path = tmp_path / "cfg.txt"
         out = tmp_path / "o.csv"
@@ -424,6 +431,24 @@ class TestConfigAndCli:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
         assert outs[0].splitlines()[-1] == "PASS"
+
+    def test_cli_dtcheck_negative_re_t0(self, tmp_path, capsys):
+        # argparse takes "-0.5,0.1" for an option: the help names the
+        # --t0=RE,IM form, which passes a negative Re t0
+        path = tmp_path / "cfg.txt"
+        path.write_text(CONFIG_TEXT.replace("OUT", str(tmp_path / "o.csv")))
+        with pytest.raises(SystemExit) as info:
+            main(["dtcheck", "--help"])
+        assert info.value.code == 0
+        assert "--t0=-0.5,0.1" in capsys.readouterr().out
+        assert main(["dtcheck", "--config", str(path), "--t0=-0.5,0.1",
+                     "--x", "20"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        rep = dt_logdet_check(load_config(str(path)), -0.5 + 0.1j, x=20.0)
+        assert out[:3] == [
+            f"d/dt ln det (finite difference): {rep.d_fd}",
+            f"d/dt ln det (loop trace):        {rep.d_contour}",
+            f"d/dt ln det (reduced densities): {rep.d_reduced}"]
 
     @pytest.mark.parametrize("t0", ["0.5,0.1,2", "abc", "0.5,", ""])
     def test_cli_dtcheck_bad_t0_is_a_usage_error(self, tmp_path, capsys, t0):

@@ -25,6 +25,18 @@ class TestAssemble:
                 pytest.raises(AssemblyError):
             cl.assemble(lambda l, m: 1.0 / (l - m), rule)
 
+    def test_bare_callable_keeps_its_kernel(self):
+        # the system holds whatever was assembled, so a plain function
+        # gets the refinement error estimate like a kernel handle
+        rule = cl.gauss_interval(12, 0.0, 1.0)
+        kernel = lambda l, m: 0.5 * np.exp(l * m)  # noqa: E731
+        sys_ = cl.assemble(kernel, rule)
+        assert sys_.kernel is kernel
+        det, err = cl.determinant(sys_, with_error=True)
+        want = cl.determinant(cl.assemble(kernel, rule.refined()))
+        assert err == pytest.approx(abs(want - det), abs=1e-15)
+        assert err < 1e-13
+
 
 class TestDeterminant:
     def test_rank_one_fredholm_series(self):
@@ -142,7 +154,7 @@ class TestViews:
     def test_transposed_is_the_swapped_kernel(self, pd_default):
         rule = cl.gauss_interval(24, -1.0, 1.0)
         vk = cl.v_t(pd_default.with_(F=cl.poly_symbol([0.2, 0.15])))
-        swapped = cl.KernelHandle(lambda l, m: vk.eval(m, l), vk.diag)
+        swapped = cl.KernelHandle(lambda l, m: vk.eval(m, l))
         view = cl.assemble(vk, rule).transposed()
         want = cl.assemble(swapped, rule).matrix
         assert np.max(np.abs(view.matrix - want)) < 1e-15

@@ -15,6 +15,66 @@ def richardson_diag(kernel, lam, h):
     return (4.0 * v2 - v1) / 3.0
 
 
+POLY_PHASE = cl.poly_phase((0.0, 1.0, 0.2))
+
+
+def _kernel_case(name, pd, srh, loop, grid48):
+    """A kernel of the catalog on pd_default, and the support it lives on."""
+    interval = cl.gauss_interval(24, pd.a, pd.b)
+    if name == "R_t":
+        chi = cl.ChiSolution(pd, cl.gauss_interval(16, pd.a, pd.b), grid48)
+        return resolvent_kernel(chi), cl.gauss_interval(8, pd.a, pd.b)
+    graded = graded_interval(pd.a, pd.b)
+    return {
+        "V_t": (cl.v_t(pd), interval),
+        "V_t_complex": (cl.v_t(pd.with_(t=0.5 + 0.1j)), interval),
+        "V_t_poly": (cl.v_t(pd.with_(p=POLY_PHASE)), interval),
+        "V0": (cl.v0(pd), interval),
+        "U_1": (u_kt(pd, 1, srh), loop),
+        "U_2": (u_kt(pd, 2, srh), loop),
+        "K_1": (k_kt(pd, 1, srh), graded),
+        "K_2": (k_kt(pd, 2, srh), graded),
+    }[name]
+
+
+ALL_KERNELS = ["V_t", "V_t_complex", "V_t_poly", "V0", "U_1", "U_2", "K_1",
+               "K_2", "R_t"]
+
+
+class TestDiagonal:
+    """Every kernel is one evaluator, exact on the diagonal lam = mu."""
+
+    @pytest.mark.parametrize("name", ALL_KERNELS[:-1])
+    def test_diagonal_from_richardson(self, name, pd_default, srh_default,
+                                      loop_default, grid48):
+        # the value at lam = mu against the limit of off-diagonal values
+        kern, support = _kernel_case(name, pd_default, srh_default,
+                                     loop_default, grid48)
+        if isinstance(support, cl.Contour):
+            lams = support.samples[::37]
+        else:
+            lams = np.array([0.0, 0.5, -0.8])
+        for lam in lams:
+            ref = complex(richardson_diag(kern, lam, 1e-4))
+            assert complex(kern.diag(lam)) == pytest.approx(
+                ref, abs=1e-8 * max(1.0, abs(ref)))
+
+    @pytest.mark.parametrize("name", ALL_KERNELS)
+    def test_assembly_takes_the_diagonal_from_eval(
+            self, name, pd_default, srh_default, loop_default, grid48):
+        # assemble evaluates the kernel on every node pair, the diagonal
+        # included, and calls no diag
+        kern, support = _kernel_case(name, pd_default, srh_default,
+                                     loop_default, grid48)
+        calls = []
+        kern.diag = lambda lam: calls.append(lam)
+        sys_ = cl.assemble(kern, support)
+        assert calls == []
+        z, w = sys_.nodes, sys_.weights
+        K = kern.eval(z[:, None], z[None, :])
+        assert np.array_equal(sys_.matrix, K * w + np.eye(z.size))
+
+
 class TestVt:
     def test_zero_symbol(self, pd_zero):
         vk = cl.v_t(pd_zero)
@@ -30,13 +90,6 @@ class TestVt:
         vt = cl.v_t(pd0)
         v0 = cl.v0(pd0)
         assert np.max(np.abs(vt.eval(L, M) - v0.eval(L, M))) < 1e-12
-
-    def test_diagonal_from_richardson(self, pd_default):
-        # implementer-derived closed form against the off-diagonal limit
-        vk = cl.v_t(pd_default)
-        for lam in (0.0, 0.5, -0.8):
-            ref = complex(richardson_diag(vk, lam, 1e-4))
-            assert complex(vk.diag(lam)) == pytest.approx(ref, abs=1e-8)
 
     def test_diagonal_value_default(self, pd_default):
         # F (2 t + c x p')/(2 pi c) at t=1, c=1, x=10, p'=1
@@ -199,7 +252,7 @@ class TestShiftFactors:
 def _dense_densities(pd, rule, grid):
     """F_L and F_R by dense solves of the assembled V_t and V_t^T systems."""
     vk = cl.v_t(pd)
-    vk_T = KernelHandle(lambda lam, mu: vk.eval(mu, lam), vk.diag)
+    vk_T = KernelHandle(lambda lam, mu: vk.eval(mu, lam))
     EL, ER = cl.e_vectors(pd, grid, rule.nodes)
     n = rule.n
     return (np.linalg.solve(cl.assemble(vk, rule).matrix, EL.reshape(n, -1)),
@@ -281,20 +334,6 @@ class TestLoopKernels:
         assert abs(dets[0.25][0] - dets[0.125][0]) < 1e-8
         assert abs(dets[0.25][1] - dets[0.125][1]) < 1e-8
 
-    def test_assembly_takes_the_diagonal_from_eval(self, pd_default,
-                                                   srh_default, loop_default):
-        # u_kt is regular: assemble does not call its diag, and det(I+U_k)
-        # matches the assembly that overwrites the diagonal by diag
-        for k in (1, 2):
-            kern = u_kt(pd_default, k, srh_default)
-            diag, calls = kern.diag, []
-            kern.diag = lambda lam: calls.append(lam) or diag(lam)
-            det = cl.determinant(cl.assemble(kern, loop_default))
-            assert calls == []
-            ref = cl.determinant(cl.assemble(KernelHandle(kern.eval, diag),
-                                             loop_default))
-            assert abs(det - ref) < 1e-14
-
     def test_large_shift_decay(self, srh_default):
         pd_big = srh_default.pd.with_(c=100.0)
         srh = cl.ScalarRH(pd_big)
@@ -314,7 +353,7 @@ class TestLoopKernels:
                 return np.exp(-s * srh.exponent(lam)) \
                     * np.exp(s * srh.exponent(mu - 1j * s * c)) \
                     / (2j * np.pi * (lam - mu + 1j * s * c))
-            return KernelHandle(eval_, lambda lam: eval_(lam, lam))
+            return KernelHandle(eval_)
 
         dp, dm = (cl.determinant(cl.assemble(u_pm(s), loop_default))
                   for s in (+1, -1))
@@ -355,6 +394,14 @@ class TestIntervalContourIdentity:
                 dU = cl.determinant(cl.assemble(u_kt(pd, k, srh), loop))
                 dK = cl.determinant(cl.assemble(k_kt(pd, k, srh), grule))
                 assert abs(dU - dK) / abs(dU) < 1e-7
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_k_kernel_pole(self, pd_default, srh_default, k):
+        # K_{k;t} shares U_{k;t}'s body and its pole t(mu - lam) = -i eps_k c
+        e = cl.symbols.EPS_K[k]
+        kern = k_kt(pd_default, k, srh_default)
+        with pytest.raises(PoleError):
+            kern.eval(0.3, 0.3 - 1j * e * pd_default.c / pd_default.t)
 
     def test_zero_symbol_k_kernel(self, pd_zero):
         srh = cl.ScalarRH(pd_zero)

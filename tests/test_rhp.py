@@ -451,6 +451,27 @@ class TestPiResidual:
                     disk_radius=0.2, lens_height=0.15)
         assert len(calls) == 2 * 7 + 2 * len(_disk_probe_angles()) == 30
 
+    @pytest.mark.parametrize("c, t", [(1.0, 2.0), (0.5, 1.0)])
+    def test_default_lens_follows_the_growth_bound(self, c, t):
+        # a lens at the old fixed height 0.15 has |Im(t lam)| = 0.15 |t| >= c/4
+        # on both problems; the default, 0.75 safe_radius, stays inside
+        from cshiftlab.parametrix import build_parametrix
+
+        pd = cl.make_problem(a=-1.0, b=1.0, c=c, t=t, x=10.0,
+                             F=cl.constant_symbol(0.2), p=cl.identity_phase())
+        grid = cl.laguerre_halfline(48, pd.c)
+        srh = cl.ScalarRH(pd)
+        rule = cl.gauss_interval(96, pd.a, pd.b)
+        fac = OperatorFactory(pd, grid, srh, *[
+            solve_beta(pd, rule, grid, k, srh) for k in (1, 2)])
+        report = pi_residual(
+            pd, fac, lambda ep, x: build_parametrix(ep, pd, fac, x=x),
+            xs=[50.0, 100.0])
+        height = 0.75 * cl.safe_radius(pd)
+        assert abs(t) * height < c / 4
+        assert {r.lam_im for r in report.lens_rows} == {height, -height}
+        assert report.lens_max[50.0] > report.lens_max[100.0] > 0.0
+
 
 class TestProbes:
     def test_default_probe_layout(self, pd_default):

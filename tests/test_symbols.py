@@ -138,7 +138,7 @@ class TestAlpha:
 
     def test_plus_values_direct_vs_richardson(self, srh_default):
         lam0 = 0.123
-        direct = srh_default.alpha_k_plus_many(2, np.array([lam0]))[0]
+        direct = srh_default.alpha_k(2, lam0 + 0j)
         rich = srh_default.alpha_k_plus(2, lam0)
         assert direct == pytest.approx(rich, abs=1e-9)
 
