@@ -1,13 +1,15 @@
 """Tour of the three quadrature supports.
 
 Every other capability sits on these rules: Gauss-Legendre on [a, b]
-(plain and endpoint-graded), the stadium loop around the interval with
-complex weights, and the rescaled Gauss-Laguerre rule on the half-line.
+(plain, endpoint-graded, and transplanted by the sausage map for the
+sweep), the stadium loop around the interval with complex weights, and
+the rescaled Gauss-Laguerre rule on the half-line.
 """
 
 import numpy as np
 
-from cshiftlab import gauss_interval, laguerre_halfline, stadium_contour
+from cshiftlab import (gauss_interval, laguerre_halfline, stadium_contour,
+                       transplanted_interval)
 from cshiftlab.quadgrid import graded_interval
 
 # -- interval ---------------------------------------------------------------
@@ -26,6 +28,19 @@ plain = gauss_interval(graded.n, -1.0, 1.0)
 pvals = np.exp(1j * beta * np.log(1.0 - plain.nodes))
 print("  plain rule error =", abs(plain.integrate(pvals) - exact),
       f" (same node count n={graded.n})")
+
+# the sweep's rule: Gauss nodes pushed through the sausage map spread
+# evenly, so its 216 nodes at x = 400 resolve the product e^{i x lam} of
+# two kernel phases; the Gauss rule of the same size does not
+freq, n = 400.0, 216
+exact = 2.0 * np.sin(freq) / freq
+print(f"\n{n}-point rules vs e^{{i {freq:g} x}} on [-1, 1]")
+for name, r in (("Gauss", gauss_interval(n, -1.0, 1.0)),
+                ("transplanted", transplanted_interval(n, -1.0, 1.0))):
+    err = abs(r.integrate(np.exp(1j * freq * r.nodes)) - exact)
+    gaps = np.diff(r.nodes)
+    print(f"  {name:<12} error = {err:.1e}, node gaps "
+          f"{gaps.min():.2e} .. {gaps.max():.2e}")
 
 # -- loop around the interval -------------------------------------------------
 loop = stadium_contour(-1.0, 1.0, 0.25)

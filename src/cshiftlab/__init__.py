@@ -7,8 +7,8 @@ parametrices, and the determinant-ratio pipeline that ties them together.
 """
 
 from .quadgrid import (IntervalRule, Contour, HalfLineRule, gauss_interval,
-                       graded_interval, stadium_contour, laguerre_halfline,
-                       safe_radius)
+                       transplanted_interval, graded_interval,
+                       stadium_contour, laguerre_halfline, safe_radius)
 from .cauchy import CauchyKit
 from .symbols import (HolomorphicHandle, ProblemData, ScalarRH, EPS_K,
                       constant_symbol, poly_symbol, scaled_exp_symbol,

@@ -29,7 +29,8 @@ from .errors import (ExcludedCaseError, NearSingularityError,
 from .fredholm import assemble, determinant, logdet, logdet_update
 from .kernels import k_kt, shift_factors, u_kt, v0
 from .quadgrid import (gauss_interval, graded_interval, laguerre_halfline,
-                       oscillation_nodes, safe_radius, stadium_contour)
+                       oscillation_nodes, safe_radius, stadium_contour,
+                       transplanted_interval)
 from .rhp import ChiSolution, DiagnosticRow, _disk_eps, solve_betas, summarize
 from .symbols import EPS_K, ProblemData, ScalarRH, make_handle, make_problem
 
@@ -91,8 +92,11 @@ class SweepConfig:
 @dataclass
 class SweepRow:
     x: float
-    det_v: complex
-    det_v0: complex
+    #: ln det(I+V) and ln det(I+V0): the determinants themselves leave the
+    #: float range, det(I+V0) = 0.0 from x = 3400 at F = -0.5 and inf
+    #: beyond x = 12,230 at F = 0.2
+    ln_det_v: complex
+    ln_det_v0: complex
     ratio: complex
     det_up: complex
     det_um: complex
@@ -157,7 +161,7 @@ def _check_budget(cfg: SweepConfig, x: float, n: int) -> None:
 def _rule_log_ratio(cfg: SweepConfig, pd: ProblemData, n: int):
     """The n-point I + V0 system and ln det(I+V)/det(I+V0) on its rule."""
     _check_budget(cfg, pd.x, n)
-    rule = gauss_interval(n, cfg.a, cfg.b)
+    rule = transplanted_interval(n, cfg.a, cfg.b)
     sys0 = assemble(v0(pd), rule)
     try:
         ln_ratio = logdet_update(sys0, *shift_factors(pd, rule))
@@ -183,12 +187,13 @@ def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
     ln det(I+V)/det(I+V0) = ln det(I_2r + R^T (I+V0)^{-1} U)
     (``fredholm.logdet_update``).  Each rule assembles only V0 and does
     one real LU solve against the 2r columns of U; the accepted rule adds
-    one slogdet for det(I+V0), and det(I+V) = det(I+V0) ratio.  A row
-    costs two assemblies and three LUs of order n and 1.15 n.
+    one slogdet for ln det(I+V0), and ln det(I+V) = ln det(I+V0) + ln ratio.
+    A row costs two assemblies and three LUs of order n and 1.15 n.
 
-    Each row starts from ``oscillation_nodes`` and is checked a
-    posteriori: while ln ratio moves by RULE_TOL * max(1, |ln ratio|) or
-    more on the ceil(1.15 n)-point rule, n grows to that rule.  The row
+    Every rule is ``quadgrid.transplanted_interval``.  Each row starts
+    from ``oscillation_nodes`` and is checked a posteriori: while ln ratio
+    moves by RULE_TOL * max(1, |ln ratio|) or more on the
+    ceil(1.15 n)-point rule, n grows to that rule.  The row
     reports the ratio at the n that passed, that n and its gap; a rule over
     ``cfg.n_budget`` raises ResolutionError, and a vanishing det(I+V0) or
     det(I+V) ExcludedCaseError.
@@ -225,10 +230,10 @@ def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
         if not np.isfinite(ld_v0):
             raise ExcludedCaseError(
                 f"det(I+V0) vanishes at x={x}; the ratio is undefined")
-        det_v0, ratio = np.exp(ld_v0), np.exp(ln_ratio)
+        ratio = np.exp(ln_ratio)
         rel = abs(ratio / product - 1.0)
         report.rows.append(SweepRow(
-            x=x, det_v=det_v0 * ratio, det_v0=det_v0, ratio=ratio,
+            x=x, ln_det_v=ld_v0 + ln_ratio, ln_det_v0=ld_v0, ratio=ratio,
             det_up=det_up, det_um=det_um, product=product, rel_error=rel,
             runtime=time.perf_counter() - t_start, n=n, gap=gap))
 
@@ -301,7 +306,7 @@ def dt_logdet_check(cfg: SweepConfig, t0: complex, h: float = 1e-4,
     (iii) the reduced density form sum_k eps_k int tau_k kappa_k[s rho_k] / (2 pi),
     exact up to O(x^{eps-1}).
 
-    One interval rule serves (i) and chi, sized for chi's e^{+-i x p}
+    One Gauss rule serves (i) and chi, sized for chi's e^{+-i x p}
     (``oscillation_nodes`` at frequency 1); a rule over ``cfg.n_budget``
     raises ResolutionError.  Its I + V0 system is inverted once, in real
     arithmetic for real data: chi solves for F_L and F_R on Woodbury views
@@ -313,7 +318,7 @@ def dt_logdet_check(cfg: SweepConfig, t0: complex, h: float = 1e-4,
     t0 = complex(t0)
     x = float(x if x is not None else cfg.x_list[-1])
     pd = cfg.problem(x=x, t=t0)
-    n = oscillation_nodes(pd, frequency=1.0)
+    n = oscillation_nodes(pd, frequency=1.0, gauss=True)
     _check_budget(cfg, x, n)
     rule = gauss_interval(n, cfg.a, cfg.b)
     grid = laguerre_halfline(48, cfg.c)
@@ -349,7 +354,7 @@ def dt_logdet_check(cfg: SweepConfig, t0: complex, h: float = 1e-4,
 # ---------------------------------------------------------------------------
 # reports on disk
 
-CSV_COLUMNS = ["x", "det(I+V)", "det(I+V0)", "ratio", "det(I+U+)",
+CSV_COLUMNS = ["x", "ln det(I+V)", "ln det(I+V0)", "ratio", "det(I+U+)",
                "det(I+U-)", "product", "relative error",
                "fitted decay exponent", "runtime_s", "n", "gap"]
 
@@ -376,7 +381,7 @@ def emit(report: SweepReport, path: str) -> int:
         w = csv.writer(fh)
         w.writerow(CSV_COLUMNS)
         for row in report.rows:
-            w.writerow([_fmt(row.x), _fmt(row.det_v), _fmt(row.det_v0),
+            w.writerow([_fmt(row.x), _fmt(row.ln_det_v), _fmt(row.ln_det_v0),
                         _fmt(row.ratio), _fmt(row.det_up), _fmt(row.det_um),
                         _fmt(row.product), _fmt(row.rel_error),
                         _fmt(report.fitted_decay_exponent),

@@ -23,6 +23,7 @@ __all__ = [
     "Contour",
     "HalfLineRule",
     "gauss_interval",
+    "transplanted_interval",
     "oscillation_nodes",
     "safe_radius",
     "graded_interval",
@@ -36,6 +37,10 @@ _CHECK_NODES = 65
 _NODE_MARGIN = 64
 #: largest Gauss-Legendre rule built by Golub-Welsch; larger ones by Bogaert
 _GOLUB_WELSCH_MAX = 100
+#: Hale and Trefethen's degree-9 sausage map g(s) = sum_j c_j s^{2j+1}:
+#: arcsin's Taylor coefficients c_j, j <= 4, normalised so that g(1) = 1
+_SAUSAGE = np.array([1.0, 1.0 / 6.0, 3.0 / 40.0, 5.0 / 112.0, 35.0 / 1152.0])
+_SAUSAGE /= _SAUSAGE.sum()
 
 # Bogaert's expansion coefficients (SIAM J. Sci. Comput. 36 (2014) A1008),
 # highest power first for np.polyval.  The node and weight series are
@@ -108,7 +113,7 @@ _J1_SQUARED = (
 
 @dataclass(frozen=True)
 class IntervalRule:
-    """Gauss-Legendre rule mapped to [a, b].
+    """Quadrature rule on [a, b].
 
     Attributes
     ----------
@@ -118,13 +123,15 @@ class IntervalRule:
         Abscissae, strictly inside (a, b), ascending.
     weights : ndarray
         Positive weights; they sum to b - a.
+    refiner : callable
+        Builds the rule of the same family with twice the nodes.
     """
 
     a: float
     b: float
     nodes: np.ndarray
     weights: np.ndarray
-    refiner: object = field(default=None, repr=False, compare=False)
+    refiner: object = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -135,10 +142,8 @@ class IntervalRule:
         return np.asarray(values) @ self.weights
 
     def refined(self) -> "IntervalRule":
-        """The rule with twice the nodes."""
-        if self.refiner is not None:
-            return self.refiner()
-        return gauss_interval(2 * self.n, self.a, self.b)
+        """The rule of the same family with twice the nodes."""
+        return self.refiner()
 
     def to_unit(self, lam):
         """Affine map of lam onto the reference interval [-1, 1]."""
@@ -253,37 +258,83 @@ def gauss_interval(n: int, a: float, b: float) -> IntervalRule:
     x, w = _leggauss(n)
     half = 0.5 * (b - a)
     return IntervalRule(a=float(a), b=float(b), nodes=0.5 * (a + b) + half * x,
-                        weights=half * w)
+                        weights=half * w,
+                        refiner=lambda: gauss_interval(2 * n, a, b))
 
 
-def oscillation_nodes(pd: "ProblemData", frequency: float = 0.5) -> int:
-    """Gauss nodes on [a, b] resolving the phases e^{+-i frequency x p(lam)}.
+def _sausage(s: np.ndarray):
+    """The sausage map g(s) and its derivative g'(s)."""
+    u = s * s
+    odd = np.arange(1, 2 * _SAUSAGE.size, 2)
+    return (s * np.polyval(_SAUSAGE[::-1], u),
+            np.polyval((odd * _SAUSAGE)[::-1], u))
 
-    n = ceil(frequency x max_j p'(lam_j) sqrt((lam_j - a)(b - lam_j))) + 64,
-    the max over a 65-point Gauss check grid (odd, so its middle node is
-    the midpoint of [a, b]).  The product is the local wavenumber
-    frequency x p' against the arcsine density
-    n / (pi sqrt((lam - a)(b - lam))) of n Gauss nodes.  The interval
-    kernels carry e^{+-i x (p(lam) - p(mu))/2}: the default frequency 1/2.
-    chi's near-cut Cauchy sums interpolate the products F_R (x) E_L, whose
-    off-diagonal parts carry e^{+-i x p}: frequency 1 (the default rule of
-    ``rhp.ChiSolution``).
+
+def transplanted_interval(n: int, a: float, b: float) -> IntervalRule:
+    """n Gauss-Legendre nodes of [-1, 1] carried to [a, b] by the sausage map.
+
+    Hale and Trefethen, "New quadrature formulas from conformal maps",
+    SIAM J. Numer. Anal. 46 (2008): nodes (a + b)/2 + (b - a) g(s_k)/2 and
+    weights (b - a) w_k g'(s_k)/2, for the Gauss nodes s_k and weights w_k
+    and the degree-9 odd polynomial g with g(1) = 1.  The map spreads the
+    nodes nearly evenly over the middle of [a, b], where the Gauss rule's
+    arcsine density crowds them toward the endpoints, so an oscillatory
+    integrand is resolved from a factor g'(0) = 0.7595 of the Gauss nodes.
+    The price is polynomial exactness: degree (2n - 9)/9, against the
+    Gauss rule's 2n - 1.  ``refined`` keeps the map.
+    """
+    if not a < b:
+        raise ParameterDomainError(f"need a < b, got a={a}, b={b}")
+    ref = gauss_interval(n, -1.0, 1.0)
+    g, dg = _sausage(ref.nodes)
+    half = 0.5 * (b - a)
+    return IntervalRule(
+        a=float(a), b=float(b), nodes=0.5 * (a + b) + half * g,
+        weights=half * ref.weights * dg,
+        refiner=lambda: transplanted_interval(2 * n, a, b))
+
+
+def oscillation_nodes(pd: "ProblemData", frequency: float = 0.5,
+                      gauss: bool = False) -> int:
+    """Nodes on [a, b] resolving the phases e^{+-i frequency x p(lam)}.
+
+    Sized for ``transplanted_interval``, or for ``gauss_interval`` when
+    ``gauss`` is set.  Both put n Gauss-Legendre nodes s of [-1, 1] at
+    lam = (a + b)/2 + (b - a) g(s)/2, g the sausage map or the identity,
+    where they lie pi D(s)/n apart, D(s) = (b - a)/2 sqrt(1 - s^2) g'(s).
+    Two nodes per local wavelength 2 pi/(frequency x p'(lam)), plus a
+    margin, take
+        n = ceil(frequency x max_j p'(lam_j) D(s_j)) + 64,
+    the max over a 65-point Gauss check grid s_j (odd, so its middle node
+    maps to the midpoint of [a, b]).  For the Gauss rule D is
+    sqrt((lam - a)(b - lam)), the arcsine density; the sausage map levels
+    it to g'(0) (b - a)/2 = 0.7595 (b - a)/2 over the middle of [a, b].  For the identity phase n = ceil(0.7595 frequency x
+    (b - a)/2) + 64 on the transplanted rule and
+    ceil(frequency x (b - a)/2) + 64 on the Gauss rule.
+
+    The interval kernels carry e^{+-i x (p(lam) - p(mu))/2}: the default
+    frequency 1/2, on the sweep's transplanted rule.  chi's near-cut
+    Cauchy sums interpolate the products F_R (x) E_L, whose off-diagonal
+    parts carry e^{+-i x p}: frequency 1, on a Gauss rule (the default
+    rule of ``rhp.ChiSolution``), since ``cauchy.CauchyKit`` takes its
+    barycentric weights from the Gauss-Legendre formula.
     Without the margin the rule has two nodes per local wavelength, where
     the determinant is still 1e-4 to 1e-2 off; the +64 margin takes it to
-    rounding (at x = 3200 a 32-node margin leaves up to 2e-10, 64 nodes
-    under 1e-12).  The basis for trusting a Nystrom determinant once the
-    kernel is resolved is Bornemann, "On the numerical evaluation of
-    Fredholm determinants", Math. Comp. 79 (2010).  For the identity phase
-    n = ceil(frequency x (b - a)/2) + 64.
+    rounding (at x = 3200 a 32-node margin leaves up to 2e-10 on the Gauss
+    rule, 64 nodes under 1e-12).  The basis for trusting a Nystrom
+    determinant once the kernel is resolved is Bornemann, "On the
+    numerical evaluation of Fredholm determinants", Math. Comp. 79 (2010).
 
     The bound is sharp, not safe by a factor: ``flow.theorem1_sweep``
     checks every row a posteriori on a rule 1.15 times as large and grows
     n until the log-ratio moves by less than ``flow.RULE_TOL``.
     """
     a, b = pd.a, pd.b
-    lam = gauss_interval(_CHECK_NODES, a, b).nodes
+    s = gauss_interval(_CHECK_NODES, -1.0, 1.0).nodes
+    g, dg = (s, 1.0) if gauss else _sausage(s)
+    lam = 0.5 * (a + b) + 0.5 * (b - a) * g
     dp = np.real(pd.p.deriv(lam.astype(complex)))
-    k = np.max(dp * np.sqrt((lam - a) * (b - lam)))
+    k = 0.5 * (b - a) * np.max(dp * np.sqrt(1.0 - s * s) * dg)
     return int(np.ceil(frequency * pd.x * k)) + _NODE_MARGIN
 
 

@@ -134,9 +134,10 @@ class ChiSolution:
     (the ratio det(I+V)/det(I+V0) is undefined), they raise
     NearSingularityError.
 
-    ``rule`` defaults to the oscillation budget of the phase e^{i x p}
-    (``oscillation_nodes`` at frequency 1): the near-cut Cauchy sums
-    interpolate F_R (x) E_L, whose off-diagonal parts carry e^{+-i x p}.
+    ``rule``, a Gauss-Legendre rule (``CauchyKit`` needs one), defaults to
+    the oscillation budget of the phase e^{i x p} (``oscillation_nodes`` at
+    frequency 1): the near-cut Cauchy sums interpolate F_R (x) E_L, whose
+    off-diagonal parts carry e^{+-i x p}.
     ``grid`` defaults to 48 Laguerre nodes.  ``FL`` and ``FR`` are the
     densities at the rule's nodes, (n, 2 Ns) arrays.
     """
@@ -145,8 +146,8 @@ class ChiSolution:
                  grid: HalfLineRule | None = None,
                  sys0: NystromSystem | None = None):
         if rule is None:
-            rule = gauss_interval(oscillation_nodes(pd, frequency=1.0),
-                                  pd.a, pd.b)
+            rule = gauss_interval(
+                oscillation_nodes(pd, frequency=1.0, gauss=True), pd.a, pd.b)
         if grid is None:
             grid = laguerre_halfline(48, pd.c)
         if sys0 is None:

@@ -18,9 +18,15 @@ def _problem(x, F=0.2, p=(0.0, 1.0), a=-1.0, b=1.0, t=1.0):
                            F=cl.constant_symbol(F), p=cl.poly_phase(p))
 
 
-def _log_ratio(x, n, F=0.2, p=(0.0, 1.0)):
-    """ln det(I+V) - ln det(I+V0) on the n-point Gauss rule."""
-    rule = cl.gauss_interval(n, -1.0, 1.0)
+#: g'(0) of the sausage map: the transplanted rule's density term at the
+#: midpoint, 1/(sum of arcsin's first five Taylor coefficients)
+SAUSAGE_SLOPE = 1.0 / (1.0 + 1.0 / 6.0 + 3.0 / 40.0 + 5.0 / 112.0
+                       + 35.0 / 1152.0)
+
+
+def _log_ratio(x, n, F=0.2, p=(0.0, 1.0), build=cl.gauss_interval):
+    """ln det(I+V) - ln det(I+V0) on the n-point rule (Gauss by default)."""
+    rule = build(n, -1.0, 1.0)
     return (cl.logdet(cl.assemble(cl.v_t(_problem(x, F, p)), rule))
             - cl.logdet(cl.assemble(cl.v0(_problem(x, F, p, t=0.0)), rule)))
 
@@ -31,7 +37,7 @@ def _circle_derivative(cfg, t0, x, n_pts=12, rho=0.03):
     Bornemann, Found. Comput. Math. 11, 2011), on dt_logdet_check's rule:
     f'(t0) ~ (1/(N rho)) sum_k [f(t0 + rho e^{i th_k}) - f(t0)] e^{-i th_k}.
     """
-    n = oscillation_nodes(cfg.problem(x=x), frequency=1.0)
+    n = oscillation_nodes(cfg.problem(x=x), frequency=1.0, gauss=True)
     rule = cl.gauss_interval(n, cfg.a, cfg.b)
 
     def ld(t):
@@ -47,39 +53,57 @@ def _circle_derivative(cfg, t0, x, n_pts=12, rho=0.03):
 class TestIntervalRule:
     @pytest.mark.parametrize("x", [1.0, 10.0, 400.0, 801.0, 1600.0, 8000.0])
     def test_identity_phase_closed_form(self, x):
-        # ceil(frequency x (b - a)/2) + 64, frequency 1/2 by default
-        assert oscillation_nodes(_problem(x)) == int(np.ceil(x / 2)) + 64
+        # ceil(g'(0) frequency x (b - a)/2) + 64 on the transplanted rule,
+        # frequency 1/2 by default; ceil(frequency x (b - a)/2) + 64 on
+        # chi's Gauss rule
+        assert oscillation_nodes(_problem(x)) \
+            == int(np.ceil(SAUSAGE_SLOPE * x / 2)) + 64
         assert oscillation_nodes(_problem(x, a=-1.0, b=3.0)) \
-            == int(np.ceil(x)) + 64
-        assert oscillation_nodes(_problem(x), frequency=1.0) \
+            == int(np.ceil(SAUSAGE_SLOPE * x)) + 64
+        assert oscillation_nodes(_problem(x), frequency=1.0, gauss=True) \
             == int(np.ceil(x)) + 64
 
-    @pytest.mark.parametrize("p", [(0.0, 1.0), (0.0, 1.0, 0.3)],
-                             ids=["identity", "poly"])
+    @pytest.mark.parametrize("p", [(0.0, 1.0), (0.0, 1.0, 0.3),
+                                   (0.0, 1.0, 0.0, 0.3)],
+                             ids=["identity", "poly", "cubic"])
     @pytest.mark.parametrize("F", [0.2, -0.5])
     def test_rule_resolves_the_log_ratio(self, F, p):
+        # the sweep's row against the lemma on a Gauss rule of 1.5 times
+        # the Gauss count (the dense difference of two O(x) log-determinants
+        # is 5e-13 off here); the cubic phase is the one the sausage map
+        # sizes tightest: 2.3e-13 off at F = -0.5, 8.9e-13 at x = 3000
         x = 1600.0
-        n = oscillation_nodes(_problem(x, F, p))
-        ref = _log_ratio(x, int(np.ceil(1.5 * n)), F, p)
-        assert abs(_log_ratio(x, n, F, p) - ref) < 1e-11
+        cfg = SweepConfig(x_list=(x,), F_params=(F,), p_kind="poly",
+                          p_params=p)
+        row = theorem1_sweep(cfg).rows[0]
+        pd = _problem(x, F, p)
+        rule = cl.gauss_interval(
+            int(np.ceil(1.5 * oscillation_nodes(pd, gauss=True))), -1.0, 1.0)
+        ref = cl.logdet_update(cl.assemble(cl.v0(pd), rule),
+                               *cl.shift_factors(pd, rule))
+        ln_ratio = np.log(complex(row.ratio))
+        assert abs(cl.flow._principal(ln_ratio - ref)) \
+            < cl.flow.RULE_TOL * max(1.0, abs(ln_ratio))
 
     def test_check_grows_an_underresolved_rule(self, monkeypatch):
         # negative control: the bare resolution bound, without its margin,
         # is 1e-4 to 1e-2 off; the refinement check must grow it
         x = 1600.0
-        bare = int(np.ceil(x / 2))
-        ref = _log_ratio(x, int(np.ceil(1.5 * oscillation_nodes(_problem(x)))))
-        assert abs(_log_ratio(x, bare) - ref) > 1e-6
+        bare = int(np.ceil(SAUSAGE_SLOPE * x / 2))
+        ref = _log_ratio(x, int(np.ceil(
+            1.5 * oscillation_nodes(_problem(x), gauss=True))))
+        assert abs(_log_ratio(x, bare, build=cl.transplanted_interval)
+                   - ref) > 1e-6
         monkeypatch.setattr(cl.flow, "oscillation_nodes",
-                            lambda pd, frequency=0.5: bare)
+                            lambda pd, frequency=0.5, gauss=False: bare)
         row = theorem1_sweep(SweepConfig(x_list=(x,))).rows[0]
         assert row.n > bare
         assert row.gap < cl.flow.RULE_TOL
         assert abs(np.log(row.ratio) - ref) < 1e-11
 
-    @pytest.mark.parametrize("budget", [500, 900])
+    @pytest.mark.parametrize("budget", [500, 700])
     def test_over_budget_raises(self, budget):
-        # 500 < n = 864; 900 admits n but not its check rule ceil(1.15 n)
+        # 500 < n = 672; 700 admits n but not its check rule ceil(1.15 n)
         with pytest.raises(ResolutionError):
             theorem1_sweep(SweepConfig(x_list=(1600.0,), n_budget=budget))
 
@@ -117,8 +141,8 @@ class TestTheoremSweep:
         cfg = SweepConfig(x_list=(20.0, 40.0), F_params=(0.0,))
         rep = theorem1_sweep(cfg)
         for row in rep.rows:
-            assert row.det_v == pytest.approx(1.0, abs=1e-12)
-            assert row.det_v0 == pytest.approx(1.0, abs=1e-12)
+            assert row.ln_det_v == pytest.approx(0.0, abs=1e-12)
+            assert row.ln_det_v0 == pytest.approx(0.0, abs=1e-12)
             assert row.product == pytest.approx(1.0, abs=1e-9)
             assert row.rel_error < 1e-8
 
@@ -152,6 +176,15 @@ class TestTheoremSweep:
                                            F_params=(F,)))
         assert np.isnan(short.extrapolated_limit)
         assert np.isnan(short.fit_residual)
+
+    def test_rows_carry_log_determinants(self, monkeypatch):
+        # det(I+V0) = e^{-800} would read 0.0 (as at x = 3400, F = -0.5);
+        # the row keeps ln det(I+V0), and ln det(I+V) adds ln ratio
+        monkeypatch.setattr(cl.flow, "logdet", lambda sys_: complex(-800.0))
+        row = theorem1_sweep(SweepConfig(x_list=(20.0,))).rows[0]
+        assert row.ln_det_v0 == -800.0
+        assert row.ln_det_v == pytest.approx(-800.0 + np.log(row.ratio),
+                                             abs=1e-12)
 
     def test_vanishing_determinant_is_the_excluded_case(self, monkeypatch):
         monkeypatch.setattr(cl.flow, "logdet", lambda sys_: complex(-np.inf))
@@ -224,7 +257,7 @@ def _report(rel_errors, consistency=1e-10, gaps=None):
     rep = SweepReport(product_consistency=consistency)
     gaps = gaps or [None] * len(rel_errors)
     for x, e, g in zip((50.0, 100.0, 200.0, 400.0), rel_errors, gaps):
-        rep.rows.append(SweepRow(x=x, det_v=1.0, det_v0=1.0, ratio=1.0,
+        rep.rows.append(SweepRow(x=x, ln_det_v=0.0, ln_det_v0=0.0, ratio=1.0,
                                  det_up=1.0, det_um=1.0, product=1.0,
                                  rel_error=e, runtime=0.0, gap=g))
     return rep
@@ -320,7 +353,7 @@ class TestEmit:
         assert code == 0
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("x,det(I+V),det(I+V0),ratio")
+        assert lines[0].startswith("x,ln det(I+V),ln det(I+V0),ratio")
         assert "no rows" in (tmp_path / "empty.csv.summary.txt").read_text()
 
     def test_headline_sweep_csv(self, tmp_path):
@@ -332,12 +365,12 @@ class TestEmit:
         lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 4
         header = lines[0].split(",")
-        assert header[:9] == ["x", "det(I+V)", "det(I+V0)", "ratio",
+        assert header[:9] == ["x", "ln det(I+V)", "ln det(I+V0)", "ratio",
                               "det(I+U+)", "det(I+U-)", "product",
                               "relative error", "fitted decay exponent"]
         # 17 significant digits survive the round trip
         first = lines[1].split(",")
-        assert float(first[1]) == pytest.approx(rep.rows[0].det_v.real,
+        assert float(first[1]) == pytest.approx(rep.rows[0].ln_det_v.real,
                                                 rel=1e-16)
         assert "PASS" in (tmp_path / "sweep.csv.summary.txt").read_text()
 

@@ -188,7 +188,7 @@ def _shift_problem(F, p, c, t, x=100.0):
 
 def _shift_miss(pd):
     """max |U R^T - (V_t - V0) W| / max |(V_t - V0) W| on the sweep's rule."""
-    rule = cl.gauss_interval(oscillation_nodes(pd), pd.a, pd.b)
+    rule = cl.transplanted_interval(oscillation_nodes(pd), pd.a, pd.b)
     D = cl.assemble(cl.v_t(pd), rule).matrix - cl.assemble(cl.v0(pd), rule).matrix
     U, R = cl.shift_factors(pd, rule)
     return np.max(np.abs(U @ R.T - D)) / np.max(np.abs(D)), U, R, D
@@ -270,7 +270,8 @@ class TestChiDensities:
     ])
     def test_woodbury_matches_the_dense_vt_solves(self, grid48, F, p, c, t):
         pd = _shift_problem(F, p, c, t)
-        rule = cl.gauss_interval(oscillation_nodes(pd, frequency=1.0), -1, 1)
+        rule = cl.gauss_interval(
+            oscillation_nodes(pd, frequency=1.0, gauss=True), -1, 1)
         chi = cl.ChiSolution(pd, rule, grid48)
         for got, want in zip((chi.FL, chi.FR), _dense_densities(pd, rule,
                                                                 grid48)):
@@ -279,7 +280,8 @@ class TestChiDensities:
     def test_without_the_shift_the_densities_are_wrong(self, grid48):
         # negative control: I + V0 alone, without U R^T, misses both
         pd = _shift_problem(0.2, (0.0, 1.0), 1.0, 0.5 + 0.1j)
-        rule = cl.gauss_interval(oscillation_nodes(pd, frequency=1.0), -1, 1)
+        rule = cl.gauss_interval(
+            oscillation_nodes(pd, frequency=1.0, gauss=True), -1, 1)
         sys0 = cl.assemble(cl.v0(pd), rule)
         EL, ER = cl.e_vectors(pd, grid48, rule.nodes)
         n = rule.n

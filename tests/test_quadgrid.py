@@ -8,7 +8,8 @@ from cshiftlab.errors import ContourSafetyError, ParameterDomainError
 from cshiftlab.quadgrid import (_J0_ZEROS, _J1_SQUARED_AT_ZEROS,
                                 _gauss_laguerre, _leggauss, gauss_interval,
                                 graded_interval, laguerre_halfline,
-                                safe_radius, stadium_contour)
+                                oscillation_nodes, safe_radius,
+                                stadium_contour, transplanted_interval)
 from cshiftlab.symbols import constant_symbol, identity_phase, make_problem
 
 
@@ -127,6 +128,54 @@ class TestGaussInterval:
             gauss_interval(0, -1.0, 1.0)
         with pytest.raises(ParameterDomainError):
             gauss_interval(4, 1.0, -1.0)
+
+
+class TestTransplantedInterval:
+    @pytest.mark.parametrize("n, a, b", [(9, -1.0, 1.0), (216, -1.0, 1.0),
+                                         (1201, 0.5, 3.0)])
+    def test_rule_properties(self, n, a, b):
+        rule = transplanted_interval(n, a, b)
+        x, w = rule.nodes, rule.weights
+        assert np.all(np.diff(x) > 0) and a < x[0] and x[-1] < b
+        assert np.all(w > 0)
+        assert abs(w.sum() - (b - a)) < 1e-14 * (b - a)
+        mid = 0.5 * (a + b)
+        assert np.max(np.abs((x - mid) + (x[::-1] - mid))) < 1e-15 * (b - a)
+
+    @pytest.mark.parametrize("x", [400.0, 1600.0])
+    def test_resolves_the_kernel_phase_from_fewer_nodes(self, x):
+        # a Nystrom rule integrates products of two functions resolved at
+        # the kernel's frequency x/2: int_{-1}^{1} e^{i x lam} dlam =
+        # 2 sin(x)/x on the sweep's node count, to 1e-13 of int |f| = 2
+        # (phase rounding leaves 2e-14 at x = 1600).  A Gauss rule of the
+        # same size misses by 3e-5 and 2e-2; at frequency x/2 alone its
+        # degree 2n - 1 would still carry it
+        pd = make_problem(a=-1.0, b=1.0, c=1.0, t=1.0, x=x,
+                          F=constant_symbol(0.2), p=identity_phase())
+        n = oscillation_nodes(pd)
+        exact = 2.0 * np.sin(x) / x
+
+        def miss(rule):
+            return abs(rule.integrate(np.exp(1j * x * rule.nodes)) - exact)
+
+        assert miss(transplanted_interval(n, -1.0, 1.0)) < 2e-13
+        assert miss(gauss_interval(n, -1.0, 1.0)) > 1e-6
+
+    def test_refined_keeps_the_map(self):
+        rule = transplanted_interval(40, -1.0, 2.0)
+        fine = rule.refined()
+        want = transplanted_interval(80, -1.0, 2.0)
+        assert np.array_equal(fine.nodes, want.nodes)
+        assert np.array_equal(fine.weights, want.weights)
+        assert not np.allclose(fine.nodes, gauss_interval(80, -1.0, 2.0).nodes)
+        assert np.array_equal(fine.refined().nodes,
+                              transplanted_interval(160, -1.0, 2.0).nodes)
+
+    def test_parameter_domain_errors(self):
+        with pytest.raises(ParameterDomainError):
+            transplanted_interval(0, -1.0, 1.0)
+        with pytest.raises(ParameterDomainError):
+            transplanted_interval(4, 1.0, -1.0)
 
 
 class TestBesselTable:

@@ -80,8 +80,8 @@ class TestChi:
                                  F=cl.constant_symbol(0.2),
                                  p=cl.identity_phase())
             chi = cl.ChiSolution(pd, grid=grid48)
-            assert chi.rule.n == cl.quadgrid.oscillation_nodes(pd,
-                                                                frequency=1.0)
+            assert chi.rule.n == cl.quadgrid.oscillation_nodes(
+                pd, frequency=1.0, gauss=True)
 
     @pytest.mark.parametrize("x", [100.0, 200.0, 400.0])
     def test_default_rule_resolves_the_jump_at_large_x(self, grid48, x):
