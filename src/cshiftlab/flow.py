@@ -92,11 +92,8 @@ class SweepConfig:
 @dataclass
 class SweepRow:
     x: float
-    #: ln det(I+V) and ln det(I+V0): the determinants themselves leave the
-    #: float range, det(I+V0) = 0.0 from x = 3400 at F = -0.5 and inf
-    #: beyond x = 12,230 at F = 0.2
-    ln_det_v: complex
-    ln_det_v0: complex
+    det_v: complex
+    det_v0: complex
     ratio: complex
     det_up: complex
     det_um: complex
@@ -187,8 +184,8 @@ def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
     ln det(I+V)/det(I+V0) = ln det(I_2r + R^T (I+V0)^{-1} U)
     (``fredholm.logdet_update``).  Each rule assembles only V0 and does
     one real LU solve against the 2r columns of U; the accepted rule adds
-    one slogdet for ln det(I+V0), and ln det(I+V) = ln det(I+V0) + ln ratio.
-    A row costs two assemblies and three LUs of order n and 1.15 n.
+    one slogdet for det(I+V0), and det(I+V) = det(I+V0) ratio.  A row
+    costs two assemblies and three LUs of order n and 1.15 n.
 
     Every rule is ``quadgrid.transplanted_interval``.  Each row starts
     from ``oscillation_nodes`` and is checked a posteriori: while ln ratio
@@ -230,10 +227,10 @@ def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
         if not np.isfinite(ld_v0):
             raise ExcludedCaseError(
                 f"det(I+V0) vanishes at x={x}; the ratio is undefined")
-        ratio = np.exp(ln_ratio)
+        det_v0, ratio = np.exp(ld_v0), np.exp(ln_ratio)
         rel = abs(ratio / product - 1.0)
         report.rows.append(SweepRow(
-            x=x, ln_det_v=ld_v0 + ln_ratio, ln_det_v0=ld_v0, ratio=ratio,
+            x=x, det_v=det_v0 * ratio, det_v0=det_v0, ratio=ratio,
             det_up=det_up, det_um=det_um, product=product, rel_error=rel,
             runtime=time.perf_counter() - t_start, n=n, gap=gap))
 
@@ -354,7 +351,7 @@ def dt_logdet_check(cfg: SweepConfig, t0: complex, h: float = 1e-4,
 # ---------------------------------------------------------------------------
 # reports on disk
 
-CSV_COLUMNS = ["x", "ln det(I+V)", "ln det(I+V0)", "ratio", "det(I+U+)",
+CSV_COLUMNS = ["x", "det(I+V)", "det(I+V0)", "ratio", "det(I+U+)",
                "det(I+U-)", "product", "relative error",
                "fitted decay exponent", "runtime_s", "n", "gap"]
 
@@ -381,7 +378,7 @@ def emit(report: SweepReport, path: str) -> int:
         w = csv.writer(fh)
         w.writerow(CSV_COLUMNS)
         for row in report.rows:
-            w.writerow([_fmt(row.x), _fmt(row.ln_det_v), _fmt(row.ln_det_v0),
+            w.writerow([_fmt(row.x), _fmt(row.det_v), _fmt(row.det_v0),
                         _fmt(row.ratio), _fmt(row.det_up), _fmt(row.det_um),
                         _fmt(row.product), _fmt(row.rel_error),
                         _fmt(report.fitted_decay_exponent),

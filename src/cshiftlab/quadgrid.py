@@ -308,9 +308,12 @@ def oscillation_nodes(pd: "ProblemData", frequency: float = 0.5,
     the max over a 65-point Gauss check grid s_j (odd, so its middle node
     maps to the midpoint of [a, b]).  For the Gauss rule D is
     sqrt((lam - a)(b - lam)), the arcsine density; the sausage map levels
-    it to g'(0) (b - a)/2 = 0.7595 (b - a)/2 over the middle of [a, b].  For the identity phase n = ceil(0.7595 frequency x
-    (b - a)/2) + 64 on the transplanted rule and
-    ceil(frequency x (b - a)/2) + 64 on the Gauss rule.
+    it to g'(0) (b - a)/2 = 0.7595 (b - a)/2 over the middle of [a, b].
+    For the identity phase n = ceil(0.7595 frequency x (b - a)/2) + 64 on
+    the transplanted rule and ceil(frequency x (b - a)/2) + 64 on the
+    Gauss rule.  A phase whose slope p' grows toward the endpoints, where
+    the map thins the nodes, saves less: p = lam + 0.3 lam^3 takes 919
+    nodes against the Gauss rule's 915 at x = 1600.
 
     The interval kernels carry e^{+-i x (p(lam) - p(mu))/2}: the default
     frequency 1/2, on the sweep's transplanted rule.  chi's near-cut

@@ -140,7 +140,7 @@ def interval_problem(x, t=1.0, F=0.2):
 
 
 class TestIntervalKernelOracle:
-    """V_t and V0 on the Gauss grids of the sweep against the two-term form."""
+    """V_t and V0 on the grids of the sweep against the two-term form."""
 
     @pytest.mark.parametrize("factory, t", [
         (cl.v_t, 1.0), (cl.v_t, 0.0), (cl.v_t, 0.5 + 0.1j),
@@ -151,7 +151,7 @@ class TestIntervalKernelOracle:
         pd = interval_problem(x, t)
         t_form = t if factory is cl.v_t else 0.0
         kernel = factory(pd)
-        z = cl.gauss_interval(oscillation_nodes(pd), -1.0, 1.0).nodes
+        z = cl.transplanted_interval(oscillation_nodes(pd), -1.0, 1.0).nodes
         err = kmax = 0.0
         for i in range(0, z.size, 256):  # row blocks bound the memory
             rows = np.arange(i, min(i + 256, z.size))

@@ -95,7 +95,8 @@ class TestChi:
                              F=cl.constant_symbol(0.2), p=cl.identity_phase())
         rows = cl.ChiSolution(pd, grid=grid48).verify()
         assert [r for r in rows if not r.passed] == []
-        coarse = cl.gauss_interval(cl.quadgrid.oscillation_nodes(pd), -1, 1)
+        coarse = cl.gauss_interval(
+            cl.quadgrid.oscillation_nodes(pd, gauss=True), -1, 1)
         rows = cl.ChiSolution(pd, coarse, grid48).verify()
         miss = 1e-4 if x < 200.0 else 1e-3
         assert max(r.residual for r in rows if r.obj == "chi jump") > miss
