@@ -25,7 +25,7 @@ code = emit(report, cfg.output)
 print(f"\nwrote {cfg.output} and {cfg.output}.summary.txt (exit code {code}):")
 print("\n".join(summarize(report.checks())[0]))
 
-dt = dt_logdet_check(cfg, t0=0.5, h=1e-4, x=100.0)
+dt = dt_logdet_check(cfg, t0=0.5, x=100.0)
 print("\nt-derivative of the log-determinant at t0 = 0.5, x = 100:")
 print("  finite difference :", dt.d_fd)
 print("  loop trace        :", dt.d_contour)

@@ -25,7 +25,7 @@ def _cmd_dtcheck(args) -> int:
     from .flow import dt_logdet_check, load_config
 
     cfg = load_config(args.config)
-    report = dt_logdet_check(cfg, args.t0, h=args.h, x=args.x)
+    report = dt_logdet_check(cfg, args.t0, x=args.x)
     print(f"d/dt ln det (finite difference): {report.d_fd}")
     print(f"d/dt ln det (loop trace):        {report.d_contour}")
     print(f"d/dt ln det (reduced densities): {report.d_reduced}")
@@ -117,7 +117,6 @@ def main(argv=None) -> int:
     p_dt.add_argument("--config", required=True)
     p_dt.add_argument("--t0", type=_complex_arg, default="0.5,0.0",
                       metavar="RE[,IM]", help="negative RE: --t0=-0.5,0.1")
-    p_dt.add_argument("--h", type=float, default=1e-4)
     p_dt.add_argument("--x", type=float, default=None)
     p_dt.set_defaults(func=_cmd_dtcheck)
 

@@ -9,10 +9,6 @@ class ParameterDomainError(CShiftError, ValueError):
     """A constructor argument lies outside its legal domain."""
 
 
-class ContourSafetyError(ParameterDomainError):
-    """A contour radius violates a declared analyticity or pole margin."""
-
-
 class SymbolDomainError(CShiftError, ValueError):
     """Problem data violates the symbol hypotheses (p' > 0, |arg(1+F)| < pi).
 

@@ -43,6 +43,9 @@ __all__ = ["SweepConfig", "SweepRow", "SweepReport", "theorem1_sweep",
 RULE_TOL = 1e-12
 #: tolerance of the loop-product consistency and of |fd - trace|
 ROUTE_TOL = 1e-6
+#: step h of dt_logdet_check's Richardson difference (4 D(h/2) - D(h))/3,
+#: D the central difference quotient of ln det(I+V_t) in t
+FD_STEP = 1e-4
 #: tolerance of the last row's relative error |ratio/product - 1|
 FINAL_TOL = 0.05
 TAIL_GROWTH = "relative-error growth from one x to the next"
@@ -69,7 +72,6 @@ class SweepConfig:
     F_params: tuple = (0.2,)
     p_kind: str = "identity"
     p_params: tuple = ()
-    margin: float = np.inf
     n_budget: int = 4000              # cap on the nodes of any interval rule
     output: str = "sweep.csv"
 
@@ -85,8 +87,7 @@ class SweepConfig:
         return make_problem(
             a=self.a, b=self.b, c=self.c, t=t, x=x,
             F=make_handle(self.F_kind, self.F_params),
-            p=make_handle(self.p_kind, self.p_params),
-            margin=self.margin)
+            p=make_handle(self.p_kind, self.p_params))
 
 
 @dataclass
@@ -198,7 +199,7 @@ def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
     report = SweepReport()
     pd1 = cfg.problem(x=cfg.x_list[0])
     srh = ScalarRH(pd1)
-    loop = stadium_contour(cfg.a, cfg.b, safe_radius(pd1), margin=cfg.margin)
+    loop = stadium_contour(cfg.a, cfg.b, safe_radius(pd1))
 
     det_up = determinant(assemble(u_kt(pd1, 1, srh), loop))
     det_um = determinant(assemble(u_kt(pd1, 2, srh), loop))
@@ -288,13 +289,13 @@ class DtReport:
                               self.fd_vs_contour, ROUTE_TOL)]
 
 
-def dt_logdet_check(cfg: SweepConfig, t0: complex, h: float = 1e-4,
+def dt_logdet_check(cfg: SweepConfig, t0: complex,
                     x: float | None = None) -> DtReport:
     """Three routes to d/dt ln det(I + V_t) at t0.
 
-    (i) Richardson finite difference of the Nystrom log-determinant, each
-    ln det(I+V_t) - ln det(I+V0) by ``fredholm.logdet_update`` against one
-    I + V0 system;
+    (i) Richardson finite difference of the Nystrom log-determinant at step
+    FD_STEP, each ln det(I+V_t) - ln det(I+V0) by ``fredholm.logdet_update``
+    against one I + V0 system;
     (ii) the loop trace formula through chi: oint z tr[d_z chi sigma3 s chi^{-1}] dz / (2 pi),
     summed over all loop points at once by ``ChiSolution.loop_trace``: with
     chi = I - F_R^T D(w) E_L and chi^{-1} = I + E_R^T D(w) F_L the trace is
@@ -331,9 +332,9 @@ def dt_logdet_check(cfg: SweepConfig, t0: complex, h: float = 1e-4,
     def central(step):
         return (ld(t0 + step) - ld(t0 - step)) / (2.0 * step)
 
-    d_fd = (4.0 * central(h / 2.0) - central(h)) / 3.0
+    d_fd = (4.0 * central(FD_STEP / 2.0) - central(FD_STEP)) / 3.0
 
-    loop = stadium_contour(cfg.a, cfg.b, safe_radius(pd), margin=cfg.margin)
+    loop = stadium_contour(cfg.a, cfg.b, safe_radius(pd))
     d_contour = (loop.cweights * loop.samples) @ chi.loop_trace(loop.samples) \
         / (2.0 * np.pi)
 
@@ -420,8 +421,8 @@ def load_config(path: str) -> SweepConfig:
         return tuple(float(v) for v in s.split(",") if v.strip())
 
     kw = {}
-    simple = {"a": float, "b": float, "c": float, "margin": float,
-              "n_budget": int, "output": str}
+    simple = {"a": float, "b": float, "c": float, "n_budget": int,
+              "output": str}
     for key, val in raw.items():
         if key == "x_list":
             kw["x_list"] = floats(val)

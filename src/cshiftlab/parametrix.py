@@ -264,9 +264,8 @@ def build_parametrix(endpoint: str, pd: ProblemData, factory: OperatorFactory,
                      radius: float | None = None) -> Parametrix:
     """Assemble the local parametrix around one endpoint.
 
-    ``factory`` supplies the regular operator blocks; ``radius`` must stay
-    inside the declared analyticity margin (``safe_radius(pd)`` when
-    omitted).
+    ``factory`` supplies the regular operator blocks; ``radius`` is the
+    disk radius, positive (``safe_radius(pd)`` when omitted).
     """
     if endpoint not in ("a", "b"):
         raise ParameterDomainError("endpoint must be 'a' or 'b'")
@@ -275,9 +274,8 @@ def build_parametrix(endpoint: str, pd: ProblemData, factory: OperatorFactory,
         raise ParameterDomainError("x must be positive")
     if radius is None:
         radius = safe_radius(pd)
-    if radius >= pd.margin:
-        raise ParameterDomainError(
-            f"disk radius {radius} exceeds the margin {pd.margin}")
+    if radius <= 0:
+        raise ParameterDomainError(f"need disk radius > 0, got {radius}")
     center = pd.a if endpoint == "a" else pd.b
     return Parametrix(endpoint=endpoint, center=center, radius=radius, x=x,
                       pd=pd, factory=factory)

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ContourSafetyError, ParameterDomainError
+from .errors import ParameterDomainError
 
 if TYPE_CHECKING:
     from .symbols import ProblemData
@@ -344,7 +344,7 @@ def oscillation_nodes(pd: "ProblemData", frequency: float = 0.5,
 def safe_radius(pd: "ProblemData") -> float:
     """Radius of every loop and endpoint disk the package builds itself.
 
-    r = min(0.8 c/(4 |t|), (b - a)/4, 0.8 margin).  Two constraints of the
+    r = min(0.8 c/(4 |t|), (b - a)/4).  Two constraints of the
     t-deformed problem bound r |t|:
       * the half-line growth bound |Im(t lam)| < c/4 (r |t| < c/4 off the
         axis), under which the e^{-c s} decay of the half-line rule
@@ -356,11 +356,12 @@ def safe_radius(pd: "ProblemData") -> float:
     The first implies the second.  The factor 0.8 keeps the loop clear of
     the pole: a loop at 0.45 c/|t| brings t(mu - lam) within 0.1 c of it
     and leaves the loop determinants 3e-10 off at 48 nodes per unit
-    length.  The other caps keep a disk off the far endpoint and every
-    curve inside the declared analyticity margin.
+    length.  The cap (b - a)/4 keeps a disk off the far endpoint.  F and
+    p need only be holomorphic within r of [a, b]; every preset handle is
+    entire.
     """
     return min(0.8 * pd.c / (4.0 * max(abs(pd.t), 1e-12)),
-               0.25 * (pd.b - pd.a), 0.8 * pd.margin)
+               0.25 * (pd.b - pd.a))
 
 
 def graded_interval(a: float, b: float, n_panel: int = 16, levels: int = 6,
@@ -449,8 +450,8 @@ def _gauss_panels(t0: float, t1: float, n_panels: int, q: int):
     return (mid + half * x[None, :]).ravel(), np.tile(half * w, n_panels)
 
 
-def stadium_contour(a: float, b: float, r: float, n_per_unit: float = 48.0,
-                    margin: float = np.inf) -> Contour:
+def stadium_contour(a: float, b: float, r: float,
+                    n_per_unit: float = 48.0) -> Contour:
     """Counterclockwise stadium around [a, b] at offset r.
 
     Parameters
@@ -458,11 +459,10 @@ def stadium_contour(a: float, b: float, r: float, n_per_unit: float = 48.0,
     a, b : float
         Interval endpoints, a < b.
     r : float
-        Offset distance; must stay below the caller's analyticity margin.
+        Offset distance, r > 0; the integrands must be holomorphic
+        within r of [a, b].
     n_per_unit : float
         Target node density per unit arclength.
-    margin : float
-        Declared safety margin; r >= margin raises.
 
     Notes
     -----
@@ -475,9 +475,6 @@ def stadium_contour(a: float, b: float, r: float, n_per_unit: float = 48.0,
         raise ParameterDomainError(f"need a < b, got a={a}, b={b}")
     if r <= 0:
         raise ParameterDomainError(f"need r > 0, got r={r}")
-    if r >= margin:
-        raise ContourSafetyError(
-            f"contour radius {r} exceeds the declared margin {margin}")
 
     q = 16
     len_straight = b - a

@@ -18,7 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .cauchy import CauchyKit
-from .errors import ExcludedCaseError, NearSingularityError
+from .errors import (ExcludedCaseError, NearSingularityError,
+                     ParameterDomainError)
 from .fredholm import NystromSystem, assemble, solve
 from .kernels import k_kt, shift_factors, v0, v_t
 from .l2half import e_vectors, kappa_form, m_vec, rank_one, smoothing_bound
@@ -351,7 +352,7 @@ def _beta_defaults(pd: ProblemData, srh, loop):
     if srh is None:
         srh = ScalarRH(pd)
     if loop is None:
-        loop = stadium_contour(pd.a, pd.b, safe_radius(pd), margin=pd.margin)
+        loop = stadium_contour(pd.a, pd.b, safe_radius(pd))
     return srh, loop
 
 
@@ -589,6 +590,10 @@ def pi_residual(pd: ProblemData, factory: OperatorFactory,
         disk_radius = safe_radius(pd)
     if lens_height is None:
         lens_height = 0.75 * safe_radius(pd)
+    for name, size in (("disk_radius", disk_radius),
+                       ("lens_height", lens_height)):
+        if size <= 0:
+            raise ParameterDomainError(f"need {name} > 0, got {size}")
     report = PiReport(xs=list(xs), eps=_disk_eps(pd, disk_radius))
     xs = report.xs
 

@@ -89,22 +89,29 @@ def identity_phase() -> HolomorphicHandle:
     return poly_phase([0.0, 1.0])
 
 
+#: kind -> (factory, fewest params, most params)
 _PRESETS = {
-    "constant": lambda params: constant_symbol(params[0]),
-    "poly": lambda params: poly_symbol(params),
-    "scaled_exp": lambda params: scaled_exp_symbol(params[0], params[1:]),
-    "identity": lambda params: identity_phase(),
+    "constant": (lambda params: constant_symbol(params[0]), 1, 1),
+    "poly": (poly_symbol, 1, np.inf),
+    "scaled_exp": (lambda params: scaled_exp_symbol(params[0], params[1:]),
+                   2, np.inf),
+    "identity": (lambda params: identity_phase(), 0, 0),
 }
 
 
 def make_handle(kind: str, params=()) -> HolomorphicHandle:
     """Build a handle from the closed preset family exposed to configs."""
     try:
-        factory = _PRESETS[kind]
+        factory, lo, hi = _PRESETS[kind]
     except KeyError:
         raise ParameterDomainError(
             f"unknown symbol kind {kind!r}; choose from {sorted(_PRESETS)}")
-    return factory(list(params))
+    params = list(params)
+    if not lo <= len(params) <= hi:
+        want = lo if lo == hi else f"at least {lo}"
+        raise ParameterDomainError(f"symbol kind {kind!r} takes {want} "
+                                   f"parameter(s), got {len(params)}")
+    return factory(params)
 
 
 @dataclass(frozen=True)
@@ -118,18 +125,16 @@ class ProblemData:
     x: float
     F: HolomorphicHandle
     p: HolomorphicHandle
-    margin: float
 
     def with_(self, **kw) -> "ProblemData":
         d = dict(a=self.a, b=self.b, c=self.c, t=self.t, x=self.x,
-                 F=self.F, p=self.p, margin=self.margin)
+                 F=self.F, p=self.p)
         d.update(kw)
         return make_problem(**d)
 
 
 def make_problem(a: float, b: float, c: float, t: complex, x: float,
-                 F: HolomorphicHandle, p: HolomorphicHandle,
-                 margin: float = np.inf) -> ProblemData:
+                 F: HolomorphicHandle, p: HolomorphicHandle) -> ProblemData:
     """Validate the inputs and return a ProblemData.
 
     The hypotheses are checked numerically on a 64-node Gauss rule: p is
@@ -143,8 +148,6 @@ def make_problem(a: float, b: float, c: float, t: complex, x: float,
         raise ParameterDomainError(f"need c > 0, got c={c}")
     if x <= 0:
         raise ParameterDomainError(f"need x > 0, got x={x}")
-    if margin <= 0:
-        raise ParameterDomainError(f"need margin > 0, got margin={margin}")
     t = complex(t)
 
     rule = gauss_interval(64, a, b)
@@ -162,7 +165,7 @@ def make_problem(a: float, b: float, c: float, t: complex, x: float,
             node=rule.nodes[j])
 
     pd = ProblemData(a=float(a), b=float(b), c=float(c), t=t, x=float(x),
-                     F=F, p=p, margin=float(margin))
+                     F=F, p=p)
     loop = stadium_contour(a, b, safe_radius(pd)).samples
     for where, pts in (("interval", rule.nodes.astype(complex)),
                        ("contour", np.append(loop, loop[0]))):

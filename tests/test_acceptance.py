@@ -90,7 +90,7 @@ class TestCriterion3OperatorSolvability:
 class TestCriterion4TDerivative:
     def test_fd_matches_loop_trace(self):
         cfg = SweepConfig(x_list=(100.0,))
-        rep = dt_logdet_check(cfg, 0.5, h=1e-4, x=100.0)
+        rep = dt_logdet_check(cfg, 0.5, x=100.0)
         report(4, "finite difference vs loop trace at t0=0.5, x=100",
                rep.fd_vs_contour, 1e-6, rep.fd_vs_contour < 1e-6)
 

@@ -143,6 +143,21 @@ class TestSweepConfig:
         with pytest.raises(ParameterDomainError):
             load_config(str(path))
 
+    @pytest.mark.parametrize("which, kind, params", [
+        ("p", "identity", (5.0,)),
+        ("F", "constant", (0.2, 0.7)),
+        ("F", "constant", ()),
+        ("F", "poly", ()),
+        ("F", "scaled_exp", (0.2,)),
+    ], ids=["identity-extra", "constant-extra", "constant-empty",
+            "poly-empty", "scaled_exp-gamma-only"])
+    def test_wrong_parameter_count_rejected(self, which, kind, params):
+        # an extra parameter must not be dropped silently, nor a missing one
+        # surface as an IndexError or numpy's "Coefficient array is empty"
+        cfg = SweepConfig(**{f"{which}_kind": kind, f"{which}_params": params})
+        with pytest.raises(ParameterDomainError, match=repr(kind)):
+            cfg.problem(50.0)
+
 
 class TestTheoremSweep:
     def test_zero_symbol_everything_is_one(self):
@@ -219,8 +234,9 @@ class TestTheoremSweep:
         diff = complex(diff.real, np.angle(np.exp(1j * diff.imag)))
         assert abs(diff) < 1e-11 * max(1.0, abs(lemma))
 
-    def test_loops_sit_inside_the_margin(self, monkeypatch):
-        # safe_radius caps every loop at 0.8 of the declared margin
+    def test_loops_sit_at_safe_radius(self, monkeypatch):
+        # the sweep's loop and the t-derivative check's loop are both at
+        # safe_radius: 0.8 c/(4 |t|) = 0.2 at c = |t| = 1
         seen = []
 
         def spy(a, b, r, **kw):
@@ -228,10 +244,10 @@ class TestTheoremSweep:
             return cl.stadium_contour(a, b, r, **kw)
 
         monkeypatch.setattr(cl.flow, "stadium_contour", spy)
-        cfg = SweepConfig(x_list=(20.0,), margin=0.1)
+        cfg = SweepConfig(x_list=(20.0,))
         theorem1_sweep(cfg)
-        dt_logdet_check(cfg, t0=0.5, x=20.0)
-        assert seen == [pytest.approx(0.08, rel=1e-15)] * 2
+        dt_logdet_check(cfg, t0=1.0, x=20.0)
+        assert seen == [pytest.approx(0.2, rel=1e-15)] * 2
 
     @pytest.mark.parametrize("F", [-0.5, 0.2, 0.6])
     def test_loop_product_is_converged(self, F):
@@ -310,7 +326,7 @@ class TestDtCheck:
 
     def test_identity_routes_agree(self):
         cfg = SweepConfig(x_list=(50.0,))
-        rep = dt_logdet_check(cfg, 0.5, h=1e-4, x=50.0)
+        rep = dt_logdet_check(cfg, 0.5, x=50.0)
         assert rep.fd_vs_contour < 1e-6
         assert rep.fd_vs_reduced < rep.reduced_budget
 
@@ -405,7 +421,6 @@ x_list = 20, 40
 F.kind = constant
 F.params = 0.2
 p.kind = identity
-margin = 1e9
 output = OUT
 """
 
@@ -417,12 +432,12 @@ class TestConfigAndCli:
         cfg = load_config(str(path))
         assert cfg.x_list == (20.0, 40.0)
         assert cfg.F_params == (0.2,)
-        assert cfg.margin == 1e9
 
     @pytest.mark.parametrize("line", ["nonsense = 3", "probe_seed = 0",
-                                      "n_halfline = 48", "n_interval = 200"],
+                                      "n_halfline = 48", "n_interval = 200",
+                                      "margin = 1e9"],
                              ids=["nonsense", "probe_seed", "n_halfline",
-                                  "n_interval"])
+                                  "n_interval", "margin"])
     def test_unknown_key_rejected(self, tmp_path, line):
         path = tmp_path / "cfg.txt"
         path.write_text(line + "\n")

@@ -228,9 +228,9 @@ class TestBuildErrors:
         with pytest.raises(ParameterDomainError):
             build_parametrix("c", pd_default, factory_x100)
 
-    def test_radius_beyond_margin(self, factory_x100):
-        pd = cl.make_problem(a=-1, b=1, c=1.0, t=1.0, x=10.0,
-                             F=cl.constant_symbol(0.2), p=cl.identity_phase(),
-                             margin=0.05)
-        with pytest.raises(ParameterDomainError):
-            build_parametrix("a", pd, factory_x100, radius=0.2)
+    @pytest.mark.parametrize("radius", [0.0, -0.2])
+    def test_nonpositive_radius_rejected(self, pd_default, factory_x100,
+                                         radius):
+        # refused at build time, not later as an unbracketed lens ray
+        with pytest.raises(ParameterDomainError, match="radius"):
+            build_parametrix("a", pd_default, factory_x100, radius=radius)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import cshiftlab as cl
 from cshiftlab.errors import (BoundaryLimitError, ExcludedCaseError,
-                              NearSingularityError)
+                              NearSingularityError, ParameterDomainError)
 from cshiftlab.l2half import smoothing_bound
 from cshiftlab.rhp import (DiagnosticRow, OperatorFactory, _disk_probe_angles,
                            default_probes, factorization_residual, g_chi,
@@ -251,22 +251,17 @@ class TestBeta:
 
         assert np.max(np.abs(beta_1(192) - beta_1(640))) < 1e-7
 
-    @pytest.mark.parametrize("margin, want_r", [(np.inf, 0.2),
-                                                (0.05, 0.04)])
-    def test_default_loop_stays_inside_margin(self, monkeypatch, grid48,
-                                              margin, want_r):
-        pd = cl.make_problem(a=-1.0, b=1.0, c=1.0, t=1.0, x=10.0,
-                             F=cl.constant_symbol(0.2), p=cl.identity_phase(),
-                             margin=margin)
+    def test_default_loop_at_safe_radius(self, monkeypatch, pd_default,
+                                         grid48):
         seen = []
 
         def spy(a, b, r, **kw):
-            seen.append((r, kw.get("margin", np.inf)))
+            seen.append((r, kw))
             return cl.stadium_contour(a, b, r, **kw)
 
         monkeypatch.setattr(cl.rhp, "stadium_contour", spy)
-        solve_beta(pd, cl.gauss_interval(64, pd.a, pd.b), grid48, 1)
-        assert seen == [(pytest.approx(want_r, rel=1e-15), margin)]
+        solve_beta(pd_default, cl.gauss_interval(64, -1.0, 1.0), grid48, 1)
+        assert seen == [(pytest.approx(0.2, rel=1e-15), {})]
 
     def test_divergent_limit_raises(self, pd_default, betas_default):
         # beta with a simple pole at an interior probe has no one-sided
@@ -472,6 +467,20 @@ class TestPiResidual:
         assert abs(t) * height < c / 4
         assert {r.lam_im for r in report.lens_rows} == {height, -height}
         assert report.lens_max[50.0] > report.lens_max[100.0] > 0.0
+
+    @pytest.mark.parametrize("kw", [{"disk_radius": 0.0},
+                                    {"disk_radius": -0.2},
+                                    {"lens_height": 0.0},
+                                    {"lens_height": -0.15}],
+                             ids=["disk0", "disk-", "lens0", "lens-"])
+    def test_nonpositive_sizes_rejected(self, pd_default, factory_default,
+                                        kw):
+        def builder(ep, x):
+            raise AssertionError("no parametrix is built for a bad size")
+
+        with pytest.raises(ParameterDomainError, match=next(iter(kw))):
+            pi_residual(pd_default, factory_default, builder, xs=[100.0],
+                        **kw)
 
 
 class TestProbes:
