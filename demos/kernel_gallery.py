@@ -27,7 +27,7 @@ print("V diagonal at 0.3  =", complex(vk.diag(0.3)),
       " (= F (2t + c x p')/(2 pi c))")
 
 # the kernel is the paired product of the half-line vectors
-ws2 = np.concatenate([grid.sweights, grid.sweights])
+ws2 = np.concatenate([grid.weights, grid.weights])
 EL, _ = e_vectors(pd, grid, 0.3)
 _, ER = e_vectors(pd, grid, -0.1)
 print("paired form        =", (EL.ravel() * ws2) @ ER.ravel() / 0.4)

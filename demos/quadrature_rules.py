@@ -44,10 +44,10 @@ for name, r in (("Gauss", gauss_interval(n, -1.0, 1.0)),
 
 # -- loop around the interval -------------------------------------------------
 loop = stadium_contour(-1.0, 1.0, 0.25)
-print(f"\nstadium loop, radius 0.25, {loop.n} samples")
-print("  oint dz/z        =", loop.integrate(1.0 / loop.samples),
+print(f"\nstadium loop, radius 0.25, {loop.n} nodes")
+print("  oint dz/z        =", loop.integrate(1.0 / loop.nodes),
       "(exact 2 pi i)")
-print("  oint z dz        =", abs(loop.integrate(loop.samples)), "(exact 0)")
+print("  oint z dz        =", abs(loop.integrate(loop.nodes)), "(exact 0)")
 print("  winding number   =", loop.winding_number(0.3))
 d = loop.distance_to_segment()
 print(f"  distance band    = [{d.min():.15f}, {d.max():.15f}]")
@@ -55,7 +55,7 @@ print(f"  distance band    = [{d.min():.15f}, {d.max():.15f}]")
 # -- half-line ----------------------------------------------------------------
 half = laguerre_halfline(40, 2.0)
 print("\n40-point half-line rule with decay scale c = 2")
-print("  int e^{-2s} ds   =", half.integrate(np.exp(-2 * half.snodes)),
+print("  int e^{-2s} ds   =", half.integrate(np.exp(-2 * half.nodes)),
       "(exact 0.5)")
 print("  int s e^{-2s} ds =",
-      half.integrate(half.snodes * np.exp(-2 * half.snodes)), "(exact 0.25)")
+      half.integrate(half.nodes * np.exp(-2 * half.nodes)), "(exact 0.25)")

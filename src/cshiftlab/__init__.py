@@ -6,8 +6,8 @@ operator-valued Riemann-Hilbert objects, confluent-hypergeometric local
 parametrices, and the determinant-ratio pipeline that ties them together.
 """
 
-from .quadgrid import (IntervalRule, Contour, HalfLineRule, gauss_interval,
-                       transplanted_interval, graded_interval,
+from .quadgrid import (Rule, IntervalRule, Contour, HalfLineRule,
+                       gauss_interval, transplanted_interval, graded_interval,
                        stadium_contour, laguerre_halfline, safe_radius)
 from .cauchy import CauchyKit
 from .symbols import (HolomorphicHandle, ProblemData, ScalarRH, EPS_K,

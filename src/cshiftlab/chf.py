@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, BranchError, ParameterDomainError
-from .quadgrid import _leggauss
+from .quadgrid import _panels
 
 __all__ = ["TricomiEval", "tricomi_psi"]
 
@@ -43,8 +43,6 @@ _STUB_M = np.arange(7.0)
 #: the z-derivative orders 0, 1, 2 as a column, and their signs (-1)^k
 _SHIFTS = np.arange(3.0)[:, None]
 _SIGNS = np.array([1.0, -1.0, 1.0])
-#: 24-point Gauss-Legendre rule of each Laplace panel
-_XG, _WG = _leggauss(24)
 #: relative error of ``_gamma`` on |a| <= A_CAP, and the rounding charged
 #: per unit of sum |terms| / |sum terms| of a Laplace value
 _GAMMA_ERR = 5e-15
@@ -132,16 +130,14 @@ def _laplace_ray(a: complex, z: complex):
     pw = a + _STUB_M + _SHIFTS   # (3, M): the powers for k = 0, 1, 2
     stub = gm * np.exp(pw * logt0) / pw
 
-    # Gauss panels graded by 3 from tau0 out to T
+    # 24-point Gauss panels graded by 3 from tau0 out to T
     edges = tau0 * 3.0 ** np.arange(math.ceil(math.log(T / tau0, 3.0)) + 1)
     edges[-1] = T
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    tau = ((0.5 * (edges[:-1] + edges[1:]))[:, None] + half * _XG).ravel()
+    tau, wt = _panels(edges, 24)
     t = ph * tau
     logt = np.log(tau) - 1j * theta
     log1pt = np.log1p(t)
-    base = (ph * (half * _WG).ravel()) * np.exp(-z * t + (a - 1.0) * logt
-                                                 - a * log1pt)
+    base = (ph * wt) * np.exp(-z * t + (a - 1.0) * logt - a * log1pt)
     bt = base * t
     sums = np.array([base.sum(), bt.sum(), bt @ t]) + stub.sum(axis=1)
 
@@ -268,13 +264,12 @@ def _psi_cover(a: complex, r: float, theta: float):
     return val, d1, d2, err, "monodromy"
 
 
-def tricomi_psi(a: complex, z: complex, sheet: int = 0,
-                strict: bool = True) -> TricomiEval:
+def tricomi_psi(a: complex, z: complex, sheet: int = 0) -> TricomiEval:
     """Psi(a, 1; z) on sheet ``sheet`` of the cover of C - {0}, |a| <= A_CAP.
 
     ``sheet`` counts full turns added to the principal argument of z.
-    ``strict`` enforces the error budget OVERLAP_TOL in the annulus
-    OVERLAP around the switch radius (raises AccuracyError above it).
+    The error budget OVERLAP_TOL holds in the annulus OVERLAP around the
+    switch radius: a monitor above it there raises AccuracyError.
     Sampled principal-sheet values stay within it; what it guards is the
     monodromy connection, whose e^z-weighted terms can cancel there.
     """
@@ -288,7 +283,7 @@ def tricomi_psi(a: complex, z: complex, sheet: int = 0,
     theta = float(np.angle(z)) + 2.0 * math.pi * sheet
     val, d1, d2, err, route = _psi_cover(a, abs(z), theta)
     rel_err = err if route != "monodromy" else err / max(abs(val), 1e-300)
-    if strict and OVERLAP[0] <= abs(z) <= OVERLAP[1] and rel_err > OVERLAP_TOL:
+    if OVERLAP[0] <= abs(z) <= OVERLAP[1] and rel_err > OVERLAP_TOL:
         raise AccuracyError(
             f"Psi error monitor {rel_err:.2e} above {OVERLAP_TOL} in the "
             f"overlap annulus (a={a}, z={z}, route={route})", estimate=rel_err)

@@ -57,7 +57,7 @@ def _cmd_selftest(_args) -> int:
     rows = (ChiSolution(pd, grid=grid).verify() + betas[1].verify()
             + betas[2].verify() + fac.verify())
 
-    resid = abs(loop.integrate(1.0 / loop.samples) - 2j * np.pi)
+    resid = abs(loop.integrate(1.0 / loop.nodes) - 2j * np.pi)
     rows.append(DiagnosticRow("loop residue 2*pi*i", 0.0, 0.0, resid, 1e-10))
     rows.append(DiagnosticRow("det(G_chi)-1", 0.3, 0.0,
                               abs(np.linalg.det(g_chi(pd, grid, 0.3)) - 1),

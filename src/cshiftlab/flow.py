@@ -335,14 +335,14 @@ def dt_logdet_check(cfg: SweepConfig, t0: complex,
     d_fd = (4.0 * central(FD_STEP / 2.0) - central(FD_STEP)) / 3.0
 
     loop = stadium_contour(cfg.a, cfg.b, safe_radius(pd))
-    d_contour = (loop.cweights * loop.samples) @ chi.loop_trace(loop.samples) \
+    d_contour = (loop.weights * loop.nodes) @ chi.loop_trace(loop.nodes) \
         / (2.0 * np.pi)
 
     srh = ScalarRH(pd)
     beta_rule = gauss_interval(192, cfg.a, cfg.b)
     d_reduced = 0.0 + 0.0j
     for k, bs in solve_betas(pd, beta_rule, grid, srh, loop).items():
-        kappa_s = bs.kappa_nodes * (grid.snodes * grid.sweights)[None, :]
+        kappa_s = bs.kappa_nodes * (grid.nodes * grid.weights)[None, :]
         integrand = bs.tau_nodes * np.einsum("ns,ns->n", kappa_s, bs.rho)
         d_reduced += EPS_K[k] * (integrand @ beta_rule.weights) / (2.0 * np.pi)
     return DtReport(t0=t0, x=x, d_fd=d_fd, d_contour=d_contour,
@@ -403,7 +403,12 @@ def emit(report: SweepReport, path: str) -> int:
 
 
 def load_config(path: str) -> SweepConfig:
-    """Flat key = value file, each key once; '#' comments; comma lists."""
+    """Flat key = value file, each key once; '#' comments; comma lists.
+
+    A value that does not read as its key's type, or a list with an empty
+    item, raises ParameterDomainError naming the key; an empty value is
+    the empty list.
+    """
     raw = {}
     with open(path) as fh:
         for line in fh:
@@ -417,25 +422,36 @@ def load_config(path: str) -> SweepConfig:
                 raise ParameterDomainError(f"config key {key!r} given twice")
             raw[key] = val
 
-    def floats(s):
-        return tuple(float(v) for v in s.split(",") if v.strip())
+    def read(key, val, kind):
+        try:
+            return kind(val)
+        except ValueError:
+            raise ParameterDomainError(f"config key {key!r}: cannot read "
+                                       f"{val!r} as {kind.__name__}") from None
+
+    def floats(key, val):
+        items = [v.strip() for v in val.split(",")] if val else []
+        if "" in items:
+            raise ParameterDomainError(
+                f"config key {key!r}: empty list item in {val!r}")
+        return tuple(read(key, v, float) for v in items)
 
     kw = {}
     simple = {"a": float, "b": float, "c": float, "n_budget": int,
               "output": str}
     for key, val in raw.items():
         if key == "x_list":
-            kw["x_list"] = floats(val)
+            kw["x_list"] = floats(key, val)
         elif key == "F.kind":
             kw["F_kind"] = val
         elif key == "F.params":
-            kw["F_params"] = floats(val)
+            kw["F_params"] = floats(key, val)
         elif key == "p.kind":
             kw["p_kind"] = val
         elif key == "p.params":
-            kw["p_params"] = floats(val)
+            kw["p_params"] = floats(key, val)
         elif key in simple:
-            kw[key] = simple[key](val)
+            kw[key] = read(key, val, simple[key])
         else:
             raise ParameterDomainError(f"unknown config key {key!r}")
     return SweepConfig(**kw)

@@ -1,10 +1,11 @@
 """Nystrom discretization: determinants and second-kind solves.
 
-I + K on an interval or contour becomes the dense matrix
-I + K(z_i, z_j) w_j.  Its dtype is the result dtype of the kernel values
-and the weights: real kernels on interval rules (real nodes and weights)
-give a float64 matrix, factored in real arithmetic; contours and complex
-kernel values give complex128.  Its determinant is the Fredholm
+I + K on any ``quadgrid.Rule`` (an interval rule, a loop or the
+half-line) becomes the dense matrix I + K(z_i, z_j) w_j, from the rule's
+nodes z and weights w alone.  Its dtype is the result dtype of the kernel
+values and the weights: real kernels on interval rules (real nodes and
+weights) give a float64 matrix, factored in real arithmetic; contours and
+complex kernel values give complex128.  Its determinant is the Fredholm
 determinant of the discretized operator, and (I + K) f = g becomes a
 dense solve whose inverse is reused across right-hand sides.
 Complex contour weights enter as they are; no symmetrized square-root
@@ -34,12 +35,12 @@ number and residual.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import AssemblyError, NearSingularityError
-from .quadgrid import Contour, IntervalRule
+from .quadgrid import Rule
 
 __all__ = ["NystromSystem", "assemble", "determinant", "logdet",
            "logdet_update", "solve"]
@@ -48,26 +49,13 @@ __all__ = ["NystromSystem", "assemble", "determinant", "logdet",
 #: its determinant is numerically zero (the excluded case)
 COND_CAP = 1e12
 
-Support = Union[IntervalRule, Contour]
-
-
-def _support_nodes_weights(support: Support):
-    if isinstance(support, IntervalRule):
-        return support.nodes, support.weights
-    if isinstance(support, Contour):
-        return support.samples, support.cweights
-    raise AssemblyError(f"unsupported support type {type(support)!r}")
-
-
 @dataclass
 class NystromSystem:
     """Discretized I + K, ready for determinants and solves."""
 
-    support: Support
+    support: Rule
     kernel: Optional[Callable]
     matrix: np.ndarray
-    nodes: np.ndarray
-    weights: np.ndarray
     _inv: np.ndarray = field(default=None, repr=False)
     cond: float = None
     #: a view's inverse from its base system's (``updated``, ``transposed``)
@@ -75,7 +63,7 @@ class NystromSystem:
 
     @property
     def n(self) -> int:
-        return self.nodes.size
+        return self.support.n
 
     def factorization(self) -> np.ndarray:
         """The inverse matrix plus the exact 1-norm condition number (cached).
@@ -97,7 +85,6 @@ class NystromSystem:
 
     def _view(self, matrix: np.ndarray, invert: Callable) -> "NystromSystem":
         return NystromSystem(support=self.support, kernel=None, matrix=matrix,
-                             nodes=self.nodes, weights=self.weights,
                              _invert=invert)
 
     def updated(self, U: np.ndarray, R: np.ndarray) -> "NystromSystem":
@@ -121,7 +108,8 @@ class NystromSystem:
 
         Its inverse W^{-1} A^{-T} W is a scaling of this system's.
         """
-        scale = self.weights[None, :] / self.weights[:, None]
+        w = self.support.weights
+        scale = w[None, :] / w[:, None]
         return self._view(self.matrix.T * scale,
                           lambda: self.factorization().T * scale)
 
@@ -135,8 +123,8 @@ def _dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A.real @ B + 1j * (A.imag @ B)
 
 
-def assemble(kernel, support: Support, left=None) -> NystromSystem:
-    """Discretize I + kernel on the support.
+def assemble(kernel, support: Rule, left=None) -> NystromSystem:
+    """Discretize I + kernel on any rule, from its nodes and weights.
 
     ``kernel(lam, mu)`` is evaluated on every pair of nodes, the diagonal
     included: a ``kernels.KernelHandle`` or any callable that broadcasts
@@ -145,7 +133,7 @@ def assemble(kernel, support: Support, left=None) -> NystromSystem:
     has it.  The matrix keeps the result dtype of the kernel values and
     the weights.
     """
-    nodes, weights = _support_nodes_weights(support)
+    nodes, weights = support.nodes, support.weights
     kw = {} if left is None else {"left": np.asarray(left)[:, None]}
     K = np.asarray(kernel(nodes[:, None], nodes[None, :], **kw))
     if not np.all(np.isfinite(K)):
@@ -154,8 +142,7 @@ def assemble(kernel, support: Support, left=None) -> NystromSystem:
             f"kernel not finite at nodes ({nodes[bad[0]]}, {nodes[bad[1]]})")
     matrix = K * weights[None, :]
     matrix.flat[::nodes.size + 1] += 1.0
-    return NystromSystem(support=support, kernel=kernel, matrix=matrix,
-                         nodes=nodes, weights=weights)
+    return NystromSystem(support=support, kernel=kernel, matrix=matrix)
 
 
 def _slogdet(matrix: np.ndarray) -> complex:

@@ -44,7 +44,7 @@ def m_vec(k: int, pd: ProblemData, grid: HalfLineRule, lam) -> np.ndarray:
     e^{+i s t lam}, k=2 the conjugate phase.
     """
     _check_growth(pd, lam)
-    s = grid.snodes
+    s = grid.nodes
     lam = np.asarray(lam)[..., None]
     return np.sqrt(pd.c) * np.exp(-0.5 * pd.c * s - 1j * EPS_K[k] * pd.t * s * lam)
 
@@ -59,7 +59,7 @@ def kappa_form(k: int, pd: ProblemData, grid: HalfLineRule, lam) -> np.ndarray:
 
 def pair(grid: HalfLineRule, kappa_vals: np.ndarray, f_vals: np.ndarray):
     """kappa[f] = int kappa(s) f(s) ds on the grid."""
-    return (np.asarray(kappa_vals) * np.asarray(f_vals)) @ grid.sweights
+    return (np.asarray(kappa_vals) * np.asarray(f_vals)) @ grid.weights
 
 
 def pairing_closed_form(k: int, pd: ProblemData, lam: complex, mu: complex):
@@ -96,7 +96,7 @@ def rank_one(v: np.ndarray, kappa: np.ndarray, grid: HalfLineRule) -> np.ndarray
     kappa = np.asarray(kappa)
     if v.shape != (grid.n,) or kappa.shape != (grid.n,):
         raise GridMismatchError("vector/one-form length does not match grid")
-    return np.outer(v, kappa * grid.sweights)
+    return np.outer(v, kappa * grid.weights)
 
 
 def smoothing_bound(mat: np.ndarray, grid: HalfLineRule) -> float:
@@ -107,8 +107,8 @@ def smoothing_bound(mat: np.ndarray, grid: HalfLineRule) -> float:
     of the objects they discretize, so this is their decay-pattern
     constant.
     """
-    w = np.tile(grid.sweights, 2)
+    w = np.tile(grid.weights, 2)
     kernel = (mat - np.eye(2 * grid.n)) / w[None, :]
-    s = np.tile(grid.snodes, 2)
+    s = np.tile(grid.nodes, 2)
     growth = np.exp(0.25 * grid.c * (s[:, None] + s[None, :]))
     return float(np.max(np.abs(kernel) * growth))

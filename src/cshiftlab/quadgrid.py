@@ -1,8 +1,12 @@
 """Quadrature rules shared by every other module.
 
-Three supports appear throughout: a real interval [a, b], a closed loop
-around it in the complex plane, and the half-line (0, inf) carrying the
-e^{-c s} decay of all half-line kernels.
+Every rule is a ``Rule``: nodes and weights, with
+sum_j weights[j] f(nodes[j]) approximating the integral of f.  Three
+supports appear throughout, each a subclass that adds only its geometry:
+a real interval [a, b] (``IntervalRule``), a closed loop around it in the
+complex plane (``Contour``), and the half-line (0, inf) carrying the
+e^{-c s} decay of all half-line kernels (``HalfLineRule``).  Every
+composite rule is laid by one routine, ``_panels``.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ if TYPE_CHECKING:
     from .symbols import ProblemData
 
 __all__ = [
+    "Rule",
     "IntervalRule",
     "Contour",
     "HalfLineRule",
@@ -112,26 +117,16 @@ _J1_SQUARED = (
 
 
 @dataclass(frozen=True)
-class IntervalRule:
-    """Quadrature rule on [a, b].
+class Rule:
+    """Quadrature rule: sum_j weights[j] f(nodes[j]) ~= the integral of f.
 
-    Attributes
-    ----------
-    a, b : float
-        Endpoints, a < b.
-    nodes : ndarray
-        Abscissae, strictly inside (a, b), ascending.
-    weights : ndarray
-        Positive weights; they sum to b - a.
-    refiner : callable
-        Builds the rule of the same family with twice the nodes.
+    All a Nystrom discretization reads of a rule.  Nodes and weights are
+    real on an interval or the half-line, complex on a loop (the weights
+    then carry dz).
     """
 
-    a: float
-    b: float
     nodes: np.ndarray
     weights: np.ndarray
-    refiner: object = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -141,8 +136,28 @@ class IntervalRule:
         """Integrate node values (last axis runs over nodes)."""
         return np.asarray(values) @ self.weights
 
+
+@dataclass(frozen=True)
+class IntervalRule(Rule):
+    """Quadrature rule on [a, b].
+
+    Attributes
+    ----------
+    a, b : float
+        Endpoints, a < b.
+    refiner : callable
+        Builds the next finer rule of the same family.
+
+    The nodes lie strictly inside (a, b), ascending; the weights are
+    positive and sum to b - a.
+    """
+
+    a: float
+    b: float
+    refiner: object = field(repr=False, compare=False)
+
     def refined(self) -> "IntervalRule":
-        """The rule of the same family with twice the nodes."""
+        """The next finer rule of the same family."""
         return self.refiner()
 
     def to_unit(self, lam):
@@ -382,54 +397,40 @@ def graded_interval(a: float, b: float, n_panel: int = 16, levels: int = 6,
     half_len = 0.5 * (b - a)
     lefts = [a + half_len * ratio ** j for j in range(levels, 0, -1)]
     rights = [b - half_len * ratio ** j for j in range(1, levels + 1)]
-    edges = np.concatenate(([a], lefts, rights, [b]))
-    x, w = _leggauss(n_panel)
-    nodes, weights = [], []
-    for e0, e1 in zip(edges[:-1], edges[1:]):
-        nodes.append(0.5 * (e0 + e1) + 0.5 * (e1 - e0) * x)
-        weights.append(0.5 * (e1 - e0) * w)
+    nodes, weights = _panels(np.concatenate(([a], lefts, rights, [b])),
+                             n_panel)
     return IntervalRule(
-        a=float(a), b=float(b), nodes=np.concatenate(nodes),
-        weights=np.concatenate(weights),
+        a=float(a), b=float(b), nodes=nodes, weights=weights,
         refiner=lambda: graded_interval(a, b, 2 * n_panel, levels + 1, ratio))
 
 
 @dataclass(frozen=True)
-class Contour:
+class Contour(Rule):
     """Closed counterclockwise loop around [a, b] with complex weights.
 
     The loop is a stadium: two horizontal segments at distance r from the
     interval, closed by semicircular caps of radius r around the endpoints.
     Every point of the ideal curve is at distance exactly r from [a, b]
-    (shape constant kappa = 0); sampled points inherit this up to rounding.
+    (shape constant kappa = 0); the nodes inherit this up to rounding.
 
-    ``cweights`` approximate the contour integral:
-    oint f(z) dz ~= sum_j f(samples[j]) * cweights[j].
+    The nodes are points of the loop and the weights carry dz:
+    oint f(z) dz ~= sum_j f(nodes[j]) * weights[j].
     """
 
     a: float
     b: float
     r: float
-    samples: np.ndarray
-    cweights: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.samples.size
-
-    def integrate(self, values: np.ndarray) -> complex:
-        return np.asarray(values) @ self.cweights
 
     def winding_number(self, z0: complex) -> int:
-        """Winding of the sample polygon around z0."""
-        dz = self.samples - z0
+        """Winding of the polygon through the nodes around z0."""
+        dz = self.nodes - z0
         turns = np.angle(np.roll(dz, -1) / dz).sum() / (2.0 * np.pi)
         return int(np.rint(turns))
 
     def distance_to_segment(self) -> np.ndarray:
-        """Distance of each sample from the segment [a, b]."""
-        x = np.clip(self.samples.real, self.a, self.b)
-        return np.abs(self.samples - x)
+        """Distance of each node from the segment [a, b]."""
+        x = np.clip(self.nodes.real, self.a, self.b)
+        return np.abs(self.nodes - x)
 
     def refined(self) -> "Contour":
         """The loop at twice the node density."""
@@ -441,13 +442,16 @@ class Contour:
         return self.n / (2.0 * (self.b - self.a) + 2.0 * np.pi * self.r)
 
 
-def _gauss_panels(t0: float, t1: float, n_panels: int, q: int):
-    """Gauss-Legendre panels covering [t0, t1]; returns (nodes, weights)."""
+def _panels(edges: np.ndarray, q: int):
+    """q-point Gauss-Legendre panels between consecutive edges.
+
+    Returns (nodes, weights), panel by panel in the order of the edges;
+    each panel integrates polynomials of degree <= 2q - 1 exactly.
+    """
     x, w = _leggauss(q)
-    edges = np.linspace(t0, t1, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * (edges[1] - edges[0])
-    return (mid + half * x[None, :]).ravel(), np.tile(half * w, n_panels)
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
 
 
 def stadium_contour(a: float, b: float, r: float,
@@ -480,54 +484,46 @@ def stadium_contour(a: float, b: float, r: float,
     len_straight = b - a
     len_cap = np.pi * r
 
-    def panels_for(length):
-        return max(1, int(np.ceil(length * n_per_unit / q)),
-                   int(np.ceil(length / (1.5 * r))))
+    def cover(t0, t1, length):
+        n_panels = max(1, int(np.ceil(length * n_per_unit / q)),
+                       int(np.ceil(length / (1.5 * r))))
+        return _panels(np.linspace(t0, t1, n_panels + 1), q)
 
     zs, ws = [], []
 
     # bottom straight, left to right, at -ir
-    t, w = _gauss_panels(a, b, panels_for(len_straight), q)
+    t, w = cover(a, b, len_straight)
     zs.append(t - 1j * r)
     ws.append(w.astype(complex))
     # right cap around b, angle -pi/2 -> pi/2
-    th, w = _gauss_panels(-0.5 * np.pi, 0.5 * np.pi, panels_for(len_cap), q)
+    th, w = cover(-0.5 * np.pi, 0.5 * np.pi, len_cap)
     zs.append(b + r * np.exp(1j * th))
     ws.append(w * 1j * r * np.exp(1j * th))
     # top straight, right to left, at +ir
-    t, w = _gauss_panels(a, b, panels_for(len_straight), q)
+    t, w = cover(a, b, len_straight)
     zs.append((t + 1j * r)[::-1])
     ws.append(-w[::-1].astype(complex))
     # left cap around a, angle pi/2 -> 3 pi/2
-    th, w = _gauss_panels(0.5 * np.pi, 1.5 * np.pi, panels_for(len_cap), q)
+    th, w = cover(0.5 * np.pi, 1.5 * np.pi, len_cap)
     zs.append(a + r * np.exp(1j * th))
     ws.append(w * 1j * r * np.exp(1j * th))
 
     return Contour(a=float(a), b=float(b), r=float(r),
-                   samples=np.concatenate(zs), cweights=np.concatenate(ws))
+                   nodes=np.concatenate(zs), weights=np.concatenate(ws))
 
 
 @dataclass(frozen=True)
-class HalfLineRule:
+class HalfLineRule(Rule):
     """Rescaled Gauss-Laguerre rule for integrals over (0, inf).
 
     Built for integrands decaying like e^{-c s} times something smooth;
     callers keep slower-decaying exponential factors inside their kernel
     values rather than in the weights.
 
-    sum_j sweights[j] * g(snodes[j]) ~= int_0^inf g(s) ds.
+    sum_j weights[j] * g(nodes[j]) ~= int_0^inf g(s) ds.
     """
 
     c: float
-    snodes: np.ndarray
-    sweights: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.snodes.size
-
-    def integrate(self, values: np.ndarray) -> complex:
-        return np.asarray(values) @ self.sweights
 
     def refined(self) -> "HalfLineRule":
         """The rule with twice the nodes."""
@@ -590,4 +586,4 @@ def laguerre_halfline(n: int, c: float) -> HalfLineRule:
         # the largest node is 610 here; e^{-u} leaves the normal range at 708
         raise ParameterDomainError(f"half-line rule capped at n=160, got {n}")
     u, we = _gauss_laguerre(n)
-    return HalfLineRule(c=float(c), snodes=u / c, sweights=we / c)
+    return HalfLineRule(c=float(c), nodes=u / c, weights=we / c)

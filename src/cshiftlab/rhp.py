@@ -160,7 +160,7 @@ class ChiSolution:
         EL, ER = (v.reshape(rule.n, -1) for v in e_vectors(pd, grid, rule.nodes))
         self.FL = solve(left, EL)
         self.FR = solve(left.transposed(), ER)
-        ws2 = np.concatenate([grid.sweights, grid.sweights])
+        ws2 = np.concatenate([grid.weights, grid.weights])
         # (2 Ns, n) value arrays; E_L rows enter with the pairing weights
         self.FR_T = self.FR.T
         self.FL_W = self.FL * ws2[None, :]
@@ -205,7 +205,7 @@ class ChiSolution:
 
         so the n x n forms are built once and every point costs O(n^2).
         """
-        s3s = np.concatenate([self.grid.snodes, -self.grid.snodes])
+        s3s = np.concatenate([self.grid.nodes, -self.grid.nodes])
         EL_S = self.EL_W * s3s[None, :]
         diag_A = np.einsum("is,si->i", EL_S, self.FR_T)
         M = (EL_S @ self.ER_T) * (self.FL_W @ self.FR_T).T
@@ -235,7 +235,7 @@ class ChiSolution:
             # the +- difference is the rank-structured density itself
             FR = self.FR_at(lam0)
             EL, ER = (v.ravel() for v in e_vectors(pd, grid, lam0))
-            ws2 = np.concatenate([grid.sweights, grid.sweights])
+            ws2 = np.concatenate([grid.weights, grid.weights])
             target = -2j * np.pi * np.outer(FR, EL * ws2)
             resid2 = np.max(np.abs((chi_p - chi_m) - target))
             rows.append(DiagnosticRow("chi_p-chi_m rank form", lam0, 0.0,
@@ -280,16 +280,16 @@ class BetaSolution:
         self.pd, self.rule, self.grid, self.k, self.srh = pd, rule, grid, k, srh
         e = EPS_K[k]
         nodes = rule.nodes.astype(complex)
-        z = loop.samples
+        z = loop.nodes
         e_nodes, e_loop = exponents
         alpha_plus = np.exp(e * e_nodes)
 
         # right-hand side: alpha_{k;+}(lam) times the loop integral of
         # sqrt(c) e^{-c s/2 - i eps_k t s mu} / (alpha_k(mu) (mu - lam))
-        s = grid.snodes
+        s = grid.nodes
         A = np.sqrt(pd.c) * np.exp(-0.5 * pd.c * s[None, :]
                                    - 1j * e * pd.t * s[None, :] * z[:, None])
-        B = (loop.cweights / np.exp(e * e_loop))[None, :] \
+        B = (loop.weights / np.exp(e * e_loop))[None, :] \
             / (z[None, :] - nodes[:, None]) / (2j * np.pi)
         w_rhs = alpha_plus[:, None] * (B @ A)  # (n, Ns)
 
@@ -303,7 +303,7 @@ class BetaSolution:
         self.kit = CauchyKit(rule)
         self.tau_nodes = tau(k, pd, nodes)
         self.kappa_nodes = kappa_form(k, pd, grid, rule.nodes)
-        self._kappa_W = self.kappa_nodes * grid.sweights[None, :]
+        self._kappa_W = self.kappa_nodes * grid.weights[None, :]
 
     def beta(self, lam) -> np.ndarray:
         """beta_k(lam) = id - (1/2 i pi) C[tau_k rho_k (x) kappa_k](lam)."""
@@ -345,7 +345,7 @@ class BetaSolution:
 
 def _beta_exponents(srh: ScalarRH, rule: IntervalRule, loop: Contour):
     """ln alpha at the rule's nodes (+side) and on the loop."""
-    return srh.exponent(rule.nodes + 0j), srh.exponent(loop.samples)
+    return srh.exponent(rule.nodes + 0j), srh.exponent(loop.nodes)
 
 
 def _beta_defaults(pd: ProblemData, srh, loop):
@@ -409,7 +409,7 @@ class OperatorFactory:
         beta_inv = {k: np.linalg.inv(beta[k]) for k in (1, 2)}
         pd, grid = self.pd, self.grid
         left = {k: beta[k] @ m_vec(k, pd, grid, lam) for k in (1, 2)}
-        right = {k: (kappa_form(k, pd, grid, lam) * grid.sweights)
+        right = {k: (kappa_form(k, pd, grid, lam) * grid.weights)
                  @ beta_inv[k] for k in (1, 2)}
         core = {(j, l): np.outer(left[j], right[l])
                 for j in (1, 2) for l in (1, 2)}

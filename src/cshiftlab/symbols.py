@@ -166,7 +166,7 @@ def make_problem(a: float, b: float, c: float, t: complex, x: float,
 
     pd = ProblemData(a=float(a), b=float(b), c=float(c), t=t, x=float(x),
                      F=F, p=p)
-    loop = stadium_contour(a, b, safe_radius(pd)).samples
+    loop = stadium_contour(a, b, safe_radius(pd)).nodes
     for where, pts in (("interval", rule.nodes.astype(complex)),
                        ("contour", np.append(loop, loop[0]))):
         one_plus = 1.0 + F(pts)

@@ -106,15 +106,13 @@ class TestCriterion5Chf:
                 a *= rng.uniform(0.1, 1.0) / abs(a)
             z = rng.uniform(1.0, 10.0) * np.exp(
                 1j * rng.uniform(-np.pi, np.pi))
-            base = tricomi_psi(a, z, strict=False).value
-            up = tricomi_psi(a, z, sheet=+1, strict=False).value
-            dn = tricomi_psi(a, z, sheet=-1, strict=False).value
+            base = tricomi_psi(a, z).value
+            up = tricomi_psi(a, z, sheet=+1).value
+            dn = tricomi_psi(a, z, sheet=-1).value
             cross_up = tricomi_psi(1.0 - a, -z,
-                                   sheet=(1 if np.angle(z) > 0 else 0),
-                                   strict=False).value
+                                   sheet=(1 if np.angle(z) > 0 else 0)).value
             cross_dn = tricomi_psi(1.0 - a, -z,
-                                   sheet=(-1 if np.angle(z) < 0 else 0),
-                                   strict=False).value
+                                   sheet=(-1 if np.angle(z) < 0 else 0)).value
             g2 = gfun(a) ** 2
             r1 = abs(up - (np.exp(-2j * np.pi * a) * base
                            + 2j * np.pi * np.exp(-1j * np.pi * a + z) / g2
@@ -134,7 +132,7 @@ class TestCriterion5Chf:
             a = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             z = rng.uniform(0.5, 50.0) * np.exp(
                 1j * rng.uniform(-np.pi, np.pi))
-            worst = max(worst, tricomi_psi(a, z, strict=False).ode_residual())
+            worst = max(worst, tricomi_psi(a, z).ode_residual())
         report(5, "ODE residual", worst, 1e-6, worst < 1e-6)
 
     def test_overlap_agreement(self):

@@ -188,7 +188,7 @@ class TestPlainWeightsOffTheCut:
     @pytest.mark.parametrize("lam", [0.2 + 0.34j, 1.2072 + 0.1399j])
     def test_each_weight_matches_its_basis_transform(self, kit,
                                                      basis_transform, lam):
-        loop = stadium_contour(-1.0, 1.0, 0.25).samples
+        loop = stadium_contour(-1.0, 1.0, 0.25).nodes
         if abs(lam.real) > 1.0:
             lam = loop[np.argmin(np.abs(loop - lam))]
         with np.errstate(divide="raise", invalid="raise"):

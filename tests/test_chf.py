@@ -3,8 +3,10 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.special import exp1, gamma
 
+from cshiftlab import chf
 from cshiftlab.chf import (A_CAP, _asymptotic, _gamma, _laplace, tricomi_psi)
 from cshiftlab.errors import AccuracyError, BranchError, ParameterDomainError
+from cshiftlab.quadgrid import _leggauss
 
 #: exponent values used by the default symbol family
 NU = 1j * np.log(1.2) / (2 * np.pi)
@@ -17,7 +19,7 @@ def ode_continue(a, z0, direction, turns=1.0):
     Independent oracle for the monodromy relations: start from the
     principal value, integrate z y'' + (1-z) y' - a y = 0 along a circle.
     """
-    t0 = tricomi_psi(a, z0, strict=False)
+    t0 = tricomi_psi(a, z0)
     y0 = [t0.value, t0.dvalue]
 
     def rhs(th, y):
@@ -54,7 +56,7 @@ class TestPrincipalValues:
         for _ in range(40):
             a = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             z = rng.uniform(0.5, 60.0) * np.exp(1j * rng.uniform(-np.pi, np.pi))
-            te = tricomi_psi(a, z, strict=False)
+            te = tricomi_psi(a, z)
             assert te.ode_residual() < 1e-6
 
     def test_asymptotic_leading_term(self):
@@ -72,7 +74,7 @@ class TestMonodromy:
         for a, z0 in cases:
             for d in (+1, -1):
                 ref = ode_continue(a, z0, d)
-                got = tricomi_psi(a, z0, sheet=d, strict=False).value
+                got = tricomi_psi(a, z0, sheet=d).value
                 assert abs(got - ref) / max(abs(ref), 1.0) < 1e-8
 
     def test_residuals_of_both_connection_formulas(self):
@@ -85,19 +87,17 @@ class TestMonodromy:
             if abs(a) > 1:
                 a = a / abs(a) * rng.uniform(0.1, 1.0)
             z = rng.uniform(1.0, 10.0) * np.exp(1j * rng.uniform(-np.pi, np.pi))
-            up = tricomi_psi(a, z, sheet=+1, strict=False).value
-            dn = tricomi_psi(a, z, sheet=-1, strict=False).value
-            base = tricomi_psi(a, z, strict=False).value
+            up = tricomi_psi(a, z, sheet=+1).value
+            dn = tricomi_psi(a, z, sheet=-1).value
+            base = tricomi_psi(a, z).value
             g2 = gamma(a) ** 2
             rot = np.exp(-2j * np.pi * a)
             term = 2j * np.pi * np.exp(-1j * np.pi * a + z) / g2 \
-                * tricomi_psi(1.0 - a, -z, sheet=(1 if np.angle(z) > 0 else 0),
-                              strict=False).value
+                * tricomi_psi(1.0 - a, -z, sheet=(1 if np.angle(z) > 0 else 0)).value
             r1 = abs(up - (rot * base + term))
             term2 = 2j * np.pi * np.exp(1j * np.pi * a + z) / g2 \
                 * tricomi_psi(1.0 - a, -z,
-                              sheet=(-1 if np.angle(z) < 0 else 0),
-                              strict=False).value
+                              sheet=(-1 if np.angle(z) < 0 else 0)).value
             r2 = abs(dn - (base / rot - term2))
             scale = max(abs(up), abs(dn), 1.0)
             worst = max(worst, r1 / scale, r2 / scale)
@@ -109,7 +109,7 @@ class TestMonodromy:
         for a, z in [(0.25 - 0.7j, 3.0 + 1.0j), (1 - NU, 6.0j)]:
             ref = ode_continue(a, z, +1)
             back = ode_continue(a, z * np.exp(0j), -1)  # placeholder path
-            up = tricomi_psi(a, z, sheet=+1, strict=False).value
+            up = tricomi_psi(a, z, sheet=+1).value
             assert abs(up - ref) < 1e-8 * max(1.0, abs(ref))
             assert abs(tricomi_psi(a, z, sheet=0).value
                        - ode_continue(a, z, -1, turns=0.0)) < 1e-10
@@ -117,7 +117,7 @@ class TestMonodromy:
     def test_two_turns(self):
         a, z = 0.3, 2.0
         ref = ode_continue(a, z, +1, turns=2.0)
-        got = tricomi_psi(a, z, sheet=2, strict=False).value
+        got = tricomi_psi(a, z, sheet=2).value
         assert abs(got - ref) / abs(ref) < 1e-7
 
 
@@ -176,12 +176,11 @@ class TestErrors:
 
     def test_strict_overlap_budget(self):
         # one turn down near the switch radius the connection's e^z-weighted
-        # terms cancel, pushing its monitor over budget: strict mode raises
+        # terms cancel, pushing its monitor over budget: the value is refused
         bad = (0.4 + 0.95j, 23.0 * np.exp(-0.12j))
-        te = tricomi_psi(*bad, sheet=-1, strict=False)
-        assert te.route == "monodromy" and te.err > 1e-8
-        with pytest.raises(AccuracyError):
-            tricomi_psi(*bad, sheet=-1, strict=True)
+        with pytest.raises(AccuracyError, match="monodromy") as exc:
+            tricomi_psi(*bad, sheet=-1)
+        assert exc.value.estimate > 1e-8
 
 
 class TestSpecialFunctions:
@@ -270,3 +269,24 @@ class TestOracle:
                         abs(g - e) / max(abs(e), 1e-3)
                         for g, e in zip(got, ref)))
         assert 0.0 < worst_inner < 1e-12
+
+
+def _per_panel_formula(edges, q):
+    """The Laplace ray's panels as built panel by panel before _panels."""
+    x, w = _leggauss(q)
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return (((0.5 * (edges[:-1] + edges[1:]))[:, None] + half * x).ravel(),
+            (half * w).ravel())
+
+
+def test_laplace_values_match_the_per_panel_formula(monkeypatch):
+    # the shared panel routine leaves every Laplace value bitwise unchanged
+    rng = np.random.default_rng(21)
+    points = [(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+               rng.uniform(0.3, 30.0) * np.exp(1j * rng.uniform(-np.pi, np.pi)))
+              for _ in range(40)]
+    got = [chf._laplace_ray(a, z) for a, z in points]
+    monkeypatch.setattr(chf, "_panels", _per_panel_formula)
+    for (vals, err), (a, z) in zip(got, points):
+        ref_vals, ref_err = chf._laplace_ray(a, z)
+        assert np.array_equal(vals, ref_vals) and err == ref_err

@@ -444,6 +444,25 @@ class TestConfigAndCli:
         with pytest.raises(ParameterDomainError):
             load_config(str(path))
 
+    @pytest.mark.parametrize("key, value, shown", [
+        ("n_budget", "6e3", "6e3"), ("x_list", "50, 1oo", "1oo"),
+        ("x_list", "50, , 100", "50, , 100"), ("a", "-1,0", "-1,0"),
+        ("F.params", "0.2,", "0.2,")])
+    def test_malformed_value_rejected(self, tmp_path, key, value, shown):
+        # the error names the key and the value; before, a bare ValueError
+        # named neither, and an empty list item was dropped
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(ParameterDomainError) as exc:
+            load_config(str(path))
+        assert repr(key) in str(exc.value) and repr(shown) in str(exc.value)
+
+    def test_empty_params_is_the_empty_list(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text(CONFIG_TEXT.replace("OUT", str(tmp_path / "o.csv"))
+                        + "p.params =\n")
+        assert load_config(str(path)).p_params == ()
+
     def test_repeated_key_rejected(self, tmp_path):
         # the first value would be ignored: the file is rejected instead
         path = tmp_path / "cfg.txt"

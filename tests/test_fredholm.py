@@ -118,8 +118,7 @@ class TestLogdetUpdate:
     def test_singular_system_raises(self):
         rule = cl.gauss_interval(4, 0.0, 1.0)
         sys_ = NystromSystem(support=rule, kernel=None,
-                             matrix=np.zeros((4, 4)), nodes=rule.nodes,
-                             weights=rule.weights)
+                             matrix=np.zeros((4, 4)))
         with pytest.raises(NearSingularityError):
             logdet_update(sys_, np.ones((4, 1)), np.ones((4, 1)))
 
@@ -132,8 +131,7 @@ class TestViews:
         rule = cl.gauss_interval(n, -1.0, 1.0)
         rng = np.random.default_rng(5)
         A = np.eye(n) + 0.1 * rng.standard_normal((n, n))
-        sys_ = NystromSystem(support=rule, kernel=None, matrix=A,
-                             nodes=rule.nodes, weights=rule.weights)
+        sys_ = NystromSystem(support=rule, kernel=None, matrix=A)
         U, R = (0.1 * rng.standard_normal((n, m)) for _ in range(2))
         if complex_u:
             U = U + 0.1j * rng.standard_normal((n, m))
@@ -226,8 +224,7 @@ class TestSolve:
     def test_exactly_singular_matrix_is_near_singularity(self):
         # numpy's LinAlgError surfaces as the package's error type
         rule = cl.gauss_interval(4, 0.0, 1.0)
-        sys = NystromSystem(support=rule, kernel=None, matrix=np.zeros((4, 4)),
-                            nodes=rule.nodes, weights=rule.weights)
+        sys = NystromSystem(support=rule, kernel=None, matrix=np.zeros((4, 4)))
         with pytest.raises(NearSingularityError):
             cl.solve(sys, np.ones(4))
 

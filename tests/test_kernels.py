@@ -51,7 +51,7 @@ class TestDiagonal:
         kern, support = _kernel_case(name, pd_default, srh_default,
                                      loop_default, grid48)
         if isinstance(support, cl.Contour):
-            lams = support.samples[::37]
+            lams = support.nodes[::37]
         else:
             lams = np.array([0.0, 0.5, -0.8])
         for lam in lams:
@@ -70,7 +70,7 @@ class TestDiagonal:
         kern.diag = lambda lam: calls.append(lam)
         sys_ = cl.assemble(kern, support)
         assert calls == []
-        z, w = sys_.nodes, sys_.weights
+        z, w = support.nodes, support.weights
         K = kern.eval(z[:, None], z[None, :])
         assert np.array_equal(sys_.matrix, K * w + np.eye(z.size))
 
@@ -320,7 +320,7 @@ class TestLoopKernels:
 
     def test_k2_t1_explicit_form(self, pd_default, srh_default, loop_default):
         kern = u_kt(pd_default, 2, srh_default)
-        z = loop_default.samples[:6]
+        z = loop_default.nodes[:6]
         lam, mu = z[:, None], z[None, :]
         explicit = -srh_default.alpha(lam) / srh_default.alpha(mu + 1j) \
             / (2j * np.pi * ((mu - lam) + 1j))

@@ -15,18 +15,18 @@ class TestMVec:
         grid = cl.laguerre_halfline(24, 1.0)
         for k in (1, 2):
             v = cl.m_vec(k, pd, grid, 0.7)
-            assert v == pytest.approx(np.exp(-0.5 * grid.snodes), abs=1e-14)
+            assert v == pytest.approx(np.exp(-0.5 * grid.nodes), abs=1e-14)
 
     def test_sqrt_c_prefactor(self):
         pd = cl.make_problem(a=-1, b=1, c=4.0, t=1.0, x=5.0,
                              F=cl.constant_symbol(0.2), p=cl.identity_phase())
         grid = cl.laguerre_halfline(24, 4.0)
         v = cl.m_vec(1, pd, grid, 0.0)
-        assert v == pytest.approx(2.0 * np.exp(-2.0 * grid.snodes), abs=1e-14)
+        assert v == pytest.approx(2.0 * np.exp(-2.0 * grid.nodes), abs=1e-14)
 
     def test_unimodular_phase_for_real_lambda(self, pd_default, grid48):
         v = cl.m_vec(1, pd_default, grid48, 0.5)
-        assert np.abs(v) == pytest.approx(np.exp(-0.5 * grid48.snodes),
+        assert np.abs(v) == pytest.approx(np.exp(-0.5 * grid48.nodes),
                                           abs=1e-14)
 
     def test_growth_condition_raises(self, pd_default, grid48):
@@ -68,14 +68,14 @@ class TestEVectors:
         assert np.max(np.abs(ER)) > 0.0
 
     def test_diagonal_pairing_vanishes(self, pd_default, grid48):
-        ws2 = np.concatenate([grid48.sweights, grid48.sweights])
+        ws2 = np.concatenate([grid48.weights, grid48.weights])
         for lam in (0.37, -0.8):
             EL, ER = cl.e_vectors(pd_default, grid48, lam)
             assert abs((EL.ravel() * ws2) @ ER.ravel()) < 1e-12
 
     def test_reproduces_deformed_kernel(self, pd_default, grid48):
         vk = cl.v_t(pd_default)
-        ws2 = np.concatenate([grid48.sweights, grid48.sweights])
+        ws2 = np.concatenate([grid48.weights, grid48.weights])
         for lam, mu in [(0.3, -0.1), (0.9, 0.7)]:
             EL, _ = cl.e_vectors(pd_default, grid48, lam)
             _, ER = cl.e_vectors(pd_default, grid48, mu)
@@ -164,9 +164,9 @@ class TestSmoothingBound:
         # near-origin entries
         ch = chi_default.chi(2.0j)
         grid = chi_default.grid
-        w = np.tile(grid.sweights, 2)
+        w = np.tile(grid.weights, 2)
         kern = np.abs((ch - np.eye(2 * grid.n)) / w[None, :])
-        s = np.tile(grid.snodes, 2)
+        s = np.tile(grid.nodes, 2)
         bound = smoothing_bound(ch, grid)
         assert np.all(kern <= bound * np.exp(-0.25 * grid.c
                                              * (s[:, None] + s[None, :]))

@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from cshiftlab.errors import ParameterDomainError
-from cshiftlab.quadgrid import (_J0_ZEROS, _J1_SQUARED_AT_ZEROS,
-                                _gauss_laguerre, _leggauss, gauss_interval,
-                                graded_interval, laguerre_halfline,
-                                oscillation_nodes, safe_radius,
-                                stadium_contour, transplanted_interval)
+from cshiftlab.quadgrid import (_J0_ZEROS, _J1_SQUARED_AT_ZEROS, Contour,
+                                HalfLineRule, IntervalRule, Rule,
+                                _gauss_laguerre, _leggauss, _panels,
+                                gauss_interval, graded_interval,
+                                laguerre_halfline, oscillation_nodes,
+                                safe_radius, stadium_contour,
+                                transplanted_interval)
 from cshiftlab.symbols import constant_symbol, identity_phase, make_problem
 
 
@@ -214,26 +216,26 @@ class TestGradedInterval:
 class TestStadiumContour:
     def test_residue(self):
         loop = stadium_contour(-1.0, 1.0, 0.25)
-        val = loop.integrate(1.0 / loop.samples)
+        val = loop.integrate(1.0 / loop.nodes)
         assert abs(val - 2j * np.pi) < 1e-10 * 2 * np.pi
 
     def test_entire_integrand_vanishes(self):
         loop = stadium_contour(-1.0, 1.0, 0.25)
-        assert abs(loop.integrate(loop.samples)) < 1e-12
+        assert abs(loop.integrate(loop.nodes)) < 1e-12
 
     def test_second_order_pole(self):
         # oint dz/(z-1)^2 = 0; brute-force refinement confirms the value
         loop = stadium_contour(0.0, 2.0, 0.3)
-        val = loop.integrate(1.0 / (loop.samples - 1.0) ** 2)
+        val = loop.integrate(1.0 / (loop.nodes - 1.0) ** 2)
         fine = loop.refined().refined()
-        ref = fine.integrate(1.0 / (fine.samples - 1.0) ** 2)
+        ref = fine.integrate(1.0 / (fine.nodes - 1.0) ** 2)
         assert abs(val) < 1e-10
         assert abs(val - ref) < 1e-10
 
     def test_weights_sum_to_zero(self):
         loop = stadium_contour(-1.0, 1.0, 0.25)
         perimeter = 2 * 2.0 + 2 * np.pi * 0.25
-        assert abs(loop.cweights.sum()) < 1e-13 * perimeter
+        assert abs(loop.weights.sum()) < 1e-13 * perimeter
 
     def test_winding_number(self):
         loop = stadium_contour(-1.0, 1.0, 0.25)
@@ -252,8 +254,8 @@ class TestStadiumContour:
         loop = stadium_contour(-1.0, 1.0, 0.25)
         fine = loop.refined()
         f = lambda z: np.exp(z) / (z - 0.3)
-        assert abs(loop.integrate(f(loop.samples))
-                   - fine.integrate(f(fine.samples))) < 1e-12
+        assert abs(loop.integrate(f(loop.nodes))
+                   - fine.integrate(f(fine.nodes))) < 1e-12
 
     def test_safety_errors(self):
         with pytest.raises(ParameterDomainError):
@@ -280,32 +282,32 @@ class TestSafeRadius:
 class TestHalfLine:
     def test_exponential_moment(self):
         rule = laguerre_halfline(40, 1.0)
-        assert rule.integrate(np.exp(-rule.snodes)) == pytest.approx(
+        assert rule.integrate(np.exp(-rule.nodes)) == pytest.approx(
             1.0, abs=1e-12)
 
     def test_scaled_first_moment(self):
         rule = laguerre_halfline(40, 2.0)
-        val = rule.integrate(rule.snodes * np.exp(-2.0 * rule.snodes))
+        val = rule.integrate(rule.nodes * np.exp(-2.0 * rule.nodes))
         assert val == pytest.approx(0.25, abs=1e-10)
 
     def test_laplace_transform_of_cosine(self):
         # int e^{-s} cos(s) ds = 1/(1 + 1) = 1/2
         rule = laguerre_halfline(40, 1.0)
-        val = rule.integrate(np.exp(-rule.snodes) * np.cos(rule.snodes))
+        val = rule.integrate(np.exp(-rule.nodes) * np.cos(rule.nodes))
         assert val == pytest.approx(0.5, abs=1e-8)
 
     def test_refinement_stability(self):
         rule = laguerre_halfline(40, 1.0)
         fine = rule.refined()
         g = lambda s: np.exp(-s) * np.cos(s)
-        assert rule.integrate(g(rule.snodes)) == pytest.approx(
-            fine.integrate(g(fine.snodes)), abs=1e-10)
+        assert rule.integrate(g(rule.nodes)) == pytest.approx(
+            fine.integrate(g(fine.nodes)), abs=1e-10)
 
     @pytest.mark.parametrize("n", [16, 48, 64])
     def test_matches_newton_reference(self, n):
         # scipy's roots_laguerre: 2e-16 and 1.4e-13 at n = 48
         rule = laguerre_halfline(n, 1.0)
-        for u, we in zip(rule.snodes, rule.sweights):
+        for u, we in zip(rule.nodes, rule.weights):
             u_ref, we_ref = exact_laguerre_pair(n, u)
             assert abs(u / u_ref - 1.0) < 1e-14
             assert abs(we / we_ref - 1.0) < 2e-13
@@ -318,8 +320,8 @@ class TestHalfLine:
             we[0] = 0.0
         before = u.copy(), we.copy()
         rule = laguerre_halfline(24, 1.0)
-        rule.snodes[0] = 5.0
-        rule.sweights[:] = 2.0
+        rule.nodes[0] = 5.0
+        rule.weights[:] = 2.0
         assert np.array_equal(u, before[0]) and np.array_equal(we, before[1])
 
     def test_parameter_domain_errors(self):
@@ -327,3 +329,70 @@ class TestHalfLine:
             laguerre_halfline(0, 1.0)
         with pytest.raises(ParameterDomainError):
             laguerre_halfline(12, -1.0)
+
+
+#: every rule builder on [-1, 2] (c = 2.5 on the half-line), with an
+#: integrand and its known integral: the length b - a, oint 1 dz = 0,
+#: oint dz/z = 2 pi i and int_0^inf e^{-c s} ds = 1/c
+RULE_CASES = {
+    "gauss": (lambda: gauss_interval(40, -1.0, 2.0), np.ones_like, 3.0),
+    "transplanted": (lambda: transplanted_interval(40, -1.0, 2.0),
+                     np.ones_like, 3.0),
+    "graded": (lambda: graded_interval(-1.0, 2.0), np.ones_like, 3.0),
+    "stadium-1": (lambda: stadium_contour(-1.0, 2.0, 0.3), np.ones_like, 0.0),
+    "stadium-1/z": (lambda: stadium_contour(-1.0, 2.0, 0.3),
+                    lambda z: 1.0 / z, 2j * np.pi),
+    "laguerre": (lambda: laguerre_halfline(40, 2.5),
+                 lambda s: np.exp(-2.5 * s), 1.0 / 2.5),
+}
+
+
+class TestRuleContract:
+    """Every builder returns a Rule: nodes and weights and nothing else."""
+
+    @pytest.mark.parametrize("name", RULE_CASES)
+    def test_rule_integrates_its_known_measure(self, name):
+        build, f, exact = RULE_CASES[name]
+        rule = build()
+        assert isinstance(rule, Rule)
+        assert rule.n == rule.nodes.size == rule.weights.size
+        assert abs(rule.integrate(f(rule.nodes)) - exact) < 1e-13 * 2 * np.pi
+
+    def test_n_and_integrate_defined_once(self):
+        for cls in (IntervalRule, Contour, HalfLineRule):
+            assert issubclass(cls, Rule)
+            assert "n" not in vars(cls) and "integrate" not in vars(cls)
+
+
+class TestPanels:
+    @pytest.mark.parametrize("q", [2, 5, 16])
+    def test_each_panel_exact_to_degree_2q_minus_1(self, q):
+        edges = np.array([-1.0, -0.7, 0.1, 0.15, 2.0])
+        nodes, weights = _panels(edges, q)
+        assert nodes.size == weights.size == q * (edges.size - 1)
+        for j, (e0, e1) in enumerate(zip(edges[:-1], edges[1:])):
+            x, w = nodes[j * q:(j + 1) * q], weights[j * q:(j + 1) * q]
+            assert np.all((e0 < x) & (x < e1)) and np.all(np.diff(x) > 0)
+            for k in range(2 * q):
+                exact = (e1 ** (k + 1) - e0 ** (k + 1)) / (k + 1)
+                assert w @ x ** k == pytest.approx(exact, rel=1e-13,
+                                                   abs=1e-15)
+
+    @pytest.mark.parametrize("a, b, n_panel, levels, ratio", [
+        (-1.0, 1.0, 16, 6, 0.15), (0.0, 3.0, 32, 7, 0.15),
+        (-2.5, 0.7, 8, 3, 0.4)])
+    def test_graded_rule_matches_the_per_panel_formula(self, a, b, n_panel,
+                                                       levels, ratio):
+        # the panel routine is bitwise the panel-by-panel construction
+        half_len = 0.5 * (b - a)
+        edges = np.concatenate((
+            [a], [a + half_len * ratio ** j for j in range(levels, 0, -1)],
+            [b - half_len * ratio ** j for j in range(1, levels + 1)], [b]))
+        x, w = _leggauss(n_panel)
+        nodes = np.concatenate([0.5 * (e0 + e1) + 0.5 * (e1 - e0) * x
+                                for e0, e1 in zip(edges[:-1], edges[1:])])
+        weights = np.concatenate([0.5 * (e1 - e0) * w
+                                  for e0, e1 in zip(edges[:-1], edges[1:])])
+        rule = graded_interval(a, b, n_panel, levels, ratio)
+        assert np.array_equal(rule.nodes, nodes)
+        assert np.array_equal(rule.weights, weights)

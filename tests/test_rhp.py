@@ -111,9 +111,9 @@ class TestChi:
         # point, on loop points near the cut (r = 0.25) and far (r = 0.5)
         pd = cl.make_problem(a=-1, b=1, c=1.0, t=t, x=20.0, F=F, p=p)
         chi = cl.ChiSolution(pd, grid=grid48)
-        loops = [cl.stadium_contour(-1, 1, r).samples for r in (0.25, 0.5)]
+        loops = [cl.stadium_contour(-1, 1, r).nodes for r in (0.25, 0.5)]
         z = np.concatenate([zs[:: zs.size // 4][:4] for zs in loops])
-        s3s = np.concatenate([grid48.snodes, -grid48.snodes])
+        s3s = np.concatenate([grid48.nodes, -grid48.nodes])
         want = np.array([np.trace((chi.dchi(zk) * s3s) @ chi.chi_inv(zk))
                          for zk in z])
         got = chi.loop_trace(z)
@@ -188,7 +188,7 @@ class TestBeta:
         rule = cl.gauss_interval(64, -1.0, 1.0)
         pair = cl.solve_betas(pd_default, rule, grid48, srh_default,
                               loop_default)
-        assert sum(points) == 3 * rule.n + loop_default.samples.size
+        assert sum(points) == 3 * rule.n + loop_default.nodes.size
         monkeypatch.undo()
         for k in (1, 2):
             single = solve_beta(pd_default, rule, grid48, k, srh_default,

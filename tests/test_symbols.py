@@ -126,7 +126,7 @@ class TestAlpha:
         vals = []
         for r in (0.25, 0.125):
             loop = cl.stadium_contour(-1.0, 1.0, r)
-            vals.append(loop.integrate(srh_default.alpha(loop.samples)))
+            vals.append(loop.integrate(srh_default.alpha(loop.nodes)))
         assert abs(vals[0] - vals[1]) < 1e-8
 
     def test_jump_relation_on_interval(self, pd_default, srh_default):
