@@ -277,7 +277,7 @@ def resolvent_kernel(chi) -> KernelHandle:
     eval takes the derivative limit of the vanishing numerator.
     """
     pd = chi.pd
-    ws2 = np.concatenate([chi.grid.weights, chi.grid.weights])
+    ws2 = chi.grid.doubled.weights
 
     def numerator(lam, mu):
         return chi.FL_at(lam) @ (ws2 * chi.FR_at(mu))

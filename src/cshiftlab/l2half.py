@@ -107,8 +107,5 @@ def smoothing_bound(mat: np.ndarray, grid: HalfLineRule) -> float:
     of the objects they discretize, so this is their decay-pattern
     constant.
     """
-    w = np.tile(grid.weights, 2)
-    kernel = (mat - np.eye(2 * grid.n)) / w[None, :]
-    s = np.tile(grid.nodes, 2)
-    growth = np.exp(0.25 * grid.c * (s[:, None] + s[None, :]))
-    return float(np.max(np.abs(kernel) * growth))
+    kernel = (mat - np.eye(2 * grid.n)) / grid.doubled.weights[None, :]
+    return float(np.max(np.abs(kernel) * grid.growth))

@@ -24,6 +24,16 @@ cut of zeta.  That fixes A^2, the one factor that differs between the
 endpoints: zeta_a cuts outward, so A^2 = alpha0^2 e^{2 i pi m} with alpha
 continued across the interval; zeta_b cuts along the interval, where
 alpha^2 jumps together with zeta^{2m}, so A^2 = alpha^2.
+
+Every O block, and the lens factors' P and Q, is rank one on the same
+four factors: O_jl = alpha^{2(l-j)} l_j (x) r_l with l_k = beta_k m_k
+and r_l = kappa_l W beta_l^{-1}.  The two scalar problems are W-adjoint
+inverses of each other (kappa_1 = m_2, kappa_2 = m_1 and <m_2, m_1>_W = 1
+make J_2 = W^{-1} J_1^{-T} W, so beta_2 = W^{-1} beta_1^{-T} W by
+uniqueness), hence r_l = w o l_{3-l} up to the normalization
+<l_1, l_2>_W = 1: the factory takes all four from two beta matvecs
+(``rhp.Blocks``).  So the parametrix is I plus a 2x2 coefficient array
+on l_j (x) r_l, and L acts on that array alone.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ from .chf import _gamma, tricomi_psi
 from .errors import BranchError, ParameterDomainError
 from .l2half import smoothing_bound
 from .quadgrid import safe_radius
-from .rhp import OperatorFactory, _disk_probe_angles
+from .rhp import Blocks, OperatorFactory, _disk_probe_angles
 from .symbols import ProblemData, nu
 
 __all__ = ["zeta", "alpha0", "l_sector", "Parametrix", "build_parametrix"]
@@ -119,9 +129,15 @@ class Parametrix:
     _ROTATIONS = (-1, +1, -1, +1)
 
     def __call__(self, lam: complex, sector: int | None = None,
-                 blocks: dict | None = None) -> np.ndarray:
+                 blocks: Blocks | None = None) -> np.ndarray:
         """The parametrix at lam; ``blocks`` is ``factory.blocks(lam)``
-        when the caller has it already (the blocks do not depend on x)."""
+        when the caller has it already (the blocks do not depend on x).
+
+        Every O block is l_j (x) r_l (``rhp.Blocks``), so I + core is
+        I + sum_jl C_jl l_j (x) r_l for a 2x2 coefficient array C: the
+        confluent entries, b12 and b21, the zeta powers and alpha^{+-2},
+        less the identity's share of O_11 and O_22 on the diagonal.
+        """
         pd, fac = self.pd, self.factory
         s = 1 if self.endpoint == "a" else -1
         m = -s * complex(nu(pd, lam))
@@ -129,7 +145,7 @@ class Parametrix:
         if sector is None:
             sector = l_sector(float(np.angle(z)))
         blk = fac.blocks(lam) if blocks is None else blocks
-        O11, O12, O21, O22 = blk[1, 1], blk[1, 2], blk[2, 1], blk[2, 2]
+        l, r = blk.l, blk.r
 
         r11, r12, r21, r22 = self._ROTATIONS
         psi11 = _psi_cont(m, z, r11)
@@ -145,32 +161,39 @@ class Parametrix:
         else:
             S = np.exp(1j * self.x * pd.p(self.center)) \
                 * np.exp(2.0 * m * logz) / self._a_squared(lam, m,
-                                                           blk["exponent"])
+                                                           blk.exponent)
             spm = np.sin(np.pi * m)
             b12 = 1j * spm * _gamma(1.0 - m) ** 2 * S / np.pi
             b21 = 1j * np.pi / (spm * _gamma(-m) ** 2 * S)
 
-        psi_mat = np.block(
-            [[psi11 * O11, 1j * b12 * psi12 * O12],
-             [-1j * b21 * psi21 * O21, psi22 * O22]])
+        # the zeta diagonal by column: zeta^{+-m} e^{-i pi m/2}
         zf = np.exp(-1j * np.pi * m / 2.0)
-        n = fac.grid.n
-        zdiag = np.concatenate([np.full(n, np.exp(m * logz) * zf),
-                                np.full(n, np.exp(-m * logz) * zf)])
-        core = psi_mat * zdiag[None, :]
+        zcol = (np.exp(m * logz) * zf, np.exp(-m * logz) * zf)
+        coef = np.array([
+            [psi11 * zcol[0],
+             1j * b12 * psi12 * np.exp(2.0 * blk.exponent) * zcol[1]],
+            [-1j * b21 * psi21 * np.exp(-2.0 * blk.exponent) * zcol[0],
+             psi22 * zcol[1]]])
         if sector != 1:
             # right-multiply by L = J^{-s}; J is unipotent, so J^{-1} is J
-            # with its off-diagonal block negated
+            # with its off-diagonal block negated.  That block is
+            # e^{i ray x p} F/(1+F) l_src (x) r_other (src = 1 on the ray
+            # +pi/2, 2 on -pi/2), so L adds column src, times the pairing
+            # r_src . l_src, to the other column of C.
             ray = 1 if sector == 2 else -1
-            J = fac.jump_factor(lam, ray, self.x, blk)
-            if ray > 0:
-                core[:, n:] += core[:, :n] @ (-s * J[:n, n:])
-            else:
-                core[:, :n] += core[:, n:] @ (-s * J[n:, :n])
-        eye = np.eye(n, dtype=complex)
-        core[:n, :n] += eye - O11
-        core[n:, n:] += eye - O22
-        return core
+            g = -s * np.exp(1j * ray * self.x * pd.p(lam)) * blk.ratio
+            src = 0 if ray > 0 else 1
+            coef[:, 1 - src] += g * (r[src] @ l[src]) * coef[:, src]
+        coef[0, 0] -= 1.0
+        coef[1, 1] -= 1.0
+        n = fac.grid.n
+        out = np.empty((2 * n, 2 * n), dtype=complex)
+        for j in (0, 1):
+            for k in (0, 1):
+                np.outer(coef[j, k] * l[j], r[k],
+                         out=out[j * n:(j + 1) * n, k * n:(k + 1) * n])
+        out.flat[::2 * n + 1] += 1.0
+        return out
 
     def _a_squared(self, lam, m, e):
         """A^2 of the coefficients, chosen so that zeta^{2m} / A^2 is

@@ -5,14 +5,16 @@ sum_j weights[j] f(nodes[j]) approximating the integral of f.  Three
 supports appear throughout, each a subclass that adds only its geometry:
 a real interval [a, b] (``IntervalRule``), a closed loop around it in the
 complex plane (``Contour``), and the half-line (0, inf) carrying the
-e^{-c s} decay of all half-line kernels (``HalfLineRule``).  Every
-composite rule is laid by one routine, ``_panels``.
+e^{-c s} decay of all half-line kernels (``HalfLineRule``, which also
+builds, once, its doubled rule on L2(R+) + L2(R+) and the inverse decay
+pattern of the (2n, 2n) operators there).  Every composite rule is laid
+by one routine, ``_panels``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -528,6 +530,25 @@ class HalfLineRule(Rule):
     def refined(self) -> "HalfLineRule":
         """The rule with twice the nodes."""
         return laguerre_halfline(2 * self.n, self.c)
+
+    @cached_property
+    def doubled(self) -> Rule:
+        """The rule of L2(R+) + L2(R+): nodes and weights twice over,
+        component 1 first, as ``l2half`` stacks its (2n,) value vectors.
+        Built once per rule; its arrays are read-only."""
+        nodes, weights = np.tile(self.nodes, 2), np.tile(self.weights, 2)
+        nodes.flags.writeable = weights.flags.writeable = False
+        return Rule(nodes=nodes, weights=weights)
+
+    @cached_property
+    def growth(self) -> np.ndarray:
+        """e^{c (s + s')/4} over the doubled nodes, shape (2n, 2n): the
+        inverse of the decay pattern of the (2n, 2n) half-line operators
+        (``l2half.smoothing_bound``).  Built once per rule; read-only."""
+        s = self.doubled.nodes
+        out = np.exp(0.25 * self.c * (s[:, None] + s[None, :]))
+        out.flags.writeable = False
+        return out
 
 
 def _laguerre_scaled(n: int, u: np.ndarray):

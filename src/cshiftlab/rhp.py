@@ -6,7 +6,9 @@ solutions beta_k from the rho_k densities, the regular block operator O,
 the triangular factors P, Q entering the jump factorization, and the
 residual diagnostics used by the acceptance suite, including the
 small-norm probe along the deformed contour system.  Every operator
-value is a plain (2n, 2n) array on the half-line grid (``l2half``).
+value is a plain (2n, 2n) array on the half-line grid (``l2half``),
+except the blocks of O, P and Q at a point: those are rank one, and
+``Blocks`` keeps them as their factors.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "BetaSolution",
     "solve_beta",
     "solve_betas",
+    "Blocks",
     "OperatorFactory",
     "factorization_residual",
     "PiReport",
@@ -160,11 +163,11 @@ class ChiSolution:
         EL, ER = (v.reshape(rule.n, -1) for v in e_vectors(pd, grid, rule.nodes))
         self.FL = solve(left, EL)
         self.FR = solve(left.transposed(), ER)
-        ws2 = np.concatenate([grid.weights, grid.weights])
+        ws2 = grid.doubled.weights
         # (2 Ns, n) value arrays; E_L rows enter with the pairing weights
         self.FR_T = self.FR.T
-        self.FL_W = self.FL * ws2[None, :]
-        self.EL_W = EL * ws2[None, :]
+        self.FL_W = self.FL * ws2
+        self.EL_W = EL * ws2
         self.ER_T = ER.T
 
     def FR_at(self, mu) -> np.ndarray:
@@ -235,8 +238,7 @@ class ChiSolution:
             # the +- difference is the rank-structured density itself
             FR = self.FR_at(lam0)
             EL, ER = (v.ravel() for v in e_vectors(pd, grid, lam0))
-            ws2 = np.concatenate([grid.weights, grid.weights])
-            target = -2j * np.pi * np.outer(FR, EL * ws2)
+            target = -2j * np.pi * np.outer(FR, EL * grid.doubled.weights)
             resid2 = np.max(np.abs((chi_p - chi_m) - target))
             rows.append(DiagnosticRow("chi_p-chi_m rank form", lam0, 0.0,
                                       float(resid2), 1e-6))
@@ -313,6 +315,13 @@ class BetaSolution:
             / (2j * np.pi)
         return mat
 
+    def matvec(self, lam, v) -> np.ndarray:
+        """beta_k(lam) v without forming beta_k(lam): the Cauchy sum of the
+        rho_k density, v - rho_k^T ((w tau_k / 2 i pi) o (kappa_k W v))."""
+        w = self.kit.weights(lam)
+        return v - self.rho.T @ ((w * self.tau_nodes) * (self._kappa_W @ v)) \
+            / (2j * np.pi)
+
     def det_beta(self, lam) -> complex:
         return np.linalg.det(self.beta(lam))
 
@@ -382,11 +391,54 @@ def solve_betas(pd: ProblemData, rule: IntervalRule, grid: HalfLineRule,
 # the regular operator O, the triangular factors and the jump factorization
 
 
+@dataclass(frozen=True)
+class Blocks:
+    """O, P and Q at one point, kept as the rank-one factors they share.
+
+    Every block is l_j (x) r_l, j, l = 1, 2, on the half-line grid:
+    O_jl carries alpha^{2 (l - j)}, P = F/(1+F) l_1 (x) r_2 and
+    Q = -F/(1+F) l_2 (x) r_1.  Indexing forms a dense (Ns, Ns) block:
+    ``blk[j, l]`` for O_jl, ``blk["P"]`` and ``blk["Q"]``.
+
+    ``l`` holds l_k = beta_k m_k in row k - 1, ``r`` holds the one-forms
+    r_1 = w o l_2 / q and r_2 = w o l_1 / q (w the grid weights), so that
+    r_k . l_k = 1 to rounding.  ``q`` = <l_1, l_2>_W is 1 in the
+    continuum; q - 1 is the beta discretization error at the point.
+    ``exponent`` is ln alpha(lam) and ``ratio`` is F/(1+F).
+    """
+
+    l: np.ndarray
+    r: np.ndarray
+    q: complex
+    exponent: complex
+    ratio: complex
+
+    def __getitem__(self, key) -> np.ndarray:
+        if key == "P":
+            return self.ratio * np.outer(self.l[0], self.r[1])
+        if key == "Q":
+            return -self.ratio * np.outer(self.l[1], self.r[0])
+        j, k = key
+        return np.exp(2.0 * (k - j) * self.exponent) \
+            * np.outer(self.l[j - 1], self.r[k - 1])
+
+
 class OperatorFactory:
     """Evaluators for O, P, Q and the triangular jump factors.
 
     Bound to one ProblemData with both beta solutions; everything here is
     independent of x except the explicit e^{+- i x p} phases.
+
+    Every block is the rank-one (beta_j m_j) (x) (kappa_l W beta_l^{-1}),
+    and no inverse is needed for the one-forms: the two scalar problems
+    are W-adjoint inverses of each other.  kappa_1 = m_2, kappa_2 = m_1
+    and <m_2, m_1>_W = 1 give J_2 = W^{-1} J_1^{-T} W for their jumps,
+    and W^{-1} beta_1^{-T} W has J_2's jump and normalization, so by
+    uniqueness beta_2 = W^{-1} beta_1^{-T} W (det beta_2 = 1/det beta_1 =
+    alpha, as it must).  Hence kappa_l W beta_l^{-1} = w o (beta_{3-l}
+    m_{3-l}): two beta matvecs per point give every block (``Blocks``).
+    On the discretized betas the identity holds to their quadrature error,
+    which falls like n^-2 in the beta rule.
     """
 
     def __init__(self, pd: ProblemData, grid: HalfLineRule, srh: ScalarRH,
@@ -394,33 +446,17 @@ class OperatorFactory:
         self.pd, self.grid, self.srh = pd, grid, srh
         self.betas = {1: beta1, 2: beta2}
 
-    def blocks(self, lam) -> dict:
-        """O_jl under the keys (j, l), the triangular factors under "P", "Q".
-
-        Every block is the rank-one (beta_j m_j) (x) (kappa_l beta_l^{-1}),
-        with alpha^{+-2} on the off-diagonal O blocks, F/(1+F) on P (j, l =
-        1, 2) and -F/(1+F) on Q (2, 1), so one evaluation and one inversion
-        of each beta_k serve all six.  Those are returned too, under "beta"
-        and "beta_inv" (both keyed by k), with the exponent ln alpha(lam)
-        under "exponent", for callers that need them at the same point.
-        """
+    def blocks(self, lam) -> Blocks:
+        """The factors of O_jl, P and Q at lam (see ``Blocks``): two beta
+        matvecs, with no (Ns, Ns) matrix formed."""
         lam = complex(lam)
-        beta = {k: self.betas[k].beta(lam) for k in (1, 2)}
-        beta_inv = {k: np.linalg.inv(beta[k]) for k in (1, 2)}
-        pd, grid = self.pd, self.grid
-        left = {k: beta[k] @ m_vec(k, pd, grid, lam) for k in (1, 2)}
-        right = {k: (kappa_form(k, pd, grid, lam) * grid.weights)
-                 @ beta_inv[k] for k in (1, 2)}
-        core = {(j, l): np.outer(left[j], right[l])
-                for j in (1, 2) for l in (1, 2)}
-        e = self.srh.exponent(lam)
+        pd, w = self.pd, self.grid.weights
+        l = np.array([self.betas[k].matvec(lam, m_vec(k, pd, self.grid, lam))
+                      for k in (1, 2)])
+        q = (l[0] * l[1]) @ w
         Fv = complex(pd.F(lam))
-        return {(1, 1): core[1, 1], (2, 2): core[2, 2],
-                (1, 2): np.exp(2.0 * e) * core[1, 2],
-                (2, 1): np.exp(-2.0 * e) * core[2, 1],
-                "P": Fv / (1.0 + Fv) * core[1, 2],
-                "Q": -Fv / (1.0 + Fv) * core[2, 1],
-                "beta": beta, "beta_inv": beta_inv, "exponent": e}
+        return Blocks(l=l, r=l[::-1] * (w / q), q=q,
+                      exponent=self.srh.exponent(lam), ratio=Fv / (1.0 + Fv))
 
     def O(self, lam) -> np.ndarray:
         blk = self.blocks(lam)
@@ -433,22 +469,21 @@ class OperatorFactory:
         nv = complex(nu(self.pd, lam))
         off = blk[1, 2] if sign < 0 else blk[2, 1]
         return sign * 2j * np.exp(1j * np.pi * nv) * np.sin(np.pi * nv) \
-            * np.exp(sign * 2.0 * blk["exponent"]) * off
+            * np.exp(sign * 2.0 * blk.exponent) * off
 
-    def jump_factor(self, lam, side: int, x: float | None = None,
-                    blk: dict | None = None) -> np.ndarray:
+    def jump_factor(self, lam, side: int,
+                    x: float | None = None) -> np.ndarray:
         """The triangular jump factor at lam.
 
         side +1 gives M_up = [[id, P e^{i x p}], [0, id]], side -1 gives
         M_down^{-1} = [[id, 0], [-Q e^{-i x p}, id]].  x defaults to the
-        problem's; x = 0 gives the phase-free factor.  ``blk`` is
-        ``self.blocks(lam)`` when the caller has it already.  The factor
-        is unipotent: its inverse is itself with the off-diagonal block
+        problem's; x = 0 gives the phase-free factor.  The factor is
+        unipotent: its inverse is itself with the off-diagonal block
         negated.
         """
         x = self.pd.x if x is None else x
         lam = complex(lam)
-        blk = self.blocks(lam) if blk is None else blk
+        blk = self.blocks(lam)
         n = self.grid.n
         ph = np.exp(1j * side * x * self.pd.p(lam))
         mat = np.eye(2 * n, dtype=complex)
@@ -499,21 +534,24 @@ def factorization_residual(factory: OperatorFactory, lam0: float) -> float:
     G_chi(lam0) against
     diag(beta_{1;+}, beta_{2;+})^{-1} M_up(+) M_down(-) diag(beta_{1;-}, beta_{2;-}),
     the product taken at lam0 +- i delta and extrapolated by ``_one_sided``.
-    One ``factory.blocks`` call per point gives the betas, their inverses
-    and the triangular factor; M_down is the inverse of the side -1 factor.
+    Each point takes beta_k at lam0 + i delta and lam0 - i delta and one
+    inversion of each beta_{k;+}; M_down is the inverse of the side -1
+    factor.
     """
     n = factory.grid.n
 
-    def diag(b):
-        zero = np.zeros_like(b[1])
-        return np.block([[b[1], zero], [zero, b[2]]])
+    def diag(b1, b2):
+        out = np.zeros((2 * n, 2 * n), dtype=complex)
+        out[:n, :n], out[n:, n:] = b1, b2
+        return out
 
     def product(lam):
-        up, dn = factory.blocks(lam), factory.blocks(lam.conjugate())
-        upper = factory.jump_factor(lam, +1, blk=up)
-        lower = factory.jump_factor(lam.conjugate(), -1, blk=dn)
+        up = [np.linalg.inv(factory.betas[k].beta(lam)) for k in (1, 2)]
+        dn = [factory.betas[k].beta(lam.conjugate()) for k in (1, 2)]
+        upper = factory.jump_factor(lam, +1)
+        lower = factory.jump_factor(lam.conjugate(), -1)
         lower[n:, :n] *= -1.0
-        return (diag(up["beta_inv"]) @ upper) @ (lower @ diag(dn["beta"]))
+        return (diag(*up) @ upper) @ (lower @ diag(*dn))
 
     rhs = _one_sided(product, factory.pd, lam0, +1)
     G = g_chi(factory.pd, factory.grid, lam0)

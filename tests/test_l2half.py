@@ -176,3 +176,17 @@ class TestSmoothingBound:
             np.argmax(kern * np.exp(0.25 * grid.c * (s[:, None] + s[None, :]))),
             kern.shape)
         assert s[i] + s[j] < 5.0
+
+    def test_equals_the_per_call_formula_bitwise(self, chi_default):
+        # the doubled weights and e^{c(s+s')/4} are built once per grid;
+        # the bound is the one formed from scratch on every call
+        grid = cl.laguerre_halfline(48, 1.0)
+        for lam in (2.0j, 0.3 + 0.1j):
+            ch = chi_default.chi(lam)
+            w = np.tile(grid.weights, 2)
+            kernel = (ch - np.eye(2 * grid.n)) / w[None, :]
+            s = np.tile(grid.nodes, 2)
+            growth = np.exp(0.25 * grid.c * (s[:, None] + s[None, :]))
+            assert smoothing_bound(ch, grid) \
+                == float(np.max(np.abs(kernel) * growth))
+        assert grid.growth is grid.growth

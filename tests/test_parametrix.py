@@ -7,8 +7,9 @@ from scipy.optimize import brentq
 
 import cshiftlab as cl
 from cshiftlab.errors import BranchError, ParameterDomainError
-from cshiftlab.parametrix import (Parametrix, alpha0, build_parametrix,
-                                  l_sector, zeta)
+from cshiftlab.chf import _gamma
+from cshiftlab.parametrix import (Parametrix, _psi_cont, alpha0,
+                                  build_parametrix, l_sector, zeta)
 from cshiftlab.rhp import OperatorFactory, solve_beta
 
 
@@ -89,10 +90,10 @@ class TestParametrixInvariants:
         assert 0.25 < ratio < 1.0
 
     def test_beta_evaluated_once_per_point(self, pa, pb, monkeypatch):
-        # one evaluation and one inversion of each beta_k per call, in
-        # every sector: the O blocks and P/Q share them; the coefficient
-        # A^2 reuses the blocks' exponent ln alpha
-        calls = {"beta": 0, "inv": 0, "exponent": 0}
+        # one matvec with each beta_k per call, in every sector, and no
+        # beta matrix or inverse: the O blocks and P/Q share the two
+        # vectors; the coefficient A^2 reuses the blocks' exponent ln alpha
+        calls = {"beta": 0, "matvec": 0, "inv": 0, "exponent": 0}
 
         def spy(name, fn):
             def wrapped(*args, **kwargs):
@@ -102,15 +103,30 @@ class TestParametrixInvariants:
 
         monkeypatch.setattr(cl.BetaSolution, "beta",
                             spy("beta", cl.BetaSolution.beta))
+        monkeypatch.setattr(cl.BetaSolution, "matvec",
+                            spy("matvec", cl.BetaSolution.matvec))
         monkeypatch.setattr(np.linalg, "inv", spy("inv", np.linalg.inv))
         monkeypatch.setattr(cl.ScalarRH, "exponent",
                             spy("exponent", cl.ScalarRH.exponent))
         for px in (pa, pb):
             lam = px.center + 0.5 * px.radius * np.exp(0.7j)
             for sector in (1, 2, 3):
-                calls.update(beta=0, inv=0, exponent=0)
+                calls.update(beta=0, matvec=0, inv=0, exponent=0)
                 px(lam, sector=sector)
-                assert calls == {"beta": 2, "inv": 2, "exponent": 1}
+                assert calls == {"beta": 0, "matvec": 2, "inv": 0,
+                                 "exponent": 1}
+
+    @pytest.mark.parametrize("sector", [1, 2, 3])
+    def test_factored_assembly_matches_the_dense_one(self, pa, pb, sector):
+        # the coefficient array on l_j (x) r_l against dense block
+        # products; each sector at points in all three sectors
+        for px in (pa, pb):
+            for th in (0.3, 2.2, -2.2):
+                lam = px.center + 0.5 * px.radius * np.exp(1j * th)
+                want = _dense_parametrix(px, lam, sector)
+                got = px(lam, sector=sector)
+                assert np.max(np.abs(got - want)) \
+                    < 1e-13 * np.max(np.abs(want))
 
     def test_identity_for_zero_symbol(self, pd_zero, grid48):
         srh = cl.ScalarRH(pd_zero)
@@ -122,6 +138,43 @@ class TestParametrixInvariants:
         f = rng.normal(size=2 * grid48.n) + 1j * rng.normal(size=2 * grid48.n)
         lam = px.center + 0.1 * px.radius * np.exp(0.4j)
         assert np.max(np.abs(px(lam) @ f - f)) < 1e-8
+
+
+def _dense_parametrix(px, lam, sector):
+    """The parametrix assembled from dense O blocks: the 2x2 block array
+    of confluent entries times the zeta diagonal, right-multiplied by the
+    dense L = J^{-s} in sectors 2 and 3, plus the complement I - O_kk."""
+    pd, fac = px.pd, px.factory
+    s = 1 if px.endpoint == "a" else -1
+    m = -s * complex(cl.nu(pd, lam))
+    z = zeta(px.endpoint, pd, lam, px.x)
+    blk = fac.blocks(lam)
+    O11, O12, O21, O22 = blk[1, 1], blk[1, 2], blk[2, 1], blk[2, 2]
+    r11, r12, r21, r22 = px._ROTATIONS
+    logz = np.log(z)
+    S = np.exp(1j * px.x * pd.p(px.center)) * np.exp(2.0 * m * logz) \
+        / px._a_squared(lam, m, blk.exponent)
+    spm = np.sin(np.pi * m)
+    b12 = 1j * spm * _gamma(1.0 - m) ** 2 * S / np.pi
+    b21 = 1j * np.pi / (spm * _gamma(-m) ** 2 * S)
+    psi11, psi12 = _psi_cont(m, z, r11), _psi_cont(1.0 - m, z, r12)
+    psi21, psi22 = _psi_cont(1.0 + m, z, r21), _psi_cont(-m, z, r22)
+    psi_mat = np.block(
+        [[psi11 * O11, 1j * b12 * psi12 * O12],
+         [-1j * b21 * psi21 * O21, psi22 * O22]])
+    zf = np.exp(-1j * np.pi * m / 2.0)
+    n = fac.grid.n
+    zdiag = np.concatenate([np.full(n, np.exp(m * logz) * zf),
+                            np.full(n, np.exp(-m * logz) * zf)])
+    core = psi_mat * zdiag[None, :]
+    if sector != 1:
+        ray = 1 if sector == 2 else -1
+        J = fac.jump_factor(lam, ray, px.x)
+        if ray > 0:
+            core[:, n:] += core[:, :n] @ (-s * J[:n, n:])
+        else:
+            core[:, :n] += core[:, n:] @ (-s * J[n:, :n])
+    return core + block_diag(np.eye(n) - O11, np.eye(n) - O22)
 
 
 class _Psi22RotatedDown(Parametrix):

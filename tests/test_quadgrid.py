@@ -324,6 +324,20 @@ class TestHalfLine:
         rule.weights[:] = 2.0
         assert np.array_equal(u, before[0]) and np.array_equal(we, before[1])
 
+    def test_doubled_rule(self):
+        # the rule of L2(R+) + L2(R+): the arrays twice over, bitwise,
+        # built once and shared read-only
+        rule = laguerre_halfline(24, 1.5)
+        two = rule.doubled
+        assert np.array_equal(two.nodes, np.concatenate([rule.nodes] * 2))
+        assert np.array_equal(two.weights,
+                              np.concatenate([rule.weights] * 2))
+        assert rule.doubled is two
+        with pytest.raises(ValueError):
+            two.weights[0] = 0.0
+        with pytest.raises(ValueError):
+            rule.growth[0, 0] = 0.0
+
     def test_parameter_domain_errors(self):
         with pytest.raises(ParameterDomainError):
             laguerre_halfline(0, 1.0)

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 import cshiftlab as cl
 from cshiftlab.errors import (BoundaryLimitError, ExcludedCaseError,
                               NearSingularityError, ParameterDomainError)
-from cshiftlab.l2half import smoothing_bound
+from cshiftlab.l2half import kappa_form, m_vec, smoothing_bound
 from cshiftlab.rhp import (DiagnosticRow, OperatorFactory, _disk_probe_angles,
                            default_probes, factorization_residual, g_chi,
-                           pi_residual, solve_beta, summarize,
+                           pi_residual, solve_beta, solve_betas, summarize,
                            write_diagnostics)
 
 
@@ -274,6 +274,67 @@ class TestBeta:
             bs.verify()
 
 
+def _disk_probes(pd):
+    """The small-norm probe's disk points around both endpoints."""
+    ring = cl.safe_radius(pd) * np.exp(1j * _disk_probe_angles())
+    return np.concatenate([pd.a + ring, pd.b + ring])
+
+
+class TestBetaDuality:
+    """beta_2 = W^{-1} beta_1^{-T} W, the identity the factory blocks
+    stand on: it holds to beta's n^-2 quadrature error in every regime."""
+
+    @staticmethod
+    def gap(pd, n, weighted=True):
+        grid = cl.laguerre_halfline(48, pd.c)
+        betas = solve_betas(pd, cl.gauss_interval(n, pd.a, pd.b), grid)
+        scale = grid.weights[None, :] / grid.weights[:, None] \
+            if weighted else 1.0
+        worst = 0.0
+        for lam in _disk_probes(pd):
+            b2 = betas[2].beta(lam)
+            dual = np.linalg.inv(betas[1].beta(lam)).T * scale
+            worst = max(worst, np.max(np.abs(b2 - dual)) / np.max(np.abs(b2)))
+        return worst
+
+    @given(t=st.sampled_from([1.0, 0.7 - 0.05j]),
+           F=st.sampled_from([cl.constant_symbol(0.2),
+                              cl.poly_symbol([0.2, 0.1, -0.05]),
+                              cl.constant_symbol(0.2 + 0.3j)]),
+           p=st.sampled_from([cl.identity_phase(),
+                              cl.poly_phase([0.0, 1.0, 0.2])]),
+           b=st.sampled_from([1.0, 2.0]), c=st.sampled_from([0.7, 1.0]))
+    @settings(max_examples=8, deadline=None)
+    def test_gap_falls_like_the_beta_error(self, t, F, p, b, c):
+        # 0.8e-7 to 5.6e-7 at 192 nodes, about 4x less at 384
+        pd = cl.make_problem(a=-1.0, b=b, c=c, t=t, x=100.0, F=F, p=p)
+        coarse, fine = self.gap(pd, 192), self.gap(pd, 384)
+        assert coarse < 1e-6
+        assert coarse > 3.0 * fine
+        # negative control: without the weights the gap is O(1e-2)
+        assert self.gap(pd, 192, weighted=False) > 1e-2
+
+
+def _inverse_route(fac, lam):
+    """The blocks from the beta matrices and their inverses, as
+    (beta_j m_j) (x) (kappa_l W beta_l^{-1}) with the alpha^{+-2} and
+    +-F/(1+F) prefactors: the route the factors replace."""
+    pd, grid = fac.pd, fac.grid
+    beta = {k: fac.betas[k].beta(lam) for k in (1, 2)}
+    left = {k: beta[k] @ m_vec(k, pd, grid, lam) for k in (1, 2)}
+    right = {k: (kappa_form(k, pd, grid, lam) * grid.weights)
+             @ np.linalg.inv(beta[k]) for k in (1, 2)}
+    core = {(j, l): np.outer(left[j], right[l]) for j in (1, 2)
+            for l in (1, 2)}
+    e = fac.srh.exponent(lam)
+    Fv = complex(pd.F(lam))
+    return {(1, 1): core[1, 1], (2, 2): core[2, 2],
+            (1, 2): np.exp(2.0 * e) * core[1, 2],
+            (2, 1): np.exp(-2.0 * e) * core[2, 1],
+            "P": Fv / (1.0 + Fv) * core[1, 2],
+            "Q": -Fv / (1.0 + Fv) * core[2, 1]}
+
+
 class TestRegimes:
     """The verify() streams of chi, beta_1, beta_2 and O/P/Q and the jump
     factorization away from the default problem, at x = 30."""
@@ -300,6 +361,40 @@ class TestOperatorFactory:
     def test_invariants(self, factory_default):
         failed = [r for r in factory_default.verify() if not r.passed]
         assert failed == []
+
+    @pytest.mark.parametrize("F", [0.2, -0.5, 0.2 + 0.3j])
+    def test_blocks_match_the_inverse_route(self, grid48, F):
+        # the dual one-forms differ from kappa W beta^{-1} by beta's own
+        # error, which q - 1 measures at the point: within 2.5 |q - 1|
+        # at 192 nodes on these probes
+        pd = cl.make_problem(a=-1.0, b=1.0, c=1.0, t=1.0, x=100.0,
+                             F=cl.constant_symbol(F), p=cl.identity_phase())
+        srh = cl.ScalarRH(pd)
+        betas = solve_betas(pd, cl.gauss_interval(192, pd.a, pd.b), grid48,
+                            srh)
+        fac = OperatorFactory(pd, grid48, srh, betas[1], betas[2])
+        for lam in list(_disk_probes(pd)) + fac.near_probes():
+            blk, want = fac.blocks(lam), _inverse_route(fac, lam)
+            assert 0.0 < abs(blk.q - 1.0) < 1e-5
+            for key, ref in want.items():
+                gap = np.max(np.abs(blk[key] - ref)) / np.max(np.abs(ref))
+                assert gap < 10.0 * abs(blk.q - 1.0), key
+
+    def test_blocks_form_no_beta_matrix_or_inverse(self, factory_default,
+                                                   monkeypatch):
+        def refuse(name):
+            def wrapped(*args, **kwargs):
+                raise AssertionError(f"blocks called {name}")
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "inv", refuse("inv"))
+        monkeypatch.setattr(np.linalg, "solve", refuse("solve"))
+        monkeypatch.setattr(cl.BetaSolution, "beta", refuse("beta"))
+        blk = factory_default.blocks(0.2 + 0.1j)
+        assert blk.l.shape == blk.r.shape == (2, factory_default.grid.n)
+        # r_k . l_k = 1 by construction, so O_12 O_21 = O_11 to rounding
+        assert np.allclose(np.einsum("ks,ks->k", blk.r, blk.l), 1.0,
+                           rtol=0.0, atol=1e-14)
 
     def test_composition_law(self, factory_default):
         blk = factory_default.blocks(0.2 + 0.1j)
@@ -335,9 +430,9 @@ class TestOperatorFactory:
 
     def test_factorization_evaluates_beta_once_per_point(
             self, pd_default, grid48, factory_default, monkeypatch):
-        # each one-sided point lam0 +- i delta takes one evaluation and one
-        # inversion of each beta_k; the diagonal factors and M_up/M_down
-        # share them through the factory blocks
+        # each one-sided point lam0 +- i delta takes one evaluation of each
+        # beta_k for the diagonal factors, and each beta_{k;+} one
+        # inversion; M_up/M_down take their factors from beta matvecs
         calls = {"beta": 0, "inv": 0}
 
         def spy(name, fn):
@@ -351,7 +446,7 @@ class TestOperatorFactory:
         monkeypatch.setattr(np.linalg, "inv", spy("inv", np.linalg.inv))
         factorization_residual(factory_default, 0.3)
         points = 2 * len(cl.symbols.DELTA_SCHEDULE)
-        assert calls == {"beta": 2 * points, "inv": 2 * points}
+        assert calls == {"beta": 2 * points, "inv": points}
 
     def test_verify_evaluates_blocks_once_per_point(self, factory_default,
                                                     monkeypatch):
