@@ -50,3 +50,4 @@ for x in rep.xs:
           f"disk b {rep.disk_max[('b', x)]:.2e}")
 print("fitted disk decay exponent:", rep.fitted_exponent,
       " (pattern eps - 1 =", rep.eps - 1.0, ")")
+print(f"worst beta error |q - 1| over the probe points: {rep.beta_defect:.2e}")

@@ -80,6 +80,17 @@ class TricomiEval:
                     abs(self.a * self.value), 1e-300)
         return abs(r) / scale
 
+    def lowered(self) -> complex:
+        """Psi(a - 1, 1; z) on the same sheet, from this value and slope.
+
+        z Psi'(a) = a^2 Psi(a+1) - a Psi(a) turns the contiguous relation
+        Psi(a-1) = (2a - 1 + z) Psi(a) - a^2 Psi(a+1) (DLMF 13.3.7) into
+        Psi(a-1) = (a - 1 + z) Psi(a) - z Psi'(a).  Both hold on every
+        sheet, there is no division, and the step runs downward in a, the
+        stable direction of the recurrence ``_laplace`` already uses.
+        """
+        return (self.a - 1.0 + self.z) * self.value - self.z * self.dvalue
+
 
 def _is_nonpos_int(a: complex) -> bool:
     return abs(a.imag) == 0.0 and a.real <= 0 and a.real == int(a.real)

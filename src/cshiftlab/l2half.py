@@ -26,6 +26,7 @@ __all__ = [
     "e_vectors",
     "rank_one",
     "smoothing_bound",
+    "factor_bound",
 ]
 
 
@@ -105,7 +106,23 @@ def smoothing_bound(mat: np.ndarray, grid: HalfLineRule) -> float:
     The kernel values of K are mat - I with the weights divided out.  The
     jump and solution operators inherit the e^{-c(s+s')/4} decay pattern
     of the objects they discretize, so this is their decay-pattern
-    constant.
+    constant.  This dense form is the definition; ``factor_bound`` gives
+    the same number from the factors of a block-rank-one operator.
     """
     kernel = (mat - np.eye(2 * grid.n)) / grid.doubled.weights[None, :]
     return float(np.max(np.abs(kernel) * grid.growth))
+
+
+def factor_bound(coef: np.ndarray, l: np.ndarray, r: np.ndarray,
+                 grid: HalfLineRule) -> float:
+    """``smoothing_bound`` of I + sum_jk coef[j, k] l_j (x) r_k in O(n).
+
+    ``l`` and ``r`` hold the vectors and one-forms l_1, l_2 and r_1, r_2
+    in their rows.  Block (j, k) of the kernel is coef[j, k] l_j(s)
+    r_k(s') / w(s'), rank one, so with g = e^{c s/4} its bound is exactly
+    |coef[j, k]| max |l_j g| max |r_k g / w|.
+    """
+    g = np.exp(0.25 * grid.c * grid.nodes)
+    lg = np.max(np.abs(l) * g, axis=1)
+    rg = np.max(np.abs(r) * (g / grid.weights), axis=1)
+    return float(np.max(np.abs(coef) * lg[:, None] * rg[None, :]))

@@ -14,16 +14,23 @@ exactly, which is what the jump-residual diagnostics verify.
 The two endpoints are one construction: the second is the first with the
 exponent nu negated.  With the endpoint sign s = +1 at a and -1 at b and
 m = -s nu, the entries are Psi(m), Psi(1 - m), Psi(1 + m), Psi(-m) at
-argument rotations -1, +1, -1, +1, the zeta diagonal is
-[zeta^m, zeta^-m] e^{-i pi m/2}, and L = J^{-s} in sectors 2 and 3, J the
-triangular jump factor of the lens ray bounding the sector
-(``OperatorFactory.jump_factor``: M_up on the ray +pi/2, M_down^{-1} on
--pi/2); L is the identity in sector 1.  The off-diagonal coefficients carry
-S = e^{i x p(endpoint)} zeta^{2m} / A^2, which must be analytic across the
-cut of zeta.  That fixes A^2, the one factor that differs between the
-endpoints: zeta_a cuts outward, so A^2 = alpha0^2 e^{2 i pi m} with alpha
-continued across the interval; zeta_b cuts along the interval, where
-alpha^2 jumps together with zeta^{2m}, so A^2 = alpha^2.
+argument rotations -1, +1, -1, +1.  Each column is a pair (Psi(a),
+Psi(a + 1)) at one argument, (m, 1 + m) at e^{-i pi/2} zeta and
+(-m, 1 - m) at e^{+i pi/2} zeta, so a point takes two Tricomi
+evaluations, of Psi(1 +- m) with their slopes; the index relation
+Psi(a) = (a + z) Psi(a+1) - z Psi'(a+1) (DLMF 13.3.7 with
+z Psi'(a) = a^2 Psi(a+1) - a Psi(a); ``TricomiEval.lowered``) gives
+Psi(+-m) with no division, in the downward direction in a that is
+stable for U.  The zeta diagonal is [zeta^m, zeta^-m] e^{-i pi m/2},
+and L = J^{-s} in sectors 2 and 3, J the triangular jump factor of the
+lens ray bounding the sector (``OperatorFactory.jump_factor``: M_up on
+the ray +pi/2, M_down^{-1} on -pi/2); L is the identity in sector 1.
+The off-diagonal coefficients carry S = e^{i x p(endpoint)} zeta^{2m} /
+A^2, which must be analytic across the cut of zeta.  That fixes A^2, the
+one factor that differs between the endpoints: zeta_a cuts outward, so
+A^2 = alpha0^2 e^{2 i pi m} with alpha continued across the interval;
+zeta_b cuts along the interval, where alpha^2 jumps together with
+zeta^{2m}, so A^2 = alpha^2.
 
 Every O block, and the lens factors' P and Q, is rank one on the same
 four factors: O_jl = alpha^{2(l-j)} l_j (x) r_l with l_k = beta_k m_k
@@ -33,7 +40,10 @@ make J_2 = W^{-1} J_1^{-T} W, so beta_2 = W^{-1} beta_1^{-T} W by
 uniqueness), hence r_l = w o l_{3-l} up to the normalization
 <l_1, l_2>_W = 1: the factory takes all four from two beta matvecs
 (``rhp.Blocks``).  So the parametrix is I plus a 2x2 coefficient array
-on l_j (x) r_l, and L acts on that array alone.
+on l_j (x) r_l, and L acts on that array alone.  Every block of the
+value less I is then rank one, so its decay-pattern bound is exact from
+the factors in O(n) (``Parametrix.decay_bound``); the dense (2n, 2n)
+value is formed only when asked for.
 """
 
 from __future__ import annotations
@@ -42,9 +52,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chf import _gamma, tricomi_psi
+from .chf import TricomiEval, _gamma, tricomi_psi
 from .errors import BranchError, ParameterDomainError
-from .l2half import smoothing_bound
+from .l2half import factor_bound
 from .quadgrid import safe_radius
 from .rhp import Blocks, OperatorFactory, _disk_probe_angles
 from .symbols import ProblemData, nu
@@ -100,7 +110,7 @@ def l_sector(phi: float) -> int:
     return 2 if phi > 0 else 3
 
 
-def _psi_cont(a: complex, zt: complex, rot: int) -> complex:
+def _psi_cont(a: complex, zt: complex, rot: int) -> TricomiEval:
     """Psi(a, 1; e^{rot i pi/2} zeta) with the argument tracked continuously.
 
     The total argument arg(zeta) + rot pi/2 ranges over (-3 pi/2, 3 pi/2);
@@ -111,7 +121,7 @@ def _psi_cont(a: complex, zt: complex, rot: int) -> complex:
     z = (1j * rot) * zt
     total = np.angle(zt) + rot * np.pi / 2.0
     sheet = int(np.rint((total - np.angle(z)) / (2.0 * np.pi)))
-    return tricomi_psi(a, z, sheet=sheet).value
+    return tricomi_psi(a, z, sheet=sheet)
 
 
 @dataclass
@@ -125,16 +135,29 @@ class Parametrix:
     pd: ProblemData
     factory: OperatorFactory
 
-    #: argument rotations of the (1,1), (1,2), (2,1), (2,2) confluent entries
-    _ROTATIONS = (-1, +1, -1, +1)
+    #: argument rotation of each column's confluent pair: e^{-i pi/2} zeta
+    #: for (Psi(m), Psi(1 + m)), e^{+i pi/2} zeta for (Psi(1 - m), Psi(-m))
+    _ROTATIONS = (-1, +1)
 
-    def __call__(self, lam: complex, sector: int | None = None,
-                 blocks: Blocks | None = None) -> np.ndarray:
-        """The parametrix at lam; ``blocks`` is ``factory.blocks(lam)``
-        when the caller has it already (the blocks do not depend on x).
+    def _confluent(self, m: complex, z: complex) -> np.ndarray:
+        """The confluent entries [[Psi(m), Psi(1 - m)], [Psi(1 + m), Psi(-m)]].
 
-        Every O block is l_j (x) r_l (``rhp.Blocks``), so I + core is
-        I + sum_jl C_jl l_j (x) r_l for a 2x2 coefficient array C: the
+        One evaluation per column, at parameter 1 +- m; the column's other
+        entry is its ``TricomiEval.lowered`` value.
+        """
+        r1, r2 = self._ROTATIONS
+        col1 = _psi_cont(1.0 + m, z, r1)
+        col2 = _psi_cont(1.0 - m, z, r2)
+        return np.array([[col1.lowered(), col2.value],
+                         [col1.value, col2.lowered()]])
+
+    def coefficients(self, lam: complex, sector: int | None = None,
+                     blocks: Blocks | None = None
+                     ) -> tuple[np.ndarray, Blocks]:
+        """(C, blk): the parametrix at lam is I + sum_jk C_jk l_j (x) r_k.
+
+        ``blk`` is ``factory.blocks(lam)``, or ``blocks`` when the caller
+        has it already (the blocks do not depend on x).  C holds the
         confluent entries, b12 and b21, the zeta powers and alpha^{+-2},
         less the identity's share of O_11 and O_22 on the diagonal.
         """
@@ -146,12 +169,6 @@ class Parametrix:
             sector = l_sector(float(np.angle(z)))
         blk = fac.blocks(lam) if blocks is None else blocks
         l, r = blk.l, blk.r
-
-        r11, r12, r21, r22 = self._ROTATIONS
-        psi11 = _psi_cont(m, z, r11)
-        psi12 = _psi_cont(1.0 - m, z, r12)
-        psi21 = _psi_cont(1.0 + m, z, r21)
-        psi22 = _psi_cont(-m, z, r22)
 
         logz = np.log(z)
         # b12 b21 = -m^2
@@ -168,12 +185,10 @@ class Parametrix:
 
         # the zeta diagonal by column: zeta^{+-m} e^{-i pi m/2}
         zf = np.exp(-1j * np.pi * m / 2.0)
-        zcol = (np.exp(m * logz) * zf, np.exp(-m * logz) * zf)
-        coef = np.array([
-            [psi11 * zcol[0],
-             1j * b12 * psi12 * np.exp(2.0 * blk.exponent) * zcol[1]],
-            [-1j * b21 * psi21 * np.exp(-2.0 * blk.exponent) * zcol[0],
-             psi22 * zcol[1]]])
+        zcol = np.array([np.exp(m * logz) * zf, np.exp(-m * logz) * zf])
+        e2 = np.exp(2.0 * blk.exponent)
+        coef = self._confluent(m, z) * zcol \
+            * np.array([[1.0, 1j * b12 * e2], [-1j * b21 / e2, 1.0]])
         if sector != 1:
             # right-multiply by L = J^{-s}; J is unipotent, so J^{-1} is J
             # with its off-diagonal block negated.  That block is
@@ -184,16 +199,27 @@ class Parametrix:
             g = -s * np.exp(1j * ray * self.x * pd.p(lam)) * blk.ratio
             src = 0 if ray > 0 else 1
             coef[:, 1 - src] += g * (r[src] @ l[src]) * coef[:, src]
-        coef[0, 0] -= 1.0
-        coef[1, 1] -= 1.0
-        n = fac.grid.n
+        return coef - np.eye(2), blk
+
+    def __call__(self, lam: complex, sector: int | None = None,
+                 blocks: Blocks | None = None) -> np.ndarray:
+        """The parametrix at lam, a (2n, 2n) array: I plus four outer
+        products of the ``coefficients``."""
+        coef, blk = self.coefficients(lam, sector, blocks)
+        n = self.factory.grid.n
         out = np.empty((2 * n, 2 * n), dtype=complex)
         for j in (0, 1):
             for k in (0, 1):
-                np.outer(coef[j, k] * l[j], r[k],
+                np.outer(coef[j, k] * blk.l[j], blk.r[k],
                          out=out[j * n:(j + 1) * n, k * n:(k + 1) * n])
         out.flat[::2 * n + 1] += 1.0
         return out
+
+    def decay_bound(self, lam: complex, blocks: Blocks | None = None) -> float:
+        """``smoothing_bound`` of the parametrix at lam, from the factors
+        of its ``coefficients`` in O(n) (``l2half.factor_bound``)."""
+        coef, blk = self.coefficients(lam, blocks=blocks)
+        return factor_bound(coef, blk.l, blk.r, self.factory.grid)
 
     def _a_squared(self, lam, m, e):
         """A^2 of the coefficients, chosen so that zeta^{2m} / A^2 is
@@ -278,7 +304,7 @@ class Parametrix:
         worst = 0.0
         for th in _disk_probe_angles():
             lam = self.center + self.radius * np.exp(1j * th)
-            worst = max(worst, smoothing_bound(self(lam), self.factory.grid))
+            worst = max(worst, self.decay_bound(lam))
         return worst
 
 

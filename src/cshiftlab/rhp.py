@@ -20,11 +20,11 @@ from typing import Callable
 import numpy as np
 
 from .cauchy import CauchyKit
-from .errors import (ExcludedCaseError, NearSingularityError,
-                     ParameterDomainError)
+from .errors import (ExcludedCaseError, GridMismatchError,
+                     NearSingularityError, ParameterDomainError)
 from .fredholm import NystromSystem, assemble, solve
 from .kernels import k_kt, shift_factors, v0, v_t
-from .l2half import e_vectors, kappa_form, m_vec, rank_one, smoothing_bound
+from .l2half import e_vectors, factor_bound, kappa_form, m_vec, rank_one
 from .quadgrid import (Contour, HalfLineRule, IntervalRule, gauss_interval,
                        laguerre_halfline, oscillation_nodes, safe_radius,
                        stadium_contour)
@@ -315,10 +315,12 @@ class BetaSolution:
             / (2j * np.pi)
         return mat
 
-    def matvec(self, lam, v) -> np.ndarray:
+    def matvec(self, lam, v, weights=None) -> np.ndarray:
         """beta_k(lam) v without forming beta_k(lam): the Cauchy sum of the
-        rho_k density, v - rho_k^T ((w tau_k / 2 i pi) o (kappa_k W v))."""
-        w = self.kit.weights(lam)
+        rho_k density, v - rho_k^T ((w tau_k / 2 i pi) o (kappa_k W v)).
+        ``weights`` are the rule's Cauchy weights w at lam
+        (``kit.weights(lam)``) when the caller has them already."""
+        w = self.kit.weights(lam) if weights is None else weights
         return v - self.rho.T @ ((w * self.tau_nodes) * (self._kappa_W @ v)) \
             / (2j * np.pi)
 
@@ -413,6 +415,14 @@ class Blocks:
     exponent: complex
     ratio: complex
 
+    def jump_coefficients(self, side: int) -> np.ndarray:
+        """The phase-free triangular jump factor less I as a 2x2 array on
+        l_j (x) r_l: F/(1+F) on l_1 (x) r_2 for side +1 (P), on l_2 (x) r_1
+        for side -1 (-Q)."""
+        coef = np.zeros((2, 2), dtype=complex)
+        coef[int(side < 0), int(side > 0)] = self.ratio
+        return coef
+
     def __getitem__(self, key) -> np.ndarray:
         if key == "P":
             return self.ratio * np.outer(self.l[0], self.r[1])
@@ -439,20 +449,31 @@ class OperatorFactory:
     m_{3-l}): two beta matvecs per point give every block (``Blocks``).
     On the discretized betas the identity holds to their quadrature error,
     which falls like n^-2 in the beta rule.
+
+    Both betas must be solved on one interval rule (GridMismatchError
+    otherwise): the two matvecs of a point share its Cauchy weights.
     """
 
     def __init__(self, pd: ProblemData, grid: HalfLineRule, srh: ScalarRH,
                  beta1: BetaSolution, beta2: BetaSolution):
+        r1, r2 = beta1.rule, beta2.rule
+        if not (np.array_equal(r1.nodes, r2.nodes)
+                and np.array_equal(r1.weights, r2.weights)):
+            raise GridMismatchError(
+                "beta_1 and beta_2 must be solved on the same interval rule")
         self.pd, self.grid, self.srh = pd, grid, srh
         self.betas = {1: beta1, 2: beta2}
+        self.kit = beta1.kit
 
     def blocks(self, lam) -> Blocks:
         """The factors of O_jl, P and Q at lam (see ``Blocks``): two beta
-        matvecs, with no (Ns, Ns) matrix formed."""
+        matvecs on one set of Cauchy weights, with no (Ns, Ns) matrix
+        formed."""
         lam = complex(lam)
         pd, w = self.pd, self.grid.weights
-        l = np.array([self.betas[k].matvec(lam, m_vec(k, pd, self.grid, lam))
-                      for k in (1, 2)])
+        cw = self.kit.weights(lam)
+        l = np.array([self.betas[k].matvec(lam, m_vec(k, pd, self.grid, lam),
+                                           cw) for k in (1, 2)])
         q = (l[0] * l[1]) @ w
         Fv = complex(pd.F(lam))
         return Blocks(l=l, r=l[::-1] * (w / q), q=q,
@@ -573,6 +594,8 @@ class PiReport:
     lens_max: dict = field(default_factory=dict)    # x -> max
     eps: float = 0.0
     fitted_exponent: float = 0.0
+    #: worst |q - 1| over the probe points (``Blocks.q``): the beta error
+    beta_defect: float = 0.0
 
     def rows(self):
         return self.lens_rows + self.disk_rows
@@ -618,10 +641,15 @@ def pi_residual(pd: ProblemData, factory: OperatorFactory,
     ``factory.blocks`` call shared by every x: a lens row is
     |e^{+- i x p}| times the bound of the phase-free factor, whose kernel
     part the phase only scales, and each x's parametrix receives the
-    blocks through its ``blocks`` argument.  ``disk_radius`` defaults to
-    ``safe_radius(pd)``, the parametrices' own default, and ``lens_height``
-    to 0.75 ``safe_radius(pd)``, inside the growth bound |Im(t lam)| < c/4
-    (0.15 at c = |t| = 1).
+    blocks through its ``blocks`` argument.  Every bound comes from the
+    rank-one factors (``l2half.factor_bound``) of the phase-free factor
+    (``Blocks.jump_coefficients``) or of the parametrix
+    (``Parametrix.decay_bound``), with no (2n, 2n) array formed.
+    ``beta_defect`` is the worst |q - 1| of the blocks over all probe
+    points.  ``disk_radius`` defaults to ``safe_radius(pd)``, the
+    parametrices' own default, and ``lens_height`` to 0.75
+    ``safe_radius(pd)``, inside the growth bound |Im(t lam)| < c/4 (0.15
+    at c = |t| = 1).
     """
     a, b = pd.a, pd.b
     if disk_radius is None:
@@ -635,13 +663,22 @@ def pi_residual(pd: ProblemData, factory: OperatorFactory,
     report = PiReport(xs=list(xs), eps=_disk_eps(pd, disk_radius))
     xs = report.xs
 
+    def blocks(lam):
+        blk = factory.blocks(lam)
+        report.beta_defect = max(report.beta_defect, abs(blk.q - 1.0))
+        return blk
+
+    def lens_bound(lam, side):
+        blk = blocks(lam)
+        return factor_bound(blk.jump_coefficients(side), blk.l, blk.r,
+                            factory.grid)
+
     span = np.linspace(a + 1.5 * disk_radius, b - 1.5 * disk_radius, 7)
     lens = [[] for _ in xs]
     report.lens_max = {x: 0.0 for x in xs}
     for lam in span:
         above, below = lam + 1j * lens_height, lam - 1j * lens_height
-        up = smoothing_bound(factory.jump_factor(above, +1, x=0.0), factory.grid)
-        dn = smoothing_bound(factory.jump_factor(below, -1, x=0.0), factory.grid)
+        up, dn = lens_bound(above, +1), lens_bound(below, -1)
         for rows, x in zip(lens, xs):
             up_x = float(abs(np.exp(1j * x * pd.p(above))) * up)
             dn_x = float(abs(np.exp(-1j * x * pd.p(below))) * dn)
@@ -658,10 +695,9 @@ def pi_residual(pd: ProblemData, factory: OperatorFactory,
     for endpoint, center in ends.items():
         for th in _disk_probe_angles():
             lam = center + disk_radius * np.exp(1j * th)
-            blk = factory.blocks(lam)
+            blk = blocks(lam)
             for px, rows, x in zip(pxs, disk, xs):
-                resid = smoothing_bound(px[endpoint](lam, blocks=blk),
-                                        factory.grid)
+                resid = px[endpoint].decay_bound(lam, blocks=blk)
                 rows[endpoint].append(DiagnosticRow(
                     f"disk {endpoint} x={x}", lam.real, lam.imag, resid, 1.0))
                 report.disk_max[endpoint, x] = max(

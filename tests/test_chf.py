@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.special import exp1, gamma
 
 from cshiftlab import chf
-from cshiftlab.chf import (A_CAP, _asymptotic, _gamma, _laplace, tricomi_psi)
+from cshiftlab.chf import (A_CAP, TricomiEval, _asymptotic, _gamma, _laplace,
+                           tricomi_psi)
 from cshiftlab.errors import AccuracyError, BranchError, ParameterDomainError
 from cshiftlab.quadgrid import _leggauss
 
@@ -163,6 +166,83 @@ class TestRouteConsistency:
         te = tricomi_psi(0.3, 30.0j)
         assert te.route == "asymptotic"
         assert 0.0 <= te.err < 1e-10
+
+
+def _relation_gap(a, z, sheet, lowered=lambda up, *_: up.lowered()):
+    """|Psi(a, 1; z) from the index relation - reference| over its bound.
+
+    ``lowered(up, a, z, sheet)`` forms Psi(a) from ``up``, the evaluation
+    at a + 1 on the same sheet.  The reference is 30-digit mpmath on the
+    principal sheet and the direct ``tricomi_psi`` off it.  The bound is
+    scale-free: 100 kappa max(err, 1e-13) |Psi(a)|, where err sums the
+    evaluations' monitors and kappa = (|(a + z) Psi(a+1)| +
+    |z Psi'(a+1)|) / |Psi(a)| is the relation's own amplification of
+    them.  The factor covers the off-sheet reference, whose monitor reads
+    up to 16x low near |z| = 20.
+    """
+    up = tricomi_psi(a + 1.0, z, sheet)
+    if sheet == 0:
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            ref = complex(mpmath.hyperu(mpmath.mpc(a), 1, mpmath.mpc(z)))
+        ref_err = 0.0
+    else:
+        direct = tricomi_psi(a, z, sheet)
+        ref, ref_err = direct.value, direct.err
+    kappa = (abs((a + z) * up.value) + abs(z * up.dvalue)) / abs(ref)
+    bound = 100.0 * kappa * max(up.err + ref_err, 1e-13) * abs(ref)
+    return abs(lowered(up, a, z, sheet) - ref) / bound
+
+
+def _on_cover(r, total):
+    """(z, sheet) of the point of modulus r at total argument ``total``."""
+    z = complex(r * np.exp(1j * total))
+    return z, int(np.rint((total - np.angle(z)) / (2.0 * np.pi)))
+
+
+class TestIndexRelation:
+    """Psi(a) = (a + z) Psi(a+1) - z Psi'(a+1), the parametrix's route to
+    Psi(+-m), over its parameter range and the arguments of its disks:
+    |Re a| <= 0.45, |Im a| <= 0.3, 0.3 <= |z| <= 100, total argument in
+    (-3 pi/2, 3 pi/2)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(re=st.floats(-0.45, 0.45), im=st.floats(-0.3, 0.3),
+           log_r=st.floats(np.log10(0.3), 2.0),
+           total=st.floats(-1.5 * np.pi, 1.5 * np.pi, exclude_min=True,
+                           exclude_max=True))
+    def test_matches_the_direct_value(self, re, im, log_r, total):
+        z, sheet = _on_cover(10.0 ** log_r, total)
+        try:
+            gap = _relation_gap(complex(re, im), z, sheet)
+        except AccuracyError:
+            reject()  # a monitor over budget in the overlap annulus
+        assert gap <= 1.0
+
+    def test_lowered_is_the_relation(self):
+        te = tricomi_psi(0.7 + 0.1j, 3.0 - 2.0j)
+        assert isinstance(te, TricomiEval)
+        assert te.lowered() == (te.a - 1.0 + te.z) * te.value \
+            - te.z * te.dvalue
+
+    @pytest.mark.parametrize("lowered", [
+        lambda up, a, z, sheet: (a + z) * up.value
+        - z * tricomi_psi(a, z, sheet).dvalue,
+        lambda up, a, z, sheet: z * up.value - z * up.dvalue,
+    ], ids=["slope-at-a", "no-a-term"])
+    def test_wrong_relations_fail(self, lowered):
+        # negative controls: Psi'(a) for Psi'(a+1), and a Psi(a+1) dropped
+        rng = np.random.default_rng(8)
+        gaps = []
+        for _ in range(12):
+            a = complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.3, 0.3))
+            z, sheet = _on_cover(10.0 ** rng.uniform(np.log10(0.3), 2.0),
+                                 rng.uniform(-1.5 * np.pi, 1.5 * np.pi))
+            try:
+                gaps.append(_relation_gap(a, z, sheet, lowered))
+            except AccuracyError:
+                continue
+        assert len(gaps) >= 10 and min(gaps) > 1.0
 
 
 class TestErrors:

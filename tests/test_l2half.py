@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import cshiftlab as cl
 from cshiftlab.errors import GridMismatchError, ParameterDomainError
-from cshiftlab.l2half import smoothing_bound
+from cshiftlab.l2half import factor_bound, smoothing_bound
 
 
 class TestMVec:
@@ -190,3 +190,26 @@ class TestSmoothingBound:
             assert smoothing_bound(ch, grid) \
                 == float(np.max(np.abs(kernel) * growth))
         assert grid.growth is grid.growth
+
+
+class TestFactorBound:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_dense_bound(self, seed):
+        # I + sum_jk coef[j, k] l_j (x) r_k assembled densely, with factors
+        # decaying like the half-line objects and one coefficient zero
+        grid = cl.laguerre_halfline(48, 1.0)
+        rng = np.random.default_rng(seed)
+        decay = np.exp(-0.3 * grid.nodes)
+        l, r = (rng.normal(size=(2, 2, grid.n))
+                + 1j * rng.normal(size=(2, 2, grid.n))) * decay
+        r = r * grid.weights
+        coef = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        coef[rng.integers(2), rng.integers(2)] = 0.0
+        n = grid.n
+        mat = np.eye(2 * n, dtype=complex)
+        for j in (0, 1):
+            for k in (0, 1):
+                mat[j * n:(j + 1) * n, k * n:(k + 1) * n] += \
+                    coef[j, k] * np.outer(l[j], r[k])
+        assert factor_bound(coef, l, r, grid) \
+            == pytest.approx(smoothing_bound(mat, grid), rel=1e-13)

@@ -8,6 +8,8 @@ from scipy.optimize import brentq
 import cshiftlab as cl
 from cshiftlab.errors import BranchError, ParameterDomainError
 from cshiftlab.chf import _gamma
+from cshiftlab import parametrix
+from cshiftlab.l2half import factor_bound, smoothing_bound
 from cshiftlab.parametrix import (Parametrix, _psi_cont, alpha0,
                                   build_parametrix, l_sector, zeta)
 from cshiftlab.rhp import OperatorFactory, solve_beta
@@ -128,6 +130,58 @@ class TestParametrixInvariants:
                 assert np.max(np.abs(got - want)) \
                     < 1e-13 * np.max(np.abs(want))
 
+    def test_one_tricomi_evaluation_per_column(self, pa, pb, monkeypatch):
+        # Psi(1 + m) and Psi(1 - m) are evaluated; Psi(m) and Psi(-m)
+        # follow from them by the index relation
+        params = []
+        psi = parametrix.tricomi_psi
+
+        def spy(a, z, sheet=0):
+            params.append(a)
+            return psi(a, z, sheet)
+
+        monkeypatch.setattr(parametrix, "tricomi_psi", spy)
+        for px in (pa, pb):
+            s = 1 if px.endpoint == "a" else -1
+            for th in (0.3, 2.2, -2.2):
+                lam = px.center + 0.5 * px.radius * np.exp(1j * th)
+                m = -s * complex(cl.nu(px.pd, lam))
+                for sector in (1, 2, 3):
+                    params.clear()
+                    px(lam, sector=sector)
+                    assert params == [1.0 + m, 1.0 - m]
+
+    @pytest.mark.parametrize("sector", [1, 2, 3])
+    def test_factor_bound_matches_the_dense_one(self, pa, pb, sector):
+        # each block of value - I is rank one, so the bound from the
+        # coefficients is the dense smoothing_bound of the value
+        for px in (pa, pb):
+            grid = px.factory.grid
+            for th in (0.3, 2.2, -2.2):
+                lam = px.center + 0.5 * px.radius * np.exp(1j * th)
+                coef, blk = px.coefficients(lam, sector)
+                want = smoothing_bound(px(lam, sector=sector), grid)
+                assert factor_bound(coef, blk.l, blk.r, grid) \
+                    == pytest.approx(want, rel=1e-13)
+                if sector == l_sector(float(np.angle(
+                        zeta(px.endpoint, px.pd, lam, px.x)))):
+                    assert px.decay_bound(lam) \
+                        == pytest.approx(want, rel=1e-13)
+
+    def test_boundary_residual_forms_no_dense_operator(self, pa, pb,
+                                                       monkeypatch):
+        def refuse(name):
+            def wrapped(*args, **kwargs):
+                raise AssertionError(f"boundary_residual called {name}")
+            return wrapped
+
+        want = [px.boundary_residual() for px in (pa, pb)]
+        for mod in (cl.l2half, cl.rhp, cl.parametrix):
+            monkeypatch.setattr(mod, "smoothing_bound",
+                                refuse("smoothing_bound"), raising=False)
+        monkeypatch.setattr(np, "outer", refuse("np.outer"))
+        assert [px.boundary_residual() for px in (pa, pb)] == want
+
     def test_identity_for_zero_symbol(self, pd_zero, grid48):
         srh = cl.ScalarRH(pd_zero)
         rule = cl.gauss_interval(64, -1, 1)
@@ -150,15 +204,16 @@ def _dense_parametrix(px, lam, sector):
     z = zeta(px.endpoint, pd, lam, px.x)
     blk = fac.blocks(lam)
     O11, O12, O21, O22 = blk[1, 1], blk[1, 2], blk[2, 1], blk[2, 2]
-    r11, r12, r21, r22 = px._ROTATIONS
+    r1, r2 = px._ROTATIONS
     logz = np.log(z)
     S = np.exp(1j * px.x * pd.p(px.center)) * np.exp(2.0 * m * logz) \
         / px._a_squared(lam, m, blk.exponent)
     spm = np.sin(np.pi * m)
     b12 = 1j * spm * _gamma(1.0 - m) ** 2 * S / np.pi
     b21 = 1j * np.pi / (spm * _gamma(-m) ** 2 * S)
-    psi11, psi12 = _psi_cont(m, z, r11), _psi_cont(1.0 - m, z, r12)
-    psi21, psi22 = _psi_cont(1.0 + m, z, r21), _psi_cont(-m, z, r22)
+    # four direct evaluations: a cross-check of the parametrix's two
+    psi11, psi12 = _psi_cont(m, z, r1).value, _psi_cont(1.0 - m, z, r2).value
+    psi21, psi22 = _psi_cont(1.0 + m, z, r1).value, _psi_cont(-m, z, r2).value
     psi_mat = np.block(
         [[psi11 * O11, 1j * b12 * psi12 * O12],
          [-1j * b21 * psi21 * O21, psi22 * O22]])
@@ -180,7 +235,10 @@ def _dense_parametrix(px, lam, sector):
 class _Psi22RotatedDown(Parametrix):
     """(2,2) confluent argument rotated by e^{-i pi/2} instead of e^{+i pi/2}."""
 
-    _ROTATIONS = (-1, +1, -1, -1)
+    def _confluent(self, m, z):
+        psi = super()._confluent(m, z)
+        psi[1, 1] = _psi_cont(-m, z, -1).value
+        return psi
 
 
 class _Alpha0Coefficients(Parametrix):
@@ -192,20 +250,16 @@ class _Alpha0Coefficients(Parametrix):
 
 
 class _ExtraRightPower(Parametrix):
-    """An extra trailing zeta^{m sigma_3} on the part beyond the complement."""
+    """An extra trailing zeta^{m sigma_3} on the part beyond the complement
+    I - O_11 (+) I - O_22: a column scaling of the coefficients plus I."""
 
-    def __call__(self, lam, sector=None):
-        fac = self.factory
-        full = super().__call__(lam, sector)
-        n = fac.grid.n
-        eye = np.eye(n)
-        blk = fac.blocks(lam)
-        comp = block_diag(eye - blk[1, 1], eye - blk[2, 2])
+    def coefficients(self, lam, sector=None, blocks=None):
+        coef, blk = super().coefficients(lam, sector, blocks)
         s = 1 if self.endpoint == "a" else -1
         zm = np.exp(-s * complex(cl.nu(self.pd, lam))
                     * np.log(zeta(self.endpoint, self.pd, lam, self.x)))
-        rdiag = np.concatenate([np.full(n, zm), np.full(n, 1.0 / zm)])
-        return (full - comp) * rdiag[None, :] + comp
+        eye = np.eye(2)
+        return (coef + eye) * np.array([zm, 1.0 / zm]) - eye, blk
 
 
 class TestConventionPinned:

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 import cshiftlab as cl
 from cshiftlab.errors import (BoundaryLimitError, ExcludedCaseError,
-                              NearSingularityError, ParameterDomainError)
-from cshiftlab.l2half import kappa_form, m_vec, smoothing_bound
+                              GridMismatchError, NearSingularityError,
+                              ParameterDomainError)
+from cshiftlab.l2half import factor_bound, kappa_form, m_vec, smoothing_bound
 from cshiftlab.rhp import (DiagnosticRow, OperatorFactory, _disk_probe_angles,
                            default_probes, factorization_residual, g_chi,
                            pi_residual, solve_beta, solve_betas, summarize,
@@ -396,6 +397,47 @@ class TestOperatorFactory:
         assert np.allclose(np.einsum("ks,ks->k", blk.r, blk.l), 1.0,
                            rtol=0.0, atol=1e-14)
 
+    def test_blocks_take_the_cauchy_weights_once(self, factory_default,
+                                                 monkeypatch):
+        # both beta matvecs of a point run on one set of Cauchy weights
+        # (ln alpha takes its own, on the ScalarRH rule)
+        calls = []
+        weights = cl.cauchy.CauchyKit.weights
+        beta_rule = factory_default.betas[1].rule
+
+        def spy(self, lam):
+            if self.rule is beta_rule:
+                calls.append(lam)
+            return weights(self, lam)
+
+        monkeypatch.setattr(cl.cauchy.CauchyKit, "weights", spy)
+        for lam in (0.2 + 0.1j, -0.95 + 0.05j, 0.3 - 1e-3j):
+            calls.clear()
+            factory_default.blocks(lam)
+            assert calls == [lam]
+
+    def test_betas_on_different_rules_are_refused(self, pd_default, grid48,
+                                                  srh_default, loop_default):
+        betas = [solve_beta(pd_default, cl.gauss_interval(n, -1.0, 1.0),
+                            grid48, k, srh_default, loop_default)
+                 for n, k in ((64, 1), (96, 2))]
+        with pytest.raises(GridMismatchError):
+            OperatorFactory(pd_default, grid48, srh_default, *betas)
+
+    @pytest.mark.parametrize("side", [+1, -1])
+    def test_jump_coefficients_give_the_dense_bound(self, factory_default,
+                                                    side):
+        # the phase-free factor less I is one rank-one block; its factor
+        # bound is the dense smoothing_bound of jump_factor
+        fac = factory_default
+        for lam in (-0.7 + 0.15j * side, 0.1 + 0.15j * side,
+                    0.6 + 0.05j * side):
+            blk = fac.blocks(lam)
+            want = smoothing_bound(fac.jump_factor(lam, side, x=0.0), fac.grid)
+            got = factor_bound(blk.jump_coefficients(side), blk.l, blk.r,
+                               fac.grid)
+            assert got == pytest.approx(want, rel=1e-13)
+
     def test_composition_law(self, factory_default):
         blk = factory_default.blocks(0.2 + 0.1j)
         for j, l, k in [(1, 2, 1), (2, 1, 2), (1, 1, 1)]:
@@ -541,6 +583,52 @@ class TestPiResidual:
         pi_residual(pd_default, factory_default, builder, xs=xs,
                     disk_radius=0.2, lens_height=0.15)
         assert len(calls) == 2 * 7 + 2 * len(_disk_probe_angles()) == 30
+
+    def test_beta_defect_is_the_worst_q_over_the_probes(
+            self, pd_default, factory_default, monkeypatch):
+        from cshiftlab.parametrix import build_parametrix
+
+        defects = []
+        blocks = OperatorFactory.blocks
+
+        def spy(self, lam):
+            blk = blocks(self, lam)
+            defects.append(abs(blk.q - 1.0))
+            return blk
+
+        monkeypatch.setattr(OperatorFactory, "blocks", spy)
+        def builder(ep, x):
+            return build_parametrix(ep, pd_default, factory_default, x=x,
+                                    radius=0.2)
+
+        rep = pi_residual(pd_default, factory_default, builder, xs=[100.0],
+                          disk_radius=0.2, lens_height=0.15)
+        assert len(defects) == 30
+        assert rep.beta_defect == max(defects)
+        assert 0.0 < rep.beta_defect < 1e-5
+
+    def test_forms_no_dense_operator(self, pd_default, factory_default,
+                                     monkeypatch):
+        # every lens and disk row comes from the rank-one factors: no
+        # (2n, 2n) value, dense bound or outer product is formed
+        from cshiftlab.parametrix import build_parametrix
+
+        def refuse(name):
+            def wrapped(*args, **kwargs):
+                raise AssertionError(f"pi_residual called {name}")
+            return wrapped
+
+        for mod in (cl.l2half, cl.rhp, cl.parametrix):
+            monkeypatch.setattr(mod, "smoothing_bound",
+                                refuse("smoothing_bound"), raising=False)
+        monkeypatch.setattr(np, "outer", refuse("np.outer"))
+        def builder(ep, x):
+            return build_parametrix(ep, pd_default, factory_default, x=x,
+                                    radius=0.2)
+
+        rep = pi_residual(pd_default, factory_default, builder,
+                          xs=[50.0, 100.0], disk_radius=0.2, lens_height=0.15)
+        assert len(rep.rows()) == 2 * (2 * 7 + 2 * len(_disk_probe_angles()))
 
     @pytest.mark.parametrize("c, t", [(1.0, 2.0), (0.5, 1.0)])
     def test_default_lens_follows_the_growth_bound(self, c, t):
