@@ -6,9 +6,9 @@ from scipy.linalg import block_diag
 from scipy.optimize import brentq
 
 import cshiftlab as cl
+from cshiftlab import parametrix
 from cshiftlab.errors import BranchError, ParameterDomainError
 from cshiftlab.chf import _gamma
-from cshiftlab import parametrix
 from cshiftlab.l2half import factor_bound, smoothing_bound
 from cshiftlab.parametrix import (Parametrix, _psi_cont, alpha0,
                                   build_parametrix, l_sector, zeta)

@@ -597,6 +597,7 @@ class TestPiResidual:
             return blk
 
         monkeypatch.setattr(OperatorFactory, "blocks", spy)
+
         def builder(ep, x):
             return build_parametrix(ep, pd_default, factory_default, x=x,
                                     radius=0.2)
@@ -622,6 +623,7 @@ class TestPiResidual:
             monkeypatch.setattr(mod, "smoothing_bound",
                                 refuse("smoothing_bound"), raising=False)
         monkeypatch.setattr(np, "outer", refuse("np.outer"))
+
         def builder(ep, x):
             return build_parametrix(ep, pd_default, factory_default, x=x,
                                     radius=0.2)
