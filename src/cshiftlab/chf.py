@@ -1,6 +1,7 @@
 """Tricomi confluent hypergeometric function Psi(a, 1; z) on the universal cover.
 
-Two principal-sheet routes, each with an error monitor:
+Two principal-sheet routes, each with error monitors of the value and of
+its slope:
 
 * the rotated-ray Laplace integral (DLMF 13.4.4) at every |z| up to the
   switch radius 20, and beyond it wherever the expansion's least term is
@@ -62,7 +63,10 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class TricomiEval:
-    """One evaluation of Psi(a, 1; .) with derivatives and error monitor."""
+    """One evaluation of Psi(a, 1; .) with derivatives and error monitors.
+
+    ``err`` and ``derr`` are relative monitors of ``value`` and ``dvalue``.
+    """
 
     a: complex
     z: complex
@@ -71,6 +75,7 @@ class TricomiEval:
     dvalue: complex
     d2value: complex
     err: float
+    derr: float
     route: str
 
     def ode_residual(self) -> float:
@@ -80,6 +85,21 @@ class TricomiEval:
                     abs(self.a * self.value), 1e-300)
         return abs(r) / scale
 
+    def _lowering(self) -> tuple[complex, float]:
+        up = (self.a - 1.0 + self.z) * self.value
+        dn = self.z * self.dvalue
+        val = up - dn
+        err = (abs(up) * (self.err + _ROUND)
+               + abs(dn) * (self.derr + _ROUND)) / max(abs(val), 1e-300)
+        return val, err
+
+    def lowered_err(self) -> float:
+        """Relative error monitor of the index relation in ``lowered``:
+        the monitors of its two terms, and their rounding, over
+        |Psi(a - 1)|.  Where the terms cancel it grows with their ratio to
+        the result."""
+        return self._lowering()[1]
+
     def lowered(self) -> complex:
         """Psi(a - 1, 1; z) on the same sheet, from this value and slope.
 
@@ -88,8 +108,16 @@ class TricomiEval:
         Psi(a-1) = (a - 1 + z) Psi(a) - z Psi'(a).  Both hold on every
         sheet, there is no division, and the step runs downward in a, the
         stable direction of the recurrence ``_laplace`` already uses.
+
+        The budget of ``tricomi_psi`` holds for the relation too: where
+        ``lowered_err`` is over it, Psi(a - 1) is evaluated directly, so
+        the value is refused (AccuracyError) exactly where the direct
+        evaluation's own monitor is over budget.
         """
-        return (self.a - 1.0 + self.z) * self.value - self.z * self.dvalue
+        val, err = self._lowering()
+        if _over_budget(self.z, err):
+            return tricomi_psi(self.a - 1.0, self.z, self.sheet).value
+        return val
 
 
 def _is_nonpos_int(a: complex) -> bool:
@@ -120,11 +148,12 @@ def _gamma(a: complex) -> complex:
 def _laplace_ray(a: complex, z: complex):
     """(Psi, Psi', Psi'') by one Laplace integral, Re a >= -1/2.
 
-    Also returns the value's relative error monitor: the error of
-    ``_gamma`` plus the rounding of the quadrature and stub terms, each
-    charged in proportion to its exponent's parts, over |sum of terms|.
-    It grows where the sum cancels: toward Re a = -1/2, where the stub
-    and the panels grow like tau0^{Re a}, and at large |Im a|.
+    Also returns the relative error monitors of the value and the slope:
+    the error of ``_gamma`` plus the rounding of the quadrature and stub
+    terms, each charged in proportion to its exponent's parts, over
+    |sum of terms|.  They grow where the sum cancels: toward Re a = -1/2,
+    where the stub and the panels grow like tau0^{Re a}, and at large
+    |Im a|.
     """
     theta = min(max(cmath.phase(z), -_RAY_CLIP), _RAY_CLIP)
     ph = cmath.exp(-1j * theta)
@@ -155,9 +184,12 @@ def _laplace_ray(a: complex, z: complex):
     # a term's exponent is rounded relative to the sizes of its parts
     cond = 1.0 + abs(z) * tau + abs(a - 1.0) * np.abs(logt) \
         + abs(a) * np.abs(log1pt)
-    size = np.abs(base) @ cond \
-        + np.abs(stub[0]) @ (1.0 + np.abs(pw[0] * logt0))
-    err = _GAMMA_ERR + _ROUND * size / max(abs(sums[0]), 1e-300)
+    stub_cond = 1.0 + np.abs(pw[:2] * logt0)
+    size = np.abs(base)
+    sizes = (size @ cond + np.abs(stub[0]) @ stub_cond[0],
+             (size * tau) @ cond + np.abs(stub[1]) @ stub_cond[1])
+    err = [_GAMMA_ERR + _ROUND * sz / max(abs(sm), 1e-300)
+           for sz, sm in zip(sizes, sums)]
     return _SIGNS * sums / _gamma(a), err
 
 
@@ -175,26 +207,28 @@ def _laplace(a: complex, z: complex):
     the contiguous relation Psi(b-1) = (2b-1+z) Psi(b) - b^2 Psi(b+1)
     (DLMF 13.3.7) with its z-derivatives carries them down to a.  U is
     the minimal solution as a grows, so the downward recurrence is stable;
-    its terms' cancellation is added to the monitor at each step.
+    its terms' cancellation is added to the monitors at each step.
     """
     if a.real >= -0.5:
         vals, err = _laplace_ray(a, z)
-        return (*vals, err)
+        return (*vals, *err)
     k = math.ceil(-0.5 - a.real)
     b = a + k
     up, e_up = _laplace_ray(b + 1.0, z)
     cur, e_cur = _laplace_ray(b, z)
-    e_up, e_cur = e_up * abs(up[0]), e_cur * abs(cur[0])   # absolute
+    e_up, e_cur = e_up * np.abs(up[:2]), e_cur * np.abs(cur[:2])  # absolute
     for _ in range(k):
         c, b2 = 2.0 * b - 1.0 + z, b * b
         new = c * cur - b2 * up
         new[1] += cur[0]
         new[2] += 2.0 * cur[1]
+        # value and slope; the slope also takes the value's Psi(b) term
         e_new = abs(c) * e_cur + abs(b2) * e_up \
-            + _ROUND * (abs(c * cur[0]) + abs(b2 * up[0]))
+            + _ROUND * (np.abs(c * cur[:2]) + np.abs(b2 * up[:2]))
+        e_new[1] += e_cur[0] + _ROUND * abs(cur[0])
         up, cur, e_up, e_cur = cur, new, e_cur, e_new
         b -= 1.0
-    return (*cur, e_cur / max(abs(cur[0]), 1e-300))
+    return (*cur, *(e_cur / np.maximum(np.abs(cur[:2]), 1e-300)))
 
 
 def _asymptotic(a: complex, z: complex, total_arg: float):
@@ -202,7 +236,8 @@ def _asymptotic(a: complex, z: complex, total_arg: float):
 
     z^{-a} uses the supplied total argument, so the expansion remains the
     analytic continuation across |arg z| > pi (valid up to 3 pi / 2).
-    Terminates exactly when a is a nonpositive integer.
+    Terminates exactly when a is a nonpositive integer.  The monitors are
+    the least term over the sum, for the value and for the slope.
     """
     logz = math.log(abs(z)) + 1j * total_arg
     term = cmath.exp(-a * logz)  # (-1)^n (a)_n^2 / n! z^{-a-n}, updated in place
@@ -227,9 +262,12 @@ def _asymptotic(a: complex, z: complex, total_arg: float):
             last = abs(term)  # converged; the next term bounds the error
             break
     err = last / max(abs(s), 1e-300) if math.isfinite(last) else 0.0
+    # the slope's first omitted term is the value's times (a + n) / z
+    derr = last * abs(a + n) / (abs(z) * max(abs(s1), 1e-300)) \
+        if math.isfinite(last) else 0.0
     if _is_nonpos_int(a):
-        err = 2e-16 * max(n, 1)
-    return s, s1, s2, float(err)
+        err = derr = 2e-16 * max(n, 1)
+    return s, s1, s2, float(err), float(derr)
 
 
 def _principal(a: complex, z: complex, total_arg: float):
@@ -249,22 +287,34 @@ def _principal(a: complex, z: complex, total_arg: float):
 
 
 def _psi_cover(a: complex, r: float, theta: float):
-    """Value and two derivatives at modulus r, total argument theta."""
+    """Value and two derivatives at modulus r, total argument theta, with
+    the value's monitor (relative on the principal sheet) and the slope's
+    relative monitor.
+
+    An a within 1e-300 of a nonpositive integer is taken at the integer:
+    U is entire in a, and that close 1 / Gamma(a)^2 and the Laplace
+    stub's 1 / a overflow.
+    """
+    n = round(a.real)
+    if n <= 0 and abs(a - n) < 1e-300:
+        a = complex(n)
     z = complex(r * np.exp(1j * theta))
     if abs(theta) <= math.pi:
         return _principal(a, z, theta)
-    # 1/Gamma(a)^2 vanishes at nonpositive integer a (entire reciprocal)
-    inv_ga2 = 0.0 if _is_nonpos_int(a) else 1.0 / _gamma(a) ** 2
+    # 1/Gamma(a)^2 vanishes at nonpositive integer a (entire reciprocal);
+    # squared after inverting, so that it underflows near a pole rather
+    # than overflowing
+    inv_ga2 = 0.0 if _is_nonpos_int(a) else (1.0 / _gamma(a)) ** 2
     if theta > math.pi:
-        v, v1, v2, e_in, _ = _psi_cover(a, r, theta - 2.0 * math.pi)
-        w, w1, w2, e_w, _ = _psi_cover(1.0 - a, r, theta - math.pi)
+        v, v1, v2, e_in, d_in, _ = _psi_cover(a, r, theta - 2.0 * math.pi)
+        w, w1, w2, e_w, d_w, _ = _psi_cover(1.0 - a, r, theta - math.pi)
         # Psi(a,1; z e^{2 i pi}) = e^{-2 i pi a} Psi(a,1;z)
         #                          + (2 pi i e^{-i pi a} / Gamma(a)^2) e^z Psi(1-a,1; e^{i pi} z)
         kap = 2j * math.pi * cmath.exp(-1j * math.pi * a) * inv_ga2
         rot = cmath.exp(-2j * math.pi * a)
     else:
-        v, v1, v2, e_in, _ = _psi_cover(a, r, theta + 2.0 * math.pi)
-        w, w1, w2, e_w, _ = _psi_cover(1.0 - a, r, theta + math.pi)
+        v, v1, v2, e_in, d_in, _ = _psi_cover(a, r, theta + 2.0 * math.pi)
+        w, w1, w2, e_w, d_w, _ = _psi_cover(1.0 - a, r, theta + math.pi)
         kap = -2j * math.pi * cmath.exp(1j * math.pi * a) * inv_ga2
         rot = cmath.exp(2j * math.pi * a)
     ez = cmath.exp(z)
@@ -272,7 +322,10 @@ def _psi_cover(a: complex, r: float, theta: float):
     d1 = rot * v1 + kap * ez * (w - w1)
     d2 = rot * v2 + kap * ez * (w - 2.0 * w1 + w2)
     err = abs(rot) * e_in + abs(kap * ez) * e_w * 3.0
-    return val, d1, d2, err, "monodromy"
+    derr = (abs(rot * v1) * d_in
+            + abs(kap * ez) * (abs(w) * e_w + abs(w1) * d_w) * 3.0) \
+        / max(abs(d1), 1e-300)
+    return val, d1, d2, err, derr, "monodromy"
 
 
 def tricomi_psi(a: complex, z: complex, sheet: int = 0) -> TricomiEval:
@@ -292,11 +345,18 @@ def tricomi_psi(a: complex, z: complex, sheet: int = 0) -> TricomiEval:
         raise ParameterDomainError(
             f"|a| = {abs(a):.3g} exceeds the cap {A_CAP}")
     theta = float(np.angle(z)) + 2.0 * math.pi * sheet
-    val, d1, d2, err, route = _psi_cover(a, abs(z), theta)
+    val, d1, d2, err, derr, route = _psi_cover(a, abs(z), theta)
     rel_err = err if route != "monodromy" else err / max(abs(val), 1e-300)
-    if OVERLAP[0] <= abs(z) <= OVERLAP[1] and rel_err > OVERLAP_TOL:
+    if _over_budget(z, rel_err):
         raise AccuracyError(
             f"Psi error monitor {rel_err:.2e} above {OVERLAP_TOL} in the "
             f"overlap annulus (a={a}, z={z}, route={route})", estimate=rel_err)
     return TricomiEval(a=a, z=z, sheet=sheet, value=val, dvalue=d1,
-                       d2value=d2, err=float(rel_err), route=route)
+                       d2value=d2, err=float(rel_err), derr=float(derr),
+                       route=route)
+
+
+def _over_budget(z: complex, rel_err: float) -> bool:
+    """A relative monitor above OVERLAP_TOL in the annulus OVERLAP around
+    the switch radius, where ``tricomi_psi`` refuses a value."""
+    return OVERLAP[0] <= abs(z) <= OVERLAP[1] and rel_err > OVERLAP_TOL

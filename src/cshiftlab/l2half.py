@@ -106,11 +106,14 @@ def smoothing_bound(mat: np.ndarray, grid: HalfLineRule) -> float:
     The kernel values of K are mat - I with the weights divided out.  The
     jump and solution operators inherit the e^{-c(s+s')/4} decay pattern
     of the objects they discretize, so this is their decay-pattern
-    constant.  This dense form is the definition; ``factor_bound`` gives
-    the same number from the factors of a block-rank-one operator.
+    constant.  This dense form is the definition and the tests'
+    reference; the package takes the same number from the factors of its
+    block-rank-one operators (``factor_bound``).
     """
+    s = grid.doubled.nodes
     kernel = (mat - np.eye(2 * grid.n)) / grid.doubled.weights[None, :]
-    return float(np.max(np.abs(kernel) * grid.growth))
+    return float(np.max(np.abs(kernel)
+                        * np.exp(0.25 * grid.c * (s[:, None] + s[None, :]))))
 
 
 def factor_bound(coef: np.ndarray, l: np.ndarray, r: np.ndarray,
@@ -119,10 +122,10 @@ def factor_bound(coef: np.ndarray, l: np.ndarray, r: np.ndarray,
 
     ``l`` and ``r`` hold the vectors and one-forms l_1, l_2 and r_1, r_2
     in their rows.  Block (j, k) of the kernel is coef[j, k] l_j(s)
-    r_k(s') / w(s'), rank one, so with g = e^{c s/4} its bound is exactly
-    |coef[j, k]| max |l_j g| max |r_k g / w|.
+    r_k(s') / w(s'), rank one, so with g = e^{c s/4} (``grid.growth``) its
+    bound is exactly |coef[j, k]| max |l_j g| max |r_k g / w|.
     """
-    g = np.exp(0.25 * grid.c * grid.nodes)
+    g = grid.growth
     lg = np.max(np.abs(l) * g, axis=1)
     rg = np.max(np.abs(r) * (g / grid.weights), axis=1)
     return float(np.max(np.abs(coef) * lg[:, None] * rg[None, :]))

@@ -21,10 +21,14 @@ evaluations, of Psi(1 +- m) with their slopes; the index relation
 Psi(a) = (a + z) Psi(a+1) - z Psi'(a+1) (DLMF 13.3.7 with
 z Psi'(a) = a^2 Psi(a+1) - a Psi(a); ``TricomiEval.lowered``) gives
 Psi(+-m) with no division, in the downward direction in a that is
-stable for U.  The zeta diagonal is [zeta^m, zeta^-m] e^{-i pi m/2},
-and L = J^{-s} in sectors 2 and 3, J the triangular jump factor of the
-lens ray bounding the sector (``OperatorFactory.jump_factor``: M_up on
-the ray +pi/2, M_down^{-1} on -pi/2); L is the identity in sector 1.
+stable for U.  The relation carries its own error monitor under the
+budget of ``tricomi_psi``; where it is over budget, Psi(+-m) is
+evaluated directly, so a point is refused exactly where the direct
+evaluation would be.  The zeta diagonal is
+[zeta^m, zeta^-m] e^{-i pi m/2}, and L = J^{-s} in sectors 2 and 3, J
+the triangular jump factor of the lens ray bounding the sector
+(``OperatorFactory.jump_factor``: M_up on the ray +pi/2, M_down^{-1} on
+-pi/2); L is the identity in sector 1.
 The off-diagonal coefficients carry S = e^{i x p(endpoint)} zeta^{2m} /
 A^2, which must be analytic across the cut of zeta.  That fixes A^2, the
 one factor that differs between the endpoints: zeta_a cuts outward, so
@@ -143,7 +147,8 @@ class Parametrix:
         """The confluent entries [[Psi(m), Psi(1 - m)], [Psi(1 + m), Psi(-m)]].
 
         One evaluation per column, at parameter 1 +- m; the column's other
-        entry is its ``TricomiEval.lowered`` value.
+        entry is its ``TricomiEval.lowered`` value, evaluated directly
+        where the relation's monitor is over budget.
         """
         r1, r2 = self._ROTATIONS
         col1 = _psi_cont(1.0 + m, z, r1)

@@ -542,11 +542,10 @@ class HalfLineRule(Rule):
 
     @cached_property
     def growth(self) -> np.ndarray:
-        """e^{c (s + s')/4} over the doubled nodes, shape (2n, 2n): the
-        inverse of the decay pattern of the (2n, 2n) half-line operators
-        (``l2half.smoothing_bound``).  Built once per rule; read-only."""
-        s = self.doubled.nodes
-        out = np.exp(0.25 * self.c * (s[:, None] + s[None, :]))
+        """e^{c s/4} at the nodes, the factor of the inverse decay pattern
+        e^{c (s + s')/4} of the half-line operators on each variable
+        (``l2half.factor_bound``).  Built once per rule; read-only."""
+        out = np.exp(0.25 * self.c * self.nodes)
         out.flags.writeable = False
         return out
 

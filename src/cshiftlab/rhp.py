@@ -315,12 +315,10 @@ class BetaSolution:
             / (2j * np.pi)
         return mat
 
-    def matvec(self, lam, v, weights=None) -> np.ndarray:
+    def matvec(self, v, w) -> np.ndarray:
         """beta_k(lam) v without forming beta_k(lam): the Cauchy sum of the
-        rho_k density, v - rho_k^T ((w tau_k / 2 i pi) o (kappa_k W v)).
-        ``weights`` are the rule's Cauchy weights w at lam
-        (``kit.weights(lam)``) when the caller has them already."""
-        w = self.kit.weights(lam) if weights is None else weights
+        rho_k density, v - rho_k^T ((w tau_k / 2 i pi) o (kappa_k W v)),
+        with w = ``kit.weights(lam)`` the rule's Cauchy weights at lam."""
         return v - self.rho.T @ ((w * self.tau_nodes) * (self._kappa_W @ v)) \
             / (2j * np.pi)
 
@@ -472,8 +470,8 @@ class OperatorFactory:
         lam = complex(lam)
         pd, w = self.pd, self.grid.weights
         cw = self.kit.weights(lam)
-        l = np.array([self.betas[k].matvec(lam, m_vec(k, pd, self.grid, lam),
-                                           cw) for k in (1, 2)])
+        l = np.array([self.betas[k].matvec(m_vec(k, pd, self.grid, lam), cw)
+                      for k in (1, 2)])
         q = (l[0] * l[1]) @ w
         Fv = complex(pd.F(lam))
         return Blocks(l=l, r=l[::-1] * (w / q), q=q,

@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.special import exp1, gamma
 
+import cshiftlab as cl
 from cshiftlab import chf
 from cshiftlab.chf import (A_CAP, TricomiEval, _asymptotic, _gamma, _laplace,
-                           tricomi_psi)
+                           _over_budget, tricomi_psi)
 from cshiftlab.errors import AccuracyError, BranchError, ParameterDomainError
+from cshiftlab.parametrix import Parametrix, _psi_cont, zeta
 from cshiftlab.quadgrid import _leggauss
 
 #: exponent values used by the default symbol family
@@ -53,6 +55,19 @@ class TestPrincipalValues:
         for z in (0.5, 3.0 - 2.0j, 30.0j):
             assert tricomi_psi(-1.0, z).value == pytest.approx(z - 1.0,
                                                                abs=1e-12)
+
+    @pytest.mark.parametrize("a, poly", [
+        (5e-324j, lambda z: 1.0), (1e-310 + 1e-310j, lambda z: 1.0),
+        (-1.0 + 5e-324j, lambda z: z - 1.0)])
+    def test_parameter_next_to_a_pole_of_gamma(self, a, poly):
+        # closer than 1/Gamma(a)^2 and the Laplace stub's 1/a can be
+        # formed, U takes its value at the integer, on every sheet; its
+        # neighbour a + 1 stays finite off-sheet, where 1 - a is as close
+        for sheet in (-1, 0, 1):
+            z = 3.0 * np.exp(0.5j)
+            assert tricomi_psi(a, z, sheet).value \
+                == pytest.approx(poly(z), rel=1e-14)
+            assert np.isfinite(tricomi_psi(a + 1.0, z, sheet).value)
 
     def test_ode_residual_across_routes(self):
         rng = np.random.default_rng(4)
@@ -146,7 +161,7 @@ class TestRouteConsistency:
             for a in (1 + NU, 0.8, 1.3 - 0.2j):
                 for r in (15.0, 18.0, 22.0, 25.0):
                     z = r * np.exp(1j * np.pi / 2)
-                    vl, _, _, el = _laplace(complex(a), z)
+                    vl, _, _, el, _ = _laplace(complex(a), z)
                     ref = complex(mpmath.hyperu(mpmath.mpc(a), 1,
                                                 mpmath.mpc(z)))
                     assert abs(vl - ref) / abs(ref) < min(1e-8, el)
@@ -168,29 +183,33 @@ class TestRouteConsistency:
         assert 0.0 <= te.err < 1e-10
 
 
+def _continued(a, z, sheet):
+    """Psi(a, 1; z) on the sheet by 50-digit mpmath: ``hyperu`` on the
+    principal sheet, one monodromy connection formula off it (total
+    argument within 3 pi/2, so that -z is principal)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        A, Z = mpmath.mpc(a), mpmath.mpc(z)
+        val = mpmath.hyperu(A, 1, Z)
+        if sheet:
+            kap = sheet * 2j * mpmath.pi * mpmath.rgamma(A) ** 2 \
+                * mpmath.exp(-1j * mpmath.pi * A * sheet)
+            val = mpmath.exp(-2j * mpmath.pi * A * sheet) * val \
+                + kap * mpmath.exp(Z) * mpmath.hyperu(1 - A, 1, -Z)
+        return complex(val)
+
+
 def _relation_gap(a, z, sheet, lowered=lambda up, *_: up.lowered()):
     """|Psi(a, 1; z) from the index relation - reference| over its bound.
 
     ``lowered(up, a, z, sheet)`` forms Psi(a) from ``up``, the evaluation
-    at a + 1 on the same sheet.  The reference is 30-digit mpmath on the
-    principal sheet and the direct ``tricomi_psi`` off it.  The bound is
-    scale-free: 100 kappa max(err, 1e-13) |Psi(a)|, where err sums the
-    evaluations' monitors and kappa = (|(a + z) Psi(a+1)| +
-    |z Psi'(a+1)|) / |Psi(a)| is the relation's own amplification of
-    them.  The factor covers the off-sheet reference, whose monitor reads
-    up to 16x low near |z| = 20.
+    at a + 1 on the same sheet.  The reference is ``_continued``.  The
+    bound is scale-free: 10 max(lowered_err, 1e-13) |Psi(a)|, with the
+    relation's own monitor (``TricomiEval.lowered_err``).
     """
     up = tricomi_psi(a + 1.0, z, sheet)
-    if sheet == 0:
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(30):
-            ref = complex(mpmath.hyperu(mpmath.mpc(a), 1, mpmath.mpc(z)))
-        ref_err = 0.0
-    else:
-        direct = tricomi_psi(a, z, sheet)
-        ref, ref_err = direct.value, direct.err
-    kappa = (abs((a + z) * up.value) + abs(z * up.dvalue)) / abs(ref)
-    bound = 100.0 * kappa * max(up.err + ref_err, 1e-13) * abs(ref)
+    ref = _continued(a, z, sheet)
+    bound = 10.0 * max(up.lowered_err(), 1e-13) * abs(ref)
     return abs(lowered(up, a, z, sheet) - ref) / bound
 
 
@@ -204,26 +223,145 @@ class TestIndexRelation:
     """Psi(a) = (a + z) Psi(a+1) - z Psi'(a+1), the parametrix's route to
     Psi(+-m), over its parameter range and the arguments of its disks:
     |Re a| <= 0.45, |Im a| <= 0.3, 0.3 <= |z| <= 100, total argument in
-    (-3 pi/2, 3 pi/2)."""
+    (-3 pi/2, 3 pi/2).  Every point is checked, also those where the
+    direct evaluation is over budget; the relation is held to its own
+    monitor and budget (``TricomiEval.lowered_err``)."""
 
     @settings(max_examples=60, deadline=None)
     @given(re=st.floats(-0.45, 0.45), im=st.floats(-0.3, 0.3),
            log_r=st.floats(np.log10(0.3), 2.0),
            total=st.floats(-1.5 * np.pi, 1.5 * np.pi, exclude_min=True,
                            exclude_max=True))
-    def test_matches_the_direct_value(self, re, im, log_r, total):
+    def test_matches_the_reference(self, re, im, log_r, total):
+        a = complex(re, im)
         z, sheet = _on_cover(10.0 ** log_r, total)
         try:
-            gap = _relation_gap(complex(re, im), z, sheet)
+            up = tricomi_psi(a + 1.0, z, sheet)
         except AccuracyError:
-            reject()  # a monitor over budget in the overlap annulus
-        assert gap <= 1.0
+            reject()  # no value at a + 1 to lower
+        if _over_budget(z, up.lowered_err()):
+            # the relation is refused: the direct value, or its refusal
+            try:
+                direct = tricomi_psi(up.a - 1.0, z, sheet).value
+            except AccuracyError:
+                with pytest.raises(AccuracyError):
+                    up.lowered()
+            else:
+                assert up.lowered() == direct
+            return
+        assert _relation_gap(a, z, sheet) <= 1.0
+        if sheet:
+            # and off-sheet it agrees with the direct value wherever that
+            # is within budget
+            try:
+                direct = tricomi_psi(a, z, sheet)
+            except AccuracyError:
+                return
+            assert abs(up.lowered() - direct.value) \
+                <= 10.0 * abs(direct.value) \
+                * max(up.lowered_err() + direct.err, 1e-13)
+
+    @pytest.mark.parametrize("a, r, total, outcome", [
+        (0.03 + 0.57j, 23.6, -4.7, "relation"),
+        (0.09 - 0.14j, 24.0, 4.7, "direct"),
+        (0.4 + 0.95j, 23.0, -0.12 - 2.0 * np.pi, "refused"),
+    ])
+    def test_budget_as_for_the_direct_value(self, a, r, total, outcome):
+        # in the overlap annulus: the relation serves where its monitor is
+        # within budget, also where the direct value is refused; over it,
+        # the direct value is taken, or refused as the direct call is
+        z, sheet = _on_cover(r, total)
+        up = tricomi_psi(a + 1.0, z, sheet)
+        assert _over_budget(z, up.lowered_err()) == (outcome != "relation")
+        if outcome == "refused":
+            with pytest.raises(AccuracyError):
+                tricomi_psi(a, z, sheet)
+            with pytest.raises(AccuracyError):
+                up.lowered()
+        elif outcome == "direct":
+            assert up.lowered() == tricomi_psi(up.a - 1.0, z, sheet).value
+        else:
+            with pytest.raises(AccuracyError):
+                tricomi_psi(a, z, sheet)
+            assert _relation_gap(a, z, sheet) <= 1.0
 
     def test_lowered_is_the_relation(self):
         te = tricomi_psi(0.7 + 0.1j, 3.0 - 2.0j)
         assert isinstance(te, TricomiEval)
         assert te.lowered() == (te.a - 1.0 + te.z) * te.value \
             - te.z * te.dvalue
+        # the monitor: both terms' monitors and rounding over the result
+        up, dn = abs((te.a - 1.0 + te.z) * te.value), abs(te.z * te.dvalue)
+        assert te.lowered_err() == pytest.approx(
+            (up * (te.err + 2.0 ** -53) + dn * (te.derr + 2.0 ** -53))
+            / abs(te.lowered()), rel=1e-12)
+
+    def test_probe_disks_against_the_direct_entries(self):
+        # Psi(+-m) as the parametrix takes them, against their direct
+        # evaluation on the small-norm probe disks: x = 100 and |zeta| =
+        # 15..25, the overlap annulus, all around both endpoints, so on
+        # every sheet.  The symbols are the probe's F = 0.1 and 0.3 and
+        # two of the new regimes, F = 0.2 + 0.3i and -0.8.
+        sheets, fallbacks, disagree = set(), 0, 0
+        for F in (0.1, 0.3, 0.2 + 0.3j, -0.8):
+            pd = cl.make_problem(a=-1.0, b=1.0, c=1.0, t=1.0, x=100.0,
+                                 F=cl.constant_symbol(F),
+                                 p=cl.identity_phase())
+            for ep, s in (("a", 1), ("b", -1)):
+                px = Parametrix(ep, pd.a if s > 0 else pd.b, 0.2, 100.0, pd,
+                                factory=None)
+                for r in np.linspace(0.15, 0.25, 5):
+                    for th in np.linspace(-np.pi, np.pi, 32, endpoint=False):
+                        lam = px.center + r * np.exp(1j * (th + 0.01))
+                        m = -s * complex(cl.nu(pd, lam))
+                        z = zeta(ep, pd, lam, px.x)
+                        try:
+                            ups = [_psi_cont(1.0 + m, z, -1),
+                                   _psi_cont(1.0 - m, z, +1)]
+                        except AccuracyError:
+                            # Psi(1 +- m) are evaluated directly, as before
+                            with pytest.raises(AccuracyError):
+                                px._confluent(m, z)
+                            continue
+                        cols = []
+                        for up, rot in zip(ups, (-1, +1)):
+                            sheets.add(up.sheet)
+                            try:
+                                direct = _psi_cont(up.a - 1.0, z, rot)
+                            except AccuracyError:
+                                direct = None
+                            cols.append((up, direct,
+                                         _over_budget(z, up.lowered_err())))
+                        if any(over and d is None for _, d, over in cols):
+                            # refused exactly where the direct call is
+                            with pytest.raises(AccuracyError):
+                                px._confluent(m, z)
+                            continue
+                        got = px._confluent(m, z)
+                        assert got[1, 0] == ups[0].value
+                        assert got[0, 1] == ups[1].value
+                        for (up, direct, over), entry in zip(
+                                cols, (got[0, 0], got[1, 1])):
+                            le = up.lowered_err()
+                            if over:
+                                fallbacks += 1
+                                assert entry == direct.value
+                                continue
+                            if direct is None or abs(entry - direct.value) \
+                                    <= 10.0 * abs(direct.value) \
+                                    * max(le + direct.err, 1e-13):
+                                continue
+                            # apart by more than both monitors: the
+                            # relation holds to its own against the
+                            # reference, the direct value does not
+                            disagree += 1
+                            ref = _continued(up.a - 1.0, up.z, up.sheet)
+                            assert abs(entry - ref) \
+                                <= 10.0 * max(le, 1e-13) * abs(ref)
+                            assert abs(direct.value - ref) \
+                                > 10.0 * direct.err * abs(ref)
+        assert sheets == {-1, 0, 1} and fallbacks > 0
+        assert disagree <= 10
 
     @pytest.mark.parametrize("lowered", [
         lambda up, a, z, sheet: (a + z) * up.value
@@ -369,4 +507,4 @@ def test_laplace_values_match_the_per_panel_formula(monkeypatch):
     monkeypatch.setattr(chf, "_panels", _per_panel_formula)
     for (vals, err), (a, z) in zip(got, points):
         ref_vals, ref_err = chf._laplace_ray(a, z)
-        assert np.array_equal(vals, ref_vals) and err == ref_err
+        assert np.array_equal(vals, ref_vals) and np.array_equal(err, ref_err)

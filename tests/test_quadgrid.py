@@ -335,8 +335,11 @@ class TestHalfLine:
         assert rule.doubled is two
         with pytest.raises(ValueError):
             two.weights[0] = 0.0
+        # e^{c s/4} at the nodes, likewise cached and read-only
+        assert np.array_equal(rule.growth, np.exp(0.375 * rule.nodes))
+        assert rule.growth is rule.growth
         with pytest.raises(ValueError):
-            rule.growth[0, 0] = 0.0
+            rule.growth[0] = 0.0
 
     def test_parameter_domain_errors(self):
         with pytest.raises(ParameterDomainError):
