@@ -16,10 +16,10 @@ from .symbols import (HolomorphicHandle, ProblemData, ScalarRH, EPS_K,
                       nu, tau, boundary_value)
 from .l2half import (m_vec, kappa_form, pair, pairing_closed_form, e_vectors,
                      rank_one, smoothing_bound, factor_bound)
-from .kernels import (KernelHandle, v_t, v0, shift_factors, u_kt, k_kt,
-                      resolvent_kernel)
-from .fredholm import (NystromSystem, assemble, determinant, logdet,
-                       logdet_update, solve)
+from .kernels import (KernelHandle, v_t, v0, v0_generators, shift_factors,
+                      u_kt, k_kt, resolvent_kernel)
+from .fredholm import (NystromSystem, assemble, cauchy_like_logdets,
+                       determinant, logdet, logdet_update, solve)
 from .rhp import (ChiSolution, BetaSolution, OperatorFactory,
                   solve_beta, solve_betas, g_chi, factorization_residual,
                   pi_residual, default_probes, write_diagnostics)

@@ -10,11 +10,14 @@ reduced expression through the rho densities.
 Neither assembles V_t.  V_t = V0 + (the c-shift), and the c-shift is
 exactly of rank 2r on any rule (``kernels.shift_factors``; r = 46 at
 c = |t| = 1, whatever x is), so ln det(I+V_t) - ln det(I+V0) is the
-log-determinant of a 2r x 2r matrix (``fredholm.logdet_update``, the
-matrix determinant lemma).  The sweep does one V0 assembly and one LU
-solve per rule.  The t-derivative check inverts its I + V0 once: the
-inverse serves the four log-determinants of its finite difference and,
-by the Sherman-Morrison-Woodbury identity, both chi densities.
+log-determinant of a 2r x 2r matrix, the matrix determinant lemma.  The
+sweep forms no n x n matrix: on each rule it eliminates the Cauchy-like
+I + V0 from its generators (``kernels.v0_generators``,
+``fredholm.cauchy_like_logdets``), and that one pass gives both
+ln det(I+V0) and the lemma's log-ratio.  The t-derivative check inverts
+its I + V0 once: the inverse serves the four log-determinants of its
+finite difference (``fredholm.logdet_update``) and, by the
+Sherman-Morrison-Woodbury identity, both chi densities.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ import numpy as np
 
 from .errors import (ExcludedCaseError, NearSingularityError,
                      ParameterDomainError, ResolutionError)
-from .fredholm import assemble, determinant, logdet, logdet_update
-from .kernels import k_kt, shift_factors, u_kt, v0
+from .fredholm import (assemble, cauchy_like_logdets, determinant,
+                       logdet_update, one_blas_thread)
+from .kernels import k_kt, shift_factors, u_kt, v0, v0_generators
 from .quadgrid import (gauss_interval, graded_interval, laguerre_halfline,
                        oscillation_nodes, safe_radius, stadium_contour,
                        transplanted_interval)
@@ -157,21 +161,22 @@ def _check_budget(cfg: SweepConfig, x: float, n: int) -> None:
 
 
 def _rule_log_ratio(cfg: SweepConfig, pd: ProblemData, n: int):
-    """The n-point I + V0 system and ln det(I+V)/det(I+V0) on its rule."""
+    """ln det(I+V0) and ln det(I+V)/det(I+V0) on the n-point rule."""
     _check_budget(cfg, pd.x, n)
     rule = transplanted_interval(n, cfg.a, cfg.b)
-    sys0 = assemble(v0(pd), rule)
     try:
-        ln_ratio = logdet_update(sys0, *shift_factors(pd, rule))
+        ld_v0, ln_ratio = cauchy_like_logdets(
+            rule.nodes, *v0_generators(pd, rule), *shift_factors(pd, rule))
     except NearSingularityError as exc:
         raise ExcludedCaseError(f"det(I+V0) vanishes at x={pd.x}; "
                                 "the ratio is undefined") from exc
     if not np.isfinite(ln_ratio):
         raise ExcludedCaseError(
             f"det(I+V) vanishes at x={pd.x}; the ratio is undefined")
-    return sys0, ln_ratio
+    return ld_v0, ln_ratio
 
 
+@one_blas_thread()
 def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
     """Ratio of interval determinants against the product of loop determinants.
 
@@ -182,19 +187,24 @@ def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
     The ratio is never the difference of two O(x) log-determinants.  The
     c-shift V - V0 is exactly separable (``kernels.shift_factors``): on an
     n-point rule it is U R^T with U, R real (n, 2r), r = 46 at c = 1, so
-    ln det(I+V)/det(I+V0) = ln det(I_2r + R^T (I+V0)^{-1} U)
-    (``fredholm.logdet_update``).  Each rule assembles only V0 and does
-    one real LU solve against the 2r columns of U; the accepted rule adds
-    one slogdet for det(I+V0), and det(I+V) = det(I+V0) ratio.  A row
-    costs two assemblies and three LUs of order n and 1.15 n.
+    ln det(I+V)/det(I+V0) = ln det(I_2r + R^T (I+V0)^{-1} U).
+    I + V0 is not formed either: each rule eliminates it block by block
+    from its rank-2 generators (``fredholm.cauchy_like_logdets``), which
+    gives ln det(I+V0) and the log-ratio in one pass, in real arithmetic
+    for real data and O(n (2r + 128)) memory; det(I+V) = det(I+V0) ratio.
+    A row costs two such passes, of order n and 1.15 n.  The sweep runs
+    with OpenBLAS on one thread (``fredholm.one_blas_thread``): its
+    products have BLOCK = 128 rows or a few hundred nodes, too few for
+    BLAS threads to pay.
 
     Every rule is ``quadgrid.transplanted_interval``.  Each row starts
     from ``oscillation_nodes`` and is checked a posteriori: while ln ratio
     moves by RULE_TOL * max(1, |ln ratio|) or more on the
     ceil(1.15 n)-point rule, n grows to that rule.  The row
     reports the ratio at the n that passed, that n and its gap; a rule over
-    ``cfg.n_budget`` raises ResolutionError, and a vanishing det(I+V0) or
-    det(I+V) ExcludedCaseError.
+    ``cfg.n_budget`` raises ResolutionError.  A pivot block of I + V0 over
+    ``fredholm.COND_CAP`` (det(I+V0) numerically zero) or a vanishing
+    det(I+V) raises ExcludedCaseError.
     """
     report = SweepReport()
     pd1 = cfg.problem(x=cfg.x_list[0])
@@ -214,20 +224,15 @@ def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
         t_start = time.perf_counter()
         pdx = cfg.problem(x=x)
         n = oscillation_nodes(pdx)
-        sys0, ln_ratio = _rule_log_ratio(cfg, pdx, n)
+        ld_v0, ln_ratio = _rule_log_ratio(cfg, pdx, n)
         # a posteriori: the log-ratio must not move on a 1.15x finer rule
         while True:
             n_check = -(-115 * n // 100)      # ceil(1.15 n), in integers
-            sys0_c, ln_c = _rule_log_ratio(cfg, pdx, n_check)
+            ld_c, ln_c = _rule_log_ratio(cfg, pdx, n_check)
             gap = abs(_principal(ln_c - ln_ratio))
             if gap < RULE_TOL * max(1.0, abs(ln_ratio)):
                 break
-            n, sys0, ln_ratio = n_check, sys0_c, ln_c
-        del sys0_c   # the check rule's matrix, before the slogdet copies sys0
-        ld_v0 = logdet(sys0)
-        if not np.isfinite(ld_v0):
-            raise ExcludedCaseError(
-                f"det(I+V0) vanishes at x={x}; the ratio is undefined")
+            n, ld_v0, ln_ratio = n_check, ld_c, ln_c
         det_v0, ratio = np.exp(ld_v0), np.exp(ln_ratio)
         rel = abs(ratio / product - 1.0)
         report.rows.append(SweepRow(

@@ -21,8 +21,7 @@ condition number over the cap.
 
 ``logdet_update`` adds a term of low rank m to a system:
 ln det(I + K + U R^T) - ln det(I + K) = ln det(I_m + R^T (I + K)^{-1} U),
-the matrix determinant lemma, at the cost of one LU solve against the m
-columns of U, or of a product when the system already holds its inverse.
+the matrix determinant lemma, as a product with the system's inverse.
 ``NystromSystem.updated`` is the system of I + K + U R^T itself, inverted
 from (I + K)^{-1} by the Sherman-Morrison-Woodbury identity (Hager, SIAM
 Rev. 31, 1989), and ``NystromSystem.transposed`` the system of the
@@ -30,10 +29,29 @@ transposed kernel, W^{-1} (I + K W)^T W, inverted by the same scaling:
 one inverse of I + K serves any number of updates and both kernel
 orientations.  ``solve`` on such a view checks the view's own condition
 number and residual.
+
+``cauchy_like_logdets`` needs no matrix at all.  A Cauchy-like A, with
+D A - A D = G H^T for D = diag(lam) and G, H of a few columns, is fixed
+by its generators and its diagonal, and so is every Schur complement of
+it (Gohberg, Kailath & Olshevsky, Math. Comp. 64, 1995).  Gaussian
+elimination then runs on the generators, block by block, and returns
+ln det A together with the lemma's ln det(I_m + R^T A^{-1} U) in one
+pass and O(n (m + BLOCK)) memory.  The sweep's I + V0 W is such a matrix
+(``kernels.v0_generators``); every other kernel, and the tests'
+reference for I + V0, take the dense path.
+
+``one_blas_thread`` runs a block of code with OpenBLAS on one thread.
+The sweep's products are too small to gain from BLAS threads, and an
+idle OpenBLAS thread spins between calls, so on more threads the sweep
+is charged their CPU time and slows down whenever another process
+holds a core.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -42,12 +60,15 @@ import numpy as np
 from .errors import AssemblyError, NearSingularityError
 from .quadgrid import Rule
 
-__all__ = ["NystromSystem", "assemble", "determinant", "logdet",
-           "logdet_update", "solve"]
+__all__ = ["NystromSystem", "assemble", "cauchy_like_logdets", "determinant",
+           "logdet", "logdet_update", "one_blas_thread", "solve"]
 
 #: ``solve`` refuses a system whose 1-norm condition number exceeds this:
-#: its determinant is numerically zero (the excluded case)
+#: its determinant is numerically zero (the excluded case); and
+#: ``cauchy_like_logdets`` refuses a pivot block over it
 COND_CAP = 1e12
+#: pivots per block of ``cauchy_like_logdets``
+BLOCK = 128
 
 @dataclass
 class NystromSystem:
@@ -160,22 +181,126 @@ def logdet(sys: NystromSystem) -> complex:
 def logdet_update(sys: NystromSystem, U: np.ndarray, R: np.ndarray) -> complex:
     """ln det(I + K + U R^T) - ln det(I + K) for (n, m) factors U and R.
 
-    Computed as ln det(I_m + R^T (I + K)^{-1} U); (I + K + U R^T) itself
-    is never formed.  A system that holds its inverse (``factorization``)
-    applies it; otherwise one LU solve against U, which forms no inverse.
-    An exactly singular system raises
-    NearSingularityError; a vanishing updated determinant gives -inf, as
-    in ``logdet``.
+    Computed as ln det(I_m + R^T (I + K)^{-1} U) with the system's inverse
+    (``factorization``); (I + K + U R^T) itself is never formed.  An
+    exactly singular system raises NearSingularityError; a vanishing
+    updated determinant gives -inf, as in ``logdet``.
     """
-    if sys._inv is not None:
-        return _slogdet(np.eye(U.shape[1]) + R.T @ _dot(sys._inv, U))
+    return _slogdet(np.eye(U.shape[1]) + R.T @ _dot(sys.factorization(), U))
+
+
+def cauchy_like_logdets(nodes: np.ndarray, g: np.ndarray, h: np.ndarray,
+                        diag: np.ndarray, U: np.ndarray, R: np.ndarray):
+    """(ln det A, ln det(I_m + R^T A^{-1} U)) for a Cauchy-like A, unformed.
+
+    A_ij = g_i . h_j / (nodes_i - nodes_j) off the diagonal and diag_i on
+    it, for distinct real nodes and (n, k) generators g, h with
+    g_i . h_i = 0 (so D A - A D = g h^T, D = diag(nodes)); U and R are
+    (n, m).  This eliminates the bordered matrix [[A, U], [R^T, -I_m]]
+    BLOCK pivots at a time.  The block row and column of the current Schur
+    complement come from its generators; the b x b block is inverted by
+    numpy (pivoted within the block); then g, h, the diagonal, U, R and
+    the border's m x m sum I_m + R^T A^{-1} U are updated:
+        g_2 -= A_21 A_11^{-1} g_1,   h_2 -= (A_11^{-1} A_12)^T h_1,
+    and alike for U and R, which keeps the complement Cauchy-like with the
+    same nodes.  ln det A is the fsum of the blocks' log-determinants,
+    with the product of their signs, so its imaginary part is principal.
+    Across blocks the elimination does not pivot: a block whose 1-norm
+    condition number exceeds COND_CAP, or that is exactly singular, raises
+    NearSingularityError.  A vanishing border determinant gives -inf, as
+    in ``logdet_update``.
+    """
+    n, k = g.shape
+    dtype = np.result_type(g, h, diag, U, R)
+    # U and R take the updates of g and h: one array each, [g, U] and [h, R]
+    gu = np.concatenate([g, U], axis=1, dtype=dtype)
+    hr = np.concatenate([h, R], axis=1, dtype=dtype)
+    diag = np.array(diag, dtype=dtype)
+    border = np.eye(U.shape[1], dtype=dtype)
+    logabs, sign = [], 1.0
+    for k0 in range(0, n, BLOCK):
+        k1 = min(k0 + BLOCK, n)
+        blk, rest = slice(k0, k1), slice(k1, n)
+        g1, h1 = gu[blk, :k], hr[blk, :k]
+        gaps = nodes[blk, None] - nodes[None, blk]
+        np.fill_diagonal(gaps, 1.0)
+        A11 = (g1 @ h1.T) / gaps
+        np.fill_diagonal(A11, diag[blk])
+        try:
+            inv = np.linalg.inv(A11)
+        except np.linalg.LinAlgError as exc:
+            raise NearSingularityError(
+                "pivot block is exactly singular (the excluded case)",
+                cond=np.inf) from exc
+        cond = float(np.linalg.norm(A11, 1) * np.linalg.norm(inv, 1))
+        if not cond <= COND_CAP:      # NaN included
+            raise NearSingularityError(
+                f"pivot block condition number {cond:.3e} exceeds cap "
+                f"{COND_CAP:.1e} (the excluded case)", cond=cond)
+        block_sign, block_logabs = np.linalg.slogdet(A11)
+        sign = sign * block_sign
+        logabs.append(float(block_logabs))
+        # A_11^{-T} [h_1, R_1]: the pivots' part of H^T and R^T times A^{-1}
+        hr1 = inv.T @ hr[blk]
+        border += hr1[:, k:].T @ gu[blk, k:]
+        if k1 == n:
+            break
+        cauchy = 1.0 / (nodes[blk, None] - nodes[None, rest])
+        A12 = (g1 @ hr[rest, :k].T) * cauchy
+        # A_21^T = -(h_1 g_2^T) o cauchy; its minus turns the -= into +=
+        Y = inv.T @ ((h1 @ gu[rest, :k].T) * cauchy)
+        gu[rest] += Y.T @ gu[blk]
+        diag[rest] += np.einsum("ij,ij->j", Y, A12)
+        hr[rest] -= A12.T @ hr1
+    ld = complex(math.fsum(logabs)) + np.log(complex(sign))
+    return ld, _slogdet(border)
+
+
+@functools.cache
+def _openblas_thread_setters() -> tuple:
+    """``openblas_set_num_threads_local`` of each OpenBLAS in the process.
+
+    Looked up once, on first use, among the shared objects that
+    /proc/self/maps lists (Linux).  Elsewhere, for a BLAS other than
+    OpenBLAS, or for an OpenBLAS older than 0.3.27, there is none.
+    """
+    import ctypes
+
     try:
-        X = np.linalg.solve(sys.matrix, U)
-    except np.linalg.LinAlgError as exc:
-        raise NearSingularityError(
-            "matrix is exactly singular (the excluded case)",
-            cond=np.inf) from exc
-    return _slogdet(np.eye(U.shape[1]) + R.T @ X)
+        with open("/proc/self/maps") as maps:
+            paths = sorted({fields[5].strip() for fields in
+                            (line.split(None, 5) for line in maps)
+                            if len(fields) == 6
+                            and "openblas" in fields[5].lower()})
+    except OSError:
+        return ()
+    setters = []
+    for path in paths:
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        setters.append(setter)
+    return tuple(setters)
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with every OpenBLAS on one thread; restore the counts.
+
+    ``openblas_set_num_threads_local`` sets a count and returns the one
+    it replaces.  The count is process-wide, so blocks entered from
+    several Python threads at once may restore it out of order.  Without
+    OpenBLAS this does nothing.
+    """
+    setters = _openblas_thread_setters()
+    previous = [setter(1) for setter in setters]
+    try:
+        yield
+    finally:
+        for setter, count in zip(setters, previous):
+            setter(count)
 
 
 def determinant(sys: NystromSystem, with_error: bool = False):

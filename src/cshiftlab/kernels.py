@@ -2,7 +2,11 @@
 
 V_t - V0, the c-shift, also comes as exact low-rank Nystrom factors
 (``shift_factors``); the chi densities (``rhp.ChiSolution``) solve on
-I + V0 updated by them, so no pipeline assembles V_t.  ``v_t``
+I + V0 updated by them, so no pipeline assembles V_t.  V0 is integrable,
+(lam - mu) V0(lam, mu) a sum of two products f(lam) g(mu), so on any
+rule I + V0 W is Cauchy-like of displacement rank 2: ``v0_generators``
+gives its generators and diagonal, from which the sweep eliminates it
+(``fredholm.cauchy_like_logdets``) without forming the matrix.  ``v_t``
 interpolates those densities off the nodes (``ChiSolution.FR_at``/
 ``FL_at``) and is the tests' dense reference.  The resolvent kernel
 reads the densities of a ChiSolution; this module solves no system.
@@ -24,8 +28,8 @@ from .errors import PoleError
 from .quadgrid import IntervalRule
 from .symbols import EPS_K, ProblemData, ScalarRH, tau
 
-__all__ = ["KernelHandle", "v_t", "v0", "shift_factors", "u_kt", "k_kt",
-           "resolvent_kernel"]
+__all__ = ["KernelHandle", "v_t", "v0", "v0_generators", "shift_factors",
+           "u_kt", "k_kt", "resolvent_kernel"]
 
 
 @dataclass
@@ -153,6 +157,28 @@ def v0(pd: ProblemData) -> KernelHandle:
     """
     return KernelHandle(lambda lam, mu: _interval_entries(pd, 0.0, lam, mu),
                         name="V0")
+
+
+def v0_generators(pd: ProblemData, rule: IntervalRule):
+    """Generators g, h (n, 2) and diagonal of I + V0 W on an interval rule.
+
+    Off the diagonal (I + V0 W)_ij = g_i . h_j / (lam_i - lam_j) with
+        g_i = F(lam_i)/pi (sin a_i, -cos a_i),  h_j = w_j (cos a_j, sin a_j),
+    a = x p/2, so that g_i . h_j = F(lam_i) w_j sin(a_i - a_j)/pi by angle
+    addition; the diagonal is the exact limit 1 + w F x p'/(2 pi).  p is
+    real on [a, b] (``make_problem`` checks it), so h is real; g and the
+    diagonal are float64 for real F and complex128 otherwise.
+    """
+    lam, w = rule.nodes, rule.weights
+    F_lam = pd.F(lam)
+    if _real_values(F_lam) is not None:
+        F_lam = F_lam.real
+    a = 0.5 * pd.x * pd.p(lam).real
+    s, c = np.sin(a), np.cos(a)
+    g = np.stack([s, -c], axis=1) * (F_lam / np.pi)[:, None]
+    h = np.stack([c, s], axis=1) * w[:, None]
+    diag = 1.0 + w * (F_lam / np.pi) * (0.5 * pd.x * pd.p.deriv(lam).real)
+    return g, h, diag
 
 
 def _chebyshev_basis(a: float, b: float, r: int, mu: np.ndarray):

@@ -87,8 +87,9 @@ class TestIntervalRule:
         row = theorem1_sweep(cfg).rows[0]
         assert row.n == n
         rule = cl.gauss_interval(n_ref, -1.0, 1.0)
-        lemma = cl.logdet_update(cl.assemble(cl.v0(pd), rule),
-                                 *cl.shift_factors(pd, rule))
+        _, lemma = cl.cauchy_like_logdets(rule.nodes,
+                                          *cl.v0_generators(pd, rule),
+                                          *cl.shift_factors(pd, rule))
         ln_ratio = np.log(complex(row.ratio))
         assert abs(cl.flow._principal(ln_ratio - lemma)) \
             < cl.flow.RULE_TOL * max(1.0, abs(ln_ratio))
@@ -201,38 +202,98 @@ class TestTheoremSweep:
         assert np.isnan(short.fit_residual)
 
     def test_vanishing_determinant_is_the_excluded_case(self, monkeypatch):
-        monkeypatch.setattr(cl.flow, "logdet", lambda sys_: complex(-np.inf))
-        with pytest.raises(ExcludedCaseError):
+        # a vanishing det(I+V): the lemma's border determinant gives -inf
+        def logdets(*args):
+            return cl.fredholm.cauchy_like_logdets(*args)[0], complex(-np.inf)
+
+        monkeypatch.setattr(cl.flow, "cauchy_like_logdets", logdets)
+        with pytest.raises(ExcludedCaseError, match=r"det\(I\+V\) vanishes"):
             theorem1_sweep(SweepConfig(x_list=(20.0,)))
 
     def test_singular_v0_is_the_excluded_case(self, monkeypatch):
-        # an exactly singular I + V0 stops the lemma's solve
-        def assemble(kernel, support):
-            sys_ = cl.assemble(kernel, support)
-            if kernel.name == "V0":
-                sys_.matrix[:] = 0.0
-            return sys_
+        # zero generators and a zero diagonal: I + V0 is the zero matrix,
+        # and its first pivot block is exactly singular
+        def v0_generators(pd, rule):
+            return tuple(np.zeros_like(v) for v in cl.v0_generators(pd, rule))
 
-        monkeypatch.setattr(cl.flow, "assemble", assemble)
-        with pytest.raises(ExcludedCaseError):
+        monkeypatch.setattr(cl.flow, "v0_generators", v0_generators)
+        with pytest.raises(ExcludedCaseError, match=r"det\(I\+V0\) vanishes"):
             theorem1_sweep(SweepConfig(x_list=(20.0,)))
+
+    @staticmethod
+    def _structured_against_dense(pd, rule):
+        """The elimination's ln det(I+V0) and ln ratio less the dense
+        references (slogdet of I + V0, and the lemma with its inverse),
+        and those references."""
+        U, R = cl.shift_factors(pd, rule)
+        ld_v0, ln_ratio = cl.cauchy_like_logdets(
+            rule.nodes, *cl.v0_generators(pd, rule), U, R)
+        sys0 = cl.assemble(cl.v0(pd), rule)
+        lemma = cl.logdet_update(sys0, U, R)
+        dense_v0 = cl.logdet(sys0)
+        return (cl.flow._principal(ld_v0 - dense_v0),
+                cl.flow._principal(ln_ratio - lemma), dense_v0, lemma)
 
     @given(F=st.floats(-0.9, 2.0), x=st.floats(20.0, 800.0),
            q=st.floats(0.0, 0.3))
     @settings(max_examples=25, deadline=None)
     def test_lemma_matches_the_dense_log_ratio(self, F, x, q):
-        # ln det(I_2r + R^T (I+V0)^{-1} U) against the difference of the
-        # two dense log-determinants on one rule, curved phases included
+        # the elimination's ln det(I+V0) and ln ratio against the dense
+        # references on one rule, and the dense lemma against the
+        # difference of two dense log-determinants, curved phases included
         p = (0.0, 1.0, q)
-        n = oscillation_nodes(_problem(x, F, p))
+        pd = _problem(x, F, p)
+        n = oscillation_nodes(pd)
         rule = cl.transplanted_interval(n, -1.0, 1.0)
-        sys0 = cl.assemble(cl.v0(_problem(x, F, p, t=0.0)), rule)
-        lemma = cl.logdet_update(sys0, *cl.shift_factors(_problem(x, F, p),
-                                                         rule))
+        d_v0, d_ratio, ld_v0, lemma = self._structured_against_dense(pd, rule)
+        assert abs(d_v0) < 1e-13 * max(1.0, abs(ld_v0))
+        assert abs(d_ratio) < 1e-13 * max(1.0, abs(lemma))
         diff = lemma - _log_ratio(x, n, F, p,
                                   build=cl.transplanted_interval)
         diff = complex(diff.real, np.angle(np.exp(1j * diff.imag)))
         assert abs(diff) < 1e-11 * max(1.0, abs(lemma))
+
+    @pytest.mark.parametrize("F", [
+        cl.poly_symbol([0.2, 0.1, -0.05]), cl.constant_symbol(1j),
+        cl.constant_symbol(-0.5 + 0.5j)], ids=["poly", "i", "complex"])
+    def test_structured_matches_the_dense_reference(self, F):
+        # x = 500; for complex F the imaginary part of ln det(I+V0) is
+        # compared modulo 2 pi
+        pd = _problem(500.0, 0.2).with_(F=F)
+        rule = cl.transplanted_interval(oscillation_nodes(pd), -1.0, 1.0)
+        d_v0, d_ratio, ld_v0, lemma = self._structured_against_dense(pd, rule)
+        assert abs(d_v0) < 1e-13 * max(1.0, abs(ld_v0))
+        assert abs(d_ratio) < 1e-13 * max(1.0, abs(lemma))
+
+    def test_forms_no_matrix_on_the_sweep_rules(self, monkeypatch):
+        # only the x-independent loop product and the graded K-route
+        # assemble and take a slogdet of their order; every row's rule is
+        # eliminated from its generators, in blocks of BLOCK pivots
+        rules, supports, orders = [], [], []
+
+        def transplanted(*args):
+            rules.append(cl.transplanted_interval(*args))
+            return rules[-1]
+
+        def assemble(kernel, support):
+            supports.append(support)
+            return cl.fredholm.assemble(kernel, support)
+
+        slogdet = np.linalg.slogdet
+
+        def spy(a):
+            orders.append(np.shape(a)[-1])
+            return slogdet(a)
+
+        monkeypatch.setattr(cl.flow, "transplanted_interval", transplanted)
+        monkeypatch.setattr(cl.flow, "assemble", assemble)
+        monkeypatch.setattr(np.linalg, "slogdet", spy)
+        theorem1_sweep(SweepConfig(x_list=(1600.0,)))
+        assert [r.n for r in rules] == [672, 773]
+        assert len(supports) == 4
+        assert not any(s is r for s in supports for r in rules)
+        assert max(o for o in orders if o > cl.fredholm.BLOCK) \
+            == max(s.n for s in supports) < 672
 
     def test_loops_sit_at_safe_radius(self, monkeypatch):
         # the sweep's loop and the t-derivative check's loop are both at

@@ -3,7 +3,10 @@ import pytest
 
 import cshiftlab as cl
 from cshiftlab.errors import AssemblyError, NearSingularityError
-from cshiftlab.fredholm import NystromSystem, logdet, logdet_update
+from cshiftlab import fredholm
+from cshiftlab.fredholm import (BLOCK, COND_CAP, NystromSystem,
+                                cauchy_like_logdets, logdet, logdet_update,
+                                one_blas_thread)
 
 
 class TestAssemble:
@@ -91,7 +94,7 @@ class TestLogdetUpdate:
     @pytest.mark.parametrize("complex_u", [False, True])
     def test_lemma_against_the_updated_matrix(self, pd_default, complex_u):
         # ln det(I + K + U R^T) - ln det(I + K) for a float64 system, with
-        # a real or a complex U, by the LU solve and by the held inverse
+        # a real or a complex U, from the inverse the system then holds
         rule = cl.gauss_interval(40, -1.0, 1.0)
         sys_ = cl.assemble(cl.v0(pd_default), rule)
         assert sys_.matrix.dtype == np.float64 and sys_._inv is None
@@ -101,12 +104,9 @@ class TestLogdetUpdate:
             U = U + 0.1j * rng.standard_normal((40, 6))
         want = np.linalg.slogdet(sys_.matrix + U @ R.T)
         want = want[0] * np.exp(want[1])
-        lu = logdet_update(sys_, U, R) + logdet(sys_)
-        sys_.factorization()
-        held = logdet_update(sys_, U, R) + logdet(sys_)
-        assert np.exp(lu) == pytest.approx(want, rel=1e-13)
-        assert np.exp(held) == pytest.approx(want, rel=1e-13)
-        assert abs(lu - held) < 1e-13
+        got = logdet_update(sys_, U, R) + logdet(sys_)
+        assert np.exp(got) == pytest.approx(want, rel=1e-13)
+        assert sys_._inv is not None
 
     def test_vanishing_update_is_minus_infinity(self):
         rule = cl.gauss_interval(8, 0.0, 1.0)
@@ -181,10 +181,78 @@ class TestViews:
 
     def test_logdet_update_applies_a_held_inverse(self, monkeypatch):
         sys_, U, R = self._base(complex_u=True)
-        lu = logdet_update(sys_, U, R)
+        want = np.linalg.det(sys_.matrix + U @ R.T) \
+            / np.linalg.det(sys_.matrix)
         sys_.factorization()
-        monkeypatch.setattr(np.linalg, "solve", None)   # no LU solve left
-        assert logdet_update(sys_, U, R) == pytest.approx(lu, rel=1e-13)
+        # neither an LU solve nor a second inverse is left
+        monkeypatch.setattr(np.linalg, "solve", None)
+        monkeypatch.setattr(np.linalg, "inv", None)
+        assert np.exp(logdet_update(sys_, U, R)) \
+            == pytest.approx(want, rel=1e-13)
+
+
+class TestCauchyLike:
+    """Elimination on the generators of A, (lam_i - lam_j) A_ij = g_i . h_j."""
+
+    @staticmethod
+    def _dense(nodes, g, h, diag):
+        gaps = nodes[:, None] - nodes[None, :]
+        np.fill_diagonal(gaps, 1.0)
+        A = (g @ h.T) / gaps
+        np.fill_diagonal(A, diag)
+        return A
+
+    @pytest.mark.parametrize("n, m, complex_g", [
+        (300, 6, False), (300, 6, True), (50, 0, False), (256, 3, False)])
+    def test_matches_the_formed_matrix(self, n, m, complex_g):
+        # three blocks (the last short), one short block, two full ones;
+        # spread nodes and the diagonal keep A well conditioned without
+        # pivoting
+        rng = np.random.default_rng(11)
+        nodes = np.linspace(-1.0, 1.0, n) + rng.uniform(0.0, 0.5 / n, n)
+        # g_i . h_i = 0, as for V0: D A - A D = g h^T on the diagonal too
+        a = rng.uniform(-50.0, 50.0, n)
+        f = rng.standard_normal(n) + (1j * rng.standard_normal(n)
+                                      if complex_g else 0.0)
+        g = np.stack([np.sin(a), -np.cos(a)], axis=1) * f[:, None] / n
+        h = np.stack([np.cos(a), np.sin(a)], axis=1) / n
+        diag = 1.0 + rng.uniform(0.0, 1.0, n)
+        U, R = (0.1 * rng.standard_normal((n, m)) for _ in range(2))
+        A = self._dense(nodes, g, h, diag)
+        ld, ln_border = cauchy_like_logdets(nodes, g, h, diag, U, R)
+        sign, logabs = np.linalg.slogdet(A)
+        assert np.exp(ld - logabs) == pytest.approx(sign, abs=1e-13)
+        want = np.linalg.det(np.eye(m) + R.T @ np.linalg.solve(A, U))
+        assert np.exp(ln_border) == pytest.approx(want, rel=1e-13)
+
+    def test_vanishing_border_is_minus_infinity(self):
+        nodes = np.linspace(-1.0, 1.0, 8)
+        zero = np.zeros((8, 2))
+        e1 = np.eye(8)[:, :1]
+        _, ln_border = cauchy_like_logdets(nodes, zero, zero, np.ones(8),
+                                           -e1, e1)
+        assert ln_border == complex(-np.inf)
+
+    def test_singular_block_raises(self):
+        nodes = np.linspace(-1.0, 1.0, 8)
+        zero = np.zeros((8, 2))
+        with pytest.raises(NearSingularityError):
+            cauchy_like_logdets(nodes, zero, zero, np.zeros(8), zero, zero)
+
+    def test_block_over_the_cap_is_refused(self):
+        # a diagonal A whose second pivot block has condition number 1e14:
+        # the first block passes, and no number comes back
+        n = 2 * BLOCK + 10
+        nodes = np.linspace(-1.0, 1.0, n)
+        zero = np.zeros((n, 2))
+        diag = np.ones(n)
+        diag[BLOCK + 3] = 1e-14
+        with pytest.raises(NearSingularityError, match="exceeds cap") as exc:
+            cauchy_like_logdets(nodes, zero, zero, diag, zero, zero)
+        assert exc.value.cond > COND_CAP
+        diag[BLOCK + 3] = 1e-11
+        ld, _ = cauchy_like_logdets(nodes, zero, zero, diag, zero, zero)
+        assert ld == pytest.approx(np.log(1e-11), rel=1e-15)
 
 
 class TestSolve:
@@ -234,3 +302,48 @@ class TestSolve:
         sys.factorization()
         assert sys.cond == pytest.approx(np.linalg.cond(sys.matrix, 1),
                                          rel=1e-12)
+
+
+class TestOneBlasThread:
+    @pytest.fixture(autouse=True)
+    def two_threads(self):
+        """Every OpenBLAS on two threads for the test, then as it was."""
+        setters = fredholm._openblas_thread_setters()
+        if not setters:
+            pytest.skip("numpy runs on no OpenBLAS here")
+        previous = [setter(2) for setter in setters]
+        yield
+        for setter, count in zip(setters, previous):
+            setter(count)
+
+    @staticmethod
+    def counts():
+        """Each OpenBLAS's thread count, read by setting it back."""
+        setters = fredholm._openblas_thread_setters()
+        counts = [setter(1) for setter in setters]
+        for setter, count in zip(setters, counts):
+            setter(count)
+        return counts
+
+    def test_one_thread_inside_and_counts_restored(self):
+        with one_blas_thread():
+            assert set(self.counts()) == {1}
+        assert set(self.counts()) == {2}
+
+    def test_counts_restored_when_the_block_raises(self):
+        with pytest.raises(RuntimeError), one_blas_thread():
+            raise RuntimeError
+        assert set(self.counts()) == {2}
+
+    def test_sweep_runs_on_one_thread(self, monkeypatch):
+        seen = []
+        inner = cl.flow.cauchy_like_logdets
+
+        def spy(*args):
+            seen.append(set(self.counts()))
+            return inner(*args)
+
+        monkeypatch.setattr(cl.flow, "cauchy_like_logdets", spy)
+        cl.flow.theorem1_sweep(cl.flow.SweepConfig(x_list=(50.0,)))
+        assert seen and all(c == {1} for c in seen)
+        assert set(self.counts()) == {2}
