@@ -1,12 +1,16 @@
 """Tricomi confluent hypergeometric function Psi(a, 1; z) on the universal cover.
 
+Every evaluation runs on arrays of points: ``tricomi_psi_array`` takes
+arrays of a, z and sheets, and ``tricomi_psi`` is its one-point case.
 Two principal-sheet routes, each with error monitors of the value and of
 its slope:
 
 * the rotated-ray Laplace integral (DLMF 13.4.4) at every |z| up to the
   switch radius 20, and beyond it wherever the expansion's least term is
   not small; below Re a = -1/2 it is carried down by the contiguous
-  relation in a.  Its monitor is the cancellation of its terms;
+  relation in a.  Its monitor is the cancellation of its terms.  All of
+  a call's Laplace points are summed in one padded (points x nodes) pass,
+  each point on its own ray, panels and stub, with its own monitors;
 * the asymptotic expansion in z^{-a-n}, truncated at the least term,
   used for |z| > 20 (1 - 1e-9): the margin sends a point whose modulus
   rounds to 20 one way or the other down one route.
@@ -15,7 +19,9 @@ Nonpositive integer a terminates the asymptotic sum, which is then the
 exact polynomial value.  Off-principal sheets are reached by applying the
 monodromy connection formulas recursively; first and second derivatives
 propagate through every route, so the defining ODE can be residual-checked
-independently of how a value was produced.
+independently of how a value was produced.  The routes, the contiguous
+recurrence and the monodromy connection are dispatched by masks over the
+points.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 from .errors import AccuracyError, BranchError, ParameterDomainError
 from .quadgrid import _panels
 
-__all__ = ["TricomiEval", "tricomi_psi"]
+__all__ = ["TricomiEval", "tricomi_psi", "tricomi_psi_array"]
 
 SWITCH_RADIUS = 20.0
 #: |a| above this is refused: the range on which ``_gamma`` is validated
@@ -41,9 +47,23 @@ _RAY_CLIP = 0.75 * math.pi
 
 #: powers t^m of the Laplace route's endpoint stub, m < 7
 _STUB_M = np.arange(7.0)
-#: the z-derivative orders 0, 1, 2 as a column, and their signs (-1)^k
+#: the z-derivative orders 0, 1, 2 and their signs (-1)^k, as columns
 _SHIFTS = np.arange(3.0)[:, None]
-_SIGNS = np.array([1.0, -1.0, 1.0])
+_SIGNS = np.array([[1.0], [-1.0], [1.0]])
+#: the stub's series over m: ratios of successive terms of (1+t)^{-a},
+#: (1 - a - m)/m = _BINOM_RATIO + a _STUB_STEP, and of e^{-zt}, -z/m =
+#: _EXP_RATIO + z _STUB_STEP, with a leading 1 (m = 0); its powers
+#: a + m + k, (k, m), are a + _STUB_POWERS
+_STUB_STEP = np.concatenate(([0.0], -1.0 / _STUB_M[1:]))
+_BINOM_RATIO = np.concatenate(([1.0], (1.0 - _STUB_M[1:]) / _STUB_M[1:]))
+_EXP_RATIO = (_STUB_M == 0).astype(float)
+_STUB_POWERS = _STUB_M + _SHIFTS
+#: the product series g_j = sum_l binom_l expc_{j-l}, truncated at M terms:
+#: (expc[_CONV] * _CONV_MASK)[j, l] is expc_{j-l}
+_CONV = (_STUB_M[:, None] - _STUB_M[None, :]).astype(int) % _STUB_M.size
+_CONV_MASK = np.tril(np.ones((_STUB_M.size, _STUB_M.size)))
+#: dtype of the route names
+_ROUTE_DTYPE = "<U10"
 #: relative error of ``_gamma`` on |a| <= A_CAP, and the rounding charged
 #: per unit of sum |terms| / |sum terms| of a Laplace value
 _GAMMA_ERR = 5e-15
@@ -63,9 +83,11 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class TricomiEval:
-    """One evaluation of Psi(a, 1; .) with derivatives and error monitors.
+    """Evaluations of Psi(a, 1; .) with derivatives and error monitors.
 
-    ``err`` and ``derr`` are relative monitors of ``value`` and ``dvalue``.
+    One point from ``tricomi_psi``; from ``tricomi_psi_array`` every field
+    is an array over the points.  ``err`` and ``derr`` are relative
+    monitors of ``value`` and ``dvalue``.
     """
 
     a: complex
@@ -78,29 +100,31 @@ class TricomiEval:
     derr: float
     route: str
 
-    def ode_residual(self) -> float:
+    def ode_residual(self):
         """Relative residual of z y'' + (1 - z) y' - a y = 0."""
         r = self.z * self.d2value + (1.0 - self.z) * self.dvalue - self.a * self.value
-        scale = max(abs(self.z * self.d2value), abs((1.0 - self.z) * self.dvalue),
-                    abs(self.a * self.value), 1e-300)
-        return abs(r) / scale
+        scale = np.maximum.reduce([np.abs(self.z * self.d2value),
+                                   np.abs((1.0 - self.z) * self.dvalue),
+                                   np.abs(self.a * self.value),
+                                   np.full(np.shape(r), 1e-300)])
+        return np.abs(r) / scale
 
-    def _lowering(self) -> tuple[complex, float]:
+    def _lowering(self):
         up = (self.a - 1.0 + self.z) * self.value
         dn = self.z * self.dvalue
         val = up - dn
-        err = (abs(up) * (self.err + _ROUND)
-               + abs(dn) * (self.derr + _ROUND)) / max(abs(val), 1e-300)
+        err = (np.abs(up) * (self.err + _ROUND)
+               + np.abs(dn) * (self.derr + _ROUND)) / np.maximum(np.abs(val), 1e-300)
         return val, err
 
-    def lowered_err(self) -> float:
+    def lowered_err(self):
         """Relative error monitor of the index relation in ``lowered``:
         the monitors of its two terms, and their rounding, over
         |Psi(a - 1)|.  Where the terms cancel it grows with their ratio to
         the result."""
         return self._lowering()[1]
 
-    def lowered(self) -> complex:
+    def lowered(self):
         """Psi(a - 1, 1; z) on the same sheet, from this value and slope.
 
         z Psi'(a) = a^2 Psi(a+1) - a Psi(a) turns the contiguous relation
@@ -109,91 +133,118 @@ class TricomiEval:
         sheet, there is no division, and the step runs downward in a, the
         stable direction of the recurrence ``_laplace`` already uses.
 
-        The budget of ``tricomi_psi`` holds for the relation too: where
-        ``lowered_err`` is over it, Psi(a - 1) is evaluated directly, so
-        the value is refused (AccuracyError) exactly where the direct
-        evaluation's own monitor is over budget.
+        The budget of ``tricomi_psi`` holds for the relation too: at the
+        points where ``lowered_err`` is over it, Psi(a - 1) is evaluated
+        directly (one ``tricomi_psi_array`` call), so a value is refused
+        (AccuracyError) exactly where the direct evaluation's own monitor
+        is over budget.
         """
         val, err = self._lowering()
-        if _over_budget(self.z, err):
-            return tricomi_psi(self.a - 1.0, self.z, self.sheet).value
-        return val
+        over = _over_budget(self.z, err)
+        if not np.any(over):
+            return val
+        val = np.array(val)
+        val[over] = tricomi_psi_array(np.asarray(self.a)[over] - 1.0,
+                                      np.asarray(self.z)[over],
+                                      np.asarray(self.sheet)[over]).value
+        return val[()]
 
 
-def _is_nonpos_int(a: complex) -> bool:
-    return abs(a.imag) == 0.0 and a.real <= 0 and a.real == int(a.real)
+def _is_nonpos_int(a):
+    """Whether a is a nonpositive integer; elementwise on an array."""
+    re = np.real(a)
+    return (re <= 0) & (a == np.round(re))
 
 
-def _gamma(a: complex) -> complex:
+#: the Lanczos terms beyond the constant one, and their shifts j
+_LANCZOS_TAIL = np.array(_LANCZOS[1:])
+_LANCZOS_J = np.arange(1.0, len(_LANCZOS))
+
+
+def _gamma(a):
     """Gamma(a) for complex a, within 5e-15 relative for |a| <= 5.
 
     Lanczos (g = 607/128) on Re a >= 1/2; below, the reflection
     Gamma(a) Gamma(1 - a) = pi / sin(pi a), with sin(pi a) taken after
     removing the nearest integer so that it keeps its digits near a pole.
+    Elementwise on an array of a.
     """
-    a = complex(a)
-    if _is_nonpos_int(a):
+    a = np.asarray(a, dtype=complex)
+    if _is_nonpos_int(a).any():
         raise ParameterDomainError(f"Gamma has a pole at a = {a}")
-    if a.real < 0.5:
-        n = round(a.real)
-        sin_pi = (-1) ** n * cmath.sin(math.pi * (a - n))
-        return math.pi / (sin_pi * _gamma(1.0 - a))
-    ser = _LANCZOS[0]
-    for j in range(1, len(_LANCZOS)):
-        ser += _LANCZOS[j] / (a + j)
-    t = a + 5.2421875  # g + 1/2
-    return _SQRT_2PI * ser / a * cmath.exp((a + 0.5) * cmath.log(t) - t)
+    refl = a.real < 0.5
+    b = np.where(refl, 1.0 - a, a)
+    ser = _LANCZOS[0] + (_LANCZOS_TAIL / (b[..., None] + _LANCZOS_J)).sum(-1)
+    t = b + 5.2421875  # g + 1/2
+    g = _SQRT_2PI * ser / b * np.exp((b + 0.5) * np.log(t) - t)
+    if not refl.any():
+        return g[()]
+    n = np.round(a.real)
+    sin_pi = (-1.0) ** n * np.sin(np.pi * (a - n))
+    return np.where(refl, np.pi / (np.where(refl, sin_pi, 1.0) * g), g)[()]
 
 
-def _laplace_ray(a: complex, z: complex):
-    """(Psi, Psi', Psi'') by one Laplace integral, Re a >= -1/2.
+def _laplace_ray(a: np.ndarray, z: np.ndarray):
+    """(Psi, Psi', Psi'') by one Laplace integral per point, Re a >= -1/2.
 
-    Also returns the relative error monitors of the value and the slope:
-    the error of ``_gamma`` plus the rounding of the quadrature and stub
-    terms, each charged in proportion to its exponent's parts, over
-    |sum of terms|.  They grow where the sum cancels: toward Re a = -1/2,
-    where the stub and the panels grow like tau0^{Re a}, and at large
-    |Im a|.
+    ``a`` and ``z`` are 1-D arrays of the N points.  Returns the values,
+    a (3, N) array, and the relative error monitors of the value and the
+    slope, (2, N): the error of ``_gamma`` plus the rounding of the
+    quadrature and stub terms, each charged in proportion to its
+    exponent's parts, over |sum of terms|.  They grow where the sum
+    cancels: toward Re a = -1/2, where the stub and the panels grow like
+    tau0^{Re a}, and at large |Im a|.
+
+    Every point has its own ray, stub and panels; the panels are padded to
+    the largest count among the points by zero-width panels at the
+    point's far end T, whose weights are 0.  The sums run panel by panel,
+    the panels' sums then in order, so the padding adds exact zeros: a
+    point's values and monitors are those of its one-point call.
     """
-    theta = min(max(cmath.phase(z), -_RAY_CLIP), _RAY_CLIP)
-    ph = cmath.exp(-1j * theta)
+    theta = np.minimum(np.maximum(np.angle(z), -_RAY_CLIP), _RAY_CLIP)
+    ph = np.exp(-1j * theta)
     T = 45.0 / (z * ph).real   # |e^{-z t}| = e^{-45} at the far end
-    tau0 = 1e-4 * min(1.0, T)
-    logt0 = math.log(tau0) - 1j * theta
+    tau0 = 1e-4 * np.minimum(1.0, T)
+    logt0 = np.log(tau0) - 1j * theta
+
+    # every array runs over the points first, and each sum over the last,
+    # contiguous axis, so that a point's sums do not depend on the others
+    ac, zc, phc, thc = a[:, None], z[:, None], ph[:, None], theta[:, None]
 
     # stub on [0, tau0]: (1+t)^{-a} e^{-zt} = sum g_m t^m, each power of
     # t^{a-1+m+k} integrated exactly; (a+m+k)^{-1} continues it in a
-    m = _STUB_M[1:]
-    binom = np.cumprod(np.concatenate(([1.0], (1.0 - a - m) / m)))
-    expc = np.cumprod(np.concatenate(([1.0], -z / m)))
-    gm = np.convolve(binom, expc)[:_STUB_M.size]
-    pw = a + _STUB_M + _SHIFTS   # (3, M): the powers for k = 0, 1, 2
-    stub = gm * np.exp(pw * logt0) / pw
+    binom = np.cumprod(_BINOM_RATIO + ac * _STUB_STEP, axis=1)
+    expc = np.cumprod(_EXP_RATIO + zc * _STUB_STEP, axis=1)
+    gm = (binom[:, None, :] * expc[:, _CONV] * _CONV_MASK).sum(axis=2)
+    pw = ac[:, :, None] + _STUB_POWERS   # (N, 3, M): k = 0, 1, 2
+    logt0 = logt0[:, None, None]
+    stub = gm[:, None, :] * np.exp(pw * logt0) / pw
 
     # 24-point Gauss panels graded by 3 from tau0 out to T
-    edges = tau0 * 3.0 ** np.arange(math.ceil(math.log(T / tau0, 3.0)) + 1)
-    edges[-1] = T
-    tau, wt = _panels(edges, 24)
-    t = ph * tau
-    logt = np.log(tau) - 1j * theta
+    count = np.array([math.ceil(math.log(hi / lo, 3.0))
+                      for hi, lo in zip(T, tau0)])[:, None]
+    k = np.arange(count.max() + 1)
+    tau, wt = _panels(np.where(k < count, tau0[:, None] * 3.0 ** k,
+                               T[:, None]), 24)
+    t = phc * tau
+    logt = np.log(tau) - 1j * thc
     log1pt = np.log1p(t)
-    base = (ph * wt) * np.exp(-z * t + (a - 1.0) * logt - a * log1pt)
+    base = (phc * wt) * np.exp((ac - 1.0) * logt - zc * t - ac * log1pt)
     bt = base * t
-    sums = np.array([base.sum(), bt.sum(), bt @ t]) + stub.sum(axis=1)
-
     # a term's exponent is rounded relative to the sizes of its parts
-    cond = 1.0 + abs(z) * tau + abs(a - 1.0) * np.abs(logt) \
-        + abs(a) * np.abs(log1pt)
-    stub_cond = 1.0 + np.abs(pw[:2] * logt0)
-    size = np.abs(base)
-    sizes = (size @ cond + np.abs(stub[0]) @ stub_cond[0],
-             (size * tau) @ cond + np.abs(stub[1]) @ stub_cond[1])
-    err = [_GAMMA_ERR + _ROUND * sz / max(abs(sm), 1e-300)
-           for sz, sm in zip(sizes, sums)]
+    size = np.abs(base) * (1.0 + np.abs(zc) * tau + np.abs(ac - 1.0)
+                           * np.abs(logt) + np.abs(ac) * np.abs(log1pt))
+    terms = np.array([base, bt, bt * t, size, size * tau])
+    panel_sums = terms.reshape(5, a.size, -1, 24).sum(axis=3)
+    ray = np.cumsum(panel_sums, axis=2)[:, :, -1]
+    sums = ray[:3] + stub.sum(axis=2).T
+    sizes = ray[3:].real + (np.abs(stub[:, :2]) * (
+        1.0 + np.abs(pw[:, :2] * logt0))).sum(axis=2).T
+    err = _GAMMA_ERR + _ROUND * sizes / np.maximum(np.abs(sums[:2]), 1e-300)
     return _SIGNS * sums / _gamma(a), err
 
 
-def _laplace(a: complex, z: complex):
+def _laplace(a, z):
     """Gamma(a) Psi = int_0^inf e^{-z t} t^{a-1} (1+t)^{-a} dt (DLMF 13.4.4).
 
     Taken along the ray t = e^{-i theta} tau, theta = arg z clipped to
@@ -208,27 +259,52 @@ def _laplace(a: complex, z: complex):
     (DLMF 13.3.7) with its z-derivatives carries them down to a.  U is
     the minimal solution as a grows, so the downward recurrence is stable;
     its terms' cancellation is added to the monitors at each step.
+
+    Elementwise over a and z: returns the values (Psi, Psi', Psi''), a
+    (3, ...) array, and the relative monitors of value and slope, (2,
+    ...), over the points' broadcast shape.  One ``_laplace_ray`` pass
+    serves every point; the points below Re a = -1/2 step down together,
+    each for its own k steps.
     """
-    if a.real >= -0.5:
+    a, z = np.asarray(a, dtype=complex), np.asarray(z, dtype=complex)
+    if a.shape != z.shape:
+        a, z = np.broadcast_arrays(a, z)
+    shape = a.shape
+    a, z = a.ravel(), z.ravel()
+    if a.real.min() >= -0.5:
         vals, err = _laplace_ray(a, z)
-        return (*vals, *err)
-    k = math.ceil(-0.5 - a.real)
-    b = a + k
-    up, e_up = _laplace_ray(b + 1.0, z)
-    cur, e_cur = _laplace_ray(b, z)
+        return vals.reshape((3,) + shape), err.reshape((2,) + shape)
+    k = np.maximum(np.ceil(-0.5 - a.real), 0.0)
+    rec = k > 0
+    # the direct points with the recurrence's starting pairs b + 1, b
+    b = a[rec] + k[rec]
+    n_direct, n_rec = a.size - b.size, b.size
+    vals, err = _laplace_ray(np.concatenate([a[~rec], b + 1.0, b]),
+                             np.concatenate([z[~rec], z[rec], z[rec]]))
+    direct, up, cur = np.split(vals, [n_direct, n_direct + n_rec], axis=1)
+    e_direct, e_up, e_cur = np.split(err, [n_direct, n_direct + n_rec],
+                                     axis=1)
     e_up, e_cur = e_up * np.abs(up[:2]), e_cur * np.abs(cur[:2])  # absolute
-    for _ in range(k):
-        c, b2 = 2.0 * b - 1.0 + z, b * b
+    zr, steps = z[rec], k[rec]
+    for step in range(int(steps.max())):
+        act = step < steps
+        c, b2 = 2.0 * b - 1.0 + zr, b * b
         new = c * cur - b2 * up
         new[1] += cur[0]
         new[2] += 2.0 * cur[1]
         # value and slope; the slope also takes the value's Psi(b) term
-        e_new = abs(c) * e_cur + abs(b2) * e_up \
+        e_new = np.abs(c) * e_cur + np.abs(b2) * e_up \
             + _ROUND * (np.abs(c * cur[:2]) + np.abs(b2 * up[:2]))
-        e_new[1] += e_cur[0] + _ROUND * abs(cur[0])
-        up, cur, e_up, e_cur = cur, new, e_cur, e_new
-        b -= 1.0
-    return (*cur, *(e_cur / np.maximum(np.abs(cur[:2]), 1e-300)))
+        e_new[1] += e_cur[0] + _ROUND * np.abs(cur[0])
+        up, cur = np.where(act, cur, up), np.where(act, new, cur)
+        e_up, e_cur = np.where(act, e_cur, e_up), np.where(act, e_new, e_cur)
+        b = np.where(act, b - 1.0, b)
+    vals = np.empty((3, a.size), dtype=complex)
+    err = np.empty((2, a.size))
+    vals[:, ~rec], err[:, ~rec] = direct, e_direct
+    vals[:, rec] = cur
+    err[:, rec] = e_cur / np.maximum(np.abs(cur[:2]), 1e-300)
+    return vals.reshape((3,) + shape), err.reshape((2,) + shape)
 
 
 def _asymptotic(a: complex, z: complex, total_arg: float):
@@ -237,24 +313,29 @@ def _asymptotic(a: complex, z: complex, total_arg: float):
     z^{-a} uses the supplied total argument, so the expansion remains the
     analytic continuation across |arg z| > pi (valid up to 3 pi / 2).
     Terminates exactly when a is a nonpositive integer.  The monitors are
-    the least term over the sum, for the value and for the slope.
+    the least term over the sum, for the value and for the slope.  One
+    point per call.
     """
+    poly = a.imag == 0.0 and a.real <= 0 and a.real == int(a.real)
     logz = math.log(abs(z)) + 1j * total_arg
     term = cmath.exp(-a * logz)  # (-1)^n (a)_n^2 / n! z^{-a-n}, updated in place
+    iz = 1.0 / z
     s = s1 = s2 = 0.0 + 0j
     last = math.inf
     n = 0
     nmax = 1 + int(2 * abs(z)) + 40
     while n < nmax:
-        if abs(term) > last and not _is_nonpos_int(a):
+        size = abs(term)
+        if size > last and not poly:
             break  # past the least term: stop and charge it to the error
         s += term
         e = -a - n
-        s1 += term * e / z
-        s2 += term * e * (e - 1.0) / z ** 2
-        last = abs(term)
-        term *= -(a + n) ** 2 / ((n + 1.0) * z)
-        if _is_nonpos_int(a) and a.real + n >= 0:
+        slope = term * e * iz
+        s1 += slope
+        s2 += slope * (e - 1.0) * iz
+        last = size
+        term *= (a + n) * (a + n) * iz / (-1.0 - n)
+        if poly and a.real + n >= 0:
             last = 0.0
             break
         n += 1
@@ -265,98 +346,151 @@ def _asymptotic(a: complex, z: complex, total_arg: float):
     # the slope's first omitted term is the value's times (a + n) / z
     derr = last * abs(a + n) / (abs(z) * max(abs(s1), 1e-300)) \
         if math.isfinite(last) else 0.0
-    if _is_nonpos_int(a):
+    if poly:
         err = derr = 2e-16 * max(n, 1)
     return s, s1, s2, float(err), float(derr)
 
 
-def _principal(a: complex, z: complex, total_arg: float):
-    """Principal-sheet dispatch, |total_arg| <= pi.
+def _principal(a: np.ndarray, z: np.ndarray, total_arg: np.ndarray):
+    """Principal-sheet dispatch over 1-D arrays of points, |total_arg| <= pi.
 
     A nonpositive integer a takes the terminating expansion.  Beyond the
     switch radius the expansion serves wherever its least term is small;
-    every other point takes the Laplace integral.
+    every other point takes the Laplace integral, all of them in one pass.
+    Returns the values (3, N), the monitors (2, N) and the routes (N,).
     """
-    if _is_nonpos_int(a):
-        return (*_asymptotic(a, z, total_arg), "polynomial")
-    if abs(z) > SWITCH_RADIUS * (1.0 - 1e-9):
-        vals = _asymptotic(a, z, total_arg)
-        if vals[3] <= 1e-9:
-            return (*vals, "asymptotic")
-    return (*_laplace(a, z), "laplace")
+    poly = _is_nonpos_int(a)
+    route = np.full(a.size, "laplace", dtype=_ROUTE_DTYPE)
+    tried = np.flatnonzero(poly | (np.abs(z) > SWITCH_RADIUS * (1.0 - 1e-9)))
+    if tried.size == 0:
+        return (*_laplace(a, z), route)
+    vals = np.empty((3, a.size), dtype=complex)
+    errs = np.empty((2, a.size))
+    for i in tried:
+        out = _asymptotic(complex(a[i]), complex(z[i]), float(total_arg[i]))
+        if poly[i] or out[3] <= 1e-9:
+            vals[:, i], errs[:, i] = out[:3], out[3:]
+            route[i] = "polynomial" if poly[i] else "asymptotic"
+    lap = route == "laplace"
+    if lap.any():
+        vals[:, lap], errs[:, lap] = _laplace(a[lap], z[lap])
+    return vals, errs, route
 
 
-def _psi_cover(a: complex, r: float, theta: float):
-    """Value and two derivatives at modulus r, total argument theta, with
-    the value's monitor (relative on the principal sheet) and the slope's
-    relative monitor.
+def _psi_cover(a: np.ndarray, r: np.ndarray, theta: np.ndarray):
+    """Values and two derivatives at moduli r, total arguments theta (1-D
+    arrays), with the value's monitor (relative on the principal sheet)
+    and the slope's relative monitor, and the routes.
 
     An a within 1e-300 of a nonpositive integer is taken at the integer:
     U is entire in a, and that close 1 / Gamma(a)^2 and the Laplace
-    stub's 1 / a overflow.
+    stub's 1 / a overflow.  The principal points and both terms of every
+    off-sheet point's connection formula take one recursive call, so one
+    principal pass serves every point on the first two sheets.
     """
-    n = round(a.real)
-    if n <= 0 and abs(a - n) < 1e-300:
-        a = complex(n)
-    z = complex(r * np.exp(1j * theta))
-    if abs(theta) <= math.pi:
+    n = np.round(a.real)
+    a = np.where((n <= 0) & (np.abs(a - n) < 1e-300), n + 0j, a)
+    z = r * np.exp(1j * theta)
+    off = np.abs(theta) > math.pi
+    if not off.any():
         return _principal(a, z, theta)
+    # Psi(a,1; z e^{2 i pi}) = e^{-2 i pi a} Psi(a,1;z)
+    #                          + (2 pi i e^{-i pi a} / Gamma(a)^2) e^z Psi(1-a,1; e^{i pi} z)
+    # and its inverse one turn down: sg = +1 above the principal sheet
+    on = ~off
+    ao, ro, tho = a[off], r[off], theta[off]
+    sg = np.sign(tho)
+    m = on.sum()
+    vals, errs, routes = _psi_cover(
+        np.concatenate([a[on], ao, 1.0 - ao]), np.concatenate([r[on], ro, ro]),
+        np.concatenate([theta[on], tho - 2.0 * math.pi * sg,
+                        tho - math.pi * sg]))
+    (v_on, v, w), ((e_in, d_in), (e_w, d_w)) = \
+        np.split(vals, [m, m + ao.size], axis=1), \
+        np.split(errs[:, m:], 2, axis=1)
     # 1/Gamma(a)^2 vanishes at nonpositive integer a (entire reciprocal);
     # squared after inverting, so that it underflows near a pole rather
     # than overflowing
-    inv_ga2 = 0.0 if _is_nonpos_int(a) else (1.0 / _gamma(a)) ** 2
-    if theta > math.pi:
-        v, v1, v2, e_in, d_in, _ = _psi_cover(a, r, theta - 2.0 * math.pi)
-        w, w1, w2, e_w, d_w, _ = _psi_cover(1.0 - a, r, theta - math.pi)
-        # Psi(a,1; z e^{2 i pi}) = e^{-2 i pi a} Psi(a,1;z)
-        #                          + (2 pi i e^{-i pi a} / Gamma(a)^2) e^z Psi(1-a,1; e^{i pi} z)
-        kap = 2j * math.pi * cmath.exp(-1j * math.pi * a) * inv_ga2
-        rot = cmath.exp(-2j * math.pi * a)
-    else:
-        v, v1, v2, e_in, d_in, _ = _psi_cover(a, r, theta + 2.0 * math.pi)
-        w, w1, w2, e_w, d_w, _ = _psi_cover(1.0 - a, r, theta + math.pi)
-        kap = -2j * math.pi * cmath.exp(1j * math.pi * a) * inv_ga2
-        rot = cmath.exp(2j * math.pi * a)
-    ez = cmath.exp(z)
-    val = rot * v + kap * ez * w
-    d1 = rot * v1 + kap * ez * (w - w1)
-    d2 = rot * v2 + kap * ez * (w - 2.0 * w1 + w2)
-    err = abs(rot) * e_in + abs(kap * ez) * e_w * 3.0
-    derr = (abs(rot * v1) * d_in
-            + abs(kap * ez) * (abs(w) * e_w + abs(w1) * d_w) * 3.0) \
-        / max(abs(d1), 1e-300)
-    return val, d1, d2, err, derr, "monodromy"
+    pole = _is_nonpos_int(ao)
+    inv_ga2 = np.zeros(ao.size, dtype=complex)
+    inv_ga2[~pole] = (1.0 / _gamma(ao[~pole])) ** 2
+    kap = sg * 2j * math.pi * np.exp(-1j * math.pi * ao * sg) * inv_ga2
+    rot = np.exp(-2j * math.pi * ao * sg)
+    kez = kap * np.exp(z[off])
+    out_v = np.empty((3, a.size), dtype=complex)
+    out_e = np.empty((2, a.size))
+    out_r = np.full(a.size, "monodromy", dtype=_ROUTE_DTYPE)
+    out_v[:, on], out_e[:, on], out_r[on] = v_on, errs[:, :m], routes[:m]
+    out_v[0, off] = rot * v[0] + kez * w[0]
+    d1 = out_v[1, off] = rot * v[1] + kez * (w[0] - w[1])
+    out_v[2, off] = rot * v[2] + kez * (w[0] - 2.0 * w[1] + w[2])
+    out_e[0, off] = np.abs(rot) * e_in + np.abs(kez) * e_w * 3.0
+    out_e[1, off] = (np.abs(rot * v[1]) * d_in
+                     + np.abs(kez) * (np.abs(w[0]) * e_w + np.abs(w[1]) * d_w)
+                     * 3.0) / np.maximum(np.abs(d1), 1e-300)
+    return out_v, out_e, out_r
 
 
-def tricomi_psi(a: complex, z: complex, sheet: int = 0) -> TricomiEval:
-    """Psi(a, 1; z) on sheet ``sheet`` of the cover of C - {0}, |a| <= A_CAP.
+def tricomi_psi_array(a, z, sheet=0) -> TricomiEval:
+    """Psi(a, 1; z) on sheet ``sheet`` of the cover of C - {0}, |a| <= A_CAP,
+    at every point of the broadcast arrays a, z and sheet.
 
     ``sheet`` counts full turns added to the principal argument of z.
     The error budget OVERLAP_TOL holds in the annulus OVERLAP around the
-    switch radius: a monitor above it there raises AccuracyError.
-    Sampled principal-sheet values stay within it; what it guards is the
-    monodromy connection, whose e^z-weighted terms can cancel there.
+    switch radius: a monitor above it there, at any one point, raises
+    AccuracyError.  Sampled principal-sheet values stay within it; what
+    it guards is the monodromy connection, whose e^z-weighted terms can
+    cancel there.  Returns one TricomiEval whose fields have the points'
+    shape (numpy scalars for scalar arguments).
     """
-    a = complex(a)
-    z = complex(z)
-    if z == 0:
+    a, z, sheet = (np.asarray(a, dtype=complex), np.asarray(z, dtype=complex),
+                   np.asarray(sheet, dtype=int))
+    if not a.shape == z.shape == sheet.shape:
+        a, z, sheet = np.broadcast_arrays(a, z, sheet)
+    shape = a.shape
+    a, z, sheet = a.ravel(), z.ravel(), sheet.ravel()
+    if (z == 0).any():
         raise BranchError("Psi(a, 1; z) has a branch point at z = 0")
-    if abs(a) > A_CAP:
+    if (np.abs(a) > A_CAP).any():
         raise ParameterDomainError(
-            f"|a| = {abs(a):.3g} exceeds the cap {A_CAP}")
-    theta = float(np.angle(z)) + 2.0 * math.pi * sheet
-    val, d1, d2, err, derr, route = _psi_cover(a, abs(z), theta)
-    rel_err = err if route != "monodromy" else err / max(abs(val), 1e-300)
-    if _over_budget(z, rel_err):
+            f"|a| = {np.abs(a).max():.3g} exceeds the cap {A_CAP}")
+    theta = np.angle(z) + 2.0 * math.pi * sheet
+    vals, errs, route = _psi_cover(a, np.abs(z), theta)
+    rel_err = errs[0]
+    if (route == "monodromy").any():
+        rel_err = np.where(route == "monodromy",
+                           rel_err / np.maximum(np.abs(vals[0]), 1e-300),
+                           rel_err)
+    over = _over_budget(z, rel_err)
+    if over.any():
+        i = int(np.argmax(over))
         raise AccuracyError(
-            f"Psi error monitor {rel_err:.2e} above {OVERLAP_TOL} in the "
-            f"overlap annulus (a={a}, z={z}, route={route})", estimate=rel_err)
-    return TricomiEval(a=a, z=z, sheet=sheet, value=val, dvalue=d1,
-                       d2value=d2, err=float(rel_err), derr=float(derr),
-                       route=route)
+            f"Psi error monitor {rel_err[i]:.2e} above {OVERLAP_TOL} in the "
+            f"overlap annulus (a={a[i]}, z={z[i]}, route={route[i]})",
+            estimate=float(rel_err[i]))
+
+    def out(v):
+        return v.reshape(shape)[()]
+
+    return TricomiEval(a=out(a), z=out(z), sheet=out(sheet),
+                       value=out(vals[0]), dvalue=out(vals[1]),
+                       d2value=out(vals[2]), err=out(rel_err),
+                       derr=out(errs[1]), route=out(route))
 
 
-def _over_budget(z: complex, rel_err: float) -> bool:
-    """A relative monitor above OVERLAP_TOL in the annulus OVERLAP around
-    the switch radius, where ``tricomi_psi`` refuses a value."""
-    return OVERLAP[0] <= abs(z) <= OVERLAP[1] and rel_err > OVERLAP_TOL
+def tricomi_psi(a: complex, z: complex, sheet: int = 0) -> TricomiEval:
+    """Psi(a, 1; z) at one point: the one-point case of
+    ``tricomi_psi_array``, with its budget.  Every field is a scalar.
+
+    Array callers use ``tricomi_psi_array``: this name keeps scalar
+    fields (the benchmark tracer reads ``err`` as one float).
+    """
+    return tricomi_psi_array(complex(a), complex(z), int(sheet))
+
+
+def _over_budget(z, rel_err):
+    """Whether a relative monitor is above OVERLAP_TOL in the annulus
+    OVERLAP around the switch radius, where ``tricomi_psi`` refuses a
+    value; elementwise on arrays."""
+    r = np.abs(z)
+    return (OVERLAP[0] <= r) & (r <= OVERLAP[1]) & (rel_err > OVERLAP_TOL)

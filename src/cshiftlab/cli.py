@@ -38,8 +38,7 @@ def _cmd_selftest(_args) -> int:
     """The verify() streams of chi, beta_1, beta_2 and O/P/Q at x = 10, and
     a row for each invariant without a verify()."""
     from . import (ScalarRH, assemble, constant_symbol, determinant,
-                   gauss_interval, identity_phase, laguerre_halfline,
-                   make_problem, safe_radius, stadium_contour)
+                   identity_phase, laguerre_halfline, make_problem)
     from .kernels import k_kt, u_kt
     from .parametrix import build_parametrix
     from .quadgrid import graded_interval
@@ -49,10 +48,9 @@ def _cmd_selftest(_args) -> int:
     pd = make_problem(a=-1.0, b=1.0, c=1.0, t=1.0, x=10.0,
                       F=constant_symbol(0.2), p=identity_phase())
     grid = laguerre_halfline(48, pd.c)
-    loop = stadium_contour(pd.a, pd.b, safe_radius(pd))
     srh = ScalarRH(pd)
-    rule = gauss_interval(192, pd.a, pd.b)
-    betas = solve_betas(pd, rule, grid, srh, loop)
+    loop = srh.loop
+    betas = solve_betas(pd, srh.rule, grid, srh)
     fac = OperatorFactory(pd, grid, srh, betas[1], betas[2])
     rows = (ChiSolution(pd, grid=grid).verify() + betas[1].verify()
             + betas[2].verify() + fac.verify())
@@ -74,7 +72,7 @@ def _cmd_selftest(_args) -> int:
 
     pdx = pd.with_(x=100.0)
     srhx = ScalarRH(pdx)
-    bx = solve_betas(pdx, rule, grid, srhx, loop)
+    bx = solve_betas(pdx, srhx.rule, grid, srhx)
     facx = OperatorFactory(pdx, grid, srhx, bx[1], bx[2])
     for ep in ("a", "b"):
         px = build_parametrix(ep, pdx, facx, x=100.0)

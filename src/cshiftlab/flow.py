@@ -33,7 +33,7 @@ from .fredholm import (assemble, cauchy_like_logdets, determinant,
                        logdet_update, one_blas_thread)
 from .kernels import k_kt, shift_factors, u_kt, v0, v0_generators
 from .quadgrid import (gauss_interval, graded_interval, laguerre_halfline,
-                       oscillation_nodes, safe_radius, stadium_contour,
+                       oscillation_nodes,
                        transplanted_interval)
 from .rhp import ChiSolution, DiagnosticRow, _disk_eps, solve_betas, summarize
 from .symbols import EPS_K, ProblemData, ScalarRH, make_handle, make_problem
@@ -64,8 +64,8 @@ def _principal(z: complex) -> complex:
 class SweepConfig:
     """Inputs of one x-sweep; mirrors the flat config-file keys.
 
-    Every loop is a stadium at ``quadgrid.safe_radius`` with
-    ``stadium_contour``'s default density.
+    Every loop is ``ScalarRH.loop``, a stadium at ``quadgrid.safe_radius``
+    with ``stadium_contour``'s default density.
     """
 
     a: float = -1.0
@@ -209,15 +209,21 @@ def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
     report = SweepReport()
     pd1 = cfg.problem(x=cfg.x_list[0])
     srh = ScalarRH(pd1)
-    loop = stadium_contour(cfg.a, cfg.b, safe_radius(pd1))
+    loop = srh.loop
 
-    det_up = determinant(assemble(u_kt(pd1, 1, srh), loop))
-    det_um = determinant(assemble(u_kt(pd1, 2, srh), loop))
+    # each kernel's lam-side factor alpha_k = alpha^{eps_k} from one ln alpha
+    # array per rule: srh's cached one on the loop, one on the graded rule
+    det_up, det_um = (determinant(assemble(
+        u_kt(pd1, k, srh), loop, left=np.exp(EPS_K[k] * srh.loop_exponent)))
+        for k in (1, 2))
     product = det_up * det_um
     # the interval route: det(I + K_{k;1}) = det(I + U_{k;1})
     grule = graded_interval(cfg.a, cfg.b)
-    interval_product = determinant(assemble(k_kt(pd1, 1, srh), grule)) \
-        * determinant(assemble(k_kt(pd1, 2, srh), grule))
+    e_grule = srh.exponent(grule.nodes + 0j)
+    det_k1, det_k2 = (determinant(assemble(
+        k_kt(pd1, k, srh), grule, left=np.exp(EPS_K[k] * e_grule)))
+        for k in (1, 2))
+    interval_product = det_k1 * det_k2
     report.product_consistency = float(abs(interval_product / product - 1.0))
 
     for x in cfg.x_list:
@@ -339,17 +345,17 @@ def dt_logdet_check(cfg: SweepConfig, t0: complex,
 
     d_fd = (4.0 * central(FD_STEP / 2.0) - central(FD_STEP)) / 3.0
 
-    loop = stadium_contour(cfg.a, cfg.b, safe_radius(pd))
+    # one loop at safe_radius for the trace and the betas: srh's
+    srh = ScalarRH(pd)
+    loop = srh.loop
     d_contour = (loop.weights * loop.nodes) @ chi.loop_trace(loop.nodes) \
         / (2.0 * np.pi)
 
-    srh = ScalarRH(pd)
-    beta_rule = gauss_interval(192, cfg.a, cfg.b)
     d_reduced = 0.0 + 0.0j
-    for k, bs in solve_betas(pd, beta_rule, grid, srh, loop).items():
+    for k, bs in solve_betas(pd, srh.rule, grid, srh).items():
         kappa_s = bs.kappa_nodes * (grid.nodes * grid.weights)[None, :]
         integrand = bs.tau_nodes * np.einsum("ns,ns->n", kappa_s, bs.rho)
-        d_reduced += EPS_K[k] * (integrand @ beta_rule.weights) / (2.0 * np.pi)
+        d_reduced += EPS_K[k] * (integrand @ srh.rule.weights) / (2.0 * np.pi)
     return DtReport(t0=t0, x=x, d_fd=d_fd, d_contour=d_contour,
                     d_reduced=d_reduced, eps=_disk_eps(pd, loop.r))
 

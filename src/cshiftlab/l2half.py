@@ -117,15 +117,19 @@ def smoothing_bound(mat: np.ndarray, grid: HalfLineRule) -> float:
 
 
 def factor_bound(coef: np.ndarray, l: np.ndarray, r: np.ndarray,
-                 grid: HalfLineRule) -> float:
+                 grid: HalfLineRule):
     """``smoothing_bound`` of I + sum_jk coef[j, k] l_j (x) r_k in O(n).
 
     ``l`` and ``r`` hold the vectors and one-forms l_1, l_2 and r_1, r_2
     in their rows.  Block (j, k) of the kernel is coef[j, k] l_j(s)
     r_k(s') / w(s'), rank one, so with g = e^{c s/4} (``grid.growth``) its
-    bound is exactly |coef[j, k]| max |l_j g| max |r_k g / w|.
+    bound is exactly |coef[j, k]| max |l_j g| max |r_k g / w|.  With a
+    leading axis of points on coef (..., 2, 2), l and r (..., 2, n) the
+    bound is taken at each point: a float for one point, else an array.
     """
     g = grid.growth
-    lg = np.max(np.abs(l) * g, axis=1)
-    rg = np.max(np.abs(r) * (g / grid.weights), axis=1)
-    return float(np.max(np.abs(coef) * lg[:, None] * rg[None, :]))
+    lg = np.max(np.abs(l) * g, axis=-1)
+    rg = np.max(np.abs(r) * (g / grid.weights), axis=-1)
+    bound = np.max(np.abs(coef) * lg[..., :, None] * rg[..., None, :],
+                   axis=(-2, -1))
+    return float(bound) if bound.ndim == 0 else bound

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chf import TricomiEval, _gamma, tricomi_psi
+from .chf import TricomiEval, _gamma, tricomi_psi_array
 from .errors import BranchError, ParameterDomainError
 from .l2half import factor_bound
 from .quadgrid import safe_radius
@@ -71,66 +71,83 @@ _RAY_SPLIT = np.linspace(0.0, 1.0, 65)
 _SIDE_OFFSET = 1e-7
 
 
-def zeta(endpoint: str, pd: ProblemData, lam: complex,
-         x: float | None = None) -> complex:
-    """Rescaled local variable x (p(lam) - p(endpoint)), arg in (-pi, pi).
+def zeta(endpoint: str, pd: ProblemData, lam, x: float | None = None):
+    """Rescaled local variable x (p(lam) - p(endpoint)), arg in (-pi, pi),
+    at one point or at each of an array of them.
 
     The branch cut is where p(lam) < p(endpoint): outward from a, along the
     interval from b.  Evaluation on the cut itself is refused.
     """
     x = pd.x if x is None else x
     center = {"a": pd.a, "b": pd.b}[endpoint]
-    z = x * complex(pd.p(lam) - pd.p(center))
-    if z == 0:
-        return 0.0 + 0.0j
-    if z.imag == 0.0 and z.real < 0.0:
+    z = x * (pd.p(np.asarray(lam, dtype=complex)) - pd.p(center))
+    if np.any((z.imag == 0.0) & (z.real < 0.0)):
         raise BranchError(
             f"zeta_{endpoint} evaluated on its branch cut (lam = {lam})")
-    return z
+    return z[()]
 
 
-def alpha0(pd: ProblemData, srh, lam: complex,
-           exponent: complex | None = None) -> complex:
+def alpha0(pd: ProblemData, srh, lam, exponent=None):
     """alpha continued across the interval: alpha above, alpha e^{2 i pi nu} below.
 
     Holomorphic near an endpoint except on the outward ray, where both its
     pieces and the zeta powers jump compatibly.  ``exponent`` is
-    ``srh.exponent(lam)`` when the caller has it already.
+    ``srh.exponent(lam)`` when the caller has it already.  Elementwise on
+    an array of lam.
     """
-    lam = complex(lam)
+    lam = np.asarray(lam, dtype=complex)
     val = np.exp(srh.exponent(lam) if exponent is None else exponent)
-    if lam.imag < 0.0:
-        val = val * np.exp(2j * np.pi * complex(nu(pd, lam)))
-    return val
+    return np.where(lam.imag < 0.0, val * np.exp(2j * np.pi * nu(pd, lam)),
+                    val)[()]
 
 
-def l_sector(phi: float) -> int:
+def l_sector(phi):
     """Sector index of the piecewise constant matrix from arg(p - p(endpoint)).
 
-    1 on |phi| <= pi/2, 2 on (pi/2, pi), 3 on (-pi, -pi/2).
+    1 on |phi| <= pi/2, 2 on (pi/2, pi), 3 on (-pi, -pi/2); elementwise on
+    an array.
     """
-    if abs(phi) <= 0.5 * np.pi:
-        return 1
-    return 2 if phi > 0 else 3
+    phi = np.asarray(phi)
+    return np.where(np.abs(phi) <= 0.5 * np.pi, 1, np.where(phi > 0, 2, 3))[()]
 
 
-def _psi_cont(a: complex, zt: complex, rot: int) -> TricomiEval:
-    """Psi(a, 1; e^{rot i pi/2} zeta) with the argument tracked continuously.
+def _psi_cont(a, zt, rot) -> TricomiEval:
+    """Psi(a, 1; e^{rot i pi/2} zeta) with the argument tracked continuously,
+    in one ``tricomi_psi_array`` call for arrays of points (``rot`` may be
+    one of them).
 
     The total argument arg(zeta) + rot pi/2 ranges over (-3 pi/2, 3 pi/2);
     beyond the principal interval the evaluation moves off-sheet, so the
     entries are single-valued on the cut disk and all parametrix jumps
     are carried by the piecewise constant matrix alone.
     """
-    z = (1j * rot) * zt
+    z = (1j * rot) * np.asarray(zt)
     total = np.angle(zt) + rot * np.pi / 2.0
-    sheet = int(np.rint((total - np.angle(z)) / (2.0 * np.pi)))
-    return tricomi_psi(a, z, sheet=sheet)
+    sheet = np.rint((total - np.angle(z)) / (2.0 * np.pi)).astype(int)
+    return tricomi_psi_array(a, z, sheet)
+
+
+def _dense(coef: np.ndarray, l: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """I + sum_jk coef[j, k] l_j (x) r_k at one point, a (2n, 2n) array."""
+    n = l.shape[-1]
+    out = np.empty((2 * n, 2 * n), dtype=complex)
+    for j in (0, 1):
+        for k in (0, 1):
+            np.outer(coef[j, k] * l[j], r[k],
+                     out=out[j * n:(j + 1) * n, k * n:(k + 1) * n])
+    out.flat[::2 * n + 1] += 1.0
+    return out
 
 
 @dataclass
 class Parametrix:
-    """Evaluator for one endpoint parametrix at a fixed oscillation x."""
+    """Evaluator for one endpoint parametrix at a fixed oscillation x.
+
+    ``coefficients`` and ``decay_bound`` take one point or a 1-D array of
+    points; an array costs one ``factory.blocks`` call and one Tricomi
+    call for all of its points.  The diagnostics evaluate each
+    of their point sets so.
+    """
 
     endpoint: str
     center: float
@@ -143,86 +160,90 @@ class Parametrix:
     #: for (Psi(m), Psi(1 + m)), e^{+i pi/2} zeta for (Psi(1 - m), Psi(-m))
     _ROTATIONS = (-1, +1)
 
-    def _confluent(self, m: complex, z: complex) -> np.ndarray:
-        """The confluent entries [[Psi(m), Psi(1 - m)], [Psi(1 + m), Psi(-m)]].
+    def _confluent(self, m, z) -> np.ndarray:
+        """The confluent entries [[Psi(m), Psi(1 - m)], [Psi(1 + m), Psi(-m)]],
+        (..., 2, 2) over the points of m and z.
 
-        One evaluation per column, at parameter 1 +- m; the column's other
-        entry is its ``TricomiEval.lowered`` value, evaluated directly
-        where the relation's monitor is over budget.
+        One evaluation per column, at parameter 1 +- m, both columns of
+        every point in one Tricomi call; the column's other entry is its
+        ``TricomiEval.lowered`` value, evaluated directly where the
+        relation's monitor is over budget.
         """
-        r1, r2 = self._ROTATIONS
-        col1 = _psi_cont(1.0 + m, z, r1)
-        col2 = _psi_cont(1.0 - m, z, r2)
-        return np.array([[col1.lowered(), col2.value],
-                         [col1.value, col2.lowered()]])
+        ev = _psi_cont(np.append(1.0 + m, 1.0 - m), np.append(z, z),
+                       np.repeat(self._ROTATIONS, np.size(m)))
+        (up1, up2), (low1, low2) = (np.split(v, 2)
+                                    for v in (ev.value, ev.lowered()))
+        return np.stack([np.stack([low1, up2], axis=-1),
+                         np.stack([up1, low2], axis=-1)],
+                        axis=-2).reshape(np.shape(m) + (2, 2))
 
-    def coefficients(self, lam: complex, sector: int | None = None,
-                     blocks: Blocks | None = None
+    def coefficients(self, lam, sector=None, blocks: Blocks | None = None
                      ) -> tuple[np.ndarray, Blocks]:
         """(C, blk): the parametrix at lam is I + sum_jk C_jk l_j (x) r_k.
 
-        ``blk`` is ``factory.blocks(lam)``, or ``blocks`` when the caller
-        has it already (the blocks do not depend on x).  C holds the
-        confluent entries, b12 and b21, the zeta powers and alpha^{+-2},
-        less the identity's share of O_11 and O_22 on the diagonal.
+        lam is one point, C then (2, 2), or a 1-D array of N points, C
+        (N, 2, 2).  ``sector`` defaults to each point's own.  ``blk`` is
+        ``factory.blocks(lam)``, or ``blocks`` when the caller has it
+        already (the blocks do not depend on x).  C holds the confluent
+        entries, b12 and b21, the zeta powers and alpha^{+-2}, less the
+        identity's share of O_11 and O_22 on the diagonal.
         """
         pd, fac = self.pd, self.factory
         s = 1 if self.endpoint == "a" else -1
-        m = -s * complex(nu(pd, lam))
+        lam = np.asarray(lam, dtype=complex)
+        m = -s * nu(pd, lam)
         z = zeta(self.endpoint, pd, lam, self.x)
         if sector is None:
-            sector = l_sector(float(np.angle(z)))
+            sector = l_sector(np.angle(z))
         blk = fac.blocks(lam) if blocks is None else blocks
         l, r = blk.l, blk.r
 
         logz = np.log(z)
-        # b12 b21 = -m^2
-        if m == 0:
-            b12 = 0.0
-            b21 = 0.0
-        else:
-            S = np.exp(1j * self.x * pd.p(self.center)) \
-                * np.exp(2.0 * m * logz) / self._a_squared(lam, m,
-                                                           blk.exponent)
-            spm = np.sin(np.pi * m)
-            b12 = 1j * spm * _gamma(1.0 - m) ** 2 * S / np.pi
-            b21 = 1j * np.pi / (spm * _gamma(-m) ** 2 * S)
+        # b12 b21 = -m^2; both vanish with m
+        on = m != 0
+        S = np.exp(1j * self.x * pd.p(self.center)) \
+            * np.exp(2.0 * m * logz) / self._a_squared(lam, m, blk.exponent)
+        spm = np.where(on, np.sin(np.pi * m), 1.0)
+        g1, g2 = (_gamma(np.where(on, v, 0.5)) for v in (1.0 - m, -m))
+        b12 = np.where(on, 1j * spm * g1 ** 2 * S / np.pi, 0.0)
+        b21 = np.where(on, 1j * np.pi / (spm * g2 ** 2 * S), 0.0)
 
         # the zeta diagonal by column: zeta^{+-m} e^{-i pi m/2}
         zf = np.exp(-1j * np.pi * m / 2.0)
-        zcol = np.array([np.exp(m * logz) * zf, np.exp(-m * logz) * zf])
+        zcol = np.stack([np.exp(m * logz) * zf, np.exp(-m * logz) * zf],
+                        axis=-1)
         e2 = np.exp(2.0 * blk.exponent)
-        coef = self._confluent(m, z) * zcol \
-            * np.array([[1.0, 1j * b12 * e2], [-1j * b21 / e2, 1.0]])
-        if sector != 1:
-            # right-multiply by L = J^{-s}; J is unipotent, so J^{-1} is J
-            # with its off-diagonal block negated.  That block is
-            # e^{i ray x p} F/(1+F) l_src (x) r_other (src = 1 on the ray
-            # +pi/2, 2 on -pi/2), so L adds column src, times the pairing
-            # r_src . l_src, to the other column of C.
-            ray = 1 if sector == 2 else -1
+        one = np.ones(np.shape(m))
+        off = np.stack([np.stack([one, 1j * b12 * e2], axis=-1),
+                        np.stack([-1j * b21 / e2, one], axis=-1)], axis=-2)
+        coef = self._confluent(m, z) * zcol[..., None, :] * off
+        # right-multiply by L = J^{-s} off sector 1; J is unipotent, so
+        # J^{-1} is J with its off-diagonal block negated.  That block is
+        # e^{i ray x p} F/(1+F) l_src (x) r_other (src = 1 on the ray
+        # +pi/2, 2 on -pi/2), so L adds column src, times the pairing
+        # r_src . l_src, to the other column of C.
+        sector = np.asarray(sector)
+        if np.any(sector != 1):
+            ray = np.where(sector == 2, 1, -1)
             g = -s * np.exp(1j * ray * self.x * pd.p(lam)) * blk.ratio
-            src = 0 if ray > 0 else 1
-            coef[:, 1 - src] += g * (r[src] @ l[src]) * coef[:, src]
+            rl = np.einsum("...kn,...kn->...k", r, l)
+            coef[..., :, 1] += np.where(sector == 2, g * rl[..., 0],
+                                        0.0)[..., None] * coef[..., :, 0]
+            coef[..., :, 0] += np.where(sector == 3, g * rl[..., 1],
+                                        0.0)[..., None] * coef[..., :, 1]
         return coef - np.eye(2), blk
 
     def __call__(self, lam: complex, sector: int | None = None,
                  blocks: Blocks | None = None) -> np.ndarray:
-        """The parametrix at lam, a (2n, 2n) array: I plus four outer
-        products of the ``coefficients``."""
+        """The parametrix at one point lam, a (2n, 2n) array: I plus four
+        outer products of the ``coefficients``."""
         coef, blk = self.coefficients(lam, sector, blocks)
-        n = self.factory.grid.n
-        out = np.empty((2 * n, 2 * n), dtype=complex)
-        for j in (0, 1):
-            for k in (0, 1):
-                np.outer(coef[j, k] * blk.l[j], blk.r[k],
-                         out=out[j * n:(j + 1) * n, k * n:(k + 1) * n])
-        out.flat[::2 * n + 1] += 1.0
-        return out
+        return _dense(coef, blk.l, blk.r)
 
-    def decay_bound(self, lam: complex, blocks: Blocks | None = None) -> float:
+    def decay_bound(self, lam, blocks: Blocks | None = None):
         """``smoothing_bound`` of the parametrix at lam, from the factors
-        of its ``coefficients`` in O(n) (``l2half.factor_bound``)."""
+        of its ``coefficients`` in O(n) (``l2half.factor_bound``); a float
+        at one point, an array over a 1-D array of points."""
         coef, blk = self.coefficients(lam, blocks=blocks)
         return factor_bound(coef, blk.l, blk.r, self.factory.grid)
 
@@ -237,80 +258,94 @@ class Parametrix:
 
     # -- diagnostics -------------------------------------------------------
 
-    def _ray_angle(self, ray: int, frac: float) -> float:
+    def _ray_angle(self, ray, frac):
         """Geometric angle theta with arg(p(lam(theta)) - p(endpoint)) = ray pi/2.
 
         Bisection over ray pi/2 +- 0.6 to a bracket of 1e-13, cutting it
         into 64 at each step so that the phase is evaluated on an array
-        (eight steps).  A ray that does not cross that window raises
-        ParameterDomainError.
+        (eight steps).  ``ray`` and ``frac`` may be arrays: their rays are
+        bisected together, each to its own bracket.  A ray that does not
+        cross that window raises ParameterDomainError.
         """
+        ray, frac = np.broadcast_arrays(np.asarray(ray, dtype=float),
+                                        np.asarray(frac, dtype=float))
         target = ray * np.pi / 2.0
         p_center = self.pd.p(self.center)
 
         def below(th):
-            lam = self.center + frac * self.radius * np.exp(1j * th)
-            return np.angle(self.pd.p(lam) - p_center) < target
+            lam = self.center + frac[..., None] * self.radius * np.exp(1j * th)
+            return np.angle(self.pd.p(lam) - p_center) < target[..., None]
 
         lo, hi = target - 0.6, target + 0.6
-        side = below(np.array([lo, hi]))
-        if side[0] == side[1]:
+        side = below(np.stack([lo, hi], axis=-1))
+        if np.any(side[..., 0] == side[..., 1]):
             raise ParameterDomainError(
                 f"lens ray {ray} not bracketed at radius fraction {frac}")
-        while hi - lo > 1e-13:
-            grid = lo + (hi - lo) * _RAY_SPLIT
-            grid[-1] = hi
-            j = np.argmax(below(grid[1:]) != side[0])
-            lo, hi = grid[j], grid[j + 1]
-        return float(0.5 * (lo + hi))
+        while np.any(act := hi - lo > 1e-13):
+            grid = lo[..., None] + (hi - lo)[..., None] * _RAY_SPLIT
+            grid[..., -1] = hi
+            j = np.argmax(below(grid[..., 1:]) != side[..., :1], axis=-1)
+            step = np.take_along_axis(grid, np.stack([j, j + 1], axis=-1),
+                                      axis=-1)
+            lo = np.where(act, step[..., 0], lo)
+            hi = np.where(act, step[..., 1], hi)
+        return (0.5 * (lo + hi))[()]
 
     def jump_residuals(self):
         """Residuals of the prescribed jumps across the two lens rays.
 
         Probes sit at 0.35, 0.6 and 0.85 of the disk radius straddling the
         rays arg(p - p(endpoint)) = +- pi/2 by +- _SIDE_OFFSET radians; the
-        one-sided values are continuous up to the ray.
+        one-sided values are continuous up to the ray.  The six ray angles
+        are found together, then both sides of every ray take one
+        ``coefficients`` call and the points on the rays one
+        ``factory.blocks`` call for their jump factors.
         """
-        fac = self.factory
+        fracs = np.repeat([0.35, 0.6, 0.85], 2)
+        rays = np.tile([1, -1], 3)
+        phi = self._ray_angle(rays, fracs)
+        lam_w = self.center + fracs * self.radius * np.exp(
+            1j * (phi + _SIDE_OFFSET))
+        lam_e = self.center + fracs * self.radius * np.exp(
+            1j * (phi - _SIDE_OFFSET))
+        lam0 = self.center + fracs * self.radius * np.exp(1j * phi)
+        # sector-2/3 side vs sector-1 side of each ray
+        lam_out = np.where(rays > 0, lam_w, lam_e)
+        lam_in = np.where(rays > 0, lam_e, lam_w)
+        coef, blk = self.coefficients(np.concatenate([lam_out, lam_in]))
+        jblk = self.factory.blocks(lam0)
+        jcoef = np.exp(1j * rays * self.x * self.pd.p(lam0))[:, None, None] \
+            * jblk.jump_coefficients(rays)
         out = []
-        for frac in (0.35, 0.6, 0.85):
-            for ray in (+1, -1):
-                phi = self._ray_angle(ray, frac)
-                lam_w = self.center + frac * self.radius * np.exp(
-                    1j * (phi + _SIDE_OFFSET))
-                lam_e = self.center + frac * self.radius * np.exp(
-                    1j * (phi - _SIDE_OFFSET))
-                # sector-2/3 side vs sector-1 side of the ray
-                P_out = self(lam_w) if ray > 0 else self(lam_e)
-                P_in = self(lam_e) if ray > 0 else self(lam_w)
-                lam0 = self.center + frac * self.radius * np.exp(1j * phi)
-                M = fac.jump_factor(lam0, ray, self.x)
-                if self.endpoint == "a":
-                    resid = np.max(np.abs(P_out @ M - P_in))
-                else:
-                    resid = np.max(np.abs(P_in @ M - P_out))
-                out.append((ray, frac, float(resid)))
+        for i, (ray, frac) in enumerate(zip(rays, fracs)):
+            P_out = _dense(coef[i], blk.l[i], blk.r[i])
+            P_in = _dense(coef[i + 6], blk.l[i + 6], blk.r[i + 6])
+            M = _dense(jcoef[i], jblk.l[i], jblk.r[i])
+            if self.endpoint == "a":
+                resid = np.max(np.abs(P_out @ M - P_in))
+            else:
+                resid = np.max(np.abs(P_in @ M - P_out))
+            out.append((int(ray), float(frac), float(resid)))
         return out
 
     def cut_continuity(self) -> float:
         """Mismatch across the outward cut, at 0.4 and 0.7 of the disk radius
-        and +- _SIDE_OFFSET off it; the parametrix is continuous there."""
+        and +- _SIDE_OFFSET off it; the parametrix is continuous there.
+        All four points take one ``coefficients`` call."""
         sgn = -1.0 if self.endpoint == "a" else 1.0
-        worst = 0.0
-        for frac in (0.4, 0.7):
-            lam = self.center + sgn * frac * self.radius
-            up = self(lam + 1j * _SIDE_OFFSET)
-            dn = self(lam - 1j * _SIDE_OFFSET)
-            worst = max(worst, float(np.max(np.abs(up - dn))))
-        return worst
+        lam = self.center + sgn * np.array([0.4, 0.7]) * self.radius
+        coef, blk = self.coefficients(np.concatenate(
+            [lam + 1j * _SIDE_OFFSET, lam - 1j * _SIDE_OFFSET]))
+        return max(float(np.max(np.abs(
+            _dense(coef[i], blk.l[i], blk.r[i])
+            - _dense(coef[i + 2], blk.l[i + 2], blk.r[i + 2]))))
+            for i in range(2))
 
     def boundary_residual(self) -> float:
-        """max weighted distance to the identity over the disk boundary."""
-        worst = 0.0
-        for th in _disk_probe_angles():
-            lam = self.center + self.radius * np.exp(1j * th)
-            worst = max(worst, self.decay_bound(lam))
-        return worst
+        """max weighted distance to the identity over the disk boundary,
+        from one ``decay_bound`` call on all of its probes."""
+        lam = self.center + self.radius * np.exp(1j * _disk_probe_angles())
+        return float(np.max(self.decay_bound(lam)))
 
 
 def build_parametrix(endpoint: str, pd: ProblemData, factory: OperatorFactory,

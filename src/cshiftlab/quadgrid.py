@@ -448,12 +448,14 @@ def _panels(edges: np.ndarray, q: int):
     """q-point Gauss-Legendre panels between consecutive edges.
 
     Returns (nodes, weights), panel by panel in the order of the edges;
-    each panel integrates polynomials of degree <= 2q - 1 exactly.
+    each panel integrates polynomials of degree <= 2q - 1 exactly.  Edges
+    of shape (..., K + 1) give (..., K q) arrays, one row per edge row.
     """
     x, w = _leggauss(q)
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    return (mid + half * x).ravel(), (half * w).ravel()
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])[..., None]
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])[..., None]
+    shape = edges.shape[:-1] + (-1,)
+    return (mid + half * x).reshape(shape), (half * w).reshape(shape)
 
 
 def stadium_contour(a: float, b: float, r: float,

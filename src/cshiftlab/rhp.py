@@ -25,9 +25,8 @@ from .errors import (ExcludedCaseError, GridMismatchError,
 from .fredholm import NystromSystem, assemble, solve
 from .kernels import k_kt, shift_factors, v0, v_t
 from .l2half import e_vectors, factor_bound, kappa_form, m_vec, rank_one
-from .quadgrid import (Contour, HalfLineRule, IntervalRule, gauss_interval,
-                       laguerre_halfline, oscillation_nodes, safe_radius,
-                       stadium_contour)
+from .quadgrid import (HalfLineRule, IntervalRule, gauss_interval,
+                       laguerre_halfline, oscillation_nodes, safe_radius)
 from .symbols import EPS_K, ProblemData, ScalarRH, boundary_value, nu, tau
 
 __all__ = [
@@ -269,29 +268,29 @@ def g_chi(pd: ProblemData, grid: HalfLineRule, lam) -> np.ndarray:
 
 
 class BetaSolution:
-    """Solution of the scalar operator problem for one k.
+    """Solution of the scalar operator problem for one k, on ``srh.rule``.
 
-    ``exponents`` are ln alpha at the rule's nodes (the +side values) and
-    on the loop (``_beta_exponents``), shared between k = 1 and 2 by
-    ``solve_betas``; alpha_{k;+} at the nodes serves both the kernel and
-    the right-hand side.
+    ln alpha at the rule's nodes (the +side values) and on ``srh.loop``
+    come from ``srh``, which computes them once for k = 1 and 2;
+    alpha_{k;+} at the nodes serves both the kernel and the right-hand
+    side, and beta's Cauchy sums run on ``srh.kit``.
     """
 
-    def __init__(self, pd: ProblemData, rule: IntervalRule, grid: HalfLineRule,
-                 k: int, srh: ScalarRH, loop: Contour, exponents):
+    def __init__(self, pd: ProblemData, grid: HalfLineRule, k: int,
+                 srh: ScalarRH):
+        rule, loop = srh.rule, srh.loop
         self.pd, self.rule, self.grid, self.k, self.srh = pd, rule, grid, k, srh
         e = EPS_K[k]
         nodes = rule.nodes.astype(complex)
         z = loop.nodes
-        e_nodes, e_loop = exponents
-        alpha_plus = np.exp(e * e_nodes)
+        alpha_plus = np.exp(e * srh.node_exponent)
 
         # right-hand side: alpha_{k;+}(lam) times the loop integral of
         # sqrt(c) e^{-c s/2 - i eps_k t s mu} / (alpha_k(mu) (mu - lam))
         s = grid.nodes
         A = np.sqrt(pd.c) * np.exp(-0.5 * pd.c * s[None, :]
                                    - 1j * e * pd.t * s[None, :] * z[:, None])
-        B = (loop.weights / np.exp(e * e_loop))[None, :] \
+        B = (loop.weights / np.exp(e * srh.loop_exponent))[None, :] \
             / (z[None, :] - nodes[:, None]) / (2j * np.pi)
         w_rhs = alpha_plus[:, None] * (B @ A)  # (n, Ns)
 
@@ -302,14 +301,13 @@ class BetaSolution:
             raise ExcludedCaseError(
                 f"det(I + K_{k};t) vanishes; beta_{k} does not exist") from exc
         self.w_rhs = w_rhs
-        self.kit = CauchyKit(rule)
         self.tau_nodes = tau(k, pd, nodes)
         self.kappa_nodes = kappa_form(k, pd, grid, rule.nodes)
         self._kappa_W = self.kappa_nodes * grid.weights[None, :]
 
     def beta(self, lam) -> np.ndarray:
         """beta_k(lam) = id - (1/2 i pi) C[tau_k rho_k (x) kappa_k](lam)."""
-        w = self.kit.weights(lam)
+        w = self.srh.kit.weights(lam)
         mat = np.eye(self.grid.n, dtype=complex) \
             - self.rho.T @ ((w * self.tau_nodes)[:, None] * self._kappa_W) \
             / (2j * np.pi)
@@ -318,8 +316,9 @@ class BetaSolution:
     def matvec(self, v, w) -> np.ndarray:
         """beta_k(lam) v without forming beta_k(lam): the Cauchy sum of the
         rho_k density, v - rho_k^T ((w tau_k / 2 i pi) o (kappa_k W v)),
-        with w = ``kit.weights(lam)`` the rule's Cauchy weights at lam."""
-        return v - self.rho.T @ ((w * self.tau_nodes) * (self._kappa_W @ v)) \
+        with w = ``srh.kit.weights(lam)`` the rule's Cauchy weights at lam.
+        v (..., Ns) and w (..., n) may carry a leading axis of points."""
+        return v - ((w * self.tau_nodes) * (v @ self._kappa_W.T)) @ self.rho \
             / (2j * np.pi)
 
     def det_beta(self, lam) -> complex:
@@ -352,39 +351,40 @@ class BetaSolution:
         return rows
 
 
-def _beta_exponents(srh: ScalarRH, rule: IntervalRule, loop: Contour):
-    """ln alpha at the rule's nodes (+side) and on the loop."""
-    return srh.exponent(rule.nodes + 0j), srh.exponent(loop.nodes)
-
-
-def _beta_defaults(pd: ProblemData, srh, loop):
-    if srh is None:
-        srh = ScalarRH(pd)
-    if loop is None:
-        loop = stadium_contour(pd.a, pd.b, safe_radius(pd))
-    return srh, loop
+def _on_rule(srh: ScalarRH, rule: IntervalRule) -> None:
+    """GridMismatchError unless srh is built on ``rule``."""
+    r = srh.rule
+    if not (r is rule or (np.array_equal(r.nodes, rule.nodes)
+                          and np.array_equal(r.weights, rule.weights))):
+        raise GridMismatchError(
+            f"ScalarRH is built on a {r.n}-node rule, beta on a {rule.n}-node "
+            "one: build ScalarRH(pd, rule) on beta's rule")
 
 
 def solve_beta(pd: ProblemData, rule: IntervalRule, grid: HalfLineRule,
-               k: int, srh: ScalarRH | None = None,
-               loop: Contour | None = None) -> BetaSolution:
-    srh, loop = _beta_defaults(pd, srh, loop)
-    return BetaSolution(pd, rule, grid, k, srh, loop,
-                        _beta_exponents(srh, rule, loop))
+               k: int, srh: ScalarRH | None = None) -> BetaSolution:
+    """beta_k on ``rule``, with srh's kit, loop and ln alpha.
+
+    ``srh`` defaults to ``ScalarRH(pd, rule)``; one built on another rule
+    raises GridMismatchError.
+    """
+    if srh is None:
+        srh = ScalarRH(pd, rule)
+    _on_rule(srh, rule)
+    return BetaSolution(pd, grid, k, srh)
 
 
 def solve_betas(pd: ProblemData, rule: IntervalRule, grid: HalfLineRule,
-                srh: ScalarRH | None = None,
-                loop: Contour | None = None) -> dict:
-    """beta_1 and beta_2 on one rule and loop, keyed by k.
+                srh: ScalarRH | None = None) -> dict:
+    """beta_1 and beta_2 on one rule, keyed by k (see ``solve_beta``).
 
-    ln alpha is evaluated once at the nodes and once on the loop for both,
-    alpha_1 = 1/alpha_2 being exp(-ln alpha).
+    ln alpha is evaluated once at the nodes and once on the loop for both
+    (``ScalarRH.node_exponent``, ``loop_exponent``), alpha_1 = 1/alpha_2
+    being exp(-ln alpha).
     """
-    srh, loop = _beta_defaults(pd, srh, loop)
-    exponents = _beta_exponents(srh, rule, loop)
-    return {k: BetaSolution(pd, rule, grid, k, srh, loop, exponents)
-            for k in (1, 2)}
+    if srh is None:
+        srh = ScalarRH(pd, rule)
+    return {k: solve_beta(pd, rule, grid, k, srh) for k in (1, 2)}
 
 
 # ---------------------------------------------------------------------------
@@ -393,18 +393,20 @@ def solve_betas(pd: ProblemData, rule: IntervalRule, grid: HalfLineRule,
 
 @dataclass(frozen=True)
 class Blocks:
-    """O, P and Q at one point, kept as the rank-one factors they share.
+    """O, P and Q at one point, or at each of an array of points, kept as
+    the rank-one factors they share.
 
     Every block is l_j (x) r_l, j, l = 1, 2, on the half-line grid:
     O_jl carries alpha^{2 (l - j)}, P = F/(1+F) l_1 (x) r_2 and
-    Q = -F/(1+F) l_2 (x) r_1.  Indexing forms a dense (Ns, Ns) block:
-    ``blk[j, l]`` for O_jl, ``blk["P"]`` and ``blk["Q"]``.
+    Q = -F/(1+F) l_2 (x) r_1.  At one point, indexing forms a dense
+    (Ns, Ns) block: ``blk[j, l]`` for O_jl, ``blk["P"]`` and ``blk["Q"]``.
 
     ``l`` holds l_k = beta_k m_k in row k - 1, ``r`` holds the one-forms
     r_1 = w o l_2 / q and r_2 = w o l_1 / q (w the grid weights), so that
     r_k . l_k = 1 to rounding.  ``q`` = <l_1, l_2>_W is 1 in the
     continuum; q - 1 is the beta discretization error at the point.
-    ``exponent`` is ln alpha(lam) and ``ratio`` is F/(1+F).
+    ``exponent`` is ln alpha(lam) and ``ratio`` is F/(1+F).  For an array
+    of N points ``l`` and ``r`` are (N, 2, Ns) and the scalars (N,).
     """
 
     l: np.ndarray
@@ -413,12 +415,15 @@ class Blocks:
     exponent: complex
     ratio: complex
 
-    def jump_coefficients(self, side: int) -> np.ndarray:
+    def jump_coefficients(self, side) -> np.ndarray:
         """The phase-free triangular jump factor less I as a 2x2 array on
         l_j (x) r_l: F/(1+F) on l_1 (x) r_2 for side +1 (P), on l_2 (x) r_1
-        for side -1 (-Q)."""
-        coef = np.zeros((2, 2), dtype=complex)
-        coef[int(side < 0), int(side > 0)] = self.ratio
+        for side -1 (-Q).  ``side`` may vary over the points; (..., 2, 2)."""
+        side = np.asarray(side)
+        coef = np.zeros(np.broadcast(side, self.ratio).shape + (2, 2),
+                        dtype=complex)
+        coef[..., 0, 1] = np.where(side > 0, self.ratio, 0.0)
+        coef[..., 1, 0] = np.where(side < 0, self.ratio, 0.0)
         return coef
 
     def __getitem__(self, key) -> np.ndarray:
@@ -448,34 +453,35 @@ class OperatorFactory:
     On the discretized betas the identity holds to their quadrature error,
     which falls like n^-2 in the beta rule.
 
-    Both betas must be solved on one interval rule (GridMismatchError
-    otherwise): the two matvecs of a point share its Cauchy weights.
+    Both betas and ``srh`` must be on one interval rule (GridMismatchError
+    otherwise): a point's two matvecs and ln alpha share its Cauchy
+    weights.
     """
 
     def __init__(self, pd: ProblemData, grid: HalfLineRule, srh: ScalarRH,
                  beta1: BetaSolution, beta2: BetaSolution):
-        r1, r2 = beta1.rule, beta2.rule
-        if not (np.array_equal(r1.nodes, r2.nodes)
-                and np.array_equal(r1.weights, r2.weights)):
-            raise GridMismatchError(
-                "beta_1 and beta_2 must be solved on the same interval rule")
+        for bs in (beta1, beta2):
+            _on_rule(srh, bs.rule)
         self.pd, self.grid, self.srh = pd, grid, srh
         self.betas = {1: beta1, 2: beta2}
-        self.kit = beta1.kit
+        self.kit = srh.kit
 
     def blocks(self, lam) -> Blocks:
-        """The factors of O_jl, P and Q at lam (see ``Blocks``): two beta
-        matvecs on one set of Cauchy weights, with no (Ns, Ns) matrix
-        formed."""
-        lam = complex(lam)
+        """The factors of O_jl, P and Q at lam, one point or a 1-D array of
+        them (see ``Blocks``): one set of Cauchy weights per point serves
+        both beta matvecs and ln alpha = weights . nu, with no (Ns, Ns)
+        matrix formed."""
+        lam = np.asarray(lam, dtype=complex)
         pd, w = self.pd, self.grid.weights
         cw = self.kit.weights(lam)
-        l = np.array([self.betas[k].matvec(m_vec(k, pd, self.grid, lam), cw)
-                      for k in (1, 2)])
-        q = (l[0] * l[1]) @ w
-        Fv = complex(pd.F(lam))
-        return Blocks(l=l, r=l[::-1] * (w / q), q=q,
-                      exponent=self.srh.exponent(lam), ratio=Fv / (1.0 + Fv))
+        l = np.stack([self.betas[k].matvec(m_vec(k, pd, self.grid, lam), cw)
+                      for k in (1, 2)], axis=-2)
+        q = (l[..., 0, :] * l[..., 1, :]) @ w
+        Fv = pd.F(lam)
+        return Blocks(l=l, r=l[..., ::-1, :] * (w / q[..., None])[..., None, :],
+                      q=q,
+                      exponent=self.srh.exponent(lam, weights=cw),
+                      ratio=(Fv / (1.0 + Fv))[()])
 
     def O(self, lam) -> np.ndarray:
         blk = self.blocks(lam)
@@ -635,8 +641,9 @@ def pi_residual(pd: ProblemData, factory: OperatorFactory,
     identity follows the x^{eps - 1} pattern with
     eps = 2 sup_{delta D} |Re nu|.
 
-    The factory blocks do not depend on x, so each probe point takes one
-    ``factory.blocks`` call shared by every x: a lens row is
+    The factory blocks do not depend on x, so the lens points take one
+    ``factory.blocks`` call and each disk's points another, shared by
+    every x: a lens row is
     |e^{+- i x p}| times the bound of the phase-free factor, whose kernel
     part the phase only scales, and each x's parametrix receives the
     blocks through its ``blocks`` argument.  Every bound comes from the
@@ -663,43 +670,44 @@ def pi_residual(pd: ProblemData, factory: OperatorFactory,
 
     def blocks(lam):
         blk = factory.blocks(lam)
-        report.beta_defect = max(report.beta_defect, abs(blk.q - 1.0))
+        report.beta_defect = max(report.beta_defect,
+                                 float(np.max(np.abs(blk.q - 1.0))))
         return blk
 
-    def lens_bound(lam, side):
-        blk = blocks(lam)
-        return factor_bound(blk.jump_coefficients(side), blk.l, blk.r,
-                            factory.grid)
-
+    # the lens probes above and below the interval, in one blocks call
     span = np.linspace(a + 1.5 * disk_radius, b - 1.5 * disk_radius, 7)
+    above, below = span + 1j * lens_height, span - 1j * lens_height
+    sides = np.repeat([1, -1], span.size)
+    blk = blocks(np.concatenate([above, below]))
+    up, dn = np.split(factor_bound(blk.jump_coefficients(sides), blk.l, blk.r,
+                                   factory.grid), 2)
     lens = [[] for _ in xs]
     report.lens_max = {x: 0.0 for x in xs}
-    for lam in span:
-        above, below = lam + 1j * lens_height, lam - 1j * lens_height
-        up, dn = lens_bound(above, +1), lens_bound(below, -1)
-        for rows, x in zip(lens, xs):
-            up_x = float(abs(np.exp(1j * x * pd.p(above))) * up)
-            dn_x = float(abs(np.exp(-1j * x * pd.p(below))) * dn)
+    for rows, x in zip(lens, xs):
+        up_x = np.abs(np.exp(1j * x * pd.p(above))) * up
+        dn_x = np.abs(np.exp(-1j * x * pd.p(below))) * dn
+        for lam, u, d in zip(span, up_x, dn_x):
             rows.append(DiagnosticRow(
-                f"lens up x={x}", lam, lens_height, up_x, 1.0))
+                f"lens up x={x}", lam, lens_height, float(u), 1.0))
             rows.append(DiagnosticRow(
-                f"lens down x={x}", lam, -lens_height, dn_x, 1.0))
-            report.lens_max[x] = max(report.lens_max[x], up_x, dn_x)
+                f"lens down x={x}", lam, -lens_height, float(d), 1.0))
+        report.lens_max[x] = max(report.lens_max[x], float(up_x.max()),
+                                 float(dn_x.max()))
 
     ends = {"a": a, "b": b}
     pxs = [{ep: parametrix_builder(ep, x) for ep in ends} for x in xs]
     disk = [{ep: [] for ep in ends} for _ in xs]
     report.disk_max = {(ep, x): 0.0 for x in xs for ep in ends}
     for endpoint, center in ends.items():
-        for th in _disk_probe_angles():
-            lam = center + disk_radius * np.exp(1j * th)
-            blk = blocks(lam)
-            for px, rows, x in zip(pxs, disk, xs):
-                resid = px[endpoint].decay_bound(lam, blocks=blk)
-                rows[endpoint].append(DiagnosticRow(
-                    f"disk {endpoint} x={x}", lam.real, lam.imag, resid, 1.0))
-                report.disk_max[endpoint, x] = max(
-                    report.disk_max[endpoint, x], resid)
+        lam = center + disk_radius * np.exp(1j * _disk_probe_angles())
+        blk = blocks(lam)
+        for px, rows, x in zip(pxs, disk, xs):
+            resid = px[endpoint].decay_bound(lam, blocks=blk)
+            rows[endpoint] += [
+                DiagnosticRow(f"disk {endpoint} x={x}", z.real, z.imag,
+                              float(r), 1.0) for z, r in zip(lam, resid)]
+            report.disk_max[endpoint, x] = max(report.disk_max[endpoint, x],
+                                               float(resid.max()))
 
     report.lens_rows = [r for rows in lens for r in rows]
     report.disk_rows = [r for rows in disk for ep in ends for r in rows[ep]]

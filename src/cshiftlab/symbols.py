@@ -8,7 +8,8 @@ alpha_k, and one-sided boundary values by Richardson extrapolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -21,7 +22,8 @@ from .errors import (
     ParameterDomainError,
     SymbolDomainError,
 )
-from .quadgrid import gauss_interval, safe_radius, stadium_contour
+from .quadgrid import (Contour, IntervalRule, gauss_interval, safe_radius,
+                       stadium_contour)
 
 __all__ = [
     "HolomorphicHandle",
@@ -43,6 +45,8 @@ __all__ = [
 
 #: sign epsilon_k attached to the two scalar problems (k = 1, 2)
 EPS_K = {1: -1.0, 2: 1.0}
+#: nodes of ScalarRH's default Gauss rule, the beta rule of every pipeline
+RULE_NODES = 192
 #: offsets lam0 +- i delta (times a length scale) of the one-sided limits
 DELTA_SCHEDULE = np.array([1e-2, 1e-3, 1e-4, 1e-5])
 
@@ -66,17 +70,24 @@ def constant_symbol(gamma: complex) -> HolomorphicHandle:
     )
 
 
+def _poly_pair(coeffs):
+    """Evaluators of sum_k coeffs[k] z^k and of its derivative, by Horner's
+    rule on the coefficients (``polyval``): no domain map per call."""
+    poly = np.polynomial.polynomial
+    c = np.asarray(coeffs, dtype=float)
+    dc = poly.polyder(c)
+    return (lambda z: poly.polyval(z, c)), (lambda z: poly.polyval(z, dc))
+
+
 def poly_symbol(coeffs) -> HolomorphicHandle:
     """Polynomial sum_k coeffs[k] z^k with real coefficients."""
-    p = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
-    dp = p.deriv()
-    return HolomorphicHandle(eval=lambda z: p(z), deriv=lambda z: dp(z))
+    p, dp = _poly_pair(coeffs)
+    return HolomorphicHandle(eval=p, deriv=dp)
 
 
 def scaled_exp_symbol(gamma: float, coeffs) -> HolomorphicHandle:
     """gamma * exp(polynomial) with real gamma and real coefficients."""
-    p = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
-    dp = p.deriv()
+    p, dp = _poly_pair(coeffs)
     return HolomorphicHandle(eval=lambda z: gamma * np.exp(p(z)),
                              deriv=lambda z: gamma * dp(z) * np.exp(p(z)))
 
@@ -248,22 +259,49 @@ def boundary_value(f: Callable, lam0: float, side: int, scale: float = 1.0):
 
 
 class ScalarRH:
-    """The scalar Riemann-Hilbert data nu, alpha on a 160-point Gauss rule.
+    """The scalar Riemann-Hilbert data nu, alpha on one interval rule.
 
     alpha(lam) = exp C[nu](lam) with C the Cauchy transform over [a, b];
     alpha_1 = 1/alpha and alpha_2 = alpha.  Evaluation is uniformly
     accurate up to the cut; points on (a, b) get the +side value.
+
+    ``rule`` defaults to ``gauss_interval(RULE_NODES, a, b)``, the rule
+    every pipeline solves beta on: beta and alpha are both x-independent
+    Cauchy transforms over [a, b], so one rule serves both.  The rule's
+    ``CauchyKit`` (``kit``), the stadium ``loop`` at ``safe_radius`` and ln
+    alpha at the nodes (+side, ``node_exponent``) and on the loop
+    (``loop_exponent``) are computed once, on first use, and shared by
+    ``rhp.solve_beta``, ``rhp.OperatorFactory`` and the sweep's loop
+    kernels.
     """
 
-    def __init__(self, pd: ProblemData):
+    def __init__(self, pd: ProblemData, rule: IntervalRule | None = None):
         self.pd = pd
-        self.rule = gauss_interval(160, pd.a, pd.b)
-        self.kit = CauchyKit(self.rule)
+        self.rule = gauss_interval(RULE_NODES, pd.a, pd.b) \
+            if rule is None else rule
         self.nu_nodes = nu(pd, self.rule.nodes.astype(complex))
 
-    def exponent(self, lam):
-        """int_a^b nu(mu)/(mu - lam) dmu.
+    @cached_property
+    def kit(self) -> CauchyKit:
+        return CauchyKit(self.rule)
 
+    @cached_property
+    def loop(self) -> Contour:
+        return stadium_contour(self.pd.a, self.pd.b, safe_radius(self.pd))
+
+    @cached_property
+    def node_exponent(self) -> np.ndarray:
+        return self.exponent(self.rule.nodes + 0j)
+
+    @cached_property
+    def loop_exponent(self) -> np.ndarray:
+        return self.exponent(self.loop.nodes)
+
+    def exponent(self, lam, weights=None):
+        """int_a^b nu(mu)/(mu - lam) dmu, at one point or an array of them.
+
+        ``weights`` are the rule's Cauchy weights at lam
+        (``kit.weights(lam)``) when the caller has them already.
         Uniformly accurate up to (and on) the cut; only the immediate
         vicinity of the endpoints loses digits to the log evaluations.
         """
@@ -276,7 +314,7 @@ class ScalarRH:
             raise AccuracyError(
                 "alpha evaluated within rounding distance of an endpoint",
                 estimate=2e-16 / max(d, 1e-300))
-        w = self.kit.weights(lam)
+        w = self.kit.weights(lam) if weights is None else weights
         return w @ self.nu_nodes
 
     def alpha(self, lam):

@@ -33,10 +33,10 @@ def chi_default(pd_default, grid48):
 
 
 @pytest.fixture(scope="session")
-def betas_default(pd_default, grid48, srh_default, loop_default):
+def betas_default(pd_default, grid48, srh_default):
     rule = cl.gauss_interval(192, pd_default.a, pd_default.b)
-    return {k: solve_beta(pd_default, rule, grid48, k, srh_default,
-                          loop_default) for k in (1, 2)}
+    return {k: solve_beta(pd_default, rule, grid48, k, srh_default)
+            for k in (1, 2)}
 
 
 @pytest.fixture(scope="session")

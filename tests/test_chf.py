@@ -8,7 +8,7 @@ from scipy.special import exp1, gamma
 import cshiftlab as cl
 from cshiftlab import chf
 from cshiftlab.chf import (A_CAP, TricomiEval, _asymptotic, _gamma, _laplace,
-                           _over_budget, tricomi_psi)
+                           _over_budget, tricomi_psi, tricomi_psi_array)
 from cshiftlab.errors import AccuracyError, BranchError, ParameterDomainError
 from cshiftlab.parametrix import Parametrix, _psi_cont, zeta
 from cshiftlab.quadgrid import _leggauss
@@ -148,7 +148,7 @@ class TestRouteConsistency:
             for r in (19.9, 20.0, 20.5, 22.0, 25.0):
                 for th in (-np.pi / 2, np.pi / 2, 1.2):
                     z = r * np.exp(1j * th)
-                    vi = _laplace(complex(a), z)[0]
+                    vi = _laplace(complex(a), z)[0][0]
                     va = _asymptotic(complex(a), z, th)[0]
                     worst = max(worst, abs(vi - va) / abs(vi))
         assert worst < 1e-7
@@ -161,7 +161,7 @@ class TestRouteConsistency:
             for a in (1 + NU, 0.8, 1.3 - 0.2j):
                 for r in (15.0, 18.0, 22.0, 25.0):
                     z = r * np.exp(1j * np.pi / 2)
-                    vl, _, _, el, _ = _laplace(complex(a), z)
+                    (vl, _, _), (el, _) = _laplace(complex(a), z)
                     ref = complex(mpmath.hyperu(mpmath.mpc(a), 1,
                                                 mpmath.mpc(z)))
                     assert abs(vl - ref) / abs(ref) < min(1e-8, el)
@@ -217,6 +217,27 @@ def _on_cover(r, total):
     """(z, sheet) of the point of modulus r at total argument ``total``."""
     z = complex(r * np.exp(1j * total))
     return z, int(np.rint((total - np.angle(z)) / (2.0 * np.pi)))
+
+
+def _point(ev, i):
+    """Point i of an array TricomiEval, as the one-point evaluation."""
+    return TricomiEval(**{f: getattr(ev, f)[i] for f in (
+        "a", "z", "sheet", "value", "dvalue", "d2value", "err", "derr",
+        "route")})
+
+
+def _agrees(up, direct, direct_err, entry, tally):
+    """The relation's entry against the direct value, where both are
+    within budget: within both monitors, or else the relation holds to
+    its own against the reference and the direct value does not."""
+    le = up.lowered_err()
+    if direct is None or abs(entry - direct) \
+            <= 10.0 * abs(direct) * max(le + direct_err, 1e-13):
+        return
+    tally["disagree"] += 1
+    ref = _continued(up.a - 1.0, up.z, up.sheet)
+    assert abs(entry - ref) <= 10.0 * max(le, 1e-13) * abs(ref)
+    assert abs(direct - ref) > 10.0 * direct_err * abs(ref)
 
 
 class TestIndexRelation:
@@ -296,13 +317,73 @@ class TestIndexRelation:
             (up * (te.err + 2.0 ** -53) + dn * (te.derr + 2.0 ** -53))
             / abs(te.lowered()), rel=1e-12)
 
+    @staticmethod
+    def _point_checks(px, m, z, tally):
+        """One disk point as the parametrix takes it, against the direct
+        evaluations; a refusal must come exactly where a direct one does."""
+        try:
+            ups = [_psi_cont(1.0 + m, z, -1), _psi_cont(1.0 - m, z, +1)]
+        except AccuracyError:
+            # Psi(1 +- m) are evaluated directly, as before
+            with pytest.raises(AccuracyError):
+                px._confluent(m, z)
+            return
+        cols = []
+        for up, rot in zip(ups, (-1, +1)):
+            tally["sheets"].add(up.sheet)
+            try:
+                direct = _psi_cont(up.a - 1.0, z, rot)
+            except AccuracyError:
+                direct = None
+            cols.append((up, direct, _over_budget(z, up.lowered_err())))
+        if any(over and d is None for _, d, over in cols):
+            # refused exactly where the direct call is
+            with pytest.raises(AccuracyError):
+                px._confluent(m, z)
+            return
+        got = px._confluent(m, z)
+        assert got[1, 0] == ups[0].value
+        assert got[0, 1] == ups[1].value
+        for (up, direct, over), entry in zip(cols, (got[0, 0], got[1, 1])):
+            if over:
+                tally["fallbacks"] += 1
+                assert entry == direct.value
+                continue
+            _agrees(up, direct.value if direct else None,
+                    direct.err if direct else 0.0, entry, tally)
+
+    @staticmethod
+    def _ring_checks(px, m, z, tally):
+        """A ring of disk points in one array call per column, as the
+        parametrix takes them; AccuracyError where any point is refused."""
+        ups = [_psi_cont(1.0 + m, z, -1), _psi_cont(1.0 - m, z, +1)]
+        directs = [_psi_cont(up.a - 1.0, z, rot)
+                   for up, rot in zip(ups, (-1, +1))]
+        got = px._confluent(m, z)
+        assert np.array_equal(got[:, 1, 0], ups[0].value)
+        assert np.array_equal(got[:, 0, 1], ups[1].value)
+        for col, (up, direct, rot) in enumerate(zip(ups, directs, (-1, +1))):
+            tally["sheets"].update(up.sheet.tolist())
+            entry = got[:, col, col]
+            over = _over_budget(z, up.lowered_err())
+            if over.any():
+                # the over-budget points are evaluated directly, together
+                tally["fallbacks"] += int(over.sum())
+                assert np.array_equal(entry[over], _psi_cont(
+                    up.a[over] - 1.0, z[over], rot).value)
+            for i in np.flatnonzero(~over):
+                _agrees(_point(up, i), direct.value[i], direct.err[i],
+                        entry[i], tally)
+
     def test_probe_disks_against_the_direct_entries(self):
         # Psi(+-m) as the parametrix takes them, against their direct
         # evaluation on the small-norm probe disks: x = 100 and |zeta| =
         # 15..25, the overlap annulus, all around both endpoints, so on
         # every sheet.  The symbols are the probe's F = 0.1 and 0.3 and
-        # two of the new regimes, F = 0.2 + 0.3i and -0.8.
-        sheets, fallbacks, disagree = set(), 0, 0
+        # two of the new regimes, F = 0.2 + 0.3i and -0.8.  Each ring of
+        # 32 points is evaluated as one array, as the parametrix does; a
+        # ring where a point is refused is checked point by point
+        tally = {"sheets": set(), "fallbacks": 0, "disagree": 0}
         for F in (0.1, 0.3, 0.2 + 0.3j, -0.8):
             pd = cl.make_problem(a=-1.0, b=1.0, c=1.0, t=1.0, x=100.0,
                                  F=cl.constant_symbol(F),
@@ -311,57 +392,20 @@ class TestIndexRelation:
                 px = Parametrix(ep, pd.a if s > 0 else pd.b, 0.2, 100.0, pd,
                                 factory=None)
                 for r in np.linspace(0.15, 0.25, 5):
-                    for th in np.linspace(-np.pi, np.pi, 32, endpoint=False):
-                        lam = px.center + r * np.exp(1j * (th + 0.01))
-                        m = -s * complex(cl.nu(pd, lam))
-                        z = zeta(ep, pd, lam, px.x)
-                        try:
-                            ups = [_psi_cont(1.0 + m, z, -1),
-                                   _psi_cont(1.0 - m, z, +1)]
-                        except AccuracyError:
-                            # Psi(1 +- m) are evaluated directly, as before
-                            with pytest.raises(AccuracyError):
-                                px._confluent(m, z)
-                            continue
-                        cols = []
-                        for up, rot in zip(ups, (-1, +1)):
-                            sheets.add(up.sheet)
-                            try:
-                                direct = _psi_cont(up.a - 1.0, z, rot)
-                            except AccuracyError:
-                                direct = None
-                            cols.append((up, direct,
-                                         _over_budget(z, up.lowered_err())))
-                        if any(over and d is None for _, d, over in cols):
-                            # refused exactly where the direct call is
-                            with pytest.raises(AccuracyError):
-                                px._confluent(m, z)
-                            continue
-                        got = px._confluent(m, z)
-                        assert got[1, 0] == ups[0].value
-                        assert got[0, 1] == ups[1].value
-                        for (up, direct, over), entry in zip(
-                                cols, (got[0, 0], got[1, 1])):
-                            le = up.lowered_err()
-                            if over:
-                                fallbacks += 1
-                                assert entry == direct.value
-                                continue
-                            if direct is None or abs(entry - direct.value) \
-                                    <= 10.0 * abs(direct.value) \
-                                    * max(le + direct.err, 1e-13):
-                                continue
-                            # apart by more than both monitors: the
-                            # relation holds to its own against the
-                            # reference, the direct value does not
-                            disagree += 1
-                            ref = _continued(up.a - 1.0, up.z, up.sheet)
-                            assert abs(entry - ref) \
-                                <= 10.0 * max(le, 1e-13) * abs(ref)
-                            assert abs(direct.value - ref) \
-                                > 10.0 * direct.err * abs(ref)
-        assert sheets == {-1, 0, 1} and fallbacks > 0
-        assert disagree <= 10
+                    th = np.linspace(-np.pi, np.pi, 32, endpoint=False)
+                    lam = px.center + r * np.exp(1j * (th + 0.01))
+                    m = -s * cl.nu(pd, lam)
+                    z = zeta(ep, pd, lam, px.x)
+                    try:
+                        self._ring_checks(px, m, z, tally)
+                    except AccuracyError:
+                        tally["refused_rings"] = \
+                            tally.get("refused_rings", 0) + 1
+                        for mi, zi in zip(m, z):
+                            self._point_checks(px, mi, zi, tally)
+        assert tally["sheets"] == {-1, 0, 1} and tally["fallbacks"] > 0
+        assert tally["disagree"] <= 10
+        assert 0 < tally["refused_rings"] < 10
 
     @pytest.mark.parametrize("lowered", [
         lambda up, a, z, sheet: (a + z) * up.value
@@ -381,6 +425,66 @@ class TestIndexRelation:
             except AccuracyError:
                 continue
         assert len(gaps) >= 10 and min(gaps) > 1.0
+
+
+_FIELDS = ("value", "dvalue", "d2value", "err", "derr")
+
+
+def _assert_per_point(ev, a, z, sheet):
+    """An array evaluation against one tricomi_psi call per point: the
+    same route, and values and monitors within 1e-15 relative."""
+    for i in range(len(a)):
+        one = tricomi_psi(a[i], z[i], sheet[i])
+        assert ev.route[i] == one.route
+        for f in _FIELDS:
+            want = getattr(one, f)
+            assert abs(getattr(ev, f)[i] - want) <= 1e-15 * abs(want), (i, f)
+
+
+class TestArrays:
+    """tricomi_psi_array is tricomi_psi at every point of an array."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(
+        st.one_of(st.complex_numbers(max_magnitude=2.5, allow_nan=False,
+                                     allow_infinity=False),
+                  st.sampled_from([0.0, -1.0, -2.0])),
+        st.floats(np.log10(0.3), 2.0),
+        st.floats(-1.5 * np.pi, 1.5 * np.pi, exclude_min=True,
+                  exclude_max=True)), min_size=1, max_size=10))
+    def test_matches_per_point_calls(self, points):
+        a = np.array([complex(p[0]) for p in points])
+        z, sheet = map(np.array, zip(*(_on_cover(10.0 ** lr, tot)
+                                       for _, lr, tot in points)))
+        try:
+            for i in range(a.size):
+                tricomi_psi(a[i], z[i], sheet[i])
+        except AccuracyError:
+            reject()  # refused at a point: the array is refused too
+        _assert_per_point(tricomi_psi_array(a, z, sheet), a, z, sheet)
+
+    def test_every_route_in_one_call(self):
+        # Laplace (with and without the recurrence in a), the expansion,
+        # the polynomial and the monodromy connection on sheets -1 and +1
+        a = np.array([0.3 + 0.2j, -1.8 + 0.4j, 1.0 - 0.03j, -2.0, 0.4 - 0.3j,
+                      0.25 - 0.7j, 1.0 + 0.03j])
+        z = np.array([3.0 - 1.0j, 5.0 + 2.0j, 60.0j, 4.0 - 3.0j, 2.0 + 1.0j,
+                      3.0 + 1.0j, -30.0 + 1.0j])
+        sheet = np.array([0, 0, 0, 0, -1, 1, 1])
+        ev = tricomi_psi_array(a, z, sheet)
+        assert ev.route.tolist() == ["laplace"] * 2 + [
+            "asymptotic", "polynomial"] + ["monodromy"] * 3
+        assert a[1].real < -0.5
+        _assert_per_point(ev, a, z, sheet)
+
+    def test_one_refused_point_refuses_the_array(self):
+        # the point TestErrors refuses, among points within budget
+        a = np.array([0.3, 0.4 + 0.95j, 1.0 + 0.03j])
+        z = np.array([2.0, 23.0 * np.exp(-0.12j), 15.0j])
+        with pytest.raises(AccuracyError, match="monodromy") as exc:
+            tricomi_psi_array(a, z, [0, -1, 0])
+        assert exc.value.estimate > 1e-8
+        tricomi_psi_array(a[[0, 2]], z[[0, 2]], 0)
 
 
 class TestErrors:
@@ -490,21 +594,26 @@ class TestOracle:
 
 
 def _per_panel_formula(edges, q):
-    """The Laplace ray's panels as built panel by panel before _panels."""
+    """The Laplace ray's panels as built panel by panel before _panels,
+    one row of edges (one point) at a time."""
     x, w = _leggauss(q)
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    return (((0.5 * (edges[:-1] + edges[1:]))[:, None] + half * x).ravel(),
-            (half * w).ravel())
+    nodes, weights = [], []
+    for row in np.reshape(edges, (-1, np.shape(edges)[-1])):
+        half = 0.5 * (row[1:] - row[:-1])[:, None]
+        nodes.append(((0.5 * (row[:-1] + row[1:]))[:, None] + half * x).ravel())
+        weights.append((half * w).ravel())
+    shape = np.shape(edges)[:-1] + (-1,)
+    return np.reshape(nodes, shape), np.reshape(weights, shape)
 
 
 def test_laplace_values_match_the_per_panel_formula(monkeypatch):
-    # the shared panel routine leaves every Laplace value bitwise unchanged
+    # the shared panel routine leaves every Laplace value bitwise
+    # unchanged, on a batch of points with padded panels and on one point
     rng = np.random.default_rng(21)
-    points = [(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-               rng.uniform(0.3, 30.0) * np.exp(1j * rng.uniform(-np.pi, np.pi)))
-              for _ in range(40)]
-    got = [chf._laplace_ray(a, z) for a, z in points]
+    a = rng.uniform(-1, 1, 40) + 1j * rng.uniform(-1, 1, 40)
+    z = rng.uniform(0.3, 30.0, 40) * np.exp(1j * rng.uniform(-np.pi, np.pi, 40))
+    got = [chf._laplace_ray(a, z), chf._laplace_ray(a[:1], z[:1])]
     monkeypatch.setattr(chf, "_panels", _per_panel_formula)
-    for (vals, err), (a, z) in zip(got, points):
-        ref_vals, ref_err = chf._laplace_ray(a, z)
+    ref = [chf._laplace_ray(a, z), chf._laplace_ray(a[:1], z[:1])]
+    for (vals, err), (ref_vals, ref_err) in zip(got, ref):
         assert np.array_equal(vals, ref_vals) and np.array_equal(err, ref_err)

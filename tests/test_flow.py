@@ -275,9 +275,19 @@ class TestTheoremSweep:
             rules.append(cl.transplanted_interval(*args))
             return rules[-1]
 
-        def assemble(kernel, support):
+        def assemble(kernel, support, left=None):
             supports.append(support)
-            return cl.fredholm.assemble(kernel, support)
+            return cl.fredholm.assemble(kernel, support, left)
+
+        # ln alpha: once on the loop and once on the graded rule for both
+        # k, and at each kernel's shifted nodes
+        exponents = []
+        exponent = cl.ScalarRH.exponent
+
+        def exponent_spy(self, lam, weights=None):
+            exponents.append(np.shape(lam))
+            return exponent(self, lam, weights)
+
 
         slogdet = np.linalg.slogdet
 
@@ -288,7 +298,9 @@ class TestTheoremSweep:
         monkeypatch.setattr(cl.flow, "transplanted_interval", transplanted)
         monkeypatch.setattr(cl.flow, "assemble", assemble)
         monkeypatch.setattr(np.linalg, "slogdet", spy)
+        monkeypatch.setattr(cl.ScalarRH, "exponent", exponent_spy)
         theorem1_sweep(SweepConfig(x_list=(1600.0,)))
+        assert len(exponents) == 6
         assert [r.n for r in rules] == [672, 773]
         assert len(supports) == 4
         assert not any(s is r for s in supports for r in rules)
@@ -297,18 +309,22 @@ class TestTheoremSweep:
 
     def test_loops_sit_at_safe_radius(self, monkeypatch):
         # the sweep's loop and the t-derivative check's loop are both at
-        # safe_radius: 0.8 c/(4 |t|) = 0.2 at c = |t| = 1
-        seen = []
+        # safe_radius: 0.8 c/(4 |t|) = 0.2 at c = |t| = 1.  Each pipeline
+        # has one, its ScalarRH's, which every loop integral shares
+        seen = {}
 
-        def spy(a, b, r, **kw):
-            seen.append(r)
-            return cl.stadium_contour(a, b, r, **kw)
+        class Spy(cl.ScalarRH):
+            @property
+            def loop(self):
+                loop = cl.ScalarRH.loop.__get__(self)
+                seen[id(loop)] = loop.r
+                return loop
 
-        monkeypatch.setattr(cl.flow, "stadium_contour", spy)
+        monkeypatch.setattr(cl.flow, "ScalarRH", Spy)
         cfg = SweepConfig(x_list=(20.0,))
         theorem1_sweep(cfg)
         dt_logdet_check(cfg, t0=1.0, x=20.0)
-        assert seen == [pytest.approx(0.2, rel=1e-15)] * 2
+        assert list(seen.values()) == [pytest.approx(0.2, rel=1e-15)] * 2
 
     @pytest.mark.parametrize("F", [-0.5, 0.2, 0.6])
     def test_loop_product_is_converged(self, F):

@@ -110,13 +110,16 @@ class TestParametrixInvariants:
         monkeypatch.setattr(np.linalg, "inv", spy("inv", np.linalg.inv))
         monkeypatch.setattr(cl.ScalarRH, "exponent",
                             spy("exponent", cl.ScalarRH.exponent))
+        monkeypatch.setattr(cl.cauchy.CauchyKit, "weights",
+                            spy("weights", cl.cauchy.CauchyKit.weights))
         for px in (pa, pb):
             lam = px.center + 0.5 * px.radius * np.exp(0.7j)
             for sector in (1, 2, 3):
-                calls.update(beta=0, matvec=0, inv=0, exponent=0)
+                calls.update(beta=0, matvec=0, inv=0, exponent=0, weights=0)
                 px(lam, sector=sector)
+                # ln alpha from the matvecs' own Cauchy weights
                 assert calls == {"beta": 0, "matvec": 2, "inv": 0,
-                                 "exponent": 1}
+                                 "exponent": 1, "weights": 1}
 
     @pytest.mark.parametrize("sector", [1, 2, 3])
     def test_factored_assembly_matches_the_dense_one(self, pa, pb, sector):
@@ -131,25 +134,32 @@ class TestParametrixInvariants:
                     < 1e-13 * np.max(np.abs(want))
 
     def test_one_tricomi_evaluation_per_column(self, pa, pb, monkeypatch):
-        # Psi(1 + m) and Psi(1 - m) are evaluated; Psi(m) and Psi(-m)
-        # follow from them by the index relation
+        # Psi(1 + m) and Psi(1 - m) are evaluated, in one call; Psi(m)
+        # and Psi(-m) follow from them by the index relation.  An array of
+        # points takes one call for both columns too
         params = []
-        psi = parametrix.tricomi_psi
+        psi = parametrix.tricomi_psi_array
 
         def spy(a, z, sheet=0):
             params.append(a)
             return psi(a, z, sheet)
 
-        monkeypatch.setattr(parametrix, "tricomi_psi", spy)
+        monkeypatch.setattr(parametrix, "tricomi_psi_array", spy)
         for px in (pa, pb):
             s = 1 if px.endpoint == "a" else -1
-            for th in (0.3, 2.2, -2.2):
-                lam = px.center + 0.5 * px.radius * np.exp(1j * th)
-                m = -s * complex(cl.nu(px.pd, lam))
+            lam = px.center + 0.5 * px.radius * np.exp(1j * np.array(
+                [0.3, 2.2, -2.2]))
+            m = -s * cl.nu(px.pd, lam)
+            for i in range(lam.size):
                 for sector in (1, 2, 3):
                     params.clear()
-                    px(lam, sector=sector)
-                    assert params == [1.0 + m, 1.0 - m]
+                    px(lam[i], sector=sector)
+                    assert len(params) == 1
+                    assert params[0].tolist() == [1.0 + m[i], 1.0 - m[i]]
+            params.clear()
+            px.coefficients(lam)
+            assert len(params) == 1
+            assert np.array_equal(params[0], np.append(1.0 + m, 1.0 - m))
 
     @pytest.mark.parametrize("sector", [1, 2, 3])
     def test_factor_bound_matches_the_dense_one(self, pa, pb, sector):
@@ -168,6 +178,25 @@ class TestParametrixInvariants:
                     assert px.decay_bound(lam) \
                         == pytest.approx(want, rel=1e-13)
 
+    def test_arrays_match_per_point_calls(self, pa, pb):
+        # an array of points in every sector, and the blocks passed in,
+        # against one call per point
+        for px in (pa, pb):
+            lam = px.center + px.radius * np.array(
+                [0.5 * np.exp(0.3j), 0.7 * np.exp(2.2j), 0.9 * np.exp(-2.2j),
+                 0.4 * np.exp(-1.2j)])
+            coef, blk = px.coefficients(lam)
+            bound = px.decay_bound(lam, blocks=blk)
+            assert coef.shape == (lam.size, 2, 2) and bound.shape == lam.shape
+            for i, z in enumerate(lam):
+                c1, b1 = px.coefficients(z)
+                for got, want in ((coef[i], c1), (blk.l[i], b1.l),
+                                  (blk.r[i], b1.r)):
+                    assert np.max(np.abs(got - want)) \
+                        <= 1e-13 * np.max(np.abs(want))
+                assert bound[i] == pytest.approx(px.decay_bound(z),
+                                                 rel=1e-13)
+
     def test_boundary_residual_forms_no_dense_operator(self, pa, pb,
                                                        monkeypatch):
         def refuse(name):
@@ -183,8 +212,8 @@ class TestParametrixInvariants:
         assert [px.boundary_residual() for px in (pa, pb)] == want
 
     def test_identity_for_zero_symbol(self, pd_zero, grid48):
-        srh = cl.ScalarRH(pd_zero)
         rule = cl.gauss_interval(64, -1, 1)
+        srh = cl.ScalarRH(pd_zero, rule)
         betas = {k: solve_beta(pd_zero, rule, grid48, k, srh) for k in (1, 2)}
         fac = OperatorFactory(pd_zero, grid48, srh, betas[1], betas[2])
         px = build_parametrix("a", pd_zero, fac, x=100.0)
@@ -237,7 +266,7 @@ class _Psi22RotatedDown(Parametrix):
 
     def _confluent(self, m, z):
         psi = super()._confluent(m, z)
-        psi[1, 1] = _psi_cont(-m, z, -1).value
+        psi[..., 1, 1] = _psi_cont(-m, z, -1).value
         return psi
 
 
@@ -256,10 +285,11 @@ class _ExtraRightPower(Parametrix):
     def coefficients(self, lam, sector=None, blocks=None):
         coef, blk = super().coefficients(lam, sector, blocks)
         s = 1 if self.endpoint == "a" else -1
-        zm = np.exp(-s * complex(cl.nu(self.pd, lam))
+        zm = np.exp(-s * cl.nu(self.pd, lam)
                     * np.log(zeta(self.endpoint, self.pd, lam, self.x)))
         eye = np.eye(2)
-        return (coef + eye) * np.array([zm, 1.0 / zm]) - eye, blk
+        return (coef + eye) * np.stack([zm, 1.0 / zm], axis=-1)[..., None, :] \
+            - eye, blk
 
 
 class TestConventionPinned:

@@ -153,11 +153,11 @@ class TestExcludedCase:
         with pytest.raises(NearSingularityError):
             cl.ChiSolution(pd_default, rule, grid48, sys0)
 
-    def test_beta_raises_excluded_case(self, pd_default, grid48, srh_default,
-                                       loop_default, tiny_cond_cap):
+    def test_beta_raises_excluded_case(self, pd_default, grid48,
+                                       tiny_cond_cap):
         rule = cl.gauss_interval(64, pd_default.a, pd_default.b)
         with pytest.raises(ExcludedCaseError) as info:
-            solve_beta(pd_default, rule, grid48, 1, srh_default, loop_default)
+            solve_beta(pd_default, rule, grid48, 1)
         assert isinstance(info.value.__cause__, NearSingularityError)
 
 
@@ -174,26 +174,24 @@ class TestGChi:
 
 class TestBeta:
     def test_pair_evaluates_each_alpha_factor_once(self, pd_default, grid48,
-                                                   srh_default, loop_default,
                                                    monkeypatch):
         # ln alpha at the nodes and on the loop serve both k; each kernel
         # adds its shifted nodes mu + i eps_k c/t, and no diagonal
         points = []
         exponent = cl.ScalarRH.exponent
 
-        def spy(self, lam):
+        def spy(self, lam, weights=None):
             points.append(np.size(lam))
-            return exponent(self, lam)
+            return exponent(self, lam, weights)
 
         monkeypatch.setattr(cl.ScalarRH, "exponent", spy)
         rule = cl.gauss_interval(64, -1.0, 1.0)
-        pair = cl.solve_betas(pd_default, rule, grid48, srh_default,
-                              loop_default)
-        assert sum(points) == 3 * rule.n + loop_default.nodes.size
+        srh = cl.ScalarRH(pd_default, rule)
+        pair = cl.solve_betas(pd_default, rule, grid48, srh)
+        assert sum(points) == 3 * rule.n + srh.loop.nodes.size
         monkeypatch.undo()
         for k in (1, 2):
-            single = solve_beta(pd_default, rule, grid48, k, srh_default,
-                                loop_default)
+            single = solve_beta(pd_default, rule, grid48, k)
             assert np.max(np.abs(pair[k].rho - single.rho)) \
                 < 1e-14 * np.max(np.abs(single.rho))
 
@@ -203,8 +201,8 @@ class TestBeta:
             assert failed == []
 
     def test_zero_symbol(self, pd_zero, grid48):
-        srh = cl.ScalarRH(pd_zero)
-        bs = solve_beta(pd_zero, cl.gauss_interval(64, -1, 1), grid48, 1, srh)
+        rule = cl.gauss_interval(64, -1, 1)
+        bs = solve_beta(pd_zero, rule, grid48, 1, cl.ScalarRH(pd_zero, rule))
         assert np.max(np.abs(bs.rho - bs.w_rhs)) == 0.0
         assert np.max(np.abs(bs.beta(0.5 + 0.3j) - np.eye(grid48.n))) == 0.0
         # the loop residue reproduces m_k when the symbol vanishes
@@ -242,12 +240,11 @@ class TestBeta:
         # up to 2.4e-7, and 320 nodes do no better.
         pd = cl.make_problem(a=-1.0, b=1.0, c=1.0, t=1.0, x=100.0,
                              F=cl.constant_symbol(0.2), p=cl.identity_phase())
-        srh = cl.ScalarRH(pd)
         probes = pd.b + 0.2 * np.exp(1j * _disk_probe_angles())
 
         def beta_1(n):
-            bs = solve_beta(pd, cl.gauss_interval(n, pd.a, pd.b), grid48, 1,
-                            srh)
+            rule = cl.gauss_interval(n, pd.a, pd.b)
+            bs = solve_beta(pd, rule, grid48, 1, cl.ScalarRH(pd, rule))
             return np.array([bs.beta(lam) for lam in probes])
 
         assert np.max(np.abs(beta_1(192) - beta_1(640))) < 1e-7
@@ -260,7 +257,8 @@ class TestBeta:
             seen.append((r, kw))
             return cl.stadium_contour(a, b, r, **kw)
 
-        monkeypatch.setattr(cl.rhp, "stadium_contour", spy)
+        # the loop is ScalarRH's, built on first use
+        monkeypatch.setattr(cl.symbols, "stadium_contour", spy)
         solve_beta(pd_default, cl.gauss_interval(64, -1.0, 1.0), grid48, 1)
         assert seen == [(pytest.approx(0.2, rel=1e-15), {})]
 
@@ -399,15 +397,13 @@ class TestOperatorFactory:
 
     def test_blocks_take_the_cauchy_weights_once(self, factory_default,
                                                  monkeypatch):
-        # both beta matvecs of a point run on one set of Cauchy weights
-        # (ln alpha takes its own, on the ScalarRH rule)
+        # both beta matvecs of a point and ln alpha run on one set of
+        # Cauchy weights: the ScalarRH rule is beta's
         calls = []
         weights = cl.cauchy.CauchyKit.weights
-        beta_rule = factory_default.betas[1].rule
 
         def spy(self, lam):
-            if self.rule is beta_rule:
-                calls.append(lam)
+            calls.append(lam)
             return weights(self, lam)
 
         monkeypatch.setattr(cl.cauchy.CauchyKit, "weights", spy)
@@ -416,13 +412,44 @@ class TestOperatorFactory:
             factory_default.blocks(lam)
             assert calls == [lam]
 
+    def test_blocks_of_an_array_are_the_blocks_of_its_points(
+            self, factory_default):
+        lam = np.array([0.2 + 0.1j, -0.95 + 0.05j, 0.3 - 1e-3j, 1.2 - 0.15j])
+        blk = factory_default.blocks(lam)
+        assert blk.l.shape == blk.r.shape == (lam.size, 2,
+                                              factory_default.grid.n)
+        for i, z in enumerate(lam):
+            one = factory_default.blocks(z)
+            for f in ("l", "r", "q", "exponent", "ratio"):
+                want = getattr(one, f)
+                assert np.max(np.abs(getattr(blk, f)[i] - want)) \
+                    <= 1e-13 * np.max(np.abs(want)), f
+        # ln alpha is the ScalarRH exponent on the same rule
+        assert np.allclose(blk.exponent, factory_default.srh.exponent(lam),
+                           rtol=1e-14, atol=0.0)
+
+    def test_scalar_rh_on_another_rule_is_refused(self, pd_default, grid48,
+                                                  srh_default):
+        # srh's kit, loop and ln alpha are beta's: its rule must be beta's
+        rule = cl.gauss_interval(64, -1.0, 1.0)
+        with pytest.raises(GridMismatchError):
+            solve_beta(pd_default, rule, grid48, 1, srh_default)
+        with pytest.raises(GridMismatchError):
+            solve_betas(pd_default, rule, grid48, srh_default)
+        # the same rule built anew is accepted
+        same = cl.gauss_interval(192, -1.0, 1.0)
+        assert solve_beta(pd_default, same, grid48, 1, srh_default).srh \
+            is srh_default
+
     def test_betas_on_different_rules_are_refused(self, pd_default, grid48,
-                                                  srh_default, loop_default):
+                                                  srh_default):
         betas = [solve_beta(pd_default, cl.gauss_interval(n, -1.0, 1.0),
-                            grid48, k, srh_default, loop_default)
-                 for n, k in ((64, 1), (96, 2))]
+                            grid48, k) for n, k in ((64, 1), (96, 2))]
         with pytest.raises(GridMismatchError):
             OperatorFactory(pd_default, grid48, srh_default, *betas)
+        # each beta with its own ScalarRH: the pair still disagrees
+        with pytest.raises(GridMismatchError):
+            OperatorFactory(pd_default, grid48, betas[0].srh, *betas)
 
     @pytest.mark.parametrize("side", [+1, -1])
     def test_jump_coefficients_give_the_dense_bound(self, factory_default,
@@ -444,8 +471,8 @@ class TestOperatorFactory:
             assert np.max(np.abs(blk[j, l] @ blk[l, k] - blk[j, k])) < 1e-8
 
     def test_zero_symbol_collapse(self, pd_zero, grid48):
-        srh = cl.ScalarRH(pd_zero)
         rule = cl.gauss_interval(64, -1, 1)
+        srh = cl.ScalarRH(pd_zero, rule)
         betas = {k: solve_beta(pd_zero, rule, grid48, k, srh) for k in (1, 2)}
         fac = OperatorFactory(pd_zero, grid48, srh, betas[1], betas[2])
         blk = fac.blocks(0.1 + 0.05j)
@@ -457,15 +484,14 @@ class TestOperatorFactory:
         for lam0 in (0.0, 0.588):
             assert factorization_residual(factory_default, lam0) < 1e-6
 
-    def test_factorization_at_large_x(self, grid48, loop_default):
+    def test_factorization_at_large_x(self, grid48):
         # the Richardson deltas shrink with 1/x: with deltas fixed at
         # DELTA_SCHEDULE * (b - a) the residual was 3.5e-6 at x = 400
         pd = cl.make_problem(a=-1.0, b=1.0, c=1.0, t=1.0, x=400.0,
                              F=cl.constant_symbol(0.2), p=cl.identity_phase())
         srh = cl.ScalarRH(pd)
         rule = cl.gauss_interval(192, -1.0, 1.0)
-        betas = {k: solve_beta(pd, rule, grid48, k, srh, loop_default)
-                 for k in (1, 2)}
+        betas = {k: solve_beta(pd, rule, grid48, k, srh) for k in (1, 2)}
         fac = OperatorFactory(pd, grid48, srh, betas[1], betas[2])
         for lam0 in (0.0, 0.3):
             assert factorization_residual(fac, lam0) < 1e-6
@@ -565,7 +591,8 @@ class TestPiResidual:
             self, pd_default, factory_default, monkeypatch, xs):
         # the factory blocks do not depend on x: the 7 lens abscissae
         # above and below the interval and the disk probes around both
-        # endpoints take one call each, however many xs are probed
+        # endpoints are evaluated once each, however many xs are probed,
+        # in one call for the lens points and one per disk
         from cshiftlab.parametrix import build_parametrix
 
         calls = []
@@ -582,7 +609,8 @@ class TestPiResidual:
         monkeypatch.setattr(OperatorFactory, "blocks", spy)
         pi_residual(pd_default, factory_default, builder, xs=xs,
                     disk_radius=0.2, lens_height=0.15)
-        assert len(calls) == 2 * 7 + 2 * len(_disk_probe_angles()) == 30
+        assert [np.size(lam) for lam in calls] \
+            == [2 * 7] + [len(_disk_probe_angles())] * 2 == [14, 8, 8]
 
     def test_beta_defect_is_the_worst_q_over_the_probes(
             self, pd_default, factory_default, monkeypatch):
@@ -593,7 +621,7 @@ class TestPiResidual:
 
         def spy(self, lam):
             blk = blocks(self, lam)
-            defects.append(abs(blk.q - 1.0))
+            defects.extend(np.abs(blk.q - 1.0))
             return blk
 
         monkeypatch.setattr(OperatorFactory, "blocks", spy)
@@ -641,8 +669,8 @@ class TestPiResidual:
         pd = cl.make_problem(a=-1.0, b=1.0, c=c, t=t, x=10.0,
                              F=cl.constant_symbol(0.2), p=cl.identity_phase())
         grid = cl.laguerre_halfline(48, pd.c)
-        srh = cl.ScalarRH(pd)
         rule = cl.gauss_interval(96, pd.a, pd.b)
+        srh = cl.ScalarRH(pd, rule)
         fac = OperatorFactory(pd, grid, srh, *[
             solve_beta(pd, rule, grid, k, srh) for k in (1, 2)])
         report = pi_residual(

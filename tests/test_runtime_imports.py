@@ -19,8 +19,8 @@ dt_logdet_check(SweepConfig(x_list=(50.0,)), 0.5 + 0.05j, x=50.0)
 pd = cl.make_problem(a=-1.0, b=1.0, c=1.0, t=1.0, x=50.0,
                      F=cl.constant_symbol(0.2), p=cl.identity_phase())
 grid = cl.laguerre_halfline(48, pd.c)
-srh = cl.ScalarRH(pd)
 rule = cl.gauss_interval(96, pd.a, pd.b)
+srh = cl.ScalarRH(pd, rule)
 betas = [cl.solve_beta(pd, rule, grid, k, srh) for k in (1, 2)]
 fac = cl.OperatorFactory(pd, grid, srh, *betas)
 cl.build_parametrix("a", pd, fac).boundary_residual()

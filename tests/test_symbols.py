@@ -93,6 +93,23 @@ class TestNuTau:
         assert (1 + t1) * (1 + t2) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestPolynomialHandles:
+    def test_horner_matches_the_polynomial_class(self):
+        # polyval on the coefficients: the bits of Polynomial.__call__ on
+        # arrays, within rounding on one point; the derivative likewise
+        coeffs = [0.0, 1.0, 0.0, 0.3]
+        rng = np.random.default_rng(2)
+        z = rng.uniform(-2, 2, 64) + 1j * rng.uniform(-1, 1, 64)
+        ref = np.polynomial.Polynomial(coeffs)
+        for handle, want in ((cl.poly_symbol(coeffs), ref),
+                             (cl.poly_symbol(coeffs).deriv, ref.deriv())):
+            assert np.array_equal(handle(z), want(z))
+            for zi in z[:8]:
+                assert abs(handle(zi) - want(zi)) <= 4e-16 * abs(want(zi))
+        exp_handle = cl.scaled_exp_symbol(0.5, coeffs)
+        assert np.array_equal(exp_handle(z), 0.5 * np.exp(ref(z)))
+
+
 class TestAlpha:
     def test_trivial_symbol(self, pd_zero):
         srh = cl.ScalarRH(pd_zero)
