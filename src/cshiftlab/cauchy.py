@@ -31,13 +31,16 @@ Off the interval S ~ rho^-n and L + T ~ rho^-2n (rho = |xi + sqrt(xi^2 - 1)|
 the Bernstein-ellipse parameter of xi) sink below the rounding of their
 sums, so the near weights carry an error ~ eps rho^n, while the plain
 weights miss the interpolant's transform by ~ rho^-n.  The two meet where
-rho^-2n is the rounding unit: at n = 160 both are 9e-9 of max |omega| there
-(30-digit references).  Beyond that, and beyond FAR, the plain weights are
+rho^-2n is the rounding unit: at n = 160 and at n = 192, the default rule of
+alpha and beta, both are within 1.6e-8 of max |omega| there (four points of
+that ellipse, 30-digit references).  Beyond that, and beyond FAR, the plain weights are
 used; without the switch S rounds to 0 at some points and the near weights
 are NaN.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -73,13 +76,17 @@ class CauchyKit:
         # barycentric basis at xi = -1 and +1
         ends = b / (np.array([[-1.0], [1.0]]) - x)
         self._l_ends = ends / ends.sum(axis=1, keepdims=True)
-        # differentiation matrix in lam
+
+    @cached_property
+    def _D(self) -> np.ndarray:
+        """The differentiation matrix in lam, built for ``dweights``."""
+        x, b, rule = self._x, self._b, self.rule
         dx = x[:, None] - x
         np.fill_diagonal(dx, 1.0)
         D = (b / b[:, None]) / dx
         np.fill_diagonal(D, 0.0)
         np.fill_diagonal(D, -D.sum(axis=1))
-        self._D = D * (2.0 / (rule.b - rule.a))
+        return D * (2.0 / (rule.b - rule.a))
 
     def _near(self, xi: np.ndarray) -> np.ndarray:
         """Weights of the interpolant's transform at unit points xi; (m, n)."""

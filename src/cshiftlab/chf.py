@@ -69,15 +69,17 @@ _ROUTE_DTYPE = "<U10"
 _GAMMA_ERR = 5e-15
 _ROUND = 2.0 ** -53
 
-#: Lanczos coefficients for g = 607/128 (Godfrey), constant term first
-_LANCZOS = (
+#: Lanczos coefficients for g = 607/128 (Godfrey), constant term first, and
+#: the shifts j of the terms c_j / (a + j)
+_LANCZOS = np.array((
     0.999999999999997092, 57.1562356658629235, -59.5979603554754912,
     14.1360979747417471, -0.491913816097620199, 0.339946499848118887e-4,
     0.465236289270485756e-4, -0.983744753048795646e-4,
     0.158088703224912494e-3, -0.210264441724104883e-3,
     0.217439618115212643e-3, -0.164318106536763890e-3,
     0.844182239838527433e-4, -0.261908384015814087e-4,
-    0.368991826595316234e-5)
+    0.368991826595316234e-5))
+_LANCZOS_J = np.arange(1.0, _LANCZOS.size)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -102,19 +104,17 @@ class TricomiEval:
 
     def ode_residual(self):
         """Relative residual of z y'' + (1 - z) y' - a y = 0."""
-        r = self.z * self.d2value + (1.0 - self.z) * self.dvalue - self.a * self.value
-        scale = np.maximum.reduce([np.abs(self.z * self.d2value),
-                                   np.abs((1.0 - self.z) * self.dvalue),
-                                   np.abs(self.a * self.value),
-                                   np.full(np.shape(r), 1e-300)])
-        return np.abs(r) / scale
+        terms = (self.z * self.d2value, (1.0 - self.z) * self.dvalue,
+                 -self.a * self.value)
+        scale = np.maximum.reduce([np.abs(t) for t in terms])
+        return np.abs(sum(terms)) / np.maximum(scale, 1e-300)
 
     def _lowering(self):
         up = (self.a - 1.0 + self.z) * self.value
         dn = self.z * self.dvalue
         val = up - dn
-        err = (np.abs(up) * (self.err + _ROUND)
-               + np.abs(dn) * (self.derr + _ROUND)) / np.maximum(np.abs(val), 1e-300)
+        err = (np.abs(up) * (self.err + _ROUND) + np.abs(dn)
+               * (self.derr + _ROUND)) / np.maximum(np.abs(val), 1e-300)
         return val, err
 
     def lowered_err(self):
@@ -156,11 +156,6 @@ def _is_nonpos_int(a):
     return (re <= 0) & (a == np.round(re))
 
 
-#: the Lanczos terms beyond the constant one, and their shifts j
-_LANCZOS_TAIL = np.array(_LANCZOS[1:])
-_LANCZOS_J = np.arange(1.0, len(_LANCZOS))
-
-
 def _gamma(a):
     """Gamma(a) for complex a, within 5e-15 relative for |a| <= 5.
 
@@ -174,7 +169,7 @@ def _gamma(a):
         raise ParameterDomainError(f"Gamma has a pole at a = {a}")
     refl = a.real < 0.5
     b = np.where(refl, 1.0 - a, a)
-    ser = _LANCZOS[0] + (_LANCZOS_TAIL / (b[..., None] + _LANCZOS_J)).sum(-1)
+    ser = _LANCZOS[0] + (_LANCZOS[1:] / (b[..., None] + _LANCZOS_J)).sum(-1)
     t = b + 5.2421875  # g + 1/2
     g = _SQRT_2PI * ser / b * np.exp((b + 0.5) * np.log(t) - t)
     if not refl.any():
@@ -266,29 +261,31 @@ def _laplace(a, z):
     serves every point; the points below Re a = -1/2 step down together,
     each for its own k steps.
     """
-    a, z = np.asarray(a, dtype=complex), np.asarray(z, dtype=complex)
-    if a.shape != z.shape:
-        a, z = np.broadcast_arrays(a, z)
-    shape = a.shape
+    a, z = np.broadcast_arrays(np.asarray(a, dtype=complex),
+                               np.asarray(z, dtype=complex))
+    shape, n = a.shape, a.size
     a, z = a.ravel(), z.ravel()
-    if a.real.min() >= -0.5:
-        vals, err = _laplace_ray(a, z)
-        return vals.reshape((3,) + shape), err.reshape((2,) + shape)
+    # b = a + k, k = 0 on the direct points, and b + 1 where k > 0
     k = np.maximum(np.ceil(-0.5 - a.real), 0.0)
-    rec = k > 0
-    # the direct points with the recurrence's starting pairs b + 1, b
-    b = a[rec] + k[rec]
-    n_direct, n_rec = a.size - b.size, b.size
-    vals, err = _laplace_ray(np.concatenate([a[~rec], b + 1.0, b]),
-                             np.concatenate([z[~rec], z[rec], z[rec]]))
-    direct, up, cur = np.split(vals, [n_direct, n_direct + n_rec], axis=1)
-    e_direct, e_up, e_cur = np.split(err, [n_direct, n_direct + n_rec],
-                                     axis=1)
+    rec = np.flatnonzero(k)
+    b = a + k
+    vals, err = _laplace_ray(np.concatenate([b, b[rec] + 1.0]),
+                             np.concatenate([z, z[rec]]))
+    if rec.size:
+        vals[:, rec], err[:, rec] = _recur(b[rec], z[rec], k[rec],
+                                           vals[:, n:], err[:, n:],
+                                           vals[:, rec], err[:, rec])
+    return vals[:, :n].reshape((3,) + shape), err[:, :n].reshape((2,) + shape)
+
+
+def _recur(b, z, steps, up, e_up, cur, e_cur):
+    """Psi(b - steps) from Psi(b + 1) and Psi(b) (values ``up``, ``cur``
+    with their relative monitors), each point down its own number of steps
+    of the contiguous relation; values (3, N) and monitors (2, N)."""
     e_up, e_cur = e_up * np.abs(up[:2]), e_cur * np.abs(cur[:2])  # absolute
-    zr, steps = z[rec], k[rec]
     for step in range(int(steps.max())):
         act = step < steps
-        c, b2 = 2.0 * b - 1.0 + zr, b * b
+        c, b2 = 2.0 * b - 1.0 + z, b * b
         new = c * cur - b2 * up
         new[1] += cur[0]
         new[2] += 2.0 * cur[1]
@@ -299,12 +296,7 @@ def _laplace(a, z):
         up, cur = np.where(act, cur, up), np.where(act, new, cur)
         e_up, e_cur = np.where(act, e_cur, e_up), np.where(act, e_new, e_cur)
         b = np.where(act, b - 1.0, b)
-    vals = np.empty((3, a.size), dtype=complex)
-    err = np.empty((2, a.size))
-    vals[:, ~rec], err[:, ~rec] = direct, e_direct
-    vals[:, rec] = cur
-    err[:, rec] = e_cur / np.maximum(np.abs(cur[:2]), 1e-300)
-    return vals.reshape((3,) + shape), err.reshape((2,) + shape)
+    return cur, e_cur / np.maximum(np.abs(cur[:2]), 1e-300)
 
 
 def _asymptotic(a: complex, z: complex, total_arg: float):

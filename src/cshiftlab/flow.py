@@ -33,8 +33,7 @@ from .fredholm import (assemble, cauchy_like_logdets, determinant,
                        logdet_update, one_blas_thread)
 from .kernels import k_kt, shift_factors, u_kt, v0, v0_generators
 from .quadgrid import (gauss_interval, graded_interval, laguerre_halfline,
-                       oscillation_nodes,
-                       transplanted_interval)
+                       oscillation_nodes, transplanted_interval)
 from .rhp import ChiSolution, DiagnosticRow, _disk_eps, solve_betas, summarize
 from .symbols import EPS_K, ProblemData, ScalarRH, make_handle, make_problem
 
@@ -176,6 +175,26 @@ def _rule_log_ratio(cfg: SweepConfig, pd: ProblemData, n: int):
     return ld_v0, ln_ratio
 
 
+def _loop_product(pd: ProblemData, cfg: SweepConfig):
+    """det(I + U_+), det(I + U_-) and |interval route / loop product - 1|.
+
+    Each kernel's lam-side factor alpha_k = alpha^{eps_k} comes from one
+    ln alpha array per rule: ScalarRH's on its loop, one on the graded
+    rule of the interval route det(I + K_{k;1}) = det(I + U_{k;1}).
+    """
+    srh = ScalarRH(pd)
+    det_up, det_um = (determinant(assemble(
+        u_kt(pd, k, srh), srh.loop,
+        left=np.exp(EPS_K[k] * srh.loop_exponent))) for k in (1, 2))
+    grule = graded_interval(cfg.a, cfg.b)
+    e_grule = srh.exponent(grule.nodes + 0j)
+    det_k1, det_k2 = (determinant(assemble(
+        k_kt(pd, k, srh), grule, left=np.exp(EPS_K[k] * e_grule)))
+        for k in (1, 2))
+    return det_up, det_um, float(abs(det_k1 * det_k2 / (det_up * det_um)
+                                     - 1.0))
+
+
 @one_blas_thread()
 def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
     """Ratio of interval determinants against the product of loop determinants.
@@ -207,24 +226,9 @@ def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
     det(I+V) raises ExcludedCaseError.
     """
     report = SweepReport()
-    pd1 = cfg.problem(x=cfg.x_list[0])
-    srh = ScalarRH(pd1)
-    loop = srh.loop
-
-    # each kernel's lam-side factor alpha_k = alpha^{eps_k} from one ln alpha
-    # array per rule: srh's cached one on the loop, one on the graded rule
-    det_up, det_um = (determinant(assemble(
-        u_kt(pd1, k, srh), loop, left=np.exp(EPS_K[k] * srh.loop_exponent)))
-        for k in (1, 2))
+    det_up, det_um, report.product_consistency = _loop_product(
+        cfg.problem(x=cfg.x_list[0]), cfg)
     product = det_up * det_um
-    # the interval route: det(I + K_{k;1}) = det(I + U_{k;1})
-    grule = graded_interval(cfg.a, cfg.b)
-    e_grule = srh.exponent(grule.nodes + 0j)
-    det_k1, det_k2 = (determinant(assemble(
-        k_kt(pd1, k, srh), grule, left=np.exp(EPS_K[k] * e_grule)))
-        for k in (1, 2))
-    interval_product = det_k1 * det_k2
-    report.product_consistency = float(abs(interval_product / product - 1.0))
 
     for x in cfg.x_list:
         t_start = time.perf_counter()
@@ -345,9 +349,8 @@ def dt_logdet_check(cfg: SweepConfig, t0: complex,
 
     d_fd = (4.0 * central(FD_STEP / 2.0) - central(FD_STEP)) / 3.0
 
-    # one loop at safe_radius for the trace and the betas: srh's
     srh = ScalarRH(pd)
-    loop = srh.loop
+    loop = srh.loop   # the trace's and the betas
     d_contour = (loop.weights * loop.nodes) @ chi.loop_trace(loop.nodes) \
         / (2.0 * np.pi)
 

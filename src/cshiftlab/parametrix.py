@@ -17,7 +17,9 @@ m = -s nu, the entries are Psi(m), Psi(1 - m), Psi(1 + m), Psi(-m) at
 argument rotations -1, +1, -1, +1.  Each column is a pair (Psi(a),
 Psi(a + 1)) at one argument, (m, 1 + m) at e^{-i pi/2} zeta and
 (-m, 1 - m) at e^{+i pi/2} zeta, so a point takes two Tricomi
-evaluations, of Psi(1 +- m) with their slopes; the index relation
+evaluations, of Psi(1 +- m) with their slopes, and a set of points takes
+both for all of its points in one ``tricomi_psi_array`` call; the index
+relation
 Psi(a) = (a + z) Psi(a+1) - z Psi'(a+1) (DLMF 13.3.7 with
 z Psi'(a) = a^2 Psi(a+1) - a Psi(a); ``TricomiEval.lowered``) gives
 Psi(+-m) with no division, in the downward direction in a that is
@@ -48,6 +50,11 @@ on l_j (x) r_l, and L acts on that array alone.  Every block of the
 value less I is then rank one, so its decay-pattern bound is exact from
 the factors in O(n) (``Parametrix.decay_bound``); the dense (2n, 2n)
 value is formed only when asked for.
+
+``coefficients`` and ``decay_bound`` take a 1-D array of points as well as
+one point, and the diagnostics (jump residuals, cut continuity, the
+boundary residual) evaluate each of their point sets in one call: one
+``factory.blocks`` call and one Tricomi call for all of its points.
 """
 
 from __future__ import annotations
@@ -204,7 +211,7 @@ class Parametrix:
         S = np.exp(1j * self.x * pd.p(self.center)) \
             * np.exp(2.0 * m * logz) / self._a_squared(lam, m, blk.exponent)
         spm = np.where(on, np.sin(np.pi * m), 1.0)
-        g1, g2 = (_gamma(np.where(on, v, 0.5)) for v in (1.0 - m, -m))
+        g1, g2 = _gamma(np.where(on, [1.0 - m, -m], 0.5))
         b12 = np.where(on, 1j * spm * g1 ** 2 * S / np.pi, 0.0)
         b21 = np.where(on, 1j * np.pi / (spm * g2 ** 2 * S), 0.0)
 

@@ -8,7 +8,9 @@ residual diagnostics used by the acceptance suite, including the
 small-norm probe along the deformed contour system.  Every operator
 value is a plain (2n, 2n) array on the half-line grid (``l2half``),
 except the blocks of O, P and Q at a point: those are rank one, and
-``Blocks`` keeps them as their factors.
+``Blocks`` keeps them as their factors, at one point or at each of an
+array of points.  beta and alpha share one rule (``ScalarRH``'s): a probe
+point takes one Cauchy-weight vector for both beta matvecs and ln alpha.
 """
 
 from __future__ import annotations
@@ -352,22 +354,16 @@ class BetaSolution:
 
 
 def _on_rule(srh: ScalarRH, rule: IntervalRule) -> None:
-    """GridMismatchError unless srh is built on ``rule``."""
-    r = srh.rule
-    if not (r is rule or (np.array_equal(r.nodes, rule.nodes)
-                          and np.array_equal(r.weights, rule.weights))):
-        raise GridMismatchError(
-            f"ScalarRH is built on a {r.n}-node rule, beta on a {rule.n}-node "
-            "one: build ScalarRH(pd, rule) on beta's rule")
+    if not (np.array_equal(srh.rule.nodes, rule.nodes)
+            and np.array_equal(srh.rule.weights, rule.weights)):
+        raise GridMismatchError("ScalarRH must be built on beta's rule: "
+                                "ScalarRH(pd, rule)")
 
 
 def solve_beta(pd: ProblemData, rule: IntervalRule, grid: HalfLineRule,
                k: int, srh: ScalarRH | None = None) -> BetaSolution:
-    """beta_k on ``rule``, with srh's kit, loop and ln alpha.
-
-    ``srh`` defaults to ``ScalarRH(pd, rule)``; one built on another rule
-    raises GridMismatchError.
-    """
+    """beta_k with srh's kit, loop and ln alpha; ``srh`` defaults to
+    ``ScalarRH(pd, rule)``, one on another rule raises GridMismatchError."""
     if srh is None:
         srh = ScalarRH(pd, rule)
     _on_rule(srh, rule)

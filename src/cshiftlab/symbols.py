@@ -265,14 +265,10 @@ class ScalarRH:
     alpha_1 = 1/alpha and alpha_2 = alpha.  Evaluation is uniformly
     accurate up to the cut; points on (a, b) get the +side value.
 
-    ``rule`` defaults to ``gauss_interval(RULE_NODES, a, b)``, the rule
-    every pipeline solves beta on: beta and alpha are both x-independent
-    Cauchy transforms over [a, b], so one rule serves both.  The rule's
-    ``CauchyKit`` (``kit``), the stadium ``loop`` at ``safe_radius`` and ln
-    alpha at the nodes (+side, ``node_exponent``) and on the loop
-    (``loop_exponent``) are computed once, on first use, and shared by
-    ``rhp.solve_beta``, ``rhp.OperatorFactory`` and the sweep's loop
-    kernels.
+    ``rule`` defaults to beta's, ``gauss_interval(RULE_NODES, a, b)``: both
+    are x-independent Cauchy transforms over [a, b].  The rule's ``kit``,
+    the stadium ``loop`` at ``safe_radius`` and ln alpha at the nodes (+side)
+    and on the loop are computed once, on first use, for every user.
     """
 
     def __init__(self, pd: ProblemData, rule: IntervalRule | None = None):
