@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chf import TricomiEval, _gamma, tricomi_psi_array
+from .chf import TricomiEval, _gamma, tricomi_psi, tricomi_psi_array
 from .errors import BranchError, ParameterDomainError
 from .l2half import factor_bound
 from .quadgrid import safe_radius
@@ -119,9 +119,9 @@ def l_sector(phi):
 
 
 def _psi_cont(a, zt, rot) -> TricomiEval:
-    """Psi(a, 1; e^{rot i pi/2} zeta) with the argument tracked continuously,
-    in one ``tricomi_psi_array`` call for arrays of points (``rot`` may be
-    one of them).
+    """Psi(a, 1; e^{rot i pi/2} zeta) with the argument tracked continuously:
+    ``tricomi_psi`` at one point, one ``tricomi_psi_array`` call for arrays
+    of points (``rot`` may be one of them).
 
     The total argument arg(zeta) + rot pi/2 ranges over (-3 pi/2, 3 pi/2);
     beyond the principal interval the evaluation moves off-sheet, so the
@@ -131,7 +131,7 @@ def _psi_cont(a, zt, rot) -> TricomiEval:
     z = (1j * rot) * np.asarray(zt)
     total = np.angle(zt) + rot * np.pi / 2.0
     sheet = np.rint((total - np.angle(z)) / (2.0 * np.pi)).astype(int)
-    return tricomi_psi_array(a, z, sheet)
+    return (tricomi_psi if z.ndim == 0 else tricomi_psi_array)(a, z, sheet)
 
 
 def _dense(coef: np.ndarray, l: np.ndarray, r: np.ndarray) -> np.ndarray:
