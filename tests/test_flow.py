@@ -311,20 +311,21 @@ class TestTheoremSweep:
         # the sweep's loop and the t-derivative check's loop are both at
         # safe_radius: 0.8 c/(4 |t|) = 0.2 at c = |t| = 1.  Each pipeline
         # has one, its ScalarRH's, which every loop integral shares
-        seen = {}
+        seen = []
 
         class Spy(cl.ScalarRH):
             @property
             def loop(self):
                 loop = cl.ScalarRH.loop.__get__(self)
-                seen[id(loop)] = loop.r
+                if not any(s is loop for s in seen):
+                    seen.append(loop)
                 return loop
 
         monkeypatch.setattr(cl.flow, "ScalarRH", Spy)
         cfg = SweepConfig(x_list=(20.0,))
         theorem1_sweep(cfg)
         dt_logdet_check(cfg, t0=1.0, x=20.0)
-        assert list(seen.values()) == [pytest.approx(0.2, rel=1e-15)] * 2
+        assert [s.r for s in seen] == [pytest.approx(0.2, rel=1e-15)] * 2
 
     @pytest.mark.parametrize("F", [-0.5, 0.2, 0.6])
     def test_loop_product_is_converged(self, F):
