@@ -33,9 +33,9 @@ sums, so the near weights carry an error ~ eps rho^n, while the plain
 weights miss the interpolant's transform by ~ rho^-n.  The two meet where
 rho^-2n is the rounding unit: at n = 160 and at n = 192, the default rule of
 alpha and beta, both are within 1.6e-8 of max |omega| there (four points of
-that ellipse, 30-digit references).  Beyond that, and beyond FAR, the plain weights are
-used; without the switch S rounds to 0 at some points and the near weights
-are NaN.
+that ellipse, 30-digit references).  Beyond that, and beyond FAR, the plain
+weights are used; without the switch S rounds to 0 at some points and the
+near weights are NaN.
 """
 
 from __future__ import annotations

@@ -350,7 +350,7 @@ def dt_logdet_check(cfg: SweepConfig, t0: complex,
     d_fd = (4.0 * central(FD_STEP / 2.0) - central(FD_STEP)) / 3.0
 
     srh = ScalarRH(pd)
-    loop = srh.loop   # the trace's and the betas
+    loop = srh.loop   # one loop for the trace and the betas
     d_contour = (loop.weights * loop.nodes) @ chi.loop_trace(loop.nodes) \
         / (2.0 * np.pi)
 

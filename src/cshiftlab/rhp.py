@@ -474,8 +474,8 @@ class OperatorFactory:
                       for k in (1, 2)], axis=-2)
         q = (l[..., 0, :] * l[..., 1, :]) @ w
         Fv = pd.F(lam)
-        return Blocks(l=l, r=l[..., ::-1, :] * (w / q[..., None])[..., None, :],
-                      q=q,
+        r = l[..., ::-1, :] * (w / q[..., None])[..., None, :]
+        return Blocks(l=l, r=r, q=q,
                       exponent=self.srh.exponent(lam, weights=cw),
                       ratio=(Fv / (1.0 + Fv))[()])
 

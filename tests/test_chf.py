@@ -600,7 +600,8 @@ def _per_panel_formula(edges, q):
     nodes, weights = [], []
     for row in np.reshape(edges, (-1, np.shape(edges)[-1])):
         half = 0.5 * (row[1:] - row[:-1])[:, None]
-        nodes.append(((0.5 * (row[:-1] + row[1:]))[:, None] + half * x).ravel())
+        mid = 0.5 * (row[:-1] + row[1:])[:, None]
+        nodes.append((mid + half * x).ravel())
         weights.append((half * w).ravel())
     shape = np.shape(edges)[:-1] + (-1,)
     return np.reshape(nodes, shape), np.reshape(weights, shape)
@@ -611,7 +612,8 @@ def test_laplace_values_match_the_per_panel_formula(monkeypatch):
     # unchanged, on a batch of points with padded panels and on one point
     rng = np.random.default_rng(21)
     a = rng.uniform(-1, 1, 40) + 1j * rng.uniform(-1, 1, 40)
-    z = rng.uniform(0.3, 30.0, 40) * np.exp(1j * rng.uniform(-np.pi, np.pi, 40))
+    z = rng.uniform(0.3, 30.0, 40) \
+        * np.exp(1j * rng.uniform(-np.pi, np.pi, 40))
     got = [chf._laplace_ray(a, z), chf._laplace_ray(a[:1], z[:1])]
     monkeypatch.setattr(chf, "_panels", _per_panel_formula)
     ref = [chf._laplace_ray(a, z), chf._laplace_ray(a[:1], z[:1])]
