@@ -14,10 +14,10 @@ log-determinant of a 2r x 2r matrix, the matrix determinant lemma.  The
 sweep forms no n x n matrix: on each rule it eliminates the Cauchy-like
 I + V0 from its generators (``kernels.v0_generators``,
 ``fredholm.cauchy_like_logdets``), and that one pass gives both
-ln det(I+V0) and the lemma's log-ratio.  The t-derivative check inverts
-its I + V0 once: the inverse serves the four log-determinants of its
-finite difference (``fredholm.logdet_update``) and, by the
-Sherman-Morrison-Woodbury identity, both chi densities.
+ln det(I+V0) and the lemma's log-ratio.  The t-derivative check takes
+chi's I + V0, formed from the same generators and inverted once: the
+inverse serves both chi densities (Sherman-Morrison-Woodbury) and the
+four log-determinants of the finite difference (``logdet_update``).
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from .errors import (ExcludedCaseError, NearSingularityError,
                      ParameterDomainError, ResolutionError)
 from .fredholm import (assemble, cauchy_like_logdets, determinant,
                        logdet_update, one_blas_thread)
-from .kernels import k_kt, shift_factors, u_kt, v0, v0_generators
-from .quadgrid import (gauss_interval, graded_interval, laguerre_halfline,
-                       oscillation_nodes, transplanted_interval)
+from .kernels import k_kt, shift_factors, u_kt, v0_generators
+from .quadgrid import (gauss_interval, graded_interval, oscillation_nodes,
+                       transplanted_interval)
 from .rhp import ChiSolution, DiagnosticRow, _disk_eps, solve_betas, summarize
 from .symbols import EPS_K, ProblemData, ScalarRH, make_handle, make_problem
 
@@ -321,11 +321,11 @@ def dt_logdet_check(cfg: SweepConfig, t0: complex,
 
     One Gauss rule serves (i) and chi, sized for chi's e^{+-i x p}
     (``oscillation_nodes`` at frequency 1); a rule over ``cfg.n_budget``
-    raises ResolutionError.  Its I + V0 system is inverted once, in real
-    arithmetic for real data: chi solves for F_L and F_R on Woodbury views
-    of it (``rhp.ChiSolution``), and (i) applies the same inverse.
-    The check assembles three systems, I + V0 and the two beta systems, and
-    no V_t.  An exactly singular I + V0, where the ratio is undefined (its
+    raises ResolutionError.  Its I + V0 system is chi's ``sys0``, inverted
+    once, in real arithmetic for real data: chi solves for F_L and F_R on
+    Woodbury views of it, and (i) applies the same inverse.  The check
+    assembles two systems, K_{1;t} and K_{2;t} of the betas, and no V0 or
+    V_t.  An exactly singular I + V0, where the ratio is undefined (its
     excluded case), raises NearSingularityError from chi.
     """
     t0 = complex(t0)
@@ -333,16 +333,14 @@ def dt_logdet_check(cfg: SweepConfig, t0: complex,
     pd = cfg.problem(x=x, t=t0)
     n = oscillation_nodes(pd, frequency=1.0, gauss=True)
     _check_budget(cfg, x, n)
-    rule = gauss_interval(n, cfg.a, cfg.b)
-    grid = laguerre_halfline(48, cfg.c)
-    sys0 = assemble(v0(pd), rule)
-    # chi inverts sys0 first, so the finite difference applies that inverse
-    chi = ChiSolution(pd, rule, grid, sys0)
+    chi = ChiSolution(pd, gauss_interval(n, cfg.a, cfg.b))
+    grid = chi.grid
 
     def ld(t):
         # ln det(I+V_t) - ln det(I+V0): V0 does not depend on t, so its
         # log-determinant cancels from every central difference
-        return logdet_update(sys0, *shift_factors(cfg.problem(x=x, t=t), rule))
+        return logdet_update(chi.sys0,
+                             *shift_factors(cfg.problem(x=x, t=t), chi.rule))
 
     def central(step):
         return (ld(t0 + step) - ld(t0 - step)) / (2.0 * step)

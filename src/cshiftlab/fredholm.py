@@ -36,9 +36,11 @@ by its generators and its diagonal, and so is every Schur complement of
 it (Gohberg, Kailath & Olshevsky, Math. Comp. 64, 1995).  Gaussian
 elimination then runs on the generators, block by block, and returns
 ln det A together with the lemma's ln det(I_m + R^T A^{-1} U) in one
-pass and O(n (m + BLOCK)) memory.  The sweep's I + V0 W is such a matrix
-(``kernels.v0_generators``); every other kernel, and the tests'
-reference for I + V0, take the dense path.
+pass and O(n (m + BLOCK)) memory; ``cauchy_like_matrix`` forms A, or a
+pivot block, from the same generators.  I + V0 W is such a matrix
+(``kernels.v0_generators``): the sweep eliminates it, ``rhp.ChiSolution``
+forms it.  Every other kernel, and the tests' dense reference for
+I + V0, goes through ``assemble``.
 
 ``one_blas_thread`` runs a block of code with OpenBLAS on one thread.
 The sweep's products are too small to gain from BLAS threads, and an
@@ -60,8 +62,9 @@ import numpy as np
 from .errors import AssemblyError, NearSingularityError
 from .quadgrid import Rule
 
-__all__ = ["NystromSystem", "assemble", "cauchy_like_logdets", "determinant",
-           "logdet", "logdet_update", "one_blas_thread", "solve"]
+__all__ = ["NystromSystem", "assemble", "cauchy_like_logdets",
+           "cauchy_like_matrix", "determinant", "logdet", "logdet_update",
+           "one_blas_thread", "solve"]
 
 #: ``solve`` refuses a system whose 1-norm condition number exceeds this:
 #: its determinant is numerically zero (the excluded case); and
@@ -189,6 +192,16 @@ def logdet_update(sys: NystromSystem, U: np.ndarray, R: np.ndarray) -> complex:
     return _slogdet(np.eye(U.shape[1]) + R.T @ _dot(sys.factorization(), U))
 
 
+def cauchy_like_matrix(nodes: np.ndarray, g: np.ndarray, h: np.ndarray,
+                       diag: np.ndarray) -> np.ndarray:
+    """A_ij = g_i . h_j / (nodes_i - nodes_j) off the diagonal, diag_i on it."""
+    gaps = nodes[:, None] - nodes[None, :]
+    np.fill_diagonal(gaps, 1.0)
+    A = (g @ h.T) / gaps
+    np.fill_diagonal(A, diag)
+    return A
+
+
 def cauchy_like_logdets(nodes: np.ndarray, g: np.ndarray, h: np.ndarray,
                         diag: np.ndarray, U: np.ndarray, R: np.ndarray):
     """(ln det A, ln det(I_m + R^T A^{-1} U)) for a Cauchy-like A, unformed.
@@ -198,9 +211,10 @@ def cauchy_like_logdets(nodes: np.ndarray, g: np.ndarray, h: np.ndarray,
     g_i . h_i = 0 (so D A - A D = g h^T, D = diag(nodes)); U and R are
     (n, m).  This eliminates the bordered matrix [[A, U], [R^T, -I_m]]
     BLOCK pivots at a time.  The block row and column of the current Schur
-    complement come from its generators; the b x b block is inverted by
-    numpy (pivoted within the block); then g, h, the diagonal, U, R and
-    the border's m x m sum I_m + R^T A^{-1} U are updated:
+    complement come from its generators; the b x b block
+    (``cauchy_like_matrix``) is inverted by numpy (pivoted within the
+    block); then g, h, the diagonal, U, R and the border's m x m sum
+    I_m + R^T A^{-1} U are updated:
         g_2 -= A_21 A_11^{-1} g_1,   h_2 -= (A_11^{-1} A_12)^T h_1,
     and alike for U and R, which keeps the complement Cauchy-like with the
     same nodes.  ln det A is the fsum of the blocks' log-determinants,
@@ -222,10 +236,7 @@ def cauchy_like_logdets(nodes: np.ndarray, g: np.ndarray, h: np.ndarray,
         k1 = min(k0 + BLOCK, n)
         blk, rest = slice(k0, k1), slice(k1, n)
         g1, h1 = gu[blk, :k], hr[blk, :k]
-        gaps = nodes[blk, None] - nodes[None, blk]
-        np.fill_diagonal(gaps, 1.0)
-        A11 = (g1 @ h1.T) / gaps
-        np.fill_diagonal(A11, diag[blk])
+        A11 = cauchy_like_matrix(nodes[blk], g1, h1, diag[blk])
         try:
             inv = np.linalg.inv(A11)
         except np.linalg.LinAlgError as exc:

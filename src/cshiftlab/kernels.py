@@ -1,20 +1,25 @@
 """The scalar integral kernels: V_t, V0, U_{k;t}, K_{k;t}, resolvent.
 
 V_t - V0, the c-shift, also comes as exact low-rank Nystrom factors
-(``shift_factors``); the chi densities (``rhp.ChiSolution``) solve on
-I + V0 updated by them, so no pipeline assembles V_t.  V0 is integrable,
-(lam - mu) V0(lam, mu) a sum of two products f(lam) g(mu), so on any
-rule I + V0 W is Cauchy-like of displacement rank 2: ``v0_generators``
-gives its generators and diagonal, from which the sweep eliminates it
-(``fredholm.cauchy_like_logdets``) without forming the matrix.  ``v_t``
-interpolates those densities off the nodes (``ChiSolution.FR_at``/
-``FL_at``) and is the tests' dense reference.  The resolvent kernel
-reads the densities of a ChiSolution; this module solves no system.
+(``shift_factors``).  V0 is integrable, (lam - mu) V0(lam, mu) a sum of
+two products f(lam) g(mu), so on any rule I + V0 W is Cauchy-like of
+displacement rank 2: ``v0_generators`` gives its generators and
+diagonal, the package's one definition of I + V0 W on a rule.  The sweep
+eliminates it from them (``fredholm.cauchy_like_logdets``) without
+forming the matrix; ``rhp.ChiSolution`` forms it from them
+(``fredholm.cauchy_like_matrix``) and solves on it updated by the
+c-shift's factors, so no pipeline assembles V0 or V_t.  ``v_t`` and
+``v0`` are the continuum evaluators: ``v_t`` interpolates the chi
+densities off the nodes (``ChiSolution.FR_at``/``FL_at``), and both are
+the tests' dense reference, every entry from theta taken directly.  The
+resolvent kernel reads the densities of a ChiSolution; this module
+solves no system.
 
 Every kernel is a KernelHandle, one vectorized evaluator that is exact
 on the diagonal too: V_t and V0 take the divided-difference limit there,
-U_{k;t} and K_{k;t} are regular, and the resolvent takes a Richardson-
-extrapolated central difference of its vanishing numerator.
+U_{k;t} and K_{k;t} are regular (and vanish at t = 0), and the resolvent
+takes a Richardson-extrapolated central difference of its vanishing
+numerator.
 """
 
 from __future__ import annotations
@@ -62,25 +67,31 @@ def _real_values(*vals):
     return [v.real for v in vals]
 
 
-def _combine(pd: ProblemData, t, F_lam, d, sin_over_d, cos):
-    """(c F/pi) (t cos theta + c sin(theta)/d) / (t^2 d^2 + c^2).
+def _interval_entries(pd: ProblemData, t: complex, lam, mu):
+    """Entries of V_t on [a, b]; t = 0 gives the sine kernel V0.
 
-    At t = 0 this is F sin(theta)/(pi d) and cos is not used.
+    F and p are evaluated on the lam and mu arrays only; the result has
+    their broadcast shape, float64 when t and all of these values are
+    real and complex128 otherwise.  With d = lam - mu, every entry is
+        (c F/pi) (t cos theta + c sin(theta)/d) / (t^2 d^2 + c^2),
+    F sin(theta)/(pi d) at t = 0, with theta = x d dd/2 taken directly
+    from dd, the divided difference of p (p' at the midpoint where
+    |d| < 1e-9 (b - a)).  Forming theta from p(lam) - p(mu) keeps it
+    accurate relative to its size for close pairs, and no entry takes
+    angle addition, so ``v0`` is a reference independent of
+    ``v0_generators``.
     """
-    if t == 0:
-        return sin_over_d * (F_lam / np.pi)
-    c = pd.c
-    return (t * cos + c * sin_over_d) * (c * F_lam / np.pi) \
-        / ((t * d) ** 2 + c ** 2)
-
-
-def _direct_entries(pd: ProblemData, t, lam, mu, p_lam, p_mu, F_lam):
-    """V_t entries with theta = x d dd / 2, dd the divided difference of p.
-
-    Forming theta from p(lam) - p(mu) keeps it accurate relative to its
-    size for close pairs.  Where |d| = |lam - mu| < 1e-9 (b - a) the
-    divided difference is p' at the midpoint.
-    """
+    lam, mu = np.asarray(lam), np.asarray(mu)
+    F_lam, p_lam, p_mu = pd.F(lam), pd.p(lam), pd.p(mu)
+    real = _real_values(t, lam, mu, F_lam, p_lam, p_mu)
+    if real is not None:
+        t, lam, mu, F_lam, p_lam, p_mu = real
+        t = float(t)
+    else:
+        td = t * (lam - mu)
+        if np.any(np.minimum(np.abs(td - 1j * pd.c), np.abs(td + 1j * pd.c))
+                  < 1e-8 * pd.c):
+            raise PoleError("V_t evaluated too close to t(lam-mu) = -+ i c")
     d = lam - mu
     tiny = np.abs(d) < 1e-9 * (pd.b - pd.a)
     dd = np.asarray((p_lam - p_mu) / np.where(tiny, 1.0, d))
@@ -89,49 +100,12 @@ def _direct_entries(pd: ProblemData, t, lam, mu, p_lam, p_mu, F_lam):
                                + np.broadcast_to(mu, tiny.shape)[tiny]))
         dd[tiny] = dp if np.iscomplexobj(dd) else dp.real
     theta = 0.5 * pd.x * d * dd
-    return _combine(pd, t, F_lam, d, 0.5 * pd.x * dd * np.sinc(theta / np.pi),
-                    np.cos(theta))
-
-
-def _interval_entries(pd: ProblemData, t: complex, lam, mu):
-    """Entries of V_t on [a, b]; t = 0 gives the sine kernel V0.
-
-    F and p are evaluated on the lam and mu arrays only; the result has
-    their broadcast shape.  When t and all of these values are real the
-    result is float64 and sin theta, cos theta, theta = x [p(lam)-p(mu)]/2,
-    come from per-node sines and cosines of a = x p/2 by angle addition.
-    That is exact for real arguments up to an absolute error of about
-    eps |a|, so entries with |theta| < 1, where this error would be
-    divided by a small lam - mu, take the direct theta instead.
-    Otherwise the result is complex128 and every entry takes the direct
-    theta: angle addition cancels once |Im a| is large.
-    """
-    lam, mu = np.asarray(lam), np.asarray(mu)
-    F_lam, p_lam, p_mu = pd.F(lam), pd.p(lam), pd.p(mu)
-    real = _real_values(t, lam, mu, F_lam, p_lam, p_mu)
-    if real is None:
-        td = t * (lam - mu)
-        if np.any(np.minimum(np.abs(td - 1j * pd.c), np.abs(td + 1j * pd.c))
-                  < 1e-8 * pd.c):
-            raise PoleError("V_t evaluated too close to t(lam-mu) = -+ i c")
-        return _direct_entries(pd, t, lam, mu, p_lam, p_mu, F_lam)
-
-    t, lam, mu, F_lam, p_lam, p_mu = real
-    t = float(t)
-    a_lam, a_mu = 0.5 * pd.x * p_lam, 0.5 * pd.x * p_mu
-    s_lam, c_lam = np.sin(a_lam), np.cos(a_lam)
-    s_mu, c_mu = np.sin(a_mu), np.cos(a_mu)
-    near = np.abs(a_lam - a_mu) < 1.0
-    d = lam - mu
-    out = np.asarray(_combine(
-        pd, t, F_lam, d,
-        (s_lam * c_mu - c_lam * s_mu) / np.where(near, 1.0, d),
-        c_lam * c_mu + s_lam * s_mu if t else None))
-    if near.any():
-        out[near] = _direct_entries(
-            pd, t, *(np.broadcast_to(z, near.shape)[near]
-                     for z in (lam, mu, p_lam, p_mu, F_lam)))
-    return out
+    sin_over_d = 0.5 * pd.x * dd * np.sinc(theta / np.pi)
+    if t == 0:
+        return sin_over_d * (F_lam / np.pi)
+    c = pd.c
+    return (t * np.cos(theta) + c * sin_over_d) * (c * F_lam / np.pi) \
+        / ((t * d) ** 2 + c ** 2)
 
 
 def v_t(pd: ProblemData) -> KernelHandle:
@@ -249,8 +223,14 @@ def shift_factors(pd: ProblemData, rule: IntervalRule):
 def _loop_kernel(pd: ProblemData, k: int, srh: ScalarRH, name: str,
                  weighted: bool) -> KernelHandle:
     """K_{k;t} if ``weighted`` (w = tau_k), else U_{k;t} (w = 1); eval takes
-    alpha_k(lam), on the real axis its +side value, as ``left`` if given."""
+    alpha_k(lam), on the real axis its +side value, as ``left`` if given.
+    At t = 0 both vanish (the factor -t; the shift i eps_k c/t is infinite).
+    """
     e = EPS_K[k]
+    if pd.t == 0:
+        return KernelHandle(lambda lam, mu, left=None: np.zeros(
+            np.broadcast_shapes(np.shape(lam), np.shape(mu)), dtype=complex),
+            name=name)
     shift = 1j * e * pd.c / pd.t
 
     def eval_(lam, mu, left=None):

@@ -24,8 +24,8 @@ import numpy as np
 from .cauchy import CauchyKit
 from .errors import (ExcludedCaseError, GridMismatchError,
                      NearSingularityError, ParameterDomainError)
-from .fredholm import NystromSystem, assemble, solve
-from .kernels import k_kt, shift_factors, v0, v_t
+from .fredholm import NystromSystem, assemble, cauchy_like_matrix, solve
+from .kernels import k_kt, shift_factors, v0_generators, v_t
 from .l2half import e_vectors, factor_bound, kappa_form, m_vec, rank_one
 from .quadgrid import (HalfLineRule, IntervalRule, gauss_interval,
                        laguerre_halfline, oscillation_nodes, safe_radius)
@@ -128,13 +128,15 @@ class ChiSolution:
     The densities solve the left and right linear integral equations,
     F_L(lam) + int V_t(lam, mu) F_L(mu) dmu = E_L(lam) and
     F_R(lam) + int V_t(mu, lam) F_R(mu) dmu = E_R(lam); the right one
-    takes the transposed kernel, exactly as stated.  Neither V_t system
-    is assembled.  On the rule, I + V_t W is the system of I + V0 W
+    takes the transposed kernel, exactly as stated.  No system is
+    assembled: ``sys0``, the I + V0 W system on the rule, is formed from
+    its rank-2 generators (``kernels.v0_generators``,
+    ``fredholm.cauchy_like_matrix``).  On the rule, I + V_t W is sys0
     updated by the c-shift's factors (``kernels.shift_factors``), so both
-    solves run on Woodbury views of ``sys0``, the I + V0 system on the
-    rule (assembled here when not given), and share its one inverse
-    (``NystromSystem.updated`` and its ``transposed`` view).  The solves
-    take the condition number and the residual of I + V_t itself.  In the
+    solves run on Woodbury views of sys0 and share its one inverse
+    (``NystromSystem.updated`` and its ``transposed`` view), which
+    ``flow.dt_logdet_check`` applies again.  The solves take the
+    condition number and the residual of I + V_t itself.  In the
     excluded case det(I + V_t) = 0, and when I + V0 is exactly singular
     (the ratio det(I+V)/det(I+V0) is undefined), they raise
     NearSingularityError.
@@ -148,19 +150,19 @@ class ChiSolution:
     """
 
     def __init__(self, pd: ProblemData, rule: IntervalRule | None = None,
-                 grid: HalfLineRule | None = None,
-                 sys0: NystromSystem | None = None):
+                 grid: HalfLineRule | None = None):
         if rule is None:
             rule = gauss_interval(
                 oscillation_nodes(pd, frequency=1.0, gauss=True), pd.a, pd.b)
         if grid is None:
             grid = laguerre_halfline(48, pd.c)
-        if sys0 is None:
-            sys0 = assemble(v0(pd), rule)
         self.pd, self.rule, self.grid = pd, rule, grid
         self.kernel = v_t(pd)
         self.kit = CauchyKit(rule)
-        left = sys0.updated(*shift_factors(pd, rule))
+        self.sys0 = NystromSystem(support=rule, kernel=None,
+                                  matrix=cauchy_like_matrix(
+                                      rule.nodes, *v0_generators(pd, rule)))
+        left = self.sys0.updated(*shift_factors(pd, rule))
         EL, ER = (v.reshape(rule.n, -1) for v in e_vectors(pd, grid, rule.nodes))
         self.FL = solve(left, EL)
         self.FR = solve(left.transposed(), ER)

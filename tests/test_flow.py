@@ -69,27 +69,26 @@ class TestIntervalRule:
     @pytest.mark.parametrize("F", [0.2, -0.5])
     def test_rule_resolves_the_log_ratio(self, F, p):
         # the oscillation_nodes rule resolves the log ratio on its own, so
-        # the sweep keeps it unrefined; both are checked against a Gauss
-        # rule of 1.5 times the Gauss count.  The dense difference of two
-        # O(x) log-determinants is up to 7.4e-13 off here, so the sweep's
-        # row is checked against the lemma on that rule.  The cubic phase
+        # the sweep keeps it unrefined; the dense difference of two O(x)
+        # log-determinants on it, and the sweep's row, are checked against
+        # the lemma on a Gauss rule of 1.5 times the Gauss count.  The
+        # dense difference is up to 6.9e-13 off here.  The cubic phase
         # is the one the sausage map sizes tightest: its row is 2.3e-13
         # off at F = -0.5 (8.9e-13 at x = 3000)
         x = 1600.0
         pd = _problem(x, F, p)
         n = oscillation_nodes(pd)
-        n_ref = int(np.ceil(1.5 * oscillation_nodes(pd, gauss=True)))
-        ref = _log_ratio(x, n_ref, F, p)
-        assert abs(_log_ratio(x, n, F, p, build=cl.transplanted_interval)
-                   - ref) < 1e-11
+        rule = cl.gauss_interval(
+            int(np.ceil(1.5 * oscillation_nodes(pd, gauss=True))), -1.0, 1.0)
+        _, lemma = cl.cauchy_like_logdets(rule.nodes,
+                                          *cl.v0_generators(pd, rule),
+                                          *cl.shift_factors(pd, rule))
+        dense = _log_ratio(x, n, F, p, build=cl.transplanted_interval)
+        assert abs(cl.flow._principal(dense - lemma)) < 1e-11
         cfg = SweepConfig(x_list=(x,), F_params=(F,), p_kind="poly",
                           p_params=p)
         row = theorem1_sweep(cfg).rows[0]
         assert row.n == n
-        rule = cl.gauss_interval(n_ref, -1.0, 1.0)
-        _, lemma = cl.cauchy_like_logdets(rule.nodes,
-                                          *cl.v0_generators(pd, rule),
-                                          *cl.shift_factors(pd, rule))
         ln_ratio = np.log(complex(row.ratio))
         assert abs(cl.flow._principal(ln_ratio - lemma)) \
             < cl.flow.RULE_TOL * max(1.0, abs(ln_ratio))
@@ -417,9 +416,19 @@ class TestDtCheck:
         assert abs(_circle_derivative(cfg, t0, x=100.0) - rep.d_contour) \
             < 1e-12
 
-    def test_assembles_three_systems(self, monkeypatch):
-        # I + V0 once for the finite difference and chi, and the two beta
-        # systems; no V_t
+    def test_t_zero(self):
+        # K_{k;t} vanishes at t = 0, so each beta system is the identity;
+        # the routes still agree and the trace meets the circle reference
+        cfg = SweepConfig(x_list=(50.0,))
+        rep = dt_logdet_check(cfg, 0.0, x=50.0)
+        assert all(row.passed for row in rep.checks())
+        assert rep.fd_vs_reduced < rep.reduced_budget
+        assert abs(_circle_derivative(cfg, 0.0, x=50.0) - rep.d_contour) \
+            < 1e-12
+
+    def test_assembles_only_the_beta_systems(self, monkeypatch):
+        # the two beta systems; I + V0, which serves the finite difference
+        # and chi, comes from its generators, and no V_t is formed
         names = []
         original = cl.fredholm.assemble
 
@@ -430,7 +439,7 @@ class TestDtCheck:
         for mod in (cl.fredholm, cl.flow, cl.rhp):
             monkeypatch.setattr(mod, "assemble", assemble)
         dt_logdet_check(SweepConfig(x_list=(20.0,)), 0.5 + 0.1j, x=20.0)
-        assert sorted(names) == ["K_1;t", "K_2;t", "V0"]
+        assert sorted(names) == ["K_1;t", "K_2;t"]
 
     def test_negative_symbol_large_x_is_not_excluded(self):
         # det(I + V_t) is tiny (about e^{-44} at t = 1) but well conditioned

@@ -1,5 +1,9 @@
+import cmath
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cshiftlab as cl
 from cshiftlab.errors import PoleError
@@ -181,6 +185,72 @@ class TestIntervalKernelOracle:
             assert np.array_equal(sys_.matrix[off], (K * rule.weights)[off])
 
 
+CUBIC_PHASE = (0.0, 1.0, 0.0, 0.3)
+EPS = np.finfo(float).eps
+
+
+def _v0_error_model(pd, rule, i, j):
+    """eps (1 + |a_i| + |a_j|) |F(lam_i)| w_j / (pi |lam_i - lam_j|), a = x p/2,
+    for the pairs (i, j) of rule nodes.
+
+    a_i and a_j carry rounding errors of about eps |a|, and sin(a_i - a_j)
+    with them, whether it comes by angle addition or from theta directly;
+    the entry divides it by lam_i - lam_j.
+    """
+    lam, w = rule.nodes, rule.weights
+    a = 0.5 * pd.x * np.abs(pd.p(lam))
+    return EPS * (1.0 + a[i] + a[j]) * np.abs(pd.F(lam))[i] * w[j] \
+        / (np.pi * np.abs(lam[i] - lam[j]))
+
+
+class TestV0GeneratorsAgainstDirectTheta:
+    """I + V0 W from its generators (sin(a_i - a_j) by angle addition)
+    against the dense kernel, which takes theta = x [p(lam) - p(mu)]/2
+    directly for every pair."""
+
+    @pytest.mark.parametrize("build", [cl.gauss_interval,
+                                       cl.transplanted_interval])
+    @pytest.mark.parametrize("p", [(0.0, 1.0), CUBIC_PHASE],
+                             ids=["identity", "cubic"])
+    @pytest.mark.parametrize("F", [0.2, 0.2 + 0.1j])
+    @pytest.mark.parametrize("x", [100.0, 800.0])
+    def test_whole_matrix(self, x, F, p, build):
+        pd = _shift_problem(F, p, 1.0, 1.0, x=x)
+        rule = build(oscillation_nodes(pd), -1.0, 1.0)
+        G = cl.fredholm.cauchy_like_matrix(rule.nodes,
+                                           *cl.v0_generators(pd, rule))
+        D = cl.assemble(cl.v0(pd), rule).matrix
+        assert G.dtype == D.dtype
+        i, j = np.nonzero(~np.eye(rule.n, dtype=bool))
+        assert np.all(np.abs(G - D)[i, j]
+                      <= 4.0 * _v0_error_model(pd, rule, i, j))
+        assert np.all(np.abs(np.diag(G) - np.diag(D))
+                      <= 4.0 * EPS * np.abs(np.diag(D)))
+
+    @pytest.mark.parametrize("p", [(0.0, 1.0), CUBIC_PHASE],
+                             ids=["identity", "cubic"])
+    @pytest.mark.parametrize("x", [1600.0, 2e4, 2e5])
+    def test_sampled_pairs_at_large_x(self, x, p):
+        # the sweep's rule, 76,012 nodes at x = 2e5 with the identity phase;
+        # neighbours up to 7 nodes apart (both ways round) and random pairs
+        rng = np.random.default_rng(int(x))
+        for F in (0.2, -0.5 + 0.5j):
+            pd = _shift_problem(F, p, 1.0, 1.0, x=x)
+            rule = cl.transplanted_interval(oscillation_nodes(pd), -1.0, 1.0)
+            lam, w, n = rule.nodes, rule.weights, rule.n
+            near = rng.integers(0, n - 7, 1000)
+            step = near + rng.integers(1, 8, 1000)
+            i = np.concatenate([near, step, rng.integers(0, n, 1000)])
+            j = np.concatenate([step, near, rng.integers(0, n, 1000)])
+            i, j = i[i != j], j[i != j]
+            g, h, _ = cl.v0_generators(pd, rule)
+            gen = np.einsum("pk,pk->p", g[i], h[j]) / (lam[i] - lam[j])
+            direct = cl.v0(pd).eval(lam[i], lam[j]) * w[j]
+            ratio = np.abs(gen - direct) / _v0_error_model(pd, rule, i, j)
+            # within the model, which the rounding does reach
+            assert 0.25 < ratio.max() <= 4.0
+
+
 def _shift_problem(F, p, c, t, x=100.0):
     return cl.make_problem(a=-1.0, b=1.0, c=c, t=t, x=x,
                            F=cl.constant_symbol(F), p=cl.poly_phase(p))
@@ -300,7 +370,8 @@ class TestChiDensities:
 
         monkeypatch.setattr(cl.rhp, "assemble", assemble)
         cl.ChiSolution(pd, cl.gauss_interval(48, -1, 1), grid48)
-        assert names == ["V0"]
+        # I + V0 comes from its generators: chi assembles nothing
+        assert names == []
 
 
 class TestLoopKernels:
@@ -341,6 +412,18 @@ class TestLoopKernels:
         srh = cl.ScalarRH(pd_big)
         kern = u_kt(pd_big, 1, srh)
         assert abs(complex(kern.eval(0.5 + 0.2j, -0.5 + 0.2j))) < 1e-2
+
+    @pytest.mark.parametrize("factory", [u_kt, k_kt])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_t_zero_gives_zeros(self, pd_default, loop_default, factory, k):
+        # the factor -t vanishes, and the shift i eps_k c/t goes to infinity
+        pd0 = pd_default.with_(t=0.0)
+        kern = factory(pd0, k, cl.ScalarRH(pd0))
+        lam = np.array([[0.1 + 0.3j], [-0.5 - 0.2j]])
+        got = kern.eval(lam, np.array([0.2, 0.4j, -0.7]), left=np.ones((2, 1)))
+        assert got.shape == (2, 3) and got.dtype == complex and not got.any()
+        assert np.shape(kern.diag(0.3)) == ()
+        assert cl.determinant(cl.assemble(kern, loop_default)) == 1.0
 
     def test_pm_product_matches_deformed_product(self, pd_default,
                                                  srh_default, loop_default):
@@ -404,6 +487,34 @@ class TestIntervalContourIdentity:
         kern = k_kt(pd_default, k, srh_default)
         with pytest.raises(PoleError):
             kern.eval(0.3, 0.3 - 1j * e * pd_default.c / pd_default.t)
+
+    @given(u=st.one_of(
+               # small |t| in every direction: |i c/t| >= 20 c
+               st.builds(lambda s, phi: s * cmath.exp(1j * phi),
+                         st.floats(1e-6, 0.05), st.floats(-np.pi, np.pi)),
+               # |t/c - 1/2| <= 1/2, where Re(c/t) >= 1
+               st.builds(lambda rho, phi: 0.5 + 0.5 * rho * cmath.exp(1j * phi),
+                         st.floats(0.0, 1.0), st.floats(-np.pi, np.pi))),
+           c=st.floats(0.5, 2.0), F_re=st.floats(-0.5, 0.6),
+           F_im=st.floats(-0.3, 0.3), k=st.sampled_from([1, 2]))
+    @example(u=0j, c=1.0, F_re=0.2, F_im=0.0, k=1)
+    @settings(max_examples=12, deadline=None)
+    def test_k_route_matches_the_loop_for_random_t(self, u, c, F_re, F_im, k):
+        # t = c u.  On both sets the shift i eps_k c/t lies at least
+        # (b - a)/2 = 1 off the real axis, or 20 away, so alpha_k^{-1}(mu +
+        # shift) stays analytic between the loop (radius r <= 1/2) and
+        # [a, b].  The miss is held to the rules' own refinement gaps.
+        pd = cl.make_problem(a=-1, b=1, c=c, t=c * u, x=10.0,
+                             F=cl.constant_symbol(complex(F_re, F_im)),
+                             p=cl.identity_phase())
+        srh = cl.ScalarRH(pd)
+        loop, grule = srh.loop, graded_interval(pd.a, pd.b)
+        (dU, dK), (dU2, dK2) = (
+            (cl.determinant(cl.assemble(u_kt(pd, k, srh), lp)),
+             cl.determinant(cl.assemble(k_kt(pd, k, srh), gr)))
+            for lp, gr in ((loop, grule), (loop.refined(), grule.refined())))
+        gap = abs(dU2 / dU - 1.0) + abs(dK2 / dK - 1.0)
+        assert abs(dK / dU - 1.0) <= 2.0 * gap + 64 * EPS
 
     def test_zero_symbol_k_kernel(self, pd_zero):
         srh = cl.ScalarRH(pd_zero)
