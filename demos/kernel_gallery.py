@@ -13,8 +13,8 @@ from cshiftlab import (ChiSolution, ScalarRH, assemble, constant_symbol,
                        determinant, e_vectors, gauss_interval, identity_phase,
                        laguerre_halfline, make_problem, stadium_contour,
                        v0, v_t)
-from cshiftlab.kernels import k_kt, resolvent_kernel, u_kt
-from cshiftlab.quadgrid import graded_interval
+from cshiftlab.flow import k_route_determinant
+from cshiftlab.kernels import resolvent_kernel, u_kt
 
 pd = make_problem(a=-1.0, b=1.0, c=1.0, t=1.0, x=10.0,
                   F=constant_symbol(0.2), p=identity_phase())
@@ -36,13 +36,13 @@ pd0 = pd.with_(t=0.0)
 print("\nV_{t=0} vs the plain oscillatory kernel at (0.45, 0.1):",
       abs(complex(v_t(pd0).eval(0.45, 0.1)) - complex(v0(pd0).eval(0.45, 0.1))))
 
-# interval <-> loop determinant identity
+# interval <-> loop determinant identity; det(I+K) comes from K's rank-r
+# factors on the graded rule
 loop = stadium_contour(-1.0, 1.0, 0.25)
-grule = graded_interval(pd.a, pd.b)
 print("\ninterval-loop determinant identity:")
 for k in (1, 2):
     dU = determinant(assemble(u_kt(pd, k, srh), loop))
-    dK = determinant(assemble(k_kt(pd, k, srh), grule))
+    dK = k_route_determinant(pd, k, srh)
     print(f"  k={k}: det(I+K) = {dK:.12f}, det(I+U) = {dU:.12f}, "
           f"gap = {abs(dK - dU):.2e}")
 

@@ -39,9 +39,9 @@ def _cmd_selftest(_args) -> int:
     a row for each invariant without a verify()."""
     from . import (ScalarRH, assemble, constant_symbol, determinant,
                    identity_phase, laguerre_halfline, make_problem)
-    from .kernels import k_kt, u_kt
+    from .flow import k_route_determinant
+    from .kernels import u_kt
     from .parametrix import build_parametrix
-    from .quadgrid import graded_interval
     from .rhp import (ChiSolution, DiagnosticRow, OperatorFactory,
                       factorization_residual, g_chi, solve_betas)
 
@@ -63,9 +63,8 @@ def _cmd_selftest(_args) -> int:
     rows.append(DiagnosticRow("jump factorization", 0.0, 0.0,
                               factorization_residual(fac, 0.0),
                               1e-6))
-    grule = graded_interval(pd.a, pd.b)
     for k in (1, 2):
-        dK = determinant(assemble(k_kt(pd, k, srh), grule))
+        dK = k_route_determinant(pd, k, srh)
         dU = determinant(assemble(u_kt(pd, k, srh), loop))
         rows.append(DiagnosticRow("det(I+K_k)/det(I+U_k) - 1", k, 0.0,
                                   abs(dK - dU) / abs(dU), 1e-7))

@@ -18,6 +18,11 @@ ln det(I+V0) and the lemma's log-ratio.  The t-derivative check takes
 chi's I + V0, formed from the same generators and inverted once: the
 inverse serves both chi densities (Sherman-Morrison-Woodbury) and the
 four log-determinants of the finite difference (``logdet_update``).
+On any interval rule I + K_{k;t} W is the identity plus rank r
+(``kernels.k_factors``): the betas solve on it by Woodbury, and the
+sweep's interval route to the loop product takes its determinant from
+an r x r matrix (``k_route_determinant``).  Only the loop kernels
+U_{k;t} are assembled.
 """
 
 from __future__ import annotations
@@ -30,16 +35,16 @@ import numpy as np
 from .errors import (ExcludedCaseError, NearSingularityError,
                      ParameterDomainError, ResolutionError)
 from .fredholm import (assemble, cauchy_like_logdets, determinant,
-                       logdet_update, one_blas_thread)
-from .kernels import k_kt, shift_factors, u_kt, v0_generators
-from .quadgrid import (gauss_interval, graded_interval, oscillation_nodes,
-                       transplanted_interval)
+                       logdet_update, low_rank_system, one_blas_thread)
+from .kernels import k_factors, shift_factors, u_kt, v0_generators
+from .quadgrid import (IntervalRule, gauss_interval, graded_interval,
+                       oscillation_nodes, transplanted_interval)
 from .rhp import ChiSolution, DiagnosticRow, _disk_eps, solve_betas, summarize
 from .symbols import EPS_K, ProblemData, ScalarRH, make_handle, make_problem
 
 __all__ = ["SweepConfig", "SweepRow", "SweepReport", "theorem1_sweep",
            "DtReport", "dt_logdet_check", "emit", "load_config",
-           "oscillation_nodes", "RULE_TOL"]
+           "k_route_determinant", "oscillation_nodes", "RULE_TOL"]
 
 #: a row's rule is resolved once the log-ratio moves by less than
 #: RULE_TOL * max(1, |ln ratio|) on the ceil(1.15 n)-point rule
@@ -175,12 +180,30 @@ def _rule_log_ratio(cfg: SweepConfig, pd: ProblemData, n: int):
     return ld_v0, ln_ratio
 
 
+def k_route_determinant(pd: ProblemData, k: int, srh: ScalarRH,
+                        rule: IntervalRule | None = None,
+                        left=None) -> complex:
+    """det(I + K_{k;t}) on an interval rule, ``graded_interval(a, b)`` by
+    default: K_{k;t}'s endpoint behaviour wants the graded panels.
+
+    The interval route to det(I + U_{k;t}).  On the rule I + K_{k;t} W is
+    I + P Q^T (``kernels.k_factors``), so the determinant is that of the
+    r x r matrix I_r + Q^T P (``fredholm.low_rank_system``).  ``left`` is
+    alpha_{k;+} at the rule's nodes when the caller has it.
+    """
+    if rule is None:
+        rule = graded_interval(pd.a, pd.b)
+    return determinant(low_rank_system(
+        rule, *k_factors(pd, k, srh, rule, left=left)))
+
+
 def _loop_product(pd: ProblemData, cfg: SweepConfig):
     """det(I + U_+), det(I + U_-) and |interval route / loop product - 1|.
 
     Each kernel's lam-side factor alpha_k = alpha^{eps_k} comes from one
     ln alpha array per rule: ScalarRH's on its loop, one on the graded
-    rule of the interval route det(I + K_{k;1}) = det(I + U_{k;1}).
+    rule of the interval route det(I + K_{k;1}) = det(I + U_{k;1})
+    (``k_route_determinant``).
     """
     srh = ScalarRH(pd)
     det_up, det_um = (determinant(assemble(
@@ -188,9 +211,8 @@ def _loop_product(pd: ProblemData, cfg: SweepConfig):
         left=np.exp(EPS_K[k] * srh.loop_exponent))) for k in (1, 2))
     grule = graded_interval(cfg.a, cfg.b)
     e_grule = srh.exponent(grule.nodes + 0j)
-    det_k1, det_k2 = (determinant(assemble(
-        k_kt(pd, k, srh), grule, left=np.exp(EPS_K[k] * e_grule)))
-        for k in (1, 2))
+    det_k1, det_k2 = (k_route_determinant(
+        pd, k, srh, grule, left=np.exp(EPS_K[k] * e_grule)) for k in (1, 2))
     return det_up, det_um, float(abs(det_k1 * det_k2 / (det_up * det_um)
                                      - 1.0))
 
@@ -324,9 +346,11 @@ def dt_logdet_check(cfg: SweepConfig, t0: complex,
     raises ResolutionError.  Its I + V0 system is chi's ``sys0``, inverted
     once, in real arithmetic for real data: chi solves for F_L and F_R on
     Woodbury views of it, and (i) applies the same inverse.  The check
-    assembles two systems, K_{1;t} and K_{2;t} of the betas, and no V0 or
-    V_t.  An exactly singular I + V0, where the ratio is undefined (its
-    excluded case), raises NearSingularityError from chi.
+    assembles no system: the betas' I + K_{k;t} are the identity plus
+    rank r (``kernels.k_factors``, ``fredholm.low_rank_system``), and no
+    V0 or V_t is formed from a kernel.  An exactly singular I + V0, where
+    the ratio is undefined (its excluded case), raises
+    NearSingularityError from chi.
     """
     t0 = complex(t0)
     x = float(x if x is not None else cfg.x_list[-1])

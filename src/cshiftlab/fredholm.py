@@ -28,7 +28,11 @@ Rev. 31, 1989), and ``NystromSystem.transposed`` the system of the
 transposed kernel, W^{-1} (I + K W)^T W, inverted by the same scaling:
 one inverse of I + K serves any number of updates and both kernel
 orientations.  ``solve`` on such a view checks the view's own condition
-number and residual.
+number and residual.  ``low_rank_system`` is the system of I + P Q^T for
+(n, r) factors, the identity updated without a base inverse: Woodbury
+with an r x r solve inverts it, and its log-determinant is the r x r
+ln det(I_r + Q^T P).  I + K_{k;t} W on an interval rule is such a
+system (``kernels.k_factors``).
 
 ``cauchy_like_logdets`` needs no matrix at all.  A Cauchy-like A, with
 D A - A D = G H^T for D = diag(lam) and G, H of a few columns, is fixed
@@ -39,8 +43,8 @@ ln det A together with the lemma's ln det(I_m + R^T A^{-1} U) in one
 pass and O(n (m + BLOCK)) memory; ``cauchy_like_matrix`` forms A, or a
 pivot block, from the same generators.  I + V0 W is such a matrix
 (``kernels.v0_generators``): the sweep eliminates it, ``rhp.ChiSolution``
-forms it.  Every other kernel, and the tests' dense reference for
-I + V0, goes through ``assemble``.
+forms it.  U_{k;t} on its loop, the one kernel a pipeline assembles,
+and the tests' dense references go through ``assemble``.
 
 ``one_blas_thread`` runs a block of code with OpenBLAS on one thread.
 The sweep's products are too small to gain from BLAS threads, and an
@@ -64,7 +68,7 @@ from .quadgrid import Rule
 
 __all__ = ["NystromSystem", "assemble", "cauchy_like_logdets",
            "cauchy_like_matrix", "determinant", "logdet", "logdet_update",
-           "one_blas_thread", "solve"]
+           "low_rank_system", "one_blas_thread", "solve"]
 
 #: ``solve`` refuses a system whose 1-norm condition number exceeds this:
 #: its determinant is numerically zero (the excluded case); and
@@ -83,7 +87,10 @@ class NystromSystem:
     _inv: np.ndarray = field(default=None, repr=False)
     cond: float = None
     #: a view's inverse from its base system's (``updated``, ``transposed``)
+    #: or from low-rank factors (``low_rank_system``)
     _invert: Optional[Callable] = field(default=None, repr=False)
+    #: I_r + Q^T P of a ``low_rank_system``; None for any other system
+    capacitance: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -169,6 +176,32 @@ def assemble(kernel, support: Rule, left=None) -> NystromSystem:
     return NystromSystem(support=support, kernel=kernel, matrix=matrix)
 
 
+def low_rank_system(support: Rule, P: np.ndarray,
+                    Q: np.ndarray) -> NystromSystem:
+    """The system of I + P Q^T for (n, r) factors P and Q on the rule.
+
+    Its matrix is formed by one product.  Its inverse, on first use, is
+    I - P C^{-1} Q^T with the r x r capacitance matrix C = I_r + Q^T P
+    (Woodbury), and ``logdet`` takes ln det C (Sylvester's identity), so
+    no n x n matrix is factored.  ``solve`` checks the exact condition
+    number and residual of the formed matrix, as for any system.  An
+    exactly singular C raises NearSingularityError from ``factorization``;
+    its ``logdet`` is -inf.
+    """
+    n = support.n
+    C = np.eye(P.shape[1]) + Q.T @ P
+    matrix = P @ Q.T
+    matrix.flat[::n + 1] += 1.0
+
+    def invert():
+        inv = -P @ np.linalg.solve(C, Q.T)
+        inv.flat[::n + 1] += 1.0
+        return inv
+
+    return NystromSystem(support=support, kernel=None, matrix=matrix,
+                         _invert=invert, capacitance=C)
+
+
 def _slogdet(matrix: np.ndarray) -> complex:
     sign, logabs = np.linalg.slogdet(matrix)
     if sign == 0:
@@ -177,8 +210,12 @@ def _slogdet(matrix: np.ndarray) -> complex:
 
 
 def logdet(sys: NystromSystem) -> complex:
-    """log det(I + K) with the imaginary part the accumulated argument."""
-    return _slogdet(sys.matrix)
+    """log det(I + K) with the imaginary part the accumulated argument.
+
+    A ``low_rank_system`` takes it from its r x r capacitance matrix.
+    """
+    return _slogdet(sys.matrix if sys.capacitance is None
+                    else sys.capacitance)
 
 
 def logdet_update(sys: NystromSystem, U: np.ndarray, R: np.ndarray) -> complex:
@@ -314,22 +351,10 @@ def one_blas_thread():
             setter(count)
 
 
-def determinant(sys: NystromSystem, with_error: bool = False):
-    """Fredholm determinant; optionally with a refinement error estimate.
-
-    The estimate doubles the node count and reports |det_2n - det_n|; the
-    kernels in scope are analytic, so refinement converges geometrically
-    and the estimate is sharp.
-    """
+def determinant(sys: NystromSystem):
+    """Fredholm determinant exp(``logdet``); complex inf past e^700."""
     ld = logdet(sys)
-    det = np.exp(ld) if ld.real < 700 else complex(np.inf)
-    if not with_error:
-        return det
-    if sys.kernel is None:
-        raise AssemblyError("error estimate needs the kernel")
-    refined = assemble(sys.kernel, sys.support.refined())
-    det2 = np.exp(logdet(refined))
-    return det, abs(det2 - det)
+    return np.exp(ld) if ld.real < 700 else complex(np.inf)
 
 
 def solve(sys: NystromSystem, rhs: np.ndarray) -> np.ndarray:

@@ -1,19 +1,24 @@
 """The scalar integral kernels: V_t, V0, U_{k;t}, K_{k;t}, resolvent.
 
 V_t - V0, the c-shift, also comes as exact low-rank Nystrom factors
-(``shift_factors``).  V0 is integrable, (lam - mu) V0(lam, mu) a sum of
-two products f(lam) g(mu), so on any rule I + V0 W is Cauchy-like of
-displacement rank 2: ``v0_generators`` gives its generators and
-diagonal, the package's one definition of I + V0 W on a rule.  The sweep
-eliminates it from them (``fredholm.cauchy_like_logdets``) without
-forming the matrix; ``rhp.ChiSolution`` forms it from them
-(``fredholm.cauchy_like_matrix``) and solves on it updated by the
-c-shift's factors, so no pipeline assembles V0 or V_t.  ``v_t`` and
-``v0`` are the continuum evaluators: ``v_t`` interpolates the chi
-densities off the nodes (``ChiSolution.FR_at``/``FL_at``), and both are
-the tests' dense reference, every entry from theta taken directly.  The
-resolvent kernel reads the densities of a ChiSolution; this module
-solves no system.
+(``shift_factors``), and so does K_{k;t} on an interval rule
+(``k_factors``): each carries a Cauchy factor in lam - mu whose pole sits
+c/|t| off [a, b], interpolated in mu at Chebyshev points
+(``_cauchy_basis``), so I + K_{k;t} W is the identity plus rank r.  V0 is
+integrable, (lam - mu) V0(lam, mu) a sum of two products f(lam) g(mu),
+so on any rule I + V0 W is Cauchy-like of displacement rank 2:
+``v0_generators`` gives its generators and diagonal, the package's one
+definition of I + V0 W on a rule.  The sweep eliminates it from them
+(``fredholm.cauchy_like_logdets``) without forming the matrix;
+``rhp.ChiSolution`` forms it from them (``fredholm.cauchy_like_matrix``)
+and solves on it updated by the c-shift's factors.  So no pipeline
+assembles V0, V_t or K_{k;t}: ``v_t``, ``v0`` and ``k_kt`` are the
+continuum evaluators.  ``v_t`` interpolates the chi densities off the
+nodes (``ChiSolution.FR_at``/``FL_at``), and all three are the tests'
+dense reference, ``v_t`` and ``v0`` with every entry from theta taken
+directly.  U_{k;t} on the stadium loop is assembled dense: the loop is
+not an interval.  The resolvent kernel reads the densities of a
+ChiSolution; this module solves no system.
 
 Every kernel is a KernelHandle, one vectorized evaluator that is exact
 on the diagonal too: V_t and V0 take the divided-difference limit there,
@@ -34,7 +39,7 @@ from .quadgrid import IntervalRule
 from .symbols import EPS_K, ProblemData, ScalarRH, tau
 
 __all__ = ["KernelHandle", "v_t", "v0", "v0_generators", "shift_factors",
-           "u_kt", "k_kt", "resolvent_kernel"]
+           "k_factors", "u_kt", "k_kt", "resolvent_kernel"]
 
 
 @dataclass
@@ -173,6 +178,23 @@ def _chebyshev_basis(a: float, b: float, r: int, mu: np.ndarray):
     return xi, L
 
 
+def _cauchy_basis(rule: IntervalRule, poles: np.ndarray, name: str):
+    """r Chebyshev points of [a, b] and their Lagrange basis at the nodes.
+
+    Enough points to interpolate in mu any Cauchy factor 1/(mu - z), z
+    among ``poles``, to rounding: r = ceil(ln(1e16)/ln rho) + 4, rho the
+    smallest Bernstein-ellipse parameter of the poles, as the interpolant's
+    error falls like rho^-r.  A pole on [a, b] raises PoleError naming
+    the kernel ``name``.
+    """
+    u = (2.0 * poles - rule.a - rule.b) / (rule.b - rule.a)
+    rho = np.min(np.abs(u + np.sqrt(u - 1.0) * np.sqrt(u + 1.0)))
+    if rho < 1.0 + 1e-8:
+        raise PoleError(f"{name} has a pole on [a, b]")
+    r = int(np.ceil(np.log(1e16) / np.log(rho))) + 4
+    return _chebyshev_basis(rule.a, rule.b, r, rule.nodes)
+
+
 def shift_factors(pd: ProblemData, rule: IntervalRule):
     """U, R with U R^T = (V_t - V0)(lam_i, lam_j) w_j on the rule, to rounding.
 
@@ -182,28 +204,22 @@ def shift_factors(pd: ProblemData, rule: IntervalRule):
     theta = x [p(lam) - p(mu)]/2.  The oscillation sits in the diagonal
     phases e^{+-i x p/2}; the two Cauchy factors do not depend on x and
     are analytic in mu off their poles lam +- i c/t.  Each is interpolated
-    in mu at r Chebyshev points xi_k of [a, b], so that
+    in mu at r Chebyshev points xi_k of [a, b] (``_cauchy_basis``), so that
         U = [F t/(2 pi) e^{+-i x p(lam_i)/2} / (c -+ i t (lam_i - xi_k))],
         R = [l_k(lam_j) w_j e^{-+i x p(lam_j)/2}],
-    l_k the Lagrange basis.  r = ceil(ln(1e16)/ln rho) + 4, rho the
-    smallest Bernstein-ellipse parameter of the poles over the nodes: 46 at
-    c = |t| = 1 on [-1, 1], whatever x is.  For real t, F and p the two
-    terms are complex conjugates and the factors are the real (n, 2r)
-    pair U = 2 [Re P, -Im P], R = [Re Q, Im Q] of the first term P Q^T;
-    otherwise they are complex (n, 2r).  At t = 0 they have no columns.
+    l_k the Lagrange basis; r = 46 at c = |t| = 1 on [-1, 1], whatever x
+    is.  For real t, F and p the two terms are complex conjugates and the
+    factors are the real (n, 2r) pair U = 2 [Re P, -Im P],
+    R = [Re Q, Im Q] of the first term P Q^T; otherwise they are complex
+    (n, 2r).  At t = 0 they have no columns.
     """
     lam, w = rule.nodes, rule.weights
     t = pd.t
     if t == 0:
         return np.zeros((lam.size, 0)), np.zeros((lam.size, 0))
     shift = 1j * pd.c / t
-    u = (2.0 * np.concatenate([lam + shift, lam - shift]) - rule.a - rule.b) \
-        / (rule.b - rule.a)
-    rho = np.min(np.abs(u + np.sqrt(u - 1.0) * np.sqrt(u + 1.0)))
-    if rho < 1.0 + 1e-8:
-        raise PoleError("V_t has a pole lam +- i c/t on [a, b]")
-    r = int(np.ceil(np.log(1e16) / np.log(rho))) + 4
-    xi, L = _chebyshev_basis(rule.a, rule.b, r, lam)
+    xi, L = _cauchy_basis(rule, np.concatenate([lam + shift, lam - shift]),
+                          "V_t")
 
     F_lam, p_lam = pd.F(lam), pd.p(lam)
     phase = np.exp(0.5j * pd.x * p_lam)
@@ -218,6 +234,36 @@ def shift_factors(pd: ProblemData, rule: IntervalRule):
     Q_minus = L * (w * phase)[:, None]
     return np.concatenate([P, P_minus], axis=1), \
         np.concatenate([Q, Q_minus], axis=1)
+
+
+def k_factors(pd: ProblemData, k: int, srh: ScalarRH, rule: IntervalRule,
+              left=None):
+    """P, Q with P Q^T = K_{k;t}(lam_i, lam_j) w_j on the rule, to rounding.
+
+    K_{k;t}'s mu-side factors alpha_k^{-1}(mu + i eps_k c/t) tau_k(mu) go
+    into Q as they are; its Cauchy factor 1/(t (mu - lam) + i eps_k c),
+    analytic in mu off its pole lam - i eps_k c/t (c/|t| off [a, b] for
+    real t), is interpolated in mu at r Chebyshev points xi_l of [a, b]
+    like the c-shift's (``_cauchy_basis``):
+        P = [-t alpha_{k;+}(lam_i) / (2 i pi (t (xi_l - lam_i) + i eps_k c))],
+        Q = [l_l(lam_j) w_j alpha_k^{-1}(lam_j + i eps_k c/t) tau_k(lam_j)],
+    complex (n, r), r = 46 at c = |t| = 1 on [-1, 1].  ``left`` is
+    alpha_{k;+} at the nodes when the caller has it.  At t = 0 they have
+    no columns: K_{k;0} vanishes.
+    """
+    lam = rule.nodes
+    if pd.t == 0:
+        empty = np.zeros((lam.size, 0), complex)
+        return empty, empty
+    e = EPS_K[k]
+    shift = 1j * e * pd.c / pd.t
+    xi, L = _cauchy_basis(rule, lam - shift, f"K_{k};t")
+    if left is None:
+        left = np.exp(e * srh.exponent(lam + 0j))
+    P = (-pd.t / (2j * np.pi) * left)[:, None] \
+        / (pd.t * (xi[None, :] - lam[:, None]) + 1j * e * pd.c)
+    right = np.exp(-e * srh.exponent(lam + shift)) * tau(k, pd, lam + 0j)
+    return P, L * (rule.weights * right)[:, None]
 
 
 def _loop_kernel(pd: ProblemData, k: int, srh: ScalarRH, name: str,

@@ -24,8 +24,9 @@ import numpy as np
 from .cauchy import CauchyKit
 from .errors import (ExcludedCaseError, GridMismatchError,
                      NearSingularityError, ParameterDomainError)
-from .fredholm import NystromSystem, assemble, cauchy_like_matrix, solve
-from .kernels import k_kt, shift_factors, v0_generators, v_t
+from .fredholm import (NystromSystem, cauchy_like_matrix, low_rank_system,
+                       solve)
+from .kernels import k_factors, shift_factors, v0_generators, v_t
 from .l2half import e_vectors, factor_bound, kappa_form, m_vec, rank_one
 from .quadgrid import (HalfLineRule, IntervalRule, gauss_interval,
                        laguerre_halfline, oscillation_nodes, safe_radius)
@@ -277,7 +278,12 @@ class BetaSolution:
     ln alpha at the rule's nodes (the +side values) and on ``srh.loop``
     come from ``srh``, which computes them once for k = 1 and 2;
     alpha_{k;+} at the nodes serves both the kernel and the right-hand
-    side, and beta's Cauchy sums run on ``srh.kit``.
+    side, and beta's Cauchy sums run on ``srh.kit``.  No n x n kernel is
+    assembled: on the rule I + K_{k;t} W is the identity plus the rank-r
+    product P Q^T of ``kernels.k_factors`` (r = 46 at c = |t| = 1), whose
+    system (``fredholm.low_rank_system``) is inverted by Woodbury with an
+    r x r solve.  A singular I + K_{k;t}, or one over ``solve``'s
+    condition cap, raises ExcludedCaseError: beta_k does not exist.
     """
 
     def __init__(self, pd: ProblemData, grid: HalfLineRule, k: int,
@@ -294,13 +300,14 @@ class BetaSolution:
         s = grid.nodes
         A = np.sqrt(pd.c) * np.exp(-0.5 * pd.c * s[None, :]
                                    - 1j * e * pd.t * s[None, :] * z[:, None])
-        B = (loop.weights / np.exp(e * srh.loop_exponent))[None, :] \
-            / (z[None, :] - nodes[:, None]) / (2j * np.pi)
+        B = (loop.weights / np.exp(e * srh.loop_exponent)
+             / (2j * np.pi))[None, :] / (z[None, :] - nodes[:, None])
         w_rhs = alpha_plus[:, None] * (B @ A)  # (n, Ns)
 
         try:
-            self.rho = solve(assemble(k_kt(pd, k, srh), rule, left=alpha_plus),
-                             w_rhs)  # (n, Ns)
+            self.rho = solve(low_rank_system(
+                rule, *k_factors(pd, k, srh, rule, left=alpha_plus)),
+                w_rhs)  # (n, Ns)
         except NearSingularityError as exc:
             raise ExcludedCaseError(
                 f"det(I + K_{k};t) vanishes; beta_{k} does not exist") from exc

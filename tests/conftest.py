@@ -5,6 +5,22 @@ import cshiftlab as cl
 from cshiftlab.rhp import ChiSolution, OperatorFactory, solve_beta
 
 
+def _refinement_error(sys):
+    """|det(I + K) on the doubled rule - det(I + K)| for an assembled system.
+
+    The kernels in scope are analytic, so refinement converges
+    geometrically and the estimate is sharp.
+    """
+    refined = cl.assemble(sys.kernel, sys.support.refined())
+    return abs(cl.determinant(refined) - cl.determinant(sys))
+
+
+@pytest.fixture(scope="session")
+def refinement_error():
+    """The refinement error estimate of an assembled system."""
+    return _refinement_error
+
+
 @pytest.fixture(scope="session")
 def pd_default():
     """The default problem: constant symbol 0.2, identity phase, [-1, 1]."""

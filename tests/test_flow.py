@@ -265,9 +265,10 @@ class TestTheoremSweep:
         assert abs(d_ratio) < 1e-13 * max(1.0, abs(lemma))
 
     def test_forms_no_matrix_on_the_sweep_rules(self, monkeypatch):
-        # only the x-independent loop product and the graded K-route
-        # assemble and take a slogdet of their order; every row's rule is
-        # eliminated from its generators, in blocks of BLOCK pivots
+        # only the x-independent loop product assembles and takes a slogdet
+        # of its order; the graded K-route takes the r x r slogdet of its
+        # factors, and every row's rule is eliminated from its generators,
+        # in blocks of BLOCK pivots
         rules, supports, orders = [], [], []
 
         def transplanted(*args):
@@ -301,7 +302,7 @@ class TestTheoremSweep:
         theorem1_sweep(SweepConfig(x_list=(1600.0,)))
         assert len(exponents) == 6
         assert [r.n for r in rules] == [672, 773]
-        assert len(supports) == 4
+        assert len(supports) == 2
         assert not any(s is r for s in supports for r in rules)
         assert max(o for o in orders if o > cl.fredholm.BLOCK) \
             == max(s.n for s in supports) < 672
@@ -426,9 +427,10 @@ class TestDtCheck:
         assert abs(_circle_derivative(cfg, 0.0, x=50.0) - rep.d_contour) \
             < 1e-12
 
-    def test_assembles_only_the_beta_systems(self, monkeypatch):
-        # the two beta systems; I + V0, which serves the finite difference
-        # and chi, comes from its generators, and no V_t is formed
+    def test_assembles_no_system(self, monkeypatch):
+        # I + V0, which serves the finite difference and chi, comes from
+        # its generators, the beta systems from K_{k;t}'s rank-r factors,
+        # and no V_t is formed
         names = []
         original = cl.fredholm.assemble
 
@@ -436,10 +438,11 @@ class TestDtCheck:
             names.append(kernel.name)
             return original(kernel, support, **kw)
 
-        for mod in (cl.fredholm, cl.flow, cl.rhp):
+        for mod in (cl.fredholm, cl.flow):
             monkeypatch.setattr(mod, "assemble", assemble)
+        assert not hasattr(cl.rhp, "assemble")
         dt_logdet_check(SweepConfig(x_list=(20.0,)), 0.5 + 0.1j, x=20.0)
-        assert sorted(names) == ["K_1;t", "K_2;t"]
+        assert names == []
 
     def test_negative_symbol_large_x_is_not_excluded(self):
         # det(I + V_t) is tiny (about e^{-44} at t = 1) but well conditioned

@@ -6,7 +6,7 @@ from cshiftlab.errors import AssemblyError, NearSingularityError
 from cshiftlab import fredholm
 from cshiftlab.fredholm import (BLOCK, COND_CAP, NystromSystem,
                                 cauchy_like_logdets, logdet, logdet_update,
-                                one_blas_thread)
+                                low_rank_system, one_blas_thread)
 
 
 class TestAssemble:
@@ -28,14 +28,14 @@ class TestAssemble:
                 pytest.raises(AssemblyError):
             cl.assemble(lambda l, m: 1.0 / (l - m), rule)
 
-    def test_bare_callable_keeps_its_kernel(self):
+    def test_bare_callable_keeps_its_kernel(self, refinement_error):
         # the system holds whatever was assembled, so a plain function
         # gets the refinement error estimate like a kernel handle
         rule = cl.gauss_interval(12, 0.0, 1.0)
         kernel = lambda l, m: 0.5 * np.exp(l * m)  # noqa: E731
         sys_ = cl.assemble(kernel, rule)
         assert sys_.kernel is kernel
-        det, err = cl.determinant(sys_, with_error=True)
+        det, err = cl.determinant(sys_), refinement_error(sys_)
         want = cl.determinant(cl.assemble(kernel, rule.refined()))
         assert err == pytest.approx(abs(want - det), abs=1e-15)
         assert err < 1e-13
@@ -51,10 +51,11 @@ class TestDeterminant:
         exact = 1.0 + (np.e * (np.cos(3) + 3 * np.sin(3)) - 1.0) / 10.0
         assert cl.determinant(sys) == pytest.approx(exact, abs=1e-12)
 
-    def test_refinement_changes_little_for_analytic_kernel(self, pd_default):
+    def test_refinement_changes_little_for_analytic_kernel(
+            self, pd_default, refinement_error):
         rule = cl.gauss_interval(48, -1.0, 1.0)
-        det, est = cl.determinant(cl.assemble(cl.v_t(pd_default), rule),
-                                  with_error=True)
+        sys_ = cl.assemble(cl.v_t(pd_default), rule)
+        det, est = cl.determinant(sys_), refinement_error(sys_)
         assert est < 1e-10 * abs(det)
 
     def test_small_symbol_trace_formula(self):
@@ -189,6 +190,57 @@ class TestViews:
         monkeypatch.setattr(np.linalg, "inv", None)
         assert np.exp(logdet_update(sys_, U, R)) \
             == pytest.approx(want, rel=1e-13)
+
+
+class TestLowRankSystem:
+    """I + P Q^T: Woodbury inverse and log-determinant from r x r."""
+
+    @staticmethod
+    def _factors(n=40, r=6):
+        rule = cl.gauss_interval(n, -1.0, 1.0)
+        rng = np.random.default_rng(7)
+        P, Q = (0.3 * (rng.standard_normal((n, r))
+                       + 1j * rng.standard_normal((n, r))) for _ in range(2))
+        return rule, P, Q
+
+    def test_inverse_condition_and_logdet(self, monkeypatch):
+        rule, P, Q = self._factors()
+        sys_ = low_rank_system(rule, P, Q)
+        A = np.eye(rule.n) + P @ Q.T
+        assert np.array_equal(sys_.matrix, A)
+        want_inv, want_ld = np.linalg.inv(A), fredholm._slogdet(A)
+        # no n x n inverse or LU: the r x r solve and slogdet only
+        orders = []
+
+        def spy(fn):
+            def call(a, *args):
+                orders.append(len(a))
+                return fn(a, *args)
+            return call
+
+        monkeypatch.setattr(np.linalg, "inv", None)
+        for name in ("solve", "slogdet"):
+            monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name)))
+        inv = sys_.factorization()
+        ld = logdet(sys_)
+        assert orders == [6, 6]
+        assert np.max(np.abs(inv - want_inv)) \
+            < 1e-13 * np.max(np.abs(want_inv))
+        assert sys_.cond == pytest.approx(np.linalg.cond(A, 1), rel=1e-12)
+        # Sylvester's identity: the same log-determinant, argument included
+        assert abs(ld - want_ld) < 1e-13
+        g = np.ones((rule.n, 2))
+        assert np.max(np.abs(A @ cl.solve(sys_, g) - g)) < 1e-13
+
+    def test_singular_capacitance_raises(self):
+        # P = e_1, Q = -e_1: I + P Q^T has a zero diagonal entry and
+        # C = I_1 + Q^T P = 0 exactly
+        rule = cl.gauss_interval(8, -1.0, 1.0)
+        e1 = np.eye(8)[:, :1] + 0j
+        sys_ = low_rank_system(rule, e1, -e1)
+        assert logdet(sys_).real == -np.inf
+        with pytest.raises(NearSingularityError):
+            cl.solve(sys_, np.ones(8))
 
 
 class TestCauchyLike:

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 import cshiftlab as cl
 from cshiftlab.errors import PoleError
 from cshiftlab.flow import oscillation_nodes
-from cshiftlab.kernels import KernelHandle, k_kt, resolvent_kernel, u_kt
+from cshiftlab.fredholm import low_rank_system
+from cshiftlab.kernels import (KernelHandle, k_factors, k_kt, resolvent_kernel,
+                               u_kt)
 from cshiftlab.quadgrid import graded_interval
 
 
@@ -319,6 +321,100 @@ class TestShiftFactors:
                              cl.gauss_interval(16, -1.0, 1.0))
 
 
+#: t/c on two sets where the shift i eps_k c/t of K_{k;t} lies at least
+#: (b - a)/2 = 1 off the real axis, or 20 away
+RANDOM_T = st.one_of(
+    # small |t| in every direction: |i c/t| >= 20 c
+    st.builds(lambda s, phi: s * cmath.exp(1j * phi),
+              st.floats(1e-6, 0.05), st.floats(-np.pi, np.pi)),
+    # |t/c - 1/2| <= 1/2, where Re(c/t) >= 1
+    st.builds(lambda rho, phi: 0.5 + 0.5 * rho * cmath.exp(1j * phi),
+              st.floats(0.0, 1.0), st.floats(-np.pi, np.pi)))
+
+#: beta's Gauss rule and the K-route's graded rule
+K_RULES = {"gauss": cl.gauss_interval(192, -1.0, 1.0),
+           "graded": graded_interval(-1.0, 1.0)}
+
+
+def _k_problem(t, c=1.0, F=0.2):
+    return cl.make_problem(a=-1.0, b=1.0, c=c, t=t, x=10.0,
+                           F=cl.constant_symbol(F), p=cl.identity_phase())
+
+
+class TestKFactors:
+    """I + K_{k;t} W on an interval rule as the identity plus rank r."""
+
+    @given(u=RANDOM_T, c=st.sampled_from([0.5, 1.0, 2.0]),
+           F=st.sampled_from([0.2, -0.5, 0.2 + 0.3j]),
+           rule_name=st.sampled_from(sorted(K_RULES)),
+           k=st.sampled_from([1, 2]))
+    @example(u=1.0, c=1.0, F=0.2, rule_name="gauss", k=1)
+    @settings(max_examples=16, deadline=None)
+    def test_factors_match_the_dense_kernel(self, u, c, F, rule_name, k):
+        # Rounding model: the interpolated sum P_i . Q_j errs by a few eps
+        # times sum_l |P_il| |Q_jl| (the Chebyshev Lebesgue constant is in
+        # it), which also bounds the dense entry's own rounding.  Both
+        # sides take one alpha_{k;+}: near the endpoints its evaluation
+        # loses digits of its own.  The log-determinants are held to LU's
+        # backward error, n eps cond_1(A).
+        pd, rule = _k_problem(c * u, c, F), K_RULES[rule_name]
+        srh = cl.ScalarRH(pd)
+        lam = rule.nodes
+        left = np.exp(cl.EPS_K[k] * srh.exponent(lam + 0j))
+        P, Q = k_factors(pd, k, srh, rule, left=left)
+        dense = k_kt(pd, k, srh)(lam[:, None], lam[None, :],
+                                 left=left[:, None]) * rule.weights
+        ratio = np.abs(P @ Q.T - dense) / (EPS * (np.abs(P) @ np.abs(Q).T))
+        # within the model, which the rounding does reach
+        assert 1.0 < ratio.max() <= 16.0
+        sys_ = low_rank_system(rule, P, Q)
+        sys_.factorization()
+        ref = cl.assemble(k_kt(pd, k, srh), rule, left=left)
+        assert abs(cl.logdet(sys_) - cl.logdet(ref)) \
+            <= rule.n * EPS * sys_.cond
+
+    @pytest.mark.parametrize("c, r", [(0.5, 81), (1.0, 46), (2.0, 30)])
+    def test_rank_is_the_shift_factors_rank(self, c, r):
+        # one pole lam - i eps_k c/t per node, as far off [a, b] as the
+        # c-shift's: the same r, whatever the rule
+        pd = _k_problem(1.0, c)
+        srh = cl.ScalarRH(pd)
+        for rule in K_RULES.values():
+            for k in (1, 2):
+                P, Q = k_factors(pd, k, srh, rule)
+                assert P.shape == Q.shape == (rule.n, r)
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    def test_too_few_points_miss(self, c, monkeypatch):
+        # negative control: a third of the Chebyshev points misses
+        pd = _k_problem(1.0, c)
+        srh, rule = cl.ScalarRH(pd), K_RULES["gauss"]
+        dense = cl.assemble(k_kt(pd, 1, srh), rule).matrix - np.eye(rule.n)
+        basis = cl.kernels._chebyshev_basis
+        monkeypatch.setattr(cl.kernels, "_chebyshev_basis",
+                            lambda a, b, r, mu: basis(a, b, -(-r // 3), mu))
+        P, Q = k_factors(pd, 1, srh, rule)
+        assert np.max(np.abs(P @ Q.T - dense)) > 1e-6 * np.max(np.abs(dense))
+
+    def test_t_zero_has_no_columns(self):
+        pd = _k_problem(0.0)
+        srh, rule = cl.ScalarRH(pd), K_RULES["graded"]
+        for k in (1, 2):
+            P, Q = k_factors(pd, k, srh, rule)
+            assert P.shape == Q.shape == (rule.n, 0)
+            sys_ = low_rank_system(rule, P, Q)
+            assert np.array_equal(sys_.matrix, np.eye(rule.n))
+            assert cl.logdet(sys_) == 0.0
+            g = np.ones((rule.n, 3))
+            assert np.array_equal(cl.solve(sys_, g), g)
+
+    def test_pole_on_the_interval_raises(self):
+        # t = i: the pole lam - i eps_k c/t = lam - eps_k sits on [a, b]
+        pd = _k_problem(1j)
+        with pytest.raises(PoleError):
+            k_factors(pd, 1, cl.ScalarRH(pd), K_RULES["gauss"])
+
+
 def _dense_densities(pd, rule, grid):
     """F_L and F_R by dense solves of the assembled V_t and V_t^T systems."""
     vk = cl.v_t(pd)
@@ -363,12 +459,15 @@ class TestChiDensities:
     def test_no_vt_system_is_assembled(self, grid48, monkeypatch):
         pd = _shift_problem(0.2, (0.0, 1.0), 1.0, 0.5 + 0.1j, x=20.0)
         names = []
+        original = cl.fredholm.assemble
 
         def assemble(kernel, support, **kw):
             names.append(kernel.name)
-            return cl.fredholm.assemble(kernel, support, **kw)
+            return original(kernel, support, **kw)
 
-        monkeypatch.setattr(cl.rhp, "assemble", assemble)
+        monkeypatch.setattr(cl.fredholm, "assemble", assemble)
+        # rhp binds no assemble of its own, so fredholm's is the only one
+        assert not hasattr(cl.rhp, "assemble")
         cl.ChiSolution(pd, cl.gauss_interval(48, -1, 1), grid48)
         # I + V0 comes from its generators: chi assembles nothing
         assert names == []
@@ -488,14 +587,7 @@ class TestIntervalContourIdentity:
         with pytest.raises(PoleError):
             kern.eval(0.3, 0.3 - 1j * e * pd_default.c / pd_default.t)
 
-    @given(u=st.one_of(
-               # small |t| in every direction: |i c/t| >= 20 c
-               st.builds(lambda s, phi: s * cmath.exp(1j * phi),
-                         st.floats(1e-6, 0.05), st.floats(-np.pi, np.pi)),
-               # |t/c - 1/2| <= 1/2, where Re(c/t) >= 1
-               st.builds(lambda rho, phi: 0.5 + 0.5 * rho * cmath.exp(1j * phi),
-                         st.floats(0.0, 1.0), st.floats(-np.pi, np.pi))),
-           c=st.floats(0.5, 2.0), F_re=st.floats(-0.5, 0.6),
+    @given(u=RANDOM_T, c=st.floats(0.5, 2.0), F_re=st.floats(-0.5, 0.6),
            F_im=st.floats(-0.3, 0.3), k=st.sampled_from([1, 2]))
     @example(u=0j, c=1.0, F_re=0.2, F_im=0.0, k=1)
     @settings(max_examples=12, deadline=None)

@@ -165,6 +165,21 @@ class TestExcludedCase:
         assert isinstance(info.value.__cause__, NearSingularityError)
 
 
+    def test_beta_raises_on_singular_factors(self, pd_default, grid48,
+                                             monkeypatch):
+        # K_{1;t}'s factors replaced by P = e_1, Q = -e_1: I_r + Q^T P = 0
+        # exactly, and beta_1 does not exist
+        def k_factors(pd, k, srh, rule, left=None):
+            e1 = np.eye(rule.n)[:, :1] + 0j
+            return e1, -e1
+
+        monkeypatch.setattr(cl.rhp, "k_factors", k_factors)
+        rule = cl.gauss_interval(64, pd_default.a, pd_default.b)
+        with pytest.raises(ExcludedCaseError) as info:
+            solve_beta(pd_default, rule, grid48, 1)
+        assert isinstance(info.value.__cause__, NearSingularityError)
+
+
 class TestGChi:
     def test_unit_determinant(self, pd_default, grid48):
         for lam0 in (-0.3, 0.52, 0.9):
@@ -203,6 +218,22 @@ class TestBeta:
         for k in (1, 2):
             failed = [r for r in betas_default[k].verify() if not r.passed]
             assert failed == []
+
+    @pytest.mark.parametrize("t", [1.0, 0.5 + 0.1j, 0.5 + 0.02j])
+    @pytest.mark.parametrize("F", [0.2, -0.5])
+    def test_rho_matches_the_dense_solve(self, grid48, t, F):
+        # the rank-r system against the assembled K_{k;t}: the factored
+        # matrix is within a few eps of the dense one entrywise, so rho
+        # moves by at most about cond_1 times that
+        pd = cl.make_problem(a=-1.0, b=1.0, c=1.0, t=t, x=100.0,
+                             F=cl.constant_symbol(F), p=cl.identity_phase())
+        srh = cl.ScalarRH(pd)
+        for k, bs in solve_betas(pd, srh.rule, grid48, srh).items():
+            left = np.exp(cl.EPS_K[k] * srh.node_exponent)
+            dense = cl.assemble(cl.k_kt(pd, k, srh), srh.rule, left=left)
+            want = cl.solve(dense, bs.w_rhs)
+            miss = np.max(np.abs(bs.rho - want)) / np.max(np.abs(want))
+            assert miss < 16 * np.finfo(float).eps * dense.cond
 
     def test_zero_symbol(self, pd_zero, grid48):
         rule = cl.gauss_interval(64, -1, 1)
