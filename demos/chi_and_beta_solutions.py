@@ -3,7 +3,7 @@
 chi is the 2x2 block solution reconstructed from two linear integral
 equations; beta_k are the scalar-problem solutions recovered from the
 rho_k densities.  Both come with jump and determinant diagnostics,
-serialized as CSV rows.
+printed as one summary line per object.
 """
 
 import numpy as np
@@ -11,8 +11,8 @@ import numpy as np
 from cshiftlab import (ScalarRH, constant_symbol, gauss_interval,
                        identity_phase, laguerre_halfline, make_problem)
 from cshiftlab.rhp import (ChiSolution, OperatorFactory,
-                           factorization_residual, g_chi, solve_betas,
-                           summarize, write_diagnostics)
+                           factorization_residual, g_chi, solve_beta,
+                           summarize)
 
 pd = make_problem(a=-1.0, b=1.0, c=1.0, t=1.0, x=10.0,
                   F=constant_symbol(0.2), p=identity_phase())
@@ -21,15 +21,14 @@ srh = ScalarRH(pd)
 
 chi = ChiSolution(pd, grid=grid)
 rows = chi.verify()
-write_diagnostics(rows, "chi_diagnostics.csv")
-print(f"chi diagnostics ({len(rows)} rows, written to chi_diagnostics.csv):")
+print(f"chi diagnostics ({len(rows)} rows):")
 print("\n".join(summarize(rows)[0]))
 
 print("\ndet G(0.3) - 1         =",
       abs(np.linalg.det(g_chi(pd, grid, 0.3)) - 1.0))
 
 rule = gauss_interval(192, pd.a, pd.b)
-betas = solve_betas(pd, rule, grid, srh)
+betas = {k: solve_beta(pd, rule, grid, k, srh) for k in (1, 2)}
 for k in (1, 2):
     lam = 2.0j
     print(f"\nbeta_{k}: det at 2i      =", betas[k].det_beta(lam))

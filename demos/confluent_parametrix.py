@@ -10,7 +10,7 @@ from cshiftlab import (ScalarRH, constant_symbol, gauss_interval,
                        identity_phase, laguerre_halfline, make_problem)
 from cshiftlab.chf import tricomi_psi
 from cshiftlab.parametrix import build_parametrix
-from cshiftlab.rhp import OperatorFactory, pi_residual, solve_betas
+from cshiftlab.rhp import OperatorFactory, pi_residual, solve_beta
 
 # -- the special function -----------------------------------------------------
 te = tricomi_psi(1.0, 1.0)
@@ -26,7 +26,7 @@ pd = make_problem(a=-1.0, b=1.0, c=1.0, t=1.0, x=100.0,
 grid = laguerre_halfline(48, pd.c)
 srh = ScalarRH(pd)
 rule = gauss_interval(192, pd.a, pd.b)
-betas = solve_betas(pd, rule, grid, srh)
+betas = {k: solve_beta(pd, rule, grid, k, srh) for k in (1, 2)}
 fac = OperatorFactory(pd, grid, srh, betas[1], betas[2])
 
 for ep in ("a", "b"):

@@ -9,12 +9,11 @@ rests on.
 
 import numpy as np
 
-from cshiftlab import (ChiSolution, ScalarRH, assemble, constant_symbol,
-                       determinant, e_vectors, gauss_interval, identity_phase,
-                       laguerre_halfline, make_problem, stadium_contour,
-                       v0, v_t)
-from cshiftlab.flow import k_route_determinant
-from cshiftlab.kernels import resolvent_kernel, u_kt
+from cshiftlab import (ChiSolution, ScalarRH, constant_symbol, e_vectors,
+                       gauss_interval, identity_phase, laguerre_halfline,
+                       make_problem, v0, v_t)
+from cshiftlab.flow import loop_routes
+from cshiftlab.kernels import resolvent_kernel
 
 pd = make_problem(a=-1.0, b=1.0, c=1.0, t=1.0, x=10.0,
                   F=constant_symbol(0.2), p=identity_phase())
@@ -36,19 +35,16 @@ pd0 = pd.with_(t=0.0)
 print("\nV_{t=0} vs the plain oscillatory kernel at (0.45, 0.1):",
       abs(complex(v_t(pd0).eval(0.45, 0.1)) - complex(v0(pd0).eval(0.45, 0.1))))
 
-# interval <-> loop determinant identity; det(I+K) comes from K's rank-r
-# factors on the graded rule
-loop = stadium_contour(-1.0, 1.0, 0.25)
+# interval <-> loop determinant identity: det(I+U) on ScalarRH's loop,
+# det(I+K) from K's rank-r factors on the graded rule
+routes = loop_routes(pd, srh)
 print("\ninterval-loop determinant identity:")
-for k in (1, 2):
-    dU = determinant(assemble(u_kt(pd, k, srh), loop))
-    dK = k_route_determinant(pd, k, srh)
+for k, (dU, dK) in routes.items():
     print(f"  k={k}: det(I+K) = {dK:.12f}, det(I+U) = {dU:.12f}, "
           f"gap = {abs(dK - dU):.2e}")
 
 # the limit operators U_+- are the t = 1 members k = 1, 2
-dp = determinant(assemble(u_kt(pd, 1, srh), loop))
-dm = determinant(assemble(u_kt(pd, 2, srh), loop))
+dp, dm = routes[1][0], routes[2][0]
 print(f"\nlimit loop factors: det(I+U+) = {dp:.12f}, det(I+U-) = {dm:.12f}")
 print(f"product = {dp * dm:.12f}")
 

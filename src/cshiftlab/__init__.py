@@ -21,8 +21,8 @@ from .kernels import (KernelHandle, v_t, v0, v0_generators, shift_factors,
 from .fredholm import (NystromSystem, assemble, cauchy_like_logdets,
                        determinant, logdet, logdet_update, solve)
 from .rhp import (ChiSolution, BetaSolution, OperatorFactory,
-                  solve_beta, solve_betas, g_chi, factorization_residual,
-                  pi_residual, default_probes, write_diagnostics)
+                  solve_beta, g_chi, factorization_residual,
+                  pi_residual, default_probes)
 from .chf import TricomiEval, tricomi_psi
 from .parametrix import Parametrix, build_parametrix, zeta
 from .flow import (SweepConfig, SweepReport, theorem1_sweep, dt_logdet_check,

@@ -136,7 +136,3 @@ class CauchyKit:
     def dweights(self, lam) -> np.ndarray:
         """Weights for the squared-pole transform int f/(mu-lam)^2 dmu."""
         return self._weights(lam, 2)
-
-    def value(self, f_nodes: np.ndarray, lam) -> complex:
-        """C[f](lam) for node samples f_nodes."""
-        return self.weights(lam) @ np.asarray(f_nodes, dtype=complex)

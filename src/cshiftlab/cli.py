@@ -37,20 +37,19 @@ def _cmd_dtcheck(args) -> int:
 def _cmd_selftest(_args) -> int:
     """The verify() streams of chi, beta_1, beta_2 and O/P/Q at x = 10, and
     a row for each invariant without a verify()."""
-    from . import (ScalarRH, assemble, constant_symbol, determinant,
-                   identity_phase, laguerre_halfline, make_problem)
-    from .flow import k_route_determinant
-    from .kernels import u_kt
+    from . import (ScalarRH, constant_symbol, identity_phase,
+                   laguerre_halfline, make_problem)
+    from .flow import loop_routes
     from .parametrix import build_parametrix
     from .rhp import (ChiSolution, DiagnosticRow, OperatorFactory,
-                      factorization_residual, g_chi, solve_betas)
+                      factorization_residual, g_chi, solve_beta)
 
     pd = make_problem(a=-1.0, b=1.0, c=1.0, t=1.0, x=10.0,
                       F=constant_symbol(0.2), p=identity_phase())
     grid = laguerre_halfline(48, pd.c)
     srh = ScalarRH(pd)
     loop = srh.loop
-    betas = solve_betas(pd, srh.rule, grid, srh)
+    betas = {k: solve_beta(pd, srh.rule, grid, k, srh) for k in (1, 2)}
     fac = OperatorFactory(pd, grid, srh, betas[1], betas[2])
     rows = (ChiSolution(pd, grid=grid).verify() + betas[1].verify()
             + betas[2].verify() + fac.verify())
@@ -63,15 +62,13 @@ def _cmd_selftest(_args) -> int:
     rows.append(DiagnosticRow("jump factorization", 0.0, 0.0,
                               factorization_residual(fac, 0.0),
                               1e-6))
-    for k in (1, 2):
-        dK = k_route_determinant(pd, k, srh)
-        dU = determinant(assemble(u_kt(pd, k, srh), loop))
+    for k, (dU, dK) in loop_routes(pd, srh).items():
         rows.append(DiagnosticRow("det(I+K_k)/det(I+U_k) - 1", k, 0.0,
                                   abs(dK - dU) / abs(dU), 1e-7))
 
     pdx = pd.with_(x=100.0)
     srhx = ScalarRH(pdx)
-    bx = solve_betas(pdx, srhx.rule, grid, srhx)
+    bx = {k: solve_beta(pdx, srhx.rule, grid, k, srhx) for k in (1, 2)}
     facx = OperatorFactory(pdx, grid, srhx, bx[1], bx[2])
     for ep in ("a", "b"):
         px = build_parametrix(ep, pdx, facx, x=100.0)

@@ -21,8 +21,8 @@ four log-determinants of the finite difference (``logdet_update``).
 On any interval rule I + K_{k;t} W is the identity plus rank r
 (``kernels.k_factors``): the betas solve on it by Woodbury, and the
 sweep's interval route to the loop product takes its determinant from
-an r x r matrix (``k_route_determinant``).  Only the loop kernels
-U_{k;t} are assembled.
+an r x r matrix (``loop_routes``).  Only the loop kernels U_{k;t} are
+assembled.
 """
 
 from __future__ import annotations
@@ -37,14 +37,14 @@ from .errors import (ExcludedCaseError, NearSingularityError,
 from .fredholm import (assemble, cauchy_like_logdets, determinant,
                        logdet_update, low_rank_system, one_blas_thread)
 from .kernels import k_factors, shift_factors, u_kt, v0_generators
-from .quadgrid import (IntervalRule, gauss_interval, graded_interval,
-                       oscillation_nodes, transplanted_interval)
-from .rhp import ChiSolution, DiagnosticRow, _disk_eps, solve_betas, summarize
+from .quadgrid import (gauss_interval, graded_interval, oscillation_nodes,
+                       transplanted_interval)
+from .rhp import ChiSolution, DiagnosticRow, _disk_eps, solve_beta, summarize
 from .symbols import EPS_K, ProblemData, ScalarRH, make_handle, make_problem
 
 __all__ = ["SweepConfig", "SweepRow", "SweepReport", "theorem1_sweep",
            "DtReport", "dt_logdet_check", "emit", "load_config",
-           "k_route_determinant", "oscillation_nodes", "RULE_TOL"]
+           "loop_routes", "oscillation_nodes", "RULE_TOL"]
 
 #: a row's rule is resolved once the log-ratio moves by less than
 #: RULE_TOL * max(1, |ln ratio|) on the ceil(1.15 n)-point rule
@@ -151,9 +151,6 @@ class SweepReport:
                 for r in self.rows if r.gap is not None]
         return out
 
-    def tail_nonincreasing(self) -> bool:
-        return all(r.passed for r in self.checks() if r.obj == TAIL_GROWTH)
-
     def passed(self) -> bool:
         return all(r.passed for r in self.checks())
 
@@ -180,41 +177,26 @@ def _rule_log_ratio(cfg: SweepConfig, pd: ProblemData, n: int):
     return ld_v0, ln_ratio
 
 
-def k_route_determinant(pd: ProblemData, k: int, srh: ScalarRH,
-                        rule: IntervalRule | None = None,
-                        left=None) -> complex:
-    """det(I + K_{k;t}) on an interval rule, ``graded_interval(a, b)`` by
-    default: K_{k;t}'s endpoint behaviour wants the graded panels.
+def loop_routes(pd: ProblemData, srh: ScalarRH) -> dict:
+    """{k: (det(I + U_{k;t}) on ``srh.loop``, det(I + K_{k;t}) on
+    ``graded_interval(a, b)``)} for k = 1, 2: the two routes to one
+    determinant, since det(I + U_{k;t}) = det(I + K_{k;t}).
 
-    The interval route to det(I + U_{k;t}).  On the rule I + K_{k;t} W is
-    I + P Q^T (``kernels.k_factors``), so the determinant is that of the
-    r x r matrix I_r + Q^T P (``fredholm.low_rank_system``).  ``left`` is
-    alpha_{k;+} at the rule's nodes when the caller has it.
-    """
-    if rule is None:
-        rule = graded_interval(pd.a, pd.b)
-    return determinant(low_rank_system(
-        rule, *k_factors(pd, k, srh, rule, left=left)))
-
-
-def _loop_product(pd: ProblemData, cfg: SweepConfig):
-    """det(I + U_+), det(I + U_-) and |interval route / loop product - 1|.
-
+    K_{k;t}'s endpoint behaviour wants the graded panels.  On them
+    I + K_{k;t} W is I + P Q^T (``kernels.k_factors``), so its determinant
+    is that of the r x r matrix I_r + Q^T P (``fredholm.low_rank_system``).
     Each kernel's lam-side factor alpha_k = alpha^{eps_k} comes from one
-    ln alpha array per rule: ScalarRH's on its loop, one on the graded
-    rule of the interval route det(I + K_{k;1}) = det(I + U_{k;1})
-    (``k_route_determinant``).
+    ln alpha array per rule for both k: ScalarRH's on its loop, and one on
+    the graded rule.
     """
-    srh = ScalarRH(pd)
-    det_up, det_um = (determinant(assemble(
-        u_kt(pd, k, srh), srh.loop,
-        left=np.exp(EPS_K[k] * srh.loop_exponent))) for k in (1, 2))
-    grule = graded_interval(cfg.a, cfg.b)
+    grule = graded_interval(pd.a, pd.b)
     e_grule = srh.exponent(grule.nodes + 0j)
-    det_k1, det_k2 = (k_route_determinant(
-        pd, k, srh, grule, left=np.exp(EPS_K[k] * e_grule)) for k in (1, 2))
-    return det_up, det_um, float(abs(det_k1 * det_k2 / (det_up * det_um)
-                                     - 1.0))
+    return {k: (determinant(assemble(
+                    u_kt(pd, k, srh), srh.loop,
+                    left=np.exp(EPS_K[k] * srh.loop_exponent))),
+                determinant(low_rank_system(grule, *k_factors(
+                    pd, k, srh, grule, left=np.exp(EPS_K[k] * e_grule)))))
+            for k in (1, 2)}
 
 
 @one_blas_thread()
@@ -248,9 +230,11 @@ def theorem1_sweep(cfg: SweepConfig) -> SweepReport:
     det(I+V) raises ExcludedCaseError.
     """
     report = SweepReport()
-    det_up, det_um, report.product_consistency = _loop_product(
-        cfg.problem(x=cfg.x_list[0]), cfg)
+    pd = cfg.problem(x=cfg.x_list[0])
+    routes = loop_routes(pd, ScalarRH(pd))
+    (det_up, det_k1), (det_um, det_k2) = routes[1], routes[2]
     product = det_up * det_um
+    report.product_consistency = float(abs(det_k1 * det_k2 / product - 1.0))
 
     for x in cfg.x_list:
         t_start = time.perf_counter()
@@ -377,7 +361,8 @@ def dt_logdet_check(cfg: SweepConfig, t0: complex,
         / (2.0 * np.pi)
 
     d_reduced = 0.0 + 0.0j
-    for k, bs in solve_betas(pd, srh.rule, grid, srh).items():
+    for k in (1, 2):
+        bs = solve_beta(pd, srh.rule, grid, k, srh)
         kappa_s = bs.kappa_nodes * (grid.nodes * grid.weights)[None, :]
         integrand = bs.tau_nodes * np.einsum("ns,ns->n", kappa_s, bs.rho)
         d_reduced += EPS_K[k] * (integrand @ srh.rule.weights) / (2.0 * np.pi)
@@ -438,12 +423,37 @@ def emit(report: SweepReport, path: str) -> int:
     return 0 if ok else 1
 
 
+#: config key -> the SweepConfig field it sets and the type of its value;
+#: a tuple is a comma list of floats
+_CONFIG_KEYS = {"a": ("a", float), "b": ("b", float), "c": ("c", float),
+                "x_list": ("x_list", tuple), "F.kind": ("F_kind", str),
+                "F.params": ("F_params", tuple), "p.kind": ("p_kind", str),
+                "p.params": ("p_params", tuple),
+                "n_budget": ("n_budget", int), "output": ("output", str)}
+
+
+def _read(key: str, val: str, kind):
+    """``val`` as ``kind`` (a tuple: a comma list of floats, the empty
+    value being the empty list); ParameterDomainError names the key."""
+    if kind is tuple:
+        items = [v.strip() for v in val.split(",")] if val else []
+        if "" in items:
+            raise ParameterDomainError(
+                f"config key {key!r}: empty list item in {val!r}")
+        return tuple(_read(key, v, float) for v in items)
+    try:
+        return kind(val)
+    except ValueError:
+        raise ParameterDomainError(f"config key {key!r}: cannot read "
+                                   f"{val!r} as {kind.__name__}") from None
+
+
 def load_config(path: str) -> SweepConfig:
     """Flat key = value file, each key once; '#' comments; comma lists.
 
-    A value that does not read as its key's type, or a list with an empty
-    item, raises ParameterDomainError naming the key; an empty value is
-    the empty list.
+    Each key sets one SweepConfig field (``_CONFIG_KEYS``).  A value that
+    does not read as its key's type, or a list with an empty item, raises
+    ParameterDomainError naming the key.
     """
     raw = {}
     with open(path) as fh:
@@ -457,37 +467,10 @@ def load_config(path: str) -> SweepConfig:
             if key in raw:
                 raise ParameterDomainError(f"config key {key!r} given twice")
             raw[key] = val
-
-    def read(key, val, kind):
-        try:
-            return kind(val)
-        except ValueError:
-            raise ParameterDomainError(f"config key {key!r}: cannot read "
-                                       f"{val!r} as {kind.__name__}") from None
-
-    def floats(key, val):
-        items = [v.strip() for v in val.split(",")] if val else []
-        if "" in items:
-            raise ParameterDomainError(
-                f"config key {key!r}: empty list item in {val!r}")
-        return tuple(read(key, v, float) for v in items)
-
     kw = {}
-    simple = {"a": float, "b": float, "c": float, "n_budget": int,
-              "output": str}
     for key, val in raw.items():
-        if key == "x_list":
-            kw["x_list"] = floats(key, val)
-        elif key == "F.kind":
-            kw["F_kind"] = val
-        elif key == "F.params":
-            kw["F_params"] = floats(key, val)
-        elif key == "p.kind":
-            kw["p_kind"] = val
-        elif key == "p.params":
-            kw["p_params"] = floats(key, val)
-        elif key in simple:
-            kw[key] = read(key, val, simple[key])
-        else:
+        if key not in _CONFIG_KEYS:
             raise ParameterDomainError(f"unknown config key {key!r}")
+        name, kind = _CONFIG_KEYS[key]
+        kw[name] = _read(key, val, kind)
     return SweepConfig(**kw)

@@ -240,13 +240,6 @@ class Parametrix:
                                         0.0)[..., None] * coef[..., :, 1]
         return coef - np.eye(2), blk
 
-    def __call__(self, lam: complex, sector: int | None = None,
-                 blocks: Blocks | None = None) -> np.ndarray:
-        """The parametrix at one point lam, a (2n, 2n) array: I plus four
-        outer products of the ``coefficients``."""
-        coef, blk = self.coefficients(lam, sector, blocks)
-        return _dense(coef, blk.l, blk.r)
-
     def decay_bound(self, lam, blocks: Blocks | None = None):
         """``smoothing_bound`` of the parametrix at lam, from the factors
         of its ``coefficients`` in O(n) (``l2half.factor_bound``); a float

@@ -15,7 +15,6 @@ point takes one Cauchy-weight vector for both beta matvecs and ln alpha.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -35,13 +34,11 @@ from .symbols import EPS_K, ProblemData, ScalarRH, boundary_value, nu, tau
 __all__ = [
     "DiagnosticRow",
     "summarize",
-    "write_diagnostics",
     "default_probes",
     "ChiSolution",
     "g_chi",
     "BetaSolution",
     "solve_beta",
-    "solve_betas",
     "Blocks",
     "OperatorFactory",
     "factorization_residual",
@@ -83,18 +80,6 @@ def summarize(rows) -> tuple[list, bool]:
                      f"{'PASS' if worst.passed else 'FAIL'}")
     ok = all(r.passed for r in rows)
     return lines + ["PASS" if ok else "FAIL"], ok
-
-
-def write_diagnostics(rows, path):
-    """Serialize diagnostic rows as CSV: object, lambda, residual, pass."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["object", "lambda_re", "lambda_im", "residual",
-                    "tolerance", "pass"])
-        for r in rows:
-            w.writerow([r.obj, f"{r.lam_re:.17g}", f"{r.lam_im:.17g}",
-                        f"{r.residual:.17g}", f"{r.tolerance:.17g}",
-                        r.passed])
 
 
 def default_probes(pd: ProblemData):
@@ -317,12 +302,10 @@ class BetaSolution:
         self._kappa_W = self.kappa_nodes * grid.weights[None, :]
 
     def beta(self, lam) -> np.ndarray:
-        """beta_k(lam) = id - (1/2 i pi) C[tau_k rho_k (x) kappa_k](lam)."""
-        w = self.srh.kit.weights(lam)
-        mat = np.eye(self.grid.n, dtype=complex) \
-            - self.rho.T @ ((w * self.tau_nodes)[:, None] * self._kappa_W) \
-            / (2j * np.pi)
-        return mat
+        """beta_k(lam) = id - (1/2 i pi) C[tau_k rho_k (x) kappa_k](lam),
+        as ``matvec`` of the identity."""
+        return self.matvec(np.eye(self.grid.n),
+                           self.srh.kit.weights(lam)).T
 
     def matvec(self, v, w) -> np.ndarray:
         """beta_k(lam) v without forming beta_k(lam): the Cauchy sum of the
@@ -377,19 +360,6 @@ def solve_beta(pd: ProblemData, rule: IntervalRule, grid: HalfLineRule,
         srh = ScalarRH(pd, rule)
     _on_rule(srh, rule)
     return BetaSolution(pd, grid, k, srh)
-
-
-def solve_betas(pd: ProblemData, rule: IntervalRule, grid: HalfLineRule,
-                srh: ScalarRH | None = None) -> dict:
-    """beta_1 and beta_2 on one rule, keyed by k (see ``solve_beta``).
-
-    ln alpha is evaluated once at the nodes and once on the loop for both
-    (``ScalarRH.node_exponent``, ``loop_exponent``), alpha_1 = 1/alpha_2
-    being exp(-ln alpha).
-    """
-    if srh is None:
-        srh = ScalarRH(pd, rule)
-    return {k: solve_beta(pd, rule, grid, k, srh) for k in (1, 2)}
 
 
 # ---------------------------------------------------------------------------

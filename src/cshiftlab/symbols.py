@@ -319,8 +319,3 @@ class ScalarRH:
     def alpha_k(self, k: int, lam):
         """alpha_k = alpha^{eps_k}, eps_1 = -1, eps_2 = +1."""
         return np.exp(EPS_K[k] * self.exponent(lam))
-
-    def alpha_k_plus(self, k: int, lam0: float):
-        val, _ = boundary_value(lambda z: self.alpha_k(k, z), lam0, +1,
-                                scale=self.pd.b - self.pd.a)
-        return val

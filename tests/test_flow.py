@@ -9,8 +9,8 @@ import cshiftlab as cl
 from cshiftlab.cli import main
 from cshiftlab.errors import (ExcludedCaseError, ParameterDomainError,
                               ResolutionError)
-from cshiftlab.flow import (SweepConfig, dt_logdet_check, emit, load_config,
-                            oscillation_nodes, theorem1_sweep)
+from cshiftlab.flow import (TAIL_GROWTH, SweepConfig, dt_logdet_check, emit,
+                            load_config, oscillation_nodes, theorem1_sweep)
 
 
 def _problem(x, F=0.2, p=(0.0, 1.0), a=-1.0, b=1.0, t=1.0):
@@ -172,7 +172,7 @@ class TestTheoremSweep:
     def test_default_sweep_converges(self):
         cfg = SweepConfig(x_list=(25.0, 50.0, 100.0))
         rep = theorem1_sweep(cfg)
-        assert rep.tail_nonincreasing()
+        assert all(r.passed for r in rep.checks() if r.obj == TAIL_GROWTH)
         assert rep.rows[-1].rel_error < 1e-3
         assert rep.product_consistency < 1e-6
         # o(1) error follows the x^{eps-1} = 1/x pattern for the real
@@ -364,7 +364,8 @@ class TestChecks:
     def test_tail_growth(self, errs, ok):
         # e_{i+1} <= 1.5 e_i, with a vanishing error allowed to stay zero
         rep = _report(errs)
-        assert rep.tail_nonincreasing() is ok
+        assert all(r.passed for r in rep.checks()
+                   if r.obj == TAIL_GROWTH) is ok
         assert rep.passed() is ok
 
     def test_passed_reads_every_row(self):
