@@ -35,12 +35,14 @@ for k in (1, 2):
     print(f"beta_{k}: alpha_{k}(2i)     =", complex(srh.alpha_k(k, lam)))
 
 fac = OperatorFactory(pd, grid, srh, betas[1], betas[2])
-blk = fac.blocks(0.2 + 0.1j)
-print("\nregular-block composition |O12 O21 - O11| =",
-      np.max(np.abs(blk[1, 2] @ blk[2, 1] - blk[1, 1])))
-print("jump factorization residual at 0          =",
+fac_rows = fac.verify()
+# the blocks' one-forms r_l = w o l_{3-l} / q rest on
+# beta_2 = W^{-1} beta_1^{-T} W; the gap to kappa_l W beta_l^{-1} is beta's
+print("\nbeta duality |r_l - kappa_l W beta_l^-1| =",
+      max(r.residual for r in fac_rows if r.obj == "beta duality"))
+print("jump factorization residual at 0        =",
       factorization_residual(fac, 0.0))
 
 print("\nbeta_1, beta_2 and O/P/Q diagnostics:")
 print("\n".join(summarize(betas[1].verify() + betas[2].verify()
-                          + fac.verify())[0]))
+                          + fac_rows)[0]))

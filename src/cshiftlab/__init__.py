@@ -15,7 +15,7 @@ from .symbols import (HolomorphicHandle, ProblemData, ScalarRH, EPS_K,
                       identity_phase, poly_phase, make_handle, make_problem,
                       nu, tau, boundary_value)
 from .l2half import (m_vec, kappa_form, pair, pairing_closed_form, e_vectors,
-                     rank_one, smoothing_bound, factor_bound)
+                     rank_one, dense, smoothing_bound, factor_bound)
 from .kernels import (KernelHandle, v_t, v0, v0_generators, shift_factors,
                       u_kt, k_kt, resolvent_kernel)
 from .fredholm import (NystromSystem, assemble, cauchy_like_logdets,

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import (ExcludedCaseError, NearSingularityError,
                      ParameterDomainError, ResolutionError)
 from .fredholm import (assemble, cauchy_like_logdets, determinant,
-                       logdet_update, low_rank_system, one_blas_thread)
+                       logdet_update, low_rank_logdet, one_blas_thread)
 from .kernels import k_factors, shift_factors, u_kt, v0_generators
 from .quadgrid import (gauss_interval, graded_interval, oscillation_nodes,
                        transplanted_interval)
@@ -184,7 +184,7 @@ def loop_routes(pd: ProblemData, srh: ScalarRH) -> dict:
 
     K_{k;t}'s endpoint behaviour wants the graded panels.  On them
     I + K_{k;t} W is I + P Q^T (``kernels.k_factors``), so its determinant
-    is that of the r x r matrix I_r + Q^T P (``fredholm.low_rank_system``).
+    is that of the r x r matrix I_r + Q^T P (``fredholm.low_rank_logdet``).
     Each kernel's lam-side factor alpha_k = alpha^{eps_k} comes from one
     ln alpha array per rule for both k: ScalarRH's on its loop, and one on
     the graded rule.
@@ -194,7 +194,7 @@ def loop_routes(pd: ProblemData, srh: ScalarRH) -> dict:
     return {k: (determinant(assemble(
                     u_kt(pd, k, srh), srh.loop,
                     left=np.exp(EPS_K[k] * srh.loop_exponent))),
-                determinant(low_rank_system(grule, *k_factors(
+                np.exp(low_rank_logdet(*k_factors(
                     pd, k, srh, grule, left=np.exp(EPS_K[k] * e_grule)))))
             for k in (1, 2)}
 

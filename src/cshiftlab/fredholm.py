@@ -30,9 +30,9 @@ one inverse of I + K serves any number of updates and both kernel
 orientations.  ``solve`` on such a view checks the view's own condition
 number and residual.  ``low_rank_system`` is the system of I + P Q^T for
 (n, r) factors, the identity updated without a base inverse: Woodbury
-with an r x r solve inverts it, and its log-determinant is the r x r
-ln det(I_r + Q^T P).  I + K_{k;t} W on an interval rule is such a
-system (``kernels.k_factors``).
+with an r x r solve inverts it, and ``low_rank_logdet`` takes its
+log-determinant from the factors as the r x r ln det(I_r + Q^T P).
+I + K_{k;t} W on an interval rule is such a matrix (``kernels.k_factors``).
 
 ``cauchy_like_logdets`` needs no matrix at all.  A Cauchy-like A, with
 D A - A D = G H^T for D = diag(lam) and G, H of a few columns, is fixed
@@ -68,7 +68,7 @@ from .quadgrid import Rule
 
 __all__ = ["NystromSystem", "assemble", "cauchy_like_logdets",
            "cauchy_like_matrix", "determinant", "logdet", "logdet_update",
-           "low_rank_system", "one_blas_thread", "solve"]
+           "low_rank_logdet", "low_rank_system", "one_blas_thread", "solve"]
 
 #: ``solve`` refuses a system whose 1-norm condition number exceeds this:
 #: its determinant is numerically zero (the excluded case); and
@@ -89,8 +89,6 @@ class NystromSystem:
     #: a view's inverse from its base system's (``updated``, ``transposed``)
     #: or from low-rank factors (``low_rank_system``)
     _invert: Optional[Callable] = field(default=None, repr=False)
-    #: I_r + Q^T P of a ``low_rank_system``; None for any other system
-    capacitance: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -182,11 +180,10 @@ def low_rank_system(support: Rule, P: np.ndarray,
 
     Its matrix is formed by one product.  Its inverse, on first use, is
     I - P C^{-1} Q^T with the r x r capacitance matrix C = I_r + Q^T P
-    (Woodbury), and ``logdet`` takes ln det C (Sylvester's identity), so
-    no n x n matrix is factored.  ``solve`` checks the exact condition
-    number and residual of the formed matrix, as for any system.  An
-    exactly singular C raises NearSingularityError from ``factorization``;
-    its ``logdet`` is -inf.
+    (Woodbury), so no n x n matrix is factored.  ``solve`` checks the
+    exact condition number and residual of the formed matrix, as for any
+    system.  An exactly singular C raises NearSingularityError from
+    ``factorization``.  The determinant is ``low_rank_logdet``'s.
     """
     n = support.n
     C = np.eye(P.shape[1]) + Q.T @ P
@@ -199,7 +196,13 @@ def low_rank_system(support: Rule, P: np.ndarray,
         return inv
 
     return NystromSystem(support=support, kernel=None, matrix=matrix,
-                         _invert=invert, capacitance=C)
+                         _invert=invert)
+
+
+def low_rank_logdet(P: np.ndarray, Q: np.ndarray) -> complex:
+    """ln det(I + P Q^T) for (n, r) factors as the r x r ln det(I_r + Q^T P)
+    (Sylvester's identity); -inf where it vanishes, as in ``logdet``."""
+    return _slogdet(np.eye(P.shape[1]) + Q.T @ P)
 
 
 def _slogdet(matrix: np.ndarray) -> complex:
@@ -210,12 +213,8 @@ def _slogdet(matrix: np.ndarray) -> complex:
 
 
 def logdet(sys: NystromSystem) -> complex:
-    """log det(I + K) with the imaginary part the accumulated argument.
-
-    A ``low_rank_system`` takes it from its r x r capacitance matrix.
-    """
-    return _slogdet(sys.matrix if sys.capacitance is None
-                    else sys.capacitance)
+    """log det(I + K) with the imaginary part the accumulated argument."""
+    return _slogdet(sys.matrix)
 
 
 def logdet_update(sys: NystromSystem, U: np.ndarray, R: np.ndarray) -> complex:

@@ -25,6 +25,7 @@ __all__ = [
     "pairing_closed_form",
     "e_vectors",
     "rank_one",
+    "dense",
     "smoothing_bound",
     "factor_bound",
 ]
@@ -100,6 +101,19 @@ def rank_one(v: np.ndarray, kappa: np.ndarray, grid: HalfLineRule) -> np.ndarray
     return np.outer(v, kappa * grid.weights)
 
 
+def dense(coef: np.ndarray, l: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """I + sum_jk coef[j, k] l_j (x) r_k at one point, a (2n, 2n) array,
+    from the factors that ``factor_bound`` bounds."""
+    n = l.shape[-1]
+    out = np.empty((2 * n, 2 * n), dtype=complex)
+    for j in (0, 1):
+        for k in (0, 1):
+            np.outer(coef[j, k] * l[j], r[k],
+                     out=out[j * n:(j + 1) * n, k * n:(k + 1) * n])
+    out.flat[::2 * n + 1] += 1.0
+    return out
+
+
 def smoothing_bound(mat: np.ndarray, grid: HalfLineRule) -> float:
     """max |kernel(s, s')| e^{c (s+s')/4} of a (2n, 2n) operator id + K.
 
@@ -108,7 +122,7 @@ def smoothing_bound(mat: np.ndarray, grid: HalfLineRule) -> float:
     of the objects they discretize, so this is their decay-pattern
     constant.  This dense form is the definition and the tests'
     reference; the package takes the same number from the factors of its
-    block-rank-one operators (``factor_bound``).
+    block-rank-one operators (``factor_bound``, the bound of ``dense``).
     """
     s = grid.doubled.nodes
     kernel = (mat - np.eye(2 * grid.n)) / grid.doubled.weights[None, :]

@@ -49,7 +49,7 @@ uniqueness), hence r_l = w o l_{3-l} up to the normalization
 on l_j (x) r_l, and L acts on that array alone.  Every block of the
 value less I is then rank one, so its decay-pattern bound is exact from
 the factors in O(n) (``Parametrix.decay_bound``); the dense (2n, 2n)
-value is formed only when asked for.
+value (``l2half.dense``) is formed only when asked for.
 
 ``coefficients`` and ``decay_bound`` take a 1-D array of points as well as
 one point, and the diagnostics (jump residuals, cut continuity, the
@@ -65,7 +65,7 @@ import numpy as np
 
 from .chf import TricomiEval, _gamma, tricomi_psi, tricomi_psi_array
 from .errors import BranchError, ParameterDomainError
-from .l2half import factor_bound
+from .l2half import dense, factor_bound
 from .quadgrid import safe_radius
 from .rhp import Blocks, OperatorFactory, _disk_probe_angles
 from .symbols import ProblemData, nu
@@ -132,18 +132,6 @@ def _psi_cont(a, zt, rot) -> TricomiEval:
     total = np.angle(zt) + rot * np.pi / 2.0
     sheet = np.rint((total - np.angle(z)) / (2.0 * np.pi)).astype(int)
     return (tricomi_psi if z.ndim == 0 else tricomi_psi_array)(a, z, sheet)
-
-
-def _dense(coef: np.ndarray, l: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """I + sum_jk coef[j, k] l_j (x) r_k at one point, a (2n, 2n) array."""
-    n = l.shape[-1]
-    out = np.empty((2 * n, 2 * n), dtype=complex)
-    for j in (0, 1):
-        for k in (0, 1):
-            np.outer(coef[j, k] * l[j], r[k],
-                     out=out[j * n:(j + 1) * n, k * n:(k + 1) * n])
-    out.flat[::2 * n + 1] += 1.0
-    return out
 
 
 @dataclass
@@ -318,9 +306,9 @@ class Parametrix:
             * jblk.jump_coefficients(rays)
         out = []
         for i, (ray, frac) in enumerate(zip(rays, fracs)):
-            P_out = _dense(coef[i], blk.l[i], blk.r[i])
-            P_in = _dense(coef[i + 6], blk.l[i + 6], blk.r[i + 6])
-            M = _dense(jcoef[i], jblk.l[i], jblk.r[i])
+            P_out = dense(coef[i], blk.l[i], blk.r[i])
+            P_in = dense(coef[i + 6], blk.l[i + 6], blk.r[i + 6])
+            M = dense(jcoef[i], jblk.l[i], jblk.r[i])
             if self.endpoint == "a":
                 resid = np.max(np.abs(P_out @ M - P_in))
             else:
@@ -337,8 +325,8 @@ class Parametrix:
         coef, blk = self.coefficients(np.concatenate(
             [lam + 1j * _SIDE_OFFSET, lam - 1j * _SIDE_OFFSET]))
         return max(float(np.max(np.abs(
-            _dense(coef[i], blk.l[i], blk.r[i])
-            - _dense(coef[i + 2], blk.l[i + 2], blk.r[i + 2]))))
+            dense(coef[i], blk.l[i], blk.r[i])
+            - dense(coef[i + 2], blk.l[i + 2], blk.r[i + 2]))))
             for i in range(2))
 
     def boundary_residual(self) -> float:

@@ -26,7 +26,8 @@ from .errors import (ExcludedCaseError, GridMismatchError,
 from .fredholm import (NystromSystem, cauchy_like_matrix, low_rank_system,
                        solve)
 from .kernels import k_factors, shift_factors, v0_generators, v_t
-from .l2half import e_vectors, factor_bound, kappa_form, m_vec, rank_one
+from .l2half import (dense, e_vectors, factor_bound, kappa_form, m_vec,
+                     rank_one)
 from .quadgrid import (HalfLineRule, IntervalRule, gauss_interval,
                        laguerre_halfline, oscillation_nodes, safe_radius)
 from .symbols import EPS_K, ProblemData, ScalarRH, boundary_value, nu, tau
@@ -239,18 +240,10 @@ class ChiSolution:
 
 
 def g_chi(pd: ProblemData, grid: HalfLineRule, lam) -> np.ndarray:
-    """The block jump matrix on (a, b); its Fredholm determinant is 1."""
-    lam = complex(lam)
-    Fv = complex(pd.F(lam))
-    ph = np.exp(1j * pd.x * pd.p(lam))
-    m1 = m_vec(1, pd, grid, lam)
-    m2 = m_vec(2, pd, grid, lam)
-    k1 = kappa_form(1, pd, grid, lam)
-    k2 = kappa_form(2, pd, grid, lam)
-    eye = np.eye(grid.n, dtype=complex)
-    return np.block(
-        [[eye - Fv * rank_one(m1, k1, grid), Fv * ph * rank_one(m1, k2, grid)],
-         [-Fv / ph * rank_one(m2, k1, grid), eye + Fv * rank_one(m2, k2, grid)]])
+    """The block jump matrix on (a, b), I + 2 i pi E_R (x) W E_L at lam from
+    the pairing that defines V_t (``e_vectors``); its determinant is 1."""
+    EL, ER = e_vectors(pd, grid, complex(lam))
+    return dense(np.full((2, 2), 2j * np.pi), ER, EL * grid.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +366,8 @@ class Blocks:
 
     Every block is l_j (x) r_l, j, l = 1, 2, on the half-line grid:
     O_jl carries alpha^{2 (l - j)}, P = F/(1+F) l_1 (x) r_2 and
-    Q = -F/(1+F) l_2 (x) r_1.  At one point, indexing forms a dense
-    (Ns, Ns) block: ``blk[j, l]`` for O_jl, ``blk["P"]`` and ``blk["Q"]``.
+    Q = -F/(1+F) l_2 (x) r_1 (``jump_coefficients``).  At one point,
+    ``blk[j, l]`` forms O_jl as a dense (Ns, Ns) block.
 
     ``l`` holds l_k = beta_k m_k in row k - 1, ``r`` holds the one-forms
     r_1 = w o l_2 / q and r_2 = w o l_1 / q (w the grid weights), so that
@@ -402,10 +395,6 @@ class Blocks:
         return coef
 
     def __getitem__(self, key) -> np.ndarray:
-        if key == "P":
-            return self.ratio * np.outer(self.l[0], self.r[1])
-        if key == "Q":
-            return -self.ratio * np.outer(self.l[1], self.r[0])
         j, k = key
         return np.exp(2.0 * (k - j) * self.exponent) \
             * np.outer(self.l[j - 1], self.r[k - 1])
@@ -462,15 +451,6 @@ class OperatorFactory:
         blk = self.blocks(lam)
         return np.block([[blk[1, 1], blk[1, 2]], [blk[2, 1], blk[2, 2]]])
 
-    def _from_O(self, lam, blk, sign: float) -> np.ndarray:
-        """sign 2 i e^{i pi nu} sin(pi nu) alpha^{2 sign} O_jl from the
-        blocks ``blk`` at lam: P from O_12 (sign -1), Q from O_21 (+1).
-        This is the dual route to the blocks' own P and Q."""
-        nv = complex(nu(self.pd, lam))
-        off = blk[1, 2] if sign < 0 else blk[2, 1]
-        return sign * 2j * np.exp(1j * np.pi * nv) * np.sin(np.pi * nv) \
-            * np.exp(sign * 2.0 * blk.exponent) * off
-
     def jump_factor(self, lam, side: int,
                     x: float | None = None) -> np.ndarray:
         """The triangular jump factor at lam.
@@ -479,19 +459,13 @@ class OperatorFactory:
         M_down^{-1} = [[id, 0], [-Q e^{-i x p}, id]].  x defaults to the
         problem's; x = 0 gives the phase-free factor.  The factor is
         unipotent: its inverse is itself with the off-diagonal block
-        negated.
+        negated.  It is ``dense`` of the phased ``jump_coefficients``.
         """
         x = self.pd.x if x is None else x
         lam = complex(lam)
         blk = self.blocks(lam)
-        n = self.grid.n
-        ph = np.exp(1j * side * x * self.pd.p(lam))
-        mat = np.eye(2 * n, dtype=complex)
-        if side > 0:
-            mat[:n, n:] = ph * blk["P"]
-        else:
-            mat[n:, :n] = -ph * blk["Q"]
-        return mat
+        return dense(np.exp(1j * side * x * self.pd.p(lam))
+                     * blk.jump_coefficients(side), blk.l, blk.r)
 
     def near_probes(self):
         """Off-axis probes at heights up to 0.875 ``safe_radius``, kept to
@@ -504,7 +478,9 @@ class OperatorFactory:
         return [z for z in cands if abs((pd.t * z).imag) < 0.9 * pd.c / 4.0]
 
     def verify(self):
-        pd = self.pd
+        """O's continuity across the interval, and the blocks' duality
+        r_l = kappa_l W beta_l^{-1} (beta_2 = W^{-1} beta_1^{-T} W)."""
+        pd, grid = self.pd, self.grid
         interior, _ = default_probes(pd)
         exterior = self.near_probes()
         rows = []
@@ -516,15 +492,12 @@ class OperatorFactory:
                                   float(np.max(np.abs(o_p - o_m))), 1e-6))
         for lam in exterior[:3]:
             blk = self.blocks(lam)
-            comp = np.max(np.abs(blk[1, 2] @ blk[2, 1] - blk[1, 1]))
-            rows.append(DiagnosticRow("O_12 O_21 - O_11", lam.real, lam.imag,
-                                      float(comp), 1e-8))
-            dual_p = np.max(np.abs(blk["P"] - self._from_O(lam, blk, -1.0)))
-            dual_q = np.max(np.abs(blk["Q"] - self._from_O(lam, blk, 1.0)))
-            rows.append(DiagnosticRow("P dual route", lam.real, lam.imag,
-                                      float(dual_p), 1e-8))
-            rows.append(DiagnosticRow("Q dual route", lam.real, lam.imag,
-                                      float(dual_q), 1e-8))
+            gap = max(np.max(np.abs(blk.r[l - 1] - np.linalg.solve(
+                self.betas[l].beta(lam).T,
+                kappa_form(l, pd, grid, lam) * grid.weights)))
+                for l in (1, 2))
+            rows.append(DiagnosticRow("beta duality", lam.real, lam.imag,
+                                      float(gap), 1e-6))
         return rows
 
 

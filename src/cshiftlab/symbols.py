@@ -144,6 +144,14 @@ class ProblemData:
         return make_problem(**d)
 
 
+def _check_finite(name: str, vals, pts, where: str = "interval") -> None:
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise SymbolDomainError(f"{name} is not finite at {where} node "
+                                f"{pts[j]}", node=pts[j])
+
+
 def make_problem(a: float, b: float, c: float, t: complex, x: float,
                  F: HolomorphicHandle, p: HolomorphicHandle) -> ProblemData:
     """Validate the inputs and return a ProblemData.
@@ -151,8 +159,14 @@ def make_problem(a: float, b: float, c: float, t: complex, x: float,
     The hypotheses are checked numerically on a 64-node Gauss rule: p is
     real with p' > 0 at its nodes, and |arg(1 + F)| < pi there and on
     the stadium at ``safe_radius``, the loop the package builds; between
-    neighbouring samples 1 + F must not cross its cut.
+    neighbouring samples 1 + F must not cross its cut.  A non-finite a,
+    b, c, x or t raises ParameterDomainError, and a non-finite p, p' or F
+    at those points SymbolDomainError.
     """
+    for name, val in (("a", a), ("b", b), ("c", c), ("x", x), ("t", t)):
+        if not np.isfinite(val):
+            raise ParameterDomainError(
+                f"need a finite {name}, got {name}={val}")
     if not a < b:
         raise ParameterDomainError(f"need a < b, got a={a}, b={b}")
     if c <= 0:
@@ -163,12 +177,14 @@ def make_problem(a: float, b: float, c: float, t: complex, x: float,
 
     rule = gauss_interval(64, a, b)
     pvals = p(rule.nodes)
+    dp = p.deriv(rule.nodes)
+    _check_finite("p", pvals, rule.nodes)
+    _check_finite("p'", dp, rule.nodes)
     if np.max(np.abs(pvals.imag)) > 1e-10 * max(1.0, np.max(np.abs(pvals))):
         j = int(np.argmax(np.abs(pvals.imag)))
         raise SymbolDomainError(
             f"p is not real on [a, b]: p({rule.nodes[j]}) = {pvals[j]}",
             node=rule.nodes[j])
-    dp = p.deriv(rule.nodes)
     if np.min(dp.real) <= 0:
         j = int(np.argmin(dp.real))
         raise SymbolDomainError(
@@ -181,6 +197,7 @@ def make_problem(a: float, b: float, c: float, t: complex, x: float,
     for where, pts in (("interval", rule.nodes.astype(complex)),
                        ("contour", np.append(loop, loop[0]))):
         one_plus = 1.0 + F(pts)
+        _check_finite("F", one_plus, pts, where)
         arg = np.angle(one_plus)
         bad = (np.abs(arg) >= np.pi * (1.0 - 1e-12)) | (one_plus == 0)
         # 1 + F crossing the cut between two neighbouring samples

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import cshiftlab as cl
 from cshiftlab.errors import PoleError
 from cshiftlab.flow import oscillation_nodes
-from cshiftlab.fredholm import low_rank_system
+from cshiftlab.fredholm import low_rank_logdet, low_rank_system
 from cshiftlab.kernels import (KernelHandle, k_factors, k_kt, resolvent_kernel,
                                u_kt)
 from cshiftlab.quadgrid import graded_interval
@@ -370,7 +370,7 @@ class TestKFactors:
         sys_ = low_rank_system(rule, P, Q)
         sys_.factorization()
         ref = cl.assemble(k_kt(pd, k, srh), rule, left=left)
-        assert abs(cl.logdet(sys_) - cl.logdet(ref)) \
+        assert abs(low_rank_logdet(P, Q) - cl.logdet(ref)) \
             <= rule.n * EPS * sys_.cond
 
     @pytest.mark.parametrize("c, r", [(0.5, 81), (1.0, 46), (2.0, 30)])
@@ -404,7 +404,7 @@ class TestKFactors:
             assert P.shape == Q.shape == (rule.n, 0)
             sys_ = low_rank_system(rule, P, Q)
             assert np.array_equal(sys_.matrix, np.eye(rule.n))
-            assert cl.logdet(sys_) == 0.0
+            assert low_rank_logdet(P, Q) == 0.0
             g = np.ones((rule.n, 3))
             assert np.array_equal(cl.solve(sys_, g), g)
 

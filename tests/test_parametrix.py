@@ -9,8 +9,8 @@ import cshiftlab as cl
 from cshiftlab import parametrix
 from cshiftlab.errors import BranchError, ParameterDomainError
 from cshiftlab.chf import _gamma
-from cshiftlab.l2half import factor_bound, smoothing_bound
-from cshiftlab.parametrix import (Parametrix, _dense, _psi_cont, alpha0,
+from cshiftlab.l2half import dense, factor_bound, smoothing_bound
+from cshiftlab.parametrix import (Parametrix, _psi_cont, alpha0,
                                   build_parametrix, l_sector, zeta)
 from cshiftlab.rhp import OperatorFactory, solve_beta
 
@@ -227,7 +227,7 @@ def _value(px, lam, sector=None):
     """The parametrix at one point, a (2n, 2n) array: I plus the four
     outer products of its ``coefficients``."""
     coef, blk = px.coefficients(lam, sector)
-    return _dense(coef, blk.l, blk.r)
+    return dense(coef, blk.l, blk.r)
 
 
 def _dense_parametrix(px, lam, sector):

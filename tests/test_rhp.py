@@ -9,7 +9,8 @@ import cshiftlab as cl
 from cshiftlab.errors import (BoundaryLimitError, ExcludedCaseError,
                               GridMismatchError, NearSingularityError,
                               ParameterDomainError)
-from cshiftlab.l2half import factor_bound, kappa_form, m_vec, smoothing_bound
+from cshiftlab.l2half import (dense, factor_bound, kappa_form, m_vec,
+                              rank_one, smoothing_bound)
 from cshiftlab.rhp import (DiagnosticRow, OperatorFactory, _disk_probe_angles,
                            default_probes, factorization_residual, g_chi,
                            pi_residual, solve_beta, summarize)
@@ -170,7 +171,33 @@ class TestExcludedCase:
         assert isinstance(info.value.__cause__, NearSingularityError)
 
 
+def _g_chi_blocks(pd, grid, lam):
+    """G_chi assembled block by block from m_k, kappa_k and F e^{+- i x p}:
+    the reference for g_chi's E_R (x) W E_L form."""
+    lam = complex(lam)
+    Fv = complex(pd.F(lam))
+    ph = np.exp(1j * pd.x * pd.p(lam))
+    m1, m2 = (m_vec(k, pd, grid, lam) for k in (1, 2))
+    k1, k2 = (kappa_form(k, pd, grid, lam) for k in (1, 2))
+    eye = np.eye(grid.n, dtype=complex)
+    return np.block(
+        [[eye - Fv * rank_one(m1, k1, grid), Fv * ph * rank_one(m1, k2, grid)],
+         [-Fv / ph * rank_one(m2, k1, grid), eye + Fv * rank_one(m2, k2, grid)]])
+
+
 class TestGChi:
+    @pytest.mark.parametrize("F", [cl.constant_symbol(0.2),
+                                   cl.poly_symbol([0.2, 0.15]),
+                                   cl.constant_symbol(-0.5 + 0.5j)],
+                             ids=["0.2", "0.2+0.15lam", "-0.5+0.5i"])
+    @pytest.mark.parametrize("t", [1.0, 0.7 - 0.05j, 0.5 + 0.1j])
+    def test_matches_the_block_assembly(self, grid48, F, t):
+        pd = cl.make_problem(a=-1.0, b=1.0, c=1.0, t=t, x=10.0, F=F,
+                             p=cl.poly_phase([0.0, 1.0, 0.2]))
+        for lam0 in (0.3, -0.77, 0.01):
+            want = _g_chi_blocks(pd, grid48, lam0)
+            assert np.max(np.abs(g_chi(pd, grid48, lam0) - want)) <= 1e-15
+
     def test_unit_determinant(self, pd_default, grid48):
         for lam0 in (-0.3, 0.52, 0.9):
             G = g_chi(pd_default, grid48, lam0)
@@ -389,6 +416,16 @@ class TestOperatorFactory:
         failed = [r for r in factory_default.verify() if not r.passed]
         assert failed == []
 
+    def test_beta_duality_fails_on_a_perturbed_beta(self, factory_default):
+        # negative control: rho_1 off by 1e-3 breaks beta_2 =
+        # W^{-1} beta_1^{-T} W, which the blocks' one-forms rest on
+        fac = factory_default
+        beta1 = copy.copy(fac.betas[1])
+        beta1.rho = beta1.rho + 1e-3
+        bad = OperatorFactory(fac.pd, fac.grid, fac.srh, beta1, fac.betas[2])
+        rows = [r for r in bad.verify() if r.obj == "beta duality"]
+        assert len(rows) == 3 and not any(r.passed for r in rows)
+
     @pytest.mark.parametrize("F", [0.2, -0.5, 0.2 + 0.3j])
     def test_blocks_match_the_inverse_route(self, grid48, F):
         # the dual one-forms differ from kappa W beta^{-1} by beta's own
@@ -400,11 +437,16 @@ class TestOperatorFactory:
         betas = {k: solve_beta(pd, cl.gauss_interval(192, pd.a, pd.b),
                                grid48, k, srh) for k in (1, 2)}
         fac = OperatorFactory(pd, grid48, srh, betas[1], betas[2])
+        n = grid48.n
         for lam in list(_disk_probes(pd)) + fac.near_probes():
             blk, want = fac.blocks(lam), _inverse_route(fac, lam)
             assert 0.0 < abs(blk.q - 1.0) < 1e-5
+            # P and Q: the off-diagonal blocks of the phase-free factors
+            got = {"P": fac.jump_factor(lam, +1, x=0.0)[:n, n:],
+                   "Q": -fac.jump_factor(lam, -1, x=0.0)[n:, :n]}
             for key, ref in want.items():
-                gap = np.max(np.abs(blk[key] - ref)) / np.max(np.abs(ref))
+                val = got[key] if key in got else blk[key]
+                gap = np.max(np.abs(val - ref)) / np.max(np.abs(ref))
                 assert gap < 10.0 * abs(blk.q - 1.0), key
 
     def test_blocks_form_no_beta_matrix_or_inverse(self, factory_default,
@@ -503,8 +545,10 @@ class TestOperatorFactory:
         fac = OperatorFactory(pd_zero, grid48, srh, betas[1], betas[2])
         blk = fac.blocks(0.1 + 0.05j)
         assert np.trace(blk[1, 1]) == pytest.approx(1.0, abs=1e-13)
-        assert np.max(np.abs(blk["P"])) == 0.0
-        assert np.max(np.abs(blk["Q"])) == 0.0
+        # P = Q = 0: both lens factors are the identity
+        for side in (+1, -1):
+            assert np.array_equal(fac.jump_factor(0.1 + 0.05j, side),
+                                  np.eye(2 * grid48.n))
 
     def test_factorization(self, factory_default):
         for lam0 in (0.0, 0.588):
@@ -545,8 +589,7 @@ class TestOperatorFactory:
     def test_verify_evaluates_blocks_once_per_point(self, factory_default,
                                                     monkeypatch):
         # O's one-sided limits take one call per delta on each side; each
-        # exterior probe serves the composition law and both dual routes
-        # from one call
+        # exterior probe's beta duality row takes one call
         calls = []
         blocks = OperatorFactory.blocks
 
@@ -591,7 +634,7 @@ class TestPiResidual:
         # each row is the jump at its own x, built as if no other x were
         # probed: the triangular factor with its phase on the lens, a
         # freshly built parametrix on the disk
-        from cshiftlab.parametrix import _dense, build_parametrix
+        from cshiftlab.parametrix import build_parametrix
 
         fac = factory_default
         for r in report.lens_rows:
@@ -604,7 +647,7 @@ class TestPiResidual:
             ep, x = r.obj.split()[1], float(r.obj.split("x=")[1])
             px = build_parametrix(ep, pd_default, fac, x=x, radius=0.2)
             coef, blk = px.coefficients(complex(r.lam_re, r.lam_im))
-            want = smoothing_bound(_dense(coef, blk.l, blk.r), fac.grid)
+            want = smoothing_bound(dense(coef, blk.l, blk.r), fac.grid)
             assert r.residual == pytest.approx(want, rel=1e-13)
         assert {float(r.obj.split("x=")[1]) for r in report.rows()} \
             == set(report.xs)

@@ -51,6 +51,14 @@ class TestMakeProblem:
             cl.make_problem(a=-1, b=1, c=-1.0, t=1.0, x=5.0,
                             F=cl.constant_symbol(0.2), p=cl.identity_phase())
 
+    @pytest.mark.parametrize("name", ["a", "b", "c", "x", "t"])
+    def test_non_finite_parameter_rejected(self, name):
+        kw = dict(a=-1.0, b=1.0, c=1.0, t=1.0, x=5.0)
+        kw[name] = complex(1.0, np.inf) if name == "t" else np.nan
+        with pytest.raises(ParameterDomainError, match=f"finite {name}"):
+            cl.make_problem(**kw, F=cl.constant_symbol(0.2),
+                            p=cl.identity_phase())
+
     def test_preset_family(self):
         assert make_handle("constant", [0.3])(0.0) == pytest.approx(0.3)
         assert make_handle("poly", [1.0, 2.0])(2.0) == pytest.approx(5.0)
